@@ -1,10 +1,11 @@
 """Batch front end: build, transform and check objects stored as JSON.
 
 Exit codes: 0 the check holds (or the command succeeded), 1 the check
-fails, 2 schema or usage errors, 3 builder preconditions or level
-shortfalls.  Reports print as key: value lines, or as JSON with
---format=machine.  DECOMP_MAX_SQUARES caps the direct decomposition
-checker's square budget.
+fails, 2 schema or usage errors (including a path that cannot be read
+or written, and a negative --rank-cap or DECOMP_MAX_SQUARES), 3
+builder preconditions or level shortfalls.  Reports print as key: value
+lines, or as JSON with --format=machine.  DECOMP_MAX_SQUARES caps the
+direct decomposition checker's square budget.
 """
 
 from __future__ import annotations
@@ -197,7 +198,28 @@ def _render(report: CheckReport, criterion: str, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _square_budget() -> int | None:
+    """DECOMP_MAX_SQUARES as a nonnegative int, or None when unset or empty."""
+    budget = os.environ.get("DECOMP_MAX_SQUARES")
+    if not budget:
+        return None
+    try:
+        value = int(budget)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise SystemExit2(
+            f"DECOMP_MAX_SQUARES must be a nonnegative integer, got {budget!r}"
+        )
+    return value
+
+
 def _cmd_check(args) -> int:
+    budget = None
+    if args.criterion == "decomp-direct":
+        if args.rank_cap is not None and args.rank_cap < 0:
+            raise SystemExit2(f"--rank-cap must be nonnegative, got {args.rank_cap}")
+        budget = _square_budget()
     if args.criterion == "culf":
         smap = serialize.smap_from_obj(serialize.read_file(args.input), where=args.input)
         report = criteria.check_culf(smap)
@@ -216,11 +238,8 @@ def _cmd_check(args) -> int:
         elif args.criterion == "decomp":
             report = criteria.check_decomposition(X)
         else:
-            budget = os.environ.get("DECOMP_MAX_SQUARES")
             report = criteria.check_decomposition_direct(
-                X,
-                rank_cap=args.rank_cap,
-                max_squares=int(budget) if budget else None,
+                X, rank_cap=args.rank_cap, max_squares=budget
             )
     sys.stdout.write(_render(report, args.criterion, args.format))
     return EXIT_HOLDS if report.holds else EXIT_FAILS
@@ -254,10 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_transform(args)
-    except (serialize.SchemaError, SystemExit2) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except FileNotFoundError as exc:
+    except (serialize.SchemaError, SystemExit2, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (StructuralError, LevelError) as exc:

@@ -5,9 +5,19 @@ squares (smallest square first), and returns a CheckReport carrying the
 first witness on failure.  An instance whose square would need a level
 beyond the truncation is skipped; the report's checked_level records
 the truncation the verdict is good for.
+
+The active-inert walks (the direct and the polygonal checker) induce
+each simplex-category map at most once per call: a memo keyed by
+SimplexMap is built when the call starts and dropped when it returns,
+so nothing is cached on the TruncatedSSet.  A square of theirs with an
+identity leg is a pullback by construction; it is counted in
+squares_checked (and against the budget) at its place in the walk, but
+decided without building its fibers.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from . import delta
 from .sset import (
@@ -197,6 +207,54 @@ def check_upper_2segal_reduced(X: TruncatedSSet) -> CheckReport:
     return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
 
 
+#: induced_map on one object, as the active-inert walks call it
+_Induce = Callable[[delta.SimplexMap], dict[str, str]]
+
+
+def _memo_induced_map(X: TruncatedSSet) -> _Induce:
+    """induced_map on X, computed once per SimplexMap for one checker call."""
+    memo: dict[delta.SimplexMap, dict[str, str]] = {}
+
+    def induce(alpha: delta.SimplexMap) -> dict[str, str]:
+        table = memo.get(alpha)
+        if table is None:
+            table = memo[alpha] = induced_map(X, alpha)
+        return table
+
+    return induce
+
+
+def _has_identity_leg(alpha: delta.SimplexMap, iota: delta.SimplexMap) -> bool:
+    """Whether the active alpha or the inert iota is an identity map.
+
+    The pushout leg opposite an identity is an identity too, so X sends
+    the square to a pullback whatever X is.  A degenerate active map
+    [n] -> [n], such as 0,0,2, is not an identity.
+    """
+    return iota.source_rank == iota.target_rank or alpha.values == tuple(
+        range(alpha.target_rank + 1)
+    )
+
+
+def _pushout_square(
+    induce: _Induce,
+    alpha: delta.SimplexMap,
+    iota: delta.SimplexMap,
+    square: str,
+    levels: tuple[int, ...],
+) -> CheckReport:
+    """X applied to the pushout of active alpha along inert iota."""
+    theta, phi = delta.active_inert_pushout(alpha, iota)
+    return is_pullback_square(
+        induce(phi),
+        induce(theta),
+        induce(iota),
+        induce(alpha),
+        square=square,
+        levels=levels,
+    )
+
+
 def _polygonal_pairs(n: int, mode: str):
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
@@ -220,18 +278,19 @@ def check_2segal_polygonal(X: TruncatedSSet, mode: str = "full") -> CheckReport:
     if mode not in ("full", "restricted", "upper", "lower"):
         raise ValueError(f"unknown mode {mode!r}")
     _require_valid(X)
+    induce = _memo_induced_map(X)
     checked = 0
     for n in range(1, X.level + 1):
         for i, j in _polygonal_pairs(n, mode):
             alpha = delta.SimplexMap(1, j - i, (0, j - i))
             iota = delta.inert_map(1, n - j + i + 1, i)
-            theta, phi = delta.active_inert_pushout(alpha, iota)
             checked += 1
-            sub = is_pullback_square(
-                induced_map(X, phi),
-                induced_map(X, theta),
-                induced_map(X, iota),
-                induced_map(X, alpha),
+            if _has_identity_leg(alpha, iota):
+                continue
+            sub = _pushout_square(
+                induce,
+                alpha,
+                iota,
                 square=f"polygonal n={n} i={i} j={j}: "
                 f"X{n} -> X{iota.target_rank} / X{j - i} over X1",
                 levels=(n, iota.target_rank, j - i, 1),
@@ -266,19 +325,28 @@ def check_decomposition_direct(
     all four ranks within the truncation and pushout rank
     p = k - n + m <= rank_cap, forms the pushout, and checks the induced
     square of cell sets.  max_squares cuts the walk off deterministically
-    (recorded in the report detail).
+    (recorded in the report detail).  A negative rank_cap or max_squares
+    raises ValueError.
     """
+    if rank_cap is not None and rank_cap < 0:
+        raise ValueError(f"rank cap {rank_cap} is negative")
+    if max_squares is not None and max_squares < 0:
+        raise ValueError(f"square budget {max_squares} is negative")
     _require_valid(X)
     if rank_cap is None:
         rank_cap = X.level
     if rank_cap > X.level:
         raise LevelError(f"rank cap {rank_cap} exceeds level {X.level}")
+    induce = _memo_induced_map(X)
     checked = 0
     for n in range(0, rank_cap + 1):
         for k in range(n, X.level + 1):
+            inerts = delta.enumerate_inert(n, k)
             for m in range(0, min(X.level, rank_cap - k + n) + 1):
-                for iota in delta.enumerate_inert(n, k):
-                    for alpha in delta.enumerate_active(n, m):
+                actives = delta.enumerate_active(n, m)
+                p = k - n + m
+                for iota in inerts:
+                    for alpha in actives:
                         if max_squares is not None and checked >= max_squares:
                             return CheckReport(
                                 holds=True,
@@ -287,16 +355,16 @@ def check_decomposition_direct(
                                 detail=f"stopped after {checked} squares "
                                 f"(budget {max_squares})",
                             )
-                        theta, phi = delta.active_inert_pushout(alpha, iota)
                         checked += 1
-                        sub = is_pullback_square(
-                            induced_map(X, phi),
-                            induced_map(X, theta),
-                            induced_map(X, iota),
-                            induced_map(X, alpha),
+                        if _has_identity_leg(alpha, iota):
+                            continue
+                        sub = _pushout_square(
+                            induce,
+                            alpha,
+                            iota,
                             square=f"active-inert alpha={alpha.values} "
-                            f"iota={iota.values}: X{theta.target_rank} over X{n}",
-                            levels=(theta.target_rank, k, m, n),
+                            f"iota={iota.values}: X{p} over X{n}",
+                            levels=(p, k, m, n),
                         )
                         if not sub.holds:
                             return _fail(X.level, checked, sub)

@@ -33,7 +33,8 @@ def _require(obj: dict, field: str, kind: type, where: str) -> Any:
     if field not in obj:
         raise SchemaError(f"{where}: missing field {field!r}")
     value = obj[field]
-    if not isinstance(value, kind):
+    # bool is a subclass of int, but JSON true/false is not a number
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise SchemaError(f"{where}: field {field!r} must be {kind.__name__}")
     return value
 
@@ -48,7 +49,9 @@ def _table_from_indices(row, cells_from, cells_to, where: str) -> dict[str, str]
         raise SchemaError(f"{where}: expected {len(cells_from)} indices")
     out = {}
     for c, j in zip(cells_from, row):
-        if not isinstance(j, int) or not 0 <= j < len(cells_to):
+        if isinstance(j, bool) or not isinstance(j, int):
+            raise SchemaError(f"{where}: index {j!r} is not an integer")
+        if not 0 <= j < len(cells_to):
             raise SchemaError(f"{where}: index {j!r} out of range")
         out[c] = cells_to[j]
     return out

@@ -1,11 +1,24 @@
-"""Brute-force universal-property oracles for the simplex category.
+"""Brute-force universal-property oracles for the simplex category, and
+reference implementations of the square engine.
 
-These work from the defining equations only (pointwise determination
-plus monotone completion counting); they never consult the closed-form
-pushout construction they are used to certify.
+The simplex-category oracles work from the defining equations only
+(pointwise determination plus monotone completion counting); they never
+consult the closed-form pushout construction they are used to certify.
+The reference pullback enumerates the whole fiber product of every
+square, and the reference direct walk checks every active-inert square
+through it, with no memo and no shortcut: the library's engine must
+give reports identical to theirs.
 """
 
 from decompspace import delta
+from decompspace.sset import (
+    CheckReport,
+    LevelError,
+    SquareWitness,
+    StructuralError,
+    induced_map,
+    validate,
+)
 
 
 def monotone_tuples(length, top):
@@ -114,3 +127,117 @@ def factorization_buckets(top_rank):
                         f = delta.compose(inert, active)
                         buckets.setdefault(f, []).append((active, inert))
     return buckets
+
+
+def reference_is_pullback_square(f, g, p, q, square="", levels=()):
+    """Enumerate B x_D C and count the preimages of every element."""
+    if set(f) != set(g):
+        raise StructuralError("candidate projections disagree on their domain")
+    for a in f:
+        if p[f[a]] != q[g[a]]:
+            raise StructuralError(
+                f"square {square or '(unnamed)'} does not commute at {a!r}"
+            )
+    preimages = {}
+    for a in f:
+        preimages.setdefault((f[a], g[a]), []).append(a)
+    qfibers = {}
+    for c, v in q.items():
+        qfibers.setdefault(v, []).append(c)
+    for b in p:
+        for c in qfibers.get(p[b], ()):
+            pre = preimages.get((b, c), [])
+            if len(pre) != 1:
+                witness = SquareWitness(
+                    square=square,
+                    levels=levels,
+                    element=(b, c),
+                    preimage_count=len(pre),
+                    preimages=tuple(pre),
+                )
+                return CheckReport(
+                    holds=False, checked_level=0, squares_checked=1, witness=witness
+                )
+    return CheckReport(holds=True, checked_level=0, squares_checked=1)
+
+
+def reference_check_decomposition_direct(X, rank_cap=None, max_squares=None):
+    """Every active-inert square within the rank cap, each one induced
+    afresh and decided by the reference pullback."""
+    report = validate(X)
+    if not report.holds:
+        raise StructuralError(f"input is not a simplicial set: {report.detail}")
+    if rank_cap is None:
+        rank_cap = X.level
+    if rank_cap > X.level:
+        raise LevelError(f"rank cap {rank_cap} exceeds level {X.level}")
+    checked = 0
+    for n in range(0, rank_cap + 1):
+        for k in range(n, X.level + 1):
+            for m in range(0, min(X.level, rank_cap - k + n) + 1):
+                for iota in delta.enumerate_inert(n, k):
+                    for alpha in delta.enumerate_active(n, m):
+                        if max_squares is not None and checked >= max_squares:
+                            return CheckReport(
+                                holds=True,
+                                checked_level=X.level,
+                                squares_checked=checked,
+                                detail=f"stopped after {checked} squares "
+                                f"(budget {max_squares})",
+                            )
+                        theta, phi = delta.active_inert_pushout(alpha, iota)
+                        checked += 1
+                        sub = reference_is_pullback_square(
+                            induced_map(X, phi),
+                            induced_map(X, theta),
+                            induced_map(X, iota),
+                            induced_map(X, alpha),
+                            square=f"active-inert alpha={alpha.values} "
+                            f"iota={iota.values}: X{theta.target_rank} over X{n}",
+                            levels=(theta.target_rank, k, m, n),
+                        )
+                        if not sub.holds:
+                            return CheckReport(
+                                holds=False,
+                                checked_level=X.level,
+                                squares_checked=checked,
+                                witness=sub.witness,
+                            )
+    return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
+
+
+def reference_check_2segal_polygonal(X, mode="full"):
+    """The two-element-subset squares {i, j} inside [n], each one induced
+    afresh and decided by the reference pullback."""
+    report = validate(X)
+    if not report.holds:
+        raise StructuralError(f"input is not a simplicial set: {report.detail}")
+    checked = 0
+    for n in range(1, X.level + 1):
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                if mode == "restricted" and not (i == 0 or j == n):
+                    continue
+                if (mode == "upper" and j != n) or (mode == "lower" and i != 0):
+                    continue
+                alpha = delta.SimplexMap(1, j - i, (0, j - i))
+                iota = delta.inert_map(1, n - j + i + 1, i)
+                theta, phi = delta.active_inert_pushout(alpha, iota)
+                checked += 1
+                sub = reference_is_pullback_square(
+                    induced_map(X, phi),
+                    induced_map(X, theta),
+                    induced_map(X, iota),
+                    induced_map(X, alpha),
+                    square=f"polygonal n={n} i={i} j={j}: "
+                    f"X{n} -> X{iota.target_rank} / X{j - i} over X1",
+                    levels=(n, iota.target_rank, j - i, 1),
+                )
+                if not sub.holds:
+                    return CheckReport(
+                        holds=False,
+                        checked_level=X.level,
+                        squares_checked=checked,
+                        witness=sub.witness,
+                    )
+    return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)

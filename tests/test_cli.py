@@ -156,6 +156,30 @@ class TestCheck:
         missing = tmp_path / "nope.json"
         assert main(["check", "segal", str(missing)]) == 2
 
+    def test_directory_input_exit_2(self, tmp_path, capsys):
+        assert main(["check", "segal", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_negative_rank_cap_exit_2(self, tmp_path, capsys):
+        obj = tmp_path / "w.json"
+        main(["build", "words", "--alphabet", "ab", "--max-len", "2",
+              "--level", "3", "--output", str(obj)])
+        capsys.readouterr()
+        assert main(["check", "decomp-direct", str(obj), "--rank-cap", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--rank-cap" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("budget", ["abc", "-1"])
+    def test_bad_budget_env_exit_2(self, tmp_path, capsys, monkeypatch, budget):
+        obj = tmp_path / "w.json"
+        main(["build", "words", "--alphabet", "ab", "--max-len", "2",
+              "--level", "3", "--output", str(obj)])
+        capsys.readouterr()
+        monkeypatch.setenv("DECOMP_MAX_SQUARES", budget)
+        assert main(["check", "decomp-direct", str(obj)]) == 2
+        captured = capsys.readouterr()
+        assert "DECOMP_MAX_SQUARES" in captured.err and captured.out == ""
+
 
 class TestTransform:
     def test_sd_level_drop(self, tmp_path):

@@ -65,6 +65,37 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match="out of range"):
             serialize.sset_from_obj(obj)
 
+    def test_boolean_level_rejected(self):
+        obj = serialize.sset_to_obj(point(1))
+        obj["level"] = True
+        with pytest.raises(SchemaError, match="'level' must be int"):
+            serialize.sset_from_obj(obj)
+
+    def test_boolean_bound_rejected(self):
+        obj = serialize.ofc_to_obj(builders.terminal_complex(1))
+        obj["bound"] = True
+        with pytest.raises(SchemaError, match="'bound' must be int"):
+            serialize.ofc_from_obj(obj)
+
+    @pytest.mark.parametrize("field", ["faces", "degeneracies"])
+    def test_boolean_index_rejected(self, field):
+        obj = serialize.sset_to_obj(point(1))
+        obj[field][0][0] = [False]
+        with pytest.raises(SchemaError, match=rf"{field}\[0\]\[0\]: index False"):
+            serialize.sset_from_obj(obj)
+
+    def test_boolean_ofc_index_rejected(self):
+        obj = serialize.ofc_to_obj(builders.terminal_complex(1))
+        obj["d_bot"][0] = [False]
+        with pytest.raises(SchemaError, match=r"d_bot\[0\]: index False"):
+            serialize.ofc_from_obj(obj)
+
+    def test_boolean_component_index_rejected(self):
+        obj = serialize.smap_to_obj(builders.length_map(builders.bounded_words(("a",), 1), 1))
+        obj["components"][0] = [False]
+        with pytest.raises(SchemaError, match=r"components\[0\]: index False"):
+            serialize.smap_from_obj(obj)
+
     def test_row_length_mismatch(self):
         obj = serialize.sset_to_obj(point(1))
         obj["faces"][0][0] = []
