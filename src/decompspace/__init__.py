@@ -23,6 +23,7 @@ from .sset import (
     induced_map,
     is_pullback_square,
     opposite,
+    table_names,
     truncate,
     validate,
     validate_map,

@@ -3,9 +3,11 @@ categories, twisted arrow categories, outer face complexes and the free
 simplicial set an outer face complex generates.
 
 Every builder validates its input (raising StructuralError on bad
-tables) and emits a TruncatedSSet whose cell identifiers stay readable:
-chains are arrow names joined with "|", words of a partial monoid are
-"(x,y)", free cells are "(element;part,part)".
+tables) and emits a TruncatedSSet of index tables whose cell names stay
+readable: chains are arrow names joined with "|", words of a partial
+monoid are "(x,y)", free cells are "(element;part,part)".  The builders
+index cells by their structure (chains, words, part lists), never by
+name.
 """
 
 from __future__ import annotations
@@ -14,7 +16,13 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable, Mapping
 
-from .sset import SimplicialMap, StructuralError, TruncatedSSet
+from .sset import (
+    SimplicialMap,
+    StructuralError,
+    Table,
+    TruncatedSSet,
+    compose_tables,
+)
 
 
 @dataclass(frozen=True)
@@ -259,6 +267,14 @@ def _chain_id(chain: tuple[str, ...]) -> str:
     return "|".join(chain)
 
 
+def _position(index: dict, key: tuple, what: str) -> int:
+    """The index of a structural cell key one level up or down."""
+    try:
+        return index[key]
+    except KeyError:
+        raise StructuralError(f"{what} {key!r} is not a cell") from None
+
+
 def _chain_sset(
     objects: tuple[str, ...],
     morphisms: tuple[tuple[str, str, str], ...],
@@ -299,18 +315,19 @@ def _chain_sset(
         tuple(_chain_id(ch) for ch in chains[n])
         for n in range(level + 1)
     )
-    faces: dict[tuple[int, int], dict[str, str]] = {}
-    degeneracies: dict[tuple[int, int], dict[str, str]] = {}
+    index = [{ch: j for j, ch in enumerate(level_chains)} for level_chains in chains]
+    faces: dict[tuple[int, int], Table] = {}
+    degeneracies: dict[tuple[int, int], Table] = {}
     for n in range(1, level + 1):
         for i in range(n + 1):
-            table = {}
+            row = []
             for ch in chains[n]:
                 if n == 1:
-                    table[_chain_id(ch)] = vertex(ch, 1 - i)
+                    out = (vertex(ch, 1 - i),)
                 elif i == 0:
-                    table[_chain_id(ch)] = _chain_id(ch[1:])
+                    out = ch[1:]
                 elif i == n:
-                    table[_chain_id(ch)] = _chain_id(ch[:-1])
+                    out = ch[:-1]
                 else:
                     comp = compose(ch[i - 1], ch[i])
                     if comp is None:
@@ -318,19 +335,20 @@ def _chain_sset(
                             f"inner face undefined on chain {ch!r}; the "
                             "composition tables are not associative enough"
                         )
-                    table[_chain_id(ch)] = _chain_id(ch[: i - 1] + (comp,) + ch[i + 1 :])
-            faces[(n, i)] = table
+                    out = ch[: i - 1] + (comp,) + ch[i + 1 :]
+                row.append(_position(index[n - 1], out, "face"))
+            faces[(n, i)] = tuple(row)
     for n in range(level):
         for i in range(n + 1):
-            table = {}
             if n == 0:
-                for (x,) in chains[0]:
-                    table[x] = identities[x]
+                outs = [(identities[x],) for (x,) in chains[0]]
             else:
-                for ch in chains[n]:
-                    ident = identities[vertex(ch, i)]
-                    table[_chain_id(ch)] = _chain_id(ch[:i] + (ident,) + ch[i:])
-            degeneracies[(n, i)] = table
+                outs = [
+                    ch[:i] + (identities[vertex(ch, i)],) + ch[i:] for ch in chains[n]
+                ]
+            degeneracies[(n, i)] = tuple(
+                _position(index[n + 1], out, "degeneracy") for out in outs
+            )
     return TruncatedSSet(level, cells, faces, degeneracies)
 
 
@@ -417,11 +435,12 @@ def from_partial_monoid(M: PartialMonoid, level: int) -> TruncatedSSet:
                 nxt.append(ext)
         words.append(nxt)
     cells = tuple(tuple(_word_id(w) for w in words[n]) for n in range(level + 1))
-    faces: dict[tuple[int, int], dict[str, str]] = {}
-    degeneracies: dict[tuple[int, int], dict[str, str]] = {}
+    index = [{w: j for j, w in enumerate(level_words)} for level_words in words]
+    faces: dict[tuple[int, int], Table] = {}
+    degeneracies: dict[tuple[int, int], Table] = {}
     for n in range(1, level + 1):
         for i in range(n + 1):
-            table = {}
+            row = []
             for w in words[n]:
                 if i == 0:
                     out = w[1:]
@@ -434,13 +453,14 @@ def from_partial_monoid(M: PartialMonoid, level: int) -> TruncatedSSet:
                             f"inner product undefined on word {w!r}"
                         )
                     out = w[: i - 1] + (prod,) + w[i + 1 :]
-                table[_word_id(w)] = _word_id(out)
-            faces[(n, i)] = table
+                row.append(_position(index[n - 1], out, "face"))
+            faces[(n, i)] = tuple(row)
     for n in range(level):
         for i in range(n + 1):
-            degeneracies[(n, i)] = {
-                _word_id(w): _word_id(w[:i] + (M.unit,) + w[i:]) for w in words[n]
-            }
+            degeneracies[(n, i)] = tuple(
+                _position(index[n + 1], w[:i] + (M.unit,) + w[i:], "degeneracy")
+                for w in words[n]
+            )
     return TruncatedSSet(level, cells, faces, degeneracies)
 
 
@@ -521,65 +541,75 @@ def _compositions(k: int, bound: int):
             yield (first,) + rest
 
 
-def _free_cell_id(a: str, parts: tuple[int, ...]) -> str:
-    return f"({a};{','.join(str(p) for p in parts)})"
-
-
-def _iter_free_cells(A: OuterFaceComplex, k: int):
-    for parts in _compositions(k, A.bound):
-        for a in A.grades[sum(parts)]:
-            yield a, parts
-
-
 def free_decomposition(A: OuterFaceComplex, level: int) -> TruncatedSSet:
     """The simplicial set freely generated by an outer face complex.
 
-    Level-k cells are pairs (a; l_1,...,l_k) with a of degree sum(l_i).
-    Inner faces add adjacent parts; the outer faces drop an outer part
-    after applying that many bottom (resp. top) face maps to a;
-    degeneracies insert a zero part.
+    Level-k cells are pairs (a; l_1,...,l_k) with a of degree sum(l_i),
+    listed part list by part list (lexicographic), and within one part
+    list in grade order, so a cell's index is the offset of its part
+    list plus the index of a in its grade.  Inner faces add adjacent
+    parts; the outer faces drop an outer part after applying that many
+    bottom (resp. top) face maps to a; degeneracies insert a zero part.
     """
     validate_ofc(A)
-    cells = tuple(
-        tuple(_free_cell_id(a, parts) for a, parts in _iter_free_cells(A, k))
-        for k in range(level + 1)
-    )
-
-    def iter_bot(a: str, m: int, times: int) -> str:
-        for step in range(times):
-            a = A.d_bot[m - step][a]
-        return a
-
-    def iter_top(a: str, m: int, times: int) -> str:
-        for step in range(times):
-            a = A.d_top[m - step][a]
-        return a
-
-    faces: dict[tuple[int, int], dict[str, str]] = {}
-    degeneracies: dict[tuple[int, int], dict[str, str]] = {}
+    sizes = [len(grade) for grade in A.grades]
+    # bot[m][t] (top[m][t]) is the t-fold d_bot (d_top) on grade m, as
+    # indices into grade m - t
+    bot: list[list[Table]] = []
+    top: list[list[Table]] = []
+    for m in range(A.bound + 1):
+        bot.append([tuple(range(sizes[m]))])
+        top.append([tuple(range(sizes[m]))])
+        if m == 0:
+            continue
+        lower = {a: j for j, a in enumerate(A.grades[m - 1])}
+        for iterated, tables in ((bot, A.d_bot), (top, A.d_top)):
+            step = [lower[tables[m][a]] for a in A.grades[m]]
+            iterated[m] += [compose_tables(step, power) for power in iterated[m - 1]]
+    parts_of = [list(_compositions(k, A.bound)) for k in range(level + 1)]
+    offsets: list[dict[tuple[int, ...], int]] = []
+    for k in range(level + 1):
+        start, offset = 0, {}
+        for parts in parts_of[k]:
+            offset[parts] = start
+            start += sizes[sum(parts)]
+        offsets.append(offset)
+    cells = []
+    for k in range(level + 1):
+        level_cells: list[str] = []
+        for parts in parts_of[k]:
+            suffix = ",".join(map(str, parts))
+            level_cells += [f"({a};{suffix})" for a in A.grades[sum(parts)]]
+        cells.append(tuple(level_cells))
+    faces: dict[tuple[int, int], Table] = {}
+    degeneracies: dict[tuple[int, int], Table] = {}
     for k in range(1, level + 1):
+        below = offsets[k - 1]
         for i in range(k + 1):
-            table = {}
-            for a, parts in _iter_free_cells(A, k):
+            row: list[int] = []
+            for parts in parts_of[k]:
                 m = sum(parts)
                 if i == 0:
-                    out = _free_cell_id(iter_bot(a, m, parts[0]), parts[1:])
+                    start = below[parts[1:]]
+                    row += [start + x for x in bot[m][parts[0]]]
                 elif i == k:
-                    out = _free_cell_id(iter_top(a, m, parts[-1]), parts[:-1])
+                    start = below[parts[:-1]]
+                    row += [start + x for x in top[m][parts[-1]]]
                 else:
-                    merged = parts[: i - 1] + (parts[i - 1] + parts[i],) + parts[i + 1 :]
-                    out = _free_cell_id(a, merged)
-                table[_free_cell_id(a, parts)] = out
-            faces[(k, i)] = table
+                    start = below[
+                        parts[: i - 1] + (parts[i - 1] + parts[i],) + parts[i + 1 :]
+                    ]
+                    row += range(start, start + sizes[m])
+            faces[(k, i)] = tuple(row)
     for k in range(level):
+        above = offsets[k + 1]
         for i in range(k + 1):
-            degeneracies[(k, i)] = {
-                _free_cell_id(a, parts): _free_cell_id(
-                    a, parts[:i] + (0,) + parts[i:]
-                )
-                for a, parts in _iter_free_cells(A, k)
-            }
-    return TruncatedSSet(level, cells, faces, degeneracies)
+            row = []
+            for parts in parts_of[k]:
+                start = above[parts[:i] + (0,) + parts[i:]]
+                row += range(start, start + sizes[sum(parts)])
+            degeneracies[(k, i)] = tuple(row)
+    return TruncatedSSet(level, tuple(cells), faces, degeneracies)
 
 
 def length_map(A: OuterFaceComplex, level: int) -> SimplicialMap:
@@ -587,11 +617,11 @@ def length_map(A: OuterFaceComplex, level: int) -> SimplicialMap:
     simplicial map onto the free simplicial set of the one-point complex."""
     X = free_decomposition(A, level)
     T = free_decomposition(terminal_complex(A.bound), level)
-    components = tuple(
-        {
-            _free_cell_id(a, parts): _free_cell_id("*", parts)
-            for a, parts in _iter_free_cells(A, k)
-        }
-        for k in range(level + 1)
-    )
-    return SimplicialMap(X, T, components)
+    components = []
+    for k in range(level + 1):
+        # T has one cell per part list, in the order X lists its blocks
+        row: list[int] = []
+        for j, parts in enumerate(_compositions(k, A.bound)):
+            row += [j] * len(A.grades[sum(parts)])
+        components.append(tuple(row))
+    return SimplicialMap(X, T, tuple(components))

@@ -2,10 +2,14 @@
 
 Exit codes: 0 the check holds (or the command succeeded), 1 the check
 fails, 2 schema or usage errors (including a path that cannot be read
-or written, and a negative --rank-cap or DECOMP_MAX_SQUARES), 3
-builder preconditions or level shortfalls.  Reports print as key: value
-lines, or as JSON with --format=machine.  DECOMP_MAX_SQUARES caps the
-direct decomposition checker's square budget.
+or written, a file that is not UTF-8, and a negative --rank-cap or
+DECOMP_MAX_SQUARES), 3 builder preconditions, inputs that are not
+simplicial sets (transform validates its input as the checkers do) or
+level shortfalls, 4 the check is inconclusive: the DECOMP_MAX_SQUARES
+budget cut the direct decomposition walk off before its last square,
+and no square checked so far failed.  Reports print as key: value
+lines, or as JSON with --format=machine; the verdict is one of
+holds-at-checked-depth, fails and inconclusive.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_SCHEMA = 2
 EXIT_PRECONDITION = 3
+EXIT_INCONCLUSIVE = 4
 
 
 class SystemExit2(Exception):
@@ -99,7 +104,16 @@ def _cmd_build(args) -> int:
             raise SystemExit2(f"build {kind} requires {flag}")
         return value
 
-    ofc = None
+    lmap = None
+
+    def free(A: builders.OuterFaceComplex, level: int):
+        # with --length-map, build once: the map's source is the object
+        nonlocal lmap
+        if args.length_map is None:
+            return builders.free_decomposition(A, level)
+        lmap = builders.length_map(A, level)
+        return lmap.source
+
     if kind == "nerve":
         C = serialize.category_from_obj(
             serialize.read_file(need("--input", args.input)), where=args.input
@@ -124,26 +138,20 @@ def _cmd_build(args) -> int:
         ofc = serialize.ofc_from_obj(
             serialize.read_file(need("--input", args.input)), where=args.input
         )
-        result = builders.free_decomposition(ofc, need("--level", args.level))
+        result = free(ofc, need("--level", args.level))
     elif kind == "words":
         alphabet = tuple(need("--alphabet", args.alphabet))
         ofc = builders.bounded_words(alphabet, need("--max-len", args.max_len))
-        result = ofc if args.level is None else builders.free_decomposition(
-            ofc, args.level
-        )
+        result = ofc if args.level is None else free(ofc, args.level)
     elif kind == "graph-paths":
         G = serialize.graph_from_obj(
             serialize.read_file(need("--input", args.input)), where=args.input
         )
         ofc = builders.graph_paths(G, need("--bound", args.bound))
-        result = ofc if args.level is None else builders.free_decomposition(
-            ofc, args.level
-        )
+        result = ofc if args.level is None else free(ofc, args.level)
     elif kind == "terminal-ofc":
         ofc = builders.terminal_complex(need("--bound", args.bound))
-        result = ofc if args.level is None else builders.free_decomposition(
-            ofc, args.level
-        )
+        result = ofc if args.level is None else free(ofc, args.level)
     else:  # pragma: no cover - argparse filters kinds
         raise SystemExit2(f"unknown kind {kind}")
 
@@ -152,12 +160,11 @@ def _cmd_build(args) -> int:
     else:
         serialize.write_file(args.output, serialize.sset_to_obj(result))
     if args.length_map is not None:
-        if ofc is None or args.level is None:
+        if lmap is None:
             raise SystemExit2(
                 "--length-map needs a freely generated build (--level plus an "
                 "outer face complex kind)"
             )
-        lmap = builders.length_map(ofc, args.level)
         serialize.write_file(args.length_map, serialize.smap_to_obj(lmap))
     return EXIT_HOLDS
 
@@ -242,11 +249,14 @@ def _cmd_check(args) -> int:
                 X, rank_cap=args.rank_cap, max_squares=budget
             )
     sys.stdout.write(_render(report, args.criterion, args.format))
+    if report.inconclusive:
+        return EXIT_INCONCLUSIVE
     return EXIT_HOLDS if report.holds else EXIT_FAILS
 
 
 def _cmd_transform(args) -> int:
     X = _load_sset(args.input)
+    criteria._require_valid(X)
     proj = None
     if args.op == "dec-top":
         result, proj = operators.dec_top(X)

@@ -13,6 +13,9 @@ so nothing is cached on the TruncatedSSet.  A square of theirs with an
 identity leg is a pullback by construction; it is counted in
 squares_checked (and against the budget) at its place in the walk, but
 decided without building its fibers.
+
+Every table here is an index table (see sset); cell names enter only
+through the names a square hands is_pullback_square for its witness.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .sset import (
     SimplicialMap,
     SquareWitness,
     StructuralError,
+    Table,
     TruncatedSSet,
     compose_tables,
     induced_map,
@@ -47,13 +51,28 @@ def _fail(level: int, checked: int, sub: CheckReport) -> CheckReport:
     )
 
 
+def _square(
+    X: TruncatedSSet,
+    f: Table,
+    g: Table,
+    p: Table,
+    q: Table,
+    square: str,
+    levels: tuple[int, ...],
+) -> CheckReport:
+    """A square of X whose corners A, B, C, D sit at the given levels."""
+    names = (X.cells[levels[0]], X.cells[levels[1]], X.cells[levels[2]])
+    return is_pullback_square(f, g, p, q, square=square, levels=levels, names=names)
+
+
 def check_segal(X: TruncatedSSet) -> CheckReport:
     """The outer-face squares X_{n+1} over X_{n-1}, for n+1 within level."""
     _require_valid(X)
     checked = 0
     for n in range(1, X.level):
         checked += 1
-        sub = is_pullback_square(
+        sub = _square(
+            X,
             X.faces[(n + 1, 0)],
             X.faces[(n + 1, n + 1)],
             X.faces[(n, n)],
@@ -75,46 +94,40 @@ def check_segal_iterated(X: TruncatedSSet) -> CheckReport:
         return CheckReport(holds=True, checked_level=X.level, squares_checked=0)
     d_bot1 = X.faces[(1, 0)]
     d_top1 = X.faces[(1, 1)]
-    fibers: dict[str, list[str]] = {}
-    for e in X.cells[1]:
-        fibers.setdefault(d_top1[e], []).append(e)
+    fibers: dict[int, list[int]] = {}
+    for e, v in enumerate(d_top1):
+        fibers.setdefault(v, []).append(e)
     for n in range(2, X.level + 1):
         checked += 1
-        components = []
-        for i in range(1, n + 1):
-            out = {c: c for c in X.cells[n]}
-            level = n
-            for _ in range(i - 1):
-                table = X.faces[(level, 0)]
-                out = {c: table[v] for c, v in out.items()}
-                level -= 1
-            for _ in range(n - i):
-                table = X.faces[(level, level)]
-                out = {c: table[v] for c, v in out.items()}
-                level -= 1
-            components.append(out)
-        preimages: dict[tuple[str, ...], list[str]] = {}
-        for c in X.cells[n]:
-            key = tuple(comp[c] for comp in components)
+        # the i-th edge: i - 1 bottom faces, then n - i top faces
+        components = [
+            compose_tables(
+                *[X.faces[(n - step, 0)] for step in range(i - 1)],
+                *[X.faces[(n - step, n - step)] for step in range(i - 1, n - 1)],
+            )
+            for i in range(1, n + 1)
+        ]
+        preimages: dict[tuple[int, ...], list[int]] = {}
+        for c, key in enumerate(zip(*components)):
             preimages.setdefault(key, []).append(c)
 
-        def tuples(prefix: tuple[str, ...]):
+        def tuples(prefix: tuple[int, ...]):
             if len(prefix) == n:
                 yield prefix
                 return
             for e in fibers.get(d_bot1[prefix[-1]], ()):
                 yield from tuples(prefix + (e,))
 
-        for e in X.cells[1]:
+        for e in range(len(X.cells[1])):
             for chain in tuples((e,)):
                 pre = preimages.get(chain, [])
                 if len(pre) != 1:
                     witness = SquareWitness(
                         square=f"segal iterated n={n}: X{n} -> X1 x_X0 ... x_X0 X1",
                         levels=(n, 1, 0),
-                        element=chain,
+                        element=tuple(X.cells[1][e] for e in chain),
                         preimage_count=len(pre),
-                        preimages=tuple(pre),
+                        preimages=tuple(X.cells[n][c] for c in pre),
                     )
                     return CheckReport(
                         holds=False,
@@ -128,7 +141,8 @@ def check_segal_iterated(X: TruncatedSSet) -> CheckReport:
 def _two_segal_square(X: TruncatedSSet, n: int, i: int, upper: bool) -> CheckReport:
     if upper:
         # top d_{i+1}, left d_bot, right d_bot, bottom d_i
-        return is_pullback_square(
+        return _square(
+            X,
             X.faces[(n + 1, i + 1)],
             X.faces[(n + 1, 0)],
             X.faces[(n, 0)],
@@ -138,7 +152,8 @@ def _two_segal_square(X: TruncatedSSet, n: int, i: int, upper: bool) -> CheckRep
             levels=(n + 1, n, n, n - 1),
         )
     # top d_i, left d_top, right d_top, bottom d_i
-    return is_pullback_square(
+    return _square(
+        X,
         X.faces[(n + 1, i)],
         X.faces[(n + 1, n + 1)],
         X.faces[(n, n)],
@@ -193,7 +208,8 @@ def check_upper_2segal_reduced(X: TruncatedSSet) -> CheckReport:
         top = compose_tables(*[X.faces[(lvl, 2)] for lvl in range(n + 1, 2, -1)])
         bottom = compose_tables(*[X.faces[(lvl, 1)] for lvl in range(n, 1, -1)])
         checked += 1
-        sub = is_pullback_square(
+        sub = _square(
+            X,
             top,
             X.faces[(n + 1, 0)],
             X.faces[(2, 0)],
@@ -208,14 +224,14 @@ def check_upper_2segal_reduced(X: TruncatedSSet) -> CheckReport:
 
 
 #: induced_map on one object, as the active-inert walks call it
-_Induce = Callable[[delta.SimplexMap], dict[str, str]]
+_Induce = Callable[[delta.SimplexMap], Table]
 
 
 def _memo_induced_map(X: TruncatedSSet) -> _Induce:
     """induced_map on X, computed once per SimplexMap for one checker call."""
-    memo: dict[delta.SimplexMap, dict[str, str]] = {}
+    memo: dict[delta.SimplexMap, Table] = {}
 
-    def induce(alpha: delta.SimplexMap) -> dict[str, str]:
+    def induce(alpha: delta.SimplexMap) -> Table:
         table = memo.get(alpha)
         if table is None:
             table = memo[alpha] = induced_map(X, alpha)
@@ -237,6 +253,7 @@ def _has_identity_leg(alpha: delta.SimplexMap, iota: delta.SimplexMap) -> bool:
 
 
 def _pushout_square(
+    X: TruncatedSSet,
     induce: _Induce,
     alpha: delta.SimplexMap,
     iota: delta.SimplexMap,
@@ -245,7 +262,8 @@ def _pushout_square(
 ) -> CheckReport:
     """X applied to the pushout of active alpha along inert iota."""
     theta, phi = delta.active_inert_pushout(alpha, iota)
-    return is_pullback_square(
+    return _square(
+        X,
         induce(phi),
         induce(theta),
         induce(iota),
@@ -288,6 +306,7 @@ def check_2segal_polygonal(X: TruncatedSSet, mode: str = "full") -> CheckReport:
             if _has_identity_leg(alpha, iota):
                 continue
             sub = _pushout_square(
+                X,
                 induce,
                 alpha,
                 iota,
@@ -324,9 +343,10 @@ def check_decomposition_direct(
     Enumerates active alpha: [n] -> [m] and inert iota: [n] -> [k] with
     all four ranks within the truncation and pushout rank
     p = k - n + m <= rank_cap, forms the pushout, and checks the induced
-    square of cell sets.  max_squares cuts the walk off deterministically
-    (recorded in the report detail).  A negative rank_cap or max_squares
-    raises ValueError.
+    square of cell sets.  max_squares cuts the walk off deterministically:
+    a walk stopped before its last square reports holds=False and
+    inconclusive=True, with the cut-off in the detail.  A negative
+    rank_cap or max_squares raises ValueError.
     """
     if rank_cap is not None and rank_cap < 0:
         raise ValueError(f"rank cap {rank_cap} is negative")
@@ -349,16 +369,18 @@ def check_decomposition_direct(
                     for alpha in actives:
                         if max_squares is not None and checked >= max_squares:
                             return CheckReport(
-                                holds=True,
+                                holds=False,
                                 checked_level=X.level,
                                 squares_checked=checked,
                                 detail=f"stopped after {checked} squares "
                                 f"(budget {max_squares})",
+                                inconclusive=True,
                             )
                         checked += 1
                         if _has_identity_leg(alpha, iota):
                             continue
                         sub = _pushout_square(
+                            X,
                             induce,
                             alpha,
                             iota,
@@ -389,6 +411,7 @@ def check_culf(f: SimplicialMap) -> CheckReport:
                 square=f"culf face n={n} i={i}: X{n} -(d_{i})-> X{n - 1} over "
                 f"Y{n} -(d_{i})-> Y{n - 1}",
                 levels=(n, n - 1, n, n - 1),
+                names=(f.source.cells[n], f.source.cells[n - 1], f.target.cells[n]),
             )
             if not sub.holds:
                 return _fail(top, checked, sub)
@@ -403,6 +426,7 @@ def check_culf(f: SimplicialMap) -> CheckReport:
                 square=f"culf degeneracy n={n} j={j}: X{n} -(s_{j})-> X{n + 1} "
                 f"over Y{n} -(s_{j})-> Y{n + 1}",
                 levels=(n, n + 1, n, n + 1),
+                names=(f.source.cells[n], f.source.cells[n + 1], f.target.cells[n]),
             )
             if not sub.holds:
                 return _fail(top, checked, sub)

@@ -4,7 +4,8 @@ The upper (resp. lower) decalage reindexes X one level up, forgetting
 the top (resp. bottom) face and degeneracy; the forgotten face assembles
 into a projection back to X.  The edgewise subdivision reads the odd
 levels X_{2n+1} with faces d_{n-i} d_{n+i+1} and degeneracies
-s_{n-i} s_{n+i+1}.  Cells keep their source identifiers throughout.
+s_{n-i} s_{n+i+1}.  Cells keep their source identifiers throughout, and
+the decalages reuse the index tables of X unchanged.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def map_decbot_to_sd(X: TruncatedSSet) -> SimplicialMap:
         if tables:
             components.append(compose_tables(*tables))
         else:
-            components.append({c: c for c in X.cells[n + 1]})
+            components.append(tuple(range(len(X.cells[n + 1]))))
     return SimplicialMap(Y, Z, tuple(components))
 
 
@@ -118,5 +119,5 @@ def map_dectop_op_to_sd(X: TruncatedSSet) -> SimplicialMap:
         if tables:
             components.append(compose_tables(*tables))
         else:
-            components.append({c: c for c in X.cells[n + 1]})
+            components.append(tuple(range(len(X.cells[n + 1]))))
     return SimplicialMap(opposite(Y), Z, tuple(components))

@@ -3,7 +3,10 @@
 Operator tables are stored as arrays of target indices (row j holds the
 index of the image of the j-th cell), never as names, so files stay
 compact and byte-stable: dumps(loads(text)) == text for every valid
-file.  See FORMATS.md for the documented schemas.
+file.  That is also the shape TruncatedSSet and SimplicialMap hold their
+tables in, so reading checks each row and keeps it as a tuple, and
+writing emits the rows as they are.  Only the outer face complex keeps
+name-keyed tables in memory.  See FORMATS.md for the documented schemas.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .builders import (
     PartialCategory,
     PartialMonoid,
 )
-from .sset import SimplicialMap, TruncatedSSet
+from .sset import SimplicialMap, Table, TruncatedSSet, table_names
 
 FORMAT_VERSION = 1
 
@@ -39,22 +42,23 @@ def _require(obj: dict, field: str, kind: type, where: str) -> Any:
     return value
 
 
-def _index_table(table, cells_from, cells_to) -> list[int]:
-    to_index = {c: j for j, c in enumerate(cells_to)}
-    return [to_index[table[c]] for c in cells_from]
+_INT = {int}
 
 
-def _table_from_indices(row, cells_from, cells_to, where: str) -> dict[str, str]:
-    if not isinstance(row, list) or len(row) != len(cells_from):
-        raise SchemaError(f"{where}: expected {len(cells_from)} indices")
-    out = {}
-    for c, j in zip(cells_from, row):
-        if isinstance(j, bool) or not isinstance(j, int):
-            raise SchemaError(f"{where}: index {j!r} is not an integer")
-        if not 0 <= j < len(cells_to):
-            raise SchemaError(f"{where}: index {j!r} out of range")
-        out[c] = cells_to[j]
-    return out
+def _table(row, size_from: int, size_to: int, where: str) -> Table:
+    """A row of size_from indices into range(size_to), as a tuple."""
+    if not isinstance(row, (list, tuple)) or len(row) != size_from:
+        raise SchemaError(f"{where}: expected {size_from} indices")
+    # bool is a subclass of int, but JSON true/false is not a number
+    if row and (
+        not _INT.issuperset(map(type, row)) or min(row) < 0 or max(row) >= size_to
+    ):
+        for j in row:
+            if type(j) is not int:
+                raise SchemaError(f"{where}: index {j!r} is not an integer")
+            if not 0 <= j < size_to:
+                raise SchemaError(f"{where}: index {j!r} out of range")
+    return tuple(row)
 
 
 def sset_to_obj(X: TruncatedSSet) -> dict:
@@ -64,20 +68,10 @@ def sset_to_obj(X: TruncatedSSet) -> dict:
         "level": X.level,
         "cells": [list(cs) for cs in X.cells],
         "faces": [
-            [
-                _index_table(X.faces[(n, i)], X.cells[n], X.cells[n - 1])
-                for i in range(n + 1)
-            ]
-            for n in range(1, X.level + 1)
+            [X.faces[(n, i)] for i in range(n + 1)] for n in range(1, X.level + 1)
         ],
         "degeneracies": [
-            [
-                _index_table(
-                    X.degeneracies[(n, i)], X.cells[n], X.cells[n + 1]
-                )
-                for i in range(n + 1)
-            ]
-            for n in range(X.level)
+            [X.degeneracies[(n, i)] for i in range(n + 1)] for n in range(X.level)
         ],
     }
 
@@ -108,8 +102,11 @@ def sset_from_obj(obj: dict, where: str = "sset") -> TruncatedSSet:
         if not isinstance(block, list) or len(block) != n + 1:
             raise SchemaError(f"{where}: faces[{n - 1}] must hold {n + 1} rows")
         for i in range(n + 1):
-            faces[(n, i)] = _table_from_indices(
-                block[i], cells[n], cells[n - 1], f"{where}: faces[{n - 1}][{i}]"
+            faces[(n, i)] = _table(
+                block[i],
+                len(cells[n]),
+                len(cells[n - 1]),
+                f"{where}: faces[{n - 1}][{i}]",
             )
     degeneracies = {}
     for n in range(level):
@@ -117,26 +114,31 @@ def sset_from_obj(obj: dict, where: str = "sset") -> TruncatedSSet:
         if not isinstance(block, list) or len(block) != n + 1:
             raise SchemaError(f"{where}: degeneracies[{n}] must hold {n + 1} rows")
         for i in range(n + 1):
-            degeneracies[(n, i)] = _table_from_indices(
-                block[i], cells[n], cells[n + 1], f"{where}: degeneracies[{n}][{i}]"
+            degeneracies[(n, i)] = _table(
+                block[i],
+                len(cells[n]),
+                len(cells[n + 1]),
+                f"{where}: degeneracies[{n}][{i}]",
             )
     return TruncatedSSet(level, tuple(cells), faces, degeneracies)
 
 
 def ofc_to_obj(A: OuterFaceComplex) -> dict:
+    index = [{a: j for j, a in enumerate(g)} for g in A.grades]
+
+    def rows(tables) -> list[list[int]]:
+        return [
+            [index[m - 1][tables[m][a]] for a in A.grades[m]]
+            for m in range(1, A.bound + 1)
+        ]
+
     return {
         "format_version": FORMAT_VERSION,
         "kind": "ofc",
         "bound": A.bound,
         "grades": [list(g) for g in A.grades],
-        "d_bot": [
-            _index_table(A.d_bot[m], A.grades[m], A.grades[m - 1])
-            for m in range(1, A.bound + 1)
-        ],
-        "d_top": [
-            _index_table(A.d_top[m], A.grades[m], A.grades[m - 1])
-            for m in range(1, A.bound + 1)
-        ],
+        "d_bot": rows(A.d_bot),
+        "d_top": rows(A.d_top),
     }
 
 
@@ -160,12 +162,13 @@ def ofc_from_obj(obj: dict, where: str = "ofc") -> OuterFaceComplex:
         raise SchemaError(f"{where}: face tables must cover degrees 1..bound")
     d_bot, d_top = {}, {}
     for m in range(1, bound + 1):
-        d_bot[m] = _table_from_indices(
-            d_bot_raw[m - 1], grades[m], grades[m - 1], f"{where}: d_bot[{m - 1}]"
-        )
-        d_top[m] = _table_from_indices(
-            d_top_raw[m - 1], grades[m], grades[m - 1], f"{where}: d_top[{m - 1}]"
-        )
+        for tables, raw, name in (
+            (d_bot, d_bot_raw, "d_bot"),
+            (d_top, d_top_raw, "d_top"),
+        ):
+            size, lower = len(grades[m]), len(grades[m - 1])
+            row = _table(raw[m - 1], size, lower, f"{where}: {name}[{m - 1}]")
+            tables[m] = table_names(row, grades[m], grades[m - 1])
     return OuterFaceComplex(bound, tuple(grades), d_bot, d_top)
 
 
@@ -175,12 +178,7 @@ def smap_to_obj(f: SimplicialMap) -> dict:
         "kind": "smap",
         "source": sset_to_obj(f.source),
         "target": sset_to_obj(f.target),
-        "components": [
-            _index_table(
-                f.components[n], f.source.cells[n], f.target.cells[n]
-            )
-            for n in range(f.shared_level + 1)
-        ],
+        "components": list(f.components),
     }
 
 
@@ -196,8 +194,11 @@ def smap_from_obj(obj: dict, where: str = "smap") -> SimplicialMap:
     if len(comp_raw) != shared + 1:
         raise SchemaError(f"{where}: components must cover levels 0..{shared}")
     components = tuple(
-        _table_from_indices(
-            comp_raw[n], source.cells[n], target.cells[n], f"{where}: components[{n}]"
+        _table(
+            comp_raw[n],
+            len(source.cells[n]),
+            len(target.cells[n]),
+            f"{where}: components[{n}]",
         )
         for n in range(shared + 1)
     )
@@ -291,7 +292,7 @@ def write_file(path: str, obj: dict) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".decompspace-")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -301,5 +302,13 @@ def write_file(path: str, obj: dict) -> None:
 
 
 def read_file(path: str) -> dict:
-    with open(path) as handle:
-        return loads(handle.read())
+    """Read a UTF-8 JSON file; other bytes are a SchemaError naming the path."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    return loads(text)

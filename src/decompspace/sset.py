@@ -1,20 +1,29 @@
 """Truncated simplicial sets as finite operator tables.
 
 A TruncatedSSet stores, for each level 0..L, an ordered tuple of cell
-identifiers together with total face and degeneracy tables.  Everything
-downstream (criteria, operators, builders) manipulates these tables;
-the pullback engine for squares of finite sets lives here too, as do
-the report and witness types shared by every checker.
+names together with total face and degeneracy tables.  A table is a
+tuple of indices: entry j is the index of the image of the j-th cell of
+its domain, the shape FORMATS.md gives tables on disk.  Everything
+downstream (criteria, operators, builders) composes these tuples.  Cell
+names appear only at the boundary (the from_names constructors, the
+*_names accessors and serialize) and in the witnesses and details of
+reports.  The pullback engine for squares of finite sets lives here
+too, as do the report and witness types shared by every checker.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import repeat
+from operator import itemgetter
+from typing import Mapping, Sequence
 
 from . import delta
 from .delta import SimplexMap
+
+#: An operator table: entry j is the index of the image of cell j.
+Table = tuple[int, ...]
 
 
 class StructuralError(Exception):
@@ -43,158 +52,257 @@ class SquareWitness:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of a criterion check at a finite truncation."""
+    """Outcome of a criterion check at a finite truncation.
+
+    A walk cut off by its square budget before it saw every square
+    reports holds=False with inconclusive=True: it found no failure,
+    but it did not check everything either.
+    """
 
     holds: bool
     checked_level: int
     squares_checked: int
     witness: SquareWitness | None = None
     detail: str | None = None
+    inconclusive: bool = False
 
     @property
     def verdict(self) -> str:
-        return "holds-at-checked-depth" if self.holds else "fails"
+        if self.holds:
+            return "holds-at-checked-depth"
+        return "inconclusive" if self.inconclusive else "fails"
+
+
+def table_names(
+    table: Sequence[int], source: Sequence[str], target: Sequence[str]
+) -> dict[str, str]:
+    """An index table as a dict from source cell names to target cell names."""
+    return dict(zip(source, map(target.__getitem__, table)))
+
+
+def _check_cell_count(level: int, cells: tuple) -> None:
+    if level < 0:
+        raise ValueError("level must be nonnegative")
+    if len(cells) != level + 1:
+        raise ValueError(f"expected {level + 1} cell levels, got {len(cells)}")
+
+
+def _check_distinct(cells: tuple[tuple[str, ...], ...]) -> None:
+    for n, cs in enumerate(cells):
+        if len(set(cs)) != len(cs):
+            seen = set()
+            for c in cs:
+                if c in seen:
+                    raise StructuralError(f"duplicate cell {c!r} at level {n}")
+                seen.add(c)
 
 
 @dataclass(frozen=True)
 class TruncatedSSet:
     """A simplicial set known up to a finite level.
 
-    cells[n] is the ordered tuple of level-n cell identifiers.  faces
-    maps (n, i) with 1 <= n <= level, 0 <= i <= n to the table of
+    cells[n] is the ordered tuple of level-n cell names.  faces maps
+    (n, i) with 1 <= n <= level, 0 <= i <= n to the index table of
     d_i: cells[n] -> cells[n-1]; degeneracies maps (n, i) with
-    0 <= n < level, 0 <= i <= n to s_i: cells[n] -> cells[n+1].
-    Treat instances as immutable after construction.
+    0 <= n < level, 0 <= i <= n to that of s_i: cells[n] -> cells[n+1].
+    Treat instances as immutable after construction; from_names builds
+    one from name-keyed tables.
     """
 
     level: int
     cells: tuple[tuple[str, ...], ...]
-    faces: Mapping[tuple[int, int], Mapping[str, str]]
-    degeneracies: Mapping[tuple[int, int], Mapping[str, str]]
+    faces: Mapping[tuple[int, int], Table]
+    degeneracies: Mapping[tuple[int, int], Table]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cells", tuple(tuple(cs) for cs in self.cells))
-        if self.level < 0:
-            raise ValueError("level must be nonnegative")
-        if len(self.cells) != self.level + 1:
-            raise ValueError(
-                f"expected {self.level + 1} cell levels, got {len(self.cells)}"
-            )
+        _check_cell_count(self.level, self.cells)
 
-    def face(self, n: int, i: int) -> Mapping[str, str]:
+    @classmethod
+    def from_names(
+        cls,
+        level: int,
+        cells: Sequence[Sequence[str]],
+        faces: Mapping[tuple[int, int], Mapping[str, str]],
+        degeneracies: Mapping[tuple[int, int], Mapping[str, str]],
+    ) -> TruncatedSSet:
+        """Build from tables that map cell names to cell names.
+
+        Duplicate cells and missing, non-total, dangling or over-full
+        tables raise StructuralError, checked in the order validate
+        reports them; tables outside the truncation are dropped.
+        """
+        cells = tuple(tuple(cs) for cs in cells)
+        _check_cell_count(level, cells)
+        _check_distinct(cells)
+        index = [{c: j for j, c in enumerate(cs)} for cs in cells]
+
+        def convert(kind, tables, n, i, target_level) -> Table:
+            if (n, i) not in tables:
+                raise StructuralError(f"missing table {kind}_{i} at level {n}")
+            table = tables[(n, i)]
+            target = index[target_level]
+            row = []
+            for c in cells[n]:
+                if c not in table:
+                    raise StructuralError(f"{kind}_{i} at level {n} undefined on {c!r}")
+                j = target.get(table[c])
+                if j is None:
+                    raise StructuralError(
+                        f"{kind}_{i} at level {n} sends {c!r} to dangling cell "
+                        f"{table[c]!r}"
+                    )
+                row.append(j)
+            if len(table) != len(row):
+                for c in table:
+                    if c not in index[n]:
+                        raise StructuralError(
+                            f"{kind}_{i} at level {n} defined on unknown cell {c!r}"
+                        )
+            return tuple(row)
+
+        face_tables = {
+            (n, i): convert("d", faces, n, i, n - 1)
+            for n in range(1, level + 1)
+            for i in range(n + 1)
+        }
+        degeneracy_tables = {
+            (n, i): convert("s", degeneracies, n, i, n + 1)
+            for n in range(level)
+            for i in range(n + 1)
+        }
+        return cls(level, cells, face_tables, degeneracy_tables)
+
+    def face(self, n: int, i: int) -> Table:
         try:
             return self.faces[(n, i)]
         except KeyError:
             raise LevelError(f"no face table d_{i} at level {n}") from None
 
-    def degeneracy(self, n: int, i: int) -> Mapping[str, str]:
+    def degeneracy(self, n: int, i: int) -> Table:
         try:
             return self.degeneracies[(n, i)]
         except KeyError:
             raise LevelError(f"no degeneracy table s_{i} at level {n}") from None
 
+    def face_names(self, n: int, i: int) -> dict[str, str]:
+        """d_i at level n as a dict of cell names."""
+        return table_names(self.face(n, i), self.cells[n], self.cells[n - 1])
 
-def _check_table(
-    X: TruncatedSSet, kind: str, n: int, i: int, target_level: int
-) -> Mapping[str, str]:
-    tables = X.faces if kind == "d" else X.degeneracies
-    if (n, i) not in tables:
-        raise StructuralError(f"missing table {kind}_{i} at level {n}")
-    table = tables[(n, i)]
-    domain = set(X.cells[n])
-    target = set(X.cells[target_level])
-    for c in X.cells[n]:
-        if c not in table:
-            raise StructuralError(f"{kind}_{i} at level {n} undefined on {c!r}")
-        if table[c] not in target:
-            raise StructuralError(
-                f"{kind}_{i} at level {n} sends {c!r} to dangling cell {table[c]!r}"
-            )
-    for c in table:
-        if c not in domain:
-            raise StructuralError(
-                f"{kind}_{i} at level {n} defined on unknown cell {c!r}"
-            )
-    return table
+    def degeneracy_names(self, n: int, i: int) -> dict[str, str]:
+        """s_i at level n as a dict of cell names."""
+        return table_names(self.degeneracy(n, i), self.cells[n], self.cells[n + 1])
+
+
+_INT = {int}
+
+
+def _check_indices(table, source: tuple[str, ...], size: int, what: str) -> None:
+    """A tuple of len(source) ints in range(size), else StructuralError."""
+    if not isinstance(table, tuple) or len(table) != len(source):
+        raise StructuralError(f"{what} is not a tuple of {len(source)} indices")
+    if not table:
+        return
+    if not _INT.issuperset(map(type, table)):
+        raise StructuralError(f"{what} holds an entry that is not an int")
+    if min(table) < 0 or max(table) >= size:
+        j = next(j for j, v in enumerate(table) if not 0 <= v < size)
+        raise StructuralError(
+            f"{what} sends {source[j]!r} to dangling index {table[j]}"
+        )
+
+
+def _then(first: Sequence[int], second: Sequence[int]) -> Table:
+    """The table of second after first: entry j is second[first[j]]."""
+    if len(first) > 1:
+        return itemgetter(*first)(second)
+    return tuple(second[x] for x in first)
+
+
+def _first_difference(lhs: Sequence[int], rhs: Sequence[int]) -> int:
+    return next(j for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
 
 
 def validate(X: TruncatedSSet) -> CheckReport:
     """Check every simplicial identity instance inside the truncation.
 
-    Dangling or non-total tables raise StructuralError; identity
-    violations produce a failing report naming the identity, level and
-    cell.
+    Duplicate cells and missing, short or out-of-range tables raise
+    StructuralError; identity violations produce a failing report
+    naming the identity, level and first failing cell.  Each identity
+    is checked by composing whole tables.
     """
-    for n in range(len(X.cells)):
-        seen = set()
-        for c in X.cells[n]:
-            if c in seen:
-                raise StructuralError(f"duplicate cell {c!r} at level {n}")
-            seen.add(c)
-    for n in range(1, X.level + 1):
-        for i in range(n + 1):
-            _check_table(X, "d", n, i, n - 1)
-    for n in range(X.level):
-        for i in range(n + 1):
-            _check_table(X, "s", n, i, n + 1)
+    _check_distinct(X.cells)
+    d: dict[tuple[int, int], Table] = {}
+    s: dict[tuple[int, int], Table] = {}
+    for kind, tables, out, levels, step in (
+        ("d", X.faces, d, range(1, X.level + 1), -1),
+        ("s", X.degeneracies, s, range(X.level), 1),
+    ):
+        for n in levels:
+            for i in range(n + 1):
+                if (n, i) not in tables:
+                    raise StructuralError(f"missing table {kind}_{i} at level {n}")
+                out[(n, i)] = tables[(n, i)]
+                _check_indices(
+                    out[(n, i)],
+                    X.cells[n],
+                    len(X.cells[n + step]),
+                    f"{kind}_{i} at level {n}",
+                )
 
     checked = 0
 
-    def fail(name: str, n: int, c: str) -> CheckReport:
+    def fail(name: str, n: int, lhs: Table, rhs: Table) -> CheckReport:
+        j = _first_difference(lhs, rhs)
         return CheckReport(
             holds=False,
             checked_level=X.level,
-            squares_checked=checked,
-            detail=f"identity {name} fails at level {n} on cell {c!r}",
+            squares_checked=checked + j + 1,
+            detail=f"identity {name} fails at level {n} on cell {X.cells[n][j]!r}",
         )
 
     # d_i d_j = d_{j-1} d_i for i < j, on X_n with n >= 2
     for n in range(2, X.level + 1):
         for j in range(1, n + 1):
             for i in range(j):
-                di, dj = X.faces[(n - 1, i)], X.faces[(n, j)]
-                dj1, di2 = X.faces[(n - 1, j - 1)], X.faces[(n, i)]
-                for c in X.cells[n]:
-                    checked += 1
-                    if di[dj[c]] != dj1[di2[c]]:
-                        return fail(f"d_{i} d_{j} = d_{j-1} d_{i}", n, c)
+                lhs = _then(d[(n, j)], d[(n - 1, i)])
+                rhs = _then(d[(n, i)], d[(n - 1, j - 1)])
+                if lhs != rhs:
+                    return fail(f"d_{i} d_{j} = d_{j-1} d_{i}", n, lhs, rhs)
+                checked += len(lhs)
     # s_i s_j = s_{j+1} s_i for i <= j, on X_n with n + 2 <= level
     for n in range(X.level - 1):
         for j in range(n + 1):
             for i in range(j + 1):
-                si, sj = X.degeneracies[(n + 1, i)], X.degeneracies[(n, j)]
-                sj1, si2 = X.degeneracies[(n + 1, j + 1)], X.degeneracies[(n, i)]
-                for c in X.cells[n]:
-                    checked += 1
-                    if si[sj[c]] != sj1[si2[c]]:
-                        return fail(f"s_{i} s_{j} = s_{j+1} s_{i}", n, c)
+                lhs = _then(s[(n, j)], s[(n + 1, i)])
+                rhs = _then(s[(n, i)], s[(n + 1, j + 1)])
+                if lhs != rhs:
+                    return fail(f"s_{i} s_{j} = s_{j+1} s_{i}", n, lhs, rhs)
+                checked += len(lhs)
     # d_i s_j on X_n with n + 1 <= level
     for n in range(X.level):
+        identity = tuple(range(len(X.cells[n])))
         for j in range(n + 1):
-            sj = X.degeneracies[(n, j)]
             for i in range(n + 2):
-                di = X.faces[(n + 1, i)]
-                for c in X.cells[n]:
-                    checked += 1
-                    got = di[sj[c]]
-                    if i == j or i == j + 1:
-                        ok = got == c
-                        name = f"d_{i} s_{j} = id"
-                    elif i < j:
-                        ok = got == X.degeneracies[(n - 1, j - 1)][X.faces[(n, i)][c]]
-                        name = f"d_{i} s_{j} = s_{j-1} d_{i}"
-                    else:
-                        ok = got == X.degeneracies[(n - 1, j)][X.faces[(n, i - 1)][c]]
-                        name = f"d_{i} s_{j} = s_{j} d_{i-1}"
-                    if not ok:
-                        return fail(name, n, c)
+                got = _then(s[(n, j)], d[(n + 1, i)])
+                if i == j or i == j + 1:
+                    want, name = identity, f"d_{i} s_{j} = id"
+                elif i < j:
+                    want = _then(d[(n, i)], s[(n - 1, j - 1)])
+                    name = f"d_{i} s_{j} = s_{j-1} d_{i}"
+                else:
+                    want = _then(d[(n, i - 1)], s[(n - 1, j)])
+                    name = f"d_{i} s_{j} = s_{j} d_{i-1}"
+                if got != want:
+                    return fail(name, n, got, want)
+                checked += len(got)
     return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
 
 
-def induced_map(X: TruncatedSSet, alpha: SimplexMap) -> dict[str, str]:
+def induced_map(X: TruncatedSSet, alpha: SimplexMap) -> Table:
     """The contravariant action of a simplex-category map on cells.
 
-    For alpha: [n] -> [m] returns the function cells[m] -> cells[n],
+    For alpha: [n] -> [m] returns the index table cells[m] -> cells[n],
     computed by composing face/degeneracy tables along the canonical
     generator word of alpha.
     """
@@ -203,7 +311,7 @@ def induced_map(X: TruncatedSSet, alpha: SimplexMap) -> dict[str, str]:
             f"map [{alpha.source_rank}]->[{alpha.target_rank}] exceeds level {X.level}"
         )
     level = alpha.target_rank
-    out = {c: c for c in X.cells[level]}
+    out = None
     for kind, i in delta.generator_decomposition(alpha):
         if kind == "delta":
             table = X.face(level, i)
@@ -211,8 +319,8 @@ def induced_map(X: TruncatedSSet, alpha: SimplexMap) -> dict[str, str]:
         else:
             table = X.degeneracy(level, i)
             level += 1
-        out = {c: table[v] for c, v in out.items()}
-    return out
+        out = table if out is None else _then(out, table)
+    return tuple(range(len(X.cells[level]))) if out is None else out
 
 
 def opposite(X: TruncatedSSet) -> TruncatedSSet:
@@ -233,68 +341,75 @@ def truncate(X: TruncatedSSet, level: int) -> TruncatedSSet:
     return TruncatedSSet(level, X.cells[: level + 1], faces, degeneracies)
 
 
-def compose_tables(*tables: Mapping[str, str]) -> dict[str, str]:
-    """Compose operator tables, first table applied first."""
+def compose_tables(*tables: Table) -> Table:
+    """Compose index tables, first table applied first."""
     if not tables:
         raise ValueError("need at least one table")
-    out = {c: c for c in tables[0]}
-    for table in tables:
-        out = {c: table[v] for c, v in out.items()}
+    out = tuple(tables[0])
+    for table in tables[1:]:
+        out = _then(out, table)
     return out
 
 
 def is_pullback_square(
-    f: Mapping[str, str],
-    g: Mapping[str, str],
-    p: Mapping[str, str],
-    q: Mapping[str, str],
+    f: Table,
+    g: Table,
+    p: Table,
+    q: Table,
     square: str = "",
     levels: tuple[int, ...] = (),
+    names: tuple[Sequence[str], Sequence[str], Sequence[str]] | None = None,
 ) -> CheckReport:
     """Decide whether A is the fiber product of p: B -> D <- C : q.
 
-    f: A -> B and g: A -> C are the candidate projections; the square
-    must commute (p o f = q o g), otherwise a StructuralError is raised.
-    Holds iff a |-> (f(a), g(a)) is a bijection onto
-    {(b, c) | p(b) = q(c)}.  Since the square commutes, that map lands
-    in the fiber product, so it is a bijection iff its pairs are
-    distinct and |A| = sum over d of |p^-1(d)| * |q^-1(d)|; the verdict
-    is decided by that count.  The fiber product is enumerated (b in the
-    order of p, c in the order of q) only when the count fails, to find
-    the witness: the first element whose preimage count is not 1, with
-    its preimages in the order of f.
+    f: A -> B and g: A -> C are the candidate projections, all four as
+    index tables; the square must commute (p o f = q o g), otherwise a
+    StructuralError is raised.  Holds iff a |-> (f(a), g(a)) is a
+    bijection onto {(b, c) | p(b) = q(c)}.  Since the square commutes,
+    that map lands in the fiber product, so it is a bijection iff the
+    pairs, counted as f(a) * |C| + g(a), are distinct and
+    |A| = sum over d of |p^-1(d)| * |q^-1(d)|; the verdict is decided
+    by that count.  The fiber product is enumerated (b in the order of
+    B, c in the order of C) only when the count fails, to find the
+    witness: the first element whose preimage count is not 1, with its
+    preimages in the order of A.  names = (A, B, C), the cell names of
+    the three domains, label the witness and the error; without them
+    the labels are indices.
     """
-    if f.keys() != g.keys():
+    if len(f) != len(g):
         raise StructuralError("candidate projections disagree on their domain")
-    pairs = set()
-    for a, b in f.items():
-        c = g[a]
-        if p[b] != q[c]:
-            raise StructuralError(
-                f"square {square or '(unnamed)'} does not commute at {a!r}"
-            )
-        pairs.add((b, c))
-    if len(pairs) == len(f):
-        qsizes = Counter(q.values())
-        size = sum(n * qsizes[d] for d, n in Counter(p.values()).items())
-        if len(f) == size:
+    via_b, via_c = _then(f, p), _then(g, q)
+    if via_b != via_c:
+        a = _first_difference(via_b, via_c)
+        label = names[0][a] if names is not None else a
+        raise StructuralError(
+            f"square {square or '(unnamed)'} does not commute at {label!r}"
+        )
+    width = len(q)
+    if len({b * width + c for b, c in zip(f, g)}) == len(f):
+        # |B x_D C| = sum over b of |q^-1(p(b))|
+        qsizes = Counter(q)
+        if len(f) == sum(map(qsizes.get, p, repeat(0))):
             return CheckReport(holds=True, checked_level=0, squares_checked=1)
-    preimages: dict[tuple[str, str], list[str]] = {}
-    for a in f:
-        preimages.setdefault((f[a], g[a]), []).append(a)
-    qfibers: dict[str, list[str]] = {}
-    for c, v in q.items():
-        qfibers.setdefault(v, []).append(c)
-    for b in p:
-        for c in qfibers.get(p[b], ()):
-            pre = preimages.get((b, c), [])
+    if names is None:
+        names = (range(len(f)), range(len(p)), range(width))
+    A, B, C = names
+    preimages: dict[int, list[int]] = {}
+    for a, (b, c) in enumerate(zip(f, g)):
+        preimages.setdefault(b * width + c, []).append(a)
+    qfibers: dict[int, list[int]] = {}
+    for c, d in enumerate(q):
+        qfibers.setdefault(d, []).append(c)
+    for b, d in enumerate(p):
+        for c in qfibers.get(d, ()):
+            pre = preimages.get(b * width + c, [])
             if len(pre) != 1:
                 witness = SquareWitness(
                     square=square,
                     levels=levels,
-                    element=(b, c),
+                    element=(B[b], C[c]),
                     preimage_count=len(pre),
-                    preimages=tuple(pre),
+                    preimages=tuple(A[a] for a in pre),
                 )
                 return CheckReport(
                     holds=False, checked_level=0, squares_checked=1, witness=witness
@@ -302,71 +417,106 @@ def is_pullback_square(
     return CheckReport(holds=True, checked_level=0, squares_checked=1)
 
 
+def _check_component_count(source: TruncatedSSet, target: TruncatedSSet, count: int):
+    shared = min(source.level, target.level)
+    if count != shared + 1:
+        raise ValueError(f"expected {shared + 1} components, got {count}")
+
+
 @dataclass(frozen=True)
 class SimplicialMap:
     """A level-indexed family of functions commuting with all operators.
 
-    components[n] maps source cells[n] to target cells[n] for every
-    shared level n <= min(source.level, target.level).
+    components[n] is the index table of the function source cells[n] ->
+    target cells[n], for every shared level n <= min(source.level,
+    target.level); from_names builds one from name-keyed components.
     """
 
     source: TruncatedSSet
     target: TruncatedSSet
-    components: tuple[Mapping[str, str], ...]
+    components: tuple[Table, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(self.components))
-        shared = min(self.source.level, self.target.level)
-        if len(self.components) != shared + 1:
-            raise ValueError(
-                f"expected {shared + 1} components, got {len(self.components)}"
-            )
+        _check_component_count(self.source, self.target, len(self.components))
+
+    @classmethod
+    def from_names(
+        cls,
+        source: TruncatedSSet,
+        target: TruncatedSSet,
+        components: Sequence[Mapping[str, str]],
+    ) -> SimplicialMap:
+        """Build from components that map cell names to cell names.
+
+        A component undefined on a source cell, or sending one to a
+        name that is not a target cell, raises StructuralError.
+        """
+        _check_component_count(source, target, len(components))
+        rows = []
+        for n, comp in enumerate(components):
+            index = {c: j for j, c in enumerate(target.cells[n])}
+            row = []
+            for c in source.cells[n]:
+                if c not in comp:
+                    raise StructuralError(f"component at level {n} undefined on {c!r}")
+                j = index.get(comp[c])
+                if j is None:
+                    raise StructuralError(
+                        f"component at level {n} sends {c!r} to dangling {comp[c]!r}"
+                    )
+                row.append(j)
+            rows.append(tuple(row))
+        return cls(source, target, tuple(rows))
 
     @property
     def shared_level(self) -> int:
         return len(self.components) - 1
 
+    def component_names(self, n: int) -> dict[str, str]:
+        """The level-n component as a dict of cell names."""
+        return table_names(
+            self.components[n], self.source.cells[n], self.target.cells[n]
+        )
+
 
 def validate_map(m: SimplicialMap) -> CheckReport:
     """Check totality and commutation with every generator in truncation."""
     top = m.shared_level
+    comps = m.components
     for n in range(top + 1):
-        comp = m.components[n]
-        target_cells = set(m.target.cells[n])
-        for c in m.source.cells[n]:
-            if c not in comp:
-                raise StructuralError(f"component at level {n} undefined on {c!r}")
-            if comp[c] not in target_cells:
-                raise StructuralError(
-                    f"component at level {n} sends {c!r} to dangling {comp[c]!r}"
-                )
+        _check_indices(
+            comps[n],
+            m.source.cells[n],
+            len(m.target.cells[n]),
+            f"component at level {n}",
+        )
     checked = 0
+
+    def fail(kind: str, i: int, n: int, lhs: Table, rhs: Table) -> CheckReport:
+        j = _first_difference(lhs, rhs)
+        return CheckReport(
+            holds=False,
+            checked_level=top,
+            squares_checked=checked + j + 1,
+            detail=f"naturality fails for {kind}_{i} at level {n} on "
+            f"{m.source.cells[n][j]!r}",
+        )
+
     for n in range(1, top + 1):
         for i in range(n + 1):
-            src_d = m.source.face(n, i)
-            tgt_d = m.target.face(n, i)
-            for c in m.source.cells[n]:
-                checked += 1
-                if tgt_d[m.components[n][c]] != m.components[n - 1][src_d[c]]:
-                    return CheckReport(
-                        holds=False,
-                        checked_level=top,
-                        squares_checked=checked,
-                        detail=f"naturality fails for d_{i} at level {n} on {c!r}",
-                    )
+            lhs = _then(comps[n], m.target.face(n, i))
+            rhs = _then(m.source.face(n, i), comps[n - 1])
+            if lhs != rhs:
+                return fail("d", i, n, lhs, rhs)
+            checked += len(lhs)
     for n in range(top):
         for i in range(n + 1):
-            src_s = m.source.degeneracy(n, i)
-            tgt_s = m.target.degeneracy(n, i)
-            for c in m.source.cells[n]:
-                checked += 1
-                if tgt_s[m.components[n][c]] != m.components[n + 1][src_s[c]]:
-                    return CheckReport(
-                        holds=False,
-                        checked_level=top,
-                        squares_checked=checked,
-                        detail=f"naturality fails for s_{i} at level {n} on {c!r}",
-                    )
+            lhs = _then(comps[n], m.target.degeneracy(n, i))
+            rhs = _then(m.source.degeneracy(n, i), comps[n + 1])
+            if lhs != rhs:
+                return fail("s", i, n, lhs, rhs)
+            checked += len(lhs)
     return CheckReport(holds=True, checked_level=top, squares_checked=checked)
 
 
@@ -376,56 +526,55 @@ def compose_maps(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
         raise ValueError("compose_maps needs f.target == g.source")
     shared = min(f.shared_level, g.shared_level)
     components = tuple(
-        {c: g.components[n][f.components[n][c]] for c in f.components[n]}
-        for n in range(shared + 1)
+        compose_tables(f.components[n], g.components[n]) for n in range(shared + 1)
     )
     return SimplicialMap(f.source, g.target, components)
 
 
 def identity_map(X: TruncatedSSet) -> SimplicialMap:
-    return SimplicialMap(
-        X, X, tuple({c: c for c in X.cells[n]} for n in range(X.level + 1))
-    )
+    return SimplicialMap(X, X, tuple(tuple(range(len(cs))) for cs in X.cells))
 
 
-def find_isomorphism(
-    X: TruncatedSSet, Y: TruncatedSSet
-) -> tuple[dict[str, str], ...] | None:
+def find_isomorphism(X: TruncatedSSet, Y: TruncatedSSet) -> tuple[Table, ...] | None:
     """Search for a levelwise bijection commuting with every operator.
 
     Deterministic backtracking, pruned by color refinement and by the
-    face images already fixed at lower levels.  Returns the component
-    dicts or None.  Intended for desk-scale objects.
+    face images already fixed at lower levels.  Returns the components
+    as index tables from X to Y, or None.  Intended for desk-scale
+    objects.
     """
     if X.level != Y.level:
         return None
     if any(len(a) != len(b) for a, b in zip(X.cells, Y.cells)):
         return None
 
-    def refine(Z: TruncatedSSet) -> dict[tuple[int, str], int]:
-        color = {(n, c): n for n in range(Z.level + 1) for c in Z.cells[n]}
+    def refine(Z: TruncatedSSet) -> list[list[int]]:
+        color = [[n] * len(Z.cells[n]) for n in range(Z.level + 1)]
         for _ in range(Z.level + 2):
-            sig = {}
+            sig = []
             for n in range(Z.level + 1):
-                for c in Z.cells[n]:
+                row = []
+                for c in range(len(Z.cells[n])):
                     out = []
                     for i in range(n + 1):
                         if n >= 1:
-                            out.append(("d", i, color[(n - 1, Z.faces[(n, i)][c])]))
+                            face = Z.faces[(n, i)][c]
+                            out.append(("d", i, color[n - 1][face]))
                         if n < Z.level:
-                            out.append(
-                                ("s", i, color[(n + 1, Z.degeneracies[(n, i)][c])])
-                            )
-                    sig[(n, c)] = (color[(n, c)], tuple(sorted(out)))
-            palette = {s: j for j, s in enumerate(sorted(set(sig.values())))}
-            new = {k: palette[sig[k]] for k in sig}
+                            degeneracy = Z.degeneracies[(n, i)][c]
+                            out.append(("s", i, color[n + 1][degeneracy]))
+                    row.append((color[n][c], tuple(sorted(out))))
+                sig.append(row)
+            signatures = sorted({s for row in sig for s in row})
+            palette = {s: j for j, s in enumerate(signatures)}
+            new = [[palette[s] for s in row] for row in sig]
             if new == color:
                 break
             color = new
         return color
 
     cx, cy = refine(X), refine(Y)
-    mapping: dict[tuple[int, str], str] = {}
+    mapping: list[list[int | None]] = [[None] * len(cs) for cs in X.cells]
 
     def degeneracies_ok(n: int) -> bool:
         if n == 0:
@@ -433,61 +582,48 @@ def find_isomorphism(
         for i in range(n):
             sx = X.degeneracies[(n - 1, i)]
             sy = Y.degeneracies[(n - 1, i)]
-            for c in X.cells[n - 1]:
-                if mapping[(n, sx[c])] != sy[mapping[(n - 1, c)]]:
+            for c in range(len(X.cells[n - 1])):
+                if mapping[n][sx[c]] != sy[mapping[n - 1][c]]:
                     return False
         return True
 
     def assign(n: int) -> bool:
         if n > X.level:
             return True
-        xs = list(X.cells[n])
-        used: set[str] = set()
+        used: set[int] = set()
+        faces = range(n + 1) if n >= 1 else range(0)
+
+        def target_key(d: int) -> tuple[int, ...]:
+            return (cy[n][d], *(Y.faces[(n, i)][d] for i in faces))
 
         # targets must match refined color and already-assigned faces
-        def candidates(c: str) -> list[str]:
-            if n >= 1:
-                key = (cx[(n, c)],) + tuple(
-                    mapping[(n - 1, X.faces[(n, i)][c])] for i in range(n + 1)
-                )
-            else:
-                key = (cx[(n, c)],)
-            outs = []
-            for d in Y.cells[n]:
-                if d in used:
-                    continue
-                if n >= 1:
-                    dkey = (cy[(n, d)],) + tuple(
-                        Y.faces[(n, i)][d] for i in range(n + 1)
-                    )
-                else:
-                    dkey = (cy[(n, d)],)
-                if dkey == key:
-                    outs.append(d)
-            return outs
+        def candidates(c: int) -> list[int]:
+            key = (cx[n][c], *(mapping[n - 1][X.faces[(n, i)][c]] for i in faces))
+            return [
+                d
+                for d in range(len(Y.cells[n]))
+                if d not in used and target_key(d) == key
+            ]
 
-        def place(idx: int) -> bool:
-            if idx == len(xs):
+        def place(c: int) -> bool:
+            if c == len(X.cells[n]):
                 if not degeneracies_ok(n):
                     return False
                 return assign(n + 1)
-            c = xs[idx]
             for d in candidates(c):
-                mapping[(n, c)] = d
+                mapping[n][c] = d
                 used.add(d)
-                if place(idx + 1):
+                if place(c + 1):
                     return True
                 used.discard(d)
-                del mapping[(n, c)]
+                mapping[n][c] = None
             return False
 
         return place(0)
 
     if not assign(0):
         return None
-    return tuple(
-        {c: mapping[(n, c)] for c in X.cells[n]} for n in range(X.level + 1)
-    )
+    return tuple(tuple(row) for row in mapping)
 
 
 def are_isomorphic(X: TruncatedSSet, Y: TruncatedSSet) -> bool:

@@ -26,7 +26,7 @@ def point(level: int) -> TruncatedSSet:
     cells = tuple(("*",) for _ in range(level + 1))
     faces = {(n, i): {"*": "*"} for n in range(1, level + 1) for i in range(n + 1)}
     degeneracies = {(n, i): {"*": "*"} for n in range(level) for i in range(n + 1)}
-    return TruncatedSSet(level, cells, faces, degeneracies)
+    return TruncatedSSet.from_names(level, cells, faces, degeneracies)
 
 
 def opposite_category(C: FiniteCategory) -> FiniteCategory:
@@ -254,7 +254,7 @@ def sset_from_generators(generators: dict, level: int) -> TruncatedSSet:
                 )
                 for g, sig in cells_by_level[n]
             }
-    return TruncatedSSet(level, cells, faces, degeneracies)
+    return TruncatedSSet.from_names(level, cells, faces, degeneracies)
 
 
 def collapsed_triangle(level: int = 3) -> TruncatedSSet:

@@ -8,7 +8,14 @@ The reference pullback enumerates the whole fiber product of every
 square, and the reference direct walk checks every active-inert square
 through it, with no memo and no shortcut: the library's engine must
 give reports identical to theirs.
+
+The references work on tables keyed by cell name, the representation
+the library held before its tables became index tuples: NamedSSet is a
+simplicial set in that form, and reference_validate checks it cell by
+cell as the library once did.
 """
+
+from dataclasses import dataclass
 
 from decompspace import delta
 from decompspace.sset import (
@@ -16,8 +23,10 @@ from decompspace.sset import (
     LevelError,
     SquareWitness,
     StructuralError,
+    TruncatedSSet,
     induced_map,
-    validate,
+    is_pullback_square,
+    table_names,
 )
 
 
@@ -164,7 +173,7 @@ def reference_is_pullback_square(f, g, p, q, square="", levels=()):
 def reference_check_decomposition_direct(X, rank_cap=None, max_squares=None):
     """Every active-inert square within the rank cap, each one induced
     afresh and decided by the reference pullback."""
-    report = validate(X)
+    report = reference_validate(named_sset(X))
     if not report.holds:
         raise StructuralError(f"input is not a simplicial set: {report.detail}")
     if rank_cap is None:
@@ -179,19 +188,20 @@ def reference_check_decomposition_direct(X, rank_cap=None, max_squares=None):
                     for alpha in delta.enumerate_active(n, m):
                         if max_squares is not None and checked >= max_squares:
                             return CheckReport(
-                                holds=True,
+                                holds=False,
                                 checked_level=X.level,
                                 squares_checked=checked,
                                 detail=f"stopped after {checked} squares "
                                 f"(budget {max_squares})",
+                                inconclusive=True,
                             )
                         theta, phi = delta.active_inert_pushout(alpha, iota)
                         checked += 1
                         sub = reference_is_pullback_square(
-                            induced_map(X, phi),
-                            induced_map(X, theta),
-                            induced_map(X, iota),
-                            induced_map(X, alpha),
+                            induced_names(X, phi),
+                            induced_names(X, theta),
+                            induced_names(X, iota),
+                            induced_names(X, alpha),
                             square=f"active-inert alpha={alpha.values} "
                             f"iota={iota.values}: X{theta.target_rank} over X{n}",
                             levels=(theta.target_rank, k, m, n),
@@ -209,7 +219,7 @@ def reference_check_decomposition_direct(X, rank_cap=None, max_squares=None):
 def reference_check_2segal_polygonal(X, mode="full"):
     """The two-element-subset squares {i, j} inside [n], each one induced
     afresh and decided by the reference pullback."""
-    report = validate(X)
+    report = reference_validate(named_sset(X))
     if not report.holds:
         raise StructuralError(f"input is not a simplicial set: {report.detail}")
     checked = 0
@@ -225,10 +235,10 @@ def reference_check_2segal_polygonal(X, mode="full"):
                 theta, phi = delta.active_inert_pushout(alpha, iota)
                 checked += 1
                 sub = reference_is_pullback_square(
-                    induced_map(X, phi),
-                    induced_map(X, theta),
-                    induced_map(X, iota),
-                    induced_map(X, alpha),
+                    induced_names(X, phi),
+                    induced_names(X, theta),
+                    induced_names(X, iota),
+                    induced_names(X, alpha),
                     square=f"polygonal n={n} i={i} j={j}: "
                     f"X{n} -> X{iota.target_rank} / X{j - i} over X1",
                     levels=(n, iota.target_rank, j - i, 1),
@@ -240,4 +250,145 @@ def reference_check_2segal_polygonal(X, mode="full"):
                         squares_checked=checked,
                         witness=sub.witness,
                     )
+    return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
+
+
+@dataclass
+class NamedSSet:
+    """A truncated simplicial set whose tables map cell names to cell names."""
+
+    level: int
+    cells: tuple
+    faces: dict
+    degeneracies: dict
+
+
+def named_sset(X: TruncatedSSet) -> NamedSSet:
+    return NamedSSet(
+        X.level,
+        X.cells,
+        {(n, i): X.face_names(n, i) for (n, i) in X.faces},
+        {(n, i): X.degeneracy_names(n, i) for (n, i) in X.degeneracies},
+    )
+
+
+def from_named(Y: NamedSSet) -> TruncatedSSet:
+    return TruncatedSSet.from_names(Y.level, Y.cells, Y.faces, Y.degeneracies)
+
+
+def induced_names(X: TruncatedSSet, alpha) -> dict:
+    """induced_map as a dict of cell names."""
+    return table_names(
+        induced_map(X, alpha), X.cells[alpha.target_rank], X.cells[alpha.source_rank]
+    )
+
+
+def pullback_by_names(f, g, p, q, square="", levels=()):
+    """The library's is_pullback_square on a square given by name dicts.
+
+    A = the keys of f, B = the keys of p and C = the keys of q, each in
+    dict order; D lists the values of p and q.  A g whose keys are not
+    those of f is indexed in its own key order; the squares tested give
+    such a g another number of keys than f, which the engine rejects.
+    """
+    A, B, C = tuple(f), tuple(p), tuple(q)
+    D = {d: j for j, d in enumerate(dict.fromkeys([*p.values(), *q.values()]))}
+    b_index = {b: j for j, b in enumerate(B)}
+    c_index = {c: j for j, c in enumerate(C)}
+    g_keys = A if set(g) == set(f) else tuple(g)
+    return is_pullback_square(
+        tuple(b_index[f[a]] for a in A),
+        tuple(c_index[g[a]] for a in g_keys),
+        tuple(D[p[b]] for b in B),
+        tuple(D[q[c]] for c in C),
+        square=square,
+        levels=levels,
+        names=(A, B, C),
+    )
+
+
+def _reference_check_table(X, kind, n, i, target_level):
+    tables = X.faces if kind == "d" else X.degeneracies
+    if (n, i) not in tables:
+        raise StructuralError(f"missing table {kind}_{i} at level {n}")
+    table = tables[(n, i)]
+    domain = set(X.cells[n])
+    target = set(X.cells[target_level])
+    for c in X.cells[n]:
+        if c not in table:
+            raise StructuralError(f"{kind}_{i} at level {n} undefined on {c!r}")
+        if table[c] not in target:
+            raise StructuralError(
+                f"{kind}_{i} at level {n} sends {c!r} to dangling cell {table[c]!r}"
+            )
+    for c in table:
+        if c not in domain:
+            raise StructuralError(
+                f"{kind}_{i} at level {n} defined on unknown cell {c!r}"
+            )
+    return table
+
+
+def reference_validate(X: NamedSSet) -> CheckReport:
+    """Every simplicial identity, cell by cell, on name-keyed tables."""
+    for n in range(len(X.cells)):
+        seen = set()
+        for c in X.cells[n]:
+            if c in seen:
+                raise StructuralError(f"duplicate cell {c!r} at level {n}")
+            seen.add(c)
+    for n in range(1, X.level + 1):
+        for i in range(n + 1):
+            _reference_check_table(X, "d", n, i, n - 1)
+    for n in range(X.level):
+        for i in range(n + 1):
+            _reference_check_table(X, "s", n, i, n + 1)
+
+    checked = 0
+
+    def fail(name, n, c):
+        return CheckReport(
+            holds=False,
+            checked_level=X.level,
+            squares_checked=checked,
+            detail=f"identity {name} fails at level {n} on cell {c!r}",
+        )
+
+    for n in range(2, X.level + 1):
+        for j in range(1, n + 1):
+            for i in range(j):
+                di, dj = X.faces[(n - 1, i)], X.faces[(n, j)]
+                dj1, di2 = X.faces[(n - 1, j - 1)], X.faces[(n, i)]
+                for c in X.cells[n]:
+                    checked += 1
+                    if di[dj[c]] != dj1[di2[c]]:
+                        return fail(f"d_{i} d_{j} = d_{j-1} d_{i}", n, c)
+    for n in range(X.level - 1):
+        for j in range(n + 1):
+            for i in range(j + 1):
+                si, sj = X.degeneracies[(n + 1, i)], X.degeneracies[(n, j)]
+                sj1, si2 = X.degeneracies[(n + 1, j + 1)], X.degeneracies[(n, i)]
+                for c in X.cells[n]:
+                    checked += 1
+                    if si[sj[c]] != sj1[si2[c]]:
+                        return fail(f"s_{i} s_{j} = s_{j+1} s_{i}", n, c)
+    for n in range(X.level):
+        for j in range(n + 1):
+            sj = X.degeneracies[(n, j)]
+            for i in range(n + 2):
+                di = X.faces[(n + 1, i)]
+                for c in X.cells[n]:
+                    checked += 1
+                    got = di[sj[c]]
+                    if i == j or i == j + 1:
+                        ok = got == c
+                        name = f"d_{i} s_{j} = id"
+                    elif i < j:
+                        ok = got == X.degeneracies[(n - 1, j - 1)][X.faces[(n, i)][c]]
+                        name = f"d_{i} s_{j} = s_{j-1} d_{i}"
+                    else:
+                        ok = got == X.degeneracies[(n - 1, j)][X.faces[(n, i - 1)][c]]
+                        name = f"d_{i} s_{j} = s_{j} d_{i-1}"
+                    if not ok:
+                        return fail(name, n, c)
     return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)

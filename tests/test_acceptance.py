@@ -169,7 +169,7 @@ def test_criterion_6_twisted_arrow_identity():
             ok = False
             break
         components = twisted_chain_components(C, Z)
-        renaming = SimplicialMap(Z, W, components)
+        renaming = SimplicialMap.from_names(Z, W, components)
         if not validate_map(renaming).holds:
             ok = False
             break

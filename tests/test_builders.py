@@ -307,11 +307,11 @@ class TestLengthMap:
         A = builders.terminal_complex(2)
         lm = builders.length_map(A, 3)
         for n in range(4):
-            assert lm.components[n] == {c: c for c in lm.source.cells[n]}
+            assert lm.component_names(n) == {c: c for c in lm.source.cells[n]}
 
     def test_level_one_component_sends_word_to_length(self):
         lm = builders.length_map(builders.bounded_words(("a",), 2), 3)
-        assert lm.components[1] == {
+        assert lm.component_names(1) == {
             "(;0)": "(*;0)",
             "(a;1)": "(*;1)",
             "(aa;2)": "(*;2)",

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from corpus import paper_graph
-from decompspace import serialize
+from decompspace import builders, serialize
 from decompspace.cli import main
 
 
@@ -111,6 +111,17 @@ class TestBuild:
         assert main(["build", "words", "--alphabet", "ab",
                      "--output", str(out)]) == 2
 
+    def test_length_map_build_writes_the_same_object(self, tmp_path):
+        graph = write_graph(tmp_path)
+        plain, obj, lmap = (tmp_path / n for n in ("p.json", "x.json", "l.json"))
+        flags = ["--input", graph, "--bound", "2", "--level", "3"]
+        assert main(["build", "graph-paths", *flags, "--output", str(plain)]) == 0
+        assert main(["build", "graph-paths", *flags, "--output", str(obj),
+                     "--length-map", str(lmap)]) == 0
+        assert obj.read_bytes() == plain.read_bytes()
+        expected = builders.length_map(builders.graph_paths(paper_graph(), 2), 3)
+        assert lmap.read_text() == serialize.dumps(serialize.smap_to_obj(expected))
+
 
 class TestCheck:
     def test_words_fail_segal_pass_decomp(self, tmp_path, capsys):
@@ -148,9 +159,36 @@ class TestCheck:
         main(["build", "words", "--alphabet", "ab", "--max-len", "2",
               "--level", "3", "--output", str(obj)])
         monkeypatch.setenv("DECOMP_MAX_SQUARES", "4")
-        assert main(["check", "decomp-direct", str(obj)]) == 0
+        assert main(["check", "decomp-direct", str(obj)]) == 4
         out = capsys.readouterr().out
         assert "squares_checked: 4" in out and "budget" in out
+        assert "verdict: inconclusive" in out
+
+    def test_budget_machine_verdict(self, tmp_path, capsys, monkeypatch):
+        obj = tmp_path / "w.json"
+        main(["build", "words", "--alphabet", "ab", "--max-len", "2",
+              "--level", "3", "--output", str(obj)])
+        capsys.readouterr()
+        monkeypatch.setenv("DECOMP_MAX_SQUARES", "4")
+        assert main(["check", "decomp-direct", str(obj), "--format", "machine"]) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "inconclusive" and payload["holds"] is False
+        assert payload["squares_checked"] == 4 and payload["witness"] is None
+
+    def test_budget_above_family_holds(self, tmp_path, capsys, monkeypatch):
+        obj = tmp_path / "w.json"
+        main(["build", "words", "--alphabet", "ab", "--max-len", "2",
+              "--level", "3", "--output", str(obj)])
+        monkeypatch.setenv("DECOMP_MAX_SQUARES", "100000")
+        assert main(["check", "decomp-direct", str(obj)]) == 0
+        assert "verdict: holds-at-checked-depth" in capsys.readouterr().out
+
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["check", "segal", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "UTF-8" in err and "Traceback" not in err
 
     def test_unreadable_input_exit_2(self, tmp_path):
         missing = tmp_path / "nope.json"
@@ -182,6 +220,19 @@ class TestCheck:
 
 
 class TestTransform:
+    def test_duplicate_cells_rejected_like_check(self, tmp_path, capsys):
+        obj, out = tmp_path / "dup.json", tmp_path / "op.json"
+        obj.write_text(json.dumps({
+            "format_version": 1, "kind": "sset", "level": 0,
+            "cells": [["a", "a"]], "faces": [], "degeneracies": [],
+        }))
+        assert main(["check", "validate", str(obj)]) == 3
+        check_err = capsys.readouterr().err
+        assert main(["transform", "op", str(obj), "--output", str(out)]) == 3
+        assert capsys.readouterr().err == check_err
+        assert "duplicate cell 'a' at level 0" in check_err
+        assert not out.exists()
+
     def test_sd_level_drop(self, tmp_path):
         obj, out = tmp_path / "w.json", tmp_path / "sd.json"
         main(["build", "terminal-ofc", "--bound", "2", "--level", "5",

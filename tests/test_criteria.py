@@ -17,10 +17,10 @@ from decompspace import builders, criteria
 from decompspace.sset import (
     StructuralError,
     TruncatedSSet,
-    is_pullback_square,
     opposite,
     validate,
 )
+from oracles import induced_names, pullback_by_names
 
 
 def words_ab2(level):
@@ -227,13 +227,11 @@ class TestDecompositionDirect:
         alpha = delta.codegeneracy(0, 0)
         iota = delta.coface(2, 0)
         theta, phi = delta.active_inert_pushout(alpha, iota)
-        from decompspace.sset import induced_map
-
-        report = is_pullback_square(
-            induced_map(X, phi),
-            induced_map(X, theta),
-            induced_map(X, iota),
-            induced_map(X, alpha),
+        report = pullback_by_names(
+            induced_names(X, phi),
+            induced_names(X, theta),
+            induced_names(X, iota),
+            induced_names(X, alpha),
         )
         assert report.holds
         # and the whole family passes on a decomposition space
@@ -287,8 +285,11 @@ class TestSegalImpliesDecomposition:
             X = inst.X
             segal = criteria.check_segal(X).holds
             dec = criteria.check_decomposition(X).holds
-            extra = is_pullback_square(
-                X.faces[(2, 0)], X.faces[(2, 2)], X.faces[(1, 1)], X.faces[(1, 0)]
+            extra = pullback_by_names(
+                X.face_names(2, 0),
+                X.face_names(2, 2),
+                X.face_names(1, 1),
+                X.face_names(1, 0),
             ).holds
             assert segal == (dec and extra), inst.name
 
@@ -302,20 +303,20 @@ class TestDegeneracySquares:
             # X_{n+1} -(s_{i+1})-> X_{n+2} over d_bot, bottom s_i, n > 0
             for n in range(1, X.level - 1):
                 for i in range(n + 1):
-                    report = is_pullback_square(
-                        X.degeneracies[(n + 1, i + 1)],
-                        X.faces[(n + 1, 0)],
-                        X.faces[(n + 2, 0)],
-                        X.degeneracies[(n, i)],
+                    report = pullback_by_names(
+                        X.degeneracy_names(n + 1, i + 1),
+                        X.face_names(n + 1, 0),
+                        X.face_names(n + 2, 0),
+                        X.degeneracy_names(n, i),
                     )
                     assert report.holds, (inst.name, n, i)
             # and the n = 0 square certified through the retract argument
             if X.level >= 2:
-                report = is_pullback_square(
-                    X.degeneracies[(1, 1)],
-                    X.faces[(1, 0)],
-                    X.faces[(2, 0)],
-                    X.degeneracies[(0, 0)],
+                report = pullback_by_names(
+                    X.degeneracy_names(1, 1),
+                    X.face_names(1, 0),
+                    X.face_names(2, 0),
+                    X.degeneracy_names(0, 0),
                 )
                 assert report.holds, inst.name
 
@@ -335,7 +336,7 @@ class TestCulf:
         from decompspace.sset import SimplicialMap
 
         X = builders.nerve(arrow_category(), 3)
-        to_point = SimplicialMap(
+        to_point = SimplicialMap.from_names(
             X, point(3), tuple({c: "*" for c in X.cells[n]} for n in range(4))
         )
         report = criteria.check_culf(to_point)
@@ -346,7 +347,7 @@ class TestCulf:
         from decompspace.sset import SimplicialMap
 
         swap = {c: X.cells[1][0] for c in X.cells[1]}
-        broken = SimplicialMap(
+        broken = SimplicialMap.from_names(
             X, X, ({c: c for c in X.cells[0]}, swap, {c: c for c in X.cells[2]})
         )
         with pytest.raises(StructuralError):

@@ -1,0 +1,146 @@
+"""The index-table core against the name-keyed representation it replaced.
+
+validate composes whole index tables and finds the failing cell only on
+a mismatch; reference_validate in oracles.py checks name-keyed tables
+cell by cell.  On every corpus instance with one table entry perturbed
+or one cell duplicated, the two must give the same report or the same
+StructuralError message.  Files must round-trip byte for byte.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corpus import corpus, point
+from decompspace import builders, operators, serialize
+from decompspace.sset import (
+    SimplicialMap,
+    StructuralError,
+    TruncatedSSet,
+    validate,
+    validate_map,
+)
+from oracles import from_named, named_sset, reference_validate
+
+INSTANCES = corpus()
+CORE = settings(max_examples=300, deadline=None, derandomize=True)
+MUTATIONS = ["entry", "entry", "entry", "dangling", "undefined", "unknown", "duplicate"]
+
+
+@st.composite
+def mutated(draw):
+    """A corpus instance in name-keyed form with one defect planted.
+
+    entry: one table entry sent to another cell of the right level;
+    dangling: one entry sent to a name that is no cell; undefined: one
+    entry removed; unknown: one entry added for a name that is no cell;
+    duplicate: one cell listed a second time at its level.
+    """
+    Y = named_sset(draw(st.sampled_from(INSTANCES)).X)
+    tables = [
+        (kind, key, target)
+        for kind, group, step in (("d", Y.faces, -1), ("s", Y.degeneracies, 1))
+        for key in sorted(group)
+        for target in [Y.cells[key[0] + step]]
+        if Y.cells[key[0]] and target
+    ]
+    mutation = draw(st.sampled_from(MUTATIONS))
+    if mutation == "duplicate" or not tables:
+        levels = [n for n in range(Y.level + 1) if Y.cells[n]]
+        n = draw(st.sampled_from(levels))
+        cells = list(Y.cells[n])
+        cells.insert(draw(st.integers(0, len(cells))), draw(st.sampled_from(cells)))
+        Y.cells = Y.cells[:n] + (tuple(cells),) + Y.cells[n + 1 :]
+        return Y
+    kind, key, target = draw(st.sampled_from(tables))
+    table = (Y.faces if kind == "d" else Y.degeneracies)[key]
+    cell = draw(st.sampled_from(Y.cells[key[0]]))
+    if mutation == "entry":
+        table[cell] = draw(st.sampled_from(target))
+    elif mutation == "dangling":
+        table[cell] = "ghost"
+    elif mutation == "undefined":
+        del table[cell]
+    else:
+        table["ghost"] = draw(st.sampled_from(target))
+    return Y
+
+
+def outcome(check, Y):
+    try:
+        return check(Y)
+    except StructuralError as exc:
+        return ("StructuralError", str(exc))
+
+
+class TestValidateDifferential:
+    @CORE
+    @given(mutated())
+    def test_matches_reference(self, Y):
+        assert outcome(lambda Y: validate(from_named(Y)), Y) == outcome(
+            reference_validate, Y
+        )
+
+    @pytest.mark.parametrize("inst", INSTANCES, ids=lambda inst: inst.name)
+    def test_unperturbed_corpus_matches_reference(self, inst):
+        assert validate(inst.X) == reference_validate(named_sset(inst.X))
+
+
+class TestIndexTableShape:
+    def test_short_table(self):
+        X = point(1)
+        faces = {**X.faces, (1, 0): ()}
+        with pytest.raises(StructuralError, match="d_0 at level 1 is not a tuple"):
+            validate(TruncatedSSet(1, X.cells, faces, X.degeneracies))
+
+    def test_out_of_range_index(self):
+        X = point(1)
+        faces = {**X.faces, (1, 1): (5,)}
+        with pytest.raises(StructuralError, match="sends '\\*' to dangling index 5"):
+            validate(TruncatedSSet(1, X.cells, faces, X.degeneracies))
+
+    def test_name_keyed_table_rejected(self):
+        X = point(1)
+        faces = {**X.faces, (1, 0): {"*": "*"}}
+        with pytest.raises(StructuralError, match="not a tuple"):
+            validate(TruncatedSSet(1, X.cells, faces, X.degeneracies))
+
+    def test_non_integer_entry(self):
+        X = point(1)
+        faces = {**X.faces, (1, 0): ("0",)}
+        with pytest.raises(StructuralError, match="not an int"):
+            validate(TruncatedSSet(1, X.cells, faces, X.degeneracies))
+
+    def test_dangling_component_index(self):
+        X = point(1)
+        with pytest.raises(StructuralError, match="component at level 1"):
+            validate_map(SimplicialMap(X, X, ((0,), (1,))))
+
+    @pytest.mark.parametrize("inst", INSTANCES, ids=lambda inst: inst.name)
+    def test_from_names_inverts_the_name_accessors(self, inst):
+        assert from_named(named_sset(inst.X)) == inst.X
+
+
+def serialized_forms(inst):
+    """The sset of a corpus instance and every simplicial map derived from it."""
+    forms = [serialize.sset_to_obj(inst.X)]
+    if inst.X.level >= 1:
+        for dec in (operators.dec_top, operators.dec_bot):
+            forms.append(serialize.smap_to_obj(dec(inst.X)[1]))
+    if inst.ofc is not None:
+        forms.append(serialize.smap_to_obj(builders.length_map(inst.ofc, inst.X.level)))
+    return forms
+
+
+READERS = {
+    "sset": (serialize.sset_from_obj, serialize.sset_to_obj),
+    "smap": (serialize.smap_from_obj, serialize.smap_to_obj),
+}
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=lambda inst: inst.name)
+def test_round_trip_bytes(inst):
+    for obj in serialized_forms(inst):
+        text = serialize.dumps(obj)
+        read, write = READERS[obj["kind"]]
+        assert serialize.dumps(write(read(serialize.loads(text)))) == text

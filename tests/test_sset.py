@@ -23,20 +23,19 @@ from decompspace.sset import (
     compose_tables,
     identity_map,
     induced_map,
-    is_pullback_square,
     opposite,
     truncate,
     validate,
     validate_map,
 )
+from oracles import induced_names, pullback_by_names
 
 
 def corrupt_face(X, n, i, cell, value) -> TruncatedSSet:
-    faces = dict(X.faces)
-    table = dict(faces[(n, i)])
-    table[cell] = value
-    faces[(n, i)] = table
-    return TruncatedSSet(X.level, X.cells, faces, X.degeneracies)
+    faces = {key: X.face_names(*key) for key in X.faces}
+    degeneracies = {key: X.degeneracy_names(*key) for key in X.degeneracies}
+    faces[(n, i)][cell] = value
+    return TruncatedSSet.from_names(X.level, X.cells, faces, degeneracies)
 
 
 class TestValidate:
@@ -53,7 +52,7 @@ class TestValidate:
         X = builders.nerve(chain_category(3), 2)
         # break d_0 at level 2 so that d_0 d_2 != d_1 d_0 somewhere
         target = X.cells[2][-1]
-        other = next(c for c in X.cells[1] if c != X.faces[(2, 0)][target])
+        other = next(c for c in X.cells[1] if c != X.face_names(2, 0)[target])
         bad = corrupt_face(X, 2, 0, target, other)
         report = validate(bad)
         assert not report.holds and report.verdict == "fails"
@@ -61,9 +60,8 @@ class TestValidate:
 
     def test_dangling_reference_is_structural_error(self):
         X = point(2)
-        bad = corrupt_face(X, 1, 0, "*", "ghost")
         with pytest.raises(StructuralError, match="ghost"):
-            validate(bad)
+            validate(corrupt_face(X, 1, 0, "*", "ghost"))
 
     def test_missing_table_is_structural_error(self):
         X = point(2)
@@ -90,33 +88,34 @@ class TestValidate:
 class TestInducedMap:
     def test_identity(self):
         X = builders.nerve(arrow_category(), 3)
-        out = induced_map(X, delta.identity(2))
+        out = induced_names(X, delta.identity(2))
         assert out == {c: c for c in X.cells[2]}
 
     def test_generator_cases_match_tables(self):
         X = builders.nerve(chain_category(3), 3)
         for n in range(1, 4):
             for i in range(n + 1):
-                assert induced_map(X, delta.coface(n, i)) == dict(X.faces[(n, i)])
+                assert induced_names(X, delta.coface(n, i)) == X.face_names(n, i)
         for n in range(3):
             for i in range(n + 1):
-                assert induced_map(X, delta.codegeneracy(n, i)) == dict(
-                    X.degeneracies[(n, i)]
-                )
+                assert induced_names(
+                    X, delta.codegeneracy(n, i)
+                ) == X.degeneracy_names(n, i)
 
     def test_long_edge_is_inner_face(self):
         X = builders.nerve(chain_category(3), 3)
         long_edge = delta.SimplexMap(1, 2, (0, 2))
-        assert induced_map(X, long_edge) == dict(X.faces[(2, 1)])
+        assert induced_names(X, long_edge) == X.face_names(2, 1)
 
     def test_functoriality_exhaustive(self):
         X = builders.nerve(arrow_category(), 3)
         for n, j, m in product(range(3), range(3), range(3)):
             for f in delta.enumerate_maps(n, j):
                 for g in delta.enumerate_maps(j, m):
-                    composite = induced_map(X, delta.compose(g, f))
+                    composite = induced_names(X, delta.compose(g, f))
                     stepwise = {
-                        c: induced_map(X, f)[v] for c, v in induced_map(X, g).items()
+                        c: induced_names(X, f)[v]
+                        for c, v in induced_names(X, g).items()
                     }
                     assert composite == stepwise
 
@@ -161,7 +160,7 @@ class TestOpposite:
             {c: "|".join(reversed(c.split("|"))) if n else c for c in lhs.cells[n]}
             for n in range(4)
         )
-        renaming = SimplicialMap(lhs, rhs, components)
+        renaming = SimplicialMap.from_names(lhs, rhs, components)
         assert validate_map(renaming).holds
         for n in range(4):
             assert sorted(components[n].values()) == sorted(rhs.cells[n])
@@ -198,7 +197,7 @@ def brute_force_pullback(f, g, p, q):
 class TestIsPullbackSquare:
     def test_singletons(self):
         one = {"x": "y"}
-        report = is_pullback_square({"x": "x"}, {"x": "x"}, {"x": "x"}, {"x": "x"})
+        report = pullback_by_names({"x": "x"}, {"x": "x"}, {"x": "x"}, {"x": "x"})
         assert report.holds
 
     def test_fiber_product_by_construction(self):
@@ -207,10 +206,10 @@ class TestIsPullbackSquare:
         fp = [(b, c) for b in B for c in C if B[b] == C[c]]
         f = {str(pair): pair[0] for pair in fp}
         g = {str(pair): pair[1] for pair in fp}
-        assert is_pullback_square(f, g, B, C).holds
+        assert pullback_by_names(f, g, B, C).holds
 
     def test_empty_comparison_fails_with_zero_preimages(self):
-        report = is_pullback_square({}, {}, {"b": "d"}, {"c": "d"})
+        report = pullback_by_names({}, {}, {"b": "d"}, {"c": "d"})
         assert not report.holds
         assert report.witness.preimage_count == 0
         assert report.witness.element == ("b", "c")
@@ -218,13 +217,13 @@ class TestIsPullbackSquare:
     def test_duplicate_preimages_reported_in_order(self):
         f = {"a1": "b", "a2": "b"}
         g = {"a1": "c", "a2": "c"}
-        report = is_pullback_square(f, g, {"b": "d"}, {"c": "d"})
+        report = pullback_by_names(f, g, {"b": "d"}, {"c": "d"})
         assert report.witness.preimage_count == 2
         assert report.witness.preimages == ("a1", "a2")
 
     def test_non_commuting_square_is_error(self):
         with pytest.raises(StructuralError, match="commute"):
-            is_pullback_square(
+            pullback_by_names(
                 {"a": "b"}, {"a": "c"}, {"b": "d0"}, {"c": "d1", "d1": "d1"}
             )
 
@@ -239,7 +238,7 @@ class TestIsPullbackSquare:
                 for g_vals in product(range(nc), repeat=na):
                     f = {labels[a]: f"b{f_vals[a]}" for a in range(na)}
                     g = {labels[a]: f"c{g_vals[a]}" for a in range(na)}
-                    got = is_pullback_square(f, g, B, C).holds
+                    got = pullback_by_names(f, g, B, C).holds
                     assert got == brute_force_pullback(f, g, B, C)
 
 
@@ -258,7 +257,7 @@ class TestSimplicialMaps:
         components = ({"*": "*"}, {"*": "*"}, {"*": "*"})
         Y = builders.nerve(arrow_category(), 2)
         swap = {c: Y.cells[1][0] for c in Y.cells[1]}
-        broken = SimplicialMap(
+        broken = SimplicialMap.from_names(
             Y, Y, ({c: c for c in Y.cells[0]}, swap, {c: c for c in Y.cells[2]})
         )
         report = validate_map(broken)
@@ -267,9 +266,8 @@ class TestSimplicialMaps:
 
     def test_dangling_component_is_structural_error(self):
         X = point(1)
-        broken = SimplicialMap(X, X, ({"*": "*"}, {"*": "ghost"}))
         with pytest.raises(StructuralError, match="ghost"):
-            validate_map(broken)
+            validate_map(SimplicialMap.from_names(X, X, ({"*": "*"}, {"*": "ghost"})))
 
     def test_compose_maps(self):
         X = builders.nerve(arrow_category(), 3)
@@ -287,16 +285,19 @@ class TestSimplicialMaps:
 class TestIsomorphismSearch:
     def test_renamed_copy_found(self):
         X = builders.nerve(z2_category(), 3)
-        renamed = TruncatedSSet(
+        renamed = TruncatedSSet.from_names(
             X.level,
             tuple(tuple(f"cell:{c}" for c in cs) for cs in X.cells),
             {
-                key: {f"cell:{a}": f"cell:{b}" for a, b in table.items()}
-                for key, table in X.faces.items()
+                key: {f"cell:{a}": f"cell:{b}" for a, b in X.face_names(*key).items()}
+                for key in X.faces
             },
             {
-                key: {f"cell:{a}": f"cell:{b}" for a, b in table.items()}
-                for key, table in X.degeneracies.items()
+                key: {
+                    f"cell:{a}": f"cell:{b}"
+                    for a, b in X.degeneracy_names(*key).items()
+                }
+                for key in X.degeneracies
             },
         )
         assert sset.are_isomorphic(X, renamed)
