@@ -20,9 +20,11 @@ from .sset import (
     SquareWitness,
     StructuralError,
     TruncatedSSet,
+    induce,
     induced_map,
     is_pullback_square,
     opposite,
+    pullback_holds,
     table_names,
     truncate,
     validate,

@@ -104,6 +104,19 @@ def _cmd_build(args) -> int:
             raise SystemExit2(f"build {kind} requires {flag}")
         return value
 
+    def read(parse):
+        return parse(serialize.read_file(need("--input", args.input)), where=args.input)
+
+    # only an outer face complex freely completed to a level has a length
+    # map; reject the rest before anything is built or written
+    if args.length_map is not None and (
+        kind not in ("free", "words", "graph-paths", "terminal-ofc")
+        or (args.level is None and kind != "free")
+    ):
+        raise SystemExit2(
+            "--length-map needs a freely generated build (--level plus an "
+            "outer face complex kind)"
+        )
     lmap = None
 
     def free(A: builders.OuterFaceComplex, level: int):
@@ -115,38 +128,26 @@ def _cmd_build(args) -> int:
         return lmap.source
 
     if kind == "nerve":
-        C = serialize.category_from_obj(
-            serialize.read_file(need("--input", args.input)), where=args.input
-        )
+        C = read(serialize.category_from_obj)
         result = builders.nerve(C, need("--level", args.level))
     elif kind == "twisted-arrow":
-        C = serialize.category_from_obj(
-            serialize.read_file(need("--input", args.input)), where=args.input
-        )
+        C = read(serialize.category_from_obj)
         result = builders.nerve(builders.twisted_arrow(C), need("--level", args.level))
     elif kind == "pmonoid":
-        M = serialize.pmonoid_from_obj(
-            serialize.read_file(need("--input", args.input)), where=args.input
-        )
+        M = read(serialize.pmonoid_from_obj)
         result = builders.from_partial_monoid(M, need("--level", args.level))
     elif kind == "pcategory":
-        C = serialize.partial_category_from_obj(
-            serialize.read_file(need("--input", args.input)), where=args.input
-        )
+        C = read(serialize.partial_category_from_obj)
         result = builders.from_partial_category(C, need("--level", args.level))
     elif kind == "free":
-        ofc = serialize.ofc_from_obj(
-            serialize.read_file(need("--input", args.input)), where=args.input
-        )
+        ofc = read(serialize.ofc_from_obj)
         result = free(ofc, need("--level", args.level))
     elif kind == "words":
         alphabet = tuple(need("--alphabet", args.alphabet))
         ofc = builders.bounded_words(alphabet, need("--max-len", args.max_len))
         result = ofc if args.level is None else free(ofc, args.level)
     elif kind == "graph-paths":
-        G = serialize.graph_from_obj(
-            serialize.read_file(need("--input", args.input)), where=args.input
-        )
+        G = read(serialize.graph_from_obj)
         ofc = builders.graph_paths(G, need("--bound", args.bound))
         result = ofc if args.level is None else free(ofc, args.level)
     elif kind == "terminal-ofc":
@@ -159,12 +160,7 @@ def _cmd_build(args) -> int:
         serialize.write_file(args.output, serialize.ofc_to_obj(result))
     else:
         serialize.write_file(args.output, serialize.sset_to_obj(result))
-    if args.length_map is not None:
-        if lmap is None:
-            raise SystemExit2(
-                "--length-map needs a freely generated build (--level plus an "
-                "outer face complex kind)"
-            )
+    if lmap is not None:
         serialize.write_file(args.length_map, serialize.smap_to_obj(lmap))
     return EXIT_HOLDS
 

@@ -1,26 +1,30 @@
 """Pullback-square criteria over a truncated simplicial set.
 
-Each checker re-validates its input, walks a deterministic family of
-squares (smallest square first), and returns a CheckReport carrying the
-first witness on failure.  An instance whose square would need a level
-beyond the truncation is skipped; the report's checked_level records
-the truncation the verdict is good for.
+Every criterion here except the iterated Segal condition is a family of
+squares that must be pullbacks, so each checker validates its input and
+hands a generator of squares, smallest first, to one driver, _decide.
+A square is its four index tables (see sset) and a describe callable.
+The driver counts every square, in walk order and against the budget;
+a square with an identity leg comes without tables, since it is a
+pullback whatever X is, and is counted but not decided.  The rest are
+decided by sset.pullback_holds; only the first that fails is described
+(its label, the levels of its corners and the cell names of A, B and C)
+and handed to is_pullback_square for its witness.  A square that would
+need a level beyond the truncation is not generated; the report's
+checked_level records the truncation the verdict is good for.
 
-The active-inert walks (the direct and the polygonal checker) induce
-each simplex-category map at most once per call: a memo keyed by
-SimplexMap is built when the call starts and dropped when it returns,
-so nothing is cached on the TruncatedSSet.  A square of theirs with an
-identity leg is a pullback by construction; it is counted in
-squares_checked (and against the budget) at its place in the walk, but
-decided without building its fibers.
-
-Every table here is an index table (see sset); cell names enter only
-through the names a square hands is_pullback_square for its witness.
+The active-inert walks (the direct and the polygonal checker) build
+their squares from value tuples (delta.active_inert_squares,
+delta.pushout_values) and induce each simplex-category map at most once
+per call: a memo keyed by (target_rank, values) is built when the call
+starts and dropped when it returns, so nothing is cached on the
+TruncatedSSet.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import delta
 from .sset import (
@@ -32,11 +36,21 @@ from .sset import (
     Table,
     TruncatedSSet,
     compose_tables,
-    induced_map,
+    induce,
     is_pullback_square,
+    pullback_holds,
     validate,
     validate_map,
 )
+
+#: A square's label, the levels of its corners and the names of A, B, C.
+Description = tuple[str, tuple[int, ...], tuple[Sequence[str], ...]]
+
+#: (f, g, p, q): A -> B and A -> C over B -> D <- C, and the square's
+#: describe callable; (None, None) for a square with an identity leg.
+Square = tuple[
+    tuple[Table, Table, Table, Table] | None, Callable[[], Description] | None
+]
 
 
 def _require_valid(X: TruncatedSSet) -> None:
@@ -45,45 +59,58 @@ def _require_valid(X: TruncatedSSet) -> None:
         raise StructuralError(f"input is not a simplicial set: {report.detail}")
 
 
-def _fail(level: int, checked: int, sub: CheckReport) -> CheckReport:
-    return CheckReport(
-        holds=False, checked_level=level, squares_checked=checked, witness=sub.witness
-    )
-
-
-def _square(
-    X: TruncatedSSet,
-    f: Table,
-    g: Table,
-    p: Table,
-    q: Table,
-    square: str,
-    levels: tuple[int, ...],
+def _decide(
+    level: int, squares: Iterable[Square], max_squares: int | None = None
 ) -> CheckReport:
+    """The report of a family of squares that must all be pullbacks.
+
+    max_squares cuts the walk off deterministically: a walk stopped
+    before its last square reports holds=False and inconclusive=True,
+    with the cut-off in the detail.  describe is called, if at all,
+    before the next square is drawn, so it may read the loop variables
+    of the generator that made it.
+    """
+    checked = 0
+    for legs, describe in squares:
+        if max_squares is not None and checked >= max_squares:
+            return CheckReport(
+                holds=False,
+                checked_level=level,
+                squares_checked=checked,
+                detail=f"stopped after {checked} squares (budget {max_squares})",
+                inconclusive=True,
+            )
+        checked += 1
+        if legs is None or pullback_holds(*legs):
+            continue
+        square, levels, names = describe()
+        sub = is_pullback_square(*legs, square=square, levels=levels, names=names)
+        return CheckReport(
+            holds=False, checked_level=level, squares_checked=checked, witness=sub.witness
+        )
+    return CheckReport(holds=True, checked_level=level, squares_checked=checked)
+
+
+def _on(X: TruncatedSSet, square: str, levels: tuple[int, ...]) -> Description:
     """A square of X whose corners A, B, C, D sit at the given levels."""
-    names = (X.cells[levels[0]], X.cells[levels[1]], X.cells[levels[2]])
-    return is_pullback_square(f, g, p, q, square=square, levels=levels, names=names)
+    return square, levels, (X.cells[levels[0]], X.cells[levels[1]], X.cells[levels[2]])
 
 
 def check_segal(X: TruncatedSSet) -> CheckReport:
     """The outer-face squares X_{n+1} over X_{n-1}, for n+1 within level."""
     _require_valid(X)
-    checked = 0
-    for n in range(1, X.level):
-        checked += 1
-        sub = _square(
-            X,
-            X.faces[(n + 1, 0)],
-            X.faces[(n + 1, n + 1)],
-            X.faces[(n, n)],
-            X.faces[(n, 0)],
-            square=f"segal n={n}: X{n + 1} -(d_bot)-> X{n} -(d_top)-> X{n - 1}, "
-            f"X{n + 1} -(d_top)-> X{n} -(d_bot)-> X{n - 1}",
-            levels=(n + 1, n, n, n - 1),
-        )
-        if not sub.holds:
-            return _fail(X.level, checked, sub)
-    return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
+    d = X.faces
+
+    def squares():
+        for n in range(1, X.level):
+            yield (d[(n + 1, 0)], d[(n + 1, n + 1)], d[(n, n)], d[(n, 0)]), lambda: _on(
+                X,
+                f"segal n={n}: X{n + 1} -(d_bot)-> X{n} -(d_top)-> X{n - 1}, "
+                f"X{n + 1} -(d_top)-> X{n} -(d_bot)-> X{n - 1}",
+                (n + 1, n, n, n - 1),
+            )
+
+    return _decide(X.level, squares())
 
 
 def check_segal_iterated(X: TruncatedSSet) -> CheckReport:
@@ -138,56 +165,43 @@ def check_segal_iterated(X: TruncatedSSet) -> CheckReport:
     return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
 
 
-def _two_segal_square(X: TruncatedSSet, n: int, i: int, upper: bool) -> CheckReport:
+def _two_segal(X: TruncatedSSet, n: int, i: int, upper: bool) -> Square:
+    d = X.faces
     if upper:
         # top d_{i+1}, left d_bot, right d_bot, bottom d_i
-        return _square(
+        return (d[(n + 1, i + 1)], d[(n + 1, 0)], d[(n, 0)], d[(n, i)]), lambda: _on(
             X,
-            X.faces[(n + 1, i + 1)],
-            X.faces[(n + 1, 0)],
-            X.faces[(n, 0)],
-            X.faces[(n, i)],
-            square=f"upper n={n} i={i}: X{n + 1} -(d_{i + 1})-> X{n}, "
+            f"upper n={n} i={i}: X{n + 1} -(d_{i + 1})-> X{n}, "
             f"X{n + 1} -(d_bot)-> X{n}, legs d_bot / d_{i} into X{n - 1}",
-            levels=(n + 1, n, n, n - 1),
+            (n + 1, n, n, n - 1),
         )
     # top d_i, left d_top, right d_top, bottom d_i
-    return _square(
+    return (d[(n + 1, i)], d[(n + 1, n + 1)], d[(n, n)], d[(n, i)]), lambda: _on(
         X,
-        X.faces[(n + 1, i)],
-        X.faces[(n + 1, n + 1)],
-        X.faces[(n, n)],
-        X.faces[(n, i)],
-        square=f"lower n={n} i={i}: X{n + 1} -(d_{i})-> X{n}, "
+        f"lower n={n} i={i}: X{n + 1} -(d_{i})-> X{n}, "
         f"X{n + 1} -(d_top)-> X{n}, legs d_top / d_{i} into X{n - 1}",
-        levels=(n + 1, n, n, n - 1),
+        (n + 1, n, n, n - 1),
     )
+
+
+def _two_segal_squares(X: TruncatedSSet, sides: tuple[bool, ...]):
+    """The squares of the given sides (True upper, False lower), 0 < i < n."""
+    for n in range(2, X.level):
+        for i in range(1, n):
+            for upper in sides:
+                yield _two_segal(X, n, i, upper)
 
 
 def check_upper_2segal(X: TruncatedSSet) -> CheckReport:
     """Inner-face against bottom-face squares, all 0 < i < n in truncation."""
     _require_valid(X)
-    checked = 0
-    for n in range(2, X.level):
-        for i in range(1, n):
-            checked += 1
-            sub = _two_segal_square(X, n, i, upper=True)
-            if not sub.holds:
-                return _fail(X.level, checked, sub)
-    return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
+    return _decide(X.level, _two_segal_squares(X, (True,)))
 
 
 def check_lower_2segal(X: TruncatedSSet) -> CheckReport:
     """Inner-face against top-face squares, all 0 < i < n in truncation."""
     _require_valid(X)
-    checked = 0
-    for n in range(2, X.level):
-        for i in range(1, n):
-            checked += 1
-            sub = _two_segal_square(X, n, i, upper=False)
-            if not sub.holds:
-                return _fail(X.level, checked, sub)
-    return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
+    return _decide(X.level, _two_segal_squares(X, (False,)))
 
 
 def check_upper_2segal_reduced(X: TruncatedSSet) -> CheckReport:
@@ -197,92 +211,67 @@ def check_upper_2segal_reduced(X: TruncatedSSet) -> CheckReport:
     so the equivalence is testable.
     """
     _require_valid(X)
-    checked = 0
-    for n in range(2, X.level):
-        checked += 1
-        sub = _two_segal_square(X, n, 1, upper=True)
-        if not sub.holds:
-            return _fail(X.level, checked, sub)
-    for n in range(2, X.level):
-        # composite square: X_{n+1} -(d_2^{n-1})-> X_2 over X_n -(d_1^{n-1})-> X_1
-        top = compose_tables(*[X.faces[(lvl, 2)] for lvl in range(n + 1, 2, -1)])
-        bottom = compose_tables(*[X.faces[(lvl, 1)] for lvl in range(n, 1, -1)])
-        checked += 1
-        sub = _square(
-            X,
-            top,
-            X.faces[(n + 1, 0)],
-            X.faces[(2, 0)],
-            bottom,
-            square=f"upper composite n={n}: X{n + 1} -(d_2^{n - 1})-> X2, "
-            f"X{n + 1} -(d_bot)-> X{n}, legs d_bot / d_1^{n - 1} into X1",
-            levels=(n + 1, 2, n, 1),
-        )
-        if not sub.holds:
-            return _fail(X.level, checked, sub)
-    return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
+    d = X.faces
+
+    def squares():
+        for n in range(2, X.level):
+            yield _two_segal(X, n, 1, upper=True)
+        for n in range(2, X.level):
+            # X_{n+1} -(d_2^{n-1})-> X_2 over X_n -(d_1^{n-1})-> X_1
+            top = compose_tables(*[d[(lvl, 2)] for lvl in range(n + 1, 2, -1)])
+            bottom = compose_tables(*[d[(lvl, 1)] for lvl in range(n, 1, -1)])
+            yield (top, d[(n + 1, 0)], d[(2, 0)], bottom), lambda: _on(
+                X,
+                f"upper composite n={n}: X{n + 1} -(d_2^{n - 1})-> X2, "
+                f"X{n + 1} -(d_bot)-> X{n}, legs d_bot / d_1^{n - 1} into X1",
+                (n + 1, 2, n, 1),
+            )
+
+    return _decide(X.level, squares())
 
 
-#: induced_map on one object, as the active-inert walks call it
-_Induce = Callable[[delta.SimplexMap], Table]
+def check_decomposition(X: TruncatedSSet) -> CheckReport:
+    """Upper and lower 2-Segal conditions jointly, smallest square first."""
+    _require_valid(X)
+    return _decide(X.level, _two_segal_squares(X, (True, False)))
 
 
-def _memo_induced_map(X: TruncatedSSet) -> _Induce:
-    """induced_map on X, computed once per SimplexMap for one checker call."""
-    memo: dict[delta.SimplexMap, Table] = {}
+def _pushout_squares(X: TruncatedSSet, squares, label) -> Iterator[Square]:
+    """X applied to active-inert pushout squares given as value tuples.
 
-    def induce(alpha: delta.SimplexMap) -> Table:
-        table = memo.get(alpha)
+    squares yields (alpha, iota, theta, phi): alpha: [n] -> [m] active,
+    iota: [n] -> [k] inert, theta and phi their pushout into [p];
+    label(alpha, iota, k, p) names the square.  Each map is induced once
+    per call.  A square whose alpha or iota is an identity comes without
+    tables: the pushout leg opposite an identity is an identity too.  A
+    degenerate active map [n] -> [n], such as 0,0,2, is not an identity.
+    """
+    memo: dict[tuple[int, tuple[int, ...]], Table] = {}
+
+    def induce_once(target_rank: int, values: tuple[int, ...]) -> Table:
+        key = (target_rank, values)
+        table = memo.get(key)
         if table is None:
-            table = memo[alpha] = induced_map(X, alpha)
+            table = memo[key] = induce(X, target_rank, values)
         return table
 
-    return induce
+    for alpha, iota, theta, phi in squares:
+        n, m, k, p = len(alpha) - 1, alpha[-1], len(phi) - 1, phi[-1]
+        if n == k or (n == m and alpha == tuple(range(m + 1))):
+            yield None, None
+            continue
+        legs = (
+            induce_once(p, phi),
+            induce_once(p, theta),
+            induce_once(k, iota),
+            induce_once(m, alpha),
+        )
+        yield legs, lambda: _on(X, label(alpha, iota, k, p), (p, k, m, n))
 
 
-def _has_identity_leg(alpha: delta.SimplexMap, iota: delta.SimplexMap) -> bool:
-    """Whether the active alpha or the inert iota is an identity map.
-
-    The pushout leg opposite an identity is an identity too, so X sends
-    the square to a pullback whatever X is.  A degenerate active map
-    [n] -> [n], such as 0,0,2, is not an identity.
-    """
-    return iota.source_rank == iota.target_rank or alpha.values == tuple(
-        range(alpha.target_rank + 1)
-    )
-
-
-def _pushout_square(
-    X: TruncatedSSet,
-    induce: _Induce,
-    alpha: delta.SimplexMap,
-    iota: delta.SimplexMap,
-    square: str,
-    levels: tuple[int, ...],
-) -> CheckReport:
-    """X applied to the pushout of active alpha along inert iota."""
-    theta, phi = delta.active_inert_pushout(alpha, iota)
-    return _square(
-        X,
-        induce(phi),
-        induce(theta),
-        induce(iota),
-        induce(alpha),
-        square=square,
-        levels=levels,
-    )
-
-
-def _polygonal_pairs(n: int, mode: str):
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            if mode == "restricted" and not (i == 0 or j == n):
-                continue
-            if mode == "upper" and j != n:
-                continue
-            if mode == "lower" and i != 0:
-                continue
-            yield i, j
+def _polygonal_label(alpha, iota, k: int, p: int) -> str:
+    i, j = iota[0], iota[0] + alpha[-1]
+    return f"polygonal n={p} i={i} j={j}: X{p} -> X{k} / X{j - i} over X1"
 
 
 def check_2segal_polygonal(X: TruncatedSSet, mode: str = "full") -> CheckReport:
@@ -291,46 +280,30 @@ def check_2segal_polygonal(X: TruncatedSSet, mode: str = "full") -> CheckReport:
     mode "full" takes all 0 <= i < j <= n; "restricted" keeps only
     i = 0 or j = n (which already suffices); "upper"/"lower" keep the
     j = n (resp. i = 0) half, matching the upper (resp. lower) 2-Segal
-    condition.
+    condition.  Each is the pushout of the active (0, j - i): [1] ->
+    [j - i] along the inert [1] -> [n - j + i + 1] at offset i.
     """
-    if mode not in ("full", "restricted", "upper", "lower"):
+    keep = {
+        "full": lambda i, j, n: True,
+        "restricted": lambda i, j, n: i == 0 or j == n,
+        "upper": lambda i, j, n: j == n,
+        "lower": lambda i, j, n: i == 0,
+    }.get(mode)
+    if keep is None:
         raise ValueError(f"unknown mode {mode!r}")
     _require_valid(X)
-    induce = _memo_induced_map(X)
-    checked = 0
-    for n in range(1, X.level + 1):
-        for i, j in _polygonal_pairs(n, mode):
-            alpha = delta.SimplexMap(1, j - i, (0, j - i))
-            iota = delta.inert_map(1, n - j + i + 1, i)
-            checked += 1
-            if _has_identity_leg(alpha, iota):
-                continue
-            sub = _pushout_square(
-                X,
-                induce,
-                alpha,
-                iota,
-                square=f"polygonal n={n} i={i} j={j}: "
-                f"X{n} -> X{iota.target_rank} / X{j - i} over X1",
-                levels=(n, iota.target_rank, j - i, 1),
-            )
-            if not sub.holds:
-                return _fail(X.level, checked, sub)
-    return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
+    squares = (
+        ((0, j - i), (i, i + 1), *delta.pushout_values((0, j - i), i, n - j + i + 1))
+        for n in range(1, X.level + 1)
+        for i in range(n + 1)
+        for j in range(i + 1, n + 1)
+        if keep(i, j, n)
+    )
+    return _decide(X.level, _pushout_squares(X, squares, _polygonal_label))
 
 
-def check_decomposition(X: TruncatedSSet) -> CheckReport:
-    """Upper and lower 2-Segal conditions jointly, smallest square first."""
-    _require_valid(X)
-    checked = 0
-    for n in range(2, X.level):
-        for i in range(1, n):
-            for upper in (True, False):
-                checked += 1
-                sub = _two_segal_square(X, n, i, upper=upper)
-                if not sub.holds:
-                    return _fail(X.level, checked, sub)
-    return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
+def _active_inert_label(alpha, iota, k: int, p: int) -> str:
+    return f"active-inert alpha={alpha} iota={iota}: X{p} over X{len(alpha) - 1}"
 
 
 def check_decomposition_direct(
@@ -357,40 +330,15 @@ def check_decomposition_direct(
         rank_cap = X.level
     if rank_cap > X.level:
         raise LevelError(f"rank cap {rank_cap} exceeds level {X.level}")
-    induce = _memo_induced_map(X)
-    checked = 0
-    for n in range(0, rank_cap + 1):
-        for k in range(n, X.level + 1):
-            inerts = delta.enumerate_inert(n, k)
-            for m in range(0, min(X.level, rank_cap - k + n) + 1):
-                actives = delta.enumerate_active(n, m)
-                p = k - n + m
-                for iota in inerts:
-                    for alpha in actives:
-                        if max_squares is not None and checked >= max_squares:
-                            return CheckReport(
-                                holds=False,
-                                checked_level=X.level,
-                                squares_checked=checked,
-                                detail=f"stopped after {checked} squares "
-                                f"(budget {max_squares})",
-                                inconclusive=True,
-                            )
-                        checked += 1
-                        if _has_identity_leg(alpha, iota):
-                            continue
-                        sub = _pushout_square(
-                            X,
-                            induce,
-                            alpha,
-                            iota,
-                            square=f"active-inert alpha={alpha.values} "
-                            f"iota={iota.values}: X{p} over X{n}",
-                            levels=(p, k, m, n),
-                        )
-                        if not sub.holds:
-                            return _fail(X.level, checked, sub)
-    return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
+    squares = chain.from_iterable(
+        delta.active_inert_squares(n, k, m)
+        for n in range(rank_cap + 1)
+        for k in range(n, X.level + 1)
+        for m in range(min(X.level, rank_cap - k + n) + 1)
+    )
+    return _decide(
+        X.level, _pushout_squares(X, squares, _active_inert_label), max_squares
+    )
 
 
 def check_culf(f: SimplicialMap) -> CheckReport:
@@ -399,35 +347,25 @@ def check_culf(f: SimplicialMap) -> CheckReport:
     if not report.holds:
         raise StructuralError(f"input is not a simplicial map: {report.detail}")
     top = f.shared_level
-    checked = 0
-    for n in range(2, top + 1):
-        for i in range(1, n):
-            checked += 1
-            sub = is_pullback_square(
-                f.source.faces[(n, i)],
-                f.components[n],
-                f.components[n - 1],
-                f.target.faces[(n, i)],
-                square=f"culf face n={n} i={i}: X{n} -(d_{i})-> X{n - 1} over "
-                f"Y{n} -(d_{i})-> Y{n - 1}",
-                levels=(n, n - 1, n, n - 1),
-                names=(f.source.cells[n], f.source.cells[n - 1], f.target.cells[n]),
-            )
-            if not sub.holds:
-                return _fail(top, checked, sub)
-    for n in range(top):
-        for j in range(n + 1):
-            checked += 1
-            sub = is_pullback_square(
-                f.source.degeneracies[(n, j)],
-                f.components[n],
-                f.components[n + 1],
-                f.target.degeneracies[(n, j)],
-                square=f"culf degeneracy n={n} j={j}: X{n} -(s_{j})-> X{n + 1} "
-                f"over Y{n} -(s_{j})-> Y{n + 1}",
-                levels=(n, n + 1, n, n + 1),
-                names=(f.source.cells[n], f.source.cells[n + 1], f.target.cells[n]),
-            )
-            if not sub.holds:
-                return _fail(top, checked, sub)
-    return CheckReport(holds=True, checked_level=top, squares_checked=checked)
+    X, Y, c = f.source, f.target, f.components
+
+    def squares():
+        for n in range(2, top + 1):
+            for i in range(1, n):
+                yield (X.faces[(n, i)], c[n], c[n - 1], Y.faces[(n, i)]), lambda: (
+                    f"culf face n={n} i={i}: X{n} -(d_{i})-> X{n - 1} over "
+                    f"Y{n} -(d_{i})-> Y{n - 1}",
+                    (n, n - 1, n, n - 1),
+                    (X.cells[n], X.cells[n - 1], Y.cells[n]),
+                )
+        for n in range(top):
+            for j in range(n + 1):
+                legs = (X.degeneracies[(n, j)], c[n], c[n + 1], Y.degeneracies[(n, j)])
+                yield legs, lambda: (
+                    f"culf degeneracy n={n} j={j}: X{n} -(s_{j})-> X{n + 1} "
+                    f"over Y{n} -(s_{j})-> Y{n + 1}",
+                    (n, n + 1, n, n + 1),
+                    (X.cells[n], X.cells[n + 1], Y.cells[n]),
+                )
+
+    return _decide(top, squares())

@@ -10,6 +10,10 @@ implements the coface/codegeneracy generators, composition,
 classification, the active-inert factorization and pushout, the
 canonical generator normal form, and exhaustive enumeration at fixed
 ranks.
+
+The enumeration, the pushout and the generator word also come in
+unvalidated value-tuple forms for the checkers' walks; the SimplexMap
+functions are built on them, so each formula exists once.
 """
 
 from __future__ import annotations
@@ -148,20 +152,39 @@ def active_inert_pushout(
         raise ValueError(f"{iota!r} is not inert")
     if alpha.source_rank != iota.source_rank:
         raise ValueError("pushout legs must share their source rank")
-    n, m, k = alpha.source_rank, alpha.target_rank, iota.target_rank
-    p = k - n + m
-    c = iota.values[0]
-    theta = inert_map(m, p, c)
+    p = iota.target_rank - alpha.source_rank + alpha.target_rank
+    theta, phi = pushout_values(alpha.values, iota.values[0], iota.target_rank)
+    return SimplexMap(alpha.target_rank, p, theta), SimplexMap(iota.target_rank, p, phi)
 
-    def phi_at(t: int) -> int:
-        if t < c:
-            return t
-        if t <= c + n:
-            return alpha.values[t - c] + c
-        return t - n + m
 
-    phi = SimplexMap(k, p, tuple(phi_at(t) for t in range(k + 1)))
-    return theta, phi
+def pushout_values(
+    alpha: tuple[int, ...], c: int, k: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """active_inert_pushout of the active alpha: [n] -> [m] (m is its last
+    value) along the inert [n] -> [k] at offset c, as value tuples."""
+    return next(_pushouts(len(alpha) - 1, alpha[-1], (alpha,), c, k))
+
+
+def _pushouts(n: int, m: int, actives, c: int, k: int):
+    """(theta, phi) for each active [n] -> [m] in actives, pushed out along
+    the inert [n] -> [k] at offset c: theta translates by c; phi is the
+    identity below c, alpha shifted by c on c..c+n, and shifts by m - n
+    above.  Everything but the middle of phi is built once."""
+    theta = tuple(range(c, c + m + 1))
+    below, above = tuple(range(c)), tuple(range(c + m + 1, k - n + m + 1))
+    for alpha in actives:
+        yield theta, below + tuple(map(c.__add__, alpha)) + above
+
+
+def active_inert_squares(n: int, k: int, m: int):
+    """The value tuples (alpha, iota, theta, phi) of every pushout of an
+    active alpha: [n] -> [m] along an inert iota: [n] -> [k]: iota in
+    enumerate_inert order, then alpha in enumerate_active order."""
+    actives = active_values(n, m)
+    for c in range(k - n + 1):
+        iota = tuple(range(c, c + n + 1))
+        for alpha, (theta, phi) in zip(actives, _pushouts(n, m, actives, c, k)):
+            yield alpha, iota, theta, phi
 
 
 def generator_decomposition(f: SimplexMap) -> list[Generator]:
@@ -173,11 +196,19 @@ def generator_decomposition(f: SimplexMap) -> list[Generator]:
     letters right to left reproduces f (the standard unique normal
     form).
     """
-    image = set(f.values)
-    deltas = [i for i in range(f.target_rank, -1, -1) if i not in image]
-    sigmas = [j for j in range(f.source_rank) if f.values[j] == f.values[j + 1]]
-    word: list[Generator] = [("delta", i) for i in deltas]
-    word.extend(("sigma", j) for j in sigmas)
+    return generator_word(f.values, f.target_rank)
+
+
+def generator_word(values: tuple[int, ...], target_rank: int) -> list[Generator]:
+    """generator_decomposition of the map [len(values) - 1] -> [target_rank]
+    with the given value tuple, without validation."""
+    image = set(values)
+    word: list[Generator] = [
+        ("delta", i) for i in range(target_rank, -1, -1) if i not in image
+    ]
+    word.extend(
+        ("sigma", j) for j in range(len(values) - 1) if values[j] == values[j + 1]
+    )
     return word
 
 
@@ -209,12 +240,14 @@ def enumerate_active(n: int, m: int) -> list[SimplexMap]:
     There are C(m+n-1, n-1) of these for n >= 1 (compositions of m into
     n parts); for n = 0 only the identity of [0] qualifies.
     """
+    return [SimplexMap(n, m, values) for values in active_values(n, m)]
+
+
+def active_values(n: int, m: int) -> list[tuple[int, ...]]:
+    """The value tuples of enumerate_active(n, m), in its order."""
     if n == 0:
-        return [identity(0)] if m == 0 else []
-    return [
-        SimplexMap(n, m, (0, *mid, m))
-        for mid in combinations_with_replacement(range(m + 1), n - 1)
-    ]
+        return [(0,)] if m == 0 else []
+    return [(0, *mid, m) for mid in combinations_with_replacement(range(m + 1), n - 1)]
 
 
 def enumerate_inert(n: int, k: int) -> list[SimplexMap]:

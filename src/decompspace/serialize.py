@@ -287,13 +287,20 @@ def loads(text: str) -> dict:
 
 
 def write_file(path: str, obj: dict) -> None:
-    """Serialize and atomically replace the target path."""
+    """Serialize and atomically replace the target path.
+
+    The file gets the mode open(path, "w") would give a new file, 0o666
+    less the umask, rather than mkstemp's 0o600.
+    """
     text = dumps(obj)
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0o022)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".decompspace-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -306,13 +306,18 @@ def induced_map(X: TruncatedSSet, alpha: SimplexMap) -> Table:
     computed by composing face/degeneracy tables along the canonical
     generator word of alpha.
     """
-    if alpha.target_rank > X.level or alpha.source_rank > X.level:
-        raise LevelError(
-            f"map [{alpha.source_rank}]->[{alpha.target_rank}] exceeds level {X.level}"
-        )
-    level = alpha.target_rank
+    return induce(X, alpha.target_rank, alpha.values)
+
+
+def induce(X: TruncatedSSet, target_rank: int, values: tuple[int, ...]) -> Table:
+    """induced_map of the map [len(values) - 1] -> [target_rank] with the
+    given value tuple, which is trusted to be weakly monotone."""
+    source_rank = len(values) - 1
+    if target_rank > X.level or source_rank > X.level:
+        raise LevelError(f"map [{source_rank}]->[{target_rank}] exceeds level {X.level}")
+    level = target_rank
     out = None
-    for kind, i in delta.generator_decomposition(alpha):
+    for kind, i in delta.generator_word(values, target_rank):
         if kind == "delta":
             table = X.face(level, i)
             level -= 1
@@ -351,6 +356,25 @@ def compose_tables(*tables: Table) -> Table:
     return out
 
 
+def pullback_holds(f: Table, g: Table, p: Table, q: Table) -> bool:
+    """Whether A is the fiber product of p: B -> D <- C : q, by counting.
+
+    The verdict of is_pullback_square without its witness and errors: a
+    square whose projections f: A -> B and g: A -> C disagree on their
+    domain, or that does not commute, is not a pullback.  A commuting
+    square maps a |-> (f(a), g(a)) into the fiber product, so it is a
+    bijection iff the pairs, counted as f(a) * |C| + g(a), are distinct
+    and |A| = sum over d of |p^-1(d)| * |q^-1(d)|, which is sum over b
+    of |q^-1(p(b))|.
+    """
+    if len(f) != len(g) or _then(f, p) != _then(g, q):
+        return False
+    width = len(q)
+    if len({b * width + c for b, c in zip(f, g)}) != len(f):
+        return False
+    return len(f) == sum(map(Counter(q).get, p, repeat(0)))
+
+
 def is_pullback_square(
     f: Table,
     g: Table,
@@ -365,17 +389,16 @@ def is_pullback_square(
     f: A -> B and g: A -> C are the candidate projections, all four as
     index tables; the square must commute (p o f = q o g), otherwise a
     StructuralError is raised.  Holds iff a |-> (f(a), g(a)) is a
-    bijection onto {(b, c) | p(b) = q(c)}.  Since the square commutes,
-    that map lands in the fiber product, so it is a bijection iff the
-    pairs, counted as f(a) * |C| + g(a), are distinct and
-    |A| = sum over d of |p^-1(d)| * |q^-1(d)|; the verdict is decided
-    by that count.  The fiber product is enumerated (b in the order of
-    B, c in the order of C) only when the count fails, to find the
-    witness: the first element whose preimage count is not 1, with its
-    preimages in the order of A.  names = (A, B, C), the cell names of
-    the three domains, label the witness and the error; without them
-    the labels are indices.
+    bijection onto {(b, c) | p(b) = q(c)}, decided by pullback_holds.
+    The fiber product is enumerated (b in the order of B, c in the order
+    of C) only when that count fails, to find the witness: the first
+    element whose preimage count is not 1, with its preimages in the
+    order of A.  names = (A, B, C), the cell names of the three domains,
+    label the witness and the error; without them the labels are
+    indices.
     """
+    if pullback_holds(f, g, p, q):
+        return CheckReport(holds=True, checked_level=0, squares_checked=1)
     if len(f) != len(g):
         raise StructuralError("candidate projections disagree on their domain")
     via_b, via_c = _then(f, p), _then(g, q)
@@ -386,11 +409,6 @@ def is_pullback_square(
             f"square {square or '(unnamed)'} does not commute at {label!r}"
         )
     width = len(q)
-    if len({b * width + c for b, c in zip(f, g)}) == len(f):
-        # |B x_D C| = sum over b of |q^-1(p(b))|
-        qsizes = Counter(q)
-        if len(f) == sum(map(qsizes.get, p, repeat(0))):
-            return CheckReport(holds=True, checked_level=0, squares_checked=1)
     if names is None:
         names = (range(len(f)), range(len(p)), range(width))
     A, B, C = names
@@ -414,7 +432,7 @@ def is_pullback_square(
                 return CheckReport(
                     holds=False, checked_level=0, squares_checked=1, witness=witness
                 )
-    return CheckReport(holds=True, checked_level=0, squares_checked=1)
+    raise AssertionError("a square that fails the count has a witness")
 
 
 def _check_component_count(source: TruncatedSSet, target: TruncatedSSet, count: int):

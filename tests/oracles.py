@@ -24,6 +24,7 @@ from decompspace.sset import (
     SquareWitness,
     StructuralError,
     TruncatedSSet,
+    compose_tables,
     induced_map,
     is_pullback_square,
     table_names,
@@ -281,6 +282,31 @@ def induced_names(X: TruncatedSSet, alpha) -> dict:
     return table_names(
         induced_map(X, alpha), X.cells[alpha.target_rank], X.cells[alpha.source_rank]
     )
+
+
+def reference_induce(X: TruncatedSSet, target_rank: int, values) -> tuple:
+    """induce along another generator word than the canonical one.
+
+    Peels the smallest value missing from the image first (a face), and
+    once the map is onto, its last repeated value (a degeneracy); the
+    library composes the largest missing value first and the first
+    repeat first.  On a simplicial set both words give the same table.
+    """
+    values, level = list(values), target_rank
+    tables = [tuple(range(len(X.cells[level])))]
+    while values != list(range(level + 1)):
+        missing = [i for i in range(level + 1) if i not in values]
+        if missing:
+            i = missing[0]
+            tables.append(X.faces[(level, i)])
+            values = [v - (v > i) for v in values]
+            level -= 1
+        else:
+            j = max(t for t in range(len(values) - 1) if values[t] == values[t + 1])
+            tables.append(X.degeneracies[(level, values[j])])
+            values = values[: j + 1] + [v + 1 for v in values[j + 1 :]]
+            level += 1
+    return compose_tables(*tables)
 
 
 def pullback_by_names(f, g, p, q, square="", levels=()):

@@ -123,6 +123,25 @@ class TestBuild:
         assert lmap.read_text() == serialize.dumps(serialize.smap_to_obj(expected))
 
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            ["words", "--alphabet", "ab", "--max-len", "2"],
+            ["nerve", "--input", "cat.json", "--level", "2"],
+        ],
+        ids=["no-level", "not-free"],
+    )
+    def test_length_map_without_free_build_writes_nothing(
+        self, tmp_path, capsys, build
+    ):
+        write_arrow_category(tmp_path)
+        build = [str(tmp_path / a) if a == "cat.json" else a for a in build]
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(["build", *build, "--output", str(tmp_path / "o.json"),
+                     "--length-map", str(tmp_path / "l.json")]) == 2
+        assert "--length-map needs a freely generated build" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
 class TestCheck:
     def test_words_fail_segal_pass_decomp(self, tmp_path, capsys):
         obj = tmp_path / "words.json"

@@ -230,6 +230,32 @@ class TestPushout:
                             assert_pullback(alpha, iota, theta, phi, max_cone_rank=8)
 
 
+class TestValueTupleKernel:
+    def test_square_family_matches_simplex_maps_in_walk_order(self):
+        # the value-tuple family the checkers walk, against the SimplexMap
+        # functions square by square, and every square commutes
+        for n in range(8):
+            for k in range(n, 8):
+                for m in range(8):
+                    expected = []
+                    for iota in delta.enumerate_inert(n, k):
+                        for alpha in delta.enumerate_active(n, m):
+                            theta, phi = delta.active_inert_pushout(alpha, iota)
+                            expected.append(
+                                (alpha.values, iota.values, theta.values, phi.values)
+                            )
+                    family = list(delta.active_inert_squares(n, k, m))
+                    assert family == expected, (n, k, m)
+                    for alpha, iota, theta, phi in family:
+                        assert [theta[v] for v in alpha] == [phi[v] for v in iota]
+
+    def test_active_values_are_the_active_maps_in_order(self):
+        for n in range(6):
+            for m in range(6):
+                brute = [f.values for f in all_maps(n, m) if delta.is_active(f)]
+                assert delta.active_values(n, m) == brute
+
+
 class TestGeneratorDecomposition:
     def test_identity_is_empty_word(self):
         assert delta.generator_decomposition(delta.identity(3)) == []

@@ -1,5 +1,8 @@
 """File formats: byte-exact round trips and schema rejection."""
 
+import os
+import stat
+
 import pytest
 
 from corpus import paper_graph, point
@@ -45,6 +48,18 @@ class TestRoundTrips:
         serialize.write_file(str(path), serialize.sset_to_obj(point(2)))
         assert serialize.sset_from_obj(serialize.read_file(str(path))) == point(2)
 
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    def test_written_file_mode_follows_umask(self, tmp_path):
+        path = tmp_path / "x.json"
+        old = os.umask(0o022)
+        try:
+            serialize.write_file(str(path), serialize.sset_to_obj(point(1)))
+            serialize.write_file(str(path), serialize.sset_to_obj(point(2)))
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+        assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
 
 class TestSchemaErrors:
     def test_missing_field_points_at_it(self):

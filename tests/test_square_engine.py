@@ -1,21 +1,19 @@
 """The square engine against its enumerate-everything references.
 
-is_pullback_square decides by counting and enumerates the fiber product
-only for a witness; the direct and polygonal walks memoize induced maps
-per call and decide identity-leg squares without fibers.  Every report
+is_pullback_square decides by counting (pullback_holds) and enumerates
+the fiber product only for a witness; the direct and polygonal walks
+memoize induced maps per call and decide identity-leg squares without
+fibers.  Every report
 must equal the one the reference engine in oracles.py gives, witness
 and all.
 """
-
-import ast
-import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import collapsed_triangle, corpus, point
-from decompspace import builders, criteria, sset
+from decompspace import builders, criteria, delta, sset
 from decompspace.sset import StructuralError, is_pullback_square
 from oracles import (
     pullback_by_names,
@@ -114,28 +112,31 @@ class TestDirectWalk:
         # are decided without fibers; the 28 whose alpha is a degenerate
         # active map [n] -> [n], such as 0,0,2, are still checked.
         X = builders.free_decomposition(builders.bounded_words(("a", "b", "c"), 4), 6)
-        labels, induced = [], []
+        current, decided, induced = [None], [], []
+        active_inert_squares = delta.active_inert_squares
 
-        def counting_pullback(*args, **kwargs):
-            labels.append(kwargs["square"])
-            return is_pullback_square(*args, **kwargs)
+        def recording_squares(n, k, m):
+            for square in active_inert_squares(n, k, m):
+                current[0] = square[0]
+                yield square
 
-        def counting_induced_map(X, alpha):
-            induced.append(alpha)
-            return sset.induced_map(X, alpha)
+        def counting_holds(*legs):
+            decided.append(current[0])
+            return sset.pullback_holds(*legs)
 
-        monkeypatch.setattr(criteria, "is_pullback_square", counting_pullback)
-        monkeypatch.setattr(criteria, "induced_map", counting_induced_map)
+        def counting_induce(X, target_rank, values):
+            induced.append((target_rank, values))
+            return sset.induce(X, target_rank, values)
+
+        monkeypatch.setattr(delta, "active_inert_squares", recording_squares)
+        monkeypatch.setattr(criteria, "pullback_holds", counting_holds)
+        monkeypatch.setattr(criteria, "induce", counting_induce)
         report = criteria.check_decomposition_direct(X, rank_cap=4)
         assert report.holds and report.squares_checked == 426
-        assert len(labels) == 270
+        assert len(decided) == 270
         assert len(induced) == len(set(induced)) == 244
-        alphas = [
-            ast.literal_eval(re.search(r"alpha=(\([^)]*\))", label).group(1))
-            for label in labels
-        ]
         degenerate_endos = [
-            a for a in alphas if a[-1] == len(a) - 1 and len(set(a)) < len(a)
+            a for a in decided if a[-1] == len(a) - 1 and len(set(a)) < len(a)
         ]
         assert len(degenerate_endos) == 28
 

@@ -6,6 +6,7 @@ import pytest
 
 from corpus import (
     arrow_category,
+    corpus,
     chain_category,
     one_gap_pcategory,
     opposite_category,
@@ -28,7 +29,12 @@ from decompspace.sset import (
     validate,
     validate_map,
 )
-from oracles import induced_names, pullback_by_names
+from oracles import (
+    induced_names,
+    monotone_tuples,
+    pullback_by_names,
+    reference_induce,
+)
 
 
 def corrupt_face(X, n, i, cell, value) -> TruncatedSSet:
@@ -129,6 +135,21 @@ class TestInducedMap:
             X.degeneracies[(1, 0)], X.degeneracies[(2, 0)], X.faces[(3, 1)]
         )
         assert canonical == via_other_word
+
+    def test_values_keyed_induce_on_corpus(self):
+        # every map [n] -> [m] within the level, on every corpus instance
+        for inst in corpus():
+            X = inst.X
+            for n in range(X.level + 1):
+                for m in range(X.level + 1):
+                    for values in monotone_tuples(n + 1, m):
+                        table = sset.induce(X, m, values)
+                        alpha = delta.SimplexMap(n, m, values)
+                        assert table == induced_map(X, alpha), (inst.name, alpha)
+                        assert table == reference_induce(X, m, values), (
+                            inst.name,
+                            alpha,
+                        )
 
     def test_level_error(self):
         X = builders.nerve(arrow_category(), 2)
