@@ -251,6 +251,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    # reject before anything is read or written
+    if args.map_output is not None and args.op not in ("dec-top", "dec-bot"):
+        raise SystemExit2("--map-output only applies to dec transforms")
     X = _load_sset(args.input)
     criteria._require_valid(X)
     proj = None
@@ -266,8 +269,6 @@ def _cmd_transform(args) -> int:
     if proj is not None:
         map_path = args.map_output or args.output + ".proj.json"
         serialize.write_file(map_path, serialize.smap_to_obj(proj))
-    elif args.map_output is not None:
-        raise SystemExit2("--map-output only applies to dec transforms")
     return EXIT_HOLDS
 
 

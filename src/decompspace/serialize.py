@@ -7,6 +7,11 @@ file.  That is also the shape TruncatedSSet and SimplicialMap hold their
 tables in, so reading checks each row and keeps it as a tuple, and
 writing emits the rows as they are.  Only the outer face complex keeps
 name-keyed tables in memory.  See FORMATS.md for the documented schemas.
+
+dumps writes the documented layout (two-space indents, sorted keys, a
+final newline) directly, a whole row of indices or names at a time; the
+text is the one json's indenting encoder gives, which the tests use as
+the reference.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ def _require(obj: dict, field: str, kind: type, where: str) -> Any:
 
 
 _INT = {int}
+_STR = {str}
 
 
 def _table(row, size_from: int, size_to: int, where: str) -> Table:
@@ -87,7 +93,7 @@ def sset_from_obj(obj: dict, where: str = "sset") -> TruncatedSSet:
         raise SchemaError(f"{where}: cells must list levels 0..level")
     cells = []
     for n, cs in enumerate(cells_raw):
-        if not isinstance(cs, list) or not all(isinstance(c, str) for c in cs):
+        if not isinstance(cs, list) or not _STR.issuperset(map(type, cs)):
             raise SchemaError(f"{where}: cells[{n}] must be a list of strings")
         cells.append(tuple(cs))
     faces_raw = _require(obj, "faces", list, where)
@@ -153,7 +159,7 @@ def ofc_from_obj(obj: dict, where: str = "ofc") -> OuterFaceComplex:
         raise SchemaError(f"{where}: grades must list degrees 0..bound")
     grades = []
     for m, g in enumerate(grades_raw):
-        if not isinstance(g, list) or not all(isinstance(a, str) for a in g):
+        if not isinstance(g, list) or not _STR.issuperset(map(type, g)):
             raise SchemaError(f"{where}: grades[{m}] must be a list of strings")
         grades.append(tuple(g))
     d_bot_raw = _require(obj, "d_bot", list, where)
@@ -224,12 +230,8 @@ def partial_category_from_obj(obj: dict, where: str = "pcategory") -> PartialCat
 def pmonoid_from_obj(obj: dict, where: str = "pmonoid") -> PartialMonoid:
     carrier = tuple(_str_list(obj, "carrier", where))
     unit = _require(obj, "unit", str, where)
-    product = {}
-    for row in _require(obj, "product", list, where):
-        if not (isinstance(row, list) and len(row) == 3):
-            raise SchemaError(f"{where}: product rows must be [x, y, xy]")
-        product[(row[0], row[1])] = row[2]
-    return PartialMonoid(carrier, unit, product)
+    rows = _triples(obj, "product", "[x, y, xy]", where)
+    return PartialMonoid(carrier, unit, {(x, y): xy for x, y, xy in rows})
 
 
 def graph_from_obj(obj: dict, where: str = "graph") -> DirectedGraph:
@@ -245,14 +247,19 @@ def _str_list(obj: dict, field: str, where: str) -> list[str]:
     return raw
 
 
+def _triples(obj: dict, field: str, shape: str, where: str) -> list[tuple]:
+    """The rows of a list field, each a list of three strings."""
+    rows = _require(obj, field, list, where)
+    for r, row in enumerate(rows):
+        if not (
+            isinstance(row, list) and len(row) == 3 and _STR.issuperset(map(type, row))
+        ):
+            raise SchemaError(f"{where}: {field}[{r}] must be {shape}, three strings")
+    return [tuple(row) for row in rows]
+
+
 def _arrow_list(obj: dict, field: str, where: str):
-    raw = _require(obj, field, list, where)
-    out = []
-    for row in raw:
-        if not (isinstance(row, list) and len(row) == 3):
-            raise SchemaError(f"{where}: {field} rows must be [name, source, target]")
-        out.append((row[0], row[1], row[2]))
-    return tuple(out)
+    return tuple(_triples(obj, field, "[name, source, target]", where))
 
 
 def _str_dict(obj: dict, field: str, where: str) -> dict[str, str]:
@@ -264,16 +271,47 @@ def _str_dict(obj: dict, field: str, where: str) -> dict[str, str]:
 
 
 def _composition_dict(obj: dict, where: str) -> dict[tuple[str, str], str]:
-    out = {}
-    for row in _require(obj, "composition", list, where):
-        if not (isinstance(row, list) and len(row) == 3):
-            raise SchemaError(f"{where}: composition rows must be [f, g, composite]")
-        out[(row[0], row[1])] = row[2]
-    return out
+    rows = _triples(obj, "composition", "[f, g, composite]", where)
+    return {(f, g): h for f, g, h in rows}
+
+
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """obj as JSON with two-space indents and sorted keys, plus a newline.
+
+    The text is exactly what json's own indenting encoder writes, but
+    built by joining whole rows: that encoder writes every element of an
+    indented list in pure Python, and a file is mostly rows of indices.
+    Keys must be strings, as in every format.
+    """
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(value, newline: str) -> str:
+    """value as json writes it where the line break before its own
+    closing bracket is newline: a line feed and the indent of that line."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = (
+            _encode_str(k) + ": " + _encode(v, inner) for k, v in sorted(value.items())
+        )
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if _INT.issuperset(map(type, value)):
+            items = map(int.__repr__, value)
+        elif _STR.issuperset(map(type, value)):
+            items = map(_encode_str, value)
+        else:
+            items = (_encode(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value)
 
 
 def loads(text: str) -> dict:

@@ -184,6 +184,22 @@ def paper_graph() -> DirectedGraph:
     )
 
 
+def input_obj(x) -> dict:
+    """The build input file (FORMATS.md) of a category, partial category,
+    partial monoid or directed graph."""
+    if isinstance(x, PartialMonoid):
+        product = [[a, b, ab] for (a, b), ab in x.product.items()]
+        return {"carrier": list(x.carrier), "unit": x.unit, "product": product}
+    if isinstance(x, DirectedGraph):
+        return {"vertices": list(x.vertices), "edges": [list(e) for e in x.edges]}
+    return {
+        "objects": list(x.objects),
+        "morphisms": [list(m) for m in x.morphisms],
+        "identities": dict(x.identities),
+        "composition": [[f, g, h] for (f, g), h in x.composition.items()],
+    }
+
+
 def surjections(n: int, d: int) -> list[delta.SimplexMap]:
     return [
         f

@@ -13,8 +13,12 @@ The references work on tables keyed by cell name, the representation
 the library held before its tables became index tuples: NamedSSet is a
 simplicial set in that form, and reference_validate checks it cell by
 cell as the library once did.
+
+reference_dumps is the documented file layout as json's own indenting
+encoder writes it; serialize.dumps must give the same text.
 """
 
+import json
 from dataclasses import dataclass
 
 from decompspace import delta
@@ -418,3 +422,9 @@ def reference_validate(X: NamedSSet) -> CheckReport:
                     if not ok:
                         return fail(name, n, c)
     return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
+
+
+def reference_dumps(obj) -> str:
+    """The file layout of FORMATS.md: two-space indents, sorted keys and
+    a final newline, as json's indenting encoder writes it."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -4,22 +4,14 @@ import json
 
 import pytest
 
-from corpus import paper_graph
+from corpus import arrow_category, input_obj, paper_graph, short_words_pmonoid
 from decompspace import builders, serialize
 from decompspace.cli import main
 
 
 def write_graph(tmp_path):
-    G = paper_graph()
     path = tmp_path / "graph.json"
-    path.write_text(
-        json.dumps(
-            {
-                "vertices": list(G.vertices),
-                "edges": [list(e) for e in G.edges],
-            }
-        )
-    )
+    path.write_text(json.dumps(input_obj(paper_graph())))
     return str(path)
 
 
@@ -105,6 +97,27 @@ class TestBuild:
         out = tmp_path / "out.json"
         assert main(["build", "graph-paths", "--input", str(bad), "--bound", "1",
                      "--output", str(out)]) == 2
+
+    @pytest.mark.parametrize(
+        "kind, source, field, row",
+        [
+            ("graph-paths", paper_graph(), "edges", [1, "x", "x"]),
+            ("graph-paths", paper_graph(), "edges", ["e", ["x"], "x"]),
+            ("pmonoid", short_words_pmonoid(2), "product", [["a"], "a", "a"]),
+            ("nerve", arrow_category(), "composition", [["i"], "i", "i"]),
+        ],
+    )
+    def test_input_row_of_non_strings_exit_2(
+        self, tmp_path, capsys, kind, source, field, row
+    ):
+        obj = input_obj(source)
+        obj[field] = [row, *obj[field]]
+        path, out = tmp_path / "in.json", tmp_path / "out.json"
+        path.write_text(json.dumps(obj))
+        assert main(["build", kind, "--input", str(path), "--bound", "2",
+                     "--level", "2", "--output", str(out)]) == 2
+        assert f"{field}[0] must be [" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_flag_exit_2(self, tmp_path):
         out = tmp_path / "out.json"
@@ -284,6 +297,17 @@ class TestTransform:
               "--output", str(obj)])
         main(["transform", "dec-bot", str(obj), "--output", str(dec)])
         assert (tmp_path / "dec.json.proj.json").exists()
+
+    @pytest.mark.parametrize("op", ["sd", "op"])
+    def test_map_output_rejected_before_writing(self, tmp_path, capsys, op):
+        obj = tmp_path / "w.json"
+        main(["build", "terminal-ofc", "--bound", "1", "--level", "2",
+              "--output", str(obj)])
+        code = main(["transform", op, str(obj), "--output", str(tmp_path / "o.json"),
+                     "--map-output", str(tmp_path / "m.json")])
+        assert code == 2
+        assert "--map-output only applies to dec transforms" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["w.json"]
 
     def test_level_shortfall_exit_3(self, tmp_path):
         obj, out = tmp_path / "w.json", tmp_path / "x.json"

@@ -4,7 +4,8 @@ validate composes whole index tables and finds the failing cell only on
 a mismatch; reference_validate in oracles.py checks name-keyed tables
 cell by cell.  On every corpus instance with one table entry perturbed
 or one cell duplicated, the two must give the same report or the same
-StructuralError message.  Files must round-trip byte for byte.
+StructuralError message.  Files must round-trip byte for byte, in the
+text json's own indenting encoder gives.
 """
 
 import pytest
@@ -20,7 +21,7 @@ from decompspace.sset import (
     validate,
     validate_map,
 )
-from oracles import from_named, named_sset, reference_validate
+from oracles import from_named, named_sset, reference_dumps, reference_validate
 
 INSTANCES = corpus()
 CORE = settings(max_examples=300, deadline=None, derandomize=True)
@@ -144,3 +145,12 @@ def test_round_trip_bytes(inst):
         text = serialize.dumps(obj)
         read, write = READERS[obj["kind"]]
         assert serialize.dumps(write(read(serialize.loads(text)))) == text
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=lambda inst: inst.name)
+def test_writer_matches_json(inst):
+    forms = serialized_forms(inst)
+    if inst.ofc is not None:
+        forms.append(serialize.ofc_to_obj(inst.ofc))
+    for obj in forms:
+        assert serialize.dumps(obj) == reference_dumps(obj)

@@ -1,13 +1,26 @@
-"""File formats: byte-exact round trips and schema rejection."""
+"""File formats: byte-exact round trips, the writer against json's own
+indenting encoder, and schema rejection."""
 
 import os
 import stat
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corpus import paper_graph, point
+from corpus import (
+    arrow_category,
+    collapsed_triangle,
+    input_obj,
+    one_gap_pcategory,
+    paper_graph,
+    point,
+    short_words_pmonoid,
+)
 from decompspace import builders, serialize
+from decompspace.cli import main
 from decompspace.serialize import SchemaError
+from oracles import reference_dumps
 
 
 def words_sset():
@@ -60,6 +73,59 @@ class TestRoundTrips:
             os.umask(old)
         assert stat.S_IMODE(path.stat().st_mode) == 0o644
         assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+
+
+KEYS = st.text(max_size=3)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=3)
+    | st.sampled_from(["", "\x00\n\t\"\\", "\u00e9\u2603", "\ud800", "\U0001f600"])
+)
+#: rows as the formats hold them, and rows that must not be read as index rows
+ROWS = (
+    st.lists(st.integers(-3, 300), max_size=6)
+    | st.lists(st.integers(-3, 3) | st.booleans(), min_size=1, max_size=4)
+    | st.lists(st.text(max_size=3), max_size=4)
+)
+
+
+def nested(inner):
+    return (
+        st.lists(inner, max_size=3)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(KEYS, inner, max_size=3)
+    )
+
+
+# a fixed depth draws far faster than st.recursive
+LEAVES = SCALARS | ROWS
+TREES = LEAVES | nested(LEAVES | nested(LEAVES))
+
+
+class TestWriter:
+    """dumps gives the text of json's indenting encoder, byte for byte."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(st.dictionaries(KEYS, TREES, max_size=4))
+    def test_matches_json_on_trees(self, obj):
+        assert serialize.dumps(obj) == reference_dumps(obj)
+
+    def test_machine_report_with_witness(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "x.json"
+        serialize.write_file(str(path), serialize.sset_to_obj(collapsed_triangle(3)))
+        reports = []
+        dumps = serialize.dumps
+        monkeypatch.setattr(
+            serialize, "dumps", lambda obj: reports.append(obj) or dumps(obj)
+        )
+        assert main(["check", "segal", str(path), "--format", "machine"]) == 1
+        (report,) = reports
+        assert report["holds"] is False and report["witness"] is not None
+        assert capsys.readouterr().out == reference_dumps(report)
+
 
 class TestSchemaErrors:
     def test_missing_field_points_at_it(self):
@@ -124,3 +190,23 @@ class TestSchemaErrors:
     def test_top_level_must_be_object(self):
         with pytest.raises(SchemaError):
             serialize.loads("[1,2]")
+
+    @pytest.mark.parametrize(
+        "read, source, field",
+        [
+            (serialize.category_from_obj, arrow_category(), "morphisms"),
+            (serialize.category_from_obj, arrow_category(), "composition"),
+            (serialize.partial_category_from_obj, one_gap_pcategory(), "morphisms"),
+            (serialize.partial_category_from_obj, one_gap_pcategory(), "composition"),
+            (serialize.pmonoid_from_obj, short_words_pmonoid(2), "product"),
+            (serialize.graph_from_obj, paper_graph(), "edges"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "row", [[["a"], "a", "a"], [1, "x", "x"], ["e", ["x"], "x"], ["e", "x", None]]
+    )
+    def test_builder_row_of_non_strings(self, read, source, field, row):
+        obj = input_obj(source)
+        obj[field] = [row, *obj[field]]
+        with pytest.raises(SchemaError, match=rf"{field}\[0\] must be .*three strings"):
+            read(obj)
