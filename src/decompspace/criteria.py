@@ -19,6 +19,19 @@ delta.pushout_values) and induce each simplex-category map at most once
 per call: a memo keyed by (target_rank, values) is built when the call
 starts and dropped when it returns, so nothing is cached on the
 TruncatedSSet.
+
+The direct checker first decides a pasting certificate: every
+active-inert square is a pasting of elementary ones
+(delta.elementary_squares: an outer coface against one codegeneracy or
+one inner coface), and a pasting of pullbacks is a pullback
+(Galvez-Carrillo, Kock and Tonks, arXiv:1512.07573).  A family square
+whose alpha has a degeneracy pastes through elementary squares of
+pushout rank up to k - 1, above its own p, so the elementary squares
+within the rank cap settle the family only when rank_cap >= level - 1
+or rank_cap <= 1; at other caps, and when an elementary square fails,
+the whole family is walked, so a failure's report is always the walk's.
+At level 2 check_decomposition decides the same unit squares the
+certificate does there, since the 2-Segal squares need X_3.
 """
 
 from __future__ import annotations
@@ -73,13 +86,7 @@ def _decide(
     checked = 0
     for legs, describe in squares:
         if max_squares is not None and checked >= max_squares:
-            return CheckReport(
-                holds=False,
-                checked_level=level,
-                squares_checked=checked,
-                detail=f"stopped after {checked} squares (budget {max_squares})",
-                inconclusive=True,
-            )
+            return _cut_off(level, max_squares)
         checked += 1
         if legs is None or pullback_holds(*legs):
             continue
@@ -89,6 +96,17 @@ def _decide(
             holds=False, checked_level=level, squares_checked=checked, witness=sub.witness
         )
     return CheckReport(holds=True, checked_level=level, squares_checked=checked)
+
+
+def _cut_off(level: int, max_squares: int) -> CheckReport:
+    """The report of a walk stopped by its budget before its last square."""
+    return CheckReport(
+        holds=False,
+        checked_level=level,
+        squares_checked=max_squares,
+        detail=f"stopped after {max_squares} squares (budget {max_squares})",
+        inconclusive=True,
+    )
 
 
 def _on(X: TruncatedSSet, square: str, levels: tuple[int, ...]) -> Description:
@@ -193,13 +211,15 @@ def _two_segal_squares(X: TruncatedSSet, sides: tuple[bool, ...]):
 
 
 def check_upper_2segal(X: TruncatedSSet) -> CheckReport:
-    """Inner-face against bottom-face squares, all 0 < i < n in truncation."""
+    """Inner-face against bottom-face squares, all 0 < i < n in truncation;
+    they need X_3, so below level 3 there are none."""
     _require_valid(X)
     return _decide(X.level, _two_segal_squares(X, (True,)))
 
 
 def check_lower_2segal(X: TruncatedSSet) -> CheckReport:
-    """Inner-face against top-face squares, all 0 < i < n in truncation."""
+    """Inner-face against top-face squares, all 0 < i < n in truncation;
+    they need X_3, so below level 3 there are none."""
     _require_valid(X)
     return _decide(X.level, _two_segal_squares(X, (False,)))
 
@@ -231,9 +251,22 @@ def check_upper_2segal_reduced(X: TruncatedSSet) -> CheckReport:
 
 
 def check_decomposition(X: TruncatedSSet) -> CheckReport:
-    """Upper and lower 2-Segal conditions jointly, smallest square first."""
+    """Upper and lower 2-Segal conditions jointly, smallest square first.
+
+    Their squares need X_3.  At level 2 the two unit squares into X_2
+    are decided instead, X of the codegeneracy (0, 0): [1] -> [0]
+    pushed out along each outer coface [1] -> [2], which is the direct
+    walk's elementary family there, so the two checkers agree at every
+    level.  From level 3 up the unit squares are not decided: an
+    untruncated 2-Segal space is unital (Feller, Garner, Kock, Proulx
+    and Weber, arXiv:1905.09580).
+    """
     _require_valid(X)
-    return _decide(X.level, _two_segal_squares(X, (True, False)))
+    squares = _two_segal_squares(X, (True, False))
+    if X.level == 2:
+        units = delta.elementary_squares(2, 2)
+        squares = chain(squares, _pushout_squares(X, units, _active_inert_label))
+    return _decide(X.level, squares)
 
 
 def _pushout_squares(X: TruncatedSSet, squares, label) -> Iterator[Square]:
@@ -281,7 +314,8 @@ def check_2segal_polygonal(X: TruncatedSSet, mode: str = "full") -> CheckReport:
     i = 0 or j = n (which already suffices); "upper"/"lower" keep the
     j = n (resp. i = 0) half, matching the upper (resp. lower) 2-Segal
     condition.  Each is the pushout of the active (0, j - i): [1] ->
-    [j - i] along the inert [1] -> [n - j + i + 1] at offset i.
+    [j - i] along the inert [1] -> [n - j + i + 1] at offset i.  Below
+    level 3 every such square has an identity leg, so nothing is decided.
     """
     keep = {
         "full": lambda i, j, n: True,
@@ -306,6 +340,15 @@ def _active_inert_label(alpha, iota, k: int, p: int) -> str:
     return f"active-inert alpha={alpha} iota={iota}: X{p} over X{len(alpha) - 1}"
 
 
+def _direct_ranks(level: int, rank_cap: int) -> Iterator[tuple[int, int, int]]:
+    """(n, k, m) of the direct family: all four ranks within level and
+    the pushout rank p = k - n + m within rank_cap, in walk order."""
+    for n in range(rank_cap + 1):
+        for k in range(n, level + 1):
+            for m in range(min(level, rank_cap - k + n) + 1):
+                yield n, k, m
+
+
 def check_decomposition_direct(
     X: TruncatedSSet,
     rank_cap: int | None = None,
@@ -313,13 +356,29 @@ def check_decomposition_direct(
 ) -> CheckReport:
     """Apply X to every active-inert pushout square within the rank cap.
 
-    Enumerates active alpha: [n] -> [m] and inert iota: [n] -> [k] with
-    all four ranks within the truncation and pushout rank
-    p = k - n + m <= rank_cap, forms the pushout, and checks the induced
-    square of cell sets.  max_squares cuts the walk off deterministically:
-    a walk stopped before its last square reports holds=False and
-    inconclusive=True, with the cut-off in the detail.  A negative
-    rank_cap or max_squares raises ValueError.
+    The family is every active alpha: [n] -> [m] and inert iota: [n] ->
+    [k] with all four ranks within the truncation and pushout rank
+    p = k - n + m <= rank_cap; X must take each square to a pullback.
+    max_squares cuts the walk off deterministically: a walk stopped
+    before its last square reports holds=False and inconclusive=True,
+    with the cut-off in the detail.  A negative rank_cap or max_squares
+    raises ValueError.
+
+    Pasting certificate.  Every square of the family is a pasting of
+    elementary ones (delta.elementary_squares), and a pasting of
+    pullbacks is a pullback.  A square with m < n pastes through
+    elementary squares up to pushout rank max(p, k - 1), and k reaches
+    min(level, 2 * rank_cap), so the elementary squares within the cap
+    settle the family when rank_cap >= level - 1 or rank_cap <= 1.  At
+    the caps in between they do not: the nerve of [1] at level R + 2
+    with its degenerate top simplex doubled passes them at rank cap R
+    and fails the family.  Where the certificate applies, the
+    elementary squares are decided first; if they all hold, so does the
+    family, and the report is the walk's: holds with the family's size,
+    counted from the ranks, or the budget's cut-off when max_squares is
+    smaller.  Otherwise, and whenever an elementary square fails, every
+    square is walked in order, so the first failure and its witness are
+    the walk's own.
     """
     if rank_cap is not None and rank_cap < 0:
         raise ValueError(f"rank cap {rank_cap} is negative")
@@ -330,11 +389,19 @@ def check_decomposition_direct(
         rank_cap = X.level
     if rank_cap > X.level:
         raise LevelError(f"rank cap {rank_cap} exceeds level {X.level}")
+    ranks = list(_direct_ranks(X.level, rank_cap))
+    if not 2 <= rank_cap <= X.level - 2:
+        elementary = delta.elementary_squares(X.level, rank_cap)
+        if all(
+            legs is None or pullback_holds(*legs)
+            for legs, _ in _pushout_squares(X, elementary, _active_inert_label)
+        ):
+            size = sum((k - n + 1) * delta.count_active(n, m) for n, k, m in ranks)
+            if max_squares is not None and max_squares < size:
+                return _cut_off(X.level, max_squares)
+            return CheckReport(holds=True, checked_level=X.level, squares_checked=size)
     squares = chain.from_iterable(
-        delta.active_inert_squares(n, k, m)
-        for n in range(rank_cap + 1)
-        for k in range(n, X.level + 1)
-        for m in range(min(X.level, rank_cap - k + n) + 1)
+        delta.active_inert_squares(n, k, m) for n, k, m in ranks
     )
     return _decide(
         X.level, _pushout_squares(X, squares, _active_inert_label), max_squares

@@ -13,13 +13,16 @@ ranks.
 
 The enumeration, the pushout and the generator word also come in
 unvalidated value-tuple forms for the checkers' walks; the SimplexMap
-functions are built on them, so each formula exists once.
+functions are built on them, so each formula exists once.  So do the
+elementary squares, an outer coface against one codegeneracy or one
+inner coface, whose pastings give every active-inert square.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import comb
 from typing import Literal
 
 MapClass = Literal["active", "inert", "both", "neither"]
@@ -187,6 +190,31 @@ def active_inert_squares(n: int, k: int, m: int):
             yield alpha, iota, theta, phi
 
 
+def elementary_squares(top: int, cap: int):
+    """The value tuples (alpha, iota, theta, phi) of the elementary
+    active-inert pushouts with k <= top and p <= cap: iota an outer
+    coface [n] -> [n + 1], alpha a codegeneracy [n] -> [n - 1] or an
+    inner coface [n] -> [n + 1].  They come in the order
+    active_inert_squares meets them: by n, then m, then iota, then alpha.
+    Every active-inert pushout is a pasting of these."""
+    for n in range(1, top):
+        degeneracies = [
+            tuple(v if v <= j else v - 1 for v in range(n + 1)) for j in range(n)
+        ]
+        cofaces = [
+            tuple(v if v < i else v + 1 for v in range(n + 1)) for i in range(n, 0, -1)
+        ]
+        for m, actives in ((n - 1, degeneracies), (n + 1, cofaces)):
+            if m + 1 > cap:
+                continue
+            for c in (0, 1):
+                iota = tuple(range(c, c + n + 1))
+                for alpha, (theta, phi) in zip(
+                    actives, _pushouts(n, m, actives, c, n + 1)
+                ):
+                    yield alpha, iota, theta, phi
+
+
 def generator_decomposition(f: SimplexMap) -> list[Generator]:
     """The canonical generator word for f, outermost letter first.
 
@@ -248,6 +276,13 @@ def active_values(n: int, m: int) -> list[tuple[int, ...]]:
     if n == 0:
         return [(0,)] if m == 0 else []
     return [(0, *mid, m) for mid in combinations_with_replacement(range(m + 1), n - 1)]
+
+
+def count_active(n: int, m: int) -> int:
+    """len(active_values(n, m)), without listing them."""
+    if n == 0:
+        return int(m == 0)
+    return comb(m + n - 1, n - 1)
 
 
 def enumerate_inert(n: int, k: int) -> list[SimplexMap]:

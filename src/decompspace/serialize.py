@@ -11,7 +11,9 @@ name-keyed tables in memory.  See FORMATS.md for the documented schemas.
 dumps writes the documented layout (two-space indents, sorted keys, a
 final newline) directly, a whole row of indices or names at a time; the
 text is the one json's indenting encoder gives, which the tests use as
-the reference.
+the reference.  write_file writes the same pieces as they are made, so
+no copy of the whole text is held, and read_file lets go of the raw
+bytes once they are decoded.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Any
+from typing import Any, Iterator
 
 from .builders import (
     DirectedGraph,
@@ -286,32 +288,44 @@ def dumps(obj: dict) -> str:
     indented list in pure Python, and a file is mostly rows of indices.
     Keys must be strings, as in every format.
     """
-    return _encode(obj, "\n") + "\n"
+    return "".join(_encode(obj, "\n")) + "\n"
 
 
-def _encode(value, newline: str) -> str:
-    """value as json writes it where the line break before its own
-    closing bracket is newline: a line feed and the indent of that line."""
+def _encode(value, newline: str) -> Iterator[str]:
+    """The pieces of value as json writes it where the line break before
+    its own closing bracket is newline: a line feed and the indent of
+    that line.  A row of ints or strings is one piece."""
     if isinstance(value, dict):
         if not value:
-            return "{}"
+            yield "{}"
+            return
         inner = newline + "  "
-        items = (
-            _encode_str(k) + ": " + _encode(v, inner) for k, v in sorted(value.items())
-        )
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, (list, tuple)):
+        sep = "{" + inner
+        for k, v in sorted(value.items()):
+            yield sep + _encode_str(k) + ": "
+            yield from _encode(v, inner)
+            sep = "," + inner
+        yield newline + "}"
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
+            yield "[]"
+            return
         inner = newline + "  "
         if _INT.issuperset(map(type, value)):
             items = map(int.__repr__, value)
         elif _STR.issuperset(map(type, value)):
             items = map(_encode_str, value)
         else:
-            items = (_encode(v, inner) for v in value)
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    return json.dumps(value)
+            sep = "[" + inner
+            for v in value:
+                yield sep
+                yield from _encode(v, inner)
+                sep = "," + inner
+            yield newline + "]"
+            return
+        yield "[" + inner + ("," + inner).join(items) + newline + "]"
+    else:
+        yield json.dumps(value)
 
 
 def loads(text: str) -> dict:
@@ -325,19 +339,19 @@ def loads(text: str) -> dict:
 
 
 def write_file(path: str, obj: dict) -> None:
-    """Serialize and atomically replace the target path.
+    """Write dumps(obj) piece by piece and atomically replace the target path.
 
     The file gets the mode open(path, "w") would give a new file, 0o666
     less the umask, rather than mkstemp's 0o600.
     """
-    text = dumps(obj)
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0o022)
     os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".decompspace-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(_encode(obj, "\n"))
+            handle.write("\n")
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
@@ -356,4 +370,5 @@ def read_file(path: str) -> dict:
         raise SchemaError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
+    del data
     return loads(text)

@@ -311,6 +311,30 @@ def one_sided_upper(level: int = 3) -> TruncatedSSet:
     return sset_from_generators(generators, level)
 
 
+def duplicate_top(X: TruncatedSSet, j: int) -> TruncatedSSet:
+    """X with a second copy of its j-th top cell, with the same faces.
+
+    Still a simplicial set, since nothing above the top level constrains
+    the copy; a pullback square into the top level that meets the cell
+    now meets it twice.
+    """
+    top = X.level
+    name = X.cells[top][j] + "'"
+    while name in X.cells[top]:
+        name += "'"
+    faces = dict(X.faces)
+    for i in range(top + 1):
+        faces[(top, i)] += (faces[(top, i)][j],)
+    cells = X.cells[:top] + (X.cells[top] + (name,),)
+    return TruncatedSSet(top, cells, faces, dict(X.degeneracies))
+
+
+def doubled_degenerate_nerve(level: int) -> TruncatedSSet:
+    """The nerve of [1] with a second copy of its totally degenerate top
+    simplex on the object 0."""
+    return duplicate_top(builders.nerve(arrow_category(), level), 0)
+
+
 @dataclass(frozen=True)
 class CorpusInstance:
     name: str

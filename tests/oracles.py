@@ -7,7 +7,10 @@ consult the closed-form pushout construction they are used to certify.
 The reference pullback enumerates the whole fiber product of every
 square, and the reference direct walk checks every active-inert square
 through it, with no memo and no shortcut: the library's engine must
-give reports identical to theirs.
+give reports identical to theirs.  The walk oracle decides the same
+squares in the same order with the library's pullback engine and no
+pasting certificate, which the direct checker must match wherever it
+takes the certificate.
 
 The references work on tables keyed by cell name, the representation
 the library held before its tables became index tuples: NamedSSet is a
@@ -29,8 +32,10 @@ from decompspace.sset import (
     StructuralError,
     TruncatedSSet,
     compose_tables,
+    induce,
     induced_map,
     is_pullback_square,
+    pullback_holds,
     table_names,
 )
 
@@ -218,6 +223,62 @@ def reference_check_decomposition_direct(X, rank_cap=None, max_squares=None):
                                 squares_checked=checked,
                                 witness=sub.witness,
                             )
+    return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
+
+
+def walk_check_decomposition_direct(X, rank_cap=None, max_squares=None, tables=None):
+    """The direct walk with no pasting certificate: every active-inert
+    square within the rank cap, in the reference's order, decided by the
+    library's pullback engine.  Much faster than the reference, for the
+    differential tests that need thousands of calls.  X must be valid;
+    tables memoizes the induced maps of X and may be shared between
+    calls on the same X."""
+    if rank_cap is None:
+        rank_cap = X.level
+    if tables is None:
+        tables = {}
+
+    def induce_once(target_rank, values):
+        if (target_rank, values) not in tables:
+            tables[(target_rank, values)] = induce(X, target_rank, values)
+        return tables[(target_rank, values)]
+
+    checked = 0
+    for n in range(rank_cap + 1):
+        for k in range(n, X.level + 1):
+            for m in range(min(X.level, rank_cap - k + n) + 1):
+                for alpha, iota, theta, phi in delta.active_inert_squares(n, k, m):
+                    if max_squares is not None and checked >= max_squares:
+                        return CheckReport(
+                            holds=False,
+                            checked_level=X.level,
+                            squares_checked=checked,
+                            detail=f"stopped after {checked} squares "
+                            f"(budget {max_squares})",
+                            inconclusive=True,
+                        )
+                    checked += 1
+                    p = phi[-1]
+                    legs = (
+                        induce_once(p, phi),
+                        induce_once(p, theta),
+                        induce_once(k, iota),
+                        induce_once(m, alpha),
+                    )
+                    if pullback_holds(*legs):
+                        continue
+                    sub = is_pullback_square(
+                        *legs,
+                        square=f"active-inert alpha={alpha} iota={iota}: X{p} over X{n}",
+                        levels=(p, k, m, n),
+                        names=(X.cells[p], X.cells[k], X.cells[m]),
+                    )
+                    return CheckReport(
+                        holds=False,
+                        checked_level=X.level,
+                        squares_checked=checked,
+                        witness=sub.witness,
+                    )
     return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
 
 

@@ -11,6 +11,7 @@ from corpus import (
     one_sided_upper,
     point,
     short_words_pmonoid,
+    sset_from_generators,
     trivial_pmonoid,
 )
 from decompspace import builders, criteria
@@ -215,6 +216,30 @@ class TestDecomposition:
         report = criteria.check_decomposition(collapsed_triangle(3))
         assert not report.holds
         assert report.witness is not None
+
+    def test_unit_squares_decided_at_level_2(self):
+        # a loop f and a triangle with faces (f, f, s_0 v): the 2-Segal
+        # squares need X_3, but the unit square of alpha=(0, 0) along
+        # iota=(0, 1) fails, as it does in the direct walk
+        X = sset_from_generators(
+            {
+                "v": (0, []),
+                "f": (1, [("v", (0,)), ("v", (0,))]),
+                "t": (2, [("f", (0, 1)), ("f", (0, 1)), ("v", (0, 0))]),
+            },
+            2,
+        )
+        assert criteria.check_upper_2segal(X).holds
+        assert criteria.check_lower_2segal(X).holds
+        report = criteria.check_decomposition(X)
+        direct = criteria.check_decomposition_direct(X)
+        assert not report.holds and report.squares_checked == 1
+        assert report.witness == direct.witness
+        assert report.witness.square.startswith("active-inert alpha=(0, 0) iota=(0, 1)")
+
+    def test_level_2_counts_the_two_unit_squares(self):
+        report = criteria.check_decomposition(builders.nerve(chain_category(3), 2))
+        assert report.holds and report.squares_checked == 2
 
 
 class TestDecompositionDirect:

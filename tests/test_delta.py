@@ -254,6 +254,24 @@ class TestValueTupleKernel:
             for m in range(6):
                 brute = [f.values for f in all_maps(n, m) if delta.is_active(f)]
                 assert delta.active_values(n, m) == brute
+                assert delta.count_active(n, m) == len(brute)
+
+    def test_elementary_squares_are_the_walk_squares_of_elementary_maps(self):
+        # the squares of the family whose iota is an outer coface and whose
+        # alpha is one codegeneracy or one inner coface, in walk order
+        for top in range(8):
+            for cap in range(top + 1):
+                expected = [
+                    square
+                    for n in range(top)
+                    for m in (n - 1, n + 1)
+                    if 0 <= m and m + 1 <= cap
+                    for square in delta.active_inert_squares(n, n + 1, m)
+                    if len(delta.generator_word(square[0], m)) == 1
+                ]
+                assert list(delta.elementary_squares(top, cap)) == expected
+        families = [s[0][-1] < len(s[0]) - 1 for s in delta.elementary_squares(6, 6)]
+        assert (families.count(True), families.count(False)) == (30, 20)
 
 
 class TestGeneratorDecomposition:

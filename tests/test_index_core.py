@@ -154,3 +154,12 @@ def test_writer_matches_json(inst):
         forms.append(serialize.ofc_to_obj(inst.ofc))
     for obj in forms:
         assert serialize.dumps(obj) == reference_dumps(obj)
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=lambda inst: inst.name)
+def test_written_file_is_dumps(inst, tmp_path):
+    # write_file streams the pieces dumps joins
+    path = tmp_path / "x.json"
+    for obj in serialized_forms(inst):
+        serialize.write_file(str(path), obj)
+        assert path.read_bytes() == serialize.dumps(obj).encode()

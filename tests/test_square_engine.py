@@ -3,23 +3,30 @@
 is_pullback_square decides by counting (pullback_holds) and enumerates
 the fiber product only for a witness; the direct and polygonal walks
 memoize induced maps per call and decide identity-leg squares without
-fibers.  Every report
-must equal the one the reference engine in oracles.py gives, witness
-and all.
+fibers, and the direct checker settles its whole family from the
+elementary squares where its rank cap allows.  Every report must equal
+the one the reference engine in oracles.py gives, witness and all.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import collapsed_triangle, corpus, point
+from corpus import (
+    collapsed_triangle,
+    corpus,
+    doubled_degenerate_nerve,
+    duplicate_top,
+    point,
+)
 from decompspace import builders, criteria, delta, sset
-from decompspace.sset import StructuralError, is_pullback_square
+from decompspace.sset import StructuralError, is_pullback_square, truncate
 from oracles import (
     pullback_by_names,
     reference_check_2segal_polygonal,
     reference_check_decomposition_direct,
     reference_is_pullback_square,
+    walk_check_decomposition_direct,
 )
 
 ENGINE = settings(max_examples=400, deadline=None, derandomize=True)
@@ -87,6 +94,38 @@ class TestPullbackEngine:
         assert report.witness.preimage_count == 0
 
 
+def north_star():
+    return builders.free_decomposition(builders.bounded_words(("a", "b", "c"), 4), 6)
+
+
+def record_direct_walk(monkeypatch):
+    """Record the alpha of every square the direct checker decides and
+    every map it induces, in two lists."""
+    current, decided, induced = [None], [], []
+
+    def recording(generator):
+        def squares(*args):
+            for square in generator(*args):
+                current[0] = square[0]
+                yield square
+
+        return squares
+
+    def counting_holds(*legs):
+        decided.append(current[0])
+        return sset.pullback_holds(*legs)
+
+    def counting_induce(X, target_rank, values):
+        induced.append((target_rank, values))
+        return sset.induce(X, target_rank, values)
+
+    for name in ("active_inert_squares", "elementary_squares"):
+        monkeypatch.setattr(delta, name, recording(getattr(delta, name)))
+    monkeypatch.setattr(criteria, "pullback_holds", counting_holds)
+    monkeypatch.setattr(criteria, "induce", counting_induce)
+    return decided, induced
+
+
 class TestDirectWalk:
     @pytest.mark.parametrize("inst", corpus(), ids=lambda inst: inst.name)
     def test_matches_reference_on_corpus(self, inst):
@@ -110,28 +149,11 @@ class TestDirectWalk:
     def test_identity_leg_shortcut_scope(self, monkeypatch):
         # 426 squares at rank cap 4: 156 have an identity iota or alpha and
         # are decided without fibers; the 28 whose alpha is a degenerate
-        # active map [n] -> [n], such as 0,0,2, are still checked.
-        X = builders.free_decomposition(builders.bounded_words(("a", "b", "c"), 4), 6)
-        current, decided, induced = [None], [], []
-        active_inert_squares = delta.active_inert_squares
-
-        def recording_squares(n, k, m):
-            for square in active_inert_squares(n, k, m):
-                current[0] = square[0]
-                yield square
-
-        def counting_holds(*legs):
-            decided.append(current[0])
-            return sset.pullback_holds(*legs)
-
-        def counting_induce(X, target_rank, values):
-            induced.append((target_rank, values))
-            return sset.induce(X, target_rank, values)
-
-        monkeypatch.setattr(delta, "active_inert_squares", recording_squares)
-        monkeypatch.setattr(criteria, "pullback_holds", counting_holds)
-        monkeypatch.setattr(criteria, "induce", counting_induce)
-        report = criteria.check_decomposition_direct(X, rank_cap=4)
+        # active map [n] -> [n], such as 0,0,2, are still checked.  Rank
+        # cap 4 at level 6 is below the certificate's range, so every
+        # square is walked.
+        decided, induced = record_direct_walk(monkeypatch)
+        report = criteria.check_decomposition_direct(north_star(), rank_cap=4)
         assert report.holds and report.squares_checked == 426
         assert len(decided) == 270
         assert len(induced) == len(set(induced)) == 244
@@ -139,6 +161,56 @@ class TestDirectWalk:
             a for a in decided if a[-1] == len(a) - 1 and len(set(a)) < len(a)
         ]
         assert len(degenerate_endos) == 28
+
+
+class TestPastingCertificate:
+    def test_north_star_decides_only_elementary_squares(self, monkeypatch):
+        # rank cap 6 at level 6: the 3,233 squares of the family are
+        # settled by its 50 elementary squares, 30 with a codegeneracy
+        # alpha and 20 with an inner coface, through 48 induced maps
+        decided, induced = record_direct_walk(monkeypatch)
+        report = criteria.check_decomposition_direct(north_star(), rank_cap=6)
+        assert report.holds and report.squares_checked == 3233
+        assert len(decided) == 50
+        assert sum(a[-1] < len(a) - 1 for a in decided) == 30
+        assert len(induced) == len(set(induced)) == 48
+
+    @pytest.mark.parametrize("rank_cap, level", [(2, 4), (3, 5), (3, 6)])
+    def test_rank_cap_rule_on_doubled_degenerate_nerve(self, rank_cap, level):
+        # the elementary squares within rank cap R hold, but a square of
+        # the family at rank cap R needs elementary squares above R; at
+        # each rank cap, every budget up to the end of the walk and two
+        # more
+        X = doubled_degenerate_nerve(level)
+        assert not reference_check_decomposition_direct(X, rank_cap).holds
+        for cap in range(level + 1):
+            full = reference_check_decomposition_direct(X, cap)
+            assert criteria.check_decomposition_direct(X, cap) == full, cap
+            assert walk_check_decomposition_direct(X, cap) == full, cap
+            for budget in range(full.squares_checked + 3):
+                assert criteria.check_decomposition_direct(
+                    X, cap, budget
+                ) == reference_check_decomposition_direct(X, cap, budget), (cap, budget)
+
+    def test_perturbed_corpus_matches_walk(self):
+        # every corpus instance truncated to levels 1-5, with a second copy
+        # of one of its first 12 top cells, at every rank cap: 3,312 calls,
+        # against the walk oracle, since the reference is several times
+        # slower than the whole test
+        for inst in corpus():
+            for level in range(1, min(5, inst.X.level) + 1):
+                T = truncate(inst.X, level)
+                for j in range(min(12, len(T.cells[level]))):
+                    X, tables = duplicate_top(T, j), {}
+                    for cap in range(level + 1):
+                        assert criteria.check_decomposition_direct(
+                            X, cap
+                        ) == walk_check_decomposition_direct(X, cap, tables=tables), (
+                            inst.name,
+                            level,
+                            j,
+                            cap,
+                        )
 
 
 class TestPolygonalWalk:
