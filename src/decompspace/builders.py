@@ -464,9 +464,17 @@ def from_partial_monoid(M: PartialMonoid, level: int) -> TruncatedSSet:
     return TruncatedSSet(level, cells, faces, degeneracies)
 
 
+def _require_nonnegative(name: str, value: int) -> None:
+    # a negative top degree gives an outer face complex with no grades,
+    # which validate_ofc and the file reader both reject
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
 def bounded_words(alphabet: tuple[str, ...], max_len: int) -> OuterFaceComplex:
     """Words of length at most max_len; the face maps discard the first
     or last letter."""
+    _require_nonnegative("max_len", max_len)
     grades = []
     for m in range(max_len + 1):
         grade = tuple("".join(w) for w in iproduct(alphabet, repeat=m))
@@ -485,6 +493,7 @@ def bounded_words(alphabet: tuple[str, ...], max_len: int) -> OuterFaceComplex:
 def graph_paths(G: DirectedGraph, bound: int) -> OuterFaceComplex:
     """Edge paths of length at most bound; degree 0 is the vertex set,
     and on edges the face maps take target (bottom) and source (top)."""
+    _require_nonnegative("bound", bound)
     validate_graph(G)
     by_name = {e[0]: e for e in G.edges}
     paths: list[list[tuple[str, ...]]] = [[]]
@@ -526,6 +535,7 @@ def graph_paths(G: DirectedGraph, bound: int) -> OuterFaceComplex:
 def terminal_complex(bound: int) -> OuterFaceComplex:
     """One element per degree; the free construction turns it into the
     nerve of addition of naturals up to the bound."""
+    _require_nonnegative("bound", bound)
     grades = tuple(("*",) for _ in range(bound + 1))
     tables = {m: {"*": "*"} for m in range(1, bound + 1)}
     return OuterFaceComplex(bound, grades, tables, dict(tables))

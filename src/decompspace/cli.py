@@ -2,14 +2,14 @@
 
 Exit codes: 0 the check holds (or the command succeeded), 1 the check
 fails, 2 schema or usage errors (including a path that cannot be read
-or written, a file that is not UTF-8, and a negative --rank-cap or
-DECOMP_MAX_SQUARES), 3 builder preconditions, inputs that are not
-simplicial sets (transform validates its input as the checkers do) or
-level shortfalls, 4 the check is inconclusive: the DECOMP_MAX_SQUARES
-budget cut the direct decomposition walk off before its last square,
-and no square checked so far failed.  Reports print as key: value
-lines, or as JSON with --format=machine; the verdict is one of
-holds-at-checked-depth, fails and inconclusive.
+or written, a file that is not UTF-8, and a negative --bound, --max-len,
+--rank-cap or DECOMP_MAX_SQUARES), 3 builder preconditions, inputs that
+are not simplicial sets (transform validates its input as the checkers
+do) or level shortfalls, 4 the check is inconclusive: the
+DECOMP_MAX_SQUARES budget cut the direct decomposition walk off before
+its last square, and no square checked so far failed.  Reports print as
+key: value lines, or as JSON with --format=machine; the verdict is one
+of holds-at-checked-depth, fails and inconclusive.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-from . import builders, criteria, operators, serialize
-from .sset import CheckReport, LevelError, StructuralError, opposite, validate
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -93,10 +90,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load_sset(path: str):
+    from . import serialize
+
     return serialize.sset_from_obj(serialize.read_file(path), where=path)
 
 
 def _cmd_build(args) -> int:
+    from . import builders, serialize
+
     kind = args.kind
 
     def need(flag: str, value):
@@ -107,8 +108,12 @@ def _cmd_build(args) -> int:
     def read(parse):
         return parse(serialize.read_file(need("--input", args.input)), where=args.input)
 
-    # only an outer face complex freely completed to a level has a length
-    # map; reject the rest before anything is built or written
+    # reject before anything is read, built or written: negative sizes,
+    # and a length map of anything but an outer face complex freely
+    # completed to a level
+    for flag, value in (("--bound", args.bound), ("--max-len", args.max_len)):
+        if value is not None and value < 0:
+            raise SystemExit2(f"{flag} must be nonnegative, got {value}")
     if args.length_map is not None and (
         kind not in ("free", "words", "graph-paths", "terminal-ofc")
         or (args.level is None and kind != "free")
@@ -165,8 +170,10 @@ def _cmd_build(args) -> int:
     return EXIT_HOLDS
 
 
-def _render(report: CheckReport, criterion: str, fmt: str) -> str:
+def _render(report, criterion: str, fmt: str) -> str:
     if fmt == "machine":
+        from . import serialize
+
         obj = {
             "criterion": criterion,
             "verdict": report.verdict,
@@ -218,6 +225,9 @@ def _square_budget() -> int | None:
 
 
 def _cmd_check(args) -> int:
+    from . import criteria, serialize
+    from .sset import validate
+
     budget = None
     if args.criterion == "decomp-direct":
         if args.rank_cap is not None and args.rank_cap < 0:
@@ -254,6 +264,9 @@ def _cmd_transform(args) -> int:
     # reject before anything is read or written
     if args.map_output is not None and args.op not in ("dec-top", "dec-bot"):
         raise SystemExit2("--map-output only applies to dec transforms")
+    from . import criteria, operators, serialize
+    from .sset import opposite
+
     X = _load_sset(args.input)
     criteria._require_valid(X)
     proj = None
@@ -274,13 +287,18 @@ def _cmd_transform(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    # each command imports the modules it runs, so --help and usage errors
+    # load no library module
+    from .serialize import SchemaError
+    from .sset import LevelError, StructuralError
+
     try:
         if args.command == "build":
             return _cmd_build(args)
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_transform(args)
-    except (serialize.SchemaError, SystemExit2, OSError) as exc:
+    except (SchemaError, SystemExit2, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (StructuralError, LevelError) as exc:

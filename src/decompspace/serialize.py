@@ -21,16 +21,20 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
-from .builders import (
-    DirectedGraph,
-    FiniteCategory,
-    OuterFaceComplex,
-    PartialCategory,
-    PartialMonoid,
-)
 from .sset import SimplicialMap, Table, TruncatedSSet, table_names
+
+if TYPE_CHECKING:
+    # the readers that build these import them, so reading an sset or a
+    # map never loads the builders
+    from .builders import (
+        DirectedGraph,
+        FiniteCategory,
+        OuterFaceComplex,
+        PartialCategory,
+        PartialMonoid,
+    )
 
 FORMAT_VERSION = 1
 
@@ -151,6 +155,8 @@ def ofc_to_obj(A: OuterFaceComplex) -> dict:
 
 
 def ofc_from_obj(obj: dict, where: str = "ofc") -> OuterFaceComplex:
+    from .builders import OuterFaceComplex
+
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
     if _require(obj, "kind", str, where) != "ofc":
@@ -214,6 +220,8 @@ def smap_from_obj(obj: dict, where: str = "smap") -> SimplicialMap:
 
 
 def category_from_obj(obj: dict, where: str = "category") -> FiniteCategory:
+    from .builders import FiniteCategory
+
     objects = tuple(_str_list(obj, "objects", where))
     morphisms = _arrow_list(obj, "morphisms", where)
     identities = _str_dict(obj, "identities", where)
@@ -222,6 +230,8 @@ def category_from_obj(obj: dict, where: str = "category") -> FiniteCategory:
 
 
 def partial_category_from_obj(obj: dict, where: str = "pcategory") -> PartialCategory:
+    from .builders import PartialCategory
+
     objects = tuple(_str_list(obj, "objects", where))
     morphisms = _arrow_list(obj, "morphisms", where)
     identities = _str_dict(obj, "identities", where)
@@ -230,6 +240,8 @@ def partial_category_from_obj(obj: dict, where: str = "pcategory") -> PartialCat
 
 
 def pmonoid_from_obj(obj: dict, where: str = "pmonoid") -> PartialMonoid:
+    from .builders import PartialMonoid
+
     carrier = tuple(_str_list(obj, "carrier", where))
     unit = _require(obj, "unit", str, where)
     rows = _triples(obj, "product", "[x, y, xy]", where)
@@ -237,6 +249,8 @@ def pmonoid_from_obj(obj: dict, where: str = "pmonoid") -> PartialMonoid:
 
 
 def graph_from_obj(obj: dict, where: str = "graph") -> DirectedGraph:
+    from .builders import DirectedGraph
+
     vertices = tuple(_str_list(obj, "vertices", where))
     edges = _arrow_list(obj, "edges", where)
     return DirectedGraph(vertices, edges)

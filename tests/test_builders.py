@@ -301,6 +301,21 @@ class TestFreeDecomposition:
         with pytest.raises(StructuralError):
             builders.free_decomposition(A, 2)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: builders.terminal_complex(-1),
+            lambda: builders.bounded_words(("a", "b"), -1),
+            lambda: builders.graph_paths(paper_graph(), -2),
+        ],
+        ids=["terminal", "words", "graph-paths"],
+    )
+    def test_negative_top_degree_rejected(self, build):
+        # a negative top degree would give a complex with no grades,
+        # which the file reader and validate_ofc both reject
+        with pytest.raises(ValueError, match="must be nonnegative, got -"):
+            build()
+
 
 class TestLengthMap:
     def test_terminal_complex_gives_identity(self):

@@ -155,6 +155,24 @@ class TestBuild:
         assert "--length-map needs a freely generated build" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize(
+        "build, flag",
+        [
+            (["terminal-ofc", "--bound", "-1"], "--bound"),
+            (["words", "--alphabet", "ab", "--max-len", "-1"], "--max-len"),
+            # the input does not exist: the flag is rejected before any read
+            (["graph-paths", "--input", "missing.json", "--bound", "-2"], "--bound"),
+        ],
+        ids=["terminal-ofc", "words", "graph-paths"],
+    )
+    def test_negative_size_rejected_before_writing(self, tmp_path, capsys, build, flag):
+        build = [str(tmp_path / a) if a.endswith(".json") else a for a in build]
+        assert main(["build", *build, "--output", str(tmp_path / "o.json")]) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} must be nonnegative, got -" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
 class TestCheck:
     def test_words_fail_segal_pass_decomp(self, tmp_path, capsys):
         obj = tmp_path / "words.json"
