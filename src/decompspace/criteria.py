@@ -15,10 +15,15 @@ checked_level records the truncation the verdict is good for.
 
 The active-inert walks (the direct and the polygonal checker) build
 their squares from value tuples (delta.active_inert_squares,
-delta.pushout_values) and induce each simplex-category map at most once
-per call: a memo keyed by (target_rank, values) is built when the call
-starts and dropped when it returns, so nothing is cached on the
-TruncatedSSet.
+delta.elementary_squares, delta.pushout_values).  The Delta side of a
+family depends only on small ints, never on X, so it is planned once per
+process: the elementary squares, the direct family's ranks and size (by
+level and rank cap) and the polygonal squares (by level and mode) are
+cached here, as are each map's generator word steps in sset.induce (by
+target rank and values).  X's tables live only in a memo keyed by
+(target_rank, values) that is built when a call starts and dropped when
+it returns, so each map is induced at most once per call and nothing
+about X outlives the call; the full direct walk streams its squares.
 
 The direct checker first decides a pasting certificate: every
 active-inert square is a pasting of elementary ones
@@ -36,7 +41,8 @@ certificate does there, since the 2-Segal squares need X_3.
 
 from __future__ import annotations
 
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, starmap
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import delta
@@ -264,47 +270,83 @@ def check_decomposition(X: TruncatedSSet) -> CheckReport:
     _require_valid(X)
     squares = _two_segal_squares(X, (True, False))
     if X.level == 2:
-        units = delta.elementary_squares(2, 2)
+        units = _elementary_plan(2, 2)
         squares = chain(squares, _pushout_squares(X, units, _active_inert_label))
     return _decide(X.level, squares)
 
 
-def _pushout_squares(X: TruncatedSSet, squares, label) -> Iterator[Square]:
-    """X applied to active-inert pushout squares given as value tuples.
+#: The memo key of X(alpha) for alpha: [len(values) - 1] -> [target_rank].
+MapKey = tuple[int, tuple[int, ...]]
 
-    squares yields (alpha, iota, theta, phi): alpha: [n] -> [m] active,
-    iota: [n] -> [k] inert, theta and phi their pushout into [p];
-    label(alpha, iota, k, p) names the square.  Each map is induced once
-    per call.  A square whose alpha or iota is an identity comes without
-    tables: the pushout leg opposite an identity is an identity too.  A
-    degenerate active map [n] -> [n], such as 0,0,2, is not an identity.
+
+def _prepared(alpha, iota, theta, phi):
+    """An active-inert square as _pushout_squares reads it.
+
+    alpha: [n] -> [m] active, iota: [n] -> [k] inert, theta and phi
+    their pushout into [p], as value tuples; the result is (alpha, iota,
+    k, p, keys), keys the MapKeys of phi, theta, iota and alpha, or None
+    when alpha or iota is an identity: the pushout leg opposite an
+    identity is an identity too, so the square is a pullback whatever X
+    is.  A degenerate active map [n] -> [n], such as 0,0,2, is not an
+    identity.
     """
-    memo: dict[tuple[int, tuple[int, ...]], Table] = {}
+    n, m, k, p = len(alpha) - 1, alpha[-1], len(phi) - 1, phi[-1]
+    if n == k or (n == m and alpha == tuple(range(m + 1))):
+        return alpha, iota, k, p, None
+    return alpha, iota, k, p, ((p, phi), (p, theta), (k, iota), (m, alpha))
 
-    def induce_once(target_rank: int, values: tuple[int, ...]) -> Table:
-        key = (target_rank, values)
+
+def _pushout_squares(X: TruncatedSSet, squares, label) -> Iterator[Square]:
+    """X applied to prepared active-inert pushout squares (_prepared).
+
+    label(alpha, iota, k, p) names a square.  Each map is induced once
+    per call, into a memo dropped when the walk ends; a square without
+    keys comes without tables.
+    """
+    memo: dict[MapKey, Table] = {}
+
+    def induce_once(key: MapKey) -> Table:
         table = memo.get(key)
         if table is None:
-            table = memo[key] = induce(X, target_rank, values)
+            table = memo[key] = induce(X, *key)
         return table
 
-    for alpha, iota, theta, phi in squares:
-        n, m, k, p = len(alpha) - 1, alpha[-1], len(phi) - 1, phi[-1]
-        if n == k or (n == m and alpha == tuple(range(m + 1))):
+    for alpha, iota, k, p, keys in squares:
+        if keys is None:
             yield None, None
             continue
-        legs = (
-            induce_once(p, phi),
-            induce_once(p, theta),
-            induce_once(k, iota),
-            induce_once(m, alpha),
+        yield tuple(map(induce_once, keys)), lambda: _on(
+            X, label(alpha, iota, k, p), (p, k, alpha[-1], len(alpha) - 1)
         )
-        yield legs, lambda: _on(X, label(alpha, iota, k, p), (p, k, m, n))
 
 
 def _polygonal_label(alpha, iota, k: int, p: int) -> str:
     i, j = iota[0], iota[0] + alpha[-1]
     return f"polygonal n={p} i={i} j={j}: X{p} -> X{k} / X{j - i} over X1"
+
+
+#: The squares {i, j} inside [n] that each polygonal mode keeps.
+_POLYGONAL_MODES = {
+    "full": lambda i, j, n: True,
+    "restricted": lambda i, j, n: i == 0 or j == n,
+    "upper": lambda i, j, n: j == n,
+    "lower": lambda i, j, n: i == 0,
+}
+
+
+@lru_cache(maxsize=256)
+def _polygonal_plan(level: int, mode: str) -> tuple:
+    """The prepared squares of check_2segal_polygonal, in walk order."""
+    keep = _POLYGONAL_MODES[mode]
+    return tuple(
+        _prepared(
+            (0, j - i), (i, i + 1), *delta.pushout_values((0, j - i), i, n - j + i + 1)
+        )
+        for n in range(1, level + 1)
+        for i in range(n + 1)
+        for j in range(i + 1, n + 1)
+        if keep(i, j, n)
+    )
 
 
 def check_2segal_polygonal(X: TruncatedSSet, mode: str = "full") -> CheckReport:
@@ -317,22 +359,10 @@ def check_2segal_polygonal(X: TruncatedSSet, mode: str = "full") -> CheckReport:
     [j - i] along the inert [1] -> [n - j + i + 1] at offset i.  Below
     level 3 every such square has an identity leg, so nothing is decided.
     """
-    keep = {
-        "full": lambda i, j, n: True,
-        "restricted": lambda i, j, n: i == 0 or j == n,
-        "upper": lambda i, j, n: j == n,
-        "lower": lambda i, j, n: i == 0,
-    }.get(mode)
-    if keep is None:
+    if mode not in _POLYGONAL_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     _require_valid(X)
-    squares = (
-        ((0, j - i), (i, i + 1), *delta.pushout_values((0, j - i), i, n - j + i + 1))
-        for n in range(1, X.level + 1)
-        for i in range(n + 1)
-        for j in range(i + 1, n + 1)
-        if keep(i, j, n)
-    )
+    squares = _polygonal_plan(X.level, mode)
     return _decide(X.level, _pushout_squares(X, squares, _polygonal_label))
 
 
@@ -347,6 +377,24 @@ def _direct_ranks(level: int, rank_cap: int) -> Iterator[tuple[int, int, int]]:
         for k in range(n, level + 1):
             for m in range(min(level, rank_cap - k + n) + 1):
                 yield n, k, m
+
+
+@lru_cache(maxsize=256)
+def _elementary_plan(level: int, cap: int) -> tuple:
+    """The prepared elementary squares with k <= level and p <= cap."""
+    return tuple(starmap(_prepared, delta.elementary_squares(level, cap)))
+
+
+@lru_cache(maxsize=256)
+def _direct_plan(level: int, rank_cap: int):
+    """(ranks, size, certificate) of the direct family: its _direct_ranks,
+    its number of squares, and its prepared elementary squares when the
+    rank-cap rule lets them settle it, else None."""
+    ranks = tuple(_direct_ranks(level, rank_cap))
+    size = sum((k - n + 1) * delta.count_active(n, m) for n, k, m in ranks)
+    if 2 <= rank_cap <= level - 2:
+        return ranks, size, None
+    return ranks, size, _elementary_plan(level, rank_cap)
 
 
 def check_decomposition_direct(
@@ -389,19 +437,17 @@ def check_decomposition_direct(
         rank_cap = X.level
     if rank_cap > X.level:
         raise LevelError(f"rank cap {rank_cap} exceeds level {X.level}")
-    ranks = list(_direct_ranks(X.level, rank_cap))
-    if not 2 <= rank_cap <= X.level - 2:
-        elementary = delta.elementary_squares(X.level, rank_cap)
-        if all(
-            legs is None or pullback_holds(*legs)
-            for legs, _ in _pushout_squares(X, elementary, _active_inert_label)
-        ):
-            size = sum((k - n + 1) * delta.count_active(n, m) for n, k, m in ranks)
-            if max_squares is not None and max_squares < size:
-                return _cut_off(X.level, max_squares)
-            return CheckReport(holds=True, checked_level=X.level, squares_checked=size)
-    squares = chain.from_iterable(
-        delta.active_inert_squares(n, k, m) for n, k, m in ranks
+    ranks, size, elementary = _direct_plan(X.level, rank_cap)
+    if elementary is not None and all(
+        legs is None or pullback_holds(*legs)
+        for legs, _ in _pushout_squares(X, elementary, _active_inert_label)
+    ):
+        if max_squares is not None and max_squares < size:
+            return _cut_off(X.level, max_squares)
+        return CheckReport(holds=True, checked_level=X.level, squares_checked=size)
+    squares = starmap(
+        _prepared,
+        chain.from_iterable(delta.active_inert_squares(n, k, m) for n, k, m in ranks),
     )
     return _decide(
         X.level, _pushout_squares(X, squares, _active_inert_label), max_squares
@@ -409,7 +455,23 @@ def check_decomposition_direct(
 
 
 def check_culf(f: SimplicialMap) -> CheckReport:
-    """Naturality squares of f on inner faces and all degeneracies."""
+    """Naturality squares of f on inner faces and all degeneracies.
+
+    The source and the target are validated first, then f itself; a
+    malformed end raises StructuralError naming it.
+    """
+    ends = [("source", f.source)]
+    if f.target is not f.source:
+        ends.append(("target", f.target))
+    for what, end in ends:
+        try:
+            report = validate(end)
+        except StructuralError as exc:
+            raise StructuralError(f"map {what}: {exc}") from None
+        if not report.holds:
+            raise StructuralError(
+                f"map {what} is not a simplicial set: {report.detail}"
+            )
     report = validate_map(f)
     if not report.holds:
         raise StructuralError(f"input is not a simplicial map: {report.detail}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter
 from typing import Mapping, Sequence
@@ -197,30 +198,59 @@ class TruncatedSSet:
 _INT = {int}
 
 
-def _check_indices(table, source: tuple[str, ...], size: int, what: str) -> None:
-    """A tuple of len(source) ints in range(size), else StructuralError."""
+def _index_problem(table, source: tuple[str, ...], size: int) -> str | None:
+    """Why table is not a tuple of len(source) ints in range(size), or None."""
     if not isinstance(table, tuple) or len(table) != len(source):
-        raise StructuralError(f"{what} is not a tuple of {len(source)} indices")
+        return f"is not a tuple of {len(source)} indices"
     if not table:
-        return
+        return None
     if not _INT.issuperset(map(type, table)):
-        raise StructuralError(f"{what} holds an entry that is not an int")
+        return "holds an entry that is not an int"
     if min(table) < 0 or max(table) >= size:
         j = next(j for j, v in enumerate(table) if not 0 <= v < size)
-        raise StructuralError(
-            f"{what} sends {source[j]!r} to dangling index {table[j]}"
-        )
+        return f"sends {source[j]!r} to dangling index {table[j]}"
+    return None
+
+
+def _getter(first: Sequence[int]):
+    """The callable second -> _then(first, second), to build once and reuse."""
+    if len(first) > 1:
+        return itemgetter(*first)
+    if first:
+        (x,) = first
+        return lambda second: (second[x],)
+    return lambda second: ()
 
 
 def _then(first: Sequence[int], second: Sequence[int]) -> Table:
     """The table of second after first: entry j is second[first[j]]."""
-    if len(first) > 1:
-        return itemgetter(*first)(second)
-    return tuple(second[x] for x in first)
+    return _getter(first)(second)
 
 
 def _first_difference(lhs: Sequence[int], rhs: Sequence[int]) -> int:
     return next(j for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+
+
+def _checked_tables(X: TruncatedSSet, kind: str) -> list[list[Table]]:
+    """X's face ("d") or degeneracy ("s") tables as rows[n][i], each
+    checked to be a tuple of indices of the right length and range."""
+    tables, levels, step = (
+        (X.faces, range(1, X.level + 1), -1)
+        if kind == "d"
+        else (X.degeneracies, range(X.level), 1)
+    )
+    rows: list[list[Table]] = [[] for _ in X.cells]
+    for n in levels:
+        source, size = X.cells[n], len(X.cells[n + step])
+        for i in range(n + 1):
+            if (n, i) not in tables:
+                raise StructuralError(f"missing table {kind}_{i} at level {n}")
+            table = tables[(n, i)]
+            problem = _index_problem(table, source, size)
+            if problem is not None:
+                raise StructuralError(f"{kind}_{i} at level {n} {problem}")
+            rows[n].append(table)
+    return rows
 
 
 def validate(X: TruncatedSSet) -> CheckReport:
@@ -229,27 +259,13 @@ def validate(X: TruncatedSSet) -> CheckReport:
     Duplicate cells and missing, short or out-of-range tables raise
     StructuralError; identity violations produce a failing report
     naming the identity, level and first failing cell.  Each identity
-    is checked by composing whole tables.
+    is checked by composing whole tables, through one getter per table.
     """
     _check_distinct(X.cells)
-    d: dict[tuple[int, int], Table] = {}
-    s: dict[tuple[int, int], Table] = {}
-    for kind, tables, out, levels, step in (
-        ("d", X.faces, d, range(1, X.level + 1), -1),
-        ("s", X.degeneracies, s, range(X.level), 1),
-    ):
-        for n in levels:
-            for i in range(n + 1):
-                if (n, i) not in tables:
-                    raise StructuralError(f"missing table {kind}_{i} at level {n}")
-                out[(n, i)] = tables[(n, i)]
-                _check_indices(
-                    out[(n, i)],
-                    X.cells[n],
-                    len(X.cells[n + step]),
-                    f"{kind}_{i} at level {n}",
-                )
-
+    d = _checked_tables(X, "d")
+    s = _checked_tables(X, "s")
+    dg = [list(map(_getter, row)) for row in d]
+    sg = [list(map(_getter, row)) for row in s]
     checked = 0
 
     def fail(name: str, n: int, lhs: Table, rhs: Table) -> CheckReport:
@@ -263,40 +279,51 @@ def validate(X: TruncatedSSet) -> CheckReport:
 
     # d_i d_j = d_{j-1} d_i for i < j, on X_n with n >= 2
     for n in range(2, X.level + 1):
+        size, getters, below = len(X.cells[n]), dg[n], d[n - 1]
         for j in range(1, n + 1):
             for i in range(j):
-                lhs = _then(d[(n, j)], d[(n - 1, i)])
-                rhs = _then(d[(n, i)], d[(n - 1, j - 1)])
+                lhs = getters[j](below[i])
+                rhs = getters[i](below[j - 1])
                 if lhs != rhs:
                     return fail(f"d_{i} d_{j} = d_{j-1} d_{i}", n, lhs, rhs)
-                checked += len(lhs)
+                checked += size
     # s_i s_j = s_{j+1} s_i for i <= j, on X_n with n + 2 <= level
     for n in range(X.level - 1):
+        size, getters, above = len(X.cells[n]), sg[n], s[n + 1]
         for j in range(n + 1):
             for i in range(j + 1):
-                lhs = _then(s[(n, j)], s[(n + 1, i)])
-                rhs = _then(s[(n, i)], s[(n + 1, j + 1)])
+                lhs = getters[j](above[i])
+                rhs = getters[i](above[j + 1])
                 if lhs != rhs:
                     return fail(f"s_{i} s_{j} = s_{j+1} s_{i}", n, lhs, rhs)
-                checked += len(lhs)
+                checked += size
     # d_i s_j on X_n with n + 1 <= level
     for n in range(X.level):
-        identity = tuple(range(len(X.cells[n])))
+        size, faces = len(X.cells[n]), d[n + 1]
+        identity = tuple(range(size))
         for j in range(n + 1):
+            getter = sg[n][j]
             for i in range(n + 2):
-                got = _then(s[(n, j)], d[(n + 1, i)])
+                got = getter(faces[i])
                 if i == j or i == j + 1:
-                    want, name = identity, f"d_{i} s_{j} = id"
+                    want = identity
                 elif i < j:
-                    want = _then(d[(n, i)], s[(n - 1, j - 1)])
-                    name = f"d_{i} s_{j} = s_{j-1} d_{i}"
+                    want = dg[n][i](s[n - 1][j - 1])
                 else:
-                    want = _then(d[(n, i - 1)], s[(n - 1, j)])
-                    name = f"d_{i} s_{j} = s_{j} d_{i-1}"
+                    want = dg[n][i - 1](s[n - 1][j])
                 if got != want:
-                    return fail(name, n, got, want)
-                checked += len(got)
+                    return fail(_face_degeneracy_identity(i, j), n, got, want)
+                checked += size
     return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
+
+
+def _face_degeneracy_identity(i: int, j: int) -> str:
+    """The name of the identity validate checks for d_i s_j."""
+    if i == j or i == j + 1:
+        return f"d_{i} s_{j} = id"
+    if i < j:
+        return f"d_{i} s_{j} = s_{j-1} d_{i}"
+    return f"d_{i} s_{j} = s_{j} d_{i-1}"
 
 
 def induced_map(X: TruncatedSSet, alpha: SimplexMap) -> Table:
@@ -315,17 +342,27 @@ def induce(X: TruncatedSSet, target_rank: int, values: tuple[int, ...]) -> Table
     source_rank = len(values) - 1
     if target_rank > X.level or source_rank > X.level:
         raise LevelError(f"map [{source_rank}]->[{target_rank}] exceeds level {X.level}")
-    level = target_rank
     out = None
+    for operator, n, i in _word_steps(target_rank, tuple(values)):
+        table = operator(X, n, i)
+        out = table if out is None else _then(out, table)
+    return tuple(range(len(X.cells[source_rank]))) if out is None else out
+
+
+@lru_cache(maxsize=8192)
+def _word_steps(target_rank: int, values: tuple[int, ...]):
+    """The generator word of the map as (operator, level, index) steps,
+    operator TruncatedSSet.face or .degeneracy, outermost letter first.
+    It depends only on the map, so it is computed once per process."""
+    steps, level = [], target_rank
     for kind, i in delta.generator_word(values, target_rank):
         if kind == "delta":
-            table = X.face(level, i)
+            steps.append((TruncatedSSet.face, level, i))
             level -= 1
         else:
-            table = X.degeneracy(level, i)
+            steps.append((TruncatedSSet.degeneracy, level, i))
             level += 1
-        out = table if out is None else _then(out, table)
-    return tuple(range(len(X.cells[level]))) if out is None else out
+    return tuple(steps)
 
 
 def opposite(X: TruncatedSSet) -> TruncatedSSet:
@@ -502,13 +539,12 @@ def validate_map(m: SimplicialMap) -> CheckReport:
     """Check totality and commutation with every generator in truncation."""
     top = m.shared_level
     comps = m.components
+    source, target = m.source, m.target
     for n in range(top + 1):
-        _check_indices(
-            comps[n],
-            m.source.cells[n],
-            len(m.target.cells[n]),
-            f"component at level {n}",
-        )
+        problem = _index_problem(comps[n], source.cells[n], len(target.cells[n]))
+        if problem is not None:
+            raise StructuralError(f"component at level {n} {problem}")
+    getters = list(map(_getter, comps))
     checked = 0
 
     def fail(kind: str, i: int, n: int, lhs: Table, rhs: Table) -> CheckReport:
@@ -518,23 +554,25 @@ def validate_map(m: SimplicialMap) -> CheckReport:
             checked_level=top,
             squares_checked=checked + j + 1,
             detail=f"naturality fails for {kind}_{i} at level {n} on "
-            f"{m.source.cells[n][j]!r}",
+            f"{source.cells[n][j]!r}",
         )
 
     for n in range(1, top + 1):
+        size, getter, below = len(comps[n]), getters[n], comps[n - 1]
         for i in range(n + 1):
-            lhs = _then(comps[n], m.target.face(n, i))
-            rhs = _then(m.source.face(n, i), comps[n - 1])
+            lhs = getter(target.face(n, i))
+            rhs = _then(source.face(n, i), below)
             if lhs != rhs:
                 return fail("d", i, n, lhs, rhs)
-            checked += len(lhs)
+            checked += size
     for n in range(top):
+        size, getter, above = len(comps[n]), getters[n], comps[n + 1]
         for i in range(n + 1):
-            lhs = _then(comps[n], m.target.degeneracy(n, i))
-            rhs = _then(m.source.degeneracy(n, i), comps[n + 1])
+            lhs = getter(target.degeneracy(n, i))
+            rhs = _then(source.degeneracy(n, i), above)
             if lhs != rhs:
                 return fail("s", i, n, lhs, rhs)
-            checked += len(lhs)
+            checked += size
     return CheckReport(holds=True, checked_level=top, squares_checked=checked)
 
 

@@ -15,7 +15,9 @@ takes the certificate.
 The references work on tables keyed by cell name, the representation
 the library held before its tables became index tuples: NamedSSet is a
 simplicial set in that form, and reference_validate checks it cell by
-cell as the library once did.
+cell as the library once did.  reference_validate_map checks a
+simplicial map's components entry by entry and its naturality squares
+cell by cell on name-keyed tables.
 
 reference_dumps is the documented file layout as json's own indenting
 encoder writes it; serialize.dumps must give the same text.
@@ -483,6 +485,54 @@ def reference_validate(X: NamedSSet) -> CheckReport:
                     if not ok:
                         return fail(name, n, c)
     return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
+
+
+def reference_validate_map(m) -> CheckReport:
+    """Every naturality square of a simplicial map, cell by cell.
+
+    Each index component is first checked entry by entry: a tuple of one
+    entry per source cell, each an int (not a bool) naming a target cell.
+    Then the components and both ends' tables become dicts of cell names.
+    """
+    top = m.shared_level
+    for n in range(top + 1):
+        comp, what = m.components[n], f"component at level {n}"
+        source, target = m.source.cells[n], m.target.cells[n]
+        if not isinstance(comp, tuple) or len(comp) != len(source):
+            raise StructuralError(f"{what} is not a tuple of {len(source)} indices")
+        if any(type(v) is not int for v in comp):
+            raise StructuralError(f"{what} holds an entry that is not an int")
+        for c, v in zip(source, comp):
+            if not 0 <= v < len(target):
+                raise StructuralError(f"{what} sends {c!r} to dangling index {v}")
+    comps = [m.component_names(n) for n in range(top + 1)]
+    X, Y = named_sset(m.source), named_sset(m.target)
+
+    checked = 0
+
+    def fail(kind, i, n, c):
+        return CheckReport(
+            holds=False,
+            checked_level=top,
+            squares_checked=checked,
+            detail=f"naturality fails for {kind}_{i} at level {n} on {c!r}",
+        )
+
+    for n in range(1, top + 1):
+        for i in range(n + 1):
+            dX, dY = X.faces[(n, i)], Y.faces[(n, i)]
+            for c in X.cells[n]:
+                checked += 1
+                if dY[comps[n][c]] != comps[n - 1][dX[c]]:
+                    return fail("d", i, n, c)
+    for n in range(top):
+        for i in range(n + 1):
+            sX, sY = X.degeneracies[(n, i)], Y.degeneracies[(n, i)]
+            for c in X.cells[n]:
+                checked += 1
+                if sY[comps[n][c]] != comps[n + 1][sX[c]]:
+                    return fail("s", i, n, c)
+    return CheckReport(holds=True, checked_level=top, squares_checked=checked)
 
 
 def reference_dumps(obj) -> str:

@@ -4,9 +4,16 @@ import json
 
 import pytest
 
-from corpus import arrow_category, input_obj, paper_graph, short_words_pmonoid
+from corpus import (
+    arrow_category,
+    chain_category,
+    input_obj,
+    paper_graph,
+    short_words_pmonoid,
+)
 from decompspace import builders, serialize
 from decompspace.cli import main
+from decompspace.sset import TruncatedSSet, identity_map
 
 
 def write_graph(tmp_path):
@@ -193,6 +200,19 @@ class TestCheck:
         main(["build", "words", "--alphabet", "a", "--max-len", "2",
               "--level", "3", "--output", str(obj), "--length-map", str(lmap)])
         assert main(["check", "culf", str(lmap)]) == 0
+
+    def test_culf_rejects_an_invalid_end(self, tmp_path, capsys):
+        # the identity map of the nerve of [2] at level 3 with d_0 at
+        # level 2 sent to one cell: the map is natural, its ends are not
+        # simplicial sets
+        X = builders.nerve(chain_category(2), 3)
+        faces = {**X.faces, (2, 0): (0,) * len(X.cells[2])}
+        Y = TruncatedSSet(3, X.cells, faces, X.degeneracies)
+        path = tmp_path / "id.json"
+        path.write_text(serialize.dumps(serialize.smap_to_obj(identity_map(Y))))
+        assert main(["check", "culf", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "map source is not a simplicial set: identity d_0 d_1 = d_0 d_0" in err
 
     def test_machine_format_parses(self, tmp_path, capsys):
         obj = tmp_path / "w.json"

@@ -2,6 +2,8 @@
 equivalences run across the corpus."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from corpus import (
     arrow_category,
@@ -14,14 +16,66 @@ from corpus import (
     sset_from_generators,
     trivial_pmonoid,
 )
-from decompspace import builders, criteria
+from decompspace import builders, criteria, operators
 from decompspace.sset import (
+    SimplicialMap,
     StructuralError,
     TruncatedSSet,
+    identity_map,
     opposite,
     validate,
 )
 from oracles import induced_names, pullback_by_names
+
+
+def zeroed_face_nerve():
+    """The nerve of [2] at level 3 with d_0 at level 2 sent to cell 0: a
+    table in range that breaks d_0 d_1 = d_0 d_0."""
+    X = builders.nerve(chain_category(2), 3)
+    faces = {**X.faces, (2, 0): (0,) * len(X.cells[2])}
+    return TruncatedSSet(3, X.cells, faces, X.degeneracies)
+
+
+def with_table(X, kind, key, table):
+    faces, degeneracies = dict(X.faces), dict(X.degeneracies)
+    (faces if kind == "d" else degeneracies)[key] = table
+    return TruncatedSSet(X.level, X.cells, faces, degeneracies)
+
+
+def culf_maps():
+    """Valid maps whose two ends differ: decalage projections and length maps."""
+    return [
+        operators.dec_top(builders.nerve(chain_category(2), 3))[1],
+        operators.dec_bot(builders.from_partial_monoid(short_words_pmonoid(2), 3))[1],
+        builders.length_map(builders.bounded_words(("a", "b"), 2), 3),
+    ]
+
+
+CULF_MAPS = culf_maps()
+
+
+@st.composite
+def broken_end(draw):
+    """A valid map with one entry of one table of its source or target
+    moved to another cell, so that the end breaks an identity."""
+    f = draw(st.sampled_from(CULF_MAPS))
+    what = draw(st.sampled_from(["source", "target"]))
+    end = getattr(f, what)
+    tables = [
+        (kind, key, table, size)
+        for kind, group, step in (("d", end.faces, -1), ("s", end.degeneracies, 1))
+        for key, table in sorted(group.items())
+        for size in [len(end.cells[key[0] + step])]
+        if table and size > 1
+    ]
+    kind, key, table, size = draw(st.sampled_from(tables))
+    j = draw(st.integers(0, len(table) - 1))
+    value = draw(st.integers(0, size - 1).filter(lambda v: v != table[j]))
+    broken = with_table(end, kind, key, table[:j] + (value,) + table[j + 1 :])
+    report = validate(broken)
+    assume(not report.holds)
+    ends = {"source": f.source, "target": f.target, what: broken}
+    return SimplicialMap(ends["source"], ends["target"], f.components), what, report
 
 
 def words_ab2(level):
@@ -366,6 +420,33 @@ class TestCulf:
         )
         report = criteria.check_culf(to_point)
         assert not report.holds
+
+    def test_invalid_source_rejected(self):
+        # both ends are the same invalid sset; the source is checked first
+        X = zeroed_face_nerve()
+        with pytest.raises(StructuralError) as exc:
+            criteria.check_culf(identity_map(X))
+        assert str(exc.value) == (
+            f"map source is not a simplicial set: {validate(X).detail}"
+        )
+
+    def test_malformed_target_named(self):
+        f = builders.length_map(builders.bounded_words(("a",), 2), 3)
+        target = with_table(f.target, "d", (2, 1), ())
+        with pytest.raises(StructuralError) as exc:
+            criteria.check_culf(SimplicialMap(f.source, target, f.components))
+        size = len(target.cells[2])
+        assert str(exc.value) == (
+            f"map target: d_1 at level 2 is not a tuple of {size} indices"
+        )
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(broken_end())
+    def test_broken_end_rejected(self, case):
+        f, what, report = case
+        with pytest.raises(StructuralError) as exc:
+            criteria.check_culf(f)
+        assert str(exc.value) == f"map {what} is not a simplicial set: {report.detail}"
 
     def test_invalid_map_rejected(self):
         X = builders.nerve(arrow_category(), 2)

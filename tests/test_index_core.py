@@ -4,8 +4,10 @@ validate composes whole index tables and finds the failing cell only on
 a mismatch; reference_validate in oracles.py checks name-keyed tables
 cell by cell.  On every corpus instance with one table entry perturbed
 or one cell duplicated, the two must give the same report or the same
-StructuralError message.  Files must round-trip byte for byte, in the
-text json's own indenting encoder gives.
+StructuralError message.  validate_map and reference_validate_map must
+agree likewise on the corpus maps with one component perturbed.  Files
+must round-trip byte for byte, in the text json's own indenting encoder
+gives.
 """
 
 import pytest
@@ -18,10 +20,17 @@ from decompspace.sset import (
     SimplicialMap,
     StructuralError,
     TruncatedSSet,
+    identity_map,
     validate,
     validate_map,
 )
-from oracles import from_named, named_sset, reference_dumps, reference_validate
+from oracles import (
+    from_named,
+    named_sset,
+    reference_dumps,
+    reference_validate,
+    reference_validate_map,
+)
 
 INSTANCES = corpus()
 CORE = settings(max_examples=300, deadline=None, derandomize=True)
@@ -85,6 +94,65 @@ class TestValidateDifferential:
     @pytest.mark.parametrize("inst", INSTANCES, ids=lambda inst: inst.name)
     def test_unperturbed_corpus_matches_reference(self, inst):
         assert validate(inst.X) == reference_validate(named_sset(inst.X))
+
+
+def corpus_maps():
+    """The identity, both decalage projections and, for the free
+    instances, the length map of every corpus instance."""
+    maps = []
+    for inst in INSTANCES:
+        maps.append(identity_map(inst.X))
+        if inst.X.level >= 1:
+            maps += [operators.dec_top(inst.X)[1], operators.dec_bot(inst.X)[1]]
+        if inst.ofc is not None:
+            maps.append(builders.length_map(inst.ofc, inst.X.level))
+    return maps
+
+
+MAPS = corpus_maps()
+MAP_MUTATIONS = ["entry", "entry", "entry", "dangling", "length", "non-int", "bool"]
+
+
+@st.composite
+def mutated_map(draw):
+    """A corpus map with one component perturbed.
+
+    entry: one entry sent to another target cell; dangling: one entry
+    sent past either end of the target level; length: one entry dropped
+    or one added; non-int: one entry replaced by a str, a float or None;
+    bool: one entry replaced by a bool.
+    """
+    m = draw(st.sampled_from(MAPS))
+    levels = [n for n in range(m.shared_level + 1) if m.source.cells[n]]
+    n = draw(st.sampled_from(levels))
+    comp, size = list(m.components[n]), len(m.target.cells[n])
+    j = draw(st.integers(0, len(comp) - 1))
+    mutation = draw(st.sampled_from(MAP_MUTATIONS))
+    if mutation == "entry":
+        comp[j] = draw(st.integers(0, size - 1))
+    elif mutation == "dangling":
+        comp[j] = draw(st.sampled_from([-1, size, size + 3]))
+    elif mutation == "length":
+        extra = [draw(st.integers(0, size - 1))] if draw(st.booleans()) else []
+        comp = comp + extra if extra else comp[:-1]
+    elif mutation == "non-int":
+        comp[j] = draw(st.sampled_from(["0", 0.0, None]))
+    else:
+        comp[j] = draw(st.booleans())
+    components = m.components[:n] + (tuple(comp),) + m.components[n + 1 :]
+    return SimplicialMap(m.source, m.target, components)
+
+
+class TestValidateMapDifferential:
+    @CORE
+    @given(mutated_map())
+    def test_matches_reference(self, m):
+        assert outcome(validate_map, m) == outcome(reference_validate_map, m)
+
+    def test_unperturbed_maps_match_reference(self):
+        for m in MAPS:
+            report = validate_map(m)
+            assert report.holds and report == reference_validate_map(m)
 
 
 class TestIndexTableShape:

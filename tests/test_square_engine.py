@@ -6,7 +6,13 @@ memoize induced maps per call and decide identity-leg squares without
 fibers, and the direct checker settles its whole family from the
 elementary squares where its rank cap allows.  Every report must equal
 the one the reference engine in oracles.py gives, witness and all.
+The Delta side of each family is planned once per process; the plan
+tests interleave levels, rank caps, modes and instances from cold
+caches, and check that no cache keeps a simplicial set alive.
 """
+
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +25,14 @@ from corpus import (
     duplicate_top,
     point,
 )
-from decompspace import builders, criteria, delta, sset
-from decompspace.sset import StructuralError, is_pullback_square, truncate
+from decompspace import builders, criteria, sset
+from decompspace.sset import (
+    LevelError,
+    StructuralError,
+    TruncatedSSet,
+    identity_map,
+    truncate,
+)
 from oracles import (
     pullback_by_names,
     reference_check_2segal_polygonal,
@@ -100,16 +112,21 @@ def north_star():
 
 def record_direct_walk(monkeypatch):
     """Record the alpha of every square the direct checker decides and
-    every map it induces, in two lists."""
-    current, decided, induced = [None], [], []
+    every map it induces, in two lists.
 
-    def recording(generator):
-        def squares(*args):
-            for square in generator(*args):
+    The square families are planned once per process, so the recording
+    wraps what runs on every call: the squares criteria._pushout_squares
+    draws, pullback_holds and induce."""
+    current, decided, induced = [None], [], []
+    pushout_squares = criteria._pushout_squares
+
+    def recording(X, squares, label):
+        def drawn():
+            for square in squares:
                 current[0] = square[0]
                 yield square
 
-        return squares
+        return pushout_squares(X, drawn(), label)
 
     def counting_holds(*legs):
         decided.append(current[0])
@@ -119,8 +136,7 @@ def record_direct_walk(monkeypatch):
         induced.append((target_rank, values))
         return sset.induce(X, target_rank, values)
 
-    for name in ("active_inert_squares", "elementary_squares"):
-        monkeypatch.setattr(delta, name, recording(getattr(delta, name)))
+    monkeypatch.setattr(criteria, "_pushout_squares", recording)
     monkeypatch.setattr(criteria, "pullback_holds", counting_holds)
     monkeypatch.setattr(criteria, "induce", counting_induce)
     return decided, induced
@@ -220,3 +236,101 @@ class TestPolygonalWalk:
             assert criteria.check_2segal_polygonal(
                 inst.X, mode
             ) == reference_check_2segal_polygonal(inst.X, mode), inst.name
+
+
+MODES = ("full", "restricted", "upper", "lower")
+
+
+@pytest.fixture
+def cold_plans():
+    """Empty every per-process plan cache before the test."""
+    for cache in (
+        criteria._direct_plan,
+        criteria._elementary_plan,
+        criteria._polygonal_plan,
+        sset._word_steps,
+    ):
+        cache.cache_clear()
+
+
+def budgets(report):
+    """Budgets around the end of a walk: none, one, half, all, one more."""
+    n = report.squares_checked
+    return sorted({0, 1, n // 2, n, n + 1})
+
+
+def assert_matches_oracles(X, cap, mode):
+    full = walk_check_decomposition_direct(X, cap)
+    assert criteria.check_decomposition_direct(X, cap) == full
+    for budget in budgets(full):
+        assert criteria.check_decomposition_direct(
+            X, cap, budget
+        ) == walk_check_decomposition_direct(X, cap, budget), budget
+    assert criteria.check_2segal_polygonal(X, mode) == reference_check_2segal_polygonal(
+        X, mode
+    )
+
+
+class TestPlanCaches:
+    def test_many_instances_at_one_level(self, cold_plans):
+        # corpus instances at level 3 and 4, some with a doubled top cell;
+        # every rank cap, each followed by another instance and a
+        # polygonal mode, so that every instance meets every mode
+        for level in (3, 4):
+            Xs = [truncate(inst.X, level) for inst in corpus() if inst.X.level >= level]
+            Xs += [duplicate_top(X, 0) for X in Xs[::4]]
+            for cap in range(level + 1):
+                for index, X in enumerate(Xs):
+                    assert_matches_oracles(X, cap, MODES[(cap + index) % 4])
+
+    @pytest.mark.parametrize("doubled", [False, True])
+    def test_one_instance_at_many_levels(self, cold_plans, doubled):
+        # one free decomposition truncated to every level up to 5,
+        # levels interleaved inside each rank cap
+        X = builders.free_decomposition(builders.bounded_words(("a", "b"), 2), 5)
+        truncations = [truncate(X, level) for level in range(6)]
+        if doubled:
+            truncations = [duplicate_top(T, 0) if T.level else T for T in truncations]
+        for cap in range(6):
+            for level in range(cap, 6):
+                assert_matches_oracles(truncations[level], cap, MODES[level % 4])
+
+    def test_argument_errors_survive_warm_plans(self):
+        X = doubled_degenerate_nerve(3)
+        for cap in range(4):
+            criteria.check_decomposition_direct(X, cap)
+        for mode in MODES:
+            criteria.check_2segal_polygonal(X, mode)
+        faces = {**X.faces, (2, 0): (0,) * len(X.cells[2])}
+        broken = TruncatedSSet(3, X.cells, faces, X.degeneracies)
+        # argument errors come before validation, level errors after it
+        with pytest.raises(ValueError, match="unknown mode 'diagonal'"):
+            criteria.check_2segal_polygonal(broken, "diagonal")
+        with pytest.raises(ValueError, match="rank cap -1 is negative"):
+            criteria.check_decomposition_direct(broken, -1)
+        with pytest.raises(ValueError, match="square budget -1 is negative"):
+            criteria.check_decomposition_direct(broken, 3, -1)
+        with pytest.raises(StructuralError, match="not a simplicial set"):
+            criteria.check_decomposition_direct(broken, 4)
+        with pytest.raises(LevelError, match="rank cap 4 exceeds level 3"):
+            criteria.check_decomposition_direct(X, 4)
+
+    def test_no_cache_keeps_the_input_alive(self):
+        # a passing and a failing instance through every checker that
+        # plans squares, then dropped: nothing may still hold them
+        refs = []
+        for X in (
+            builders.free_decomposition(builders.bounded_words(("a",), 2), 4),
+            doubled_degenerate_nerve(4),
+        ):
+            for cap in range(X.level + 1):
+                criteria.check_decomposition_direct(X, cap)
+                criteria.check_decomposition_direct(X, cap, 3)
+            for mode in MODES:
+                criteria.check_2segal_polygonal(X, mode)
+            criteria.check_decomposition(truncate(X, 2))
+            criteria.check_culf(identity_map(X))
+            refs.append(weakref.ref(X))
+        del X
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
