@@ -27,11 +27,14 @@ from .sset import (
 
 @dataclass(frozen=True)
 class FiniteCategory:
-    """A finite category given by explicit tables.
+    """A finite category, or partial category, given by explicit tables.
 
     morphisms are (name, source, target) triples; identities assigns
-    each object its identity morphism; composition maps (f, g) with
-    target(f) = source(g) to the composite "f then g".
+    each object its identity morphism, so every endo-hom set is
+    inhabited; composition maps (f, g) with target(f) = source(g) to the
+    composite "f then g".  In a category every composable pair has a
+    composite; in a partial category composites of non-identities may
+    be absent.
     """
 
     objects: tuple[str, ...]
@@ -39,19 +42,9 @@ class FiniteCategory:
     identities: Mapping[str, str]
     composition: Mapping[tuple[str, str], str]
 
-    def source(self, f: str) -> str:
-        return self._by_name[f][1]
 
-    def target(self, f: str) -> str:
-        return self._by_name[f][2]
-
-    def compose(self, f: str, g: str) -> str:
-        """The composite of f followed by g."""
-        return self.composition[(f, g)]
-
-    @property
-    def _by_name(self) -> dict[str, tuple[str, str, str]]:
-        return {name: m for m in self.morphisms for name in [m[0]]}
+#: A partial category has the fields of a category; only its validator differs.
+PartialCategory = FiniteCategory
 
 
 @dataclass(frozen=True)
@@ -64,20 +57,6 @@ class PartialMonoid:
     carrier: tuple[str, ...]
     unit: str
     product: Mapping[tuple[str, str], str]
-
-
-@dataclass(frozen=True)
-class PartialCategory:
-    """A category whose composition is only partially defined.
-
-    Identities must exist (so every endo-hom set is inhabited) and
-    compose on both sides; composition of non-identities may be absent.
-    """
-
-    objects: tuple[str, ...]
-    morphisms: tuple[tuple[str, str, str], ...]
-    identities: Mapping[str, str]
-    composition: Mapping[tuple[str, str], str]
 
 
 @dataclass(frozen=True)
@@ -101,64 +80,15 @@ class DirectedGraph:
 
 
 def validate_category(C: FiniteCategory) -> None:
-    _validate_arrow_data(C.objects, C.morphisms, C.identities)
-    by_name = {m[0]: m for m in C.morphisms}
-    for f_name, f_src, f_tgt in C.morphisms:
-        for g_name, g_src, g_tgt in C.morphisms:
-            if f_tgt != g_src:
-                if (f_name, g_name) in C.composition:
-                    raise StructuralError(
-                        f"composite defined on non-composable pair ({f_name}, {g_name})"
-                    )
-                continue
-            if (f_name, g_name) not in C.composition:
+    """A category is a partial category whose composition is total on
+    composable pairs."""
+    for f_name, _, f_tgt in C.morphisms:
+        for g_name, g_src, _ in C.morphisms:
+            if f_tgt == g_src and (f_name, g_name) not in C.composition:
                 raise StructuralError(
                     f"missing composite for composable pair ({f_name}, {g_name})"
                 )
-            h = C.composition[(f_name, g_name)]
-            if h not in by_name:
-                raise StructuralError(f"composite {h!r} is not a morphism")
-            if by_name[h][1] != f_src or by_name[h][2] != g_tgt:
-                raise StructuralError(f"composite {h!r} has wrong endpoints")
-    for f_name, f_src, f_tgt in C.morphisms:
-        if C.composition[(C.identities[f_src], f_name)] != f_name:
-            raise StructuralError(f"left unit law fails for {f_name!r}")
-        if C.composition[(f_name, C.identities[f_tgt])] != f_name:
-            raise StructuralError(f"right unit law fails for {f_name!r}")
-    for f in C.morphisms:
-        for g in C.morphisms:
-            if f[2] != g[1]:
-                continue
-            for h in C.morphisms:
-                if g[2] != h[1]:
-                    continue
-                left = C.composition[(C.composition[(f[0], g[0])], h[0])]
-                right = C.composition[(f[0], C.composition[(g[0], h[0])])]
-                if left != right:
-                    raise StructuralError(
-                        f"associativity fails on ({f[0]}, {g[0]}, {h[0]})"
-                    )
-
-
-def _validate_arrow_data(objects, morphisms, identities) -> None:
-    if len(set(objects)) != len(objects):
-        raise StructuralError("duplicate object names")
-    names = [m[0] for m in morphisms]
-    if len(set(names)) != len(names):
-        raise StructuralError("duplicate morphism names")
-    objset = set(objects)
-    for name, src, tgt in morphisms:
-        if src not in objset or tgt not in objset:
-            raise StructuralError(f"morphism {name!r} has dangling endpoints")
-    by_name = {m[0]: m for m in morphisms}
-    for x in objects:
-        if x not in identities:
-            raise StructuralError(f"object {x!r} has no identity (endo-hom empty)")
-        ident = identities[x]
-        if ident not in by_name:
-            raise StructuralError(f"identity {ident!r} of {x!r} is not a morphism")
-        if by_name[ident][1] != x or by_name[ident][2] != x:
-            raise StructuralError(f"identity {ident!r} is not an endomorphism of {x!r}")
+    validate_partial_category(C)
 
 
 def validate_partial_monoid(M: PartialMonoid, max_size: int = 32) -> None:
@@ -190,9 +120,24 @@ def validate_partial_monoid(M: PartialMonoid, max_size: int = 32) -> None:
                     )
 
 
-def validate_partial_category(C: PartialCategory) -> None:
-    _validate_arrow_data(C.objects, C.morphisms, C.identities)
+def validate_partial_category(C: FiniteCategory) -> None:
+    objects = set(C.objects)
+    if len(objects) != len(C.objects):
+        raise StructuralError("duplicate object names")
     by_name = {m[0]: m for m in C.morphisms}
+    if len(by_name) != len(C.morphisms):
+        raise StructuralError("duplicate morphism names")
+    for name, src, tgt in C.morphisms:
+        if src not in objects or tgt not in objects:
+            raise StructuralError(f"morphism {name!r} has dangling endpoints")
+    for x in C.objects:
+        if x not in C.identities:
+            raise StructuralError(f"object {x!r} has no identity (endo-hom empty)")
+        ident = C.identities[x]
+        if ident not in by_name:
+            raise StructuralError(f"identity {ident!r} of {x!r} is not a morphism")
+        if by_name[ident][1] != x or by_name[ident][2] != x:
+            raise StructuralError(f"identity {ident!r} is not an endomorphism of {x!r}")
     for (f, g), h in C.composition.items():
         if f not in by_name or g not in by_name or h not in by_name:
             raise StructuralError(f"composition entry ({f!r}, {g!r}) -> {h!r} dangles")
@@ -276,19 +221,21 @@ def _position(index: dict, key: tuple, what: str) -> int:
 
 
 def _chain_sset(
-    objects: tuple[str, ...],
-    morphisms: tuple[tuple[str, str, str], ...],
-    identities: Mapping[str, str],
-    compose: Callable[[str, str], str | None],
+    C: FiniteCategory,
     level: int,
+    cell_name: Callable[[tuple[str, ...]], str] = _chain_id,
 ) -> TruncatedSSet:
-    """Composable chains with a possibly partial composition.
+    """Composable chains of C's morphisms whose composite is defined.
 
-    A chain extends only while its fold composite is defined, so inner
-    faces always compose.
+    Missing composition entries are undefined composites.  A chain
+    extends only while its fold composite is defined, so inner faces
+    always compose.  Level-0 cells are the objects; a longer chain is
+    named by cell_name.
     """
+    compose = C.composition.get
+    morphisms, identities = C.morphisms, C.identities
     by_name = {m[0]: m for m in morphisms}
-    chains: list[list[tuple[str, ...]]] = [[(x,) for x in objects]]
+    chains: list[list[tuple[str, ...]]] = [[(x,) for x in C.objects]]
     fold: dict[tuple[str, ...], str | None] = {}
     if level >= 1:
         chains.append([(m[0],) for m in morphisms])
@@ -299,7 +246,7 @@ def _chain_sset(
             for name, src, tgt in morphisms:
                 if by_name[ch[-1]][2] != src:
                     continue
-                value = compose(fold[ch], name)
+                value = compose((fold[ch], name))
                 if value is None:
                     continue
                 ext = ch + (name,)
@@ -310,11 +257,7 @@ def _chain_sset(
     def vertex(chain: tuple[str, ...], i: int) -> str:
         return by_name[chain[0]][1] if i == 0 else by_name[chain[i - 1]][2]
 
-    cells = tuple(
-        tuple(c[0] for c in chains[0]) if n == 0 else
-        tuple(_chain_id(ch) for ch in chains[n])
-        for n in range(level + 1)
-    )
+    cells = (tuple(C.objects), *(tuple(map(cell_name, ch)) for ch in chains[1:]))
     index = [{ch: j for j, ch in enumerate(level_chains)} for level_chains in chains]
     faces: dict[tuple[int, int], Table] = {}
     degeneracies: dict[tuple[int, int], Table] = {}
@@ -329,7 +272,7 @@ def _chain_sset(
                 elif i == n:
                     out = ch[:-1]
                 else:
-                    comp = compose(ch[i - 1], ch[i])
+                    comp = compose((ch[i - 1], ch[i]))
                     if comp is None:
                         raise StructuralError(
                             f"inner face undefined on chain {ch!r}; the "
@@ -356,28 +299,19 @@ def nerve(C: FiniteCategory, level: int) -> TruncatedSSet:
     """Composable chains of morphisms; inner faces compose, outer faces
     drop an end, degeneracies insert identities."""
     validate_category(C)
-    return _chain_sset(
-        C.objects, C.morphisms, C.identities, lambda f, g: C.composition[(f, g)], level
-    )
+    return _chain_sset(C, level)
 
 
-def from_partial_category(C: PartialCategory, level: int) -> TruncatedSSet:
+def from_partial_category(C: FiniteCategory, level: int) -> TruncatedSSet:
     """Chains that are composable and whose composite is defined."""
     validate_partial_category(C)
-    return _chain_sset(
-        C.objects,
-        C.morphisms,
-        C.identities,
-        lambda f, g: C.composition.get((f, g)),
-        level,
-    )
+    return _chain_sset(C, level)
 
 
 def twisted_arrow(C: FiniteCategory) -> FiniteCategory:
     """Objects are the morphisms of C; an arrow f -> g is a two-sided
     factorization g = k o f o h, composed by stacking factorizations."""
     validate_category(C)
-    by_name = {m[0]: m for m in C.morphisms}
 
     def tw_name(f: str, h: str, k: str) -> str:
         return f"[{h}|{f}|{k}]"
@@ -419,49 +353,14 @@ def _word_id(word: tuple[str, ...]) -> str:
 
 def from_partial_monoid(M: PartialMonoid, level: int) -> TruncatedSSet:
     """Words whose product is defined; inner faces multiply adjacent
-    entries, outer faces drop an end, degeneracies insert the unit."""
+    entries, outer faces drop an end, degeneracies insert the unit.
+
+    These are the chains of M as a partial category on one object, the
+    empty word "()"."""
     validate_partial_monoid(M)
-    words: list[list[tuple[str, ...]]] = [[()]]
-    fold: dict[tuple[str, ...], str] = {(): M.unit}
-    for n in range(1, level + 1):
-        nxt = []
-        for w in words[n - 1]:
-            for x in M.carrier:
-                value = M.product.get((fold[w], x))
-                if value is None:
-                    continue
-                ext = w + (x,)
-                fold[ext] = value
-                nxt.append(ext)
-        words.append(nxt)
-    cells = tuple(tuple(_word_id(w) for w in words[n]) for n in range(level + 1))
-    index = [{w: j for j, w in enumerate(level_words)} for level_words in words]
-    faces: dict[tuple[int, int], Table] = {}
-    degeneracies: dict[tuple[int, int], Table] = {}
-    for n in range(1, level + 1):
-        for i in range(n + 1):
-            row = []
-            for w in words[n]:
-                if i == 0:
-                    out = w[1:]
-                elif i == n:
-                    out = w[:-1]
-                else:
-                    prod = M.product.get((w[i - 1], w[i]))
-                    if prod is None:
-                        raise StructuralError(
-                            f"inner product undefined on word {w!r}"
-                        )
-                    out = w[: i - 1] + (prod,) + w[i + 1 :]
-                row.append(_position(index[n - 1], out, "face"))
-            faces[(n, i)] = tuple(row)
-    for n in range(level):
-        for i in range(n + 1):
-            degeneracies[(n, i)] = tuple(
-                _position(index[n + 1], w[:i] + (M.unit,) + w[i:], "degeneracy")
-                for w in words[n]
-            )
-    return TruncatedSSet(level, cells, faces, degeneracies)
+    arrows = tuple((x, "()", "()") for x in M.carrier)
+    C = FiniteCategory(("()",), arrows, {"()": M.unit}, M.product)
+    return _chain_sset(C, level, cell_name=_word_id)
 
 
 def _require_nonnegative(name: str, value: int) -> None:
@@ -496,8 +395,7 @@ def graph_paths(G: DirectedGraph, bound: int) -> OuterFaceComplex:
     _require_nonnegative("bound", bound)
     validate_graph(G)
     by_name = {e[0]: e for e in G.edges}
-    paths: list[list[tuple[str, ...]]] = [[]]
-    paths[0] = [(v,) for v in G.vertices]
+    paths: list[list[tuple[str, ...]]] = [[(v,) for v in G.vertices]]
     if bound >= 1:
         paths.append([(e[0],) for e in G.edges])
     for m in range(2, bound + 1):
@@ -508,12 +406,10 @@ def graph_paths(G: DirectedGraph, bound: int) -> OuterFaceComplex:
                     nxt.append(p + (name,))
         paths.append(nxt)
 
-    def path_id(p: tuple[str, ...], m: int) -> str:
-        return p[0] if m == 0 else "".join(p)
-
+    # a path is named by its edges joined, a vertex by its own name
     grades = []
     for m in range(bound + 1):
-        grade = tuple(path_id(p, m) for p in paths[m])
+        grade = tuple(map("".join, paths[m]))
         if len(set(grade)) != len(grade):
             raise StructuralError("edge names produce colliding path labels")
         grades.append(grade)
@@ -522,12 +418,11 @@ def graph_paths(G: DirectedGraph, bound: int) -> OuterFaceComplex:
     for m in range(1, bound + 1):
         bot, top = {}, {}
         for p in paths[m]:
+            name = "".join(p)
             if m == 1:
-                bot[path_id(p, m)] = by_name[p[0]][2]
-                top[path_id(p, m)] = by_name[p[0]][1]
+                bot[name], top[name] = by_name[name][2], by_name[name][1]
             else:
-                bot[path_id(p, m)] = path_id(p[1:], m - 1)
-                top[path_id(p, m)] = path_id(p[:-1], m - 1)
+                bot[name], top[name] = "".join(p[1:]), "".join(p[:-1])
         d_bot[m], d_top[m] = bot, top
     return OuterFaceComplex(bound, tuple(grades), d_bot, d_top)
 

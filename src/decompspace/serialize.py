@@ -32,7 +32,6 @@ if TYPE_CHECKING:
         DirectedGraph,
         FiniteCategory,
         OuterFaceComplex,
-        PartialCategory,
         PartialMonoid,
     )
 
@@ -225,18 +224,14 @@ def category_from_obj(obj: dict, where: str = "category") -> FiniteCategory:
     objects = tuple(_str_list(obj, "objects", where))
     morphisms = _arrow_list(obj, "morphisms", where)
     identities = _str_dict(obj, "identities", where)
-    composition = _composition_dict(obj, where)
+    composition = _pair_table(obj, "composition", "[f, g, composite]", where)
     return FiniteCategory(objects, morphisms, identities, composition)
 
 
-def partial_category_from_obj(obj: dict, where: str = "pcategory") -> PartialCategory:
-    from .builders import PartialCategory
-
-    objects = tuple(_str_list(obj, "objects", where))
-    morphisms = _arrow_list(obj, "morphisms", where)
-    identities = _str_dict(obj, "identities", where)
-    composition = _composition_dict(obj, where)
-    return PartialCategory(objects, morphisms, identities, composition)
+def partial_category_from_obj(obj: dict, where: str = "pcategory") -> FiniteCategory:
+    """A partial category description, in the category format: the
+    category reader with its own default where."""
+    return category_from_obj(obj, where)
 
 
 def pmonoid_from_obj(obj: dict, where: str = "pmonoid") -> PartialMonoid:
@@ -244,8 +239,8 @@ def pmonoid_from_obj(obj: dict, where: str = "pmonoid") -> PartialMonoid:
 
     carrier = tuple(_str_list(obj, "carrier", where))
     unit = _require(obj, "unit", str, where)
-    rows = _triples(obj, "product", "[x, y, xy]", where)
-    return PartialMonoid(carrier, unit, {(x, y): xy for x, y, xy in rows})
+    product = _pair_table(obj, "product", "[x, y, xy]", where)
+    return PartialMonoid(carrier, unit, product)
 
 
 def graph_from_obj(obj: dict, where: str = "graph") -> DirectedGraph:
@@ -286,9 +281,17 @@ def _str_dict(obj: dict, field: str, where: str) -> dict[str, str]:
     return dict(raw)
 
 
-def _composition_dict(obj: dict, where: str) -> dict[tuple[str, str], str]:
-    rows = _triples(obj, "composition", "[f, g, composite]", where)
-    return {(f, g): h for f, g, h in rows}
+def _pair_table(
+    obj: dict, field: str, shape: str, where: str
+) -> dict[tuple[str, str], str]:
+    """The [x, y, value] rows of a list field keyed by the pair (x, y),
+    which only one row may give."""
+    table: dict[tuple[str, str], str] = {}
+    for r, (x, y, value) in enumerate(_triples(obj, field, shape, where)):
+        if (x, y) in table:
+            raise SchemaError(f"{where}: {field}[{r}] repeats the pair {[x, y]!r}")
+        table[(x, y)] = value
+    return table
 
 
 _encode_str = json.encoder.encode_basestring_ascii

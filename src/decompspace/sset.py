@@ -536,7 +536,21 @@ class SimplicialMap:
 
 
 def validate_map(m: SimplicialMap) -> CheckReport:
-    """Check totality and commutation with every generator in truncation."""
+    """Check totality and commutation with every generator in truncation.
+
+    A table of either end of the wrong shape raises StructuralError
+    naming the end."""
+    for end, X in (("source", m.source), ("target", m.target)):
+        try:
+            for kind in "ds":
+                _checked_tables(X, kind)
+        except StructuralError as exc:
+            raise StructuralError(f"map {end}: {exc}") from None
+    return _validate_components(m)
+
+
+def _validate_components(m: SimplicialMap) -> CheckReport:
+    """validate_map once the ends' tables are known to have the right shape."""
     top = m.shared_level
     comps = m.components
     source, target = m.source, m.target

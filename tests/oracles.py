@@ -21,15 +21,23 @@ cell by cell on name-keyed tables.
 
 reference_dumps is the documented file layout as json's own indenting
 encoder writes it; serialize.dumps must give the same text.
+
+reference_from_partial_monoid builds the simplicial set of a partial
+monoid word by word, and reference_dec_bot reads the lower decalage off
+X's tables directly, shifting every index down by one.  The library
+builds the first as the chains of a one-object partial category and the
+second as the dual of the upper decalage; both must write the same
+bytes as these.
 """
 
 import json
 from dataclasses import dataclass
 
-from decompspace import delta
+from decompspace import builders, delta
 from decompspace.sset import (
     CheckReport,
     LevelError,
+    SimplicialMap,
     SquareWitness,
     StructuralError,
     TruncatedSSet,
@@ -539,3 +547,62 @@ def reference_dumps(obj) -> str:
     """The file layout of FORMATS.md: two-space indents, sorted keys and
     a final newline, as json's indenting encoder writes it."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def reference_from_partial_monoid(M, level: int) -> TruncatedSSet:
+    """Words whose product is defined, built word by word: inner faces
+    multiply adjacent entries, outer faces drop an end, degeneracies
+    insert the unit."""
+    builders.validate_partial_monoid(M)
+    words = [[()]]
+    fold = {(): M.unit}
+    for n in range(1, level + 1):
+        nxt = []
+        for w in words[n - 1]:
+            for x in M.carrier:
+                value = M.product.get((fold[w], x))
+                if value is None:
+                    continue
+                ext = w + (x,)
+                fold[ext] = value
+                nxt.append(ext)
+        words.append(nxt)
+    cells = tuple(
+        tuple("(" + ",".join(w) + ")" for w in words[n]) for n in range(level + 1)
+    )
+    index = [{w: j for j, w in enumerate(level_words)} for level_words in words]
+    faces, degeneracies = {}, {}
+    for n in range(1, level + 1):
+        for i in range(n + 1):
+            row = []
+            for w in words[n]:
+                if i == 0:
+                    out = w[1:]
+                elif i == n:
+                    out = w[:-1]
+                else:
+                    out = w[: i - 1] + (M.product[(w[i - 1], w[i])],) + w[i + 1 :]
+                row.append(index[n - 1][out])
+            faces[(n, i)] = tuple(row)
+    for n in range(level):
+        for i in range(n + 1):
+            degeneracies[(n, i)] = tuple(
+                index[n + 1][w[:i] + (M.unit,) + w[i:]] for w in words[n]
+            )
+    return TruncatedSSet(level, cells, faces, degeneracies)
+
+
+def reference_dec_bot(X: TruncatedSSet):
+    """Y_n = X_{n+1} with d_i = d_{i+1} and s_i = s_{i+1}, and the
+    projection Y -> X given by the forgotten bottom face d_0."""
+    if X.level < 1:
+        raise LevelError("decalage needs level >= 1")
+    level = X.level - 1
+    faces = {
+        (n, i): X.faces[(n + 1, i + 1)] for n in range(1, level + 1) for i in range(n + 1)
+    }
+    degeneracies = {
+        (n, i): X.degeneracies[(n + 1, i + 1)] for n in range(level) for i in range(n + 1)
+    }
+    Y = TruncatedSSet(level, X.cells[1:], faces, degeneracies)
+    return Y, SimplicialMap(Y, X, tuple(X.faces[(n + 1, 0)] for n in range(level + 1)))

@@ -1,6 +1,7 @@
 """Example constructions: nerves, twisted arrows, partial structures,
 outer face complexes and the free construction."""
 
+import re
 from itertools import product as iproduct
 
 import pytest
@@ -20,7 +21,7 @@ from corpus import (
     z2_category,
     z2_pmonoid,
 )
-from decompspace import builders, criteria, operators
+from decompspace import builders, criteria, operators, serialize
 from decompspace.builders import (
     DirectedGraph,
     FiniteCategory,
@@ -29,9 +30,38 @@ from decompspace.builders import (
     PartialMonoid,
 )
 from decompspace.sset import StructuralError, are_isomorphic, validate
+from oracles import reference_from_partial_monoid
+from test_properties import all_partial_monoids
+
+
+def sset_bytes(X) -> str:
+    return serialize.dumps(serialize.sset_to_obj(X))
 
 
 class TestCategoryValidation:
+    def test_partial_category_is_the_category_type(self):
+        assert PartialCategory is FiniteCategory
+
+    @pytest.mark.parametrize("composite", ["nonsense", "[0,1]"])
+    def test_composition_entry_naming_no_morphism_rejected(self, composite):
+        # every composable pair has its composite, but one more entry
+        # names a pair of non-morphisms, with a composite that is no
+        # morphism or is the arrow 0 -> 1
+        C = arrow_category()
+        assert ("[0,1]", "0", "1") in C.morphisms
+        bad = FiniteCategory(
+            C.objects,
+            C.morphisms,
+            C.identities,
+            {**C.composition, ("zz", "qq"): composite},
+        )
+        for build in (builders.nerve, builders.from_partial_category):
+            with pytest.raises(
+                StructuralError,
+                match=re.escape(f"composition entry ('zz', 'qq') -> {composite!r} dangles"),
+            ):
+                build(bad, 2)
+
     def test_missing_identity(self):
         C = FiniteCategory(("x",), (("f", "x", "x"),), {}, {("f", "f"): "f"})
         with pytest.raises(StructuralError, match="identity"):
@@ -153,6 +183,24 @@ class TestPartialMonoid:
         M = PartialMonoid(("1", "a"), "1", {("1", "1"): "1", ("a", "1"): "a"})
         with pytest.raises(StructuralError, match="unit"):
             builders.from_partial_monoid(M, 2)
+
+    def test_matches_word_by_word_reference(self):
+        # the builder reads a partial monoid as a one-object partial
+        # category; the reference builds the words directly
+        cases = [(M, level) for M in all_partial_monoids() for level in range(5)]
+        # and the corpus monoids at their corpus levels
+        cases += [
+            (trivial_pmonoid(), 3),
+            (short_words_pmonoid(2), 4),
+            (short_words_pmonoid(3), 5),
+            (z2_pmonoid(), 3),
+            (nilpotent_pmonoid(), 3),
+            (free_pair_pmonoid(), 4),
+        ]
+        for M, level in cases:
+            assert sset_bytes(builders.from_partial_monoid(M, level)) == sset_bytes(
+                reference_from_partial_monoid(M, level)
+            ), (M, level)
 
     def test_carrier_cap(self):
         carrier = tuple(f"x{i}" for i in range(40))

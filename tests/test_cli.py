@@ -126,6 +126,39 @@ class TestBuild:
         assert f"{field}[0] must be [" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_composition_entry_naming_no_morphism_exit_3(self, tmp_path, capsys):
+        obj = input_obj(arrow_category())
+        obj["composition"].append(["zz", "qq", "nonsense"])
+        path, out = tmp_path / "cat.json", tmp_path / "out.json"
+        path.write_text(json.dumps(obj))
+        assert main(["build", "nerve", "--input", str(path), "--level", "2",
+                     "--output", str(out)]) == 3
+        assert "composition entry ('zz', 'qq') -> 'nonsense' dangles" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, obj",
+        [
+            ("nerve", {"objects": ["*"],
+                       "morphisms": [["e", "*", "*"], ["a", "*", "*"]],
+                       "identities": {"*": "e"}}),
+            ("pmonoid", {"carrier": ["e", "a"], "unit": "e"}),
+        ],
+    )
+    def test_repeated_pair_exit_2(self, tmp_path, capsys, kind, obj):
+        # the row [a, a, a] would silently replace [a, a, e]
+        rows = [["e", "e", "e"], ["e", "a", "a"], ["a", "e", "a"], ["a", "a", "e"],
+                ["a", "a", "a"]]
+        field = "composition" if kind == "nerve" else "product"
+        path, out = tmp_path / "in.json", tmp_path / "out.json"
+        path.write_text(json.dumps({**obj, field: rows}))
+        assert main(["build", kind, "--input", str(path), "--level", "2",
+                     "--output", str(out)]) == 2
+        assert f"{field}[4] repeats the pair ['a', 'a']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_flag_exit_2(self, tmp_path):
         out = tmp_path / "out.json"
         assert main(["build", "words", "--alphabet", "ab",

@@ -11,7 +11,7 @@ from corpus import (
     point,
     z2_category,
 )
-from decompspace import builders, criteria, operators
+from decompspace import builders, criteria, operators, serialize
 from decompspace.sset import (
     LevelError,
     compose_tables,
@@ -21,6 +21,7 @@ from decompspace.sset import (
     validate,
     validate_map,
 )
+from oracles import reference_dec_bot
 
 
 def words_ab2(level):
@@ -57,6 +58,8 @@ class TestDecBot:
         assert validate_map(proj).holds
 
     def test_duality_law(self):
+        # dec_bot is built as the dual of dec_top, so this holds by
+        # construction; test_matches_direct_reference covers dec_bot
         for X in (
             builders.nerve(arrow_category(), 3),
             words_ab2(4),
@@ -65,6 +68,22 @@ class TestDecBot:
             lhs = opposite(operators.dec_top(X)[0])
             rhs = operators.dec_bot(opposite(X))[0]
             assert lhs == rhs
+
+    def test_matches_direct_reference(self):
+        for inst in corpus():
+            Y, proj = operators.dec_bot(inst.X)
+            ref_Y, ref_proj = reference_dec_bot(inst.X)
+            assert serialize.dumps(serialize.sset_to_obj(Y)) == serialize.dumps(
+                serialize.sset_to_obj(ref_Y)
+            ), inst.name
+            assert serialize.dumps(serialize.smap_to_obj(proj)) == serialize.dumps(
+                serialize.smap_to_obj(ref_proj)
+            ), inst.name
+            assert proj.source is Y and proj.target is inst.X
+
+    def test_level_zero_rejected(self):
+        with pytest.raises(LevelError, match="decalage needs level >= 1"):
+            operators.dec_bot(point(0))
 
     def test_bottom_decalage_of_words_is_segal(self):
         Y, _ = operators.dec_bot(words_ab2(4))

@@ -2,6 +2,7 @@
 indenting encoder, and schema rejection."""
 
 import os
+import re
 import stat
 
 import pytest
@@ -209,4 +210,26 @@ class TestSchemaErrors:
         obj = input_obj(source)
         obj[field] = [row, *obj[field]]
         with pytest.raises(SchemaError, match=rf"{field}\[0\] must be .*three strings"):
+            read(obj)
+
+    @pytest.mark.parametrize(
+        "read, source, field",
+        [
+            (serialize.category_from_obj, arrow_category(), "composition"),
+            (serialize.partial_category_from_obj, one_gap_pcategory(), "composition"),
+            (serialize.pmonoid_from_obj, short_words_pmonoid(2), "product"),
+        ],
+    )
+    def test_repeated_pair_rejected(self, read, source, field):
+        # a second row for the same pair would silently replace the first
+        obj = input_obj(source)
+        x, y, value = obj[field][0]
+        other = next(r[2] for r in obj[field] if r[2] != value)
+        obj[field] = [*obj[field], [x, y, other]]
+        last = len(obj[field]) - 1
+        message = f"{field}[{last}] repeats the pair {[x, y]!r}"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            read(obj)
+        obj[field][last] = [x, y, value]
+        with pytest.raises(SchemaError, match="repeats the pair"):
             read(obj)

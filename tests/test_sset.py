@@ -290,6 +290,20 @@ class TestSimplicialMaps:
         with pytest.raises(StructuralError, match="ghost"):
             validate_map(SimplicialMap.from_names(X, X, ({"*": "*"}, {"*": "ghost"})))
 
+    @pytest.mark.parametrize("end", ["source", "target"])
+    def test_malformed_end_is_structural_error_naming_it(self, end):
+        # a table of the wrong length on either end used to raise
+        # IndexError from the naturality comparison
+        lm = builders.length_map(builders.bounded_words(("a",), 2), 3)
+        X = getattr(lm, end)
+        short = TruncatedSSet(X.level, X.cells, {**X.faces, (2, 1): ()}, X.degeneracies)
+        ends = {"source": lm.source, "target": lm.target, end: short}
+        m = SimplicialMap(ends["source"], ends["target"], lm.components)
+        with pytest.raises(
+            StructuralError, match=rf"^map {end}: d_1 at level 2 is not a tuple of"
+        ):
+            validate_map(m)
+
     def test_compose_maps(self):
         X = builders.nerve(arrow_category(), 3)
         _, proj = operators.dec_top(X)

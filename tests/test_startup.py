@@ -6,6 +6,7 @@ runs, and the package resolves its public names on first use.  These
 tests look only at module names in ``sys.modules``, never at timings.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import decompspace
+from corpus import arrow_category, input_obj, one_gap_pcategory, short_words_pmonoid
 from decompspace import builders, serialize
 
 SRC = str(Path(decompspace.__file__).resolve().parent.parent)
@@ -116,10 +118,25 @@ class TestImportGuard:
         assert code == 0
         assert "operators" in loaded and "builders" not in loaded
 
-    def test_build_loads_neither_criteria_nor_operators(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["words", "--alphabet", "ab", "--max-len", "2"],
+            ["nerve", "--input", "category.json"],
+            ["pmonoid", "--input", "pmonoid.json"],
+            ["pcategory", "--input", "pcategory.json"],
+        ],
+        ids=["words", "nerve", "pmonoid", "pcategory"],
+    )
+    def test_build_loads_neither_criteria_nor_operators(self, tmp_path, argv):
+        for name, source in (
+            ("category", arrow_category()),
+            ("pmonoid", short_words_pmonoid(2)),
+            ("pcategory", one_gap_pcategory()),
+        ):
+            (tmp_path / f"{name}.json").write_text(json.dumps(input_obj(source)))
         code, loaded = cli_modules(
-            "build", "words", "--alphabet", "ab", "--max-len", "2", "--level", "3",
-            "--output", "w.json", cwd=tmp_path,
+            "build", *argv, "--level", "3", "--output", "w.json", cwd=tmp_path
         )
         assert code == 0 and (tmp_path / "w.json").is_file()
         assert "builders" in loaded
