@@ -13,17 +13,21 @@ and handed to is_pullback_square for its witness.  A square that would
 need a level beyond the truncation is not generated; the report's
 checked_level records the truncation the verdict is good for.
 
-The active-inert walks (the direct and the polygonal checker) build
-their squares from value tuples (delta.active_inert_squares,
-delta.elementary_squares, delta.pushout_values).  The Delta side of a
-family depends only on small ints, never on X, so it is planned once per
-process: the elementary squares, the direct family's ranks and size (by
-level and rank cap) and the polygonal squares (by level and mode) are
-cached here, as are each map's generator word steps in sset.induce (by
-target rank and values).  X's tables live only in a memo keyed by
-(target_rank, values) that is built when a call starts and dropped when
-it returns, so each map is induced at most once per call and nothing
-about X outlives the call; the full direct walk streams its squares.
+Every checker but the Segal, iterated Segal and culf ones walks
+active-inert squares built from value tuples
+(delta.active_inert_squares, delta.elementary_squares,
+delta.pushout_values); the 2-Segal family is a filtered, ordered view of
+the elementary and polygonal plans.  The Delta side of a family depends
+only on small ints, never on X, so it is planned once per process: the
+elementary squares, the direct family's ranks and size (by level and
+rank cap), the polygonal squares (by level and mode) and the 2-Segal
+squares (by level and offsets) are cached here, as are each map's
+generator word steps in sset.induce (by target rank and values), which
+gives X's own table for a one-letter word.  X's tables live only in a
+memo keyed by (target_rank, values) that is built when a call starts and
+dropped when it returns, so each map is induced at most once per call
+and nothing about X outlives the call; the full direct walk streams its
+squares.
 
 The direct checker first decides a pasting certificate: every
 active-inert square is a pasting of elementary ones
@@ -189,71 +193,42 @@ def check_segal_iterated(X: TruncatedSSet) -> CheckReport:
     return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
 
 
-def _two_segal(X: TruncatedSSet, n: int, i: int, upper: bool) -> Square:
-    d = X.faces
-    if upper:
-        # top d_{i+1}, left d_bot, right d_bot, bottom d_i
-        return (d[(n + 1, i + 1)], d[(n + 1, 0)], d[(n, 0)], d[(n, i)]), lambda: _on(
-            X,
-            f"upper n={n} i={i}: X{n + 1} -(d_{i + 1})-> X{n}, "
-            f"X{n + 1} -(d_bot)-> X{n}, legs d_bot / d_{i} into X{n - 1}",
-            (n + 1, n, n, n - 1),
-        )
-    # top d_i, left d_top, right d_top, bottom d_i
-    return (d[(n + 1, i)], d[(n + 1, n + 1)], d[(n, n)], d[(n, i)]), lambda: _on(
-        X,
-        f"lower n={n} i={i}: X{n + 1} -(d_{i})-> X{n}, "
-        f"X{n + 1} -(d_top)-> X{n}, legs d_top / d_{i} into X{n - 1}",
-        (n + 1, n, n, n - 1),
-    )
-
-
-def _two_segal_squares(X: TruncatedSSet, sides: tuple[bool, ...]):
-    """The squares of the given sides (True upper, False lower), 0 < i < n."""
-    for n in range(2, X.level):
-        for i in range(1, n):
-            for upper in sides:
-                yield _two_segal(X, n, i, upper)
+def _check_two_segal(X: TruncatedSSet, offsets: tuple[int, ...]) -> CheckReport:
+    _require_valid(X)
+    squares = _two_segal_plan(X.level, offsets)
+    return _decide(X.level, _pushout_squares(X, squares, _two_segal_label))
 
 
 def check_upper_2segal(X: TruncatedSSet) -> CheckReport:
     """Inner-face against bottom-face squares, all 0 < i < n in truncation;
     they need X_3, so below level 3 there are none."""
-    _require_valid(X)
-    return _decide(X.level, _two_segal_squares(X, (True,)))
+    return _check_two_segal(X, (1,))
 
 
 def check_lower_2segal(X: TruncatedSSet) -> CheckReport:
     """Inner-face against top-face squares, all 0 < i < n in truncation;
     they need X_3, so below level 3 there are none."""
-    _require_valid(X)
-    return _decide(X.level, _two_segal_squares(X, (False,)))
+    return _check_two_segal(X, (0,))
 
 
 def check_upper_2segal_reduced(X: TruncatedSSet) -> CheckReport:
     """Only the i=1 square per level plus the composite squares down to X_1.
 
-    Equivalent to check_upper_2segal on every valid input; kept separate
-    so the equivalence is testable.
+    The composite at n is the polygonal square of {1, n + 1} inside
+    [n + 1].  Equivalent to check_upper_2segal on every valid input;
+    kept separate so the equivalence is testable.
     """
     _require_valid(X)
-    d = X.faces
-
-    def squares():
-        for n in range(2, X.level):
-            yield _two_segal(X, n, 1, upper=True)
-        for n in range(2, X.level):
-            # X_{n+1} -(d_2^{n-1})-> X_2 over X_n -(d_1^{n-1})-> X_1
-            top = compose_tables(*[d[(lvl, 2)] for lvl in range(n + 1, 2, -1)])
-            bottom = compose_tables(*[d[(lvl, 1)] for lvl in range(n, 1, -1)])
-            yield (top, d[(n + 1, 0)], d[(2, 0)], bottom), lambda: _on(
-                X,
-                f"upper composite n={n}: X{n + 1} -(d_2^{n - 1})-> X2, "
-                f"X{n + 1} -(d_bot)-> X{n}, legs d_bot / d_1^{n - 1} into X1",
-                (n + 1, 2, n, 1),
-            )
-
-    return _decide(X.level, squares())
+    # the upper squares at i = 1, whose alpha skips 1
+    units = [sq for sq in _two_segal_plan(X.level, (1,)) if sq[0][1] == 2]
+    composites = [
+        sq for sq in _polygonal_plan(X.level, "upper") if sq[1] == (1, 2) and sq[3] > 2
+    ]
+    squares = chain(
+        _pushout_squares(X, units, _two_segal_label),
+        _pushout_squares(X, composites, _composite_label),
+    )
+    return _decide(X.level, squares)
 
 
 def check_decomposition(X: TruncatedSSet) -> CheckReport:
@@ -267,12 +242,10 @@ def check_decomposition(X: TruncatedSSet) -> CheckReport:
     untruncated 2-Segal space is unital (Feller, Garner, Kock, Proulx
     and Weber, arXiv:1905.09580).
     """
+    if X.level != 2:
+        return _check_two_segal(X, (1, 0))
     _require_valid(X)
-    squares = _two_segal_squares(X, (True, False))
-    if X.level == 2:
-        units = _elementary_plan(2, 2)
-        squares = chain(squares, _pushout_squares(X, units, _active_inert_label))
-    return _decide(X.level, squares)
+    return _decide(2, _pushout_squares(X, _elementary_plan(2, 2), _active_inert_label))
 
 
 #: The memo key of X(alpha) for alpha: [len(values) - 1] -> [target_rank].
@@ -368,6 +341,35 @@ def check_2segal_polygonal(X: TruncatedSSet, mode: str = "full") -> CheckReport:
 
 def _active_inert_label(alpha, iota, k: int, p: int) -> str:
     return f"active-inert alpha={alpha} iota={iota}: X{p} over X{len(alpha) - 1}"
+
+
+def _two_segal_label(alpha, iota, k: int, p: int) -> str:
+    i = k * (k + 1) // 2 - sum(alpha)
+    side, top, leg = ("upper", i + 1, "bot") if iota[0] else ("lower", i, "top")
+    return (
+        f"{side} n={k} i={i}: X{p} -(d_{top})-> X{k}, "
+        f"X{p} -(d_{leg})-> X{k}, legs d_{leg} / d_{i} into X{k - 1}"
+    )
+
+
+def _composite_label(alpha, iota, k: int, p: int) -> str:
+    return (
+        f"upper composite n={p - 1}: X{p} -(d_2^{p - 2})-> X2, "
+        f"X{p} -(d_bot)-> X{p - 1}, legs d_bot / d_1^{p - 2} into X1"
+    )
+
+
+@lru_cache(maxsize=256)
+def _two_segal_plan(level: int, offsets: tuple[int, ...]) -> tuple:
+    """The prepared 2-Segal squares at (n, i), 0 < i < n < level: the
+    elementary squares whose alpha is the inner coface [n - 1] -> [n]
+    skipping i (so k = n = m), with iota at offset 1 (upper) or 0
+    (lower), in walk order: by n, then i, then in the order of offsets."""
+    squares = [sq for sq in _elementary_plan(level, level) if sq[0][-1] == sq[2]]
+    squares = [sq for sq in squares if sq[1][0] in offsets]
+    # for alpha skipping i, -sum(alpha) is i - k(k + 1)/2
+    squares.sort(key=lambda sq: (sq[2], -sum(sq[0]), offsets.index(sq[1][0])))
+    return tuple(squares)
 
 
 def _direct_ranks(level: int, rank_cap: int) -> Iterator[tuple[int, int, int]]:

@@ -291,25 +291,3 @@ def enumerate_inert(n: int, k: int) -> list[SimplexMap]:
         return []
     return [inert_map(n, k, c) for c in range(k - n + 1)]
 
-
-def active_to_composition(alpha: SimplexMap) -> tuple[int, ...]:
-    """The part sizes (l_1, ..., l_k) of an active map [k] -> [sum l_i]."""
-    if not is_active(alpha):
-        raise ValueError(f"{alpha!r} is not active")
-    return tuple(b - a for a, b in zip(alpha.values, alpha.values[1:]))
-
-
-def composition_to_active(parts: tuple[int, ...]) -> SimplexMap:
-    """The active map [k] -> [sum parts] with the given successive gaps."""
-    values = [0]
-    for l in parts:
-        if l < 0:
-            raise ValueError("parts must be nonnegative")
-        values.append(values[-1] + l)
-    return SimplexMap(len(parts), values[-1], tuple(values))
-
-
-def opposite_map(f: SimplexMap) -> SimplexMap:
-    """Reverse both orders: i |-> m - f(n - i)."""
-    n, m = f.source_rank, f.target_rank
-    return SimplexMap(n, m, tuple(m - f.values[n - i] for i in range(n + 1)))

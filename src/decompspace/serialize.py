@@ -52,6 +52,16 @@ def _require(obj: dict, field: str, kind: type, where: str) -> Any:
     return value
 
 
+def _header(obj, kind: str, where: str) -> None:
+    """Check that obj is an object of the given kind in this format version."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected an object")
+    if _require(obj, "kind", str, where) != kind:
+        raise SchemaError(f"{where}: kind must be {kind!r}")
+    if _require(obj, "format_version", int, where) != FORMAT_VERSION:
+        raise SchemaError(f"{where}: field 'format_version' must be {FORMAT_VERSION}")
+
+
 _INT = {int}
 _STR = {str}
 
@@ -88,10 +98,7 @@ def sset_to_obj(X: TruncatedSSet) -> dict:
 
 
 def sset_from_obj(obj: dict, where: str = "sset") -> TruncatedSSet:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an object")
-    if _require(obj, "kind", str, where) != "sset":
-        raise SchemaError(f"{where}: kind must be 'sset'")
+    _header(obj, "sset", where)
     level = _require(obj, "level", int, where)
     cells_raw = _require(obj, "cells", list, where)
     if level < 0 or len(cells_raw) != level + 1:
@@ -156,10 +163,7 @@ def ofc_to_obj(A: OuterFaceComplex) -> dict:
 def ofc_from_obj(obj: dict, where: str = "ofc") -> OuterFaceComplex:
     from .builders import OuterFaceComplex
 
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an object")
-    if _require(obj, "kind", str, where) != "ofc":
-        raise SchemaError(f"{where}: kind must be 'ofc'")
+    _header(obj, "ofc", where)
     bound = _require(obj, "bound", int, where)
     grades_raw = _require(obj, "grades", list, where)
     if bound < 0 or len(grades_raw) != bound + 1:
@@ -196,10 +200,7 @@ def smap_to_obj(f: SimplicialMap) -> dict:
 
 
 def smap_from_obj(obj: dict, where: str = "smap") -> SimplicialMap:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an object")
-    if _require(obj, "kind", str, where) != "smap":
-        raise SchemaError(f"{where}: kind must be 'smap'")
+    _header(obj, "smap", where)
     source = sset_from_obj(_require(obj, "source", dict, where), f"{where}: source")
     target = sset_from_obj(_require(obj, "target", dict, where), f"{where}: target")
     comp_raw = _require(obj, "components", list, where)

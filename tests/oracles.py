@@ -10,7 +10,11 @@ through it, with no memo and no shortcut: the library's engine must
 give reports identical to theirs.  The walk oracle decides the same
 squares in the same order with the library's pullback engine and no
 pasting certificate, which the direct checker must match wherever it
-takes the certificate.
+takes the certificate.  The 2-Segal references (upper, lower, reduced
+and check_decomposition) read their squares off X's face and degeneracy
+index tables, composing the reduced checker's composites, and decide
+them with the library's pullback engine, as the walk oracle does; the
+library walks the same squares as views of its plans.
 
 The references work on tables keyed by cell name, the representation
 the library held before its tables became index tuples: NamedSSet is a
@@ -327,6 +331,97 @@ def reference_check_2segal_polygonal(X, mode="full"):
                         witness=sub.witness,
                     )
     return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
+
+
+def _two_segal_square(X, n, i, upper):
+    """The upper or lower 2-Segal square at (n, i) read off X's face
+    tables: (legs, label, levels)."""
+    d = X.faces
+    if upper:
+        # top d_{i+1}, left d_bot, right d_bot, bottom d_i
+        legs = (d[(n + 1, i + 1)], d[(n + 1, 0)], d[(n, 0)], d[(n, i)])
+        label = (
+            f"upper n={n} i={i}: X{n + 1} -(d_{i + 1})-> X{n}, "
+            f"X{n + 1} -(d_bot)-> X{n}, legs d_bot / d_{i} into X{n - 1}"
+        )
+    else:
+        # top d_i, left d_top, right d_top, bottom d_i
+        legs = (d[(n + 1, i)], d[(n + 1, n + 1)], d[(n, n)], d[(n, i)])
+        label = (
+            f"lower n={n} i={i}: X{n + 1} -(d_{i})-> X{n}, "
+            f"X{n + 1} -(d_top)-> X{n}, legs d_top / d_{i} into X{n - 1}"
+        )
+    return legs, label, (n + 1, n, n, n - 1)
+
+
+def _two_segal_squares(X, sides):
+    return [
+        _two_segal_square(X, n, i, upper)
+        for n in range(2, X.level)
+        for i in range(1, n)
+        for upper in sides
+    ]
+
+
+def _reference_walk(X, squares):
+    """Decide (legs, label, levels) squares in order with the library's
+    pullback engine; the first failure is the report's witness.  X must
+    be valid: the 2-Segal references do not validate it."""
+    checked = 0
+    for legs, label, levels in squares:
+        checked += 1
+        if pullback_holds(*legs):
+            continue
+        names = tuple(X.cells[n] for n in levels[:3])
+        sub = is_pullback_square(*legs, square=label, levels=levels, names=names)
+        return CheckReport(
+            holds=False, checked_level=X.level, squares_checked=checked, witness=sub.witness
+        )
+    return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
+
+
+def reference_check_upper_2segal(X):
+    """The upper 2-Segal squares, 0 < i < n < level, from X's face tables."""
+    return _reference_walk(X, _two_segal_squares(X, (True,)))
+
+
+def reference_check_lower_2segal(X):
+    """The lower 2-Segal squares, 0 < i < n < level, from X's face tables."""
+    return _reference_walk(X, _two_segal_squares(X, (False,)))
+
+
+def reference_check_upper_2segal_reduced(X):
+    """The upper squares at i = 1, then the composite squares X_{n+1} ->
+    X_2 along d_2^{n-1} over X_n -> X_1 along d_1^{n-1}, each composite
+    composed from face tables."""
+    d = X.faces
+    squares = [_two_segal_square(X, n, 1, True) for n in range(2, X.level)]
+    for n in range(2, X.level):
+        top = compose_tables(*[d[(lvl, 2)] for lvl in range(n + 1, 2, -1)])
+        bottom = compose_tables(*[d[(lvl, 1)] for lvl in range(n, 1, -1)])
+        label = (
+            f"upper composite n={n}: X{n + 1} -(d_2^{n - 1})-> X2, "
+            f"X{n + 1} -(d_bot)-> X{n}, legs d_bot / d_1^{n - 1} into X1"
+        )
+        squares.append(((top, d[(n + 1, 0)], d[(2, 0)], bottom), label, (n + 1, 2, n, 1)))
+    return _reference_walk(X, squares)
+
+
+def reference_check_decomposition(X):
+    """Upper and lower 2-Segal squares by n, then i, upper first; at level
+    2 the two unit squares s_0: X_0 -> X_1 pushed out along d_2 and d_0
+    of X_2, from X's face and degeneracy tables."""
+    if X.level != 2:
+        return _reference_walk(X, _two_segal_squares(X, (True, False)))
+    d, s = X.faces, X.degeneracies
+    squares = [
+        ((s[(1, j)], d[(1, 1 - j)], d[(2, 2 * (1 - j))], s[(0, 0)]), label, (1, 2, 0, 1))
+        for j, label in (
+            (0, "active-inert alpha=(0, 0) iota=(0, 1): X1 over X1"),
+            (1, "active-inert alpha=(0, 0) iota=(1, 2): X1 over X1"),
+        )
+    ]
+    return _reference_walk(X, squares)
 
 
 @dataclass

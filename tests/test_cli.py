@@ -247,6 +247,37 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "map source is not a simplicial set: identity d_0 d_1 = d_0 d_0" in err
 
+    @pytest.mark.parametrize("version", [None, "1", 2])
+    def test_sset_format_version_exit_2(self, tmp_path, capsys, version):
+        # every command that reads the file rejects it; none rewrites it
+        obj, out = tmp_path / "w.json", tmp_path / "op.json"
+        main(["build", "terminal-ofc", "--bound", "1", "--level", "2",
+              "--output", str(obj)])
+        data = json.loads(obj.read_text())
+        if version is None:
+            del data["format_version"]
+        else:
+            data["format_version"] = version
+        obj.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["check", "validate", str(obj)]) == 2
+        assert main(["transform", "op", str(obj), "--output", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.count("'format_version'") == 2
+
+    @pytest.mark.parametrize("end", [(), ("source",), ("target",)])
+    def test_smap_format_version_exit_2(self, tmp_path, capsys, end):
+        obj, lmap = tmp_path / "w.json", tmp_path / "len.json"
+        main(["build", "words", "--alphabet", "a", "--max-len", "2",
+              "--level", "3", "--output", str(obj), "--length-map", str(lmap)])
+        data = json.loads(lmap.read_text())
+        inner = data[end[0]] if end else data
+        inner["format_version"] = 7
+        lmap.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["check", "culf", str(lmap)]) == 2
+        assert "field 'format_version' must be 1" in capsys.readouterr().err
+
     def test_machine_format_parses(self, tmp_path, capsys):
         obj = tmp_path / "w.json"
         main(["build", "words", "--alphabet", "ab", "--max-len", "2",

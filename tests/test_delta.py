@@ -321,7 +321,7 @@ class TestEnumeration:
 
     def test_active_compositions_count(self):
         maps = delta.enumerate_active(2, 2)
-        assert [delta.active_to_composition(f) for f in maps] == [(0, 2), (1, 1), (2, 0)]
+        assert [f.values for f in maps] == [(0, 0, 2), (0, 1, 2), (0, 2, 2)]
 
     def test_cardinalities_match_closed_forms(self):
         for n in range(6):
@@ -348,34 +348,3 @@ class TestEnumeration:
                 vals = [f.values for f in delta.enumerate_active(n, m)]
                 assert vals == sorted(vals)
 
-
-class TestCompositionBijection:
-    def test_roundtrip(self):
-        for k in range(5):
-            for m in range(5):
-                for alpha in delta.enumerate_active(k, m):
-                    parts = delta.active_to_composition(alpha)
-                    assert sum(parts) == m
-                    assert delta.composition_to_active(parts) == alpha
-
-    def test_rejects_inert(self):
-        with pytest.raises(ValueError):
-            delta.active_to_composition(delta.coface(2, 0))
-
-
-class TestOpposite:
-    def test_involution(self):
-        for n in range(4):
-            for m in range(4):
-                for f in all_maps(n, m):
-                    assert delta.opposite_map(delta.opposite_map(f)) == f
-
-    def test_swaps_outer_cofaces(self):
-        assert delta.opposite_map(delta.coface(2, 0)) == delta.coface(2, 2)
-
-    def test_functorial(self):
-        for f in all_maps(2, 3):
-            for g in all_maps(3, 2):
-                lhs = delta.opposite_map(delta.compose(g, f))
-                rhs = delta.compose(delta.opposite_map(g), delta.opposite_map(f))
-                assert lhs == rhs

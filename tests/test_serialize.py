@@ -233,3 +233,49 @@ class TestSchemaErrors:
         obj[field][last] = [x, y, value]
         with pytest.raises(SchemaError, match="repeats the pair"):
             read(obj)
+
+
+def _tiny_map():
+    return builders.length_map(builders.bounded_words(("a",), 1), 1)
+
+
+#: reader name -> (a valid object, the path to the object carrying the field)
+VERSIONED = {
+    "sset": (lambda: serialize.sset_to_obj(point(1)), ()),
+    "ofc": (lambda: serialize.ofc_to_obj(builders.terminal_complex(1)), ()),
+    "smap": (lambda: serialize.smap_to_obj(_tiny_map()), ()),
+    "smap source": (lambda: serialize.smap_to_obj(_tiny_map()), ("source",)),
+    "smap target": (lambda: serialize.smap_to_obj(_tiny_map()), ("target",)),
+}
+READ = {
+    "sset": serialize.sset_from_obj,
+    "ofc": serialize.ofc_from_obj,
+    "smap": serialize.smap_from_obj,
+}
+
+
+class TestFormatVersion:
+    @pytest.mark.parametrize("case", list(VERSIONED))
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (None, "missing field 'format_version'"),
+            ("1", "field 'format_version' must be int"),
+            (True, "field 'format_version' must be int"),
+            (2, "field 'format_version' must be 1"),
+            (0, "field 'format_version' must be 1"),
+        ],
+    )
+    def test_anything_but_1_rejected(self, case, value, message):
+        make, path = VERSIONED[case]
+        obj = make()
+        inner = obj
+        for key in path:
+            inner = inner[key]
+        if value is None:
+            del inner["format_version"]
+        else:
+            inner["format_version"] = value
+        where = ": ".join([case.split()[0], *path])
+        with pytest.raises(SchemaError, match=re.escape(f"{where}: {message}")):
+            READ[case.split()[0]](obj)

@@ -108,6 +108,20 @@ class TestInducedMap:
                     X, delta.codegeneracy(n, i)
                 ) == X.degeneracy_names(n, i)
 
+    def test_one_letter_word_is_the_table_itself(self):
+        # the 2-Segal walks induce their faces from the elementary plan;
+        # a one-letter word returns X's own table, so they read the same
+        # tables as direct lookups, with no copy
+        X = builders.nerve(chain_category(3), 3)
+        for n in range(1, 4):
+            for i in range(n + 1):
+                values = delta.coface(n, i).values
+                assert sset.induce(X, n, values) is X.faces[(n, i)]
+        for n in range(3):
+            for i in range(n + 1):
+                values = delta.codegeneracy(n, i).values
+                assert sset.induce(X, n, values) is X.degeneracies[(n, i)]
+
     def test_long_edge_is_inner_face(self):
         X = builders.nerve(chain_category(3), 3)
         long_edge = delta.SimplexMap(1, 2, (0, 2))
