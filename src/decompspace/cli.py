@@ -2,8 +2,9 @@
 
 Exit codes: 0 the check holds (or the command succeeded), 1 the check
 fails, 2 schema or usage errors (including a path that cannot be read
-or written, a file that is not UTF-8, and a negative --bound, --max-len,
---rank-cap or DECOMP_MAX_SQUARES), 3 builder preconditions, inputs that
+or written, a file that is not UTF-8, a negative --bound, --max-len,
+--rank-cap or DECOMP_MAX_SQUARES, and --rank-cap with a criterion other
+than decomp-direct), 3 builder preconditions, inputs that
 are not simplicial sets (transform validates its input as the checkers
 do) or level shortfalls, 4 the check is inconclusive: the
 DECOMP_MAX_SQUARES budget cut the direct decomposition walk off before
@@ -229,6 +230,8 @@ def _cmd_check(args) -> int:
     from .sset import validate
 
     budget = None
+    if args.rank_cap is not None and args.criterion != "decomp-direct":
+        raise SystemExit2("--rank-cap only applies to decomp-direct")
     if args.criterion == "decomp-direct":
         if args.rank_cap is not None and args.rank_cap < 0:
             raise SystemExit2(f"--rank-cap must be nonnegative, got {args.rank_cap}")

@@ -17,17 +17,21 @@ Every checker but the Segal, iterated Segal and culf ones walks
 active-inert squares built from value tuples
 (delta.active_inert_squares, delta.elementary_squares,
 delta.pushout_values); the 2-Segal family is a filtered, ordered view of
-the elementary and polygonal plans.  The Delta side of a family depends
-only on small ints, never on X, so it is planned once per process: the
-elementary squares, the direct family's ranks and size (by level and
-rank cap), the polygonal squares (by level and mode) and the 2-Segal
-squares (by level and offsets) are cached here, as are each map's
-generator word steps in sset.induce (by target rank and values), which
-gives X's own table for a one-letter word.  X's tables live only in a
-memo keyed by (target_rank, values) that is built when a call starts and
-dropped when it returns, so each map is induced at most once per call
-and nothing about X outlives the call; the full direct walk streams its
-squares.
+the elementary and polygonal squares.  The Delta side of a family
+depends only on small ints, never on X, so it is planned and compiled
+once per process: the elementary squares, the direct family's ranks and
+size (by level and rank cap), the polygonal squares (by level and mode),
+the 2-Segal squares (by level and sides) and the reduced checker's
+squares (by level) are cached here as compiled plans, as are each map's
+generator word steps in sset (by target rank and values).  A compiled
+plan numbers its tables in walk order: a slot is one of X's own face or
+degeneracy tables, or a shorter slot followed by one of them, and each
+square names its four legs by slot.  One executor, _pushout_squares,
+fills the slots of one call as the walk first reaches a square that
+needs them, so each map is composed at most once per call, a walk that
+stops early composes nothing past its stop, and nothing about X
+outlives the call; the full direct walk compiles its squares as it
+streams them.
 
 The direct checker first decides a pasting certificate: every
 active-inert square is a pasting of elementary ones
@@ -39,6 +43,11 @@ pushout rank up to k - 1, above its own p, so the elementary squares
 within the rank cap settle the family only when rank_cap >= level - 1
 or rank_cap <= 1; at other caps, and when an elementary square fails,
 the whole family is walked, so a failure's report is always the walk's.
+check_2segal_polygonal has the same shape: each of its squares is a
+pasting of upper and lower 2-Segal squares within the truncation
+(Dyckerhoff and Kapranov, arXiv:1212.3563), so it decides those first
+and walks its own squares only when one of them fails; its docstring
+gives the pasting.  One helper, _settled, decides both certificates.
 At level 2 check_decomposition decides the same unit squares the
 certificate does there, since the 2-Segal squares need X_3.
 """
@@ -58,9 +67,10 @@ from .sset import (
     StructuralError,
     Table,
     TruncatedSSet,
+    _then,
     _validate_components,
+    _word_steps,
     compose_tables,
-    induce,
     is_pullback_square,
     pullback_holds,
     validate,
@@ -193,10 +203,10 @@ def check_segal_iterated(X: TruncatedSSet) -> CheckReport:
     return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
 
 
-def _check_two_segal(X: TruncatedSSet, offsets: tuple[int, ...]) -> CheckReport:
+def _check_two_segal(X: TruncatedSSet, sides: tuple[int, ...]) -> CheckReport:
     _require_valid(X)
-    squares = _two_segal_plan(X.level, offsets)
-    return _decide(X.level, _pushout_squares(X, squares, _two_segal_label))
+    squares = _pushout_squares(X, _two_segal_plan(X.level, sides), _two_segal_label)
+    return _decide(X.level, squares)
 
 
 def check_upper_2segal(X: TruncatedSSet) -> CheckReport:
@@ -219,11 +229,7 @@ def check_upper_2segal_reduced(X: TruncatedSSet) -> CheckReport:
     kept separate so the equivalence is testable.
     """
     _require_valid(X)
-    # the upper squares at i = 1, whose alpha skips 1
-    units = [sq for sq in _two_segal_plan(X.level, (1,)) if sq[0][1] == 2]
-    composites = [
-        sq for sq in _polygonal_plan(X.level, "upper") if sq[1] == (1, 2) and sq[3] > 2
-    ]
+    units, composites = _reduced_plan(X.level)
     squares = chain(
         _pushout_squares(X, units, _two_segal_label),
         _pushout_squares(X, composites, _composite_label),
@@ -248,20 +254,32 @@ def check_decomposition(X: TruncatedSSet) -> CheckReport:
     return _decide(2, _pushout_squares(X, _elementary_plan(2, 2), _active_inert_label))
 
 
-#: The memo key of X(alpha) for alpha: [len(values) - 1] -> [target_rank].
+#: A map alpha: [len(values) - 1] -> [target_rank] as (target_rank, values).
 MapKey = tuple[int, tuple[int, ...]]
+
+#: A slot of a compiled plan: (prefix, kind, key), the table _then(slot
+#: prefix, X's own table) or, when prefix is -1, X's own table itself,
+#: where X's own table is X.faces[key] (kind 0) or X.degeneracies[key]
+#: (kind 1).  A prefix is always an earlier slot.
+Slot = tuple[int, int, tuple[int, int]]
+
+#: A compiled plan: its slots, and its squares as (alpha, iota, k, p,
+#: legs, filled), legs the slots of f, g, p and q (None for a square
+#: with an identity leg) and filled the number of slots the walk has
+#: filled once it reaches the square.
+Plan = tuple[Sequence[Slot], Iterable[tuple]]
 
 
 def _prepared(alpha, iota, theta, phi):
-    """An active-inert square as _pushout_squares reads it.
+    """An active-inert square as _compiled reads it.
 
     alpha: [n] -> [m] active, iota: [n] -> [k] inert, theta and phi
     their pushout into [p], as value tuples; the result is (alpha, iota,
     k, p, keys), keys the MapKeys of phi, theta, iota and alpha, or None
     when alpha or iota is an identity: the pushout leg opposite an
     identity is an identity too, so the square is a pullback whatever X
-    is.  A degenerate active map [n] -> [n], such as 0,0,2, is not an
-    identity.
+    is.  None of the four maps of a square with keys is an identity.  A
+    degenerate active map [n] -> [n], such as 0,0,2, is not an identity.
     """
     n, m, k, p = len(alpha) - 1, alpha[-1], len(phi) - 1, phi[-1]
     if n == k or (n == m and alpha == tuple(range(m + 1))):
@@ -269,28 +287,76 @@ def _prepared(alpha, iota, theta, phi):
     return alpha, iota, k, p, ((p, phi), (p, theta), (k, iota), (m, alpha))
 
 
-def _pushout_squares(X: TruncatedSSet, squares, label) -> Iterator[Square]:
-    """X applied to prepared active-inert pushout squares (_prepared).
+def _compiled(squares, slots: list[Slot]) -> Iterator[tuple]:
+    """Prepared squares (_prepared) as the squares of a compiled plan,
+    whose new slots are appended to slots in walk order.
 
-    label(alpha, iota, k, p) names a square.  Each map is induced once
-    per call, into a memo dropped when the walk ends; a square without
-    keys comes without tables.
+    A map's slot is that of its generator word (sset._word_steps): a
+    word that extends a word already compiled by one letter gets one
+    new slot, so a prefix two maps share is composed once.
     """
-    memo: dict[MapKey, Table] = {}
+    of_map: dict[MapKey, int] = {}
+    of_step: dict[Slot, int] = {}
 
-    def induce_once(key: MapKey) -> Table:
-        table = memo.get(key)
-        if table is None:
-            table = memo[key] = induce(X, *key)
-        return table
+    def slot(key: MapKey) -> int:
+        s = of_map.get(key)
+        if s is None:
+            s = -1
+            for operator, n, i in _word_steps(*key):
+                step = (s, int(operator is TruncatedSSet.degeneracy), (n, i))
+                s = of_step.get(step, -1)
+                if s < 0:
+                    s = of_step[step] = len(slots)
+                    slots.append(step)
+            of_map[key] = s
+        return s
 
     for alpha, iota, k, p, keys in squares:
-        if keys is None:
+        legs = None if keys is None else tuple(map(slot, keys))
+        yield alpha, iota, k, p, legs, len(slots)
+
+
+def _plan(squares) -> Plan:
+    """The compiled plan of an iterable of prepared squares."""
+    slots: list[Slot] = []
+    compiled = tuple(_compiled(squares, slots))
+    return tuple(slots), compiled
+
+
+def _pushout_squares(X: TruncatedSSet, plan: Plan, label) -> Iterator[Square]:
+    """X applied to the squares of a compiled plan, in order.
+
+    label(alpha, iota, k, p) names a square.  The tables of the slots
+    live in a list of one call: the slots a square needs are filled
+    when the walk reaches it, each from its prefix's table and one of
+    X's own, so a walk that stops early fills no slot past its stop.
+    The slots may still grow while the squares are drawn, as when the
+    direct walk compiles its squares as it streams them.  A square
+    without legs comes without tables.
+    """
+    slots, squares = plan
+    own = (X.faces, X.degeneracies)
+    tables: list[Table] = []
+    for alpha, iota, k, p, legs, filled in squares:
+        if legs is None:
             yield None, None
             continue
-        yield tuple(map(induce_once, keys)), lambda: _on(
+        for s in range(len(tables), filled):
+            prefix, kind, key = slots[s]
+            table = own[kind][key]
+            tables.append(table if prefix < 0 else _then(tables[prefix], table))
+        f, g, p_leg, q_leg = legs
+        yield (tables[f], tables[g], tables[p_leg], tables[q_leg]), lambda: _on(
             X, label(alpha, iota, k, p), (p, k, alpha[-1], len(alpha) - 1)
         )
+
+
+def _settled(X: TruncatedSSet, plan: Plan) -> bool:
+    """Whether X takes every square of a certificate's plan to a pullback."""
+    return all(
+        legs is None or pullback_holds(*legs)
+        for legs, _ in _pushout_squares(X, plan, _active_inert_label)
+    )
 
 
 def _polygonal_label(alpha, iota, k: int, p: int) -> str:
@@ -298,28 +364,30 @@ def _polygonal_label(alpha, iota, k: int, p: int) -> str:
     return f"polygonal n={p} i={i} j={j}: X{p} -> X{k} / X{j - i} over X1"
 
 
-#: The squares {i, j} inside [n] that each polygonal mode keeps.
+#: The squares {i, j} inside [n] that each polygonal mode keeps, and the
+#: sides of the 2-Segal squares that settle them.
 _POLYGONAL_MODES = {
-    "full": lambda i, j, n: True,
-    "restricted": lambda i, j, n: i == 0 or j == n,
-    "upper": lambda i, j, n: j == n,
-    "lower": lambda i, j, n: i == 0,
+    "full": (lambda i, j, n: True, (1, 0)),
+    "restricted": (lambda i, j, n: i == 0 or j == n, (1, 0)),
+    "upper": (lambda i, j, n: j == n, (1,)),
+    "lower": (lambda i, j, n: i == 0, (0,)),
 }
 
 
-@lru_cache(maxsize=256)
-def _polygonal_plan(level: int, mode: str) -> tuple:
+def _polygonal_squares(level: int, mode: str) -> Iterator[tuple]:
     """The prepared squares of check_2segal_polygonal, in walk order."""
-    keep = _POLYGONAL_MODES[mode]
-    return tuple(
-        _prepared(
-            (0, j - i), (i, i + 1), *delta.pushout_values((0, j - i), i, n - j + i + 1)
-        )
-        for n in range(1, level + 1)
-        for i in range(n + 1)
-        for j in range(i + 1, n + 1)
-        if keep(i, j, n)
-    )
+    keep, _ = _POLYGONAL_MODES[mode]
+    for n in range(1, level + 1):
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                if keep(i, j, n):
+                    theta, phi = delta.pushout_values((0, j - i), i, n - j + i + 1)
+                    yield _prepared((0, j - i), (i, i + 1), theta, phi)
+
+
+@lru_cache(maxsize=256)
+def _polygonal_plan(level: int, mode: str) -> Plan:
+    return _plan(_polygonal_squares(level, mode))
 
 
 def check_2segal_polygonal(X: TruncatedSSet, mode: str = "full") -> CheckReport:
@@ -331,12 +399,51 @@ def check_2segal_polygonal(X: TruncatedSSet, mode: str = "full") -> CheckReport:
     condition.  Each is the pushout of the active (0, j - i): [1] ->
     [j - i] along the inert [1] -> [n - j + i + 1] at offset i.  Below
     level 3 every such square has an identity leg, so nothing is decided.
+
+    Certificate.  The 2-Segal squares of the mode's sides within the
+    truncation L are decided first: the upper ones for "upper", the
+    lower ones for "lower", both otherwise.  If they all hold, so does
+    every square of the mode, and the report is the walk's: holds, with
+    the number of its squares.  If one fails, the mode's squares are
+    walked in order, so a failure and its witness are the walk's own.
+
+    Proof.  For S inside [n] write X_S for X_{|S| - 1}, reached from
+    X_n by the faces that drop the vertices outside S, and [a, b] for
+    {a, ..., b}.  The square {i, j} says X_[n] is the fiber product
+    X_{[0, i] + [j, n]} x_{X_{i, j}} X_[i, j].  The upper 2-Segal square
+    (N - 1, i) says X_[N] = X_{[N] - r} x_{X_{[N] - {0, r}}} X_{[N] - 0}
+    with r = i + 1, and the lower one its mirror image; both exist for
+    3 <= N <= L.  Pullbacks paste to pullbacks.
+    - j = n: put Y_S = X_{S + n} for S inside [0, m], m = n - 1.  The
+      upper square (N - 1, N - 2) on the face [a, b] + n, N = b - a + 1,
+      says Y_[a, b] = Y_[a, b - 1] x_{Y_[a + 1, b - 1]} Y_[a + 1, b] for
+      b - a >= 2.  Pasting these for [0, m], [1, m], ..., [i - 1, m]
+      side by side gives Y_[0, m] = Y_[0, m - 1] x_{Y_[i, m - 1]}
+      Y_[i, m] for 0 < i < m; on top of the square {i, n - 1} inside
+      [n - 1] (induction on n) it gives Y_[0, m] = Y_[0, i] x_{Y_i}
+      Y_[i, m], the square {i, n}.  The squares with i = 0 or i = m
+      have an identity leg.
+    - i = 0: the mirror image, from the lower squares (N - 1, 1).
+    - 0 < i < j < n: X_[n] = X_{0 + [j, n]} x_{X_{0, j}} X_[0, j] is
+      the square {0, j}; X_[0, j] = X_{[0, i] + j} x_{X_{i, j}} X_[i, j]
+      is the square {i, j} inside the face [0, j]; and X_{[0, i] +
+      [j, n]} = X_{0 + [j, n]} x_{X_{0, j}} X_{[0, i] + j} is the square
+      {0, i + 1} inside that face.  The first two, then the inverse of
+      the third, compose to the map of X_[n] to X_{[0, i] + [j, n]}
+      x_{X_{i, j}} X_[i, j], which is so a bijection.
+    Every square used sits in some X_m with m <= n <= L, and the 2-Segal
+    squares used are those of X_N with N <= n, which _two_segal_plan(L,
+    sides) holds: no square above X_L is needed.
     """
     if mode not in _POLYGONAL_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     _require_valid(X)
-    squares = _polygonal_plan(X.level, mode)
-    return _decide(X.level, _pushout_squares(X, squares, _polygonal_label))
+    slots, squares = _polygonal_plan(X.level, mode)
+    if _settled(X, _two_segal_plan(X.level, _POLYGONAL_MODES[mode][1])):
+        return CheckReport(
+            holds=True, checked_level=X.level, squares_checked=len(squares)
+        )
+    return _decide(X.level, _pushout_squares(X, (slots, squares), _polygonal_label))
 
 
 def _active_inert_label(alpha, iota, k: int, p: int) -> str:
@@ -359,17 +466,36 @@ def _composite_label(alpha, iota, k: int, p: int) -> str:
     )
 
 
-@lru_cache(maxsize=256)
-def _two_segal_plan(level: int, offsets: tuple[int, ...]) -> tuple:
+def _two_segal_squares(level: int, sides: tuple[int, ...]) -> list:
     """The prepared 2-Segal squares at (n, i), 0 < i < n < level: the
     elementary squares whose alpha is the inner coface [n - 1] -> [n]
     skipping i (so k = n = m), with iota at offset 1 (upper) or 0
-    (lower), in walk order: by n, then i, then in the order of offsets."""
-    squares = [sq for sq in _elementary_plan(level, level) if sq[0][-1] == sq[2]]
-    squares = [sq for sq in squares if sq[1][0] in offsets]
+    (lower), in walk order: by n, then i, then in the order of sides."""
+    squares = [
+        sq
+        for sq in _elementary_squares(level, level)
+        if sq[0][-1] == sq[2] and sq[1][0] in sides
+    ]
     # for alpha skipping i, -sum(alpha) is i - k(k + 1)/2
-    squares.sort(key=lambda sq: (sq[2], -sum(sq[0]), offsets.index(sq[1][0])))
-    return tuple(squares)
+    squares.sort(key=lambda sq: (sq[2], -sum(sq[0]), sides.index(sq[1][0])))
+    return squares
+
+
+@lru_cache(maxsize=256)
+def _two_segal_plan(level: int, sides: tuple[int, ...]) -> Plan:
+    return _plan(_two_segal_squares(level, sides))
+
+
+@lru_cache(maxsize=256)
+def _reduced_plan(level: int) -> tuple[Plan, Plan]:
+    """The plans of check_upper_2segal_reduced: the upper squares at i = 1,
+    whose alpha skips 1, and its composites, the polygonal squares of
+    {1, n + 1} inside [n + 1] for n >= 2."""
+    units = [sq for sq in _two_segal_squares(level, (1,)) if sq[0][1] == 2]
+    composites = [
+        sq for sq in _polygonal_squares(level, "upper") if sq[1] == (1, 2) and sq[3] > 2
+    ]
+    return _plan(units), _plan(composites)
 
 
 def _direct_ranks(level: int, rank_cap: int) -> Iterator[tuple[int, int, int]]:
@@ -381,17 +507,21 @@ def _direct_ranks(level: int, rank_cap: int) -> Iterator[tuple[int, int, int]]:
                 yield n, k, m
 
 
-@lru_cache(maxsize=256)
-def _elementary_plan(level: int, cap: int) -> tuple:
+def _elementary_squares(level: int, cap: int) -> Iterator[tuple]:
     """The prepared elementary squares with k <= level and p <= cap."""
-    return tuple(starmap(_prepared, delta.elementary_squares(level, cap)))
+    return starmap(_prepared, delta.elementary_squares(level, cap))
+
+
+@lru_cache(maxsize=256)
+def _elementary_plan(level: int, cap: int) -> Plan:
+    return _plan(_elementary_squares(level, cap))
 
 
 @lru_cache(maxsize=256)
 def _direct_plan(level: int, rank_cap: int):
     """(ranks, size, certificate) of the direct family: its _direct_ranks,
-    its number of squares, and its prepared elementary squares when the
-    rank-cap rule lets them settle it, else None."""
+    its number of squares, and the plan of its elementary squares when
+    the rank-cap rule lets them settle it, else None."""
     ranks = tuple(_direct_ranks(level, rank_cap))
     size = sum((k - n + 1) * delta.count_active(n, m) for n, k, m in ranks)
     if 2 <= rank_cap <= level - 2:
@@ -440,10 +570,7 @@ def check_decomposition_direct(
     if rank_cap > X.level:
         raise LevelError(f"rank cap {rank_cap} exceeds level {X.level}")
     ranks, size, elementary = _direct_plan(X.level, rank_cap)
-    if elementary is not None and all(
-        legs is None or pullback_holds(*legs)
-        for legs, _ in _pushout_squares(X, elementary, _active_inert_label)
-    ):
+    if elementary is not None and _settled(X, elementary):
         if max_squares is not None and max_squares < size:
             return _cut_off(X.level, max_squares)
         return CheckReport(holds=True, checked_level=X.level, squares_checked=size)
@@ -451,9 +578,9 @@ def check_decomposition_direct(
         _prepared,
         chain.from_iterable(delta.active_inert_squares(n, k, m) for n, k, m in ranks),
     )
-    return _decide(
-        X.level, _pushout_squares(X, squares, _active_inert_label), max_squares
-    )
+    slots: list[Slot] = []
+    walk = _pushout_squares(X, (slots, _compiled(squares, slots)), _active_inert_label)
+    return _decide(X.level, walk, max_squares)
 
 
 def check_culf(f: SimplicialMap) -> CheckReport:

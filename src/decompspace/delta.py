@@ -240,28 +240,6 @@ def generator_word(values: tuple[int, ...], target_rank: int) -> list[Generator]
     return word
 
 
-def evaluate_word(word: list[Generator], source_rank: int) -> SimplexMap:
-    """Compose a generator word (outermost letter first) from [source_rank]."""
-    f = identity(source_rank)
-    for kind, i in reversed(word):
-        if kind == "sigma":
-            g = codegeneracy(f.target_rank - 1, i)
-        elif kind == "delta":
-            g = coface(f.target_rank + 1, i)
-        else:
-            raise ValueError(f"unknown generator kind {kind!r}")
-        f = compose(g, f)
-    return f
-
-
-def enumerate_maps(n: int, m: int) -> list[SimplexMap]:
-    """All monotone maps [n] -> [m], lexicographic on value tuples."""
-    return [
-        SimplexMap(n, m, vals)
-        for vals in combinations_with_replacement(range(m + 1), n + 1)
-    ]
-
-
 def enumerate_active(n: int, m: int) -> list[SimplexMap]:
     """All active maps [n] -> [m], lexicographic on value tuples.
 

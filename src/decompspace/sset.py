@@ -588,113 +588,3 @@ def _validate_components(m: SimplicialMap) -> CheckReport:
                 return fail("s", i, n, lhs, rhs)
             checked += size
     return CheckReport(holds=True, checked_level=top, squares_checked=checked)
-
-
-def compose_maps(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
-    """Levelwise composite g after f."""
-    if f.target != g.source:
-        raise ValueError("compose_maps needs f.target == g.source")
-    shared = min(f.shared_level, g.shared_level)
-    components = tuple(
-        compose_tables(f.components[n], g.components[n]) for n in range(shared + 1)
-    )
-    return SimplicialMap(f.source, g.target, components)
-
-
-def identity_map(X: TruncatedSSet) -> SimplicialMap:
-    return SimplicialMap(X, X, tuple(tuple(range(len(cs))) for cs in X.cells))
-
-
-def find_isomorphism(X: TruncatedSSet, Y: TruncatedSSet) -> tuple[Table, ...] | None:
-    """Search for a levelwise bijection commuting with every operator.
-
-    Deterministic backtracking, pruned by color refinement and by the
-    face images already fixed at lower levels.  Returns the components
-    as index tables from X to Y, or None.  Intended for desk-scale
-    objects.
-    """
-    if X.level != Y.level:
-        return None
-    if any(len(a) != len(b) for a, b in zip(X.cells, Y.cells)):
-        return None
-
-    def refine(Z: TruncatedSSet) -> list[list[int]]:
-        color = [[n] * len(Z.cells[n]) for n in range(Z.level + 1)]
-        for _ in range(Z.level + 2):
-            sig = []
-            for n in range(Z.level + 1):
-                row = []
-                for c in range(len(Z.cells[n])):
-                    out = []
-                    for i in range(n + 1):
-                        if n >= 1:
-                            face = Z.faces[(n, i)][c]
-                            out.append(("d", i, color[n - 1][face]))
-                        if n < Z.level:
-                            degeneracy = Z.degeneracies[(n, i)][c]
-                            out.append(("s", i, color[n + 1][degeneracy]))
-                    row.append((color[n][c], tuple(sorted(out))))
-                sig.append(row)
-            signatures = sorted({s for row in sig for s in row})
-            palette = {s: j for j, s in enumerate(signatures)}
-            new = [[palette[s] for s in row] for row in sig]
-            if new == color:
-                break
-            color = new
-        return color
-
-    cx, cy = refine(X), refine(Y)
-    mapping: list[list[int | None]] = [[None] * len(cs) for cs in X.cells]
-
-    def degeneracies_ok(n: int) -> bool:
-        if n == 0:
-            return True
-        for i in range(n):
-            sx = X.degeneracies[(n - 1, i)]
-            sy = Y.degeneracies[(n - 1, i)]
-            for c in range(len(X.cells[n - 1])):
-                if mapping[n][sx[c]] != sy[mapping[n - 1][c]]:
-                    return False
-        return True
-
-    def assign(n: int) -> bool:
-        if n > X.level:
-            return True
-        used: set[int] = set()
-        faces = range(n + 1) if n >= 1 else range(0)
-
-        def target_key(d: int) -> tuple[int, ...]:
-            return (cy[n][d], *(Y.faces[(n, i)][d] for i in faces))
-
-        # targets must match refined color and already-assigned faces
-        def candidates(c: int) -> list[int]:
-            key = (cx[n][c], *(mapping[n - 1][X.faces[(n, i)][c]] for i in faces))
-            return [
-                d
-                for d in range(len(Y.cells[n]))
-                if d not in used and target_key(d) == key
-            ]
-
-        def place(c: int) -> bool:
-            if c == len(X.cells[n]):
-                if not degeneracies_ok(n):
-                    return False
-                return assign(n + 1)
-            for d in candidates(c):
-                mapping[n][c] = d
-                used.add(d)
-                if place(c + 1):
-                    return True
-                used.discard(d)
-                mapping[n][c] = None
-            return False
-
-        return place(0)
-
-    if not assign(0):
-        return None
-    return tuple(tuple(row) for row in mapping)
-
-
-def are_isomorphic(X: TruncatedSSet, Y: TruncatedSSet) -> bool:
-    return find_isomorphism(X, Y) is not None

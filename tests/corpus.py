@@ -19,6 +19,7 @@ from decompspace.builders import (
 )
 from decompspace.sset import TruncatedSSet
 from decompspace.sset import opposite as sset_opposite
+from oracles import all_maps, evaluate_word
 
 
 def point(level: int) -> TruncatedSSet:
@@ -203,7 +204,7 @@ def input_obj(x) -> dict:
 def surjections(n: int, d: int) -> list[delta.SimplexMap]:
     return [
         f
-        for f in delta.enumerate_maps(n, d)
+        for f in all_maps(n, d)
         if set(f.values) == set(range(d + 1))
     ]
 
@@ -237,7 +238,7 @@ def sset_from_generators(generators: dict, level: int) -> TruncatedSSet:
             else:
                 cur = face_cell(cur, ix)
         g2, tau = cur
-        eps = delta.evaluate_word([("sigma", j) for j in sigma_idxs], f.source_rank)
+        eps = evaluate_word([("sigma", j) for j in sigma_idxs], f.source_rank)
         return (g2, delta.compose(tau, eps))
 
     def cell_id(cell):

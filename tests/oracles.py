@@ -5,9 +5,11 @@ The simplex-category oracles work from the defining equations only
 (pointwise determination plus monotone completion counting); they never
 consult the closed-form pushout construction they are used to certify.
 The reference pullback enumerates the whole fiber product of every
-square, and the reference direct walk checks every active-inert square
+square, and the reference direct and polygonal walks check every square
 through it, with no memo and no shortcut: the library's engine must
-give reports identical to theirs.  The walk oracle decides the same
+give reports identical to theirs.  reference_polygonal_reports gives
+the polygonal reference in several modes at once, deciding each square
+once.  The walk oracle decides the same
 squares in the same order with the library's pullback engine and no
 pasting certificate, which the direct checker must match wherever it
 takes the certificate.  The 2-Segal references (upper, lower, reduced
@@ -32,6 +34,11 @@ X's tables directly, shifting every index down by one.  The library
 builds the first as the chains of a one-object partial category and the
 second as the dual of the upper decalage; both must write the same
 bytes as these.
+
+The last helpers serve the tests and nothing in the library:
+evaluate_word composes a generator word, compose_maps and identity_map
+build simplicial maps, and find_isomorphism and are_isomorphic compare
+simplicial sets up to renaming.
 """
 
 import json
@@ -44,6 +51,7 @@ from decompspace.sset import (
     SimplicialMap,
     SquareWitness,
     StructuralError,
+    Table,
     TruncatedSSet,
     compose_tables,
     induce,
@@ -299,38 +307,62 @@ def walk_check_decomposition_direct(X, rank_cap=None, max_squares=None, tables=N
 def reference_check_2segal_polygonal(X, mode="full"):
     """The two-element-subset squares {i, j} inside [n], each one induced
     afresh and decided by the reference pullback."""
+    return reference_polygonal_reports(X, (mode,))[0]
+
+
+#: The squares {i, j} inside [n] that each polygonal mode keeps.
+REFERENCE_POLYGONAL_MODES = {
+    "full": lambda i, j, n: True,
+    "restricted": lambda i, j, n: i == 0 or j == n,
+    "upper": lambda i, j, n: j == n,
+    "lower": lambda i, j, n: i == 0,
+}
+
+
+def reference_polygonal_reports(X, modes=tuple(REFERENCE_POLYGONAL_MODES)):
+    """reference_check_2segal_polygonal of X in each of the modes, in a
+    list: X is validated once, and each square is induced and decided
+    once, when the first mode that keeps it reaches it."""
     report = reference_validate(named_sset(X))
     if not report.holds:
         raise StructuralError(f"input is not a simplicial set: {report.detail}")
-    checked = 0
-    for n in range(1, X.level + 1):
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                if mode == "restricted" and not (i == 0 or j == n):
-                    continue
-                if (mode == "upper" and j != n) or (mode == "lower" and i != 0):
-                    continue
-                alpha = delta.SimplexMap(1, j - i, (0, j - i))
-                iota = delta.inert_map(1, n - j + i + 1, i)
-                theta, phi = delta.active_inert_pushout(alpha, iota)
-                checked += 1
-                sub = reference_is_pullback_square(
-                    induced_names(X, phi),
-                    induced_names(X, theta),
-                    induced_names(X, iota),
-                    induced_names(X, alpha),
-                    square=f"polygonal n={n} i={i} j={j}: "
-                    f"X{n} -> X{iota.target_rank} / X{j - i} over X1",
-                    levels=(n, iota.target_rank, j - i, 1),
-                )
-                if not sub.holds:
-                    return CheckReport(
-                        holds=False,
-                        checked_level=X.level,
-                        squares_checked=checked,
-                        witness=sub.witness,
-                    )
-    return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
+    decided = {}
+
+    def decide(n, i, j):
+        if (n, i, j) not in decided:
+            alpha = delta.SimplexMap(1, j - i, (0, j - i))
+            iota = delta.inert_map(1, n - j + i + 1, i)
+            theta, phi = delta.active_inert_pushout(alpha, iota)
+            decided[(n, i, j)] = reference_is_pullback_square(
+                induced_names(X, phi),
+                induced_names(X, theta),
+                induced_names(X, iota),
+                induced_names(X, alpha),
+                square=f"polygonal n={n} i={i} j={j}: "
+                f"X{n} -> X{iota.target_rank} / X{j - i} over X1",
+                levels=(n, iota.target_rank, j - i, 1),
+            )
+        return decided[(n, i, j)]
+
+    def walk(keep):
+        checked = 0
+        for n in range(1, X.level + 1):
+            for i in range(n + 1):
+                for j in range(i + 1, n + 1):
+                    if not keep(i, j, n):
+                        continue
+                    checked += 1
+                    sub = decide(n, i, j)
+                    if not sub.holds:
+                        return CheckReport(
+                            holds=False,
+                            checked_level=X.level,
+                            squares_checked=checked,
+                            witness=sub.witness,
+                        )
+        return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
+
+    return [walk(REFERENCE_POLYGONAL_MODES[mode]) for mode in modes]
 
 
 def _two_segal_square(X, n, i, upper):
@@ -701,3 +733,132 @@ def reference_dec_bot(X: TruncatedSSet):
     }
     Y = TruncatedSSet(level, X.cells[1:], faces, degeneracies)
     return Y, SimplicialMap(Y, X, tuple(X.faces[(n + 1, 0)] for n in range(level + 1)))
+
+
+# Helpers only the tests use: the library never needs to compose maps,
+# evaluate a generator word or search for an isomorphism.
+
+
+def evaluate_word(word, source_rank: int) -> delta.SimplexMap:
+    """Compose a generator word (outermost letter first) from [source_rank]."""
+    f = delta.identity(source_rank)
+    for kind, i in reversed(word):
+        if kind == "sigma":
+            g = delta.codegeneracy(f.target_rank - 1, i)
+        elif kind == "delta":
+            g = delta.coface(f.target_rank + 1, i)
+        else:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        f = delta.compose(g, f)
+    return f
+
+
+def compose_maps(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
+    """Levelwise composite g after f."""
+    if f.target != g.source:
+        raise ValueError("compose_maps needs f.target == g.source")
+    shared = min(f.shared_level, g.shared_level)
+    components = tuple(
+        compose_tables(f.components[n], g.components[n]) for n in range(shared + 1)
+    )
+    return SimplicialMap(f.source, g.target, components)
+
+
+def identity_map(X: TruncatedSSet) -> SimplicialMap:
+    """The identity simplicial map of X."""
+    return SimplicialMap(X, X, tuple(tuple(range(len(cs))) for cs in X.cells))
+
+
+def find_isomorphism(X: TruncatedSSet, Y: TruncatedSSet) -> tuple[Table, ...] | None:
+    """Search for a levelwise bijection commuting with every operator.
+
+    Deterministic backtracking, pruned by color refinement and by the
+    face images already fixed at lower levels.  Returns the components
+    as index tables from X to Y, or None.  Intended for desk-scale
+    objects.
+    """
+    if X.level != Y.level:
+        return None
+    if any(len(a) != len(b) for a, b in zip(X.cells, Y.cells)):
+        return None
+
+    def refine(Z: TruncatedSSet) -> list[list[int]]:
+        color = [[n] * len(Z.cells[n]) for n in range(Z.level + 1)]
+        for _ in range(Z.level + 2):
+            sig = []
+            for n in range(Z.level + 1):
+                row = []
+                for c in range(len(Z.cells[n])):
+                    out = []
+                    for i in range(n + 1):
+                        if n >= 1:
+                            face = Z.faces[(n, i)][c]
+                            out.append(("d", i, color[n - 1][face]))
+                        if n < Z.level:
+                            degeneracy = Z.degeneracies[(n, i)][c]
+                            out.append(("s", i, color[n + 1][degeneracy]))
+                    row.append((color[n][c], tuple(sorted(out))))
+                sig.append(row)
+            signatures = sorted({s for row in sig for s in row})
+            palette = {s: j for j, s in enumerate(signatures)}
+            new = [[palette[s] for s in row] for row in sig]
+            if new == color:
+                break
+            color = new
+        return color
+
+    cx, cy = refine(X), refine(Y)
+    mapping: list[list[int | None]] = [[None] * len(cs) for cs in X.cells]
+
+    def degeneracies_ok(n: int) -> bool:
+        if n == 0:
+            return True
+        for i in range(n):
+            sx = X.degeneracies[(n - 1, i)]
+            sy = Y.degeneracies[(n - 1, i)]
+            for c in range(len(X.cells[n - 1])):
+                if mapping[n][sx[c]] != sy[mapping[n - 1][c]]:
+                    return False
+        return True
+
+    def assign(n: int) -> bool:
+        if n > X.level:
+            return True
+        used: set[int] = set()
+        faces = range(n + 1) if n >= 1 else range(0)
+
+        def target_key(d: int) -> tuple[int, ...]:
+            return (cy[n][d], *(Y.faces[(n, i)][d] for i in faces))
+
+        # targets must match refined color and already-assigned faces
+        def candidates(c: int) -> list[int]:
+            key = (cx[n][c], *(mapping[n - 1][X.faces[(n, i)][c]] for i in faces))
+            return [
+                d
+                for d in range(len(Y.cells[n]))
+                if d not in used and target_key(d) == key
+            ]
+
+        def place(c: int) -> bool:
+            if c == len(X.cells[n]):
+                if not degeneracies_ok(n):
+                    return False
+                return assign(n + 1)
+            for d in candidates(c):
+                mapping[n][c] = d
+                used.add(d)
+                if place(c + 1):
+                    return True
+                used.discard(d)
+                mapping[n][c] = None
+            return False
+
+        return place(0)
+
+    if not assign(0):
+        return None
+    return tuple(tuple(row) for row in mapping)
+
+
+def are_isomorphic(X: TruncatedSSet, Y: TruncatedSSet) -> bool:
+    return find_isomorphism(X, Y) is not None

@@ -29,8 +29,8 @@ from decompspace.builders import (
     PartialCategory,
     PartialMonoid,
 )
-from decompspace.sset import StructuralError, are_isomorphic, validate
-from oracles import reference_from_partial_monoid
+from decompspace.sset import StructuralError, validate
+from oracles import are_isomorphic, reference_from_partial_monoid
 from test_properties import all_partial_monoids
 
 

@@ -13,7 +13,8 @@ from corpus import (
 )
 from decompspace import builders, serialize
 from decompspace.cli import main
-from decompspace.sset import TruncatedSSet, identity_map
+from decompspace.sset import TruncatedSSet
+from oracles import identity_map
 
 
 def write_graph(tmp_path):
@@ -340,6 +341,14 @@ class TestCheck:
         assert main(["check", "decomp-direct", str(obj), "--rank-cap", "-1"]) == 2
         captured = capsys.readouterr()
         assert "--rank-cap" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("criterion", ["validate", "segal", "twosegal", "culf"])
+    def test_rank_cap_outside_decomp_direct_exit_2(self, tmp_path, capsys, criterion):
+        missing = tmp_path / "never-read.json"
+        assert main(["check", criterion, str(missing), "--rank-cap", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert "--rank-cap only applies to decomp-direct" in captured.err
+        assert str(missing) not in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("budget", ["abc", "-1"])
     def test_bad_budget_env_exit_2(self, tmp_path, capsys, monkeypatch, budget):

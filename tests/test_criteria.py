@@ -21,11 +21,10 @@ from decompspace.sset import (
     SimplicialMap,
     StructuralError,
     TruncatedSSet,
-    identity_map,
     opposite,
     validate,
 )
-from oracles import induced_names, pullback_by_names
+from oracles import identity_map, induced_names, pullback_by_names
 
 
 def zeroed_face_nerve():
@@ -402,8 +401,6 @@ class TestDegeneracySquares:
 
 class TestCulf:
     def test_identity_map_holds(self):
-        from decompspace.sset import identity_map
-
         X = builders.nerve(arrow_category(), 3)
         assert criteria.check_culf(identity_map(X)).holds
 

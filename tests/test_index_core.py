@@ -20,12 +20,12 @@ from decompspace.sset import (
     SimplicialMap,
     StructuralError,
     TruncatedSSet,
-    identity_map,
     validate,
     validate_map,
 )
 from oracles import (
     from_named,
+    identity_map,
     named_sset,
     reference_dumps,
     reference_validate,

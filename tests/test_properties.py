@@ -21,7 +21,8 @@ everything holds.
 The last test is exhaustive rather than drawn: it compares direct with
 check_decomposition on every one-vertex set of one or two loops and one
 or two triangles, at levels 2 and 3, and at level 3 also with each
-3-simplex that can be glued onto a one-loop set.
+3-simplex that can be glued onto a one-loop set; at level 3 every
+polygonal mode must also give the reference's report.
 """
 
 from itertools import combinations_with_replacement, product
@@ -32,8 +33,10 @@ from hypothesis import strategies as st
 from corpus import sset_from_generators
 from decompspace import builders, criteria
 from decompspace.sset import StructuralError, TruncatedSSet, truncate
+from oracles import reference_polygonal_reports
 
 PROPS = settings(max_examples=55, deadline=None, derandomize=True)
+MODES = ("full", "restricted", "upper", "lower")
 
 LEVELS = st.integers(2, 4)
 
@@ -218,6 +221,8 @@ def test_one_vertex_sets_agree_exhaustively():
     to glue a 3-simplex onto a one-loop set, whose top-level squares
     then meet a nondegenerate X_3 cell.  Before the unit squares into
     X_2 joined check_decomposition, most of the level-2 sets disagreed.
+    At level 3 each polygonal mode gives reference_check_2segal_polygonal's
+    report, whether the 2-Segal squares settle it or it walks.
     The two-loop sets with a 3-simplex (8,135 more) agree as well; they
     are left out because they take about 6 s more than the 3 s this test
     takes on a 2-core host.
@@ -232,5 +237,9 @@ def test_one_vertex_sets_agree_exhaustively():
             direct = criteria.check_decomposition_direct(Y).holds
             assert direct == criteria.check_decomposition(Y).holds
             seen[Y.level].append(direct)
+            if Y.level == 3:
+                assert [
+                    criteria.check_2segal_polygonal(Y, mode) for mode in MODES
+                ] == reference_polygonal_reports(Y), generators
     assert (len(seen[2]), seen[2].count(True)) == (449, 95)
     assert (len(seen[3]), seen[3].count(True)) == (449 + 937, 4 + 2)

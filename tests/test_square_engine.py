@@ -1,16 +1,17 @@
 """The square engine against its enumerate-everything references.
 
 is_pullback_square decides by counting (pullback_holds) and enumerates
-the fiber product only for a witness; the direct and polygonal walks
-memoize induced maps per call and decide identity-leg squares without
-fibers, and the direct checker settles its whole family from the
-elementary squares where its rank cap allows; the 2-Segal checkers walk
-views of the elementary and polygonal plans.  Every report must equal
-the one the reference engine in oracles.py gives, witness and all; the
-2-Segal references read their squares off X's face tables.
-The Delta side of each family is planned once per process; the plan
-tests interleave levels, rank caps, modes and instances from cold
-caches, and check that no cache keeps a simplicial set alive.
+the fiber product only for a witness; the walks compose each induced
+map once per call, from compiled plans, and decide identity-leg squares
+without fibers; the direct checker settles its whole family from the
+elementary squares where its rank cap allows, and the polygonal checker
+from the 2-Segal squares; the 2-Segal checkers walk views of the
+elementary and polygonal plans.  Every report must equal the one the
+reference engine in oracles.py gives, witness and all; the 2-Segal
+references read their squares off X's face tables.
+The Delta side of each family is planned and compiled once per process;
+the plan tests interleave levels, rank caps, modes and instances from
+cold caches, and check that no cache keeps a simplicial set alive.
 """
 
 import gc
@@ -27,15 +28,17 @@ from corpus import (
     duplicate_top,
     point,
 )
-from decompspace import builders, criteria, sset
+from decompspace import builders, criteria, delta, sset
 from decompspace.sset import (
+    CheckReport,
     LevelError,
     StructuralError,
     TruncatedSSet,
-    identity_map,
+    opposite,
     truncate,
 )
 from oracles import (
+    identity_map,
     pullback_by_names,
     reference_check_2segal_polygonal,
     reference_check_decomposition,
@@ -44,10 +47,12 @@ from oracles import (
     reference_check_upper_2segal,
     reference_check_upper_2segal_reduced,
     reference_is_pullback_square,
+    reference_polygonal_reports,
     walk_check_decomposition_direct,
 )
 
 ENGINE = settings(max_examples=400, deadline=None, derandomize=True)
+MODES = ("full", "restricted", "upper", "lower")
 
 
 @st.composite
@@ -116,36 +121,47 @@ def north_star():
     return builders.free_decomposition(builders.bounded_words(("a", "b", "c"), 4), 6)
 
 
-def record_direct_walk(monkeypatch):
-    """Record the alpha of every square the direct checker decides and
-    every map it induces, in two lists.
+def record_walk(monkeypatch):
+    """Record what the checkers decide and compose, in three collections:
+    the alpha of every square decided, in order; the table each map the
+    legs of those squares read was given, keyed by (target_rank,
+    values); and the tables the executor composed.
 
-    The square families are planned once per process, so the recording
-    wraps what runs on every call: the squares criteria._pushout_squares
-    draws, pullback_holds and induce."""
-    current, decided, induced = [None], [], []
+    The square families are planned and compiled once per process, so
+    the recording wraps what runs on every call: the squares the
+    executor criteria._pushout_squares draws, pullback_holds and _then.
+    A map given two tables fails the recording, so clear the
+    collections between calls."""
+    current, decided, induced, composed = [None], [], {}, []
     pushout_squares = criteria._pushout_squares
 
-    def recording(X, squares, label):
+    def recording(X, plan, label):
+        slots, squares = plan
+
         def drawn():
             for square in squares:
-                current[0] = square[0]
+                current[0] = square
                 yield square
 
-        return pushout_squares(X, drawn(), label)
+        return pushout_squares(X, (slots, drawn()), label)
 
     def counting_holds(*legs):
-        decided.append(current[0])
+        alpha, iota, k, p = current[0][:4]
+        decided.append(alpha)
+        theta, phi = delta.pushout_values(alpha, iota[0], k)
+        keys = ((p, phi), (p, theta), (k, iota), (alpha[-1], alpha))
+        for key, table in zip(keys, legs):
+            assert induced.setdefault(key, table) is table, key
         return sset.pullback_holds(*legs)
 
-    def counting_induce(X, target_rank, values):
-        induced.append((target_rank, values))
-        return sset.induce(X, target_rank, values)
+    def counting_then(first, second):
+        composed.append(len(first))
+        return sset._then(first, second)
 
     monkeypatch.setattr(criteria, "_pushout_squares", recording)
     monkeypatch.setattr(criteria, "pullback_holds", counting_holds)
-    monkeypatch.setattr(criteria, "induce", counting_induce)
-    return decided, induced
+    monkeypatch.setattr(criteria, "_then", counting_then)
+    return decided, induced, composed
 
 
 class TestDirectWalk:
@@ -173,12 +189,16 @@ class TestDirectWalk:
         # are decided without fibers; the 28 whose alpha is a degenerate
         # active map [n] -> [n], such as 0,0,2, are still checked.  Rank
         # cap 4 at level 6 is below the certificate's range, so every
-        # square is walked.
-        decided, induced = record_direct_walk(monkeypatch)
+        # square is walked.  The decided squares read 244 maps, each
+        # given one table; their generator words share prefixes, so 233
+        # tables are composed where composing each word on its own
+        # takes 437.
+        decided, induced, composed = record_walk(monkeypatch)
         report = criteria.check_decomposition_direct(north_star(), rank_cap=4)
         assert report.holds and report.squares_checked == 426
         assert len(decided) == 270
-        assert len(induced) == len(set(induced)) == 244
+        assert len(induced) == 244
+        assert len(composed) == 233
         degenerate_endos = [
             a for a in decided if a[-1] == len(a) - 1 and len(set(a)) < len(a)
         ]
@@ -189,13 +209,15 @@ class TestPastingCertificate:
     def test_north_star_decides_only_elementary_squares(self, monkeypatch):
         # rank cap 6 at level 6: the 3,233 squares of the family are
         # settled by its 50 elementary squares, 30 with a codegeneracy
-        # alpha and 20 with an inner coface, through 48 induced maps
-        decided, induced = record_direct_walk(monkeypatch)
+        # alpha and 20 with an inner coface, through 48 maps, each one
+        # of X's own tables
+        decided, induced, composed = record_walk(monkeypatch)
         report = criteria.check_decomposition_direct(north_star(), rank_cap=6)
         assert report.holds and report.squares_checked == 3233
         assert len(decided) == 50
         assert sum(a[-1] < len(a) - 1 for a in decided) == 30
-        assert len(induced) == len(set(induced)) == 48
+        assert len(induced) == 48
+        assert composed == []
 
     @pytest.mark.parametrize("rank_cap, level", [(2, 4), (3, 5), (3, 6)])
     def test_rank_cap_rule_on_doubled_degenerate_nerve(self, rank_cap, level):
@@ -236,12 +258,40 @@ class TestPastingCertificate:
 
 
 class TestPolygonalWalk:
-    @pytest.mark.parametrize("mode", ["full", "restricted", "upper", "lower"])
-    def test_matches_reference_on_corpus(self, mode):
+    def test_matches_reference_on_corpus(self):
+        # every corpus instance truncated to each level from 3, and its
+        # opposite, as they are and with a second copy of one of their
+        # first 2 top cells, in every mode: 1,304 reports, 900 of them
+        # failures, each settled by the 2-Segal squares or walked
         for inst in corpus():
-            assert criteria.check_2segal_polygonal(
-                inst.X, mode
-            ) == reference_check_2segal_polygonal(inst.X, mode), inst.name
+            for level in range(3, inst.X.level + 1):
+                T = truncate(inst.X, level)
+                for Y in (T, opposite(T)):
+                    copies = [duplicate_top(Y, j) for j in range(min(2, len(Y.cells[level])))]
+                    for X in [Y, *copies]:
+                        assert [
+                            criteria.check_2segal_polygonal(X, mode) for mode in MODES
+                        ] == reference_polygonal_reports(X), (inst.name, level)
+
+    def test_doubled_degenerate_nerves_match_reference(self):
+        for level in range(3, 7):
+            X = doubled_degenerate_nerve(level)
+            assert [
+                criteria.check_2segal_polygonal(X, mode) for mode in MODES
+            ] == reference_polygonal_reports(X), level
+
+    def test_north_star_is_settled_by_one_letter_squares(self, monkeypatch):
+        # each mode decides its 2-Segal squares, whose legs are faces of
+        # X, composes no table and reports the size of its own family
+        decided, induced, composed = record_walk(monkeypatch)
+        X = north_star()
+        for mode, count, size in zip(MODES, (20, 20, 10, 10), (56, 36, 21, 21)):
+            decided.clear()
+            report = criteria.check_2segal_polygonal(X, mode)
+            assert report == CheckReport(holds=True, checked_level=6, squares_checked=size)
+            assert len(decided) == count, mode
+        assert composed == []
+        assert all(any(t is u for u in X.faces.values()) for t in induced.values())
 
 
 #: The 2-Segal family: each checker and its face-table reference.
@@ -277,19 +327,22 @@ class TestTwoSegalFamily:
                 assert check(X) == reference(X), (level, check.__name__)
 
 
-MODES = ("full", "restricted", "upper", "lower")
+
+#: Every per-process plan cache: the compiled plans and the word steps.
+PLAN_CACHES = (
+    criteria._direct_plan,
+    criteria._elementary_plan,
+    criteria._polygonal_plan,
+    criteria._two_segal_plan,
+    criteria._reduced_plan,
+    sset._word_steps,
+)
 
 
 @pytest.fixture
 def cold_plans():
     """Empty every per-process plan cache before the test."""
-    for cache in (
-        criteria._direct_plan,
-        criteria._elementary_plan,
-        criteria._polygonal_plan,
-        criteria._two_segal_plan,
-        sset._word_steps,
-    ):
+    for cache in PLAN_CACHES:
         cache.cache_clear()
 
 
@@ -357,9 +410,10 @@ class TestPlanCaches:
         with pytest.raises(LevelError, match="rank cap 4 exceeds level 3"):
             criteria.check_decomposition_direct(X, 4)
 
-    def test_no_cache_keeps_the_input_alive(self):
+    def test_no_cache_keeps_the_input_alive(self, cold_plans):
         # a passing and a failing instance through every checker that
-        # plans squares, then dropped: nothing may still hold them
+        # plans squares, filling every plan cache, then dropped: nothing
+        # may still hold them
         refs = []
         for X in (
             builders.free_decomposition(builders.bounded_words(("a",), 2), 4),
@@ -377,4 +431,5 @@ class TestPlanCaches:
             refs.append(weakref.ref(X))
         del X, T
         gc.collect()
+        assert all(cache.cache_info().currsize for cache in PLAN_CACHES)
         assert [ref() for ref in refs] == [None, None]
