@@ -5,15 +5,15 @@ simplicial set an outer face complex generates.
 Every builder validates its input (raising StructuralError on bad
 tables) and emits a TruncatedSSet of index tables whose cell names stay
 readable: chains are arrow names joined with "|", words of a partial
-monoid are "(x,y)", free cells are "(element;part,part)".  The builders
-index cells by their structure (chains, words, part lists), never by
-name.
+monoid are "(x,y)", free cells are "(element;part,part)".  An outer face
+complex holds index tables too, which the free construction reads as
+they are.  The builders index cells by their structure (chains, paths,
+part lists), never by name: one builder makes chains, another paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 from typing import Callable, Mapping
 
 from .sset import (
@@ -21,6 +21,9 @@ from .sset import (
     StructuralError,
     Table,
     TruncatedSSet,
+    _first_difference,
+    _index_problem,
+    _then,
     compose_tables,
 )
 
@@ -63,14 +66,16 @@ class PartialMonoid:
 class OuterFaceComplex:
     """A graded set with commuting bottom and top face maps only.
 
-    grades[m] lists the degree-m elements for 0 <= m <= bound; d_bot[m]
-    and d_top[m] are total maps grades[m] -> grades[m-1] for m >= 1.
+    grades[m] lists the degree-m elements for 0 <= m <= bound; for
+    m >= 1, d_bot[m] and d_top[m] are the index tables of the face maps
+    grades[m] -> grades[m-1]: entry j is the index in grades[m-1] of the
+    face of grades[m][j].
     """
 
     bound: int
     grades: tuple[tuple[str, ...], ...]
-    d_bot: Mapping[int, Mapping[str, str]]
-    d_top: Mapping[int, Mapping[str, str]]
+    d_bot: Mapping[int, Table]
+    d_top: Mapping[int, Table]
 
 
 @dataclass(frozen=True)
@@ -91,10 +96,16 @@ def validate_category(C: FiniteCategory) -> None:
     validate_partial_category(C)
 
 
-def validate_partial_monoid(M: PartialMonoid, max_size: int = 32) -> None:
-    if len(M.carrier) > max_size:
+#: The largest carrier whose associativity validate_partial_monoid checks
+#: exhaustively, triple by triple.
+_MAX_CARRIER = 32
+
+
+def validate_partial_monoid(M: PartialMonoid) -> None:
+    if len(M.carrier) > _MAX_CARRIER:
         raise StructuralError(
-            f"carrier size {len(M.carrier)} exceeds the exhaustive-check cap {max_size}"
+            f"carrier size {len(M.carrier)} exceeds the exhaustive-check cap "
+            f"{_MAX_CARRIER}"
         )
     if len(set(M.carrier)) != len(M.carrier):
         raise StructuralError("duplicate carrier elements")
@@ -179,21 +190,15 @@ def validate_ofc(A: OuterFaceComplex) -> None:
         for kind, tables in (("d_bot", A.d_bot), ("d_top", A.d_top)):
             if m not in tables:
                 raise StructuralError(f"missing {kind} table at degree {m}")
-            lower = set(A.grades[m - 1])
-            for a in A.grades[m]:
-                if a not in tables[m]:
-                    raise StructuralError(f"{kind} at degree {m} undefined on {a!r}")
-                if tables[m][a] not in lower:
-                    raise StructuralError(
-                        f"{kind} at degree {m} sends {a!r} to dangling "
-                        f"{tables[m][a]!r}"
-                    )
+            problem = _index_problem(tables[m], A.grades[m], len(A.grades[m - 1]))
+            if problem is not None:
+                raise StructuralError(f"{kind} at degree {m} {problem}")
     for m in range(2, A.bound + 1):
-        for a in A.grades[m]:
-            if A.d_top[m - 1][A.d_bot[m][a]] != A.d_bot[m - 1][A.d_top[m][a]]:
-                raise StructuralError(
-                    f"d_top d_bot != d_bot d_top at degree {m} on {a!r}"
-                )
+        lhs = _then(A.d_bot[m], A.d_top[m - 1])
+        rhs = _then(A.d_top[m], A.d_bot[m - 1])
+        if lhs != rhs:
+            a = A.grades[m][_first_difference(lhs, rhs)]
+            raise StructuralError(f"d_top d_bot != d_bot d_top at degree {m} on {a!r}")
 
 
 def validate_graph(G: DirectedGraph) -> None:
@@ -372,39 +377,31 @@ def _require_nonnegative(name: str, value: int) -> None:
 
 def bounded_words(alphabet: tuple[str, ...], max_len: int) -> OuterFaceComplex:
     """Words of length at most max_len; the face maps discard the first
-    or last letter."""
+    or last letter.  These are the paths of the graph with one vertex,
+    the empty word, and one loop per letter."""
     _require_nonnegative("max_len", max_len)
-    grades = []
-    for m in range(max_len + 1):
-        grade = tuple("".join(w) for w in iproduct(alphabet, repeat=m))
-        if len(set(grade)) != len(grade):
-            raise StructuralError("alphabet letters produce colliding words")
-        grades.append(grade)
-    d_bot = {
-        m: {w: w[1:] for w in grades[m]} for m in range(1, max_len + 1)
-    }
-    d_top = {
-        m: {w: w[:-1] for w in grades[m]} for m in range(1, max_len + 1)
-    }
-    return OuterFaceComplex(max_len, tuple(grades), d_bot, d_top)
+    G = DirectedGraph(("",), tuple((a, "", "") for a in alphabet))
+    try:
+        return graph_paths(G, max_len)
+    except StructuralError:
+        raise StructuralError("alphabet letters produce colliding words") from None
 
 
 def graph_paths(G: DirectedGraph, bound: int) -> OuterFaceComplex:
     """Edge paths of length at most bound; degree 0 is the vertex set,
-    and on edges the face maps take target (bottom) and source (top)."""
+    and on edges the face maps take target (bottom) and source (top).
+    Above degree 1 they drop the first (bottom) or last (top) edge."""
     _require_nonnegative("bound", bound)
     validate_graph(G)
-    by_name = {e[0]: e for e in G.edges}
+    target = {name: tgt for name, _, tgt in G.edges}
+    leaving: dict[str, list[str]] = {v: [] for v in G.vertices}
+    for name, src, _ in G.edges:
+        leaving[src].append(name)
     paths: list[list[tuple[str, ...]]] = [[(v,) for v in G.vertices]]
     if bound >= 1:
         paths.append([(e[0],) for e in G.edges])
     for m in range(2, bound + 1):
-        nxt = []
-        for p in paths[m - 1]:
-            for name, src, tgt in G.edges:
-                if by_name[p[-1]][2] == src:
-                    nxt.append(p + (name,))
-        paths.append(nxt)
+        paths.append([p + (e,) for p in paths[m - 1] for e in leaving[target[p[-1]]]])
 
     # a path is named by its edges joined, a vertex by its own name
     grades = []
@@ -413,17 +410,16 @@ def graph_paths(G: DirectedGraph, bound: int) -> OuterFaceComplex:
         if len(set(grade)) != len(grade):
             raise StructuralError("edge names produce colliding path labels")
         grades.append(grade)
-    d_bot: dict[int, dict[str, str]] = {}
-    d_top: dict[int, dict[str, str]] = {}
+    d_bot: dict[int, Table] = {}
+    d_top: dict[int, Table] = {}
     for m in range(1, bound + 1):
-        bot, top = {}, {}
-        for p in paths[m]:
-            name = "".join(p)
-            if m == 1:
-                bot[name], top[name] = by_name[name][2], by_name[name][1]
-            else:
-                bot[name], top[name] = "".join(p[1:]), "".join(p[:-1])
-        d_bot[m], d_top[m] = bot, top
+        index = {p: j for j, p in enumerate(paths[m - 1])}
+        if m == 1:
+            d_bot[m] = tuple(index[(tgt,)] for _, _, tgt in G.edges)
+            d_top[m] = tuple(index[(src,)] for _, src, _ in G.edges)
+        else:
+            d_bot[m] = tuple(index[p[1:]] for p in paths[m])
+            d_top[m] = tuple(index[p[:-1]] for p in paths[m])
     return OuterFaceComplex(bound, tuple(grades), d_bot, d_top)
 
 
@@ -432,7 +428,7 @@ def terminal_complex(bound: int) -> OuterFaceComplex:
     nerve of addition of naturals up to the bound."""
     _require_nonnegative("bound", bound)
     grades = tuple(("*",) for _ in range(bound + 1))
-    tables = {m: {"*": "*"} for m in range(1, bound + 1)}
+    tables = {m: (0,) for m in range(1, bound + 1)}
     return OuterFaceComplex(bound, grades, tables, dict(tables))
 
 
@@ -462,15 +458,12 @@ def free_decomposition(A: OuterFaceComplex, level: int) -> TruncatedSSet:
     # indices into grade m - t
     bot: list[list[Table]] = []
     top: list[list[Table]] = []
-    for m in range(A.bound + 1):
-        bot.append([tuple(range(sizes[m]))])
-        top.append([tuple(range(sizes[m]))])
-        if m == 0:
-            continue
-        lower = {a: j for j, a in enumerate(A.grades[m - 1])}
+    for m, size in enumerate(sizes):
         for iterated, tables in ((bot, A.d_bot), (top, A.d_top)):
-            step = [lower[tables[m][a]] for a in A.grades[m]]
-            iterated[m] += [compose_tables(step, power) for power in iterated[m - 1]]
+            powers = iterated[m - 1] if m else []
+            iterated.append(
+                [tuple(range(size))] + [compose_tables(tables[m], t) for t in powers]
+            )
     parts_of = [list(_compositions(k, A.bound)) for k in range(level + 1)]
     offsets: list[dict[tuple[int, ...], int]] = []
     for k in range(level + 1):

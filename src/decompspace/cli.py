@@ -2,9 +2,9 @@
 
 Exit codes: 0 the check holds (or the command succeeded), 1 the check
 fails, 2 schema or usage errors (including a path that cannot be read
-or written, a file that is not UTF-8, a negative --bound, --max-len,
---rank-cap or DECOMP_MAX_SQUARES, and --rank-cap with a criterion other
-than decomp-direct), 3 builder preconditions, inputs that
+or written, a file that is not UTF-8, a negative --level, --bound,
+--max-len, --rank-cap or DECOMP_MAX_SQUARES, and --rank-cap with a
+criterion other than decomp-direct), 3 builder preconditions, inputs that
 are not simplicial sets (transform validates its input as the checkers
 do) or level shortfalls, 4 the check is inconclusive: the
 DECOMP_MAX_SQUARES budget cut the direct decomposition walk off before
@@ -28,6 +28,21 @@ EXIT_INCONCLUSIVE = 4
 
 class SystemExit2(Exception):
     """Usage problems surfaced with exit code 2."""
+
+
+#: Each check criterion and the name of its checker in criteria (which
+#: has validate from sset), looked up once the arguments parse, so that
+#: usage errors import no library module.
+_CRITERIA = {
+    "validate": "validate",
+    "segal": "check_segal",
+    "upper2segal": "check_upper_2segal",
+    "lower2segal": "check_lower_2segal",
+    "twosegal": "check_2segal_polygonal",
+    "decomp": "check_decomposition",
+    "decomp-direct": "check_decomposition_direct",
+    "culf": "check_culf",
+}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -63,19 +78,7 @@ def _parser() -> argparse.ArgumentParser:
     build.add_argument("--output", required=True)
 
     check = sub.add_parser("check", help="run a criterion and report the verdict")
-    check.add_argument(
-        "criterion",
-        choices=[
-            "validate",
-            "segal",
-            "upper2segal",
-            "lower2segal",
-            "twosegal",
-            "decomp",
-            "decomp-direct",
-            "culf",
-        ],
-    )
+    check.add_argument("criterion", choices=list(_CRITERIA))
     check.add_argument("input")
     check.add_argument("--rank-cap", type=int, help="rank cap for decomp-direct")
     check.add_argument("--format", choices=["text", "machine"], default="text")
@@ -112,7 +115,8 @@ def _cmd_build(args) -> int:
     # reject before anything is read, built or written: negative sizes,
     # and a length map of anything but an outer face complex freely
     # completed to a level
-    for flag, value in (("--bound", args.bound), ("--max-len", args.max_len)):
+    sizes = {"--level": args.level, "--bound": args.bound, "--max-len": args.max_len}
+    for flag, value in sizes.items():
         if value is not None and value < 0:
             raise SystemExit2(f"{flag} must be nonnegative, got {value}")
     if args.length_map is not None and (
@@ -227,7 +231,6 @@ def _square_budget() -> int | None:
 
 def _cmd_check(args) -> int:
     from . import criteria, serialize
-    from .sset import validate
 
     budget = None
     if args.rank_cap is not None and args.criterion != "decomp-direct":
@@ -236,27 +239,15 @@ def _cmd_check(args) -> int:
         if args.rank_cap is not None and args.rank_cap < 0:
             raise SystemExit2(f"--rank-cap must be nonnegative, got {args.rank_cap}")
         budget = _square_budget()
+    check = getattr(criteria, _CRITERIA[args.criterion])
     if args.criterion == "culf":
-        smap = serialize.smap_from_obj(serialize.read_file(args.input), where=args.input)
-        report = criteria.check_culf(smap)
+        report = check(
+            serialize.smap_from_obj(serialize.read_file(args.input), where=args.input)
+        )
+    elif args.criterion == "decomp-direct":
+        report = check(_load_sset(args.input), rank_cap=args.rank_cap, max_squares=budget)
     else:
-        X = _load_sset(args.input)
-        if args.criterion == "validate":
-            report = validate(X)
-        elif args.criterion == "segal":
-            report = criteria.check_segal(X)
-        elif args.criterion == "upper2segal":
-            report = criteria.check_upper_2segal(X)
-        elif args.criterion == "lower2segal":
-            report = criteria.check_lower_2segal(X)
-        elif args.criterion == "twosegal":
-            report = criteria.check_2segal_polygonal(X)
-        elif args.criterion == "decomp":
-            report = criteria.check_decomposition(X)
-        else:
-            report = criteria.check_decomposition_direct(
-                X, rank_cap=args.rank_cap, max_squares=budget
-            )
+        report = check(_load_sset(args.input))
     sys.stdout.write(_render(report, args.criterion, args.format))
     if report.inconclusive:
         return EXIT_INCONCLUSIVE

@@ -45,9 +45,10 @@ or rank_cap <= 1; at other caps, and when an elementary square fails,
 the whole family is walked, so a failure's report is always the walk's.
 check_2segal_polygonal has the same shape: each of its squares is a
 pasting of upper and lower 2-Segal squares within the truncation
-(Dyckerhoff and Kapranov, arXiv:1212.3563), so it decides those first
-and walks its own squares only when one of them fails; its docstring
-gives the pasting.  One helper, _settled, decides both certificates.
+(Dyckerhoff and Kapranov, arXiv:1212.3563), the upper ones at i = n - 1
+and the lower ones at i = 1, so it decides those first and walks its
+own squares only when one of them fails; its docstring gives the
+pasting.  One helper, _settled, decides both certificates.
 At level 2 check_decomposition decides the same unit squares the
 certificate does there, since the 2-Segal squares need X_3.
 """
@@ -400,12 +401,13 @@ def check_2segal_polygonal(X: TruncatedSSet, mode: str = "full") -> CheckReport:
     [j - i] along the inert [1] -> [n - j + i + 1] at offset i.  Below
     level 3 every such square has an identity leg, so nothing is decided.
 
-    Certificate.  The 2-Segal squares of the mode's sides within the
-    truncation L are decided first: the upper ones for "upper", the
-    lower ones for "lower", both otherwise.  If they all hold, so does
-    every square of the mode, and the report is the walk's: holds, with
-    the number of its squares.  If one fails, the mode's squares are
-    walked in order, so a failure and its witness are the walk's own.
+    Certificate.  The 2-Segal squares the proof below pastes within
+    the truncation L are decided first: the upper ones at i = n - 1 for
+    "upper", the lower ones at i = 1 for "lower", both otherwise.  If
+    they all hold, so does every square of the mode, and the report is
+    the walk's: holds, with the number of its squares.  If one fails,
+    the mode's squares are walked in order, so a failure and its
+    witness are the walk's own.
 
     Proof.  For S inside [n] write X_S for X_{|S| - 1}, reached from
     X_n by the faces that drop the vertices outside S, and [a, b] for
@@ -432,14 +434,16 @@ def check_2segal_polygonal(X: TruncatedSSet, mode: str = "full") -> CheckReport:
       the third, compose to the map of X_[n] to X_{[0, i] + [j, n]}
       x_{X_{i, j}} X_[i, j], which is so a bijection.
     Every square used sits in some X_m with m <= n <= L, and the 2-Segal
-    squares used are those of X_N with N <= n, which _two_segal_plan(L,
-    sides) holds: no square above X_L is needed.
+    squares used are the upper ones (N - 1, N - 2) and the lower ones
+    (N - 1, 1) with N <= n, which _two_segal_plan(L, sides, pasted=True)
+    holds: no square above X_L is needed, and no other one is decided.
     """
     if mode not in _POLYGONAL_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     _require_valid(X)
     slots, squares = _polygonal_plan(X.level, mode)
-    if _settled(X, _two_segal_plan(X.level, _POLYGONAL_MODES[mode][1])):
+    _, sides = _POLYGONAL_MODES[mode]
+    if _settled(X, _two_segal_plan(X.level, sides, pasted=True)):
         return CheckReport(
             holds=True, checked_level=X.level, squares_checked=len(squares)
         )
@@ -450,8 +454,14 @@ def _active_inert_label(alpha, iota, k: int, p: int) -> str:
     return f"active-inert alpha={alpha} iota={iota}: X{p} over X{len(alpha) - 1}"
 
 
+def _skipped(alpha) -> int:
+    """The i that an inner coface alpha: [k - 1] -> [k] skips."""
+    k = alpha[-1]
+    return k * (k + 1) // 2 - sum(alpha)
+
+
 def _two_segal_label(alpha, iota, k: int, p: int) -> str:
-    i = k * (k + 1) // 2 - sum(alpha)
+    i = _skipped(alpha)
     side, top, leg = ("upper", i + 1, "bot") if iota[0] else ("lower", i, "top")
     return (
         f"{side} n={k} i={i}: X{p} -(d_{top})-> X{k}, "
@@ -476,14 +486,21 @@ def _two_segal_squares(level: int, sides: tuple[int, ...]) -> list:
         for sq in _elementary_squares(level, level)
         if sq[0][-1] == sq[2] and sq[1][0] in sides
     ]
-    # for alpha skipping i, -sum(alpha) is i - k(k + 1)/2
-    squares.sort(key=lambda sq: (sq[2], -sum(sq[0]), sides.index(sq[1][0])))
+    squares.sort(key=lambda sq: (sq[2], _skipped(sq[0]), sides.index(sq[1][0])))
     return squares
 
 
 @lru_cache(maxsize=256)
-def _two_segal_plan(level: int, sides: tuple[int, ...]) -> Plan:
-    return _plan(_two_segal_squares(level, sides))
+def _two_segal_plan(level: int, sides: tuple[int, ...], pasted: bool = False) -> Plan:
+    """With pasted, only the squares check_2segal_polygonal's proof
+    pastes: the upper ones at i = n - 1 and the lower ones at i = 1."""
+    squares = _two_segal_squares(level, sides)
+    if pasted:
+        # iota at offset 1 (upper) or 0 (lower), alpha skipping i
+        squares = [
+            sq for sq in squares if _skipped(sq[0]) == (sq[2] - 1 if sq[1][0] else 1)
+        ]
+    return _plan(squares)
 
 
 @lru_cache(maxsize=256)

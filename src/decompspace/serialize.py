@@ -3,10 +3,10 @@
 Operator tables are stored as arrays of target indices (row j holds the
 index of the image of the j-th cell), never as names, so files stay
 compact and byte-stable: dumps(loads(text)) == text for every valid
-file.  That is also the shape TruncatedSSet and SimplicialMap hold their
-tables in, so reading checks each row and keeps it as a tuple, and
-writing emits the rows as they are.  Only the outer face complex keeps
-name-keyed tables in memory.  See FORMATS.md for the documented schemas.
+file.  That is also the shape TruncatedSSet, SimplicialMap and
+OuterFaceComplex hold their tables in, so reading checks each row and
+keeps it as a tuple, and writing emits the rows as they are.  See
+FORMATS.md for the documented schemas.
 
 dumps writes the documented layout (two-space indents, sorted keys, a
 final newline) directly, a whole row of indices or names at a time; the
@@ -23,7 +23,7 @@ import os
 import tempfile
 from typing import TYPE_CHECKING, Any, Iterator
 
-from .sset import SimplicialMap, Table, TruncatedSSet, table_names
+from .sset import SimplicialMap, Table, TruncatedSSet
 
 if TYPE_CHECKING:
     # the readers that build these import them, so reading an sset or a
@@ -142,21 +142,14 @@ def sset_from_obj(obj: dict, where: str = "sset") -> TruncatedSSet:
 
 
 def ofc_to_obj(A: OuterFaceComplex) -> dict:
-    index = [{a: j for j, a in enumerate(g)} for g in A.grades]
-
-    def rows(tables) -> list[list[int]]:
-        return [
-            [index[m - 1][tables[m][a]] for a in A.grades[m]]
-            for m in range(1, A.bound + 1)
-        ]
-
+    degrees = range(1, A.bound + 1)
     return {
         "format_version": FORMAT_VERSION,
         "kind": "ofc",
         "bound": A.bound,
         "grades": [list(g) for g in A.grades],
-        "d_bot": rows(A.d_bot),
-        "d_top": rows(A.d_top),
+        "d_bot": [A.d_bot[m] for m in degrees],
+        "d_top": [A.d_top[m] for m in degrees],
     }
 
 
@@ -183,9 +176,8 @@ def ofc_from_obj(obj: dict, where: str = "ofc") -> OuterFaceComplex:
             (d_bot, d_bot_raw, "d_bot"),
             (d_top, d_top_raw, "d_top"),
         ):
-            size, lower = len(grades[m]), len(grades[m - 1])
-            row = _table(raw[m - 1], size, lower, f"{where}: {name}[{m - 1}]")
-            tables[m] = table_names(row, grades[m], grades[m - 1])
+            at = f"{where}: {name}[{m - 1}]"
+            tables[m] = _table(raw[m - 1], len(grades[m]), len(grades[m - 1]), at)
     return OuterFaceComplex(bound, tuple(grades), d_bot, d_top)
 
 

@@ -268,8 +268,30 @@ class TestBoundedWords:
     def test_commutation_strips_both_ends(self):
         A = builders.bounded_words(("a", "b"), 2)
         builders.validate_ofc(A)
-        for w in A.grades[2]:
-            assert A.d_top[1][A.d_bot[2][w]] == A.d_bot[1][A.d_top[2][w]] == ""
+        assert A.grades == (("",), ("a", "b"), ("aa", "ab", "ba", "bb"))
+        # d_bot drops the first letter, d_top the last, as indices
+        assert A.d_bot[2] == (0, 1, 0, 1) and A.d_top[2] == (0, 0, 1, 1)
+        for j in range(4):
+            assert A.d_top[1][A.d_bot[2][j]] == A.d_bot[1][A.d_top[2][j]] == 0
+
+    @pytest.mark.parametrize("alphabet", ["", "a", "ab", "abc", "ba"])
+    def test_words_are_paths_of_one_vertex_graph(self, alphabet):
+        G = DirectedGraph(("",), tuple((a, "", "") for a in alphabet))
+        for max_len in range(4):
+            assert serialize.ofc_to_obj(
+                builders.bounded_words(tuple(alphabet), max_len)
+            ) == serialize.ofc_to_obj(builders.graph_paths(G, max_len))
+
+    @pytest.mark.parametrize("max_len", [0, 1, 2])
+    def test_repeated_letter_rejected_at_every_length(self, max_len):
+        # a repeated letter is a repeated edge of the one-vertex graph,
+        # so even max_len 0, which has no word of it, is rejected
+        with pytest.raises(StructuralError, match="alphabet letters produce colliding"):
+            builders.bounded_words(("a", "a"), max_len)
+
+    def test_concatenation_collision_rejected(self):
+        with pytest.raises(StructuralError, match="alphabet letters produce colliding"):
+            builders.bounded_words(("a", "aa"), 2)
 
     def test_segal_obstruction_is_the_length_bound(self):
         # Segal fiber products concatenate words, so their lengths
@@ -283,6 +305,64 @@ class TestBoundedWords:
         assert criteria.check_segal(E).holds
 
 
+def words_ab() -> OuterFaceComplex:
+    """bounded_words(("a", "b"), 2) spelled out: faces as index tables."""
+    return OuterFaceComplex(
+        2,
+        (("",), ("a", "b"), ("aa", "ab", "ba", "bb")),
+        {1: (0, 0), 2: (0, 1, 0, 1)},
+        {1: (0, 0), 2: (0, 0, 1, 1)},
+    )
+
+
+class TestOFCValidation:
+    def test_spelled_out_words_validate(self):
+        builders.validate_ofc(words_ab())
+        assert words_ab() == builders.bounded_words(("a", "b"), 2)
+
+    @pytest.mark.parametrize(
+        "kind, m, table, message",
+        [
+            ("d_bot", 2, (0, 1, 0), "d_bot at degree 2 is not a tuple of 4 indices"),
+            ("d_top", 1, [0, 0], "d_top at degree 1 is not a tuple of 2 indices"),
+            ("d_top", 2, (0, 0, "b", 1), "d_top at degree 2 holds an entry that is not"),
+            ("d_bot", 2, (0, 9, 0, 1), "d_bot at degree 2 sends 'ab' to dangling index 9"),
+            ("d_bot", 1, (0, -1), "d_bot at degree 1 sends 'b' to dangling index -1"),
+        ],
+        ids=["short", "list", "non-int", "dangling", "negative"],
+    )
+    def test_bad_table_named(self, kind, m, table, message):
+        A = words_ab()
+        getattr(A, kind)[m] = table
+        with pytest.raises(StructuralError, match=re.escape(message)):
+            builders.validate_ofc(A)
+
+    def test_missing_table_named(self):
+        A = words_ab()
+        del A.d_top[2]
+        with pytest.raises(StructuralError, match="missing d_top table at degree 2"):
+            builders.validate_ofc(A)
+
+    def test_non_commuting_pair_named(self):
+        # 'ab' has bottom face 'b' and top face 'a', whose top and bottom
+        # faces are the two different elements v and u of degree 0
+        A = OuterFaceComplex(
+            2,
+            (("u", "v"), ("a", "b"), ("aa", "ab", "ba", "bb")),
+            {1: (0, 1), 2: (0, 1, 0, 1)},
+            {1: (0, 1), 2: (0, 0, 1, 1)},
+        )
+        with pytest.raises(
+            StructuralError, match="d_top d_bot != d_bot d_top at degree 2 on 'ab'"
+        ):
+            builders.validate_ofc(A)
+
+    def test_duplicate_grade_element_named(self):
+        A = OuterFaceComplex(1, (("",), ("a", "a")), {1: (0, 0)}, {1: (0, 0)})
+        with pytest.raises(StructuralError, match="duplicate elements in grade 1"):
+            builders.validate_ofc(A)
+
+
 class TestGraphPaths:
     def test_paper_graph_length_two_paths(self):
         A = builders.graph_paths(paper_graph(), 2)
@@ -293,7 +373,17 @@ class TestGraphPaths:
     def test_degree_zero_is_vertices(self):
         A = builders.graph_paths(paper_graph(), 2)
         assert A.grades[0] == ("x", "y", "z")
-        assert A.d_bot[1]["a"] == "y" and A.d_top[1]["a"] == "x"
+        assert A.grades[1] == ("a", "b", "c", "d", "e")
+        # the edge a: x -> y has bottom face y (index 1), top face x (0)
+        assert A.d_bot[1] == (1, 2, 2, 0, 0)
+        assert A.d_top[1] == (0, 1, 1, 2, 0)
+
+    def test_faces_drop_an_end_edge(self):
+        A = builders.graph_paths(paper_graph(), 3)
+        for m in (2, 3):
+            for j, p in enumerate(A.grades[m]):
+                assert A.grades[m - 1][A.d_bot[m][j]] == p[1:]
+                assert A.grades[m - 1][A.d_top[m][j]] == p[:-1]
 
     def test_no_edges(self):
         A = builders.graph_paths(DirectedGraph(("v",), ()), 2)
@@ -343,10 +433,8 @@ class TestFreeDecomposition:
             assert criteria.check_decomposition(inst.X).holds, inst.name
 
     def test_invalid_complex_rejected(self):
-        A = OuterFaceComplex(
-            1, (("p",), ("q",)), {1: {"q": "ghost"}}, {1: {"q": "p"}}
-        )
-        with pytest.raises(StructuralError):
+        A = OuterFaceComplex(1, (("p",), ("q",)), {1: (1,)}, {1: (0,)})
+        with pytest.raises(StructuralError, match="d_bot at degree 1 sends 'q'"):
             builders.free_decomposition(A, 2)
 
     @pytest.mark.parametrize(

@@ -203,8 +203,15 @@ class TestBuild:
             (["words", "--alphabet", "ab", "--max-len", "-1"], "--max-len"),
             # the input does not exist: the flag is rejected before any read
             (["graph-paths", "--input", "missing.json", "--bound", "-2"], "--bound"),
+            (["free", "--input", "missing.json", "--level", "-1"], "--level"),
+            (["words", "--alphabet", "ab", "--max-len", "2", "--level", "-1"], "--level"),
+            (["terminal-ofc", "--bound", "2", "--level", "-1"], "--level"),
+            (["nerve", "--input", "missing.json", "--level", "-3"], "--level"),
         ],
-        ids=["terminal-ofc", "words", "graph-paths"],
+        ids=[
+            "terminal-ofc", "words", "graph-paths",
+            "free-level", "words-level", "terminal-ofc-level", "nerve-level",
+        ],
     )
     def test_negative_size_rejected_before_writing(self, tmp_path, capsys, build, flag):
         build = [str(tmp_path / a) if a.endswith(".json") else a for a in build]

@@ -281,15 +281,24 @@ class TestPolygonalWalk:
             ] == reference_polygonal_reports(X), level
 
     def test_north_star_is_settled_by_one_letter_squares(self, monkeypatch):
-        # each mode decides its 2-Segal squares, whose legs are faces of
-        # X, composes no table and reports the size of its own family
+        # each mode decides the 2-Segal squares its proof pastes, the
+        # upper ones at i = n - 1 and the lower ones at i = 1 for n = 2..5
+        # (8, 8, 4 and 4 squares), whose legs are faces of X, composes no
+        # table and reports the size of its own family
         decided, induced, composed = record_walk(monkeypatch)
         X = north_star()
-        for mode, count, size in zip(MODES, (20, 20, 10, 10), (56, 36, 21, 21)):
+
+        def skipping(n, i):
+            return tuple(v for v in range(n + 1) if v != i)
+
+        upper = [skipping(n, n - 1) for n in range(2, 6)]
+        lower = [skipping(n, 1) for n in range(2, 6)]
+        alphas = (upper + lower, upper + lower, upper, lower)
+        for mode, size, want in zip(MODES, (56, 36, 21, 21), alphas):
             decided.clear()
             report = criteria.check_2segal_polygonal(X, mode)
             assert report == CheckReport(holds=True, checked_level=6, squares_checked=size)
-            assert len(decided) == count, mode
+            assert sorted(decided) == sorted(want), mode
         assert composed == []
         assert all(any(t is u for u in X.faces.values()) for t in induced.values())
 
