@@ -9,6 +9,14 @@ names appear only at the boundary (the from_names constructors, the
 *_names accessors and serialize) and in the witnesses and details of
 reports.  The pullback engine for squares of finite sets lives here
 too, as do the report and witness types shared by every checker.
+
+validate alone copies tables into another encoding, for the length of
+one call: when every level of X holds at most 256 cells it walks the
+simplicial identities on bytes copies, where composing two tables is
+one bytes.translate and comparing them one memcmp; otherwise it walks
+the tuples themselves.  Both encodings pass the same shape test and go
+through the same walk, and a bytes table holds the same indices as its
+tuple, so the report or StructuralError cannot depend on the encoding.
 """
 
 from __future__ import annotations
@@ -17,8 +25,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from operator import itemgetter
-from typing import Mapping, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import delta
 from .delta import SimplexMap
@@ -231,23 +239,74 @@ def _first_difference(lhs: Sequence[int], rhs: Sequence[int]) -> int:
     return next(j for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
 
 
-def _checked_tables(X: TruncatedSSet, kind: str) -> list[list[Table]]:
+def _tuple_table(table, source: tuple[str, ...], size: int) -> Table | None:
+    """table if it is a tuple of len(source) ints in range(size), else None."""
+    return table if _index_problem(table, source, size) is None else None
+
+
+#: Byte k is k; its first size bytes are the identity table on size cells.
+_BYTE_RANGE = bytes(range(256))
+
+
+def _byte_table(table, source: tuple[str, ...], size: int) -> bytes | None:
+    """table as bytes if it is a tuple of len(source) ints in range(size),
+    else None; size is at most 256.  The test of _index_problem, with
+    bytes() in place of min and the deletion of every byte below size
+    in place of max."""
+    if not isinstance(table, tuple) or len(table) != len(source):
+        return None
+    if not _INT.issuperset(map(type, table)):
+        return None
+    try:
+        row = bytes(table)
+    except ValueError:
+        return None
+    return None if row.translate(None, _BYTE_RANGE[:size]) else row
+
+
+class _Encoding(NamedTuple):
+    """How validate holds the tables of X for one call.
+
+    table(t, source, size) is t converted, or None when t is not a tuple
+    of len(source) indices in range(size); step(t) is the callable
+    u -> the table of u after t, and operand(t) the u those callables
+    take; identity(size) is the identity table on size cells.
+    """
+
+    table: Callable
+    step: Callable
+    operand: Callable
+    identity: Callable
+
+
+_TUPLES = _Encoding(_tuple_table, _getter, tuple, lambda size: tuple(range(size)))
+#: first.translate(second padded to 256 bytes) is second after first.
+_BYTES = _Encoding(
+    _byte_table,
+    attrgetter("translate"),
+    lambda row: row.ljust(256, b"\0"),
+    lambda size: _BYTE_RANGE[:size],
+)
+
+
+def _checked_tables(X: TruncatedSSet, kind: str, encode=_tuple_table) -> list[list]:
     """X's face ("d") or degeneracy ("s") tables as rows[n][i], each
-    checked to be a tuple of indices of the right length and range."""
+    checked to be a tuple of indices of the right length and range and
+    converted by encode (_tuple_table or _byte_table)."""
     tables, levels, step = (
         (X.faces, range(1, X.level + 1), -1)
         if kind == "d"
         else (X.degeneracies, range(X.level), 1)
     )
-    rows: list[list[Table]] = [[] for _ in X.cells]
+    rows: list[list] = [[] for _ in X.cells]
     for n in levels:
         source, size = X.cells[n], len(X.cells[n + step])
         for i in range(n + 1):
             if (n, i) not in tables:
                 raise StructuralError(f"missing table {kind}_{i} at level {n}")
-            table = tables[(n, i)]
-            problem = _index_problem(table, source, size)
-            if problem is not None:
+            table = encode(tables[(n, i)], source, size)
+            if table is None:
+                problem = _index_problem(tables[(n, i)], source, size)
                 raise StructuralError(f"{kind}_{i} at level {n} {problem}")
             rows[n].append(table)
     return rows
@@ -259,16 +318,26 @@ def validate(X: TruncatedSSet) -> CheckReport:
     Duplicate cells and missing, short or out-of-range tables raise
     StructuralError; identity violations produce a failing report
     naming the identity, level and first failing cell.  Each identity
-    is checked by composing whole tables, through one getter per table.
+    is checked by composing whole tables.  When every level of X holds
+    at most 256 cells, the tables are bytes copies made for this call
+    and a composition is one bytes.translate; otherwise they are X's
+    own tuples, each composing through one getter built per call.  A
+    bytes copy has the entries of its tuple and a table fails the bytes
+    shape test exactly when _index_problem finds a fault, which then
+    words the error; the walk below is the same for both, so its order,
+    squares_checked and every report are as well.
     """
     _check_distinct(X.cells)
-    d = _checked_tables(X, "d")
-    s = _checked_tables(X, "s")
-    dg = [list(map(_getter, row)) for row in d]
-    sg = [list(map(_getter, row)) for row in s]
+    code = _BYTES if max(map(len, X.cells)) <= 256 else _TUPLES
+    d = _checked_tables(X, "d", code.table)
+    s = _checked_tables(X, "s", code.table)
+    dg = [list(map(code.step, row)) for row in d]
+    sg = [list(map(code.step, row)) for row in s]
+    d = [list(map(code.operand, row)) for row in d]
+    s = [list(map(code.operand, row)) for row in s]
     checked = 0
 
-    def fail(name: str, n: int, lhs: Table, rhs: Table) -> CheckReport:
+    def fail(name: str, n: int, lhs, rhs) -> CheckReport:
         j = _first_difference(lhs, rhs)
         return CheckReport(
             holds=False,
@@ -300,7 +369,7 @@ def validate(X: TruncatedSSet) -> CheckReport:
     # d_i s_j on X_n with n + 1 <= level
     for n in range(X.level):
         size, faces = len(X.cells[n]), d[n + 1]
-        identity = tuple(range(size))
+        identity = code.identity(size)
         for j in range(n + 1):
             getter = sg[n][j]
             for i in range(n + 2):

@@ -21,7 +21,8 @@ library walks the same squares as views of its plans.
 The references work on tables keyed by cell name, the representation
 the library held before its tables became index tuples: NamedSSet is a
 simplicial set in that form, and reference_validate checks it cell by
-cell as the library once did.  reference_validate_map checks a
+cell as the library once did; given index tables, it first checks them
+entry by entry and then names them.  reference_validate_map checks a
 simplicial map's components entry by entry and its naturality squares
 cell by cell on name-keyed tables.
 
@@ -557,14 +558,45 @@ def _reference_check_table(X, kind, n, i, target_level):
     return table
 
 
-def reference_validate(X: NamedSSet) -> CheckReport:
-    """Every simplicial identity, cell by cell, on name-keyed tables."""
+def _reference_check_index(table, what: str, source, target) -> None:
+    """An index table checked entry by entry: a tuple of one entry per
+    source cell, each an int (not a bool) naming a target cell."""
+    if not isinstance(table, tuple) or len(table) != len(source):
+        raise StructuralError(f"{what} is not a tuple of {len(source)} indices")
+    if any(type(v) is not int for v in table):
+        raise StructuralError(f"{what} holds an entry that is not an int")
+    for c, v in zip(source, table):
+        if not 0 <= v < len(target):
+            raise StructuralError(f"{what} sends {c!r} to dangling index {v}")
+
+
+def reference_validate(X) -> CheckReport:
+    """Every simplicial identity, cell by cell, on name-keyed tables.
+
+    X is a NamedSSet, or a TruncatedSSet whose index tables are checked
+    entry by entry, after its cells and before they are named."""
     for n in range(len(X.cells)):
         seen = set()
         for c in X.cells[n]:
             if c in seen:
                 raise StructuralError(f"duplicate cell {c!r} at level {n}")
             seen.add(c)
+    if isinstance(X, TruncatedSSet):
+        for kind, tables, levels, step in (
+            ("d", X.faces, range(1, X.level + 1), -1),
+            ("s", X.degeneracies, range(X.level), 1),
+        ):
+            for n in levels:
+                for i in range(n + 1):
+                    if (n, i) not in tables:
+                        raise StructuralError(f"missing table {kind}_{i} at level {n}")
+                    _reference_check_index(
+                        tables[(n, i)],
+                        f"{kind}_{i} at level {n}",
+                        X.cells[n],
+                        X.cells[n + step],
+                    )
+        X = named_sset(X)
     for n in range(1, X.level + 1):
         for i in range(n + 1):
             _reference_check_table(X, "d", n, i, n - 1)
@@ -631,15 +663,12 @@ def reference_validate_map(m) -> CheckReport:
     """
     top = m.shared_level
     for n in range(top + 1):
-        comp, what = m.components[n], f"component at level {n}"
-        source, target = m.source.cells[n], m.target.cells[n]
-        if not isinstance(comp, tuple) or len(comp) != len(source):
-            raise StructuralError(f"{what} is not a tuple of {len(source)} indices")
-        if any(type(v) is not int for v in comp):
-            raise StructuralError(f"{what} holds an entry that is not an int")
-        for c, v in zip(source, comp):
-            if not 0 <= v < len(target):
-                raise StructuralError(f"{what} sends {c!r} to dangling index {v}")
+        _reference_check_index(
+            m.components[n],
+            f"component at level {n}",
+            m.source.cells[n],
+            m.target.cells[n],
+        )
     comps = [m.component_names(n) for n in range(top + 1)]
     X, Y = named_sset(m.source), named_sset(m.target)
 

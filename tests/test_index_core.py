@@ -5,17 +5,23 @@ a mismatch; reference_validate in oracles.py checks name-keyed tables
 cell by cell.  On every corpus instance with one table entry perturbed
 or one cell duplicated, the two must give the same report or the same
 StructuralError message.  validate_map and reference_validate_map must
-agree likewise on the corpus maps with one component perturbed.  Files
-must round-trip byte for byte, in the text json's own indenting encoder
-gives.
+agree likewise on the corpus maps with one component perturbed.  validate
+walks bytes copies of the tables when every level holds at most 256
+cells and the tuples otherwise; on sets whose largest level sits at that
+boundary, unperturbed or with one index entry planted, it must still
+agree with reference_validate, and the encoding it takes is pinned.
+Files must round-trip byte for byte, in the text json's own indenting
+encoder gives.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import corpus, point
-from decompspace import builders, operators, serialize
+from decompspace import builders, operators, serialize, sset
 from decompspace.sset import (
     SimplicialMap,
     StructuralError,
@@ -188,6 +194,140 @@ class TestIndexTableShape:
     @pytest.mark.parametrize("inst", INSTANCES, ids=lambda inst: inst.name)
     def test_from_names_inverts_the_name_accessors(self, inst):
         assert from_named(named_sset(inst.X)) == inst.X
+
+
+def with_points(X: TruncatedSSet, count: int) -> TruncatedSSet:
+    """X beside count isolated vertices: vertex k adds the cell "pt{k}"
+    (degenerate above level 0) to every level, and every table sends it
+    to the cell of the same name."""
+    points = tuple(f"pt{k}" for k in range(count))
+
+    def extend(table, target):
+        start = len(X.cells[target])
+        return table + tuple(range(start, start + count))
+
+    return TruncatedSSet(
+        X.level,
+        tuple(cs + points for cs in X.cells),
+        {(n, i): extend(t, n - 1) for (n, i), t in X.faces.items()},
+        {(n, i): extend(t, n + 1) for (n, i), t in X.degeneracies.items()},
+    )
+
+
+def empty_sset(level: int) -> TruncatedSSet:
+    """The empty simplicial set: a degeneracy into an empty level or a
+    face out of one forces its neighbour empty, so an empty level empties
+    every level."""
+    return TruncatedSSet(
+        level,
+        ((),) * (level + 1),
+        {(n, i): () for n in range(1, level + 1) for i in range(n + 1)},
+        {(n, i): () for n in range(level) for i in range(n + 1)},
+    )
+
+
+def boundary_sets() -> dict[str, TruncatedSSet]:
+    """Sets whose largest level holds 255, 256 or 257 cells, the top
+    level of free-graph2-L3 (66 cells) padded with isolated vertices,
+    and the empty set at level 3."""
+    base = next(inst.X for inst in INSTANCES if inst.name == "free-graph2-L3")
+    top = max(map(len, base.cells))
+    sets = {f"largest-{n}": with_points(base, n - top) for n in (255, 256, 257)}
+    sets["empty"] = empty_sset(3)
+    return sets
+
+
+BOUNDARY = boundary_sets()
+#: One defect in an index table: another cell, past the end of the
+#: target level, at 256, negative, a bool, a float, one entry short, or
+#: the whole table missing.
+BYTE_MUTATIONS = [
+    "entry", "dangling-size", "dangling-256", "negative", "bool", "non-int", "short",
+    "missing",
+]
+
+
+def planted(table, mutation: str, size: int):
+    """table, into a level of size cells, with its last entry changed or
+    dropped as mutation says; an empty table gains the entry instead."""
+    if mutation == "short":
+        return table[:-1]
+    value = {
+        "entry": size - 1 if table and table[-1] == 0 else 0,
+        "dangling-size": size,
+        "dangling-256": 256,
+        "negative": -1,
+        "bool": True,
+        "non-int": 0.0,
+    }[mutation]
+    return table[:-1] + (value,)
+
+
+def mutants(X: TruncatedSSet, mutation: str):
+    """X with one table planted with mutation, for each table in turn."""
+    for kind, tables, step in (("d", X.faces, -1), ("s", X.degeneracies, 1)):
+        for key in sorted(tables):
+            changed = dict(tables)
+            if mutation == "missing":
+                del changed[key]
+            else:
+                changed[key] = planted(tables[key], mutation, len(X.cells[key[0] + step]))
+            faces, degeneracies = (
+                (changed, X.degeneracies) if kind == "d" else (X.faces, changed)
+            )
+            yield (kind, key), TruncatedSSet(X.level, X.cells, faces, degeneracies)
+
+
+class TestByteBoundary:
+    @pytest.mark.parametrize("name", sorted(BOUNDARY))
+    def test_unperturbed_matches_reference(self, name):
+        X = BOUNDARY[name]
+        report = validate(X)
+        assert report.holds and report == reference_validate(X)
+
+    @pytest.mark.parametrize("mutation", BYTE_MUTATIONS)
+    @pytest.mark.parametrize("name", sorted(BOUNDARY))
+    def test_mutants_match_reference(self, name, mutation):
+        for where, Y in mutants(BOUNDARY[name], mutation):
+            assert outcome(validate, Y) == outcome(reference_validate, Y), where
+
+
+def spy_encodings(monkeypatch) -> Counter:
+    """Count the tables validate converts with each encoding of sset."""
+    calls = Counter()
+    for name in ("_BYTES", "_TUPLES"):
+        code = getattr(sset, name)
+
+        def table(t, source, size, code=code, name=name):
+            calls[name] += 1
+            return code.table(t, source, size)
+
+        monkeypatch.setattr(sset, name, code._replace(table=table))
+    return calls
+
+
+def direct_sweep_shape() -> TruncatedSSet:
+    """The shape of the benchmark's direct-sweep instances: paths of
+    length <= 2 in a 2-cycle, freely completed to level 6."""
+    G = builders.DirectedGraph(("u", "v"), (("e", "u", "v"), ("f", "v", "u")))
+    return builders.free_decomposition(builders.graph_paths(G, 2), 6)
+
+
+@pytest.mark.parametrize(
+    "X, largest, encoding",
+    [
+        (direct_sweep_shape(), 56, "_BYTES"),
+        (BOUNDARY["largest-256"], 256, "_BYTES"),
+        (BOUNDARY["largest-257"], 257, "_TUPLES"),
+    ],
+    ids=["56", "256", "257"],
+)
+def test_validate_encoding(monkeypatch, X, largest, encoding):
+    # every table goes through the one encoding the largest level selects
+    assert max(map(len, X.cells)) == largest
+    calls = spy_encodings(monkeypatch)
+    assert validate(X).holds
+    assert calls == {encoding: len(X.faces) + len(X.degeneracies)}
 
 
 def serialized_forms(inst):
