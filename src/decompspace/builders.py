@@ -432,14 +432,14 @@ def terminal_complex(bound: int) -> OuterFaceComplex:
     return OuterFaceComplex(bound, grades, tables, dict(tables))
 
 
-def _compositions(k: int, bound: int):
-    """Weak compositions (l_1, ..., l_k) with sum <= bound, lexicographic."""
-    if k == 0:
-        yield ()
-        return
-    for first in range(bound + 1):
-        for rest in _compositions(k - 1, bound - first):
-            yield (first,) + rest
+def _compositions(k: int, bound: int) -> list[tuple[int, ...]]:
+    """Weak compositions (l_1, ..., l_k) with sum <= bound, lexicographic:
+    each of k rounds extends every composition so far, in order, by each
+    part that keeps the sum within bound."""
+    parts: list[tuple[int, ...]] = [()]
+    for _ in range(k):
+        parts = [p + (x,) for p in parts for x in range(bound + 1 - sum(p))]
+    return parts
 
 
 def free_decomposition(A: OuterFaceComplex, level: int) -> TruncatedSSet:
@@ -464,7 +464,7 @@ def free_decomposition(A: OuterFaceComplex, level: int) -> TruncatedSSet:
             iterated.append(
                 [tuple(range(size))] + [compose_tables(tables[m], t) for t in powers]
             )
-    parts_of = [list(_compositions(k, A.bound)) for k in range(level + 1)]
+    parts_of = [_compositions(k, A.bound) for k in range(level + 1)]
     offsets: list[dict[tuple[int, ...], int]] = []
     for k in range(level + 1):
         start, offset = 0, {}

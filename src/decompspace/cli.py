@@ -2,11 +2,12 @@
 
 Exit codes: 0 the check holds (or the command succeeded), 1 the check
 fails, 2 schema or usage errors (including a path that cannot be read
-or written, a file that is not UTF-8, a negative --level, --bound,
---max-len, --rank-cap or DECOMP_MAX_SQUARES, and --rank-cap with a
-criterion other than decomp-direct), 3 builder preconditions, inputs that
-are not simplicial sets (transform validates its input as the checkers
-do) or level shortfalls, 4 the check is inconclusive: the
+or written, a file that is not UTF-8 or not a JSON object, a negative
+--level, --bound, --max-len, --rank-cap or DECOMP_MAX_SQUARES, and
+--rank-cap with a criterion other than decomp-direct), 3 builder
+preconditions, inputs that are not simplicial sets (transform validates
+its input as the checkers do) or level shortfalls, 4 the check is
+inconclusive: the
 DECOMP_MAX_SQUARES budget cut the direct decomposition walk off before
 its last square, and no square checked so far failed.  Reports print as
 key: value lines, or as JSON with --format=machine; the verdict is one
@@ -154,17 +155,15 @@ def _cmd_build(args) -> int:
         result = free(ofc, need("--level", args.level))
     elif kind == "words":
         alphabet = tuple(need("--alphabet", args.alphabet))
-        ofc = builders.bounded_words(alphabet, need("--max-len", args.max_len))
-        result = ofc if args.level is None else free(ofc, args.level)
+        result = builders.bounded_words(alphabet, need("--max-len", args.max_len))
     elif kind == "graph-paths":
         G = read(serialize.graph_from_obj)
-        ofc = builders.graph_paths(G, need("--bound", args.bound))
-        result = ofc if args.level is None else free(ofc, args.level)
-    elif kind == "terminal-ofc":
-        ofc = builders.terminal_complex(need("--bound", args.bound))
-        result = ofc if args.level is None else free(ofc, args.level)
-    else:  # pragma: no cover - argparse filters kinds
-        raise SystemExit2(f"unknown kind {kind}")
+        result = builders.graph_paths(G, need("--bound", args.bound))
+    else:  # terminal-ofc, since argparse filters kinds
+        result = builders.terminal_complex(need("--bound", args.bound))
+    # an outer face complex is completed freely when --level is given
+    if isinstance(result, builders.OuterFaceComplex) and args.level is not None:
+        result = free(result, args.level)
 
     if isinstance(result, builders.OuterFaceComplex):
         serialize.write_file(args.output, serialize.ofc_to_obj(result))
@@ -177,25 +176,14 @@ def _cmd_build(args) -> int:
 
 def _render(report, criterion: str, fmt: str) -> str:
     if fmt == "machine":
+        import dataclasses
+
         from . import serialize
 
-        obj = {
-            "criterion": criterion,
-            "verdict": report.verdict,
-            "holds": report.holds,
-            "checked_level": report.checked_level,
-            "squares_checked": report.squares_checked,
-            "witness": None
-            if report.witness is None
-            else {
-                "square": report.witness.square,
-                "levels": list(report.witness.levels),
-                "element": list(report.witness.element),
-                "preimage_count": report.witness.preimage_count,
-                "preimages": list(report.witness.preimages),
-            },
-            "detail": report.detail,
-        }
+        # the report's fields but inconclusive, which the verdict tells
+        obj = dataclasses.asdict(report)
+        del obj["inconclusive"]
+        obj.update(criterion=criterion, verdict=report.verdict)
         return serialize.dumps(obj)
     lines = [
         f"criterion: {criterion}",
@@ -258,11 +246,11 @@ def _cmd_transform(args) -> int:
     # reject before anything is read or written
     if args.map_output is not None and args.op not in ("dec-top", "dec-bot"):
         raise SystemExit2("--map-output only applies to dec transforms")
-    from . import criteria, operators, serialize
-    from .sset import opposite
+    from . import operators, serialize
+    from .sset import _require_valid, opposite
 
     X = _load_sset(args.input)
-    criteria._require_valid(X)
+    _require_valid(X)
     proj = None
     if args.op == "dec-top":
         result, proj = operators.dec_top(X)
@@ -295,10 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SchemaError, SystemExit2, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (StructuralError, LevelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ValueError as exc:
+    except (StructuralError, LevelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

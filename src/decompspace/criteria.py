@@ -48,7 +48,8 @@ pasting of upper and lower 2-Segal squares within the truncation
 (Dyckerhoff and Kapranov, arXiv:1212.3563), the upper ones at i = n - 1
 and the lower ones at i = 1, so it decides those first and walks its
 own squares only when one of them fails; its docstring gives the
-pasting.  One helper, _settled, decides both certificates.
+pasting.  Both certificates are decided by _decide too, and only its
+verdict is read, so _decide is the one code path that decides squares.
 At level 2 check_decomposition decides the same unit squares the
 certificate does there, since the 2-Segal squares need X_3.
 """
@@ -68,10 +69,10 @@ from .sset import (
     StructuralError,
     Table,
     TruncatedSSet,
+    _require_valid,
     _then,
     _validate_components,
     _word_steps,
-    compose_tables,
     is_pullback_square,
     pullback_holds,
     validate,
@@ -85,12 +86,6 @@ Description = tuple[str, tuple[int, ...], tuple[Sequence[str], ...]]
 Square = tuple[
     tuple[Table, Table, Table, Table] | None, Callable[[], Description] | None
 ]
-
-
-def _require_valid(X: TruncatedSSet) -> None:
-    report = validate(X)
-    if not report.holds:
-        raise StructuralError(f"input is not a simplicial set: {report.detail}")
 
 
 def _decide(
@@ -153,7 +148,15 @@ def check_segal(X: TruncatedSSet) -> CheckReport:
 
 
 def check_segal_iterated(X: TruncatedSSet) -> CheckReport:
-    """Bijectivity of X_n onto the n-fold fiber power of X_1 over X_0."""
+    """Bijectivity of X_n onto the n-fold fiber power of X_1 over X_0.
+
+    A cell of X_n maps to its spine, its n edges in order.  The spine of
+    a cell is the spine of its top face followed by its last edge, and
+    the last edge is that of its bottom face, so each level costs one
+    composite of tables.  The chains of n edges, each edge's end the
+    next one's start, are then walked in lexicographic order; the first
+    whose number of preimages is not 1 is the witness.
+    """
     _require_valid(X)
     checked = 0
     if X.level < 1:
@@ -163,45 +166,49 @@ def check_segal_iterated(X: TruncatedSSet) -> CheckReport:
     fibers: dict[int, list[int]] = {}
     for e, v in enumerate(d_top1):
         fibers.setdefault(v, []).append(e)
+    spines = [(e,) for e in range(len(d_bot1))]
+    last = tuple(range(len(d_bot1)))
     for n in range(2, X.level + 1):
         checked += 1
-        # the i-th edge: i - 1 bottom faces, then n - i top faces
-        components = [
-            compose_tables(
-                *[X.faces[(n - step, 0)] for step in range(i - 1)],
-                *[X.faces[(n - step, n - step)] for step in range(i - 1, n - 1)],
-            )
-            for i in range(1, n + 1)
-        ]
+        last = _then(X.faces[(n, 0)], last)
+        spines = [spines[t] + (e,) for t, e in zip(X.faces[(n, n)], last)]
         preimages: dict[tuple[int, ...], list[int]] = {}
-        for c, key in enumerate(zip(*components)):
+        for c, key in enumerate(spines):
             preimages.setdefault(key, []).append(c)
-
-        def tuples(prefix: tuple[int, ...]):
-            if len(prefix) == n:
-                yield prefix
-                return
-            for e in fibers.get(d_bot1[prefix[-1]], ()):
-                yield from tuples(prefix + (e,))
-
-        for e in range(len(X.cells[1])):
-            for chain in tuples((e,)):
-                pre = preimages.get(chain, [])
-                if len(pre) != 1:
-                    witness = SquareWitness(
-                        square=f"segal iterated n={n}: X{n} -> X1 x_X0 ... x_X0 X1",
-                        levels=(n, 1, 0),
-                        element=tuple(X.cells[1][e] for e in chain),
-                        preimage_count=len(pre),
-                        preimages=tuple(X.cells[n][c] for c in pre),
-                    )
-                    return CheckReport(
-                        holds=False,
-                        checked_level=X.level,
-                        squares_checked=checked,
-                        witness=witness,
-                    )
+        for chain in _chains(n, d_bot1, fibers):
+            pre = preimages.get(chain, [])
+            if len(pre) != 1:
+                witness = SquareWitness(
+                    square=f"segal iterated n={n}: X{n} -> X1 x_X0 ... x_X0 X1",
+                    levels=(n, 1, 0),
+                    element=tuple(X.cells[1][e] for e in chain),
+                    preimage_count=len(pre),
+                    preimages=tuple(X.cells[n][c] for c in pre),
+                )
+                return CheckReport(
+                    holds=False,
+                    checked_level=X.level,
+                    squares_checked=checked,
+                    witness=witness,
+                )
     return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
+
+
+def _chains(n: int, ends: Table, starts: dict[int, list[int]]) -> Iterator[tuple]:
+    """The chains of n >= 2 edges, edge e ending at ends[e] and starts[v]
+    the edges starting at v in order, in lexicographic order."""
+    prefix: list[int] = []
+    stack = [iter(range(len(ends)))]
+    while stack:
+        e = next(stack[-1], None)
+        if e is None:
+            stack.pop()
+            del prefix[-1:]
+        elif len(prefix) == n - 1:
+            yield (*prefix, e)
+        else:
+            prefix.append(e)
+            stack.append(iter(starts.get(ends[e], ())))
 
 
 def _check_two_segal(X: TruncatedSSet, sides: tuple[int, ...]) -> CheckReport:
@@ -352,14 +359,6 @@ def _pushout_squares(X: TruncatedSSet, plan: Plan, label) -> Iterator[Square]:
         )
 
 
-def _settled(X: TruncatedSSet, plan: Plan) -> bool:
-    """Whether X takes every square of a certificate's plan to a pullback."""
-    return all(
-        legs is None or pullback_holds(*legs)
-        for legs, _ in _pushout_squares(X, plan, _active_inert_label)
-    )
-
-
 def _polygonal_label(alpha, iota, k: int, p: int) -> str:
     i, j = iota[0], iota[0] + alpha[-1]
     return f"polygonal n={p} i={i} j={j}: X{p} -> X{k} / X{j - i} over X1"
@@ -443,7 +442,8 @@ def check_2segal_polygonal(X: TruncatedSSet, mode: str = "full") -> CheckReport:
     _require_valid(X)
     slots, squares = _polygonal_plan(X.level, mode)
     _, sides = _POLYGONAL_MODES[mode]
-    if _settled(X, _two_segal_plan(X.level, sides, pasted=True)):
+    pasted = _two_segal_plan(X.level, sides, pasted=True)
+    if _decide(X.level, _pushout_squares(X, pasted, _two_segal_label)).holds:
         return CheckReport(
             holds=True, checked_level=X.level, squares_checked=len(squares)
         )
@@ -587,7 +587,10 @@ def check_decomposition_direct(
     if rank_cap > X.level:
         raise LevelError(f"rank cap {rank_cap} exceeds level {X.level}")
     ranks, size, elementary = _direct_plan(X.level, rank_cap)
-    if elementary is not None and _settled(X, elementary):
+    if (
+        elementary is not None
+        and _decide(X.level, _pushout_squares(X, elementary, _active_inert_label)).holds
+    ):
         if max_squares is not None and max_squares < size:
             return _cut_off(X.level, max_squares)
         return CheckReport(holds=True, checked_level=X.level, squares_checked=size)

@@ -114,31 +114,26 @@ def sset_from_obj(obj: dict, where: str = "sset") -> TruncatedSSet:
         raise SchemaError(f"{where}: faces must cover levels 1..level")
     if len(degen_raw) != max(level, 0):
         raise SchemaError(f"{where}: degeneracies must cover levels 0..level-1")
-    faces = {}
-    for n in range(1, level + 1):
-        block = faces_raw[n - 1]
-        if not isinstance(block, list) or len(block) != n + 1:
-            raise SchemaError(f"{where}: faces[{n - 1}] must hold {n + 1} rows")
-        for i in range(n + 1):
-            faces[(n, i)] = _table(
-                block[i],
-                len(cells[n]),
-                len(cells[n - 1]),
-                f"{where}: faces[{n - 1}][{i}]",
-            )
-    degeneracies = {}
-    for n in range(level):
-        block = degen_raw[n]
-        if not isinstance(block, list) or len(block) != n + 1:
-            raise SchemaError(f"{where}: degeneracies[{n}] must hold {n + 1} rows")
-        for i in range(n + 1):
-            degeneracies[(n, i)] = _table(
-                block[i],
-                len(cells[n]),
-                len(cells[n + 1]),
-                f"{where}: degeneracies[{n}][{i}]",
-            )
+    faces = _blocks(faces_raw, "faces", 1, -1, cells, where)
+    degeneracies = _blocks(degen_raw, "degeneracies", 0, 1, cells, where)
     return TruncatedSSet(level, tuple(cells), faces, degeneracies)
+
+
+def _blocks(
+    raw: list, field: str, first: int, step: int, cells: list, where: str
+) -> dict:
+    """The tables of an sset's faces (step -1) or degeneracies (step 1):
+    raw[b] is the block of the n + 1 rows at level n = first + b, each
+    sending cells[n] into cells[n + step]."""
+    tables = {}
+    for b, block in enumerate(raw):
+        n = first + b
+        if not isinstance(block, list) or len(block) != n + 1:
+            raise SchemaError(f"{where}: {field}[{b}] must hold {n + 1} rows")
+        for i in range(n + 1):
+            at = f"{where}: {field}[{b}][{i}]"
+            tables[(n, i)] = _table(block[i], len(cells[n]), len(cells[n + step]), at)
+    return tables
 
 
 def ofc_to_obj(A: OuterFaceComplex) -> dict:
@@ -339,9 +334,12 @@ def _encode(value, newline: str) -> Iterator[str]:
 
 
 def loads(text: str) -> dict:
+    """A JSON object; malformed or too deeply nested text, or an integer
+    of more digits than Python converts, is a SchemaError."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # json.JSONDecodeError is a ValueError
         raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise SchemaError("top level must be an object")
@@ -371,7 +369,8 @@ def write_file(path: str, obj: dict) -> None:
 
 
 def read_file(path: str) -> dict:
-    """Read a UTF-8 JSON file; other bytes are a SchemaError naming the path."""
+    """Read a UTF-8 JSON object; other bytes, and text that loads rejects,
+    are a SchemaError naming the path."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
@@ -381,4 +380,7 @@ def read_file(path: str) -> dict:
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
     del data
-    return loads(text)
+    try:
+        return loads(text)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None

@@ -96,6 +96,26 @@ def _check_cell_count(level: int, cells: tuple) -> None:
         raise ValueError(f"expected {level + 1} cell levels, got {len(cells)}")
 
 
+def _name_row(
+    table: Mapping[str, str],
+    source: Sequence[str],
+    target: Mapping[str, int],
+    what: str,
+    dangling: str,
+) -> Table:
+    """A name-keyed table as the index row of source into target, a dict
+    from cell names to indices; what and dangling word the errors."""
+    row = []
+    for c in source:
+        if c not in table:
+            raise StructuralError(f"{what} undefined on {c!r}")
+        j = target.get(table[c])
+        if j is None:
+            raise StructuralError(f"{what} sends {c!r} to {dangling} {table[c]!r}")
+        row.append(j)
+    return tuple(row)
+
+
 def _check_distinct(cells: tuple[tuple[str, ...], ...]) -> None:
     for n, cs in enumerate(cells):
         if len(set(cs)) != len(cs):
@@ -149,26 +169,13 @@ class TruncatedSSet:
         def convert(kind, tables, n, i, target_level) -> Table:
             if (n, i) not in tables:
                 raise StructuralError(f"missing table {kind}_{i} at level {n}")
-            table = tables[(n, i)]
-            target = index[target_level]
-            row = []
-            for c in cells[n]:
-                if c not in table:
-                    raise StructuralError(f"{kind}_{i} at level {n} undefined on {c!r}")
-                j = target.get(table[c])
-                if j is None:
-                    raise StructuralError(
-                        f"{kind}_{i} at level {n} sends {c!r} to dangling cell "
-                        f"{table[c]!r}"
-                    )
-                row.append(j)
+            table, what = tables[(n, i)], f"{kind}_{i} at level {n}"
+            row = _name_row(table, cells[n], index[target_level], what, "dangling cell")
             if len(table) != len(row):
                 for c in table:
                     if c not in index[n]:
-                        raise StructuralError(
-                            f"{kind}_{i} at level {n} defined on unknown cell {c!r}"
-                        )
-            return tuple(row)
+                        raise StructuralError(f"{what} defined on unknown cell {c!r}")
+            return row
 
         face_tables = {
             (n, i): convert("d", faces, n, i, n - 1)
@@ -386,6 +393,13 @@ def validate(X: TruncatedSSet) -> CheckReport:
     return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
 
 
+def _require_valid(X: TruncatedSSet) -> None:
+    """Raise StructuralError unless validate(X) holds."""
+    report = validate(X)
+    if not report.holds:
+        raise StructuralError(f"input is not a simplicial set: {report.detail}")
+
+
 def _face_degeneracy_identity(i: int, j: int) -> str:
     """The name of the identity validate checks for d_i s_j."""
     if i == j or i == j + 1:
@@ -580,17 +594,8 @@ class SimplicialMap:
         rows = []
         for n, comp in enumerate(components):
             index = {c: j for j, c in enumerate(target.cells[n])}
-            row = []
-            for c in source.cells[n]:
-                if c not in comp:
-                    raise StructuralError(f"component at level {n} undefined on {c!r}")
-                j = index.get(comp[c])
-                if j is None:
-                    raise StructuralError(
-                        f"component at level {n} sends {c!r} to dangling {comp[c]!r}"
-                    )
-                row.append(j)
-            rows.append(tuple(row))
+            what = f"component at level {n}"
+            rows.append(_name_row(comp, source.cells[n], index, what, "dangling"))
         return cls(source, target, tuple(rows))
 
     @property

@@ -16,7 +16,10 @@ takes the certificate.  The 2-Segal references (upper, lower, reduced
 and check_decomposition) read their squares off X's face and degeneracy
 index tables, composing the reduced checker's composites, and decide
 them with the library's pullback engine, as the walk oracle does; the
-library walks the same squares as views of its plans.
+library walks the same squares as views of its plans.  The Segal and
+culf references name X's tables and decide every square with the
+reference pullback; the iterated Segal reference reads each edge of a
+cell one face at a time and lists the chains of edges level by level.
 
 The references work on tables keyed by cell name, the representation
 the library held before its tables became index tuples: NamedSSet is a
@@ -455,6 +458,127 @@ def reference_check_decomposition(X):
         )
     ]
     return _reference_walk(X, squares)
+
+
+def _reference_named_walk(level, squares):
+    """Decide (f, g, p, q, label, levels) squares of name dicts in order
+    with the reference pullback; the first failure is the witness."""
+    checked = 0
+    for *legs, label, levels in squares:
+        checked += 1
+        sub = reference_is_pullback_square(*legs, square=label, levels=levels)
+        if not sub.holds:
+            return CheckReport(
+                holds=False,
+                checked_level=level,
+                squares_checked=checked,
+                witness=sub.witness,
+            )
+    return CheckReport(holds=True, checked_level=level, squares_checked=checked)
+
+
+def reference_check_segal(X):
+    """The outer-face squares X_{n+1} over X_{n-1}, 1 <= n < level, as
+    name dicts decided by the reference pullback.  X must be valid."""
+    d = X.face_names
+    return _reference_named_walk(
+        X.level,
+        (
+            (
+                d(n + 1, 0),
+                d(n + 1, n + 1),
+                d(n, n),
+                d(n, 0),
+                f"segal n={n}: X{n + 1} -(d_bot)-> X{n} -(d_top)-> X{n - 1}, "
+                f"X{n + 1} -(d_top)-> X{n} -(d_bot)-> X{n - 1}",
+                (n + 1, n, n, n - 1),
+            )
+            for n in range(1, X.level)
+        ),
+    )
+
+
+def reference_check_segal_iterated(X):
+    """For each n from 2, X_n against the chains of n edges, each edge's
+    end the next one's start.  A cell's i-th edge is read off X's face
+    tables one face at a time, i - 1 bottom faces and then n - i top
+    faces; the chains are listed by extending every shorter chain, in
+    lexicographic order, by every edge.  X must be valid."""
+    if X.level < 1:
+        return CheckReport(holds=True, checked_level=X.level, squares_checked=0)
+    d = X.faces
+    edges = range(len(X.cells[1]))
+    for n in range(2, X.level + 1):
+        preimages = {}
+        for c in range(len(X.cells[n])):
+            spine = []
+            for i in range(1, n + 1):
+                x = c
+                for level in range(n, n - i + 1, -1):
+                    x = d[(level, 0)][x]
+                for level in range(n - i + 1, 1, -1):
+                    x = d[(level, level)][x]
+                spine.append(x)
+            preimages.setdefault(tuple(spine), []).append(c)
+        chains = [(e,) for e in edges]
+        for _ in range(n - 1):
+            chains = [
+                chain + (e,)
+                for chain in chains
+                for e in edges
+                if d[(1, 1)][e] == d[(1, 0)][chain[-1]]
+            ]
+        for chain in chains:
+            pre = preimages.get(chain, [])
+            if len(pre) != 1:
+                witness = SquareWitness(
+                    square=f"segal iterated n={n}: X{n} -> X1 x_X0 ... x_X0 X1",
+                    levels=(n, 1, 0),
+                    element=tuple(X.cells[1][e] for e in chain),
+                    preimage_count=len(pre),
+                    preimages=tuple(X.cells[n][c] for c in pre),
+                )
+                return CheckReport(
+                    holds=False,
+                    checked_level=X.level,
+                    squares_checked=n - 1,
+                    witness=witness,
+                )
+    return CheckReport(holds=True, checked_level=X.level, squares_checked=X.level - 1)
+
+
+def reference_check_culf(f):
+    """The naturality squares of f on inner faces, by level, then on all
+    degeneracies, as name dicts decided by the reference pullback.  Both
+    ends and f must be valid."""
+    X, Y, top, c = f.source, f.target, f.shared_level, f.component_names
+    faces = (
+        (
+            X.face_names(n, i),
+            c(n),
+            c(n - 1),
+            Y.face_names(n, i),
+            f"culf face n={n} i={i}: X{n} -(d_{i})-> X{n - 1} over "
+            f"Y{n} -(d_{i})-> Y{n - 1}",
+            (n, n - 1, n, n - 1),
+        )
+        for n in range(2, top + 1)
+        for i in range(1, n)
+    )
+    degeneracies = (
+        (
+            X.degeneracy_names(n, j),
+            c(n),
+            c(n + 1),
+            Y.degeneracy_names(n, j),
+            f"culf degeneracy n={n} j={j}: X{n} -(s_{j})-> X{n + 1} "
+            f"over Y{n} -(s_{j})-> Y{n + 1}",
+            (n, n + 1, n, n + 1),
+        )
+        for n in range(top)
+        for j in range(n + 1)
+    )
+    return _reference_named_walk(top, (*faces, *degeneracies))
 
 
 @dataclass

@@ -14,7 +14,7 @@ from corpus import (
 from decompspace import builders, serialize
 from decompspace.cli import main
 from decompspace.sset import TruncatedSSet
-from oracles import identity_map
+from oracles import identity_map, reference_dumps
 
 
 def write_graph(tmp_path):
@@ -296,6 +296,55 @@ class TestCheck:
         assert payload["holds"] is False
         assert payload["witness"]["preimage_count"] == 0
 
+    @pytest.mark.parametrize(
+        "level, criterion, budget, expected",
+        [
+            (3, "decomp", None, {
+                "checked_level": 3, "criterion": "decomp", "detail": None,
+                "holds": True, "squares_checked": 2,
+                "verdict": "holds-at-checked-depth", "witness": None,
+            }),
+            (2, "segal", None, {
+                "checked_level": 2, "criterion": "segal", "detail": None,
+                "holds": False, "squares_checked": 1, "verdict": "fails",
+                "witness": {
+                    "element": ["(a;1)", "(aa;2)"],
+                    "levels": [2, 1, 1, 0],
+                    "preimage_count": 0,
+                    "preimages": [],
+                    "square": "segal n=1: X2 -(d_bot)-> X1 -(d_top)-> X0, "
+                    "X2 -(d_top)-> X1 -(d_bot)-> X0",
+                },
+            }),
+            (3, "decomp-direct", "4", {
+                "checked_level": 3, "criterion": "decomp-direct",
+                "detail": "stopped after 4 squares (budget 4)", "holds": False,
+                "squares_checked": 4, "verdict": "inconclusive", "witness": None,
+            }),
+        ],
+        ids=["holds", "fails", "inconclusive"],
+    )
+    def test_machine_format_bytes(
+        self, tmp_path, capsys, monkeypatch, level, criterion, budget, expected
+    ):
+        # the seven keys of FORMATS.md and nothing else, in the file layout
+        obj = tmp_path / "w.json"
+        main(["build", "words", "--alphabet", "ab", "--max-len", "2",
+              "--level", str(level), "--output", str(obj)])
+        capsys.readouterr()
+        if budget is not None:
+            monkeypatch.setenv("DECOMP_MAX_SQUARES", budget)
+        code = main(["check", criterion, str(obj), "--format", "machine"])
+        assert code == {"holds-at-checked-depth": 0, "fails": 1, "inconclusive": 4}[
+            expected["verdict"]
+        ]
+        out = capsys.readouterr().out
+        assert set(json.loads(out)) == {
+            "criterion", "verdict", "holds", "checked_level", "squares_checked",
+            "witness", "detail",
+        }
+        assert out == reference_dumps(expected)
+
     def test_budget_env(self, tmp_path, capsys, monkeypatch):
         obj = tmp_path / "w.json"
         main(["build", "words", "--alphabet", "ab", "--max-len", "2",
@@ -324,6 +373,31 @@ class TestCheck:
         monkeypatch.setenv("DECOMP_MAX_SQUARES", "100000")
         assert main(["check", "decomp-direct", str(obj)]) == 0
         assert "verdict: holds-at-checked-depth" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000,
+            '{"format_version": 1, "kind": "sset", "level": ' + "9" * 5000 + "}",
+        ],
+        ids=["deep", "long-int"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "segal", "{bad}"],
+            ["build", "nerve", "--input", "{bad}", "--level", "2", "--output", "{out}"],
+        ],
+        ids=["check", "build"],
+    )
+    def test_unreadable_json_exit_2(self, tmp_path, capsys, text, argv):
+        bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+        bad.write_text(text)
+        assert main([a.format(bad=bad, out=out) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not valid JSON")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_non_utf8_input_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "utf16.json"

@@ -1,6 +1,8 @@
 """Criterion checkers: frozen examples, witnesses, and the structural
 equivalences run across the corpus."""
 
+import sys
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -148,6 +150,25 @@ class TestSegalIterated:
             lhs = criteria.check_segal(inst.X).holds
             rhs = criteria.check_segal_iterated(inst.X).holds
             assert lhs == rhs, inst.name
+
+    def test_deep_levels_need_no_recursion(self):
+        # free_decomposition lists part lists and check_segal_iterated
+        # walks chains of edges without recursing once per level: level
+        # 150 runs within 100 frames of the caller
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            A = builders.terminal_complex(0)
+            X = builders.free_decomposition(A, 150)
+            lmap = builders.length_map(A, 150)
+            report = criteria.check_segal_iterated(lmap.source)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert lmap.source == X and len(X.cells[150]) == 1
+        assert report.holds and report.squares_checked == 149
 
 
 class TestTwoSegal:

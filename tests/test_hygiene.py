@@ -1,0 +1,78 @@
+"""Source hygiene, checked with the standard library's ast in place of a
+linter: every module-level import of the package is used in its module,
+and every private module-level definition is read somewhere in the
+package."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import decompspace
+
+MODULES = sorted(Path(decompspace.__file__).resolve().parent.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in MODULES}
+
+
+def module_level(body):
+    """The statements of a module body, with those nested in if and try."""
+    for node in body:
+        yield node
+        if isinstance(node, ast.If):
+            yield from module_level(node.body + node.orelse)
+        elif isinstance(node, ast.Try):
+            handlers = [stmt for h in node.handlers for stmt in h.body]
+            yield from module_level(node.body + handlers + node.orelse + node.finalbody)
+
+
+def loaded(tree) -> set[str]:
+    """The names a tree reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def imports(tree):
+    """The names the module-level imports of a tree bind."""
+    for node in module_level(tree.body):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def private_definitions(tree):
+    """The private, not dunder, names a tree defines at module level."""
+    for node in module_level(tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        yield from (t for t in targets if t.startswith("_") and not t.startswith("__"))
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_import_is_used(module):
+    tree = TREES[module]
+    assert [name for name in imports(tree) if name not in loaded(tree)] == []
+
+
+def test_every_private_definition_is_read():
+    read = set().union(*map(loaded, TREES.values()))
+    defined = [
+        (module, name)
+        for module, tree in sorted(TREES.items())
+        for name in private_definitions(tree)
+    ]
+    assert len(defined) > 70
+    assert [(module, name) for module, name in defined if name not in read] == []

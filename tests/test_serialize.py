@@ -188,6 +188,19 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match="JSON"):
             serialize.loads("{nope")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000, '{"level": ' + "9" * 5000 + "}"],
+        ids=["deep", "long-int"],
+    )
+    def test_unreadable_json_is_schema_error(self, tmp_path, text):
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            serialize.loads(text)
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: not valid JSON"):
+            serialize.read_file(str(path))
+
     def test_top_level_must_be_object(self):
         with pytest.raises(SchemaError):
             serialize.loads("[1,2]")

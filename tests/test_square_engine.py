@@ -8,7 +8,8 @@ elementary squares where its rank cap allows, and the polygonal checker
 from the 2-Segal squares; the 2-Segal checkers walk views of the
 elementary and polygonal plans.  Every report must equal the one the
 reference engine in oracles.py gives, witness and all; the 2-Segal
-references read their squares off X's face tables.
+references read their squares off X's face tables, and the Segal,
+iterated Segal and culf references name X's tables.
 The Delta side of each family is planned and compiled once per process;
 the plan tests interleave levels, rank caps, modes and instances from
 cold caches, and check that no cache keeps a simplicial set alive.
@@ -28,7 +29,7 @@ from corpus import (
     duplicate_top,
     point,
 )
-from decompspace import builders, criteria, delta, sset
+from decompspace import builders, criteria, delta, operators, sset
 from decompspace.sset import (
     CheckReport,
     LevelError,
@@ -41,9 +42,12 @@ from oracles import (
     identity_map,
     pullback_by_names,
     reference_check_2segal_polygonal,
+    reference_check_culf,
     reference_check_decomposition,
     reference_check_decomposition_direct,
     reference_check_lower_2segal,
+    reference_check_segal,
+    reference_check_segal_iterated,
     reference_check_upper_2segal,
     reference_check_upper_2segal_reduced,
     reference_is_pullback_square,
@@ -335,6 +339,44 @@ class TestTwoSegalFamily:
             for check, reference in TWO_SEGAL:
                 assert check(X) == reference(X), (level, check.__name__)
 
+
+def segal_instances():
+    """Every corpus instance, with a second copy of each of its first
+    three top cells, and the doubled degenerate nerves at levels 2-6."""
+    for inst in corpus():
+        yield inst.name, inst.X
+        for j in range(min(3, len(inst.X.cells[inst.X.level]))):
+            yield f"{inst.name}-top{j}", duplicate_top(inst.X, j)
+    for level in range(2, 7):
+        yield f"doubled-L{level}", doubled_degenerate_nerve(level)
+
+
+class TestSegalAndCulf:
+    def test_segal_checkers_match_reference(self):
+        # 127 instances through both Segal checkers: 254 reports, 224 of
+        # them failures with a witness
+        failures = 0
+        for name, X in segal_instances():
+            for check, reference in (
+                (criteria.check_segal, reference_check_segal),
+                (criteria.check_segal_iterated, reference_check_segal_iterated),
+            ):
+                report = check(X)
+                assert report == reference(X), (name, check.__name__)
+                failures += not report.holds
+        assert failures == 224
+
+    def test_decalage_projections_match_reference(self):
+        # both decalage projections of every instance: 254 reports, 196
+        # of them failures with a witness
+        failures = 0
+        for name, X in segal_instances():
+            for dec in (operators.dec_top, operators.dec_bot):
+                _, proj = dec(X)
+                report = criteria.check_culf(proj)
+                assert report == reference_check_culf(proj), (name, dec.__name__)
+                failures += not report.holds
+        assert failures == 196
 
 
 #: Every per-process plan cache: the compiled plans and the word steps.
