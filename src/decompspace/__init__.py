@@ -10,18 +10,7 @@ import importlib as _importlib
 
 #: Submodule -> the public names the package takes from it.
 _EXPORTS = {
-    "delta": (
-        "SimplexMap",
-        "active_inert_pushout",
-        "classify",
-        "codegeneracy",
-        "coface",
-        "compose",
-        "enumerate_active",
-        "enumerate_inert",
-        "factor_active_inert",
-        "generator_decomposition",
-    ),
+    "delta": (),
     "sset": (
         "CheckReport",
         "LevelError",
@@ -30,7 +19,6 @@ _EXPORTS = {
         "StructuralError",
         "TruncatedSSet",
         "induce",
-        "induced_map",
         "is_pullback_square",
         "opposite",
         "pullback_holds",

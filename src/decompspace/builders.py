@@ -14,6 +14,7 @@ part lists), never by name: one builder makes chains, another paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Mapping
 
 from .sset import (
@@ -432,14 +433,18 @@ def terminal_complex(bound: int) -> OuterFaceComplex:
     return OuterFaceComplex(bound, grades, tables, dict(tables))
 
 
-def _compositions(k: int, bound: int) -> list[tuple[int, ...]]:
-    """Weak compositions (l_1, ..., l_k) with sum <= bound, lexicographic:
-    each of k rounds extends every composition so far, in order, by each
-    part that keeps the sum within bound."""
-    parts: list[tuple[int, ...]] = [()]
-    for _ in range(k):
-        parts = [p + (x,) for p in parts for x in range(bound + 1 - sum(p))]
-    return parts
+@lru_cache(maxsize=1)
+def _compositions(level: int, bound: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each k <= level, the weak compositions (l_1, ..., l_k) with sum
+    <= bound, lexicographic: the list for k extends every composition of
+    the list for k - 1, in order, by each part that keeps the sum within
+    bound.  The last lists are kept, so length_map and the two builds it
+    makes read one copy."""
+    lists = [((),)]
+    for _ in range(level):
+        last = lists[-1]
+        lists.append(tuple(p + (x,) for p in last for x in range(bound + 1 - sum(p))))
+    return tuple(lists)
 
 
 def free_decomposition(A: OuterFaceComplex, level: int) -> TruncatedSSet:
@@ -464,7 +469,7 @@ def free_decomposition(A: OuterFaceComplex, level: int) -> TruncatedSSet:
             iterated.append(
                 [tuple(range(size))] + [compose_tables(tables[m], t) for t in powers]
             )
-    parts_of = [_compositions(k, A.bound) for k in range(level + 1)]
+    parts_of = _compositions(level, A.bound)
     offsets: list[dict[tuple[int, ...], int]] = []
     for k in range(level + 1):
         start, offset = 0, {}
@@ -519,7 +524,7 @@ def length_map(A: OuterFaceComplex, level: int) -> SimplicialMap:
     for k in range(level + 1):
         # T has one cell per part list, in the order X lists its blocks
         row: list[int] = []
-        for j, parts in enumerate(_compositions(k, A.bound)):
+        for j, parts in enumerate(_compositions(level, A.bound)[k]):
             row += [j] * len(A.grades[sum(parts)])
         components.append(tuple(row))
     return SimplicialMap(X, T, tuple(components))

@@ -128,14 +128,15 @@ def _cmd_build(args) -> int:
             "--length-map needs a freely generated build (--level plus an "
             "outer face complex kind)"
         )
-    lmap = None
+    also: list[tuple[str, dict]] = []
 
     def free(A: builders.OuterFaceComplex, level: int):
-        # with --length-map, build once: the map's source is the object
-        nonlocal lmap
+        # with --length-map, build once: the map's source is the object,
+        # and the map is written with it
         if args.length_map is None:
             return builders.free_decomposition(A, level)
         lmap = builders.length_map(A, level)
+        also.append((args.length_map, serialize.smap_to_obj(lmap)))
         return lmap.source
 
     if kind == "nerve":
@@ -166,11 +167,10 @@ def _cmd_build(args) -> int:
         result = free(result, args.level)
 
     if isinstance(result, builders.OuterFaceComplex):
-        serialize.write_file(args.output, serialize.ofc_to_obj(result))
+        obj = serialize.ofc_to_obj(result)
     else:
-        serialize.write_file(args.output, serialize.sset_to_obj(result))
-    if lmap is not None:
-        serialize.write_file(args.length_map, serialize.smap_to_obj(lmap))
+        obj = serialize.sset_to_obj(result)
+    serialize.write_file(args.output, obj, *also)
     return EXIT_HOLDS
 
 
@@ -260,10 +260,11 @@ def _cmd_transform(args) -> int:
         result = operators.sd(X)
     else:
         result = opposite(X)
-    serialize.write_file(args.output, serialize.sset_to_obj(result))
+    also = []
     if proj is not None:
         map_path = args.map_output or args.output + ".proj.json"
-        serialize.write_file(map_path, serialize.smap_to_obj(proj))
+        also.append((map_path, serialize.smap_to_obj(proj)))
+    serialize.write_file(args.output, serialize.sset_to_obj(result), *also)
     return EXIT_HOLDS
 
 

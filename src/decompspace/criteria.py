@@ -48,8 +48,9 @@ pasting of upper and lower 2-Segal squares within the truncation
 (Dyckerhoff and Kapranov, arXiv:1212.3563), the upper ones at i = n - 1
 and the lower ones at i = 1, so it decides those first and walks its
 own squares only when one of them fails; its docstring gives the
-pasting.  Both certificates are decided by _decide too, and only its
-verdict is read, so _decide is the one code path that decides squares.
+pasting.  Both certificates, and _decide, decide their squares in
+_first_failure, the one loop that does; a certificate only asks whether
+a square failed, so it builds no witness.
 At level 2 check_decomposition decides the same unit squares the
 certificate does there, since the 2-Segal squares need X_3.
 """
@@ -57,7 +58,7 @@ certificate does there, since the 2-Segal squares need X_3.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, starmap
+from itertools import chain, islice, starmap
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import delta
@@ -95,23 +96,33 @@ def _decide(
 
     max_squares cuts the walk off deterministically: a walk stopped
     before its last square reports holds=False and inconclusive=True,
-    with the cut-off in the detail.  describe is called, if at all,
-    before the next square is drawn, so it may read the loop variables
-    of the generator that made it.
+    with the cut-off in the detail.  Only the square that fails is
+    described, and handed to is_pullback_square for its witness.
     """
-    checked = 0
-    for legs, describe in squares:
-        if max_squares is not None and checked >= max_squares:
-            return _cut_off(level, max_squares)
-        checked += 1
-        if legs is None or pullback_holds(*legs):
-            continue
-        square, levels, names = describe()
-        sub = is_pullback_square(*legs, square=square, levels=levels, names=names)
+    squares = iter(squares)
+    checked, failed = _first_failure(islice(squares, max_squares))
+    if failed is not None:
+        square, levels, names = failed[1]()
+        sub = is_pullback_square(*failed[0], square=square, levels=levels, names=names)
         return CheckReport(
             holds=False, checked_level=level, squares_checked=checked, witness=sub.witness
         )
+    if checked == max_squares and next(squares, None) is not None:
+        return _cut_off(level, max_squares)
     return CheckReport(holds=True, checked_level=level, squares_checked=checked)
+
+
+def _first_failure(squares: Iterable[Square]) -> tuple[int, Square | None]:
+    """The one loop that decides squares: how many were counted, and the
+    first that is not a pullback, which ends the count (None if every
+    square is one).  Its describe is then called before another square
+    is drawn, so it may read the loop variables of the generator that
+    made it."""
+    checked = 0
+    for checked, (legs, describe) in enumerate(squares, 1):
+        if legs is not None and not pullback_holds(*legs):
+            return checked, (legs, describe)
+    return checked, None
 
 
 def _cut_off(level: int, max_squares: int) -> CheckReport:
@@ -443,7 +454,7 @@ def check_2segal_polygonal(X: TruncatedSSet, mode: str = "full") -> CheckReport:
     slots, squares = _polygonal_plan(X.level, mode)
     _, sides = _POLYGONAL_MODES[mode]
     pasted = _two_segal_plan(X.level, sides, pasted=True)
-    if _decide(X.level, _pushout_squares(X, pasted, _two_segal_label)).holds:
+    if _first_failure(_pushout_squares(X, pasted, _two_segal_label))[1] is None:
         return CheckReport(
             holds=True, checked_level=X.level, squares_checked=len(squares)
         )
@@ -587,10 +598,9 @@ def check_decomposition_direct(
     if rank_cap > X.level:
         raise LevelError(f"rank cap {rank_cap} exceeds level {X.level}")
     ranks, size, elementary = _direct_plan(X.level, rank_cap)
-    if (
-        elementary is not None
-        and _decide(X.level, _pushout_squares(X, elementary, _active_inert_label)).holds
-    ):
+    if elementary is not None and _first_failure(
+        _pushout_squares(X, elementary, _active_inert_label)
+    )[1] is None:
         if max_squares is not None and max_squares < size:
             return _cut_off(X.level, max_squares)
         return CheckReport(holds=True, checked_level=X.level, squares_checked=size)

@@ -18,6 +18,7 @@ bytes once they are decoded.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import tempfile
@@ -103,11 +104,7 @@ def sset_from_obj(obj: dict, where: str = "sset") -> TruncatedSSet:
     cells_raw = _require(obj, "cells", list, where)
     if level < 0 or len(cells_raw) != level + 1:
         raise SchemaError(f"{where}: cells must list levels 0..level")
-    cells = []
-    for n, cs in enumerate(cells_raw):
-        if not isinstance(cs, list) or not _STR.issuperset(map(type, cs)):
-            raise SchemaError(f"{where}: cells[{n}] must be a list of strings")
-        cells.append(tuple(cs))
+    cells = _name_lists(cells_raw, "cells", where)
     faces_raw = _require(obj, "faces", list, where)
     degen_raw = _require(obj, "degeneracies", list, where)
     if len(faces_raw) != level:
@@ -116,11 +113,19 @@ def sset_from_obj(obj: dict, where: str = "sset") -> TruncatedSSet:
         raise SchemaError(f"{where}: degeneracies must cover levels 0..level-1")
     faces = _blocks(faces_raw, "faces", 1, -1, cells, where)
     degeneracies = _blocks(degen_raw, "degeneracies", 0, 1, cells, where)
-    return TruncatedSSet(level, tuple(cells), faces, degeneracies)
+    return TruncatedSSet(level, cells, faces, degeneracies)
+
+
+def _name_lists(raw: list, field: str, where: str) -> tuple[tuple[str, ...], ...]:
+    """The cells of an sset or the grades of an ofc: lists of names."""
+    for n, names in enumerate(raw):
+        if not isinstance(names, list) or not _STR.issuperset(map(type, names)):
+            raise SchemaError(f"{where}: {field}[{n}] must be a list of strings")
+    return tuple(map(tuple, raw))
 
 
 def _blocks(
-    raw: list, field: str, first: int, step: int, cells: list, where: str
+    raw: list, field: str, first: int, step: int, cells: tuple, where: str
 ) -> dict:
     """The tables of an sset's faces (step -1) or degeneracies (step 1):
     raw[b] is the block of the n + 1 rows at level n = first + b, each
@@ -156,11 +161,7 @@ def ofc_from_obj(obj: dict, where: str = "ofc") -> OuterFaceComplex:
     grades_raw = _require(obj, "grades", list, where)
     if bound < 0 or len(grades_raw) != bound + 1:
         raise SchemaError(f"{where}: grades must list degrees 0..bound")
-    grades = []
-    for m, g in enumerate(grades_raw):
-        if not isinstance(g, list) or not _STR.issuperset(map(type, g)):
-            raise SchemaError(f"{where}: grades[{m}] must be a list of strings")
-        grades.append(tuple(g))
+    grades = _name_lists(grades_raw, "grades", where)
     d_bot_raw = _require(obj, "d_bot", list, where)
     d_top_raw = _require(obj, "d_top", list, where)
     if len(d_bot_raw) != bound or len(d_top_raw) != bound:
@@ -173,7 +174,7 @@ def ofc_from_obj(obj: dict, where: str = "ofc") -> OuterFaceComplex:
         ):
             at = f"{where}: {name}[{m - 1}]"
             tables[m] = _table(raw[m - 1], len(grades[m]), len(grades[m - 1]), at)
-    return OuterFaceComplex(bound, tuple(grades), d_bot, d_top)
+    return OuterFaceComplex(bound, grades, d_bot, d_top)
 
 
 def smap_to_obj(f: SimplicialMap) -> dict:
@@ -346,26 +347,37 @@ def loads(text: str) -> dict:
     return obj
 
 
-def write_file(path: str, obj: dict) -> None:
-    """Write dumps(obj) piece by piece and atomically replace the target path.
-
-    The file gets the mode open(path, "w") would give a new file, 0o666
-    less the umask, rather than mkstemp's 0o600.
+def write_file(path: str, obj: dict, *also: tuple[str, dict]) -> None:
+    """Write dumps(obj) to path, and each further (path, obj) pair in also
+    to its path, each piece by piece to a temp file beside its target;
+    then replace the targets.  A target that is a directory, or a temp
+    file that cannot be written, fails before any target is touched.  A
+    failure is an OSError naming the target path.  Each file gets the
+    mode open(path, "w") would give a new file, 0o666 less the umask,
+    rather than mkstemp's 0o600.
     """
-    directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0o022)
     os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".decompspace-")
+    staged: list[tuple[str, str]] = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.writelines(_encode(obj, "\n"))
-            handle.write("\n")
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        for path, obj in ((path, obj), *also):
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            directory = os.path.dirname(os.path.abspath(path))
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".decompspace-")
+            staged.append((tmp, path))
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.writelines(_encode(obj, "\n"))
+                handle.write("\n")
+            os.chmod(tmp, 0o666 & ~umask)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def read_file(path: str) -> dict:

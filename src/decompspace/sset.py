@@ -29,7 +29,6 @@ from operator import attrgetter, itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import delta
-from .delta import SimplexMap
 
 #: An operator table: entry j is the index of the image of cell j.
 Table = tuple[int, ...]
@@ -409,19 +408,15 @@ def _face_degeneracy_identity(i: int, j: int) -> str:
     return f"d_{i} s_{j} = s_{j} d_{i-1}"
 
 
-def induced_map(X: TruncatedSSet, alpha: SimplexMap) -> Table:
-    """The contravariant action of a simplex-category map on cells.
-
-    For alpha: [n] -> [m] returns the index table cells[m] -> cells[n],
-    computed by composing face/degeneracy tables along the canonical
-    generator word of alpha.
-    """
-    return induce(X, alpha.target_rank, alpha.values)
-
-
 def induce(X: TruncatedSSet, target_rank: int, values: tuple[int, ...]) -> Table:
-    """induced_map of the map [len(values) - 1] -> [target_rank] with the
-    given value tuple, which is trusted to be weakly monotone."""
+    """The contravariant action on cells of the simplex-category map
+    [len(values) - 1] -> [target_rank] with the given values, which are
+    trusted to be weakly monotone.
+
+    Returns the index table cells[target_rank] -> cells[len(values) - 1],
+    composed from X's face and degeneracy tables along the canonical
+    generator word of the map.
+    """
     source_rank = len(values) - 1
     if target_rank > X.level or source_rank > X.level:
         raise LevelError(f"map [{source_rank}]->[{target_rank}] exceeds level {X.level}")
@@ -645,20 +640,16 @@ def _validate_components(m: SimplicialMap) -> CheckReport:
             f"{source.cells[n][j]!r}",
         )
 
-    for n in range(1, top + 1):
-        size, getter, below = len(comps[n]), getters[n], comps[n - 1]
-        for i in range(n + 1):
-            lhs = getter(target.face(n, i))
-            rhs = _then(source.face(n, i), below)
-            if lhs != rhs:
-                return fail("d", i, n, lhs, rhs)
-            checked += size
-    for n in range(top):
-        size, getter, above = len(comps[n]), getters[n], comps[n + 1]
-        for i in range(n + 1):
-            lhs = getter(target.degeneracy(n, i))
-            rhs = _then(source.degeneracy(n, i), above)
-            if lhs != rhs:
-                return fail("s", i, n, lhs, rhs)
-            checked += size
+    for kind, operator, levels, step in (
+        ("d", TruncatedSSet.face, range(1, top + 1), -1),
+        ("s", TruncatedSSet.degeneracy, range(top), 1),
+    ):
+        for n in levels:
+            size, getter, other = len(comps[n]), getters[n], comps[n + step]
+            for i in range(n + 1):
+                lhs = getter(operator(target, n, i))
+                rhs = _then(operator(source, n, i), other)
+                if lhs != rhs:
+                    return fail(kind, i, n, lhs, rhs)
+                checked += size
     return CheckReport(holds=True, checked_level=top, squares_checked=checked)

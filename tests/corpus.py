@@ -19,7 +19,7 @@ from decompspace.builders import (
 )
 from decompspace.sset import TruncatedSSet
 from decompspace.sset import opposite as sset_opposite
-from oracles import all_maps, evaluate_word
+from oracles import compose_values, evaluate_word, monotone_tuples
 
 
 def point(level: int) -> TruncatedSSet:
@@ -201,12 +201,8 @@ def input_obj(x) -> dict:
     }
 
 
-def surjections(n: int, d: int) -> list[delta.SimplexMap]:
-    return [
-        f
-        for f in all_maps(n, d)
-        if set(f.values) == set(range(d + 1))
-    ]
+def surjections(n: int, d: int) -> list[tuple[int, ...]]:
+    return [f for f in monotone_tuples(n + 1, d) if set(f) == set(range(d + 1))]
 
 
 def sset_from_generators(generators: dict, level: int) -> TruncatedSSet:
@@ -215,35 +211,31 @@ def sset_from_generators(generators: dict, level: int) -> TruncatedSSet:
     generators maps a name to (dim, faces) where faces[i] = (name',
     values') gives the i-th face as a possibly-degenerate cell: the
     generator name' reindexed along the surjection with those values.
-    Every cell is a pair (generator, surjection), and faces are computed
-    by splitting the composite with a coface into its mono and epi
-    parts.
+    Every cell is a pair (generator, surjection values), and faces are
+    computed by splitting the composite with a coface into its mono and
+    epi parts.
     """
 
     def face_cell(cell, i):
         g, sig = cell
-        f = delta.compose(sig, delta.coface(sig.source_rank, i))
-        word = delta.generator_decomposition(f)
+        f = tuple(sig[v + (v >= i)] for v in range(len(sig) - 1))
+        word = delta.generator_word(f, generators[g][0])
         delta_idxs = [ix for kind, ix in word if kind == "delta"]
         sigma_idxs = [ix for kind, ix in word if kind == "sigma"]
-        cur = (g, delta.identity(generators[g][0]))
+        cur = (g, tuple(range(generators[g][0] + 1)))
         for ix in delta_idxs:
             cg, ctau = cur
-            if ctau == delta.identity(generators[cg][0]):
-                name, vals = generators[cg][1][ix]
-                cur = (
-                    name,
-                    delta.SimplexMap(ctau.source_rank - 1, generators[name][0], vals),
-                )
+            if ctau == tuple(range(generators[cg][0] + 1)):
+                cur = generators[cg][1][ix]
             else:
                 cur = face_cell(cur, ix)
         g2, tau = cur
-        eps = evaluate_word([("sigma", j) for j in sigma_idxs], f.source_rank)
-        return (g2, delta.compose(tau, eps))
+        eps = evaluate_word([("sigma", j) for j in sigma_idxs], len(f) - 1)
+        return (g2, compose_values(tau, eps))
 
     def cell_id(cell):
         g, sig = cell
-        return f"{g}[{','.join(str(v) for v in sig.values)}]"
+        return f"{g}[{','.join(str(v) for v in sig)}]"
 
     cells_by_level = []
     for n in range(level + 1):
@@ -267,7 +259,7 @@ def sset_from_generators(generators: dict, level: int) -> TruncatedSSet:
         for i in range(n + 1):
             degeneracies[(n, i)] = {
                 cell_id((g, sig)): cell_id(
-                    (g, delta.compose(sig, delta.codegeneracy(n, i)))
+                    (g, tuple(sig[v - (v > i)] for v in range(n + 2)))
                 )
                 for g, sig in cells_by_level[n]
             }

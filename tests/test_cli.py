@@ -506,3 +506,33 @@ class TestTransform:
         main(["build", "terminal-ofc", "--bound", "1", "--level", "0",
               "--output", str(obj)])
         assert main(["transform", "sd", str(obj), "--output", str(out)]) == 3
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("bad", ["missing/out.json", "outdir"])
+    @pytest.mark.parametrize("flag", ["--output", "--length-map", "--map-output"])
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_failed_write_names_the_path_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, bad, flag, existed
+    ):
+        # the other target of the command, new or with bytes of its own,
+        # is left as it was, and no temp file stays behind
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "outdir").mkdir()
+        words = ["build", "words", "--alphabet", "ab", "--max-len", "2", "--level", "3"]
+        assert main([*words, "--output", "w.json"]) == 0
+        if existed:
+            (tmp_path / "other.json").write_text("before")
+        if flag == "--map-output":
+            argv = ["transform", "dec-top", "w.json", "--output", "other.json"]
+        else:
+            other = "--length-map" if flag == "--output" else "--output"
+            argv = [*words, other, "other.json"]
+        before = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+        assert main([*argv, flag, bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.endswith(f": {bad!r}\n"), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        if existed:
+            assert (tmp_path / "other.json").read_text() == "before"

@@ -323,14 +323,12 @@ class TestDecompositionDirect:
         X = builders.nerve(chain_category(3), 3)
         from decompspace import delta
 
-        alpha = delta.codegeneracy(0, 0)
-        iota = delta.coface(2, 0)
-        theta, phi = delta.active_inert_pushout(alpha, iota)
+        theta, phi = delta.pushout_values((0, 0), 1, 2)
         report = pullback_by_names(
-            induced_names(X, phi),
-            induced_names(X, theta),
-            induced_names(X, iota),
-            induced_names(X, alpha),
+            induced_names(X, 1, phi),
+            induced_names(X, 1, theta),
+            induced_names(X, 2, (1, 2)),
+            induced_names(X, 0, (0, 0)),
         )
         assert report.holds
         # and the whole family passes on a decomposition space

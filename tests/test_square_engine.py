@@ -223,6 +223,25 @@ class TestPastingCertificate:
         assert len(induced) == 48
         assert composed == []
 
+    def test_failing_certificate_builds_no_witness(self, monkeypatch):
+        # the direct and polygonal certificates fail on these instances;
+        # only the walk after them builds a witness, the report's own
+        calls = []
+
+        def counting(*legs, **kwargs):
+            calls.append(kwargs["square"])
+            return sset.is_pullback_square(*legs, **kwargs)
+
+        monkeypatch.setattr(criteria, "is_pullback_square", counting)
+        failing = {"collapsed-triangle-L3", "collapsed-triangle-L5"}
+        failing |= {"one-sided-upper-L3", "one-sided-lower-L3"}
+        checks = criteria.check_decomposition_direct, criteria.check_2segal_polygonal
+        for inst in (inst for inst in corpus() if inst.name in failing):
+            for check in checks:
+                calls.clear()
+                report = check(inst.X)
+                assert calls == [report.witness.square], (inst.name, check.__name__)
+
     @pytest.mark.parametrize("rank_cap, level", [(2, 4), (3, 5), (3, 6)])
     def test_rank_cap_rule_on_doubled_degenerate_nerve(self, rank_cap, level):
         # the elementary squares within rank cap R hold, but a square of

@@ -14,22 +14,22 @@ from corpus import (
     point,
     z2_category,
 )
-from decompspace import builders, delta, operators, sset
+from decompspace import builders, operators, sset
 from decompspace.sset import (
     LevelError,
     SimplicialMap,
     StructuralError,
     TruncatedSSet,
     compose_tables,
-    induced_map,
     opposite,
     truncate,
     validate,
     validate_map,
 )
 from oracles import (
-    all_maps,
     are_isomorphic,
+    codegeneracy_values,
+    coface_values,
     compose_maps,
     identity_map,
     induced_names,
@@ -96,48 +96,39 @@ class TestValidate:
 class TestInducedMap:
     def test_identity(self):
         X = builders.nerve(arrow_category(), 3)
-        out = induced_names(X, delta.identity(2))
+        out = induced_names(X, 2, (0, 1, 2))
         assert out == {c: c for c in X.cells[2]}
 
     def test_generator_cases_match_tables(self):
         X = builders.nerve(chain_category(3), 3)
-        for n in range(1, 4):
-            for i in range(n + 1):
-                assert induced_names(X, delta.coface(n, i)) == X.face_names(n, i)
-        for n in range(3):
-            for i in range(n + 1):
-                assert induced_names(
-                    X, delta.codegeneracy(n, i)
-                ) == X.degeneracy_names(n, i)
+        for n, i, values in coface_values(3):
+            assert induced_names(X, n, values) == X.face_names(n, i)
+        for n, i, values in codegeneracy_values(2):
+            assert induced_names(X, n, values) == X.degeneracy_names(n, i)
 
     def test_one_letter_word_is_the_table_itself(self):
         # the 2-Segal walks induce their faces from the elementary plan;
         # a one-letter word returns X's own table, so they read the same
         # tables as direct lookups, with no copy
         X = builders.nerve(chain_category(3), 3)
-        for n in range(1, 4):
-            for i in range(n + 1):
-                values = delta.coface(n, i).values
-                assert sset.induce(X, n, values) is X.faces[(n, i)]
-        for n in range(3):
-            for i in range(n + 1):
-                values = delta.codegeneracy(n, i).values
-                assert sset.induce(X, n, values) is X.degeneracies[(n, i)]
+        for n, i, values in coface_values(3):
+            assert sset.induce(X, n, values) is X.faces[(n, i)]
+        for n, i, values in codegeneracy_values(2):
+            assert sset.induce(X, n, values) is X.degeneracies[(n, i)]
 
     def test_long_edge_is_inner_face(self):
         X = builders.nerve(chain_category(3), 3)
-        long_edge = delta.SimplexMap(1, 2, (0, 2))
-        assert induced_names(X, long_edge) == X.face_names(2, 1)
+        assert induced_names(X, 2, (0, 2)) == X.face_names(2, 1)
 
     def test_functoriality_exhaustive(self):
         X = builders.nerve(arrow_category(), 3)
         for n, j, m in product(range(3), range(3), range(3)):
-            for f in all_maps(n, j):
-                for g in all_maps(j, m):
-                    composite = induced_names(X, delta.compose(g, f))
+            for f in monotone_tuples(n + 1, j):
+                for g in monotone_tuples(j + 1, m):
+                    composite = induced_names(X, m, tuple(g[v] for v in f))
                     stepwise = {
-                        c: induced_names(X, f)[v]
-                        for c, v in induced_names(X, g).items()
+                        c: induced_names(X, j, f)[v]
+                        for c, v in induced_names(X, m, g).items()
                     }
                     assert composite == stepwise
 
@@ -145,32 +136,31 @@ class TestInducedMap:
         # d_1 s_0 s_0 = s_0 d_0 s_0 = s_0 as maps [2] -> [1]; the induced
         # actions along either word must agree with the canonical one
         X = builders.nerve(z2_category(), 3)
-        alpha = delta.codegeneracy(1, 0)
-        canonical = induced_map(X, alpha)
+        canonical = sset.induce(X, 1, (0, 0, 1))
         via_other_word = compose_tables(
             X.degeneracies[(1, 0)], X.degeneracies[(2, 0)], X.faces[(3, 1)]
         )
         assert canonical == via_other_word
 
     def test_values_keyed_induce_on_corpus(self):
-        # every map [n] -> [m] within the level, on every corpus instance
+        # every map [n] -> [m] within the level, on every corpus instance,
+        # against the composite along another generator word
         for inst in corpus():
             X = inst.X
             for n in range(X.level + 1):
                 for m in range(X.level + 1):
                     for values in monotone_tuples(n + 1, m):
                         table = sset.induce(X, m, values)
-                        alpha = delta.SimplexMap(n, m, values)
-                        assert table == induced_map(X, alpha), (inst.name, alpha)
                         assert table == reference_induce(X, m, values), (
                             inst.name,
-                            alpha,
+                            m,
+                            values,
                         )
 
     def test_level_error(self):
         X = builders.nerve(arrow_category(), 2)
         with pytest.raises(LevelError):
-            induced_map(X, delta.coface(3, 0))
+            sset.induce(X, 3, (1, 2, 3))
 
 
 class TestOpposite:

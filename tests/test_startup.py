@@ -24,17 +24,14 @@ SRC = str(Path(decompspace.__file__).resolve().parent.parent)
 #: five submodules it comes from.
 PUBLIC = [
     "CheckReport", "DirectedGraph", "FiniteCategory", "LevelError",
-    "OuterFaceComplex", "PartialCategory", "PartialMonoid", "SimplexMap",
-    "SimplicialMap", "SquareWitness", "StructuralError", "TruncatedSSet",
-    "active_inert_pushout", "bounded_words", "builders",
-    "check_2segal_polygonal", "check_culf", "check_decomposition",
+    "OuterFaceComplex", "PartialCategory", "PartialMonoid", "SimplicialMap",
+    "SquareWitness", "StructuralError", "TruncatedSSet", "bounded_words",
+    "builders", "check_2segal_polygonal", "check_culf", "check_decomposition",
     "check_decomposition_direct", "check_lower_2segal", "check_segal",
     "check_segal_iterated", "check_upper_2segal", "check_upper_2segal_reduced",
-    "classify", "codegeneracy", "coface", "compose", "criteria", "dec_bot",
-    "dec_top", "delta", "enumerate_active", "enumerate_inert",
-    "factor_active_inert", "free_decomposition", "from_partial_category",
-    "from_partial_monoid", "generator_decomposition", "graph_paths", "induce",
-    "induced_map", "is_pullback_square", "length_map", "map_decbot_to_sd",
+    "criteria", "dec_bot", "dec_top", "delta", "free_decomposition",
+    "from_partial_category", "from_partial_monoid", "graph_paths", "induce",
+    "is_pullback_square", "length_map", "map_decbot_to_sd",
     "map_dectop_op_to_sd", "nerve", "operators", "opposite", "pullback_holds",
     "sd", "sset", "table_names", "terminal_complex", "truncate",
     "twisted_arrow", "validate", "validate_map",
@@ -166,7 +163,6 @@ class TestPackageSurface:
             else:
                 assert value is getattr(sys.modules[value.__module__], name), name
         assert decompspace.check_segal is decompspace.criteria.check_segal
-        assert decompspace.SimplexMap is decompspace.delta.SimplexMap
         assert decompspace.nerve is builders.nerve
 
     def test_names_and_submodules_resolve_on_first_use(self):
@@ -174,7 +170,7 @@ class TestPackageSurface:
             "import sys, decompspace\n"
             "from decompspace import delta\n"
             "assert decompspace.sset.validate is decompspace.validate\n"
-            "assert delta.compose is decompspace.compose\n"
+            "assert delta is decompspace.delta\n"
             "print(*sorted(m for m in sys.modules if m.startswith('decompspace.')))"
         )
         assert loaded == ["decompspace.delta", "decompspace.sset"]
