@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .sset import (
     SimplicialMap,
@@ -433,18 +433,66 @@ def terminal_complex(bound: int) -> OuterFaceComplex:
     return OuterFaceComplex(bound, grades, tables, dict(tables))
 
 
+class _PartLists(NamedTuple):
+    """The part lists (l_1, ..., l_k) of one level k, in order: suffixes
+    the text "l_1,...,l_k", degrees the sums, firsts and lasts l_1 and
+    l_k (0 at level 0); faces[j][i] the index at level k - 1 of the part
+    list of d_i on the part list j (l_1 dropped, l_i and l_{i+1} added,
+    l_k dropped) and degeneracies[j][i] the index at level k + 1 of that
+    of s_i (a zero part inserted before l_{i+1}); no degeneracies at
+    the top level."""
+
+    suffixes: list[str]
+    degrees: list[int]
+    firsts: list[int]
+    lasts: list[int]
+    faces: list[list[int]]
+    degeneracies: list[list[int]]
+
+
 @lru_cache(maxsize=1)
-def _compositions(level: int, bound: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def _part_lists(level: int, bound: int) -> tuple[_PartLists, ...]:
     """For each k <= level, the weak compositions (l_1, ..., l_k) with sum
-    <= bound, lexicographic: the list for k extends every composition of
-    the list for k - 1, in order, by each part that keeps the sum within
-    bound.  The last lists are kept, so length_map and the two builds it
-    makes read one copy."""
-    lists = [((),)]
-    for _ in range(level):
-        last = lists[-1]
-        lists.append(tuple(p + (x,) for p in last for x in range(bound + 1 - sum(p))))
-    return tuple(lists)
+    <= bound, lexicographic.  The list for k + 1 extends every part list
+    of the list for k, in order, by each part x that keeps the sum
+    within bound, so the extension of part list j by x sits at
+    starts[j] + x.  Each face and degeneracy index then comes from those
+    of the part list l it extends, of length k >= 1, in constant time:
+    d_i(l + (x,)) is d_i(l) + (x,) for i < k, d_k(l) + (l_k + x,) for
+    i = k and l for i = k + 1; s_i(l + (x,)) is s_i(l) + (x,) for
+    i <= k and l + (x, 0) for i = k + 1.  The last lists are kept, so
+    length_map and the two builds it makes read one copy."""
+    levels = [_PartLists([""], [0], [0], [0], [[]], [])]
+    starts: list[list[int]] = []
+    for k in range(level):
+        below, here = levels[k - 1] if k else None, levels[k]
+        start, row = 0, []
+        for d in here.degrees:
+            row.append(start)
+            start += bound + 1 - d
+        starts.append(row)
+        if k == 0:
+            here.degeneracies.append([0])
+        else:
+            for j, (face, x) in enumerate(zip(here.faces, here.lasts)):
+                up = below.degeneracies[face[k]]
+                here.degeneracies.append([row[s] + x for s in up] + [row[j]])
+        nxt = _PartLists([], [], [], [], [], [])
+        columns = here.suffixes, here.degrees, here.firsts, here.lasts, here.faces
+        for j, (suffix, d, first, last, face) in enumerate(zip(*columns)):
+            for x in range(bound + 1 - d):
+                nxt.suffixes.append(f"{suffix},{x}" if k else str(x))
+                nxt.degrees.append(d + x)
+                nxt.firsts.append(first if k else x)
+                nxt.lasts.append(x)
+                if k == 0:
+                    nxt.faces.append([0, 0])
+                else:
+                    edge = starts[k - 1]
+                    faces = [edge[f] + x for f in face[:k]]
+                    nxt.faces.append(faces + [edge[face[k]] + last + x, j])
+        levels.append(nxt)
+    return tuple(levels)
 
 
 def free_decomposition(A: OuterFaceComplex, level: int) -> TruncatedSSet:
@@ -469,48 +517,44 @@ def free_decomposition(A: OuterFaceComplex, level: int) -> TruncatedSSet:
             iterated.append(
                 [tuple(range(size))] + [compose_tables(tables[m], t) for t in powers]
             )
-    parts_of = _compositions(level, A.bound)
-    offsets: list[dict[tuple[int, ...], int]] = []
+    lists = _part_lists(level, A.bound)
+    offsets: list[list[int]] = []
     for k in range(level + 1):
-        start, offset = 0, {}
-        for parts in parts_of[k]:
-            offset[parts] = start
-            start += sizes[sum(parts)]
+        start, offset = 0, []
+        for m in lists[k].degrees:
+            offset.append(start)
+            start += sizes[m]
         offsets.append(offset)
     cells = []
     for k in range(level + 1):
         level_cells: list[str] = []
-        for parts in parts_of[k]:
-            suffix = ",".join(map(str, parts))
-            level_cells += [f"({a};{suffix})" for a in A.grades[sum(parts)]]
+        for suffix, m in zip(lists[k].suffixes, lists[k].degrees):
+            level_cells += [f"({a};{suffix})" for a in A.grades[m]]
         cells.append(tuple(level_cells))
     faces: dict[tuple[int, int], Table] = {}
     degeneracies: dict[tuple[int, int], Table] = {}
     for k in range(1, level + 1):
-        below = offsets[k - 1]
+        here, below = lists[k], offsets[k - 1]
+        columns = list(zip(here.degrees, here.firsts, here.lasts, here.faces))
         for i in range(k + 1):
             row: list[int] = []
-            for parts in parts_of[k]:
-                m = sum(parts)
+            for m, first, last, face in columns:
+                start = below[face[i]]
                 if i == 0:
-                    start = below[parts[1:]]
-                    row += [start + x for x in bot[m][parts[0]]]
+                    row += [start + x for x in bot[m][first]]
                 elif i == k:
-                    start = below[parts[:-1]]
-                    row += [start + x for x in top[m][parts[-1]]]
+                    row += [start + x for x in top[m][last]]
                 else:
-                    start = below[
-                        parts[: i - 1] + (parts[i - 1] + parts[i],) + parts[i + 1 :]
-                    ]
                     row += range(start, start + sizes[m])
             faces[(k, i)] = tuple(row)
     for k in range(level):
         above = offsets[k + 1]
+        columns = list(zip(lists[k].degrees, lists[k].degeneracies))
         for i in range(k + 1):
             row = []
-            for parts in parts_of[k]:
-                start = above[parts[:i] + (0,) + parts[i:]]
-                row += range(start, start + sizes[sum(parts)])
+            for m, degeneracy in columns:
+                start = above[degeneracy[i]]
+                row += range(start, start + sizes[m])
             degeneracies[(k, i)] = tuple(row)
     return TruncatedSSet(level, tuple(cells), faces, degeneracies)
 
@@ -524,7 +568,7 @@ def length_map(A: OuterFaceComplex, level: int) -> SimplicialMap:
     for k in range(level + 1):
         # T has one cell per part list, in the order X lists its blocks
         row: list[int] = []
-        for j, parts in enumerate(_compositions(level, A.bound)[k]):
-            row += [j] * len(A.grades[sum(parts)])
+        for j, m in enumerate(_part_lists(level, A.bound)[k].degrees):
+            row += [j] * len(A.grades[m])
         components.append(tuple(row))
     return SimplicialMap(X, T, tuple(components))

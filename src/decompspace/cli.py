@@ -94,6 +94,13 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _separate_outputs(flag: str, path: str | None, output: str) -> None:
+    """Reject a second output path that names the file --output names,
+    since writing both would leave only the second."""
+    if path is not None and os.path.realpath(path) == os.path.realpath(output):
+        raise SystemExit2(f"--output and {flag} name the same file {output!r}")
+
+
 def _load_sset(path: str):
     from . import serialize
 
@@ -114,8 +121,8 @@ def _cmd_build(args) -> int:
         return parse(serialize.read_file(need("--input", args.input)), where=args.input)
 
     # reject before anything is read, built or written: negative sizes,
-    # and a length map of anything but an outer face complex freely
-    # completed to a level
+    # a length map of anything but an outer face complex freely completed
+    # to a level, and a length map on the path of the output
     sizes = {"--level": args.level, "--bound": args.bound, "--max-len": args.max_len}
     for flag, value in sizes.items():
         if value is not None and value < 0:
@@ -128,6 +135,7 @@ def _cmd_build(args) -> int:
             "--length-map needs a freely generated build (--level plus an "
             "outer face complex kind)"
         )
+    _separate_outputs("--length-map", args.length_map, args.output)
     also: list[tuple[str, dict]] = []
 
     def free(A: builders.OuterFaceComplex, level: int):
@@ -246,6 +254,7 @@ def _cmd_transform(args) -> int:
     # reject before anything is read or written
     if args.map_output is not None and args.op not in ("dec-top", "dec-bot"):
         raise SystemExit2("--map-output only applies to dec transforms")
+    _separate_outputs("--map-output", args.map_output, args.output)
     from . import operators, serialize
     from .sset import _require_valid, opposite
 

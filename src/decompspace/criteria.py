@@ -3,15 +3,20 @@
 Every criterion here except the iterated Segal condition is a family of
 squares that must be pullbacks, so each checker validates its input and
 hands a generator of squares, smallest first, to one driver, _decide.
-A square is its four index tables (see sset) and a describe callable.
+A square is its four index tables and a describe callable.  Each call
+holds its tables in the encoding sset picks for its input
+(sset._one_call: bytes when every level holds at most 256 cells, for
+check_culf at both ends, else tuples), and the squares arrive in it.
 The driver counts every square, in walk order and against the budget;
 a square with an identity leg comes without tables, since it is a
 pullback whatever X is, and is counted but not decided.  The rest are
-decided by sset.pullback_holds; only the first that fails is described
-(its label, the levels of its corners and the cell names of A, B and C)
-and handed to is_pullback_square for its witness.  A square that would
-need a level beyond the truncation is not generated; the report's
-checked_level records the truncation the verdict is good for.
+decided by the encoding's decide, the counting test of
+sset.pullback_holds; only the first that fails is described (its
+label, the levels of its corners and the cell names of A, B and C) and
+handed, its tables turned back into tuples, to is_pullback_square for
+its witness.  A square that would need a level beyond the truncation
+is not generated; the report's checked_level records the truncation
+the verdict is good for.
 
 Every checker but the Segal, iterated Segal and culf ones walks
 active-inert squares built from value tuples
@@ -28,7 +33,8 @@ plan numbers its tables in walk order: a slot is one of X's own face or
 degeneracy tables, or a shorter slot followed by one of them, and each
 square names its four legs by slot.  One executor, _pushout_squares,
 fills the slots of one call as the walk first reaches a square that
-needs them, so each map is composed at most once per call, a walk that
+needs them, converting X's own tables and composing in the call's
+encoding, so each map is composed at most once per call, a walk that
 stops early composes nothing past its stop, and nothing about X
 outlives the call; the full direct walk compiles its squares as it
 streams them.
@@ -70,40 +76,46 @@ from .sset import (
     StructuralError,
     Table,
     TruncatedSSet,
+    _Encoding,
+    _one_call,
     _require_valid,
     _then,
     _validate_components,
     _word_steps,
     is_pullback_square,
-    pullback_holds,
     validate,
 )
 
 #: A square's label, the levels of its corners and the names of A, B, C.
 Description = tuple[str, tuple[int, ...], tuple[Sequence[str], ...]]
 
-#: (f, g, p, q): A -> B and A -> C over B -> D <- C, and the square's
-#: describe callable; (None, None) for a square with an identity leg.
-Square = tuple[
-    tuple[Table, Table, Table, Table] | None, Callable[[], Description] | None
-]
+#: (f, g, p, q): A -> B and A -> C over B -> D <- C, as tables of the
+#: call's encoding (tuples or bytes), and the square's describe
+#: callable; (None, None) for a square with an identity leg.
+Square = tuple[tuple | None, Callable[[], Description] | None]
 
 
 def _decide(
-    level: int, squares: Iterable[Square], max_squares: int | None = None
+    level: int,
+    code: _Encoding,
+    squares: Iterable[Square],
+    max_squares: int | None = None,
 ) -> CheckReport:
-    """The report of a family of squares that must all be pullbacks.
+    """The report of a family of squares that must all be pullbacks,
+    their tables held in code.
 
     max_squares cuts the walk off deterministically: a walk stopped
     before its last square reports holds=False and inconclusive=True,
     with the cut-off in the detail.  Only the square that fails is
-    described, and handed to is_pullback_square for its witness.
+    described, and handed, its tables as tuples, to is_pullback_square
+    for its witness.
     """
     squares = iter(squares)
-    checked, failed = _first_failure(islice(squares, max_squares))
+    checked, failed = _first_failure(code, islice(squares, max_squares))
     if failed is not None:
         square, levels, names = failed[1]()
-        sub = is_pullback_square(*failed[0], square=square, levels=levels, names=names)
+        legs = map(tuple, failed[0])
+        sub = is_pullback_square(*legs, square=square, levels=levels, names=names)
         return CheckReport(
             holds=False, checked_level=level, squares_checked=checked, witness=sub.witness
         )
@@ -112,17 +124,26 @@ def _decide(
     return CheckReport(holds=True, checked_level=level, squares_checked=checked)
 
 
-def _first_failure(squares: Iterable[Square]) -> tuple[int, Square | None]:
-    """The one loop that decides squares: how many were counted, and the
-    first that is not a pullback, which ends the count (None if every
-    square is one).  Its describe is then called before another square
-    is drawn, so it may read the loop variables of the generator that
-    made it."""
-    checked = 0
+def _first_failure(
+    code: _Encoding, squares: Iterable[Square]
+) -> tuple[int, Square | None]:
+    """The one loop that decides squares, their tables held in code: how
+    many were counted, and the first that is not a pullback, which ends
+    the count (None if every square is one).  Its describe is then
+    called before another square is drawn, so it may read the loop
+    variables of the generator that made it."""
+    checked, decide = 0, code.decide
     for checked, (legs, describe) in enumerate(squares, 1):
-        if legs is not None and not pullback_holds(*legs):
+        if legs is not None and not decide(*legs):
             return checked, (legs, describe)
     return checked, None
+
+
+def _valid_call(X: TruncatedSSet) -> _Encoding:
+    """The encoding of one call on X, once X is validated: StructuralError
+    unless X is a simplicial set."""
+    _require_valid(X)
+    return _one_call(X)
 
 
 def _cut_off(level: int, max_squares: int) -> CheckReport:
@@ -143,19 +164,20 @@ def _on(X: TruncatedSSet, square: str, levels: tuple[int, ...]) -> Description:
 
 def check_segal(X: TruncatedSSet) -> CheckReport:
     """The outer-face squares X_{n+1} over X_{n-1}, for n+1 within level."""
-    _require_valid(X)
+    code = _valid_call(X)
     d = X.faces
 
     def squares():
         for n in range(1, X.level):
-            yield (d[(n + 1, 0)], d[(n + 1, n + 1)], d[(n, n)], d[(n, 0)]), lambda: _on(
+            legs = d[(n + 1, 0)], d[(n + 1, n + 1)], d[(n, n)], d[(n, 0)]
+            yield tuple(map(code.own, legs)), lambda: _on(
                 X,
                 f"segal n={n}: X{n + 1} -(d_bot)-> X{n} -(d_top)-> X{n - 1}, "
                 f"X{n + 1} -(d_top)-> X{n} -(d_bot)-> X{n - 1}",
                 (n + 1, n, n, n - 1),
             )
 
-    return _decide(X.level, squares())
+    return _decide(X.level, code, squares())
 
 
 def check_segal_iterated(X: TruncatedSSet) -> CheckReport:
@@ -223,9 +245,9 @@ def _chains(n: int, ends: Table, starts: dict[int, list[int]]) -> Iterator[tuple
 
 
 def _check_two_segal(X: TruncatedSSet, sides: tuple[int, ...]) -> CheckReport:
-    _require_valid(X)
-    squares = _pushout_squares(X, _two_segal_plan(X.level, sides), _two_segal_label)
-    return _decide(X.level, squares)
+    code = _valid_call(X)
+    plan = _two_segal_plan(X.level, sides)
+    return _decide(X.level, code, _pushout_squares(X, code, plan, _two_segal_label))
 
 
 def check_upper_2segal(X: TruncatedSSet) -> CheckReport:
@@ -247,13 +269,13 @@ def check_upper_2segal_reduced(X: TruncatedSSet) -> CheckReport:
     [n + 1].  Equivalent to check_upper_2segal on every valid input;
     kept separate so the equivalence is testable.
     """
-    _require_valid(X)
+    code = _valid_call(X)
     units, composites = _reduced_plan(X.level)
     squares = chain(
-        _pushout_squares(X, units, _two_segal_label),
-        _pushout_squares(X, composites, _composite_label),
+        _pushout_squares(X, code, units, _two_segal_label),
+        _pushout_squares(X, code, composites, _composite_label),
     )
-    return _decide(X.level, squares)
+    return _decide(X.level, code, squares)
 
 
 def check_decomposition(X: TruncatedSSet) -> CheckReport:
@@ -269,8 +291,9 @@ def check_decomposition(X: TruncatedSSet) -> CheckReport:
     """
     if X.level != 2:
         return _check_two_segal(X, (1, 0))
-    _require_valid(X)
-    return _decide(2, _pushout_squares(X, _elementary_plan(2, 2), _active_inert_label))
+    code = _valid_call(X)
+    squares = _pushout_squares(X, code, _elementary_plan(2, 2), _active_inert_label)
+    return _decide(2, code, squares)
 
 
 #: A map alpha: [len(values) - 1] -> [target_rank] as (target_rank, values).
@@ -342,20 +365,24 @@ def _plan(squares) -> Plan:
     return tuple(slots), compiled
 
 
-def _pushout_squares(X: TruncatedSSet, plan: Plan, label) -> Iterator[Square]:
-    """X applied to the squares of a compiled plan, in order.
+def _pushout_squares(
+    X: TruncatedSSet, code: _Encoding, plan: Plan, label
+) -> Iterator[Square]:
+    """X applied to the squares of a compiled plan, in order, its tables
+    held in code.
 
     label(alpha, iota, k, p) names a square.  The tables of the slots
     live in a list of one call: the slots a square needs are filled
     when the walk reaches it, each from its prefix's table and one of
-    X's own, so a walk that stops early fills no slot past its stop.
-    The slots may still grow while the squares are drawn, as when the
-    direct walk compiles its squares as it streams them.  A square
-    without legs comes without tables.
+    X's own, so a walk that stops early fills no slot past its stop and
+    converts none of X's tables it does not read.  The slots may still
+    grow while the squares are drawn, as when the direct walk compiles
+    its squares as it streams them.  A square without legs comes
+    without tables.
     """
     slots, squares = plan
     own = (X.faces, X.degeneracies)
-    tables: list[Table] = []
+    tables: list = []
     for alpha, iota, k, p, legs, filled in squares:
         if legs is None:
             yield None, None
@@ -363,7 +390,10 @@ def _pushout_squares(X: TruncatedSSet, plan: Plan, label) -> Iterator[Square]:
         for s in range(len(tables), filled):
             prefix, kind, key = slots[s]
             table = own[kind][key]
-            tables.append(table if prefix < 0 else _then(tables[prefix], table))
+            if prefix < 0:
+                tables.append(code.own(table))
+            else:
+                tables.append(code.compose(tables[prefix], table))
         f, g, p_leg, q_leg = legs
         yield (tables[f], tables[g], tables[p_leg], tables[q_leg]), lambda: _on(
             X, label(alpha, iota, k, p), (p, k, alpha[-1], len(alpha) - 1)
@@ -450,15 +480,17 @@ def check_2segal_polygonal(X: TruncatedSSet, mode: str = "full") -> CheckReport:
     """
     if mode not in _POLYGONAL_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    _require_valid(X)
+    code = _valid_call(X)
     slots, squares = _polygonal_plan(X.level, mode)
     _, sides = _POLYGONAL_MODES[mode]
     pasted = _two_segal_plan(X.level, sides, pasted=True)
-    if _first_failure(_pushout_squares(X, pasted, _two_segal_label))[1] is None:
+    certificate = _pushout_squares(X, code, pasted, _two_segal_label)
+    if _first_failure(code, certificate)[1] is None:
         return CheckReport(
             holds=True, checked_level=X.level, squares_checked=len(squares)
         )
-    return _decide(X.level, _pushout_squares(X, (slots, squares), _polygonal_label))
+    walk = _pushout_squares(X, code, (slots, squares), _polygonal_label)
+    return _decide(X.level, code, walk)
 
 
 def _active_inert_label(alpha, iota, k: int, p: int) -> str:
@@ -592,14 +624,14 @@ def check_decomposition_direct(
         raise ValueError(f"rank cap {rank_cap} is negative")
     if max_squares is not None and max_squares < 0:
         raise ValueError(f"square budget {max_squares} is negative")
-    _require_valid(X)
+    code = _valid_call(X)
     if rank_cap is None:
         rank_cap = X.level
     if rank_cap > X.level:
         raise LevelError(f"rank cap {rank_cap} exceeds level {X.level}")
     ranks, size, elementary = _direct_plan(X.level, rank_cap)
     if elementary is not None and _first_failure(
-        _pushout_squares(X, elementary, _active_inert_label)
+        code, _pushout_squares(X, code, elementary, _active_inert_label)
     )[1] is None:
         if max_squares is not None and max_squares < size:
             return _cut_off(X.level, max_squares)
@@ -609,8 +641,9 @@ def check_decomposition_direct(
         chain.from_iterable(delta.active_inert_squares(n, k, m) for n, k, m in ranks),
     )
     slots: list[Slot] = []
-    walk = _pushout_squares(X, (slots, _compiled(squares, slots)), _active_inert_label)
-    return _decide(X.level, walk, max_squares)
+    plan = slots, _compiled(squares, slots)
+    walk = _pushout_squares(X, code, plan, _active_inert_label)
+    return _decide(X.level, code, walk, max_squares)
 
 
 def check_culf(f: SimplicialMap) -> CheckReport:
@@ -637,11 +670,13 @@ def check_culf(f: SimplicialMap) -> CheckReport:
         raise StructuralError(f"input is not a simplicial map: {report.detail}")
     top = f.shared_level
     X, Y, c = f.source, f.target, f.components
+    code = _one_call(X, Y)
 
     def squares():
         for n in range(2, top + 1):
             for i in range(1, n):
-                yield (X.faces[(n, i)], c[n], c[n - 1], Y.faces[(n, i)]), lambda: (
+                legs = X.faces[(n, i)], c[n], c[n - 1], Y.faces[(n, i)]
+                yield tuple(map(code.own, legs)), lambda: (
                     f"culf face n={n} i={i}: X{n} -(d_{i})-> X{n - 1} over "
                     f"Y{n} -(d_{i})-> Y{n - 1}",
                     (n, n - 1, n, n - 1),
@@ -649,12 +684,12 @@ def check_culf(f: SimplicialMap) -> CheckReport:
                 )
         for n in range(top):
             for j in range(n + 1):
-                legs = (X.degeneracies[(n, j)], c[n], c[n + 1], Y.degeneracies[(n, j)])
-                yield legs, lambda: (
+                legs = X.degeneracies[(n, j)], c[n], c[n + 1], Y.degeneracies[(n, j)]
+                yield tuple(map(code.own, legs)), lambda: (
                     f"culf degeneracy n={n} j={j}: X{n} -(s_{j})-> X{n + 1} "
                     f"over Y{n} -(s_{j})-> Y{n + 1}",
                     (n, n + 1, n, n + 1),
                     (X.cells[n], X.cells[n + 1], Y.cells[n]),
                 )
 
-    return _decide(top, squares())
+    return _decide(top, code, squares())

@@ -10,21 +10,28 @@ names appear only at the boundary (the from_names constructors, the
 reports.  The pullback engine for squares of finite sets lives here
 too, as do the report and witness types shared by every checker.
 
-validate alone copies tables into another encoding, for the length of
-one call: when every level of X holds at most 256 cells it walks the
-simplicial identities on bytes copies, where composing two tables is
-one bytes.translate and comparing them one memcmp; otherwise it walks
-the tuples themselves.  Both encodings pass the same shape test and go
-through the same walk, and a bytes table holds the same indices as its
-tuple, so the report or StructuralError cannot depend on the encoding.
+_Encoding says how one call holds the tables of X, and one rule picks
+it: when every level holds at most 256 cells (for a map, of both
+ends), the tables are bytes copies made for the call, where composing
+two tables is one bytes.translate and comparing them one memcmp;
+otherwise they are the tuples themselves.  validate walks the
+simplicial identities in that encoding: both pass the same shape test
+and go through the same walk, so the report or StructuralError cannot
+depend on the encoding.  The square executor of criteria composes and
+decides in it too: X's own tables are converted as a square first
+reads them, and a memo of the call keeps each padded operand and the
+fiber sizes of each q, so each is derived once per call and none
+outlives it.  A bytes table holds the same indices as its tuple, and a
+decision on bytes is the counting test of pullback_holds, so no
+verdict depends on the encoding either.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import repeat
+from functools import lru_cache, partial
+from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -271,28 +278,124 @@ def _byte_table(table, source: tuple[str, ...], size: int) -> bytes | None:
 
 
 class _Encoding(NamedTuple):
-    """How validate holds the tables of X for one call.
+    """How one call holds the tables of X.
 
-    table(t, source, size) is t converted, or None when t is not a tuple
-    of len(source) indices in range(size); step(t) is the callable
-    u -> the table of u after t, and operand(t) the u those callables
-    take; identity(size) is the identity table on size cells.
+    validate reads the first four: table(t, source, size) is t
+    converted, or None when t is not a tuple of len(source) indices in
+    range(size); step(t) is the callable u -> the table of u after t,
+    and operand(t) the u those callables take; identity(size) is the
+    identity table on size cells.  The square executor reads the last
+    three, on tables whose shape validate has checked: own(t) is X's
+    table t converted; compose(memo, prefix, t) is own(t) after the
+    converted table prefix; decide(memo, f, g, p, q) is pullback_holds
+    on converted tables.  memo is a dict of one call, in which compose
+    and decide keep what they derive from a table (a padded operand,
+    the fiber sizes of a q), so each is derived once per call.
     """
 
     table: Callable
     step: Callable
     operand: Callable
     identity: Callable
+    own: Callable
+    compose: Callable
+    decide: Callable
 
 
-_TUPLES = _Encoding(_tuple_table, _getter, tuple, lambda size: tuple(range(size)))
+def _fiber_sizes(memo: dict, q) -> Counter | bytes:
+    """How many cells q sends to each target cell, counted once per
+    memo: as the translate table of the counts for a bytes q of fewer
+    than 256 cells, where every count fits a byte, else as a Counter.
+    The entry under id(q) holds q, so that id stays q's."""
+    entry = memo.get(id(q))
+    if entry is None:
+        if type(q) is bytes and len(q) < 256:
+            row = bytearray(256)
+            for d in q:
+                row[d] += 1
+            sizes = bytes(row)
+        else:
+            sizes = Counter(q)
+        entry = memo[id(q)] = (q, sizes)
+    return entry[1]
+
+
+def _fiber_product_size(memo: dict, p, q) -> int:
+    """|B x_D C| for p: B -> D <- C : q, the sum over b of |q^-1(p(b))|."""
+    sizes = _fiber_sizes(memo, q)
+    if type(sizes) is bytes:
+        return sum(p.translate(sizes))
+    return sum(map(sizes.get, p, repeat(0)))
+
+
+def _tuple_holds(memo: dict, f: Table, g: Table, p: Table, q: Table) -> bool:
+    """pullback_holds, with the fiber sizes of q kept in memo."""
+    if len(f) != len(g) or _then(f, p) != _then(g, q):
+        return False
+    width = len(q)
+    if len({b * width + c for b, c in zip(f, g)}) != len(f):
+        return False
+    return len(f) == _fiber_product_size(memo, p, q)
+
+
+def _pad(row: bytes) -> bytes:
+    """row padded to 256 bytes, the translate table that applies it."""
+    return row.ljust(256, b"\0")
+
+
+def _padded(memo: dict, table) -> bytes:
+    """_pad of the bytes of table, made once per memo and kept under
+    table itself; table is bytes or one of X's tuples."""
+    operand = memo.get(table)
+    if operand is None:
+        operand = memo[table] = _pad(bytes(table))
+    return operand
+
+
+def _byte_holds(memo: dict, f: bytes, g: bytes, p: bytes, q: bytes) -> bool:
+    """_tuple_holds on bytes: composing is one translate, comparing one
+    memcmp (which fails too when f and g disagree on their domain), and
+    the pairs (f(a), g(a)) are pairs of bytes."""
+    if f.translate(_padded(memo, p)) != g.translate(_padded(memo, q)):
+        return False
+    if len(set(zip(f, g))) != len(f):
+        return False
+    return len(f) == _fiber_product_size(memo, p, q)
+
+
+_TUPLES = _Encoding(
+    _tuple_table,
+    _getter,
+    tuple,
+    lambda size: tuple(range(size)),
+    tuple,
+    lambda memo, prefix, table: _then(prefix, table),
+    _tuple_holds,
+)
 #: first.translate(second padded to 256 bytes) is second after first.
 _BYTES = _Encoding(
     _byte_table,
     attrgetter("translate"),
-    lambda row: row.ljust(256, b"\0"),
+    _pad,
     lambda size: _BYTE_RANGE[:size],
+    bytes,
+    lambda memo, prefix, table: prefix.translate(_padded(memo, table)),
+    _byte_holds,
 )
+
+
+def _encoding(*sets: TruncatedSSet) -> _Encoding:
+    """validate's choice for one call on sets: _BYTES when every level of
+    every set holds at most 256 cells, else _TUPLES."""
+    largest = max(map(len, chain.from_iterable(X.cells for X in sets)))
+    return _BYTES if largest <= 256 else _TUPLES
+
+
+def _one_call(*sets: TruncatedSSet) -> _Encoding:
+    """_encoding(*sets) with compose and decide bound to a memo of their
+    own, for the squares of one call: nothing in it outlives the call."""
+    code, memo = _encoding(*sets), {}
+    return _Encoding(*code[:5], partial(code.compose, memo), partial(code.decide, memo))
 
 
 def _checked_tables(X: TruncatedSSet, kind: str, encode=_tuple_table) -> list[list]:
@@ -334,7 +437,7 @@ def validate(X: TruncatedSSet) -> CheckReport:
     squares_checked and every report are as well.
     """
     _check_distinct(X.cells)
-    code = _BYTES if max(map(len, X.cells)) <= 256 else _TUPLES
+    code = _encoding(X)
     d = _checked_tables(X, "d", code.table)
     s = _checked_tables(X, "s", code.table)
     dg = [list(map(code.step, row)) for row in d]
@@ -482,12 +585,7 @@ def pullback_holds(f: Table, g: Table, p: Table, q: Table) -> bool:
     and |A| = sum over d of |p^-1(d)| * |q^-1(d)|, which is sum over b
     of |q^-1(p(b))|.
     """
-    if len(f) != len(g) or _then(f, p) != _then(g, q):
-        return False
-    width = len(q)
-    if len({b * width + c for b, c in zip(f, g)}) != len(f):
-        return False
-    return len(f) == sum(map(Counter(q).get, p, repeat(0)))
+    return _tuple_holds({}, f, g, p, q)
 
 
 def is_pullback_square(

@@ -328,6 +328,54 @@ def doubled_degenerate_nerve(level: int) -> TruncatedSSet:
     return duplicate_top(builders.nerve(arrow_category(), level), 0)
 
 
+def with_points(X: TruncatedSSet, count: int) -> TruncatedSSet:
+    """X beside count isolated vertices: vertex k adds the cell "pt{k}"
+    (degenerate above level 0) to every level, and every table sends it
+    to the cell of the same name."""
+    points = tuple(f"pt{k}" for k in range(count))
+
+    def extend(table, target):
+        start = len(X.cells[target])
+        return table + tuple(range(start, start + count))
+
+    return TruncatedSSet(
+        X.level,
+        tuple(cs + points for cs in X.cells),
+        {(n, i): extend(t, n - 1) for (n, i), t in X.faces.items()},
+        {(n, i): extend(t, n + 1) for (n, i), t in X.degeneracies.items()},
+    )
+
+
+def empty_sset(level: int) -> TruncatedSSet:
+    """The empty simplicial set: a degeneracy into an empty level or a
+    face out of one forces its neighbour empty, so an empty level empties
+    every level."""
+    return TruncatedSSet(
+        level,
+        ((),) * (level + 1),
+        {(n, i): () for n in range(1, level + 1) for i in range(n + 1)},
+        {(n, i): () for n in range(level) for i in range(n + 1)},
+    )
+
+
+def boundary_sets() -> dict[str, TruncatedSSet]:
+    """Sets whose largest level holds 255, 256 or 257 cells, the top
+    level of free-graph2-L3 (66 cells) padded with isolated vertices,
+    and the empty set at level 3."""
+    base = builders.free_decomposition(builders.graph_paths(paper_graph(), 2), 3)
+    top = max(map(len, base.cells))
+    sets = {f"largest-{n}": with_points(base, n - top) for n in (255, 256, 257)}
+    sets["empty"] = empty_sset(3)
+    return sets
+
+
+def direct_sweep_shape() -> TruncatedSSet:
+    """The shape of the benchmark's direct-sweep instances: paths of
+    length <= 2 in a 2-cycle, freely completed to level 6."""
+    G = builders.DirectedGraph(("u", "v"), (("e", "u", "v"), ("f", "v", "u")))
+    return builders.free_decomposition(builders.graph_paths(G, 2), 6)
+
+
 @dataclass(frozen=True)
 class CorpusInstance:
     name: str

@@ -647,8 +647,9 @@ def reference_induce(X: TruncatedSSet, target_rank: int, values) -> tuple:
     return compose_tables(*tables)
 
 
-def pullback_by_names(f, g, p, q, square="", levels=()):
-    """The library's is_pullback_square on a square given by name dicts.
+def indexed_square(f, g, p, q):
+    """A square given by name dicts as index tables (f, g, p, q) and the
+    cell names (A, B, C) of the three domains.
 
     A = the keys of f, B = the keys of p and C = the keys of q, each in
     dict order; D lists the values of p and q.  A g whose keys are not
@@ -660,15 +661,20 @@ def pullback_by_names(f, g, p, q, square="", levels=()):
     b_index = {b: j for j, b in enumerate(B)}
     c_index = {c: j for j, c in enumerate(C)}
     g_keys = A if set(g) == set(f) else tuple(g)
-    return is_pullback_square(
+    tables = (
         tuple(b_index[f[a]] for a in A),
         tuple(c_index[g[a]] for a in g_keys),
         tuple(D[p[b]] for b in B),
         tuple(D[q[c]] for c in C),
-        square=square,
-        levels=levels,
-        names=(A, B, C),
     )
+    return tables, (A, B, C)
+
+
+def pullback_by_names(f, g, p, q, square="", levels=()):
+    """The library's is_pullback_square on a square given by name dicts,
+    indexed by indexed_square."""
+    tables, names = indexed_square(f, g, p, q)
+    return is_pullback_square(*tables, square=square, levels=levels, names=names)
 
 
 def _reference_check_table(X, kind, n, i, target_level):

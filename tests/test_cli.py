@@ -536,3 +536,44 @@ class TestOutputPaths:
         assert sorted(p.name for p in tmp_path.iterdir()) == before
         if existed:
             assert (tmp_path / "other.json").read_text() == "before"
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["build", "graph-paths", "--input", "graph.json", "--bound", "2", "--level", "3",
+             "--output", "t.json", "--length-map", "t.json"],
+            ["build", "graph-paths", "--input", "graph.json", "--bound", "2", "--level", "3",
+             "--output", "t.json", "--length-map", "./sub/../t.json"],
+            ["transform", "dec-top", "X.json", "--output", "o.json", "--map-output", "./o.json"],
+        ],
+        ids=["same", "dotted", "transform"],
+    )
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_two_outputs_on_one_path(self, tmp_path, capsys, monkeypatch, command, existed):
+        # both files would be written to one path, leaving only the map;
+        # the command exits 2 naming both flags, and reads and writes
+        # nothing
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        write_graph(tmp_path)
+        words = ["build", "words", "--alphabet", "ab", "--max-len", "2", "--level", "3"]
+        assert main([*words, "--output", "X.json"]) == 0
+        if existed:
+            (tmp_path / command[command.index("--output") + 1]).write_text("before")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        capsys.readouterr()
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        flag = "--length-map" if command[0] == "build" else "--map-output"
+        assert err.startswith(f"error: --output and {flag} name the same file"), err
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        assert after == before
+
+    def test_two_outputs_through_a_link(self, tmp_path, capsys, monkeypatch):
+        # a symbolic link to the output is the same file
+        monkeypatch.chdir(tmp_path)
+        words = ["build", "words", "--alphabet", "ab", "--max-len", "2", "--level", "3"]
+        (tmp_path / "link.json").symlink_to(tmp_path / "w.json")
+        assert main([*words, "--output", "w.json", "--length-map", "link.json"]) == 2
+        assert "name the same file" in capsys.readouterr().err
+        assert not (tmp_path / "w.json").exists()

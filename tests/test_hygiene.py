@@ -76,3 +76,20 @@ def test_every_private_definition_is_read():
     ]
     assert len(defined) > 70
     assert [(module, name) for module, name in defined if name not in read] == []
+
+
+#: The names through which a square is decided: the public predicate, the
+#: encodings' decide operation and the decisions behind it.
+DECISIONS = {"pullback_holds", "decide", "_tuple_holds", "_byte_holds"}
+
+
+def test_one_loop_decides_squares():
+    # in criteria, only _first_failure reads a square decision, so that a
+    # second decision loop, for one encoding or for one family, fails here
+    readers = set()
+    for node in TREES["criteria.py"].body:
+        for inner in ast.walk(node):
+            name = getattr(inner, "id", None) or getattr(inner, "attr", None)
+            if name in DECISIONS and isinstance(inner.ctx, ast.Load):
+                readers.add(getattr(node, "name", None))
+    assert readers == {"_first_failure"}

@@ -1,9 +1,12 @@
 """The square engine against its enumerate-everything references.
 
 is_pullback_square decides by counting (pullback_holds) and enumerates
-the fiber product only for a witness; the walks compose each induced
-map once per call, from compiled plans, and decide identity-leg squares
-without fibers; the direct checker settles its whole family from the
+the fiber product only for a witness; each call decides on bytes tables
+when every level of its input holds at most 256 cells and on tuples
+otherwise, with the same decisions, which are tested square by square
+and on sets on each side of that boundary; the walks compose each
+induced map once per call, from compiled plans, and decide
+identity-leg squares without fibers; the direct checker settles its whole family from the
 elementary squares where its rank cap allows, and the polygonal checker
 from the 2-Segal squares; the 2-Segal checkers walk views of the
 elementary and polygonal plans.  Every report must equal the one the
@@ -17,14 +20,17 @@ cold caches, and check that no cache keeps a simplicial set alive.
 
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import (
+    boundary_sets,
     collapsed_triangle,
     corpus,
+    direct_sweep_shape,
     doubled_degenerate_nerve,
     duplicate_top,
     point,
@@ -40,6 +46,7 @@ from decompspace.sset import (
 )
 from oracles import (
     identity_map,
+    indexed_square,
     pullback_by_names,
     reference_check_2segal_polygonal,
     reference_check_culf,
@@ -103,13 +110,48 @@ def outcome(engine, f, g, p, q):
         return ("StructuralError", str(exc))
 
 
+def assert_decisions_match(square):
+    """The witness of square by names, and its decision alone by
+    pullback_holds and by the decide of each encoding, fresh and on a
+    memo that already holds the square's tables, against the reference."""
+    want = outcome(reference_is_pullback_square, *square)
+    assert outcome(pullback_by_names, *square) == want
+    holds = isinstance(want, CheckReport) and want.holds
+    tables, _ = indexed_square(*square)
+    assert sset.pullback_holds(*tables) == holds
+    for code in (sset._TUPLES, sset._BYTES):
+        legs, memo = tuple(map(code.own, tables)), {}
+        assert code.decide(memo, *legs) == holds, code.own
+        assert code.decide(memo, *legs) == holds, code.own
+    return want
+
+
+#: One square of each way to fail, by names: its projections disagree
+#: on their domain, it does not commute, a fiber-product pair is hit
+#: twice though |A| is the fiber product's size, or A is too short.
+FAILING_SQUARES = {
+    "domains": ({"a0": "b0", "a1": "b1"}, {"a0": "c0"}, {"b0": "d", "b1": "d"}, {"c0": "d"}),
+    "commute": ({"a0": "b0"}, {"a0": "c0"}, {"b0": "d0"}, {"c0": "d1"}),
+    "repeated-pair": (
+        {"a0": "b1", "a1": "b1"}, {"a0": "c0", "a1": "c0"}, {"b0": "d", "b1": "d"}, {"c0": "d"}
+    ),
+    "short": ({"a0": "b0"}, {"a0": "c0"}, {"b0": "d", "b1": "d"}, {"c0": "d"}),
+}
+
+
 class TestPullbackEngine:
     @ENGINE
     @given(squares())
     def test_matches_reference(self, square):
-        assert outcome(pullback_by_names, *square) == outcome(
-            reference_is_pullback_square, *square
-        )
+        assert_decisions_match(square)
+
+    @pytest.mark.parametrize("kind", sorted(FAILING_SQUARES))
+    def test_each_failure_kind(self, kind):
+        want = assert_decisions_match(FAILING_SQUARES[kind])
+        if kind in ("domains", "commute"):
+            assert want[0] == "StructuralError"
+        else:
+            assert not want.holds and want.witness is not None
 
     def test_over_full_square_fails_on_first_doubled_pair(self):
         # |A| equals the fiber product's size, but one pair is hit twice
@@ -126,20 +168,23 @@ def north_star():
 
 
 def record_walk(monkeypatch):
-    """Record what the checkers decide and compose, in three collections:
+    """Record what the checkers decide and compose, in four collections:
     the alpha of every square decided, in order; the table each map the
     legs of those squares read was given, keyed by (target_rank,
-    values); and the tables the executor composed.
+    values); the tables the executor composed; and how many squares
+    each encoding of sset decided.
 
     The square families are planned and compiled once per process, so
     the recording wraps what runs on every call: the squares the
-    executor criteria._pushout_squares draws, pullback_holds and _then.
+    executor criteria._pushout_squares draws, and the decide and
+    compose operations of both encodings, sset._BYTES and sset._TUPLES.
     A map given two tables fails the recording, so clear the
     collections between calls."""
     current, decided, induced, composed = [None], [], {}, []
+    encodings = Counter()
     pushout_squares = criteria._pushout_squares
 
-    def recording(X, plan, label):
+    def recording(X, code, plan, label):
         slots, squares = plan
 
         def drawn():
@@ -147,25 +192,29 @@ def record_walk(monkeypatch):
                 current[0] = square
                 yield square
 
-        return pushout_squares(X, (slots, drawn()), label)
+        return pushout_squares(X, code, (slots, drawn()), label)
 
-    def counting_holds(*legs):
-        alpha, iota, k, p = current[0][:4]
-        decided.append(alpha)
-        theta, phi = delta.pushout_values(alpha, iota[0], k)
-        keys = ((p, phi), (p, theta), (k, iota), (alpha[-1], alpha))
-        for key, table in zip(keys, legs):
-            assert induced.setdefault(key, table) is table, key
-        return sset.pullback_holds(*legs)
+    for name in ("_BYTES", "_TUPLES"):
+        code = getattr(sset, name)
 
-    def counting_then(first, second):
-        composed.append(len(first))
-        return sset._then(first, second)
+        def counting_decide(memo, *legs, name=name, decide=code.decide):
+            alpha, iota, k, p = current[0][:4]
+            decided.append(alpha)
+            encodings[name] += 1
+            theta, phi = delta.pushout_values(alpha, iota[0], k)
+            keys = ((p, phi), (p, theta), (k, iota), (alpha[-1], alpha))
+            for key, table in zip(keys, legs):
+                assert induced.setdefault(key, table) is table, key
+            return decide(memo, *legs)
 
+        def counting_compose(memo, first, second, compose=code.compose):
+            composed.append(len(first))
+            return compose(memo, first, second)
+
+        replaced = code._replace(decide=counting_decide, compose=counting_compose)
+        monkeypatch.setattr(sset, name, replaced)
     monkeypatch.setattr(criteria, "_pushout_squares", recording)
-    monkeypatch.setattr(criteria, "pullback_holds", counting_holds)
-    monkeypatch.setattr(criteria, "_then", counting_then)
-    return decided, induced, composed
+    return decided, induced, composed, encodings
 
 
 class TestDirectWalk:
@@ -197,12 +246,13 @@ class TestDirectWalk:
         # given one table; their generator words share prefixes, so 233
         # tables are composed where composing each word on its own
         # takes 437.
-        decided, induced, composed = record_walk(monkeypatch)
+        decided, induced, composed, encodings = record_walk(monkeypatch)
         report = criteria.check_decomposition_direct(north_star(), rank_cap=4)
         assert report.holds and report.squares_checked == 426
         assert len(decided) == 270
         assert len(induced) == 244
         assert len(composed) == 233
+        assert encodings == {"_TUPLES": 270}
         degenerate_endos = [
             a for a in decided if a[-1] == len(a) - 1 and len(set(a)) < len(a)
         ]
@@ -215,13 +265,25 @@ class TestPastingCertificate:
         # settled by its 50 elementary squares, 30 with a codegeneracy
         # alpha and 20 with an inner coface, through 48 maps, each one
         # of X's own tables
-        decided, induced, composed = record_walk(monkeypatch)
+        decided, induced, composed, encodings = record_walk(monkeypatch)
         report = criteria.check_decomposition_direct(north_star(), rank_cap=6)
         assert report.holds and report.squares_checked == 3233
         assert len(decided) == 50
         assert sum(a[-1] < len(a) - 1 for a in decided) == 30
         assert len(induced) == 48
         assert composed == []
+        assert encodings == {"_TUPLES": 50}
+
+    def test_direct_sweep_shape_decides_on_bytes(self, monkeypatch):
+        # the benchmark's direct-sweep shape has at most 56 cells a level,
+        # so the same 50 elementary squares are decided on bytes tables
+        decided, induced, composed, encodings = record_walk(monkeypatch)
+        report = criteria.check_decomposition_direct(direct_sweep_shape(), rank_cap=6)
+        assert report.holds and report.squares_checked == 3233
+        assert encodings == {"_BYTES": 50}
+        assert len(induced) == 48
+        assert composed == []
+        assert all(type(table) is bytes for table in induced.values())
 
     def test_failing_certificate_builds_no_witness(self, monkeypatch):
         # the direct and polygonal certificates fail on these instances;
@@ -308,7 +370,7 @@ class TestPolygonalWalk:
         # upper ones at i = n - 1 and the lower ones at i = 1 for n = 2..5
         # (8, 8, 4 and 4 squares), whose legs are faces of X, composes no
         # table and reports the size of its own family
-        decided, induced, composed = record_walk(monkeypatch)
+        decided, induced, composed, encodings = record_walk(monkeypatch)
         X = north_star()
 
         def skipping(n, i):
@@ -398,6 +460,50 @@ class TestSegalAndCulf:
         assert failures == 196
 
 
+#: Sets whose largest level holds 255, 256 or 257 cells, and the empty set.
+BOUNDARY = boundary_sets()
+
+
+def boundary_instances():
+    """Each boundary set, and the same set with a second copy of its first
+    top cell, which moves 255 to 256 and 256 to 257 cells."""
+    for name, X in sorted(BOUNDARY.items()):
+        yield name, X
+        if X.cells[X.level]:
+            yield f"{name}-top0", duplicate_top(X, 0)
+
+
+#: Every square checker but direct and polygonal, with its reference.
+SQUARE_CHECKERS = (
+    (criteria.check_segal, reference_check_segal),
+    (criteria.check_segal_iterated, reference_check_segal_iterated),
+    *TWO_SEGAL,
+)
+
+
+class TestEncodingBoundary:
+    @pytest.mark.parametrize("name", [name for name, _ in boundary_instances()])
+    def test_every_checker_matches_reference(self, name):
+        # on each side of the 256-cell choice between bytes and tuples,
+        # holding and failing, every report and witness is the reference's
+        X, reports = dict(boundary_instances())[name], []
+        for check, reference in SQUARE_CHECKERS:
+            reports.append(check(X))
+            assert reports[-1] == reference(X), check.__name__
+        for cap in range(X.level + 1):
+            reports.append(criteria.check_decomposition_direct(X, cap))
+            assert reports[-1] == reference_check_decomposition_direct(X, cap), cap
+        polygonal = [criteria.check_2segal_polygonal(X, mode) for mode in MODES]
+        assert polygonal == reference_polygonal_reports(X)
+        for dec in (operators.dec_top, operators.dec_bot):
+            _, proj = dec(X)
+            reports.append(criteria.check_culf(proj))
+            assert reports[-1] == reference_check_culf(proj), dec.__name__
+        # a free decomposition is a decomposition space; the doubled top
+        # cell breaks its 2-Segal squares
+        assert reports[len(SQUARE_CHECKERS) - 1].holds != name.endswith("-top0")
+
+
 #: Every per-process plan cache: the compiled plans and the word steps.
 PLAN_CACHES = (
     criteria._direct_plan,
@@ -480,14 +586,25 @@ class TestPlanCaches:
         with pytest.raises(LevelError, match="rank cap 4 exceeds level 3"):
             criteria.check_decomposition_direct(X, 4)
 
-    def test_no_cache_keeps_the_input_alive(self, cold_plans):
-        # a passing and a failing instance through every checker that
-        # plans squares, filling every plan cache, then dropped: nothing
-        # may still hold them
-        refs = []
+    def test_no_cache_keeps_the_input_alive(self, cold_plans, monkeypatch):
+        # a passing and a failing instance on bytes and a passing one on
+        # tuples through every checker that plans squares, filling every
+        # plan cache, then dropped: nothing may still hold them, nor the
+        # memo of any call, which holds its byte tables, padded operands
+        # and fiber counts
+        refs, calls = [], []
+        one_call = sset._one_call
+
+        def recording(*sets):
+            code = one_call(*sets)
+            calls.append((code.own, weakref.ref(code.decide), weakref.ref(code.compose)))
+            return code
+
+        monkeypatch.setattr(criteria, "_one_call", recording)
         for X in (
             builders.free_decomposition(builders.bounded_words(("a",), 2), 4),
             doubled_degenerate_nerve(4),
+            boundary_sets()["largest-257"],
         ):
             for cap in range(X.level + 1):
                 criteria.check_decomposition_direct(X, cap)
@@ -502,4 +619,8 @@ class TestPlanCaches:
         del X, T
         gc.collect()
         assert all(cache.cache_info().currsize for cache in PLAN_CACHES)
-        assert [ref() for ref in refs] == [None, None]
+        assert [ref() for ref in refs] == [None, None, None]
+        assert {own for own, _, _ in calls} == {bytes, tuple}
+        assert [(decide(), compose()) for _, decide, compose in calls] == [
+            (None, None)
+        ] * len(calls)
