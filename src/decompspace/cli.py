@@ -31,9 +31,9 @@ class SystemExit2(Exception):
     """Usage problems surfaced with exit code 2."""
 
 
-#: Each check criterion and the name of its checker in criteria (which
-#: has validate from sset), looked up once the arguments parse, so that
-#: usage errors import no library module.
+#: Each check criterion and the name of its checker in criteria (validate
+#: is sset's), looked up once the arguments parse, so that usage errors
+#: import no library module.
 _CRITERIA = {
     "validate": "validate",
     "segal": "check_segal",
@@ -226,7 +226,7 @@ def _square_budget() -> int | None:
 
 
 def _cmd_check(args) -> int:
-    from . import criteria, serialize
+    from . import criteria, serialize, sset
 
     budget = None
     if args.rank_cap is not None and args.criterion != "decomp-direct":
@@ -235,7 +235,8 @@ def _cmd_check(args) -> int:
         if args.rank_cap is not None and args.rank_cap < 0:
             raise SystemExit2(f"--rank-cap must be nonnegative, got {args.rank_cap}")
         budget = _square_budget()
-    check = getattr(criteria, _CRITERIA[args.criterion])
+    module = sset if args.criterion == "validate" else criteria
+    check = getattr(module, _CRITERIA[args.criterion])
     if args.criterion == "culf":
         report = check(
             serialize.smap_from_obj(serialize.read_file(args.input), where=args.input)
@@ -256,10 +257,10 @@ def _cmd_transform(args) -> int:
         raise SystemExit2("--map-output only applies to dec transforms")
     _separate_outputs("--map-output", args.map_output, args.output)
     from . import operators, serialize
-    from .sset import _require_valid, opposite
+    from .sset import _valid_call, opposite
 
     X = _load_sset(args.input)
-    _require_valid(X)
+    _valid_call(X)
     proj = None
     if args.op == "dec-top":
         result, proj = operators.dec_top(X)

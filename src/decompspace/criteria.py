@@ -3,14 +3,15 @@
 Every criterion here except the iterated Segal condition is a family of
 squares that must be pullbacks, so each checker validates its input and
 hands a generator of squares, smallest first, to one driver, _decide.
-A square is its four index tables and a describe callable.  Each call
-holds its tables in the encoding sset picks for its input
-(sset._one_call: bytes when every level holds at most 256 cells, for
-check_culf at both ends, else tuples), and the squares arrive in it.
+A square is its four index tables and a describe callable.  Each
+checker validates through sset._valid_call, whose call holds the tables
+validate converted, in the encoding it picks for the input (bytes when
+every level holds at most 256 cells, for check_culf at both ends, else
+tuples); every square is built from those tables.
 The driver counts every square, in walk order and against the budget;
 a square with an identity leg comes without tables, since it is a
 pullback whatever X is, and is counted but not decided.  The rest are
-decided by the encoding's decide, the counting test of
+decided by the call's decide, the counting test of
 sset.pullback_holds; only the first that fails is described (its
 label, the levels of its corners and the cell names of A, B and C) and
 handed, its tables turned back into tuples, to is_pullback_square for
@@ -32,12 +33,11 @@ generator word steps in sset (by target rank and values).  A compiled
 plan numbers its tables in walk order: a slot is one of X's own face or
 degeneracy tables, or a shorter slot followed by one of them, and each
 square names its four legs by slot.  One executor, _pushout_squares,
-fills the slots of one call as the walk first reaches a square that
-needs them, converting X's own tables and composing in the call's
-encoding, so each map is composed at most once per call, a walk that
-stops early composes nothing past its stop, and nothing about X
-outlives the call; the full direct walk compiles its squares as it
-streams them.
+fills the slots of one walk as it first reaches a square that needs
+them, from the call's tables, composing as validate composes, so each
+map is composed at most once per walk, a walk that stops early
+composes nothing past its stop, and nothing about X outlives the call;
+the full direct walk compiles its squares as it streams them.
 
 The direct checker first decides a pasting certificate: every
 active-inert square is a pasting of elementary ones
@@ -76,14 +76,13 @@ from .sset import (
     StructuralError,
     Table,
     TruncatedSSet,
-    _Encoding,
-    _one_call,
-    _require_valid,
+    _Call,
+    _components,
+    _naturality,
     _then,
-    _validate_components,
+    _valid_call,
     _word_steps,
     is_pullback_square,
-    validate,
 )
 
 #: A square's label, the levels of its corners and the names of A, B, C.
@@ -97,12 +96,12 @@ Square = tuple[tuple | None, Callable[[], Description] | None]
 
 def _decide(
     level: int,
-    code: _Encoding,
+    call: _Call,
     squares: Iterable[Square],
     max_squares: int | None = None,
 ) -> CheckReport:
     """The report of a family of squares that must all be pullbacks,
-    their tables held in code.
+    their tables held in the call's encoding.
 
     max_squares cuts the walk off deterministically: a walk stopped
     before its last square reports holds=False and inconclusive=True,
@@ -111,7 +110,7 @@ def _decide(
     for its witness.
     """
     squares = iter(squares)
-    checked, failed = _first_failure(code, islice(squares, max_squares))
+    checked, failed = _first_failure(call, islice(squares, max_squares))
     if failed is not None:
         square, levels, names = failed[1]()
         legs = map(tuple, failed[0])
@@ -125,25 +124,18 @@ def _decide(
 
 
 def _first_failure(
-    code: _Encoding, squares: Iterable[Square]
+    call: _Call, squares: Iterable[Square]
 ) -> tuple[int, Square | None]:
-    """The one loop that decides squares, their tables held in code: how
+    """The one loop that decides squares, their tables the call's: how
     many were counted, and the first that is not a pullback, which ends
     the count (None if every square is one).  Its describe is then
     called before another square is drawn, so it may read the loop
     variables of the generator that made it."""
-    checked, decide = 0, code.decide
+    checked, decide = 0, call.decide
     for checked, (legs, describe) in enumerate(squares, 1):
         if legs is not None and not decide(*legs):
             return checked, (legs, describe)
     return checked, None
-
-
-def _valid_call(X: TruncatedSSet) -> _Encoding:
-    """The encoding of one call on X, once X is validated: StructuralError
-    unless X is a simplicial set."""
-    _require_valid(X)
-    return _one_call(X)
 
 
 def _cut_off(level: int, max_squares: int) -> CheckReport:
@@ -164,20 +156,19 @@ def _on(X: TruncatedSSet, square: str, levels: tuple[int, ...]) -> Description:
 
 def check_segal(X: TruncatedSSet) -> CheckReport:
     """The outer-face squares X_{n+1} over X_{n-1}, for n+1 within level."""
-    code = _valid_call(X)
-    d = X.faces
+    call = _valid_call(X)
+    d = call.rows[0][0]
 
     def squares():
         for n in range(1, X.level):
-            legs = d[(n + 1, 0)], d[(n + 1, n + 1)], d[(n, n)], d[(n, 0)]
-            yield tuple(map(code.own, legs)), lambda: _on(
+            yield (d[n + 1][0], d[n + 1][n + 1], d[n][n], d[n][0]), lambda: _on(
                 X,
                 f"segal n={n}: X{n + 1} -(d_bot)-> X{n} -(d_top)-> X{n - 1}, "
                 f"X{n + 1} -(d_top)-> X{n} -(d_bot)-> X{n - 1}",
                 (n + 1, n, n, n - 1),
             )
 
-    return _decide(X.level, code, squares())
+    return _decide(X.level, call, squares())
 
 
 def check_segal_iterated(X: TruncatedSSet) -> CheckReport:
@@ -190,7 +181,7 @@ def check_segal_iterated(X: TruncatedSSet) -> CheckReport:
     next one's start, are then walked in lexicographic order; the first
     whose number of preimages is not 1 is the witness.
     """
-    _require_valid(X)
+    _valid_call(X)
     checked = 0
     if X.level < 1:
         return CheckReport(holds=True, checked_level=X.level, squares_checked=0)
@@ -245,9 +236,9 @@ def _chains(n: int, ends: Table, starts: dict[int, list[int]]) -> Iterator[tuple
 
 
 def _check_two_segal(X: TruncatedSSet, sides: tuple[int, ...]) -> CheckReport:
-    code = _valid_call(X)
+    call = _valid_call(X)
     plan = _two_segal_plan(X.level, sides)
-    return _decide(X.level, code, _pushout_squares(X, code, plan, _two_segal_label))
+    return _decide(X.level, call, _pushout_squares(X, call, plan, _two_segal_label))
 
 
 def check_upper_2segal(X: TruncatedSSet) -> CheckReport:
@@ -269,13 +260,13 @@ def check_upper_2segal_reduced(X: TruncatedSSet) -> CheckReport:
     [n + 1].  Equivalent to check_upper_2segal on every valid input;
     kept separate so the equivalence is testable.
     """
-    code = _valid_call(X)
+    call = _valid_call(X)
     units, composites = _reduced_plan(X.level)
     squares = chain(
-        _pushout_squares(X, code, units, _two_segal_label),
-        _pushout_squares(X, code, composites, _composite_label),
+        _pushout_squares(X, call, units, _two_segal_label),
+        _pushout_squares(X, call, composites, _composite_label),
     )
-    return _decide(X.level, code, squares)
+    return _decide(X.level, call, squares)
 
 
 def check_decomposition(X: TruncatedSSet) -> CheckReport:
@@ -291,9 +282,9 @@ def check_decomposition(X: TruncatedSSet) -> CheckReport:
     """
     if X.level != 2:
         return _check_two_segal(X, (1, 0))
-    code = _valid_call(X)
-    squares = _pushout_squares(X, code, _elementary_plan(2, 2), _active_inert_label)
-    return _decide(2, code, squares)
+    call = _valid_call(X)
+    squares = _pushout_squares(X, call, _elementary_plan(2, 2), _active_inert_label)
+    return _decide(2, call, squares)
 
 
 #: A map alpha: [len(values) - 1] -> [target_rank] as (target_rank, values).
@@ -365,35 +356,30 @@ def _plan(squares) -> Plan:
     return tuple(slots), compiled
 
 
-def _pushout_squares(
-    X: TruncatedSSet, code: _Encoding, plan: Plan, label
-) -> Iterator[Square]:
+def _pushout_squares(X: TruncatedSSet, call: _Call, plan: Plan, label) -> Iterator[Square]:
     """X applied to the squares of a compiled plan, in order, its tables
-    held in code.
+    the call's.
 
     label(alpha, iota, k, p) names a square.  The tables of the slots
-    live in a list of one call: the slots a square needs are filled
-    when the walk reaches it, each from its prefix's table and one of
-    X's own, so a walk that stops early fills no slot past its stop and
-    converts none of X's tables it does not read.  The slots may still
-    grow while the squares are drawn, as when the direct walk compiles
-    its squares as it streams them.  A square without legs comes
-    without tables.
+    live in a list of one walk: the slots a square needs are filled
+    when the walk reaches it, each one of X's own tables from the
+    call's rows or its prefix's table composed with one, as validate
+    composes, so a walk that stops early composes nothing past its
+    stop.  The slots may still grow while the squares are drawn, as
+    when the direct walk compiles its squares as it streams them.  A
+    square without legs comes without tables.
     """
     slots, squares = plan
-    own = (X.faces, X.degeneracies)
+    own, step, operand = call.rows[0], call.code.step, call.operand
     tables: list = []
     for alpha, iota, k, p, legs, filled in squares:
         if legs is None:
             yield None, None
             continue
         for s in range(len(tables), filled):
-            prefix, kind, key = slots[s]
-            table = own[kind][key]
-            if prefix < 0:
-                tables.append(code.own(table))
-            else:
-                tables.append(code.compose(tables[prefix], table))
+            prefix, kind, (n, i) = slots[s]
+            table = own[kind][n][i]
+            tables.append(table if prefix < 0 else step(tables[prefix])(operand(table)))
         f, g, p_leg, q_leg = legs
         yield (tables[f], tables[g], tables[p_leg], tables[q_leg]), lambda: _on(
             X, label(alpha, iota, k, p), (p, k, alpha[-1], len(alpha) - 1)
@@ -480,17 +466,17 @@ def check_2segal_polygonal(X: TruncatedSSet, mode: str = "full") -> CheckReport:
     """
     if mode not in _POLYGONAL_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    code = _valid_call(X)
+    call = _valid_call(X)
     slots, squares = _polygonal_plan(X.level, mode)
     _, sides = _POLYGONAL_MODES[mode]
     pasted = _two_segal_plan(X.level, sides, pasted=True)
-    certificate = _pushout_squares(X, code, pasted, _two_segal_label)
-    if _first_failure(code, certificate)[1] is None:
+    certificate = _pushout_squares(X, call, pasted, _two_segal_label)
+    if _first_failure(call, certificate)[1] is None:
         return CheckReport(
             holds=True, checked_level=X.level, squares_checked=len(squares)
         )
-    walk = _pushout_squares(X, code, (slots, squares), _polygonal_label)
-    return _decide(X.level, code, walk)
+    walk = _pushout_squares(X, call, (slots, squares), _polygonal_label)
+    return _decide(X.level, call, walk)
 
 
 def _active_inert_label(alpha, iota, k: int, p: int) -> str:
@@ -624,14 +610,14 @@ def check_decomposition_direct(
         raise ValueError(f"rank cap {rank_cap} is negative")
     if max_squares is not None and max_squares < 0:
         raise ValueError(f"square budget {max_squares} is negative")
-    code = _valid_call(X)
+    call = _valid_call(X)
     if rank_cap is None:
         rank_cap = X.level
     if rank_cap > X.level:
         raise LevelError(f"rank cap {rank_cap} exceeds level {X.level}")
     ranks, size, elementary = _direct_plan(X.level, rank_cap)
     if elementary is not None and _first_failure(
-        code, _pushout_squares(X, code, elementary, _active_inert_label)
+        call, _pushout_squares(X, call, elementary, _active_inert_label)
     )[1] is None:
         if max_squares is not None and max_squares < size:
             return _cut_off(X.level, max_squares)
@@ -642,8 +628,8 @@ def check_decomposition_direct(
     )
     slots: list[Slot] = []
     plan = slots, _compiled(squares, slots)
-    walk = _pushout_squares(X, code, plan, _active_inert_label)
-    return _decide(X.level, code, walk, max_squares)
+    walk = _pushout_squares(X, call, plan, _active_inert_label)
+    return _decide(X.level, call, walk, max_squares)
 
 
 def check_culf(f: SimplicialMap) -> CheckReport:
@@ -652,31 +638,19 @@ def check_culf(f: SimplicialMap) -> CheckReport:
     The source and the target are validated first, then f itself; a
     malformed end raises StructuralError naming it.
     """
-    ends = [("source", f.source)]
-    if f.target is not f.source:
-        ends.append(("target", f.target))
-    for what, end in ends:
-        try:
-            report = validate(end)
-        except StructuralError as exc:
-            raise StructuralError(f"map {what}: {exc}") from None
-        if not report.holds:
-            raise StructuralError(
-                f"map {what} is not a simplicial set: {report.detail}"
-            )
-    # validate_map less the shape of the ends' tables, checked just now
-    report = _validate_components(f)
+    call = _valid_call(f.source, f.target, ends=("source", "target"))
+    c = _components(f, call.code)
+    report = _naturality(f, call, c)
     if not report.holds:
         raise StructuralError(f"input is not a simplicial map: {report.detail}")
     top = f.shared_level
-    X, Y, c = f.source, f.target, f.components
-    code = _one_call(X, Y)
+    X, Y = f.source, f.target
+    (dX, sX), (dY, sY) = call.rows
 
     def squares():
         for n in range(2, top + 1):
             for i in range(1, n):
-                legs = X.faces[(n, i)], c[n], c[n - 1], Y.faces[(n, i)]
-                yield tuple(map(code.own, legs)), lambda: (
+                yield (dX[n][i], c[n], c[n - 1], dY[n][i]), lambda: (
                     f"culf face n={n} i={i}: X{n} -(d_{i})-> X{n - 1} over "
                     f"Y{n} -(d_{i})-> Y{n - 1}",
                     (n, n - 1, n, n - 1),
@@ -684,12 +658,11 @@ def check_culf(f: SimplicialMap) -> CheckReport:
                 )
         for n in range(top):
             for j in range(n + 1):
-                legs = X.degeneracies[(n, j)], c[n], c[n + 1], Y.degeneracies[(n, j)]
-                yield tuple(map(code.own, legs)), lambda: (
+                yield (sX[n][j], c[n], c[n + 1], sY[n][j]), lambda: (
                     f"culf degeneracy n={n} j={j}: X{n} -(s_{j})-> X{n + 1} "
                     f"over Y{n} -(s_{j})-> Y{n + 1}",
                     (n, n + 1, n, n + 1),
                     (X.cells[n], X.cells[n + 1], Y.cells[n]),
                 )
 
-    return _decide(top, code, squares())
+    return _decide(top, call, squares())

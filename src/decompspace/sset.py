@@ -11,19 +11,22 @@ reports.  The pullback engine for squares of finite sets lives here
 too, as do the report and witness types shared by every checker.
 
 _Encoding says how one call holds the tables of X, and one rule picks
-it: when every level holds at most 256 cells (for a map, of both
-ends), the tables are bytes copies made for the call, where composing
-two tables is one bytes.translate and comparing them one memcmp;
-otherwise they are the tuples themselves.  validate walks the
-simplicial identities in that encoding: both pass the same shape test
-and go through the same walk, so the report or StructuralError cannot
-depend on the encoding.  The square executor of criteria composes and
-decides in it too: X's own tables are converted as a square first
-reads them, and a memo of the call keeps each padded operand and the
-fiber sizes of each q, so each is derived once per call and none
-outlives it.  A bytes table holds the same indices as its tuple, and a
-decision on bytes is the counting test of pullback_holds, so no
-verdict depends on the encoding either.
+it: when every level holds at most 256 cells (for a map, of both ends),
+the tables are bytes copies made for the call, where composing two
+tables is one bytes.translate and comparing them one memcmp; otherwise
+they are the tuples themselves.  validate walks the simplicial
+identities in that encoding: both pass the same shape test and go
+through the same walk, so the report or StructuralError cannot depend
+on the encoding.  A check validates through _valid_call, the one entry
+that builds a _Call: the encoding, chosen once over every set of the
+check, the tables validate converted, and a memo in which the padded
+operands validate made and the fiber sizes of each q are kept.  The
+square walks of criteria and map naturality read those tables and
+compose and decide in that encoding, so no table is converted or padded
+twice in a call, and nothing in a call outlives it.  A bytes table
+holds the same indices as its tuple, and a decision on bytes is the
+counting test of pullback_holds, so no verdict depends on the encoding
+either.
 """
 
 from __future__ import annotations
@@ -280,25 +283,20 @@ def _byte_table(table, source: tuple[str, ...], size: int) -> bytes | None:
 class _Encoding(NamedTuple):
     """How one call holds the tables of X.
 
-    validate reads the first four: table(t, source, size) is t
-    converted, or None when t is not a tuple of len(source) indices in
-    range(size); step(t) is the callable u -> the table of u after t,
-    and operand(t) the u those callables take; identity(size) is the
-    identity table on size cells.  The square executor reads the last
-    three, on tables whose shape validate has checked: own(t) is X's
-    table t converted; compose(memo, prefix, t) is own(t) after the
-    converted table prefix; decide(memo, f, g, p, q) is pullback_holds
-    on converted tables.  memo is a dict of one call, in which compose
-    and decide keep what they derive from a table (a padded operand,
-    the fiber sizes of a q), so each is derived once per call.
+    table(t, source, size) is t converted, or None when t is not a tuple
+    of len(source) indices in range(size); step(t) is the callable u ->
+    the table of u after t, and operand(memo, t) the u those callables
+    take; identity(size) is the identity table on size cells;
+    decide(memo, f, g, p, q) is pullback_holds on converted tables.
+    memo is a dict of one call, in which operand and decide keep what
+    they derive from a table (a padded operand, the fiber sizes of a q),
+    so each is derived once per call.
     """
 
     table: Callable
     step: Callable
     operand: Callable
     identity: Callable
-    own: Callable
-    compose: Callable
     decide: Callable
 
 
@@ -338,17 +336,15 @@ def _tuple_holds(memo: dict, f: Table, g: Table, p: Table, q: Table) -> bool:
     return len(f) == _fiber_product_size(memo, p, q)
 
 
-def _pad(row: bytes) -> bytes:
-    """row padded to 256 bytes, the translate table that applies it."""
-    return row.ljust(256, b"\0")
-
-
-def _padded(memo: dict, table) -> bytes:
-    """_pad of the bytes of table, made once per memo and kept under
-    table itself; table is bytes or one of X's tuples."""
+def _padded(memo: dict | None, table: bytes) -> bytes:
+    """table padded to 256 bytes, the translate table that applies it,
+    made once per memo and kept under table itself (without a memo, as
+    for validate alone, made and kept nowhere)."""
+    if memo is None:
+        return table.ljust(256, b"\0")
     operand = memo.get(table)
     if operand is None:
-        operand = memo[table] = _pad(bytes(table))
+        operand = memo[table] = table.ljust(256, b"\0")
     return operand
 
 
@@ -366,20 +362,16 @@ def _byte_holds(memo: dict, f: bytes, g: bytes, p: bytes, q: bytes) -> bool:
 _TUPLES = _Encoding(
     _tuple_table,
     _getter,
-    tuple,
+    lambda memo, table: table,
     lambda size: tuple(range(size)),
-    tuple,
-    lambda memo, prefix, table: _then(prefix, table),
     _tuple_holds,
 )
 #: first.translate(second padded to 256 bytes) is second after first.
 _BYTES = _Encoding(
     _byte_table,
     attrgetter("translate"),
-    _pad,
+    _padded,
     lambda size: _BYTE_RANGE[:size],
-    bytes,
-    lambda memo, prefix, table: prefix.translate(_padded(memo, table)),
     _byte_holds,
 )
 
@@ -391,14 +383,7 @@ def _encoding(*sets: TruncatedSSet) -> _Encoding:
     return _BYTES if largest <= 256 else _TUPLES
 
 
-def _one_call(*sets: TruncatedSSet) -> _Encoding:
-    """_encoding(*sets) with compose and decide bound to a memo of their
-    own, for the squares of one call: nothing in it outlives the call."""
-    code, memo = _encoding(*sets), {}
-    return _Encoding(*code[:5], partial(code.compose, memo), partial(code.decide, memo))
-
-
-def _checked_tables(X: TruncatedSSet, kind: str, encode=_tuple_table) -> list[list]:
+def _checked_tables(X: TruncatedSSet, kind: str, encode) -> list[list]:
     """X's face ("d") or degeneracy ("s") tables as rows[n][i], each
     checked to be a tuple of indices of the right length and range and
     converted by encode (_tuple_table or _byte_table)."""
@@ -421,6 +406,58 @@ def _checked_tables(X: TruncatedSSet, kind: str, encode=_tuple_table) -> list[li
     return rows
 
 
+def _rows(X: TruncatedSSet, code: _Encoding) -> tuple[list, list]:
+    """X's face and degeneracy tables converted by code, as d[n][i] and
+    s[n][i], after the shape test of each."""
+    return _checked_tables(X, "d", code.table), _checked_tables(X, "s", code.table)
+
+
+class _Call:
+    """The tables of one check, each converted once.
+
+    code is the encoding, chosen once over every set of the check;
+    rows[k] is (d, s), the converted tables of the k-th set as d[n][i]
+    and s[n][i]; memo keeps what the encoding derives from a table (the
+    operands validate padded among them); operand and decide are those
+    of code on that memo.  Nothing in it outlives the check.
+    """
+
+    __slots__ = ("code", "rows", "memo", "operand", "decide", "__weakref__")
+
+    def __init__(self, code: _Encoding, rows: list, memo: dict) -> None:
+        self.code, self.rows, self.memo = code, rows, memo
+        self.operand = partial(code.operand, memo)
+        self.decide = partial(code.decide, memo)
+
+
+def _valid_call(
+    *sets: TruncatedSSet, ends: tuple[str, ...] | None = None, walk: bool = True
+) -> _Call:
+    """The call of one check on sets, once each is validated (without
+    walk, once each table has the right shape): StructuralError unless
+    it is a simplicial set.  ends names the sets of a map in the errors
+    ("map source: ..."); without it they are the input's.  A set given
+    twice is read once."""
+    code, memo, rows = _encoding(*sets), {}, []
+    for k, X in enumerate(sets):
+        if k and X is sets[0]:
+            rows.append(rows[0])
+            continue
+        who = "input" if ends is None else f"map {ends[k]}"
+        try:
+            if walk:
+                _check_distinct(X.cells)
+            rows.append(_rows(X, code))
+            report = _identities(X, code, memo, *rows[-1]) if walk else None
+        except StructuralError as exc:
+            if ends is None:
+                raise
+            raise StructuralError(f"{who}: {exc}") from None
+        if report is not None and not report.holds:
+            raise StructuralError(f"{who} is not a simplicial set: {report.detail}")
+    return _Call(code, rows, memo)
+
+
 def validate(X: TruncatedSSet) -> CheckReport:
     """Check every simplicial identity instance inside the truncation.
 
@@ -433,17 +470,22 @@ def validate(X: TruncatedSSet) -> CheckReport:
     own tuples, each composing through one getter built per call.  A
     bytes copy has the entries of its tuple and a table fails the bytes
     shape test exactly when _index_problem finds a fault, which then
-    words the error; the walk below is the same for both, so its order,
+    words the error; the walk is the same for both, so its order,
     squares_checked and every report are as well.
     """
     _check_distinct(X.cells)
     code = _encoding(X)
-    d = _checked_tables(X, "d", code.table)
-    s = _checked_tables(X, "s", code.table)
+    return _identities(X, code, None, *_rows(X, code))
+
+
+def _identities(X: TruncatedSSet, code: _Encoding, memo: dict | None, d, s) -> CheckReport:
+    """validate's walk on X's tables d and s as _rows converts them, its
+    operands kept in memo."""
+    operand = partial(code.operand, memo)
     dg = [list(map(code.step, row)) for row in d]
     sg = [list(map(code.step, row)) for row in s]
-    d = [list(map(code.operand, row)) for row in d]
-    s = [list(map(code.operand, row)) for row in s]
+    dp = [list(map(operand, row)) for row in d]
+    sp = [list(map(operand, row)) for row in s]
     checked = 0
 
     def fail(name: str, n: int, lhs, rhs) -> CheckReport:
@@ -457,7 +499,7 @@ def validate(X: TruncatedSSet) -> CheckReport:
 
     # d_i d_j = d_{j-1} d_i for i < j, on X_n with n >= 2
     for n in range(2, X.level + 1):
-        size, getters, below = len(X.cells[n]), dg[n], d[n - 1]
+        size, getters, below = len(X.cells[n]), dg[n], dp[n - 1]
         for j in range(1, n + 1):
             for i in range(j):
                 lhs = getters[j](below[i])
@@ -467,7 +509,7 @@ def validate(X: TruncatedSSet) -> CheckReport:
                 checked += size
     # s_i s_j = s_{j+1} s_i for i <= j, on X_n with n + 2 <= level
     for n in range(X.level - 1):
-        size, getters, above = len(X.cells[n]), sg[n], s[n + 1]
+        size, getters, above = len(X.cells[n]), sg[n], sp[n + 1]
         for j in range(n + 1):
             for i in range(j + 1):
                 lhs = getters[j](above[i])
@@ -477,7 +519,7 @@ def validate(X: TruncatedSSet) -> CheckReport:
                 checked += size
     # d_i s_j on X_n with n + 1 <= level
     for n in range(X.level):
-        size, faces = len(X.cells[n]), d[n + 1]
+        size, faces = len(X.cells[n]), dp[n + 1]
         identity = code.identity(size)
         for j in range(n + 1):
             getter = sg[n][j]
@@ -486,20 +528,13 @@ def validate(X: TruncatedSSet) -> CheckReport:
                 if i == j or i == j + 1:
                     want = identity
                 elif i < j:
-                    want = dg[n][i](s[n - 1][j - 1])
+                    want = dg[n][i](sp[n - 1][j - 1])
                 else:
-                    want = dg[n][i - 1](s[n - 1][j])
+                    want = dg[n][i - 1](sp[n - 1][j])
                 if got != want:
                     return fail(_face_degeneracy_identity(i, j), n, got, want)
                 checked += size
     return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
-
-
-def _require_valid(X: TruncatedSSet) -> None:
-    """Raise StructuralError unless validate(X) holds."""
-    report = validate(X)
-    if not report.holds:
-        raise StructuralError(f"input is not a simplicial set: {report.detail}")
 
 
 def _face_degeneracy_identity(i: int, j: int) -> str:
@@ -707,46 +742,50 @@ def validate_map(m: SimplicialMap) -> CheckReport:
 
     A table of either end of the wrong shape raises StructuralError
     naming the end."""
-    for end, X in (("source", m.source), ("target", m.target)):
-        try:
-            for kind in "ds":
-                _checked_tables(X, kind)
-        except StructuralError as exc:
-            raise StructuralError(f"map {end}: {exc}") from None
-    return _validate_components(m)
+    call = _valid_call(m.source, m.target, ends=("source", "target"), walk=False)
+    return _naturality(m, call, _components(m, call.code))
 
 
-def _validate_components(m: SimplicialMap) -> CheckReport:
-    """validate_map once the ends' tables are known to have the right shape."""
-    top = m.shared_level
-    comps = m.components
-    source, target = m.source, m.target
-    for n in range(top + 1):
-        problem = _index_problem(comps[n], source.cells[n], len(target.cells[n]))
-        if problem is not None:
+def _components(m: SimplicialMap, code: _Encoding) -> list:
+    """m's components converted by code; a component of the wrong shape
+    raises StructuralError naming its level."""
+    comps = []
+    for n, comp in enumerate(m.components):
+        source, size = m.source.cells[n], len(m.target.cells[n])
+        table = code.table(comp, source, size)
+        if table is None:
+            problem = _index_problem(comp, source, size)
             raise StructuralError(f"component at level {n} {problem}")
-    getters = list(map(_getter, comps))
+        comps.append(table)
+    return comps
+
+
+def _naturality(m: SimplicialMap, call: _Call, comps: list) -> CheckReport:
+    """validate_map on the call of m's ends and its components comps,
+    composed as validate composes."""
+    top, cells = m.shared_level, m.source.cells
+    (dX, sX), (dY, sY) = call.rows
+    step, operand = call.code.step, call.operand
     checked = 0
 
-    def fail(kind: str, i: int, n: int, lhs: Table, rhs: Table) -> CheckReport:
+    def fail(kind: str, i: int, n: int, lhs, rhs) -> CheckReport:
         j = _first_difference(lhs, rhs)
         return CheckReport(
             holds=False,
             checked_level=top,
             squares_checked=checked + j + 1,
-            detail=f"naturality fails for {kind}_{i} at level {n} on "
-            f"{source.cells[n][j]!r}",
+            detail=f"naturality fails for {kind}_{i} at level {n} on {cells[n][j]!r}",
         )
 
-    for kind, operator, levels, step in (
-        ("d", TruncatedSSet.face, range(1, top + 1), -1),
-        ("s", TruncatedSSet.degeneracy, range(top), 1),
+    for kind, source, target, levels, shift in (
+        ("d", dX, dY, range(1, top + 1), -1),
+        ("s", sX, sY, range(top), 1),
     ):
         for n in levels:
-            size, getter, other = len(comps[n]), getters[n], comps[n + step]
+            size, getter, other = len(cells[n]), step(comps[n]), operand(comps[n + shift])
             for i in range(n + 1):
-                lhs = getter(operator(target, n, i))
-                rhs = _then(operator(source, n, i), other)
+                lhs = getter(operand(target[n][i]))
+                rhs = step(source[n][i])(other)
                 if lhs != rhs:
                     return fail(kind, i, n, lhs, rhs)
                 checked += size

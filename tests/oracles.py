@@ -43,6 +43,11 @@ builds the first as the chains of a one-object partial category and the
 second as the dual of the upper decalage; both must write the same
 bytes as these.
 
+comultiplication, coalgebra_failures and homomorphism_failures are the
+consequence oracle: the incidence coalgebra a decomposition space has
+(Galvez-Carrillo, Kock and Tonks, arXiv:1512.07573), read off X_1 and
+X_2 with no square code, and the laws it must satisfy.
+
 The last helpers serve the tests and nothing in the library:
 evaluate_word composes a generator word, coface_values and
 codegeneracy_values list the generators as value tuples, compose_maps
@@ -51,6 +56,7 @@ are_isomorphic compare simplicial sets up to renaming.
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 
@@ -903,6 +909,76 @@ def reference_dec_bot(X: TruncatedSSet):
     }
     Y = TruncatedSSet(level, X.cells[1:], faces, degeneracies)
     return Y, SimplicialMap(Y, X, tuple(X.faces[(n + 1, 0)] for n in range(level + 1)))
+
+
+def comultiplication(X: TruncatedSSet) -> list[Counter]:
+    """The comultiplication of the incidence coalgebra of X on the basis
+    X_1, Delta(f) = sum over the 2-cells s with d_1 s = f of
+    d_2 s (x) d_0 s: entry f is the multiset of index pairs
+    (d_2 s, d_0 s).
+
+    It reads only X_1 and X_2, so the laws below are one-way: a
+    decomposition space satisfies them, but a defect in X_3 alone, or
+    above, cannot show here.
+    """
+    d0, d1, d2 = (X.faces[(2, i)] for i in range(3))
+    delta_ = [Counter() for _ in X.cells[1]]
+    for s, f in enumerate(d1):
+        delta_[f][(d2[s], d0[s])] += 1
+    return delta_
+
+
+def _counit(X: TruncatedSSet) -> set[int]:
+    """The 1-cells on which the counit is 1, the degenerate ones s_0(X_0);
+    it is 0 on every other."""
+    return set(X.degeneracies[(0, 0)])
+
+
+def coalgebra_failures(X: TruncatedSSet) -> dict[str, list[int]]:
+    """The 1-cells f of X (level >= 2) at which each law of the incidence
+    coalgebra fails, by law:
+
+    - "coassociative": (Delta (x) id) Delta (f) and (id (x) Delta) Delta (f)
+      differ as multisets of triples;
+    - "left counit": (epsilon (x) id) Delta (f) is not f once;
+    - "right counit": (id (x) epsilon) Delta (f) is not f once.
+    """
+    delta_, unit = comultiplication(X), _counit(X)
+    failures = {"coassociative": [], "left counit": [], "right counit": []}
+    for f, pairs in enumerate(delta_):
+        left, right, after_unit, before_unit = Counter(), Counter(), Counter(), Counter()
+        for (a, b), k in pairs.items():
+            for (a1, a2), j in delta_[a].items():
+                left[(a1, a2, b)] += k * j
+            for (b1, b2), j in delta_[b].items():
+                right[(a, b1, b2)] += k * j
+            after_unit[b] += k * (a in unit)
+            before_unit[a] += k * (b in unit)
+        if left != right:
+            failures["coassociative"].append(f)
+        once = Counter({f: 1})
+        if +after_unit != once:
+            failures["left counit"].append(f)
+        if +before_unit != once:
+            failures["right counit"].append(f)
+    return failures
+
+
+def homomorphism_failures(F: SimplicialMap) -> list[int]:
+    """The 1-cells f of F's source (shared level >= 2) at which F is not
+    a coalgebra homomorphism: Delta(F f) differs from (F (x) F) Delta(f),
+    or the counit of F f from that of f."""
+    c1 = F.components[1]
+    source, target = comultiplication(F.source), comultiplication(F.target)
+    units = _counit(F.source), _counit(F.target)
+    failures = []
+    for f, pairs in enumerate(source):
+        image = Counter()
+        for (a, b), k in pairs.items():
+            image[(c1[a], c1[b])] += k
+        if image != target[c1[f]] or (f in units[0]) != (c1[f] in units[1]):
+            failures.append(f)
+    return failures
 
 
 # Helpers only the tests use: the library never needs to compose maps,

@@ -1,7 +1,8 @@
 """Source hygiene, checked with the standard library's ast in place of a
 linter: every module-level import of the package is used in its module,
-and every private module-level definition is read somewhere in the
-package."""
+every private module-level definition is read somewhere in the package,
+one loop of criteria decides squares, and its square walks read the
+tables validate converted rather than a set's own."""
 
 import ast
 from pathlib import Path
@@ -93,3 +94,27 @@ def test_one_loop_decides_squares():
             if name in DECISIONS and isinstance(inner.ctx, ast.Load):
                 readers.add(getattr(node, "name", None))
     assert readers == {"_first_failure"}
+
+
+#: The attributes through which a set's own tables are read.
+TABLE_READS = {
+    "faces", "degeneracies", "face", "degeneracy", "face_names", "degeneracy_names"
+}
+
+
+def test_square_walks_read_the_call_rows():
+    # in criteria, every square walk reads the tables validate converted,
+    # held by the call; only the iterated Segal check, which walks spines
+    # rather than squares, reads a set's own tables (the class attribute
+    # TruncatedSSet.degeneracy names an operator, not a table)
+    readers = set()
+    for node in TREES["criteria.py"].body:
+        for inner in ast.walk(node):
+            if (
+                isinstance(inner, ast.Attribute)
+                and inner.attr in TABLE_READS
+                and isinstance(inner.ctx, ast.Load)
+                and getattr(inner.value, "id", None) != "TruncatedSSet"
+            ):
+                readers.add(getattr(node, "name", None))
+    assert readers == {"check_segal_iterated"}

@@ -9,7 +9,12 @@ agree likewise on the corpus maps with one component perturbed.  validate
 walks bytes copies of the tables when every level holds at most 256
 cells and the tuples otherwise; on sets whose largest level sits at that
 boundary, unperturbed or with one index entry planted, it must still
-agree with reference_validate, and the encoding it takes is pinned.
+agree with reference_validate, and the encoding it takes is pinned, as
+is that each checker converts each table once, in its validation.
+validate_map checks naturality in the encoding its two ends select
+together; maps on the boundary sets, one of them from a 256-cell set
+into a 257-cell one, must agree with the references on each side, and
+check_culf with reference_check_culf.
 Files must round-trip byte for byte, in the text json's own indenting
 encoder gives.
 """
@@ -21,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import boundary_sets, corpus, direct_sweep_shape, point
-from decompspace import builders, operators, serialize, sset
+from decompspace import builders, criteria, operators, serialize, sset
 from decompspace.sset import (
     SimplicialMap,
     StructuralError,
@@ -33,6 +38,7 @@ from oracles import (
     from_named,
     identity_map,
     named_sset,
+    reference_check_culf,
     reference_dumps,
     reference_validate,
     reference_validate_map,
@@ -149,6 +155,47 @@ def mutated_map(draw):
     return SimplicialMap(m.source, m.target, components)
 
 
+def boundary_maps() -> dict[str, SimplicialMap]:
+    """Maps on the boundary sets: the identity and both decalage
+    projections of each, the inclusion of each into the next one up
+    (largest-256 into largest-257 has its ends on either side of the
+    256-cell rule), and largest-257 onto largest-256, its last isolated
+    vertex sent to the first."""
+    sets, maps = boundary_sets(), {}
+    for name, X in sets.items():
+        maps[f"{name}-identity"] = identity_map(X)
+        maps[f"{name}-dec_top"] = operators.dec_top(X)[1]
+        maps[f"{name}-dec_bot"] = operators.dec_bot(X)[1]
+    for a, b in ((255, 256), (256, 257)):
+        X, Y = sets[f"largest-{a}"], sets[f"largest-{b}"]
+        components = tuple(tuple(range(len(cs))) for cs in X.cells)
+        maps[f"{a}-into-{b}"] = SimplicialMap(X, Y, components)
+    X, Y = sets["largest-257"], sets["largest-256"]
+    first_point = [cs.index("pt0") for cs in Y.cells]
+    components = tuple(
+        tuple(range(len(cs))) + (first,) for cs, first in zip(Y.cells, first_point)
+    )
+    maps["257-onto-256"] = SimplicialMap(X, Y, components)
+    return maps
+
+
+BOUNDARY_MAPS = boundary_maps()
+
+
+def component_mutants(m: SimplicialMap):
+    """m with its top nonempty component perturbed, its last entry in
+    each way mutated_map draws; none when every component is empty."""
+    levels = [n for n in range(m.shared_level + 1) if m.source.cells[n]]
+    if not levels:
+        return
+    n = levels[-1]
+    comp, size = m.components[n], len(m.target.cells[n])
+    last = [(comp[-1] + 1) % size, -1, size, "0", 0.0, None, True, False]
+    changed = [comp[:-1] + (value,) for value in last]
+    for comp in [*changed, comp[:-1], comp + (0,)]:
+        yield SimplicialMap(m.source, m.target, m.components[:n] + (comp,))
+
+
 class TestValidateMapDifferential:
     @CORE
     @given(mutated_map())
@@ -159,6 +206,28 @@ class TestValidateMapDifferential:
         for m in MAPS:
             report = validate_map(m)
             assert report.holds and report == reference_validate_map(m)
+
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_MAPS))
+    def test_boundary_maps_match_reference(self, name):
+        # on bytes, on tuples, and from a 256-cell set into a 257-cell
+        # one; the maps as they are through validate_map and check_culf,
+        # then with one component perturbed through validate_map
+        m = BOUNDARY_MAPS[name]
+        report = validate_map(m)
+        assert report.holds and report == reference_validate_map(m)
+        assert criteria.check_culf(m) == reference_check_culf(m)
+        for mutant in component_mutants(m):
+            assert outcome(validate_map, mutant) == outcome(
+                reference_validate_map, mutant
+            )
+
+    def test_map_across_the_rule_is_checked_on_tuples(self, monkeypatch):
+        # the 257-cell target puts both ends and the components on tuples
+        m = BOUNDARY_MAPS["256-into-257"]
+        calls = spy_encodings(monkeypatch)
+        assert validate_map(m).holds
+        ends = [len(X.faces) + len(X.degeneracies) for X in (m.source, m.target)]
+        assert calls == {"_TUPLES": sum(ends) + len(m.components)}
 
 
 class TestIndexTableShape:
@@ -280,6 +349,34 @@ def test_validate_encoding(monkeypatch, X, largest, encoding):
     calls = spy_encodings(monkeypatch)
     assert validate(X).holds
     assert calls == {encoding: len(X.faces) + len(X.degeneracies)}
+
+
+@pytest.mark.parametrize(
+    "X, encoding",
+    [
+        (direct_sweep_shape(), "_BYTES"),
+        (BOUNDARY["largest-256"], "_BYTES"),
+        (BOUNDARY["largest-257"], "_TUPLES"),
+    ],
+    ids=["56", "256", "257"],
+)
+def test_checkers_convert_each_table_once(monkeypatch, X, encoding):
+    # a checker's squares read the tables its validation converted: one
+    # conversion per table per call, and for culf one per component too
+    calls = spy_encodings(monkeypatch)
+    tables = len(X.faces) + len(X.degeneracies)
+    for check in (
+        criteria.check_segal,
+        criteria.check_decomposition,
+        criteria.check_decomposition_direct,
+        criteria.check_2segal_polygonal,
+    ):
+        calls.clear()
+        assert check(X).holds != (check is criteria.check_segal)
+        assert calls == {encoding: tables}, check.__name__
+    calls.clear()
+    assert criteria.check_culf(identity_map(X)).holds
+    assert calls == {encoding: tables + len(X.cells)}
 
 
 def serialized_forms(inst):

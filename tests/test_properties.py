@@ -23,6 +23,13 @@ check_decomposition on every one-vertex set of one or two loops and one
 or two triangles, at levels 2 and 3, and at level 3 also with each
 3-simplex that can be glued onto a one-loop set; at level 3 every
 polygonal mode must also give the reference's report.
+
+The last tests check verdicts against a consequence no square code
+reads: where check_decomposition holds from level 3, the incidence
+coalgebra read off X_1 and X_2 (oracles.comultiplication) must be
+coassociative and counital, and a map check_culf passes must be a
+coalgebra homomorphism.  The oracle is one-way, so it is run only where
+the checkers hold; a failure is a soundness bug in a checker.
 """
 
 from itertools import combinations_with_replacement, product
@@ -30,10 +37,10 @@ from itertools import combinations_with_replacement, product
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from corpus import sset_from_generators
-from decompspace import builders, criteria
+from corpus import corpus, duplicate_top, sset_from_generators
+from decompspace import builders, criteria, operators
 from decompspace.sset import StructuralError, TruncatedSSet, truncate
-from oracles import reference_polygonal_reports
+from oracles import coalgebra_failures, homomorphism_failures, reference_polygonal_reports
 
 PROPS = settings(max_examples=55, deadline=None, derandomize=True)
 MODES = ("full", "restricted", "upper", "lower")
@@ -122,8 +129,8 @@ def partial_categories(draw):
 
 
 @st.composite
-def regular_graph_paths(draw):
-    """The free decomposition of the paths of a graph whose edges are the
+def regular_graph_complexes(draw):
+    """The outer face complex of the paths of a graph whose edges are the
     union of one or two permutations of up to three vertices."""
     vertices = ("u", "v", "w")[: draw(st.integers(1, 3))]
     edges = []
@@ -131,12 +138,17 @@ def regular_graph_paths(draw):
         targets = draw(st.permutations(vertices))
         edges += [(f"e{k}{s}", s, t) for s, t in zip(vertices, targets)]
     G = builders.DirectedGraph(vertices, tuple(edges))
-    A = builders.graph_paths(G, draw(st.integers(1, 4)))
-    return builders.free_decomposition(A, draw(LEVELS))
+    return builders.graph_paths(G, draw(st.integers(1, 4)))
 
 
 @st.composite
-def loops_and_triangles(draw):
+def regular_graph_paths(draw, levels=LEVELS):
+    """The free decomposition of a regular_graph_complexes complex."""
+    return builders.free_decomposition(draw(regular_graph_complexes()), draw(levels))
+
+
+@st.composite
+def loops_and_triangles(draw, levels=LEVELS):
     """One vertex, one or two loops, and one or two triangles whose faces
     are loops or the degenerate edge."""
     generators = {"v": (0, [])}
@@ -147,7 +159,7 @@ def loops_and_triangles(draw):
     for k in range(draw(st.integers(1, 2))):
         faces = [draw(st.sampled_from(edges)) for _ in range(3)]
         generators[f"t{k}"] = (2, faces)
-    return sset_from_generators(generators, draw(LEVELS))
+    return sset_from_generators(generators, draw(levels))
 
 
 def verdicts(strategy) -> set[tuple[bool, bool]]:
@@ -243,3 +255,76 @@ def test_one_vertex_sets_agree_exhaustively():
                 ] == reference_polygonal_reports(Y), generators
     assert (len(seen[2]), seen[2].count(True)) == (449, 95)
     assert (len(seen[3]), seen[3].count(True)) == (449 + 937, 4 + 2)
+
+
+# the incidence coalgebra: where the checkers hold, its laws must too
+
+HIGH_LEVELS = st.integers(3, 4)
+
+
+def assert_coalgebra(X) -> bool:
+    """Whether check_decomposition holds on X (level >= 3); if it does,
+    assert that the incidence coalgebra of X is coassociative and
+    counital."""
+    holds = criteria.check_decomposition(X).holds
+    if holds:
+        assert coalgebra_failures(X) == {
+            "coassociative": [], "left counit": [], "right counit": []
+        }
+    return holds
+
+
+def assert_homomorphism(F) -> bool:
+    """Whether check_culf holds on F (shared level >= 2); if it does,
+    assert that F is a coalgebra homomorphism."""
+    holds = criteria.check_culf(F).holds
+    if holds:
+        assert homomorphism_failures(F) == []
+    return holds
+
+
+def test_corpus_coalgebras():
+    # the level >= 3 corpus instances, truncated to level 3 and as they
+    # are, each also with a second copy of one of its first three top
+    # cells; where check_decomposition holds, the laws hold, and their
+    # decalage projections, where culf, are homomorphisms
+    verdicts, culf = [], []
+    for inst in corpus():
+        if inst.X.level < 3:
+            continue
+        for Y in [truncate(inst.X, 3)] + [inst.X] * (inst.X.level > 3):
+            for X in [Y, *(duplicate_top(Y, j) for j in range(min(3, len(Y.cells[-1]))))]:
+                verdicts.append(assert_coalgebra(X))
+                for dec in (operators.dec_top, operators.dec_bot):
+                    culf.append(assert_homomorphism(dec(X)[1]))
+    assert set(verdicts) == {True, False} and set(culf) == {True, False}
+
+
+def test_random_outer_face_complexes_are_coalgebras():
+    # a free decomposition is a decomposition space and its length map
+    # is culf, so here everything holds
+    @PROPS
+    @given(regular_graph_complexes(), HIGH_LEVELS)
+    def check(A, level):
+        X = builders.free_decomposition(A, level)
+        assert assert_coalgebra(X)
+        assert assert_homomorphism(builders.length_map(A, level))
+        for dec in (operators.dec_top, operators.dec_bot):
+            assert assert_homomorphism(dec(X)[1])
+
+    check()
+
+
+def test_one_vertex_coalgebras():
+    # loops and triangles at level 3 and 4, on both sides of the verdict
+    seen = set()
+
+    @PROPS
+    @given(loops_and_triangles(HIGH_LEVELS))
+    def check(X):
+        seen.add(assert_coalgebra(X))
+        for dec in (operators.dec_top, operators.dec_bot):
+            assert_homomorphism(dec(X)[1])
+
+    check()
+    assert seen == {True, False}

@@ -19,6 +19,7 @@ cold caches, and check that no cache keeps a simplicial set alive.
 """
 
 import gc
+import sys
 import weakref
 from collections import Counter
 
@@ -120,9 +121,9 @@ def assert_decisions_match(square):
     tables, _ = indexed_square(*square)
     assert sset.pullback_holds(*tables) == holds
     for code in (sset._TUPLES, sset._BYTES):
-        legs, memo = tuple(map(code.own, tables)), {}
-        assert code.decide(memo, *legs) == holds, code.own
-        assert code.decide(memo, *legs) == holds, code.own
+        legs, memo = tuple(code.table(t, t, 256) for t in tables), {}
+        assert code.decide(memo, *legs) == holds, code.table
+        assert code.decide(memo, *legs) == holds, code.table
     return want
 
 
@@ -171,18 +172,20 @@ def record_walk(monkeypatch):
     """Record what the checkers decide and compose, in four collections:
     the alpha of every square decided, in order; the table each map the
     legs of those squares read was given, keyed by (target_rank,
-    values); the tables the executor composed; and how many squares
-    each encoding of sset decided.
+    values); the lengths of the prefixes the executor composed a slot
+    from; and how many squares each encoding of sset decided.
 
     The square families are planned and compiled once per process, so
     the recording wraps what runs on every call: the squares the
-    executor criteria._pushout_squares draws, and the decide and
-    compose operations of both encodings, sset._BYTES and sset._TUPLES.
-    A map given two tables fails the recording, so clear the
-    collections between calls."""
+    executor criteria._pushout_squares draws, and the decide and step
+    operations of both encodings, sset._BYTES and sset._TUPLES.  validate
+    and map naturality compose through step too; only the steps the
+    executor takes count.  A map given two tables fails the recording,
+    so clear the collections between calls."""
     current, decided, induced, composed = [None], [], {}, []
     encodings = Counter()
     pushout_squares = criteria._pushout_squares
+    executor = pushout_squares.__code__
 
     def recording(X, code, plan, label):
         slots, squares = plan
@@ -207,11 +210,12 @@ def record_walk(monkeypatch):
                 assert induced.setdefault(key, table) is table, key
             return decide(memo, *legs)
 
-        def counting_compose(memo, first, second, compose=code.compose):
-            composed.append(len(first))
-            return compose(memo, first, second)
+        def counting_step(first, step=code.step):
+            if sys._getframe(1).f_code is executor:
+                composed.append(len(first))
+            return step(first)
 
-        replaced = code._replace(decide=counting_decide, compose=counting_compose)
+        replaced = code._replace(decide=counting_decide, step=counting_step)
         monkeypatch.setattr(sset, name, replaced)
     monkeypatch.setattr(criteria, "_pushout_squares", recording)
     return decided, induced, composed, encodings
@@ -589,18 +593,28 @@ class TestPlanCaches:
     def test_no_cache_keeps_the_input_alive(self, cold_plans, monkeypatch):
         # a passing and a failing instance on bytes and a passing one on
         # tuples through every checker that plans squares, filling every
-        # plan cache, then dropped: nothing may still hold them, nor the
-        # memo of any call, which holds its byte tables, padded operands
-        # and fiber counts
+        # plan cache, then dropped: nothing may still hold them, nor any
+        # call, its memo, which holds padded operands and fiber counts,
+        # or its rows, which hold the converted tables; a mark put in the
+        # memo and in each row list dies with it
         refs, calls = [], []
-        one_call = sset._one_call
+        valid_call = sset._valid_call
 
-        def recording(*sets):
-            code = one_call(*sets)
-            calls.append((code.own, weakref.ref(code.decide), weakref.ref(code.compose)))
-            return code
+        class Mark:
+            pass
 
-        monkeypatch.setattr(criteria, "_one_call", recording)
+        def recording(*sets, **kwargs):
+            call = valid_call(*sets, **kwargs)
+            marks = [Mark()]
+            call.memo[marks[0]] = marks[0]
+            for rows in call.rows:
+                for row in rows:
+                    marks.append(Mark())
+                    row.append(marks[-1])
+            calls.append((call.code, list(map(weakref.ref, [call, call.decide, *marks]))))
+            return call
+
+        monkeypatch.setattr(criteria, "_valid_call", recording)
         for X in (
             builders.free_decomposition(builders.bounded_words(("a",), 2), 4),
             doubled_degenerate_nerve(4),
@@ -620,7 +634,6 @@ class TestPlanCaches:
         gc.collect()
         assert all(cache.cache_info().currsize for cache in PLAN_CACHES)
         assert [ref() for ref in refs] == [None, None, None]
-        assert {own for own, _, _ in calls} == {bytes, tuple}
-        assert [(decide(), compose()) for _, decide, compose in calls] == [
-            (None, None)
-        ] * len(calls)
+        assert {code for code, _ in calls} == {sset._BYTES, sset._TUPLES}
+        alive = [ref() for _, weak in calls for ref in weak]
+        assert alive == [None] * len(alive)
