@@ -22,6 +22,7 @@ from .sset import (
     StructuralError,
     Table,
     TruncatedSSet,
+    _check_distinct,
     _first_difference,
     _index_problem,
     _then,
@@ -236,7 +237,7 @@ def _chain_sset(
     Missing composition entries are undefined composites.  A chain
     extends only while its fold composite is defined, so inner faces
     always compose.  Level-0 cells are the objects; a longer chain is
-    named by cell_name.
+    named by cell_name, and two chains of one name raise StructuralError.
     """
     compose = C.composition.get
     morphisms, identities = C.morphisms, C.identities
@@ -264,6 +265,10 @@ def _chain_sset(
         return by_name[chain[0]][1] if i == 0 else by_name[chain[i - 1]][2]
 
     cells = (tuple(C.objects), *(tuple(map(cell_name, ch)) for ch in chains[1:]))
+    try:
+        _check_distinct(cells)
+    except StructuralError as exc:
+        raise StructuralError(f"chain names collide: {exc}") from None
     index = [{ch: j for j, ch in enumerate(level_chains)} for level_chains in chains]
     faces: dict[tuple[int, int], Table] = {}
     degeneracies: dict[tuple[int, int], Table] = {}

@@ -3,8 +3,9 @@
 Exit codes: 0 the check holds (or the command succeeded), 1 the check
 fails, 2 schema or usage errors (including a path that cannot be read
 or written, a file that is not UTF-8 or not a JSON object, a negative
---level, --bound, --max-len, --rank-cap or DECOMP_MAX_SQUARES, and
---rank-cap with a criterion other than decomp-direct), 3 builder
+--level, --bound, --max-len, --rank-cap or DECOMP_MAX_SQUARES, a build
+flag its kind does not read, such as --bound for nerve, and --rank-cap
+with a criterion other than decomp-direct), 3 builder
 preconditions, inputs that are not simplicial sets (transform validates
 its input as the checkers do) or level shortfalls, 4 the check is
 inconclusive: the
@@ -46,6 +47,20 @@ _CRITERIA = {
 }
 
 
+#: Each build kind and the flags it reads besides --level, which every
+#: kind reads; a build given any other of these flags is a usage error.
+_BUILD_FLAGS = {
+    "nerve": ("--input",),
+    "pmonoid": ("--input",),
+    "pcategory": ("--input",),
+    "free": ("--input",),
+    "words": ("--alphabet", "--max-len"),
+    "graph-paths": ("--input", "--bound"),
+    "twisted-arrow": ("--input",),
+    "terminal-ofc": ("--bound",),
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="decompspace",
@@ -54,19 +69,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     build = sub.add_parser("build", help="construct an object and serialize it")
-    build.add_argument(
-        "kind",
-        choices=[
-            "nerve",
-            "pmonoid",
-            "pcategory",
-            "free",
-            "words",
-            "graph-paths",
-            "twisted-arrow",
-            "terminal-ofc",
-        ],
-    )
+    build.add_argument("kind", choices=list(_BUILD_FLAGS))
     build.add_argument("--input", help="input description file (JSON)")
     build.add_argument("--level", type=int, help="truncation level of the output")
     build.add_argument("--bound", type=int, help="top degree of an outer face complex")
@@ -120,12 +123,16 @@ def _cmd_build(args) -> int:
     def read(parse):
         return parse(serialize.read_file(need("--input", args.input)), where=args.input)
 
-    # reject before anything is read, built or written: negative sizes,
-    # a length map of anything but an outer face complex freely completed
-    # to a level, and a length map on the path of the output
-    sizes = {"--level": args.level, "--bound": args.bound, "--max-len": args.max_len}
-    for flag, value in sizes.items():
-        if value is not None and value < 0:
+    # reject before anything is read, built or written: a flag the kind
+    # does not read, negative sizes, a length map of anything but an
+    # outer face complex freely completed to a level, and a length map on
+    # the path of the output
+    flags = {"--input": args.input, "--alphabet": args.alphabet, "--level": args.level,
+             "--bound": args.bound, "--max-len": args.max_len}
+    for flag, value in flags.items():
+        if value is not None and flag not in ("--level", *_BUILD_FLAGS[kind]):
+            raise SystemExit2(f"{flag} does not apply to build {kind}")
+        if isinstance(value, int) and value < 0:
             raise SystemExit2(f"{flag} must be nonnegative, got {value}")
     if args.length_map is not None and (
         kind not in ("free", "words", "graph-paths", "terminal-ofc")

@@ -7,7 +7,8 @@ A square is its four index tables and a describe callable.  Each
 checker validates through sset._valid_call, whose call holds the tables
 validate converted, in the encoding it picks for the input (bytes when
 every level holds at most 256 cells, for check_culf at both ends, else
-tuples); every square is built from those tables.
+tuples); every square, and every spine of the iterated Segal check, is
+built from those tables.
 The driver counts every square, in walk order and against the budget;
 a square with an identity leg comes without tables, since it is a
 pullback whatever X is, and is counted but not decided.  The rest are
@@ -181,12 +182,11 @@ def check_segal_iterated(X: TruncatedSSet) -> CheckReport:
     next one's start, are then walked in lexicographic order; the first
     whose number of preimages is not 1 is the witness.
     """
-    _valid_call(X)
+    d = _valid_call(X).rows[0][0]
     checked = 0
     if X.level < 1:
         return CheckReport(holds=True, checked_level=X.level, squares_checked=0)
-    d_bot1 = X.faces[(1, 0)]
-    d_top1 = X.faces[(1, 1)]
+    d_bot1, d_top1 = d[1]
     fibers: dict[int, list[int]] = {}
     for e, v in enumerate(d_top1):
         fibers.setdefault(v, []).append(e)
@@ -194,8 +194,8 @@ def check_segal_iterated(X: TruncatedSSet) -> CheckReport:
     last = tuple(range(len(d_bot1)))
     for n in range(2, X.level + 1):
         checked += 1
-        last = _then(X.faces[(n, 0)], last)
-        spines = [spines[t] + (e,) for t, e in zip(X.faces[(n, n)], last)]
+        last = _then(d[n][0], last)
+        spines = [spines[t] + (e,) for t, e in zip(d[n][n], last)]
         preimages: dict[tuple[int, ...], list[int]] = {}
         for c, key in enumerate(spines):
             preimages.setdefault(key, []).append(c)

@@ -17,13 +17,17 @@ tables is one bytes.translate and comparing them one memcmp; otherwise
 they are the tuples themselves.  validate walks the simplicial
 identities in that encoding: both pass the same shape test and go
 through the same walk, so the report or StructuralError cannot depend
-on the encoding.  A check validates through _valid_call, the one entry
-that builds a _Call: the encoding, chosen once over every set of the
-check, the tables validate converted, and a memo in which the padded
-operands validate made and the fiber sizes of each q are kept.  The
-square walks of criteria and map naturality read those tables and
-compose and decide in that encoding, so no table is converted or padded
-twice in a call, and nothing in a call outlives it.  A bytes table
+on the encoding.  The identities, and the naturality equations of a
+map, are compiled equation plans, cached by level: each equation says
+that the composite of two table slots is the composite of two others,
+or the identity.  One loop, _equations, walks any such plan and stops
+at the first unequal pair.  A check validates through _valid_call, the
+one entry that builds a _Call: the encoding, chosen once over every set
+of the check, the tables validate converted, and a memo in which the
+padded operands validate made and the fiber sizes of each q are kept.
+The walks of criteria and map naturality read those tables and compose
+and decide in that encoding, so no table is converted or padded twice
+in a call, and nothing in a call outlives it.  A bytes table
 holds the same indices as its tuple, and a decision on bytes is the
 counting test of pullback_holds, so no verdict depends on the encoding
 either.
@@ -481,69 +485,88 @@ def validate(X: TruncatedSSet) -> CheckReport:
 def _identities(X: TruncatedSSet, code: _Encoding, memo: dict | None, d, s) -> CheckReport:
     """validate's walk on X's tables d and s as _rows converts them, its
     operands kept in memo."""
-    operand = partial(code.operand, memo)
-    dg = [list(map(code.step, row)) for row in d]
-    sg = [list(map(code.step, row)) for row in s]
-    dp = [list(map(operand, row)) for row in d]
-    sp = [list(map(operand, row)) for row in s]
-    checked = 0
+    tables = _flat(X.level, d, s)
+    return _equations(_identity_plan(X.level), tables, code, memo, X.cells, X.level)
 
-    def fail(name: str, n: int, lhs, rhs) -> CheckReport:
-        j = _first_difference(lhs, rhs)
-        return CheckReport(
-            holds=False,
-            checked_level=X.level,
-            squares_checked=checked + j + 1,
-            detail=f"identity {name} fails at level {n} on cell {X.cells[n][j]!r}",
-        )
 
-    # d_i d_j = d_{j-1} d_i for i < j, on X_n with n >= 2
-    for n in range(2, X.level + 1):
-        size, getters, below = len(X.cells[n]), dg[n], dp[n - 1]
+def _slots(top: int, start: int = 0) -> dict[tuple[str, int, int], int]:
+    """The slot of each face ("d", n, i) and degeneracy ("s", n, i) table
+    of a set at the levels up to top, where _flat puts it after start."""
+    keys = [("d", n, i) for n in range(1, top + 1) for i in range(n + 1)]
+    keys += [("s", n, i) for n in range(top) for i in range(n + 1)]
+    return {key: start + j for j, key in enumerate(keys)}
+
+
+def _flat(top: int, d: list, s: list) -> list:
+    """The tables d[n][i] and s[n][i] at the levels up to top, in slot order."""
+    return [*chain.from_iterable(d[: top + 1]), *chain.from_iterable(s[:top])]
+
+
+def _equation_plan(equations) -> tuple:
+    """The compiled plan of equations (n, f, g, h, k, name), each saying
+    that on X_n the table g after f is k after h, or the identity of X_n
+    when h and k are None, where f, g, h and k are slots into a call's
+    tables and name words a failure up to its cell: the equations in
+    walk order, the slots composed first (f and h) and those composed
+    second (g and k)."""
+    equations = tuple(equations)
+    slots = [frozenset(e[k] for e in equations) - {None} for k in range(1, 5)]
+    return equations, slots[0] | slots[2], slots[1] | slots[3]
+
+
+@lru_cache(maxsize=256)
+def _identity_plan(level: int) -> tuple:
+    """validate's equations on a set of the given level, in walk order:
+    d_i d_j = d_{j-1} d_i for i < j on X_n with n >= 2, then s_i s_j =
+    s_{j+1} s_i for i <= j on X_n with n + 2 <= level, then d_i s_j on
+    X_n with n + 1 <= level."""
+    t, equations = _slots(level), []
+    for n in range(2, level + 1):
         for j in range(1, n + 1):
             for i in range(j):
-                lhs = getters[j](below[i])
-                rhs = getters[i](below[j - 1])
-                if lhs != rhs:
-                    return fail(f"d_{i} d_{j} = d_{j-1} d_{i}", n, lhs, rhs)
-                checked += size
-    # s_i s_j = s_{j+1} s_i for i <= j, on X_n with n + 2 <= level
-    for n in range(X.level - 1):
-        size, getters, above = len(X.cells[n]), sg[n], sp[n + 1]
+                equations.append((n, t["d", n, j], t["d", n - 1, i], t["d", n, i],
+                                  t["d", n - 1, j - 1], f"d_{i} d_{j} = d_{j-1} d_{i}"))
+    for n in range(level - 1):
         for j in range(n + 1):
             for i in range(j + 1):
-                lhs = getters[j](above[i])
-                rhs = getters[i](above[j + 1])
-                if lhs != rhs:
-                    return fail(f"s_{i} s_{j} = s_{j+1} s_{i}", n, lhs, rhs)
-                checked += size
-    # d_i s_j on X_n with n + 1 <= level
-    for n in range(X.level):
-        size, faces = len(X.cells[n]), dp[n + 1]
-        identity = code.identity(size)
+                equations.append((n, t["s", n, j], t["s", n + 1, i], t["s", n, i],
+                                  t["s", n + 1, j + 1], f"s_{i} s_{j} = s_{j+1} s_{i}"))
+    for n in range(level):
         for j in range(n + 1):
-            getter = sg[n][j]
             for i in range(n + 2):
-                got = getter(faces[i])
+                lhs = n, t["s", n, j], t["d", n + 1, i]
                 if i == j or i == j + 1:
-                    want = identity
+                    rhs = None, None, f"d_{i} s_{j} = id"
                 elif i < j:
-                    want = dg[n][i](sp[n - 1][j - 1])
+                    rhs = t["d", n, i], t["s", n - 1, j - 1], f"d_{i} s_{j} = s_{j-1} d_{i}"
                 else:
-                    want = dg[n][i - 1](sp[n - 1][j])
-                if got != want:
-                    return fail(_face_degeneracy_identity(i, j), n, got, want)
-                checked += size
-    return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
+                    rhs = t["d", n, i - 1], t["s", n - 1, j], f"d_{i} s_{j} = s_{j} d_{i-1}"
+                equations.append(lhs + rhs)
+    return _equation_plan((n, f, g, h, k, f"identity {name} fails at level {n} on cell")
+                          for n, f, g, h, k, name in equations)
 
 
-def _face_degeneracy_identity(i: int, j: int) -> str:
-    """The name of the identity validate checks for d_i s_j."""
-    if i == j or i == j + 1:
-        return f"d_{i} s_{j} = id"
-    if i < j:
-        return f"d_{i} s_{j} = s_{j-1} d_{i}"
-    return f"d_{i} s_{j} = s_{j} d_{i-1}"
+def _equations(plan, tables: list, code: _Encoding, memo, cells, level) -> CheckReport:
+    """The one loop that walks equations: the report of plan on tables,
+    held in code, at the checked level, its operands kept in memo and
+    cells[n] the names of X_n; each table is made a getter or an operand
+    once, and each identity table once per size.  The first unequal pair
+    ends the walk, counted up to its first differing cell."""
+    equations, firsts, seconds = plan
+    getters = {f: code.step(tables[f]) for f in firsts}
+    operands = {g: code.operand(memo, tables[g]) for g in seconds}
+    identity, checked = lru_cache(maxsize=None)(code.identity), 0
+    for n, f, g, h, k, name in equations:
+        lhs = getters[f](operands[g])
+        rhs = identity(len(lhs)) if h is None else getters[h](operands[k])
+        if lhs != rhs:
+            j = _first_difference(lhs, rhs)
+            return CheckReport(
+                holds=False, checked_level=level, squares_checked=checked + j + 1,
+                detail=f"{name} {cells[n][j]!r}",
+            )
+        checked += len(lhs)
+    return CheckReport(holds=True, checked_level=level, squares_checked=checked)
 
 
 def induce(X: TruncatedSSet, target_rank: int, values: tuple[int, ...]) -> Table:
@@ -763,30 +786,24 @@ def _components(m: SimplicialMap, code: _Encoding) -> list:
 def _naturality(m: SimplicialMap, call: _Call, comps: list) -> CheckReport:
     """validate_map on the call of m's ends and its components comps,
     composed as validate composes."""
-    top, cells = m.shared_level, m.source.cells
-    (dX, sX), (dY, sY) = call.rows
-    step, operand = call.code.step, call.operand
-    checked = 0
+    top = m.shared_level
+    tables = [*_flat(top, *call.rows[0]), *_flat(top, *call.rows[1]), *comps]
+    plan, cells = _naturality_plan(top), m.source.cells
+    return _equations(plan, tables, call.code, call.memo, cells, top)
 
-    def fail(kind: str, i: int, n: int, lhs, rhs) -> CheckReport:
-        j = _first_difference(lhs, rhs)
-        return CheckReport(
-            holds=False,
-            checked_level=top,
-            squares_checked=checked + j + 1,
-            detail=f"naturality fails for {kind}_{i} at level {n} on {cells[n][j]!r}",
-        )
 
-    for kind, source, target, levels, shift in (
-        ("d", dX, dY, range(1, top + 1), -1),
-        ("s", sX, sY, range(top), 1),
-    ):
-        for n in levels:
-            size, getter, other = len(cells[n]), step(comps[n]), operand(comps[n + shift])
-            for i in range(n + 1):
-                lhs = getter(operand(target[n][i]))
-                rhs = step(source[n][i])(other)
-                if lhs != rhs:
-                    return fail(kind, i, n, lhs, rhs)
-                checked += size
-    return CheckReport(holds=True, checked_level=top, squares_checked=checked)
+@lru_cache(maxsize=256)
+def _naturality_plan(top: int) -> tuple:
+    """validate_map's equations on a map c of shared level top, in walk
+    order: c_{n-1} d_i = d_i c_n on X_n for 1 <= n <= top, then c_{n+1}
+    s_i = s_i c_n on X_n for n < top, each for i <= n.  The source's
+    tables take the first slots, then the target's, then c's components."""
+    X = _slots(top)
+    Y, c = _slots(top, len(X)), 2 * len(X)
+    return _equation_plan(
+        (n, c + n, Y[kind, n, i], X[kind, n, i], c + n + shift,
+         f"naturality fails for {kind}_{i} at level {n} on")
+        for kind, levels, shift in (("d", range(1, top + 1), -1), ("s", range(top), 1))
+        for n in levels
+        for i in range(n + 1)
+    )

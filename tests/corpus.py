@@ -172,6 +172,30 @@ def one_gap_pcategory() -> PartialCategory:
     return PartialCategory(("x", "y"), morphisms, {"x": "id_x", "y": "id_y"}, composition)
 
 
+def colliding_chains_category() -> FiniteCategory:
+    """A category with two 2-chains, a|b then c and a then b|c, that both
+    compose to k and whose arrow names both join to "a|b|c"."""
+    arrows = [("a|b", "x", "y"), ("c", "y", "z"), ("a", "x", "w"), ("b|c", "w", "z"),
+              ("k", "x", "z")]
+    objects = ("x", "y", "z", "w")
+    identities = {v: f"1{v}" for v in objects}
+    morphisms = tuple((f"1{v}", v, v) for v in objects) + tuple(arrows)
+    composition = {("a|b", "c"): "k", ("a", "b|c"): "k"}
+    for name, src, tgt in morphisms:
+        composition[(identities[src], name)] = composition[(name, identities[tgt])] = name
+    return FiniteCategory(objects, morphisms, identities, composition)
+
+
+def colliding_chains_pmonoid() -> PartialMonoid:
+    """A partial monoid whose words (a,b) then c and a then (b,c) are both
+    named "(a,b,c)"; both multiply to k."""
+    carrier = ("e", "a", "b", "c", "a,b", "b,c", "k")
+    product = {("a,b", "c"): "k", ("a", "b,c"): "k"}
+    for x in carrier:
+        product[("e", x)] = product[(x, "e")] = x
+    return PartialMonoid(carrier, "e", product)
+
+
 def paper_graph() -> DirectedGraph:
     return DirectedGraph(
         ("x", "y", "z"),

@@ -9,6 +9,8 @@ import pytest
 from corpus import (
     arrow_category,
     chain_category,
+    colliding_chains_category,
+    colliding_chains_pmonoid,
     corpus,
     free_pair_pmonoid,
     nilpotent_pmonoid,
@@ -122,6 +124,27 @@ class TestNerve:
         # decomposition space at every bound
         X = builders.free_decomposition(builders.graph_paths(paper_graph(), 3), 3)
         assert criteria.check_decomposition(X).holds
+
+
+class TestChainNames:
+    """Chains are named by their arrows joined, so arrow names can make two
+    chains one name; the builders refuse such a set rather than write it."""
+
+    @pytest.mark.parametrize(
+        "build, source, name",
+        [
+            (builders.nerve, colliding_chains_category, "a|b|c"),
+            (builders.from_partial_category, colliding_chains_category, "a|b|c"),
+            (builders.from_partial_monoid, colliding_chains_pmonoid, "(a,b,c)"),
+        ],
+        ids=["nerve", "pcategory", "pmonoid"],
+    )
+    def test_colliding_chain_names_rejected(self, build, source, name):
+        assert validate(build(source(), 1)).holds
+        message = f"chain names collide: duplicate cell {name!r} at level 2"
+        for level in (2, 3):
+            with pytest.raises(StructuralError, match=re.escape(message)):
+                build(source(), level)
 
 
 class TestTwistedArrow:

@@ -7,6 +7,8 @@ import pytest
 from corpus import (
     arrow_category,
     chain_category,
+    colliding_chains_category,
+    colliding_chains_pmonoid,
     input_obj,
     paper_graph,
     short_words_pmonoid,
@@ -122,9 +124,28 @@ class TestBuild:
         obj[field] = [row, *obj[field]]
         path, out = tmp_path / "in.json", tmp_path / "out.json"
         path.write_text(json.dumps(obj))
-        assert main(["build", kind, "--input", str(path), "--bound", "2",
+        size = ["--bound", "2"] if kind == "graph-paths" else []
+        assert main(["build", kind, "--input", str(path), *size,
                      "--level", "2", "--output", str(out)]) == 2
         assert f"{field}[0] must be [" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, source, name",
+        [
+            ("nerve", colliding_chains_category(), "a|b|c"),
+            ("pcategory", colliding_chains_category(), "a|b|c"),
+            ("pmonoid", colliding_chains_pmonoid(), "(a,b,c)"),
+        ],
+    )
+    def test_colliding_chain_names_exit_3(self, tmp_path, capsys, kind, source, name):
+        path, out = tmp_path / "in.json", tmp_path / "out.json"
+        path.write_text(json.dumps(input_obj(source)))
+        assert main(["build", kind, "--input", str(path), "--level", "2",
+                     "--output", str(out)]) == 3
+        assert f"chain names collide: duplicate cell {name!r} at level 2" in (
+            capsys.readouterr().err
+        )
         assert not out.exists()
 
     def test_composition_entry_naming_no_morphism_exit_3(self, tmp_path, capsys):
@@ -218,6 +239,37 @@ class TestBuild:
         assert main(["build", *build, "--output", str(tmp_path / "o.json")]) == 2
         captured = capsys.readouterr()
         assert f"{flag} must be nonnegative, got -" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "build, flag",
+        [
+            # the input does not exist: the flag is rejected before any read
+            (["words", "--alphabet", "ab", "--max-len", "2", "--input", "missing.json"],
+             "--input"),
+            (["nerve", "--input", "missing.json", "--level", "2", "--bound", "5"],
+             "--bound"),
+            (["pmonoid", "--input", "missing.json", "--level", "2", "--max-len", "2"],
+             "--max-len"),
+            (["pcategory", "--input", "missing.json", "--level", "2", "--alphabet", "ab"],
+             "--alphabet"),
+            (["free", "--input", "missing.json", "--level", "2", "--bound", "1"],
+             "--bound"),
+            (["twisted-arrow", "--input", "missing.json", "--level", "2", "--bound", "1"],
+             "--bound"),
+            (["graph-paths", "--input", "missing.json", "--bound", "2", "--max-len", "2"],
+             "--max-len"),
+            (["terminal-ofc", "--bound", "2", "--input", "missing.json"], "--input"),
+        ],
+        ids=["words", "nerve", "pmonoid", "pcategory", "free", "twisted-arrow",
+             "graph-paths", "terminal-ofc"],
+    )
+    def test_unread_flag_rejected_before_reading(self, tmp_path, capsys, build, flag):
+        build = [str(tmp_path / a) if a.endswith(".json") else a for a in build]
+        assert main(["build", *build, "--output", str(tmp_path / "o.json")]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {flag} does not apply to build {build[0]}" in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 

@@ -1,8 +1,9 @@
 """Source hygiene, checked with the standard library's ast in place of a
 linter: every module-level import of the package is used in its module,
 every private module-level definition is read somewhere in the package,
-one loop of criteria decides squares, and its square walks read the
-tables validate converted rather than a set's own."""
+one loop of criteria decides squares, its walks read the tables
+validate converted rather than a set's own, and one loop of sset walks
+the equations of validate and map naturality."""
 
 import ast
 from pathlib import Path
@@ -103,9 +104,9 @@ TABLE_READS = {
 
 
 def test_square_walks_read_the_call_rows():
-    # in criteria, every square walk reads the tables validate converted,
-    # held by the call; only the iterated Segal check, which walks spines
-    # rather than squares, reads a set's own tables (the class attribute
+    # in criteria, every walk, the iterated Segal check's spines among
+    # them, reads the tables validate converted, held by the call, and
+    # none reads a set's own tables (the class attribute
     # TruncatedSSet.degeneracy names an operator, not a table)
     readers = set()
     for node in TREES["criteria.py"].body:
@@ -117,4 +118,31 @@ def test_square_walks_read_the_call_rows():
                 and getattr(inner.value, "id", None) != "TruncatedSSet"
             ):
                 readers.add(getattr(node, "name", None))
-    assert readers == {"check_segal_iterated"}
+    assert readers == set()
+
+
+#: The encoding operations through which a side of an equation is composed.
+COMPOSITIONS = {"step", "identity"}
+
+#: The nodes of a loop, a comprehension's among them.
+LOOPS = (ast.For, ast.While, ast.comprehension)
+
+
+def test_one_loop_walks_equations():
+    # in sset, only _equations composes tables by an encoding's step or
+    # identity, so that a second walk of the simplicial identities or of
+    # map naturality fails here; the two that hand it their compiled
+    # plans hold no loop of their own
+    readers, bodies = set(), {}
+    for node in TREES["sset.py"].body:
+        bodies[getattr(node, "name", None)] = node
+        for inner in ast.walk(node):
+            if (
+                isinstance(inner, ast.Attribute)
+                and inner.attr in COMPOSITIONS
+                and isinstance(inner.ctx, ast.Load)
+            ):
+                readers.add(getattr(node, "name", None))
+    assert readers == {"_equations"}
+    for name in ("_identities", "_naturality"):
+        assert not any(isinstance(inner, LOOPS) for inner in ast.walk(bodies[name]))

@@ -1,5 +1,6 @@
 """Tables, identities, induced maps, the opposite, and the pullback engine."""
 
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -91,6 +92,45 @@ class TestValidate:
         X = TruncatedSSet(0, (("a", "b"),), {}, {})
         report = validate(X)
         assert report.holds and report.squares_checked == 0
+
+
+class TestEquationPlans:
+    """validate and map naturality walk compiled plans of equations: each
+    equation of the nested ranges the plans replace appears once."""
+
+    @pytest.mark.parametrize("level", range(9))
+    def test_identity_plan_holds_each_identity_once(self, level):
+        equations = sset._identity_plan(level)[0]
+        keys = [(n, name) for n, *_, name in equations]
+        assert len(set(keys)) == len(keys)
+        assert all(name.endswith(f" at level {n} on cell") for n, name in keys)
+        # family: d_i d_j, s_i s_j or d_i s_j, in walk order
+        families = [name.split()[1][0] + name.split()[2][0] for _, name in keys]
+        assert families == sorted(families, key=["dd", "ss", "ds"].index)
+        assert Counter(families) == +Counter({
+            "dd": sum(1 for n in range(2, level + 1) for j in range(1, n + 1)
+                      for i in range(j)),
+            "ss": sum(1 for n in range(level - 1) for j in range(n + 1)
+                      for i in range(j + 1)),
+            "ds": sum(1 for n in range(level) for j in range(n + 1)
+                      for i in range(n + 2)),
+        })
+
+    @pytest.mark.parametrize("top", range(9))
+    def test_naturality_plan_holds_each_operator_once(self, top):
+        equations, firsts, _ = sset._naturality_plan(top)
+        keys = [(n, name) for n, *_, name in equations]
+        assert len(set(keys)) == len(keys)
+        kinds = [name.split()[3][0] for _, name in keys]
+        assert kinds == sorted(kinds)
+        assert Counter(kinds) == +Counter({
+            "d": sum(n + 1 for n in range(1, top + 1)),
+            "s": sum(n + 1 for n in range(top)),
+        })
+        # the target's tables are only composed after, so no getter is
+        # built for them
+        size = len(sset._slots(top))
+        assert not firsts & set(range(size, 2 * size))
 
 
 class TestInducedMap:
