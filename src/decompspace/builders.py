@@ -321,7 +321,9 @@ def from_partial_category(C: FiniteCategory, level: int) -> TruncatedSSet:
 
 def twisted_arrow(C: FiniteCategory) -> FiniteCategory:
     """Objects are the morphisms of C; an arrow f -> g is a two-sided
-    factorization g = k o f o h, composed by stacking factorizations."""
+    factorization g = k o f o h, composed by stacking factorizations.
+    An arrow is named [h|f|k], and two factorizations of one name raise
+    StructuralError."""
     validate_category(C)
 
     def tw_name(f: str, h: str, k: str) -> str:
@@ -339,6 +341,10 @@ def twisted_arrow(C: FiniteCategory) -> FiniteCategory:
                     continue
                 g = C.composition[(C.composition[(h, f)], k)]
                 name = tw_name(f, h, k)
+                if name in factorization:
+                    raise StructuralError(
+                        f"twisted arrow names collide: {name!r} names two factorizations"
+                    )
                 morphisms.append((name, f, g))
                 factorization[name] = (f, h, k)
     identities = {

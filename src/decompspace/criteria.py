@@ -13,7 +13,13 @@ The driver counts every square, in walk order and against the budget;
 a square with an identity leg comes without tables, since it is a
 pullback whatever X is, and is counted but not decided.  The rest are
 decided by the call's decide, the counting test of
-sset.pullback_holds; only the first that fails is described (its
+sset.pullback_holds.  A square whose alpha is surjective comes flagged
+split, the flag set once per process when its plan is compiled: X
+takes alpha and its pushout phi to composites of degeneracies, which
+are injective once validate has checked d_i s_i = id, so the call
+decides it by commutation and one count, without the pairs or the
+fiber sizes; check_culf's degeneracy squares are split too.  Only the
+first square that fails is described (its
 label, the levels of its corners and the cell names of A, B and C) and
 handed, its tables turned back into tuples, to is_pullback_square for
 its witness.  A square that would need a level beyond the truncation
@@ -89,9 +95,10 @@ from .sset import (
 #: A square's label, the levels of its corners and the names of A, B, C.
 Description = tuple[str, tuple[int, ...], tuple[Sequence[str], ...]]
 
-#: (f, g, p, q): A -> B and A -> C over B -> D <- C, as tables of the
-#: call's encoding (tuples or bytes), and the square's describe
-#: callable; (None, None) for a square with an identity leg.
+#: (f, g, p, q) or (f, g, p, q, split): A -> B and A -> C over B -> D <-
+#: C, as tables of the call's encoding (tuples or bytes), split true when
+#: f and q are split monos, and the square's describe callable; (None,
+#: None) for a square with an identity leg.
 Square = tuple[tuple | None, Callable[[], Description] | None]
 
 
@@ -114,7 +121,7 @@ def _decide(
     checked, failed = _first_failure(call, islice(squares, max_squares))
     if failed is not None:
         square, levels, names = failed[1]()
-        legs = map(tuple, failed[0])
+        legs = map(tuple, failed[0][:4])
         sub = is_pullback_square(*legs, square=square, levels=levels, names=names)
         return CheckReport(
             holds=False, checked_level=level, squares_checked=checked, witness=sub.witness
@@ -297,9 +304,9 @@ MapKey = tuple[int, tuple[int, ...]]
 Slot = tuple[int, int, tuple[int, int]]
 
 #: A compiled plan: its slots, and its squares as (alpha, iota, k, p,
-#: legs, filled), legs the slots of f, g, p and q (None for a square
-#: with an identity leg) and filled the number of slots the walk has
-#: filled once it reaches the square.
+#: legs, filled), legs the slots of f, g, p and q and whether alpha is
+#: surjective (None for a square with an identity leg) and filled the
+#: number of slots the walk has filled once it reaches the square.
 Plan = tuple[Sequence[Slot], Iterable[tuple]]
 
 
@@ -326,7 +333,11 @@ def _compiled(squares, slots: list[Slot]) -> Iterator[tuple]:
 
     A map's slot is that of its generator word (sset._word_steps): a
     word that extends a word already compiled by one letter gets one
-    new slot, so a prefix two maps share is composed once.
+    new slot, so a prefix two maps share is composed once.  Each square
+    with legs is flagged split when alpha is surjective: then so is its
+    pushout phi, and f = X(phi) and q = X(alpha) are composites of
+    degeneracies, injective on a validated X, so the call decides it by
+    the count alone (sset._tuple_holds).
     """
     of_map: dict[MapKey, int] = {}
     of_step: dict[Slot, int] = {}
@@ -345,7 +356,10 @@ def _compiled(squares, slots: list[Slot]) -> Iterator[tuple]:
         return s
 
     for alpha, iota, k, p, keys in squares:
-        legs = None if keys is None else tuple(map(slot, keys))
+        if keys is None:
+            legs = None
+        else:
+            legs = (*map(slot, keys), len(set(alpha)) == alpha[-1] + 1)
         yield alpha, iota, k, p, legs, len(slots)
 
 
@@ -367,7 +381,8 @@ def _pushout_squares(X: TruncatedSSet, call: _Call, plan: Plan, label) -> Iterat
     composes, so a walk that stops early composes nothing past its
     stop.  The slots may still grow while the squares are drawn, as
     when the direct walk compiles its squares as it streams them.  A
-    square without legs comes without tables.
+    square without legs comes without tables; the others come with
+    their split flag.
     """
     slots, squares = plan
     own, step, operand = call.rows[0], call.code.step, call.operand
@@ -380,8 +395,8 @@ def _pushout_squares(X: TruncatedSSet, call: _Call, plan: Plan, label) -> Iterat
             prefix, kind, (n, i) = slots[s]
             table = own[kind][n][i]
             tables.append(table if prefix < 0 else step(tables[prefix])(operand(table)))
-        f, g, p_leg, q_leg = legs
-        yield (tables[f], tables[g], tables[p_leg], tables[q_leg]), lambda: _on(
+        f, g, p_leg, q_leg, split = legs
+        yield (tables[f], tables[g], tables[p_leg], tables[q_leg], split), lambda: _on(
             X, label(alpha, iota, k, p), (p, k, alpha[-1], len(alpha) - 1)
         )
 
@@ -563,6 +578,13 @@ def _elementary_plan(level: int, cap: int) -> Plan:
     return _plan(_elementary_squares(level, cap))
 
 
+def _direct_squares(ranks) -> Iterator[tuple]:
+    """The prepared squares of the direct family of the given ranks, in
+    walk order."""
+    squares = chain.from_iterable(starmap(delta.active_inert_squares, ranks))
+    return starmap(_prepared, squares)
+
+
 @lru_cache(maxsize=256)
 def _direct_plan(level: int, rank_cap: int):
     """(ranks, size, certificate) of the direct family: its _direct_ranks,
@@ -622,12 +644,8 @@ def check_decomposition_direct(
         if max_squares is not None and max_squares < size:
             return _cut_off(X.level, max_squares)
         return CheckReport(holds=True, checked_level=X.level, squares_checked=size)
-    squares = starmap(
-        _prepared,
-        chain.from_iterable(delta.active_inert_squares(n, k, m) for n, k, m in ranks),
-    )
     slots: list[Slot] = []
-    plan = slots, _compiled(squares, slots)
+    plan = slots, _compiled(_direct_squares(ranks), slots)
     walk = _pushout_squares(X, call, plan, _active_inert_label)
     return _decide(X.level, call, walk, max_squares)
 
@@ -636,7 +654,9 @@ def check_culf(f: SimplicialMap) -> CheckReport:
     """Naturality squares of f on inner faces and all degeneracies.
 
     The source and the target are validated first, then f itself; a
-    malformed end raises StructuralError naming it.
+    malformed end raises StructuralError naming it.  The degeneracy
+    squares are split: their legs s_j of X and of Y are injective on
+    validated ends, so each is decided by the count alone.
     """
     call = _valid_call(f.source, f.target, ends=("source", "target"))
     c = _components(f, call.code)
@@ -658,7 +678,7 @@ def check_culf(f: SimplicialMap) -> CheckReport:
                 )
         for n in range(top):
             for j in range(n + 1):
-                yield (sX[n][j], c[n], c[n + 1], sY[n][j]), lambda: (
+                yield (sX[n][j], c[n], c[n + 1], sY[n][j], True), lambda: (
                     f"culf degeneracy n={n} j={j}: X{n} -(s_{j})-> X{n + 1} "
                     f"over Y{n} -(s_{j})-> Y{n + 1}",
                     (n, n + 1, n, n + 1),

@@ -8,6 +8,16 @@ OuterFaceComplex hold their tables in, so reading checks each row and
 keeps it as a tuple, and writing emits the rows as they are.  See
 FORMATS.md for the documented schemas.
 
+The check of each row is the shape test validate would run again (a
+tuple of that many ints in range), so the set and the map readers
+certify what they checked: each records, as the private attribute
+_as_read, the cells and the tables it tested, by reference (no copy,
+and no dataclass field, so ==, hash and repr do not see it).  sset
+converts a table untested only while the object still holds that very
+table, compared by identity; nothing else sets the record, so a set
+that a builder, an operator or dataclasses.replace makes is tested as
+any other.
+
 dumps writes the documented layout (two-space indents, sorted keys, a
 final newline) directly, a whole row of indices or names at a time; the
 text is the one json's indenting encoder gives, which the tests use as
@@ -113,7 +123,12 @@ def sset_from_obj(obj: dict, where: str = "sset") -> TruncatedSSet:
         raise SchemaError(f"{where}: degeneracies must cover levels 0..level-1")
     faces = _blocks(faces_raw, "faces", 1, -1, cells, where)
     degeneracies = _blocks(degen_raw, "degeneracies", 0, 1, cells, where)
-    return TruncatedSSet(level, cells, faces, degeneracies)
+    X = TruncatedSSet(level, cells, faces, degeneracies)
+    # the certificate sset._rows reads: the cells and every table _table
+    # tested, in slot order (_blocks fills each dict in it), by reference
+    tables = (*faces.values(), *degeneracies.values())
+    object.__setattr__(X, "_as_read", (X.cells, tables))
+    return X
 
 
 def _name_lists(raw: list, field: str, where: str) -> tuple[tuple[str, ...], ...]:
@@ -204,7 +219,10 @@ def smap_from_obj(obj: dict, where: str = "smap") -> SimplicialMap:
         )
         for n in range(shared + 1)
     )
-    return SimplicialMap(source, target, components)
+    m = SimplicialMap(source, target, components)
+    # the certificate sset._components reads, as sset_from_obj's
+    object.__setattr__(m, "_as_read", (source.cells, target.cells, m.components))
+    return m
 
 
 def category_from_obj(obj: dict, where: str = "category") -> FiniteCategory:

@@ -30,7 +30,16 @@ and decide in that encoding, so no table is converted or padded twice
 in a call, and nothing in a call outlives it.  A bytes table
 holds the same indices as its tuple, and a decision on bytes is the
 counting test of pullback_holds, so no verdict depends on the encoding
-either.
+either.  A square whose legs f and q are split monos (X of a surjection
+of Delta, on a set validate has passed) is decided by that test's count
+alone, as _tuple_holds says.
+
+_rows is the one place that converts a set's tables, after the shape
+test of each.  serialize's readers run the same test, and certify the
+sets and maps they return with the tables they tested; _rows (and
+_components for a map) converts those untested while the object still
+holds them, compared by identity, so a read set is shape-tested once,
+by its reader, and a change after reading is tested as in a fresh set.
 """
 
 from __future__ import annotations
@@ -38,8 +47,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, repeat
-from operator import attrgetter, itemgetter
+from itertools import chain, islice, repeat
+from operator import attrgetter, is_, itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import delta
@@ -288,16 +297,19 @@ class _Encoding(NamedTuple):
     """How one call holds the tables of X.
 
     table(t, source, size) is t converted, or None when t is not a tuple
-    of len(source) indices in range(size); step(t) is the callable u ->
-    the table of u after t, and operand(memo, t) the u those callables
-    take; identity(size) is the identity table on size cells;
-    decide(memo, f, g, p, q) is pullback_holds on converted tables.
+    of len(source) indices in range(size); convert(t) is t converted
+    without that test, for a t known to pass it; step(t) is the callable
+    u -> the table of u after t, and operand(memo, t) the u those
+    callables take; identity(size) is the identity table on size cells;
+    decide(memo, f, g, p, q, split=False) is pullback_holds on converted
+    tables, by the count alone when split says f and q are injective.
     memo is a dict of one call, in which operand and decide keep what
     they derive from a table (a padded operand, the fiber sizes of a q),
     so each is derived once per call.
     """
 
     table: Callable
+    convert: Callable
     step: Callable
     operand: Callable
     identity: Callable
@@ -330,10 +342,22 @@ def _fiber_product_size(memo: dict, p, q) -> int:
     return sum(map(sizes.get, p, repeat(0)))
 
 
-def _tuple_holds(memo: dict, f: Table, g: Table, p: Table, q: Table) -> bool:
-    """pullback_holds, with the fiber sizes of q kept in memo."""
+def _tuple_holds(
+    memo: dict, f: Table, g: Table, p: Table, q: Table, split: bool = False
+) -> bool:
+    """pullback_holds, with the fiber sizes of q kept in memo.
+
+    With split, f and q are trusted to be injective, as X of a
+    surjection of Delta is once X is validated: each degeneracy s_i has
+    the left inverse d_i.  Then a |-> (f(a), g(a)) is injective, and q
+    meets each fiber of p at most once, so a commuting square is a
+    pullback iff |A| is the number of b with p(b) in the image of q,
+    and neither the pairs nor the fiber sizes are needed."""
     if len(f) != len(g) or _then(f, p) != _then(g, q):
         return False
+    if split:
+        image = set(q)
+        return len(f) == sum(map(image.__contains__, p))
     width = len(q)
     if len({b * width + c for b, c in zip(f, g)}) != len(f):
         return False
@@ -352,12 +376,18 @@ def _padded(memo: dict | None, table: bytes) -> bytes:
     return operand
 
 
-def _byte_holds(memo: dict, f: bytes, g: bytes, p: bytes, q: bytes) -> bool:
+def _byte_holds(
+    memo: dict, f: bytes, g: bytes, p: bytes, q: bytes, split: bool = False
+) -> bool:
     """_tuple_holds on bytes: composing is one translate, comparing one
-    memcmp (which fails too when f and g disagree on their domain), and
-    the pairs (f(a), g(a)) are pairs of bytes."""
+    memcmp (which fails too when f and g disagree on their domain), the
+    pairs (f(a), g(a)) are pairs of bytes, and with split the b whose
+    p(b) is not in the image of q are those p.translate keeps when it
+    deletes the bytes of q."""
     if f.translate(_padded(memo, p)) != g.translate(_padded(memo, q)):
         return False
+    if split:
+        return len(f) == len(p) - len(p.translate(None, q))
     if len(set(zip(f, g))) != len(f):
         return False
     return len(f) == _fiber_product_size(memo, p, q)
@@ -365,6 +395,7 @@ def _byte_holds(memo: dict, f: bytes, g: bytes, p: bytes, q: bytes) -> bool:
 
 _TUPLES = _Encoding(
     _tuple_table,
+    tuple,
     _getter,
     lambda memo, table: table,
     lambda size: tuple(range(size)),
@@ -373,6 +404,7 @@ _TUPLES = _Encoding(
 #: first.translate(second padded to 256 bytes) is second after first.
 _BYTES = _Encoding(
     _byte_table,
+    bytes,
     attrgetter("translate"),
     _padded,
     lambda size: _BYTE_RANGE[:size],
@@ -412,8 +444,39 @@ def _checked_tables(X: TruncatedSSet, kind: str, encode) -> list[list]:
 
 def _rows(X: TruncatedSSet, code: _Encoding) -> tuple[list, list]:
     """X's face and degeneracy tables converted by code, as d[n][i] and
-    s[n][i], after the shape test of each."""
+    s[n][i], after the shape test of each.
+
+    serialize's reader runs that test on every table it reads, and
+    records on the set it returns, as _as_read, X.cells and each table
+    it tested, in slot order, by reference.  While X still holds those
+    very objects, compared by is (never ==, since (1,) == (True,)), they
+    are converted untested.  Any change (a table replaced, a key
+    deleted, the cells replaced) and any set the reader did not return
+    gets the test."""
+    read = vars(X).get("_as_read")
+    if read is not None and read[0] is X.cells:
+        faces, degeneracies = _table_keys(X.level)
+        try:
+            tables = [*map(X.faces.__getitem__, faces),
+                      *map(X.degeneracies.__getitem__, degeneracies)]
+        except KeyError:
+            tables = None
+        if tables is not None and len(tables) == len(read[1]) and all(
+            map(is_, tables, read[1])
+        ):
+            converted = map(code.convert, tables)
+            d = [[], *(list(islice(converted, n + 1)) for n in range(1, X.level + 1))]
+            s = [*(list(islice(converted, n + 1)) for n in range(X.level)), []]
+            return d, s
     return _checked_tables(X, "d", code.table), _checked_tables(X, "s", code.table)
+
+
+@lru_cache(maxsize=256)
+def _table_keys(level: int) -> tuple[tuple, tuple]:
+    """The keys (n, i) of the face and of the degeneracy tables of a set
+    of the given level, each in slot order."""
+    faces = tuple((n, i) for n in range(1, level + 1) for i in range(n + 1))
+    return faces, tuple((n, i) for n in range(level) for i in range(n + 1))
 
 
 class _Call:
@@ -492,8 +555,8 @@ def _identities(X: TruncatedSSet, code: _Encoding, memo: dict | None, d, s) -> C
 def _slots(top: int, start: int = 0) -> dict[tuple[str, int, int], int]:
     """The slot of each face ("d", n, i) and degeneracy ("s", n, i) table
     of a set at the levels up to top, where _flat puts it after start."""
-    keys = [("d", n, i) for n in range(1, top + 1) for i in range(n + 1)]
-    keys += [("s", n, i) for n in range(top) for i in range(n + 1)]
+    faces, degeneracies = _table_keys(top)
+    keys = [("d", *key) for key in faces] + [("s", *key) for key in degeneracies]
     return {key: start + j for j, key in enumerate(keys)}
 
 
@@ -771,7 +834,15 @@ def validate_map(m: SimplicialMap) -> CheckReport:
 
 def _components(m: SimplicialMap, code: _Encoding) -> list:
     """m's components converted by code; a component of the wrong shape
-    raises StructuralError naming its level."""
+    raises StructuralError naming its level.  As _rows does for a set,
+    the components serialize's reader tested are converted untested
+    while m holds them, and both ends the cells they were tested
+    against, by is."""
+    read = vars(m).get("_as_read")
+    if read is not None and all(
+        map(is_, read, (m.source.cells, m.target.cells, m.components))
+    ):
+        return list(map(code.convert, m.components))
     comps = []
     for n, comp in enumerate(m.components):
         source, size = m.source.cells[n], len(m.target.cells[n])

@@ -158,6 +158,12 @@ class TestTwistedArrow:
         assert len(tw.objects) == 3
         builders.validate_category(tw)
 
+    def test_colliding_arrow_names_rejected(self):
+        # [1x|a|b|c] names both the factorization 1x, a, b|c and 1x, a|b, c
+        message = "twisted arrow names collide: '[1x|a|b|c]' names two factorizations"
+        with pytest.raises(StructuralError, match=re.escape(message)):
+            builders.twisted_arrow(colliding_chains_category())
+
     def test_twisted_arrow_is_a_category_for_corpus_categories(self):
         for C in (chain_category(3), z2_category()):
             builders.validate_category(builders.twisted_arrow(C))

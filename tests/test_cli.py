@@ -148,6 +148,16 @@ class TestBuild:
         )
         assert not out.exists()
 
+    def test_colliding_twisted_arrow_names_exit_3(self, tmp_path, capsys):
+        path, out = tmp_path / "in.json", tmp_path / "out.json"
+        path.write_text(json.dumps(input_obj(colliding_chains_category())))
+        assert main(["build", "twisted-arrow", "--input", str(path), "--level", "1",
+                     "--output", str(out)]) == 3
+        assert "twisted arrow names collide: '[1x|a|b|c]' names two factorizations" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_composition_entry_naming_no_morphism_exit_3(self, tmp_path, capsys):
         obj = input_obj(arrow_category())
         obj["composition"].append(["zz", "qq", "nonsense"])

@@ -2,8 +2,9 @@
 linter: every module-level import of the package is used in its module,
 every private module-level definition is read somewhere in the package,
 one loop of criteria decides squares, its walks read the tables
-validate converted rather than a set's own, and one loop of sset walks
-the equations of validate and map naturality."""
+validate converted rather than a set's own, one loop of sset walks
+the equations of validate and map naturality, and only serialize's
+readers certify the tables they tested."""
 
 import ast
 from pathlib import Path
@@ -146,3 +147,36 @@ def test_one_loop_walks_equations():
     assert readers == {"_equations"}
     for name in ("_identities", "_naturality"):
         assert not any(isinstance(inner, LOOPS) for inner in ast.walk(bodies[name]))
+
+
+#: The private attribute in which serialize's readers record the tables
+#: they tested, for sset to convert untested while they are unchanged.
+CERTIFICATE = "_as_read"
+
+
+def test_only_the_readers_certify():
+    # the set and map readers set the certificate through
+    # object.__setattr__, and only the two sset functions that convert a
+    # set's tables and a map's components read it, so that a builder or
+    # an operator that certified its own output would fail here
+    setters, readers = set(), set()
+    for module, tree in TREES.items():
+        for node in tree.body:
+            where, set_here = (module, getattr(node, "name", None)), set()
+            for inner in ast.walk(node):
+                if (
+                    isinstance(inner, ast.Call)
+                    and ast.unparse(inner.func) == "object.__setattr__"
+                    and len(inner.args) == 3
+                    and getattr(inner.args[1], "value", None) == CERTIFICATE
+                ):
+                    setters.add(where)
+                    set_here.add(inner.args[1])
+            for inner in ast.walk(node):
+                if inner not in set_here and CERTIFICATE in (
+                    getattr(inner, "value", None),
+                    getattr(inner, "attr", None),
+                ):
+                    readers.add(where)
+    assert setters == {("serialize.py", "sset_from_obj"), ("serialize.py", "smap_from_obj")}
+    assert readers == {("sset.py", "_rows"), ("sset.py", "_components")}

@@ -1,6 +1,9 @@
 """File formats: byte-exact round trips, the writer against json's own
-indenting encoder, and schema rejection."""
+indenting encoder, schema rejection, and the reader's certificate: a
+set or map that changes after it is read is tested as a fresh one."""
 
+import copy
+import dataclasses
 import os
 import re
 import stat
@@ -11,16 +14,19 @@ from hypothesis import strategies as st
 
 from corpus import (
     arrow_category,
+    boundary_sets,
     collapsed_triangle,
+    doubled_degenerate_nerve,
     input_obj,
     one_gap_pcategory,
     paper_graph,
     point,
     short_words_pmonoid,
 )
-from decompspace import builders, serialize
+from decompspace import builders, criteria, serialize, sset
 from decompspace.cli import main
 from decompspace.serialize import SchemaError
+from decompspace.sset import SimplicialMap, TruncatedSSet, opposite, truncate
 from oracles import reference_dumps
 
 
@@ -292,3 +298,166 @@ class TestFormatVersion:
         where = ": ".join([case.split()[0], *path])
         with pytest.raises(SchemaError, match=re.escape(f"{where}: {message}")):
             READ[case.split()[0]](obj)
+
+
+#: validate and every checker of a set, each at its defaults.
+SET_CHECKS = (
+    sset.validate,
+    criteria.check_segal,
+    criteria.check_segal_iterated,
+    criteria.check_upper_2segal,
+    criteria.check_lower_2segal,
+    criteria.check_upper_2segal_reduced,
+    criteria.check_decomposition,
+    criteria.check_decomposition_direct,
+    criteria.check_2segal_polygonal,
+)
+MAP_CHECKS = (sset.validate_map, criteria.check_culf)
+
+
+def outcomes(checks, x):
+    """What each check gives on x: its report, or its error's type and text."""
+    results = []
+    for check in checks:
+        try:
+            results.append(check(x))
+        except Exception as exc:
+            results.append((type(exc).__name__, str(exc)))
+    return results
+
+
+def read_back(X):
+    return serialize.sset_from_obj(serialize.loads(serialize.dumps(serialize.sset_to_obj(X))))
+
+
+def read_map_back(m):
+    return serialize.smap_from_obj(serialize.loads(serialize.dumps(serialize.smap_to_obj(m))))
+
+
+def fresh(X):
+    """A set built from X's tables as they are now, with no certificate."""
+    return TruncatedSSet(X.level, X.cells, dict(X.faces), dict(X.degeneracies))
+
+
+#: Sets of bytes and of tuple tables, valid and not: the largest level of
+#: largest-257 holds 257 cells.
+CERTIFIED = {
+    "words-L3": lambda: builders.free_decomposition(builders.bounded_words(("a", "b"), 2), 3),
+    "nerve-arrow-L4": lambda: builders.nerve(arrow_category(), 4),
+    "doubled-degenerate-L4": lambda: doubled_degenerate_nerve(4),
+    "largest-257": lambda: boundary_sets()["largest-257"],
+}
+
+
+def with_bool(table):
+    """table with its first 0 or 1 made False or True: an equal tuple."""
+    j = next(j for j, v in enumerate(table) if v in (0, 1))
+    return table[:j] + (bool(table[j]),) + table[j + 1 :]
+
+
+#: A change to a table after reading: kind -> the new table, given the
+#: table and the size of its target level.
+TABLE_CHANGES = {
+    "out-of-range": lambda table, size: table[:-1] + (size,),
+    "bool": lambda table, size: with_bool(table),
+    "list": lambda table, size: list(table),
+}
+
+
+@pytest.fixture
+def shape_tests(monkeypatch):
+    """The number of sets whose tables sset shape-tests, one by one."""
+    tested = []
+    checked_tables = sset._checked_tables
+
+    def counting(X, kind, encode):
+        tested.append(kind)
+        return checked_tables(X, kind, encode)
+
+    monkeypatch.setattr(sset, "_checked_tables", counting)
+    return tested
+
+
+class TestReaderCertificate:
+    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    def test_read_set_reports_as_built_without_shape_test(self, name, shape_tests):
+        X = CERTIFIED[name]()
+        Y = read_back(X)
+        assert Y == X and repr(Y) == repr(X)
+        want = outcomes(SET_CHECKS, X)
+        shape_tests.clear()
+        assert outcomes(SET_CHECKS, Y) == want
+        assert shape_tests == []
+
+    @pytest.mark.parametrize("change", sorted(TABLE_CHANGES) + ["deleted"])
+    @pytest.mark.parametrize("kind", ["faces", "degeneracies"])
+    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    def test_changed_table_is_tested_as_fresh(self, name, kind, change, shape_tests):
+        Y = read_back(CERTIFIED[name]())
+        tables = getattr(Y, kind)
+        key = max(tables)
+        n = key[0]
+        if change == "deleted":
+            del tables[key]
+        else:
+            size = len(Y.cells[n - 1 if kind == "faces" else n + 1])
+            tables[key] = TABLE_CHANGES[change](tables[key], size)
+        want = outcomes(SET_CHECKS, fresh(Y))
+        assert want[0][0] == "StructuralError", want[0]
+        shape_tests.clear()
+        assert outcomes(SET_CHECKS, Y) == want
+        assert len(shape_tests) >= len(SET_CHECKS)
+
+    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    def test_replaced_cells_are_tested_as_fresh(self, name):
+        # the top level one cell short, so its face tables are too long
+        Y = read_back(CERTIFIED[name]())
+        object.__setattr__(Y, "cells", Y.cells[:-1] + (Y.cells[-1][:-1],))
+        want = outcomes(SET_CHECKS, fresh(Y))
+        assert want[0][0] == "StructuralError", want[0]
+        assert outcomes(SET_CHECKS, Y) == want
+
+    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    def test_copies_and_operators_of_a_read_set(self, name):
+        X = CERTIFIED[name]()
+        Y = read_back(X)
+        want = outcomes(SET_CHECKS, X)
+        for Z in (copy.copy(Y), copy.deepcopy(Y)):
+            assert outcomes(SET_CHECKS, Z) == want
+        assert outcomes(SET_CHECKS, opposite(Y)) == outcomes(SET_CHECKS, opposite(X))
+        top = X.level - 1
+        assert outcomes(SET_CHECKS, truncate(Y, top)) == outcomes(SET_CHECKS, truncate(X, top))
+
+    def test_only_the_reader_certifies(self):
+        X = CERTIFIED["words-L3"]()
+        Y = read_back(X)
+        assert "_as_read" not in vars(X)
+        assert "_as_read" in vars(Y)
+        made = (opposite(Y), truncate(Y, 2), dataclasses.replace(Y), fresh(Y))
+        assert ["_as_read" in vars(Z) for Z in made] == [False] * 4
+
+    @pytest.mark.parametrize("change", sorted(TABLE_CHANGES))
+    def test_changed_component_is_tested_as_fresh(self, change):
+        m = read_map_back(builders.length_map(builders.bounded_words(("a", "b"), 2), 3))
+        components = list(m.components)
+        n = m.shared_level
+        components[n] = TABLE_CHANGES[change](components[n], len(m.target.cells[n]))
+        object.__setattr__(m, "components", tuple(components))
+        want = outcomes(MAP_CHECKS, SimplicialMap(m.source, m.target, tuple(components)))
+        assert want[0][0] == "StructuralError", want[0]
+        assert outcomes(MAP_CHECKS, m) == want
+
+    @pytest.mark.parametrize("change", sorted(TABLE_CHANGES) + ["deleted"])
+    def test_changed_end_of_a_read_map_is_tested_as_fresh(self, change):
+        built = builders.length_map(builders.bounded_words(("a", "b"), 2), 3)
+        m = read_map_back(built)
+        assert outcomes(MAP_CHECKS, m) == outcomes(MAP_CHECKS, built)
+        faces = m.source.faces
+        key = max(faces)
+        if change == "deleted":
+            del faces[key]
+        else:
+            faces[key] = TABLE_CHANGES[change](faces[key], len(m.source.cells[key[0] - 1]))
+        want = outcomes(MAP_CHECKS, SimplicialMap(fresh(m.source), m.target, m.components))
+        assert want[0][0] == "StructuralError", want[0]
+        assert outcomes(MAP_CHECKS, m) == want

@@ -637,3 +637,129 @@ class TestPlanCaches:
         assert {code for code, _ in calls} == {sset._BYTES, sset._TUPLES}
         alive = [ref() for _, weak in calls for ref in weak]
         assert alive == [None] * len(alive)
+
+
+def is_surjective(values) -> bool:
+    return set(values) == set(range(values[-1] + 1))
+
+
+def compiled_plans(level):
+    """Every compiled plan of a set of the given level: the elementary,
+    polygonal, 2-Segal and reduced plans, and the whole direct family
+    at full rank cap, compiled as check_decomposition_direct streams it."""
+    yield "elementary", criteria._elementary_plan(level, level)
+    for mode in MODES:
+        yield f"polygonal-{mode}", criteria._polygonal_plan(level, mode)
+    for sides in ((1,), (0,), (1, 0)):
+        yield f"2-segal-{sides}", criteria._two_segal_plan(level, sides)
+        yield f"pasted-{sides}", criteria._two_segal_plan(level, sides, pasted=True)
+    units, composites = criteria._reduced_plan(level)
+    yield "reduced-units", units
+    yield "reduced-composites", composites
+    ranks, _, _ = criteria._direct_plan(level, level)
+    slots = []
+    yield "direct", (slots, tuple(criteria._compiled(criteria._direct_squares(ranks), slots)))
+
+
+def perturbed_corpus():
+    """The corpus with a second copy of each of its first three top
+    cells, and the perturbed corpus of the pasting certificate's test:
+    each instance truncated to levels 1-5, with a second copy of one of
+    its first 12 top cells."""
+    for name, X in segal_instances():
+        yield name, X
+    for inst in corpus():
+        for level in range(1, min(5, inst.X.level) + 1):
+            T = truncate(inst.X, level)
+            for j in range(min(12, len(T.cells[level]))):
+                yield f"{inst.name}-L{level}-top{j}", duplicate_top(T, j)
+
+
+def checked_split_decisions(monkeypatch):
+    """Wrap the decide of both encodings so that every decision of a
+    split square is checked against pullback_holds on its tuples; the
+    list returned collects those decisions."""
+    decisions = []
+    for name in ("_BYTES", "_TUPLES"):
+        code = getattr(sset, name)
+
+        def checked(memo, *legs, decide=code.decide):
+            holds = decide(memo, *legs)
+            if legs[4:] == (True,):
+                assert holds == sset.pullback_holds(*map(tuple, legs[:4]))
+                decisions.append(holds)
+            return holds
+
+        monkeypatch.setattr(sset, name, code._replace(decide=checked))
+    return decisions
+
+
+class TestSplitSquares:
+    def test_plans_flag_exactly_surjective_alphas(self):
+        # at level 6, 30 of the 50 elementary squares have a codegeneracy
+        # alpha; no polygonal or 2-Segal square has a surjective alpha
+        flagged = Counter()
+        for level in range(1, 7):
+            for name, (_, squares) in compiled_plans(level):
+                for alpha, _, _, _, legs, _ in squares:
+                    if legs is not None:
+                        assert legs[4] is is_surjective(alpha), (name, alpha)
+                        flagged[name, level] += legs[4]
+        _, elementary = criteria._elementary_plan(6, 6)
+        assert flagged["elementary", 6] == 30 and len(elementary) == 50
+        assert {name for (name, _), count in flagged.items() if count} == {
+            "elementary",
+            "direct",
+        }
+
+    def test_count_matches_pullback_holds_on_perturbed_corpus(self):
+        # every split square of the elementary plan and of the whole
+        # direct family, on every set of the perturbed corpus, decided
+        # by its call and by pullback_holds on its tuples
+        decided, plans = Counter(), {}
+        for name, X in perturbed_corpus():
+            call = sset._valid_call(X)
+            if X.level not in plans:
+                kept = ("elementary", "direct")
+                plans[X.level] = [(n, p) for n, p in compiled_plans(X.level) if n in kept]
+            for plan_name, plan in plans[X.level]:
+                walk = criteria._pushout_squares(X, call, plan, criteria._active_inert_label)
+                for legs, _ in walk:
+                    if legs is not None and legs[4]:
+                        holds = call.decide(*legs)
+                        assert holds == sset.pullback_holds(*map(tuple, legs[:4])), name
+                        decided[plan_name, holds] += 1
+        assert set(decided) == {(plan, holds) for plan in ("elementary", "direct")
+                                for holds in (True, False)}
+
+    def test_checkers_decide_split_squares_as_pullback_holds(self, monkeypatch):
+        # through the checkers: the direct one at every rank cap, and
+        # check_culf on the decalage projections and on the map to the
+        # point, whose degeneracy squares fail wherever X has a
+        # nondegenerate cell above level 0
+        decisions = checked_split_decisions(monkeypatch)
+        for name, X in segal_instances():
+            for cap in range(X.level + 1):
+                criteria.check_decomposition_direct(X, cap)
+            maps = [operators.dec_top(X)[1], operators.dec_bot(X)[1]]
+            maps.append(sset.SimplicialMap(
+                X, point(X.level), tuple((0,) * len(cells) for cells in X.cells)
+            ))
+            for m in maps:
+                criteria.check_culf(m)
+        assert True in decisions and False in decisions
+
+    @pytest.mark.parametrize("level", range(2, 8))
+    def test_doubled_degenerate_nerve_fails_with_the_walks_witness(self, level):
+        # where the certificate applies (rank cap <= 1 or >= level - 1),
+        # its split squares catch the doubled top cell from rank cap
+        # level - 1 up, and the report is the walk's
+        X = doubled_degenerate_nerve(level)
+        for cap in range(level + 1):
+            if 2 <= cap <= level - 2:
+                continue
+            want = walk_check_decomposition_direct(X, cap)
+            assert criteria.check_decomposition_direct(X, cap) == want, cap
+            assert want.holds is (cap < level - 1), cap
+            if not want.holds:
+                assert want.witness is not None
