@@ -125,7 +125,8 @@ def sset_from_obj(obj: dict, where: str = "sset") -> TruncatedSSet:
     degeneracies = _blocks(degen_raw, "degeneracies", 0, 1, cells, where)
     X = TruncatedSSet(level, cells, faces, degeneracies)
     # the certificate sset._rows reads: the cells and every table _table
-    # tested, in slot order (_blocks fills each dict in it), by reference
+    # tested, in the order of sset._table_keys (_blocks fills each dict in
+    # it), by reference
     tables = (*faces.values(), *degeneracies.values())
     object.__setattr__(X, "_as_read", (X.cells, tables))
     return X

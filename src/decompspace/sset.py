@@ -18,16 +18,19 @@ they are the tuples themselves.  validate walks the simplicial
 identities in that encoding: both pass the same shape test and go
 through the same walk, so the report or StructuralError cannot depend
 on the encoding.  The identities, and the naturality equations of a
-map, are compiled equation plans, cached by level: each equation says
-that the composite of two table slots is the composite of two others,
-or the identity.  One loop, _equations, walks any such plan and stops
-at the first unequal pair.  A check validates through _valid_call, the
-one entry that builds a _Call: the encoding, chosen once over every set
-of the check, the tables validate converted, and a memo in which the
-padded operands validate made and the fiber sizes of each q are kept.
-The walks of criteria and map naturality read those tables and compose
-and decide in that encoding, so no table is converted or padded twice
-in a call, and nothing in a call outlives it.  A bytes table
+map, are compiled plans, cached by level, of runs of equations on one
+level: consecutive table slots after one fixed table equal one fixed
+table after consecutive slots, or the identity, so a plan holds about
+2.5 L^2 runs at level L rather than the L^3 / 2 equations.  A table's
+slot does not depend on the level.  One loop, _equations, walks any
+such plan, stops at the first unequal pair, and only then names its
+equation.  A check validates through _valid_call, the one entry that
+builds a _Call: the encoding, chosen once over every set of the check,
+the tables validate converted, and a memo in which the padded operands
+validate made and the fiber sizes of each q are kept.  The walks of
+criteria and map naturality read those tables and compose and decide in
+that encoding, so no table is converted or padded twice in a call, and
+nothing in a call outlives it.  A bytes table
 holds the same indices as its tuple, and a decision on bytes is the
 counting test of pullback_holds, so no verdict depends on the encoding
 either.  A square whose legs f and q are split monos (X of a surjection
@@ -448,11 +451,11 @@ def _rows(X: TruncatedSSet, code: _Encoding) -> tuple[list, list]:
 
     serialize's reader runs that test on every table it reads, and
     records on the set it returns, as _as_read, X.cells and each table
-    it tested, in slot order, by reference.  While X still holds those
-    very objects, compared by is (never ==, since (1,) == (True,)), they
-    are converted untested.  Any change (a table replaced, a key
-    deleted, the cells replaced) and any set the reader did not return
-    gets the test."""
+    it tested, in the order of _table_keys, by reference.  While X still
+    holds those very objects, compared by is (never ==, since (1,) ==
+    (True,)), they are converted untested.  Any change (a table
+    replaced, a key deleted, the cells replaced) and any set the reader
+    did not return gets the test."""
     read = vars(X).get("_as_read")
     if read is not None and read[0] is X.cells:
         faces, degeneracies = _table_keys(X.level)
@@ -474,7 +477,8 @@ def _rows(X: TruncatedSSet, code: _Encoding) -> tuple[list, list]:
 @lru_cache(maxsize=256)
 def _table_keys(level: int) -> tuple[tuple, tuple]:
     """The keys (n, i) of the face and of the degeneracy tables of a set
-    of the given level, each in slot order."""
+    of the given level, each by n and then i: the order in which
+    serialize's reader tests and records them."""
     faces = tuple((n, i) for n in range(1, level + 1) for i in range(n + 1))
     return faces, tuple((n, i) for n in range(level) for i in range(n + 1))
 
@@ -552,29 +556,18 @@ def _identities(X: TruncatedSSet, code: _Encoding, memo: dict | None, d, s) -> C
     return _equations(_identity_plan(X.level), tables, code, memo, X.cells, X.level)
 
 
-def _slots(top: int, start: int = 0) -> dict[tuple[str, int, int], int]:
-    """The slot of each face ("d", n, i) and degeneracy ("s", n, i) table
-    of a set at the levels up to top, where _flat puts it after start."""
-    faces, degeneracies = _table_keys(top)
-    keys = [("d", *key) for key in faces] + [("s", *key) for key in degeneracies]
-    return {key: start + j for j, key in enumerate(keys)}
-
-
 def _flat(top: int, d: list, s: list) -> list:
-    """The tables d[n][i] and s[n][i] at the levels up to top, in slot order."""
-    return [*chain.from_iterable(d[: top + 1]), *chain.from_iterable(s[:top])]
+    """The tables d[n][i] and s[n][i] at the levels up to top, in slot
+    order: block t = 1..top holds the tables between X_{t-1} and X_t,
+    d_i on X_t and then s_i on X_{t-1}, so d_i on X_n is slot n*n - 1 + i
+    and s_i on X_n is slot n*n + 3n + 2 + i, whatever top is."""
+    return [*chain.from_iterable(chain.from_iterable(zip(d[1 : top + 1], s[:top])))]
 
 
-def _equation_plan(equations) -> tuple:
-    """The compiled plan of equations (n, f, g, h, k, name), each saying
-    that on X_n the table g after f is k after h, or the identity of X_n
-    when h and k are None, where f, g, h and k are slots into a call's
-    tables and name words a failure up to its cell: the equations in
-    walk order, the slots composed first (f and h) and those composed
-    second (g and k)."""
-    equations = tuple(equations)
-    slots = [frozenset(e[k] for e in equations) - {None} for k in range(1, 5)]
-    return equations, slots[0] | slots[2], slots[1] | slots[3]
+def _bases(top: int) -> tuple[list, list]:
+    """The slots _flat gives d_0 and s_0 on X_n, for n <= top."""
+    levels = range(top + 1)
+    return [n * n - 1 for n in levels], [n * n + 3 * n + 2 for n in levels]
 
 
 @lru_cache(maxsize=256)
@@ -582,53 +575,70 @@ def _identity_plan(level: int) -> tuple:
     """validate's equations on a set of the given level, in walk order:
     d_i d_j = d_{j-1} d_i for i < j on X_n with n >= 2, then s_i s_j =
     s_{j+1} s_i for i <= j on X_n with n + 2 <= level, then d_i s_j on
-    X_n with n + 1 <= level."""
-    t, equations = _slots(level), []
-    for n in range(2, level + 1):
-        for j in range(1, n + 1):
-            for i in range(j):
-                equations.append((n, t["d", n, j], t["d", n - 1, i], t["d", n, i],
-                                  t["d", n - 1, j - 1], f"d_{i} d_{j} = d_{j-1} d_{i}"))
-    for n in range(level - 1):
-        for j in range(n + 1):
-            for i in range(j + 1):
-                equations.append((n, t["s", n, j], t["s", n + 1, i], t["s", n, i],
-                                  t["s", n + 1, j + 1], f"s_{i} s_{j} = s_{j+1} s_{i}"))
+    X_n with n + 1 <= level.
+
+    A plan is (runs, firsts, seconds, words).  A run (n, f, g, h, k,
+    count, name, i, j) holds count equations on X_n: for e < count, the
+    table g + e after f equals the table k after h + e, or the identity
+    of X_n when h and k are None, where f, g, h and k are slots into a
+    call's tables.  With i + e for i, name.format(i, j, i - 1, j - 1,
+    j + 1) words the equation, and words.format(that, n, cell) a failure
+    on cell.  firsts and seconds slice the slots composed first (f and
+    h) and those composed second (g and k).  Each family takes one run
+    per (n, j), and d_i s_j three: i < j, the identity pair, and
+    i > j + 1.  No run is empty."""
+    (d, s), words = _bases(level), "identity {} fails at level {} on cell {!r}"
+    dd, ss = "d_{0} d_{1} = d_{3} d_{0}", "s_{0} s_{1} = s_{4} s_{0}"
+    below, split = "d_{0} s_{1} = s_{3} d_{0}", "d_{0} s_{1} = id"
+    above = "d_{0} s_{1} = s_{1} d_{2}"
+    runs = [(n, d[n] + j, d[n - 1], d[n], d[n - 1] + j - 1, j, dd, 0, j)
+            for n in range(2, level + 1) for j in range(1, n + 1)]
+    runs += [(n, s[n] + j, s[n + 1], s[n], s[n + 1] + j + 1, j + 1, ss, 0, j)
+             for n in range(level - 1) for j in range(n + 1)]
     for n in range(level):
         for j in range(n + 1):
-            for i in range(n + 2):
-                lhs = n, t["s", n, j], t["d", n + 1, i]
-                if i == j or i == j + 1:
-                    rhs = None, None, f"d_{i} s_{j} = id"
-                elif i < j:
-                    rhs = t["d", n, i], t["s", n - 1, j - 1], f"d_{i} s_{j} = s_{j-1} d_{i}"
-                else:
-                    rhs = t["d", n, i - 1], t["s", n - 1, j], f"d_{i} s_{j} = s_{j} d_{i-1}"
-                equations.append(lhs + rhs)
-    return _equation_plan((n, f, g, h, k, f"identity {name} fails at level {n} on cell")
-                          for n, f, g, h, k, name in equations)
+            f = s[n] + j
+            if j:
+                runs.append((n, f, d[n + 1], d[n], s[n - 1] + j - 1, j, below, 0, j))
+            runs.append((n, f, d[n + 1] + j, None, None, 2, split, j, j))
+            if j < n:
+                g, h, k = d[n + 1] + j + 2, d[n] + j + 1, s[n - 1] + j
+                runs.append((n, f, g, h, k, n - j, above, j + 2, j))
+    return tuple(runs), slice(None), slice(None), words
 
 
 def _equations(plan, tables: list, code: _Encoding, memo, cells, level) -> CheckReport:
     """The one loop that walks equations: the report of plan on tables,
     held in code, at the checked level, its operands kept in memo and
     cells[n] the names of X_n; each table is made a getter or an operand
-    once, and each identity table once per size.  The first unequal pair
-    ends the walk, counted up to its first differing cell."""
-    equations, firsts, seconds = plan
-    getters = {f: code.step(tables[f]) for f in firsts}
-    operands = {g: code.operand(memo, tables[g]) for g in seconds}
-    identity, checked = lru_cache(maxsize=None)(code.identity), 0
-    for n, f, g, h, k, name in equations:
-        lhs = getters[f](operands[g])
-        rhs = identity(len(lhs)) if h is None else getters[h](operands[k])
-        if lhs != rhs:
-            j = _first_difference(lhs, rhs)
-            return CheckReport(
-                holds=False, checked_level=level, squares_checked=checked + j + 1,
-                detail=f"{name} {cells[n][j]!r}",
-            )
-        checked += len(lhs)
+    once, and the identity of each X_n once.  The first unequal pair ends
+    the walk, counted up to its first differing cell, and only then is the
+    failing equation named."""
+    runs, firsts, seconds, words = plan
+    getters, operands = [None] * len(tables), [None] * len(tables)
+    getters[firsts] = map(code.step, tables[firsts])
+    operands[seconds] = map(partial(code.operand, memo), tables[seconds])
+    sizes = list(map(len, cells))
+    identities, checked = list(map(code.identity, sizes)), 0
+    for n, f, g, h, k, count, name, i, j in runs:
+        step = getters[f]
+        operand = identities[n] if k is None else operands[k]
+        for e in range(count):
+            lhs = step(operands[g + e])
+            rhs = operand if h is None else getters[h + e](operand)
+            if lhs != rhs:
+                break
+        else:
+            checked += count * sizes[n]
+            continue
+        cell = _first_difference(lhs, rhs)
+        return CheckReport(
+            holds=False, checked_level=level,
+            squares_checked=checked + e * sizes[n] + cell + 1,
+            detail=words.format(
+                name.format(i + e, j, i + e - 1, j - 1, j + 1), n, cells[n][cell]
+            ),
+        )
     return CheckReport(holds=True, checked_level=level, squares_checked=checked)
 
 
@@ -858,7 +868,7 @@ def _naturality(m: SimplicialMap, call: _Call, comps: list) -> CheckReport:
     """validate_map on the call of m's ends and its components comps,
     composed as validate composes."""
     top = m.shared_level
-    tables = [*_flat(top, *call.rows[0]), *_flat(top, *call.rows[1]), *comps]
+    tables = [*_flat(top, *call.rows[0]), *comps, *_flat(top, *call.rows[1])]
     plan, cells = _naturality_plan(top), m.source.cells
     return _equations(plan, tables, call.code, call.memo, cells, top)
 
@@ -867,14 +877,16 @@ def _naturality(m: SimplicialMap, call: _Call, comps: list) -> CheckReport:
 def _naturality_plan(top: int) -> tuple:
     """validate_map's equations on a map c of shared level top, in walk
     order: c_{n-1} d_i = d_i c_n on X_n for 1 <= n <= top, then c_{n+1}
-    s_i = s_i c_n on X_n for n < top, each for i <= n.  The source's
-    tables take the first slots, then the target's, then c's components."""
-    X = _slots(top)
-    Y, c = _slots(top, len(X)), 2 * len(X)
-    return _equation_plan(
-        (n, c + n, Y[kind, n, i], X[kind, n, i], c + n + shift,
-         f"naturality fails for {kind}_{i} at level {n} on")
-        for kind, levels, shift in (("d", range(1, top + 1), -1), ("s", range(top), 1))
-        for n in levels
-        for i in range(n + 1)
-    )
+    s_i = s_i c_n on X_n for n < top, each for i <= n, one run per
+    (kind, n) as _identity_plan says.  The source's tables take the
+    first slots, as _flat gives them, then c's components, then the
+    target's tables, so that the slots composed first (the source's and
+    c's) and those composed second (c's and the target's) are each one
+    slice, and no getter is made for the target's tables."""
+    (d, s), c = _bases(top), top * top + 2 * top
+    Y, words = c + top + 1, "naturality fails for {} at level {} on {!r}"
+    runs = [(n, c + n, Y + d[n], d[n], c + n - 1, n + 1, "d_{0}", 0, 0)
+            for n in range(1, top + 1)]
+    runs += [(n, c + n, Y + s[n], s[n], c + n + 1, n + 1, "s_{0}", 0, 0)
+             for n in range(top)]
+    return tuple(runs), slice(Y), slice(c, None), words

@@ -14,7 +14,10 @@ is that each checker converts each table once, in its validation.
 validate_map checks naturality in the encoding its two ends select
 together; maps on the boundary sets, one of them from a 256-cell set
 into a 257-cell one, must agree with the references on each side, and
-check_culf with reference_check_culf.
+check_culf with reference_check_culf.  A fault planted in the first,
+middle or last entry of each table of a level-4 free decomposition and
+of a level-4 nerve, at every truncation, and of each component of their
+decalage projections and length map, must give the references' report.
 Files must round-trip byte for byte, in the text json's own indenting
 encoder gives.
 """
@@ -31,6 +34,7 @@ from decompspace.sset import (
     SimplicialMap,
     StructuralError,
     TruncatedSSet,
+    truncate,
     validate,
     validate_map,
 )
@@ -318,6 +322,62 @@ class TestByteBoundary:
     def test_mutants_match_reference(self, name, mutation):
         for where, Y in mutants(BOUNDARY[name], mutation):
             assert outcome(validate, Y) == outcome(reference_validate, Y), where
+
+
+#: A level-4 free decomposition, walked on tuples at level 4 (its top
+#: level holds 383 cells) and on bytes below, and a level-4 nerve,
+#: walked on bytes.
+PLANTED = {
+    inst.name: inst
+    for inst in INSTANCES
+    if inst.name in ("free-graph3-L4", "nerve-chain4-L4")
+}
+
+
+def shifted(table, size: int):
+    """table with its first, middle and then last entry sent to the next
+    cell of its target level of size cells, each in turn."""
+    for j in sorted({0, len(table) // 2, len(table) - 1}):
+        yield j, table[:j] + ((table[j] + 1) % size,) + table[j + 1 :]
+
+
+class TestPlantedFaults:
+    """validate walks runs of equations that share a table; a fault in the
+    first, middle or last entry of each table, and of each component of a
+    map, fails at the first equation of the walk that reads it, with the
+    report or error the cell-by-cell references give."""
+
+    @pytest.mark.parametrize("level", range(1, 5))
+    @pytest.mark.parametrize("name", sorted(PLANTED))
+    def test_shifted_tables_match_reference(self, name, level):
+        # truncated to each level, so that the top tables, which only the
+        # last families read, are planted at every level too
+        X = truncate(PLANTED[name].X, level)
+        for kind, tables, step in (("d", X.faces, -1), ("s", X.degeneracies, 1)):
+            for key in sorted(tables):
+                for j, table in shifted(tables[key], len(X.cells[key[0] + step])):
+                    changed = {**tables, key: table}
+                    faces, degeneracies = (
+                        (changed, X.degeneracies) if kind == "d" else (X.faces, changed)
+                    )
+                    Y = TruncatedSSet(X.level, X.cells, faces, degeneracies)
+                    where = kind, key, j
+                    assert outcome(validate, Y) == outcome(reference_validate, Y), where
+
+    @pytest.mark.parametrize("name", sorted(PLANTED))
+    def test_shifted_components_match_reference(self, name):
+        inst = PLANTED[name]
+        maps = [operators.dec_top(inst.X)[1], operators.dec_bot(inst.X)[1]]
+        if inst.ofc is not None:
+            maps.append(builders.length_map(inst.ofc, inst.X.level))
+        for m in maps:
+            for n, comp in enumerate(m.components):
+                for j, c in shifted(comp, len(m.target.cells[n])):
+                    components = m.components[:n] + (c,) + m.components[n + 1 :]
+                    mutant = SimplicialMap(m.source, m.target, components)
+                    assert outcome(validate_map, mutant) == outcome(
+                        reference_validate_map, mutant
+                    ), (n, j)
 
 
 def spy_encodings(monkeypatch) -> Counter:
