@@ -14,9 +14,11 @@ certify what they checked: each records, as the private attribute
 _as_read, the cells and the tables it tested, by reference (no copy,
 and no dataclass field, so ==, hash and repr do not see it).  sset
 converts a table untested only while the object still holds that very
-table, compared by identity; nothing else sets the record, so a set
-that a builder, an operator or dataclasses.replace makes is tested as
-any other.
+table, compared by identity.  The one other writer of the record is
+sset's validation, which adds its report once the simplicial identities
+hold on those same objects, so later checks of the set skip the walk
+too.  A set that a builder, an operator or dataclasses.replace makes
+carries no record, and is tested as any other.
 
 dumps writes the documented layout (two-space indents, sorted keys, a
 final newline) directly, a whole row of indices or names at a time; the
@@ -124,11 +126,11 @@ def sset_from_obj(obj: dict, where: str = "sset") -> TruncatedSSet:
     faces = _blocks(faces_raw, "faces", 1, -1, cells, where)
     degeneracies = _blocks(degen_raw, "degeneracies", 0, 1, cells, where)
     X = TruncatedSSet(level, cells, faces, degeneracies)
-    # the certificate sset._rows reads: the cells and every table _table
+    # the record sset._proven reads: the cells and every table _table
     # tested, in the order of sset._table_keys (_blocks fills each dict in
-    # it), by reference
+    # it), by reference, and no report, as no identity is walked yet
     tables = (*faces.values(), *degeneracies.values())
-    object.__setattr__(X, "_as_read", (X.cells, tables))
+    object.__setattr__(X, "_as_read", (X.cells, tables, None))
     return X
 
 

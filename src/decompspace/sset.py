@@ -37,12 +37,17 @@ either.  A square whose legs f and q are split monos (X of a surjection
 of Delta, on a set validate has passed) is decided by that test's count
 alone, as _tuple_holds says.
 
-_rows is the one place that converts a set's tables, after the shape
-test of each.  serialize's readers run the same test, and certify the
-sets and maps they return with the tables they tested; _rows (and
-_components for a map) converts those untested while the object still
-holds them, compared by identity, so a read set is shape-tested once,
-by its reader, and a change after reading is tested as in a fresh set.
+_proven is the one place that converts a set's tables, after the shape
+test of each, and walks its identities.  It remembers what it proved on
+the set itself, in a private record of the very cells and tables it
+proved it of: serialize's set reader starts that record with the shape
+test, and a walk that holds adds its report.  While the set still holds
+those objects, compared by identity, its tables are converted untested
+and a remembered report is not walked again, so a set is shape-tested
+and walked once however many checks read it, and a change afterwards is
+tested as in a fresh set.  Only the verdict is remembered: each call
+still converts the tables for itself.  _components does the same for
+the components serialize's map reader tested.
 """
 
 from __future__ import annotations
@@ -422,63 +427,94 @@ def _encoding(*sets: TruncatedSSet) -> _Encoding:
     return _BYTES if largest <= 256 else _TUPLES
 
 
-def _checked_tables(X: TruncatedSSet, kind: str, encode) -> list[list]:
-    """X's face ("d") or degeneracy ("s") tables as rows[n][i], each
-    checked to be a tuple of indices of the right length and range and
-    converted by encode (_tuple_table or _byte_table)."""
+def _checked_tables(X: TruncatedSSet, kind: str, encode) -> tuple[list, list[list]]:
+    """X's face ("d") or degeneracy ("s") tables, each checked to be a
+    tuple of indices of the right length and range: the tables checked,
+    in the order of _table_keys, and each converted by encode
+    (_tuple_table or _byte_table) as rows[n][i]."""
     tables, levels, step = (
         (X.faces, range(1, X.level + 1), -1)
         if kind == "d"
         else (X.degeneracies, range(X.level), 1)
     )
-    rows: list[list] = [[] for _ in X.cells]
+    tested, rows = [], [[] for _ in X.cells]
     for n in levels:
         source, size = X.cells[n], len(X.cells[n + step])
         for i in range(n + 1):
             if (n, i) not in tables:
                 raise StructuralError(f"missing table {kind}_{i} at level {n}")
-            table = encode(tables[(n, i)], source, size)
+            tested.append(tables[(n, i)])
+            table = encode(tested[-1], source, size)
             if table is None:
-                problem = _index_problem(tables[(n, i)], source, size)
+                problem = _index_problem(tested[-1], source, size)
                 raise StructuralError(f"{kind}_{i} at level {n} {problem}")
             rows[n].append(table)
-    return rows
+    return tested, rows
 
 
-def _rows(X: TruncatedSSet, code: _Encoding) -> tuple[list, list]:
-    """X's face and degeneracy tables converted by code, as d[n][i] and
-    s[n][i], after the shape test of each.
+def _proven(
+    X: TruncatedSSet, code: _Encoding | None, memo: dict | None, walk: bool = True
+):
+    """(d, s, report): X's tables converted by code, as d[n][i] and
+    s[n][i], after the shape test of each, and with walk the report of
+    validate's walk on them, its operands kept in memo (else None).
+    Without code, as for validate alone, _encoding picks it, and a
+    remembered report comes back without d and s.
 
-    serialize's reader runs that test on every table it reads, and
-    records on the set it returns, as _as_read, X.cells and each table
-    it tested, in the order of _table_keys, by reference.  While X still
-    holds those very objects, compared by is (never ==, since (1,) ==
-    (True,)), they are converted untested.  Any change (a table
-    replaced, a key deleted, the cells replaced) and any set the reader
-    did not return gets the test."""
-    read = vars(X).get("_as_read")
-    if read is not None and read[0] is X.cells:
+    The private attribute _as_read records what has been proven of X's
+    very objects: (X.cells, X's tables in the order of _table_keys,
+    report).  serialize's reader sets it with report None once it has
+    shape-tested every table it read; a walk that holds here sets it
+    with its report.  While X still holds those objects, compared once
+    by is (never ==, since (1,) == (True,)), they are converted
+    untested, and with a report the duplicate-cell test and the walk are
+    skipped as well: tables that pass the shape test are tuples of ints,
+    which cannot change.  Any change (a table replaced, a key deleted,
+    the cells or the level replaced) and any set without a record gets
+    every test.  Only the verdict is kept, never a converted table."""
+    record, tables, report = vars(X).get("_as_read"), None, None
+    # a level L >= 0 has L * L + 2 * L tables, so only the levels below 0,
+    # which a set can be given only once built, share a count; a report
+    # names its level
+    if record is not None and record[0] is X.cells and (
+        record[2] is None or record[2].checked_level == X.level
+    ):
         faces, degeneracies = _table_keys(X.level)
         try:
-            tables = [*map(X.faces.__getitem__, faces),
-                      *map(X.degeneracies.__getitem__, degeneracies)]
+            held = [*map(X.faces.__getitem__, faces),
+                    *map(X.degeneracies.__getitem__, degeneracies)]
         except KeyError:
-            tables = None
-        if tables is not None and len(tables) == len(read[1]) and all(
-            map(is_, tables, read[1])
+            held = None
+        if held is not None and len(held) == len(record[1]) and all(
+            map(is_, held, record[1])
         ):
-            converted = map(code.convert, tables)
-            d = [[], *(list(islice(converted, n + 1)) for n in range(1, X.level + 1))]
-            s = [*(list(islice(converted, n + 1)) for n in range(X.level)), []]
-            return d, s
-    return _checked_tables(X, "d", code.table), _checked_tables(X, "s", code.table)
+            tables, report = held, record[2]
+    if code is None:  # validate alone, which wants only the report
+        if report is not None:
+            return None, None, report
+        code = _encoding(X)
+    if walk and report is None:
+        _check_distinct(X.cells)
+    if tables is None:
+        (faces, d), (degeneracies, s) = (_checked_tables(X, k, code.table) for k in "ds")
+        tables = faces + degeneracies
+    else:
+        converted = map(code.convert, tables)
+        d = [[], *(list(islice(converted, n + 1)) for n in range(1, X.level + 1))]
+        s = [*(list(islice(converted, n + 1)) for n in range(X.level)), []]
+    if walk and report is None:
+        report = _identities(X, code, memo, d, s)
+        if report.holds:
+            object.__setattr__(X, "_as_read", (X.cells, tables, report))
+    return d, s, report
 
 
 @lru_cache(maxsize=256)
 def _table_keys(level: int) -> tuple[tuple, tuple]:
     """The keys (n, i) of the face and of the degeneracy tables of a set
     of the given level, each by n and then i: the order in which
-    serialize's reader tests and records them."""
+    serialize's reader and _checked_tables test them, and the record
+    keeps them."""
     faces = tuple((n, i) for n in range(1, level + 1) for i in range(n + 1))
     return faces, tuple((n, i) for n in range(level) for i in range(n + 1))
 
@@ -516,10 +552,8 @@ def _valid_call(
             continue
         who = "input" if ends is None else f"map {ends[k]}"
         try:
-            if walk:
-                _check_distinct(X.cells)
-            rows.append(_rows(X, code))
-            report = _identities(X, code, memo, *rows[-1]) if walk else None
+            d, s, report = _proven(X, code, memo, walk)
+            rows.append((d, s))
         except StructuralError as exc:
             if ends is None:
                 raise
@@ -542,15 +576,15 @@ def validate(X: TruncatedSSet) -> CheckReport:
     bytes copy has the entries of its tuple and a table fails the bytes
     shape test exactly when _index_problem finds a fault, which then
     words the error; the walk is the same for both, so its order,
-    squares_checked and every report are as well.
+    squares_checked and every report are as well.  A set on which a
+    walk has held since its tables last changed gets that walk's report
+    again, as _proven says.
     """
-    _check_distinct(X.cells)
-    code = _encoding(X)
-    return _identities(X, code, None, *_rows(X, code))
+    return _proven(X, None, None)[2]
 
 
 def _identities(X: TruncatedSSet, code: _Encoding, memo: dict | None, d, s) -> CheckReport:
-    """validate's walk on X's tables d and s as _rows converts them, its
+    """validate's walk on X's tables d and s as _proven converts them, its
     operands kept in memo."""
     tables = _flat(X.level, d, s)
     return _equations(_identity_plan(X.level), tables, code, memo, X.cells, X.level)
@@ -844,7 +878,7 @@ def validate_map(m: SimplicialMap) -> CheckReport:
 
 def _components(m: SimplicialMap, code: _Encoding) -> list:
     """m's components converted by code; a component of the wrong shape
-    raises StructuralError naming its level.  As _rows does for a set,
+    raises StructuralError naming its level.  As _proven does for a set,
     the components serialize's reader tested are converted untested
     while m holds them, and both ends the cells they were tested
     against, by is."""

@@ -4,7 +4,7 @@ every private module-level definition is read somewhere in the package,
 one loop of criteria decides squares, its walks read the tables
 validate converted rather than a set's own, one loop of sset walks
 the equations of validate and map naturality, and only serialize's
-readers certify the tables they tested."""
+readers and sset's validation certify the tables they tested."""
 
 import ast
 from pathlib import Path
@@ -150,15 +150,17 @@ def test_one_loop_walks_equations():
 
 
 #: The private attribute in which serialize's readers record the tables
-#: they tested, for sset to convert untested while they are unchanged.
+#: they tested, and sset's validation the report of a walk that held on
+#: them, for sset to trust while they are unchanged.
 CERTIFICATE = "_as_read"
 
 
 def test_only_the_readers_certify():
-    # the set and map readers set the certificate through
-    # object.__setattr__, and only the two sset functions that convert a
-    # set's tables and a map's components read it, so that a builder or
-    # an operator that certified its own output would fail here
+    # the set and map readers and sset's one validation entry set the
+    # record through object.__setattr__, and only that entry and the sset
+    # function that converts a map's components read it, so that a
+    # builder or an operator that certified its own output would fail
+    # here
     setters, readers = set(), set()
     for module, tree in TREES.items():
         for node in tree.body:
@@ -178,5 +180,9 @@ def test_only_the_readers_certify():
                     getattr(inner, "attr", None),
                 ):
                     readers.add(where)
-    assert setters == {("serialize.py", "sset_from_obj"), ("serialize.py", "smap_from_obj")}
-    assert readers == {("sset.py", "_rows"), ("sset.py", "_components")}
+    assert setters == {
+        ("serialize.py", "sset_from_obj"),
+        ("serialize.py", "smap_from_obj"),
+        ("sset.py", "_proven"),
+    }
+    assert readers == {("sset.py", "_proven"), ("sset.py", "_components")}

@@ -22,6 +22,7 @@ Files must round-trip byte for byte, in the text json's own indenting
 encoder gives.
 """
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -226,8 +227,10 @@ class TestValidateMapDifferential:
             )
 
     def test_map_across_the_rule_is_checked_on_tuples(self, monkeypatch):
-        # the 257-cell target puts both ends and the components on tuples
+        # the 257-cell target puts both ends and the components on tuples;
+        # fresh copies of the ends carry no record of an earlier check
         m = BOUNDARY_MAPS["256-into-257"]
+        m = SimplicialMap(*map(dataclasses.replace, (m.source, m.target)), m.components)
         calls = spy_encodings(monkeypatch)
         assert validate_map(m).holds
         ends = [len(X.faces) + len(X.degeneracies) for X in (m.source, m.target)]
@@ -320,8 +323,28 @@ class TestByteBoundary:
     @pytest.mark.parametrize("mutation", BYTE_MUTATIONS)
     @pytest.mark.parametrize("name", sorted(BOUNDARY))
     def test_mutants_match_reference(self, name, mutation):
-        for where, Y in mutants(BOUNDARY[name], mutation):
-            assert outcome(validate, Y) == outcome(reference_validate, Y), where
+        # each mutant as built, and planted in place in a copy of the set
+        # after a check held on it, so that the copy holds the record of
+        # that walk: the next check and validate give the mutant's own
+        # outcome, and with the table put back the copy passes again
+        X = BOUNDARY[name]
+        Z = TruncatedSSet(X.level, X.cells, dict(X.faces), dict(X.degeneracies))
+        assert criteria.check_upper_2segal(Z).holds
+        for where, Y in mutants(X, mutation):
+            want = outcome(validate, Y)
+            assert want == outcome(reference_validate, Y), where
+            kind, key = where
+            own, planted = (
+                (Z.faces, Y.faces) if kind == "d" else (Z.degeneracies, Y.degeneracies)
+            )
+            kept = own.pop(key)
+            if key in planted:
+                own[key] = planted[key]
+            segal = outcome(criteria.check_segal, Y)
+            assert outcome(criteria.check_segal, Z) == segal, where
+            assert outcome(validate, Z) == want, where
+            own[key] = kept
+            assert validate(Z).holds, where
 
 
 #: A level-4 free decomposition, walked on tuples at level 4 (its top
@@ -404,11 +427,17 @@ def spy_encodings(monkeypatch) -> Counter:
     ids=["56", "256", "257"],
 )
 def test_validate_encoding(monkeypatch, X, largest, encoding):
-    # every table goes through the one encoding the largest level selects
+    # every table goes through the one encoding the largest level
+    # selects, on a fresh copy of X, which carries no record of a walk;
+    # validate on the same copy again returns the walk's report untested
     assert max(map(len, X.cells)) == largest
+    X = dataclasses.replace(X)
     calls = spy_encodings(monkeypatch)
-    assert validate(X).holds
+    report = validate(X)
+    assert report.holds
     assert calls == {encoding: len(X.faces) + len(X.degeneracies)}
+    calls.clear()
+    assert validate(X) is report and calls == {}
 
 
 @pytest.mark.parametrize(
@@ -422,7 +451,9 @@ def test_validate_encoding(monkeypatch, X, largest, encoding):
 )
 def test_checkers_convert_each_table_once(monkeypatch, X, encoding):
     # a checker's squares read the tables its validation converted: one
-    # conversion per table per call, and for culf one per component too
+    # conversion per table per call, and for culf one per component too,
+    # each on a fresh copy of X, which carries no record of a walk; a
+    # second checker on the same copy shape-tests no table
     calls = spy_encodings(monkeypatch)
     tables = len(X.faces) + len(X.degeneracies)
     for check in (
@@ -432,10 +463,13 @@ def test_checkers_convert_each_table_once(monkeypatch, X, encoding):
         criteria.check_2segal_polygonal,
     ):
         calls.clear()
-        assert check(X).holds != (check is criteria.check_segal)
+        Y = dataclasses.replace(X)
+        assert check(Y).holds != (check is criteria.check_segal)
         assert calls == {encoding: tables}, check.__name__
     calls.clear()
-    assert criteria.check_culf(identity_map(X)).holds
+    assert not criteria.check_segal(Y).holds
+    assert calls == {}
+    assert criteria.check_culf(identity_map(dataclasses.replace(X))).holds
     assert calls == {encoding: tables + len(X.cells)}
 
 

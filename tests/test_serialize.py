@@ -349,6 +349,32 @@ CERTIFIED = {
 }
 
 
+def checked(X, check):
+    """X, once check has walked it and the walk has held."""
+    check(X)
+    assert vars(X)["_as_read"][2].holds
+    return X
+
+
+#: A set with a record, by case: a CERTIFIED set as read back from its
+#: file (the bare name), or as built and then walked by validate or by a
+#: checker's validation, whose verdict is remembered on it.
+RECORDED = {
+    name + suffix: (name, make)
+    for name in CERTIFIED
+    for suffix, make in (
+        ("", read_back),
+        ("-validated", lambda X: checked(X, sset.validate)),
+        ("-checked", lambda X: checked(X, criteria.check_segal)),
+    )
+}
+
+
+def recorded(case):
+    name, make = RECORDED[case]
+    return make(CERTIFIED[name]())
+
+
 def with_bool(table):
     """table with its first 0 or 1 made False or True: an equal tuple."""
     j = next(j for j, v in enumerate(table) if v in (0, 1))
@@ -358,6 +384,7 @@ def with_bool(table):
 #: A change to a table after reading: kind -> the new table, given the
 #: table and the size of its target level.
 TABLE_CHANGES = {
+    "equal": lambda table, size: tuple(list(table)),
     "out-of-range": lambda table, size: table[:-1] + (size,),
     "bool": lambda table, size: with_bool(table),
     "list": lambda table, size: list(table),
@@ -391,9 +418,11 @@ class TestReaderCertificate:
 
     @pytest.mark.parametrize("change", sorted(TABLE_CHANGES) + ["deleted"])
     @pytest.mark.parametrize("kind", ["faces", "degeneracies"])
-    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    @pytest.mark.parametrize("name", sorted(RECORDED))
     def test_changed_table_is_tested_as_fresh(self, name, kind, change, shape_tests):
-        Y = read_back(CERTIFIED[name]())
+        # an equal new tuple is tested once, and its walk remembered; a
+        # defect or a deleted key is tested by every check
+        Y = recorded(name)
         tables = getattr(Y, kind)
         key = max(tables)
         n = key[0]
@@ -401,21 +430,56 @@ class TestReaderCertificate:
             del tables[key]
         else:
             size = len(Y.cells[n - 1 if kind == "faces" else n + 1])
-            tables[key] = TABLE_CHANGES[change](tables[key], size)
+            old, tables[key] = tables[key], TABLE_CHANGES[change](tables[key], size)
+            assert tables[key] is not old
         want = outcomes(SET_CHECKS, fresh(Y))
-        assert want[0][0] == "StructuralError", want[0]
         shape_tests.clear()
         assert outcomes(SET_CHECKS, Y) == want
-        assert len(shape_tests) >= len(SET_CHECKS)
+        if change == "equal":
+            assert want[0].holds and shape_tests == ["d", "s"]
+        else:
+            assert want[0][0] == "StructuralError", want[0]
+            assert len(shape_tests) >= len(SET_CHECKS)
 
-    @pytest.mark.parametrize("name", sorted(CERTIFIED))
-    def test_replaced_cells_are_tested_as_fresh(self, name):
-        # the top level one cell short, so its face tables are too long
-        Y = read_back(CERTIFIED[name]())
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_replaced_cells_are_tested_as_fresh(self, name, shape_tests):
+        # the top level one cell short, so its face tables are too long;
+        # then equal cells in a new tuple, tested once and remembered
+        Y = recorded(name)
         object.__setattr__(Y, "cells", Y.cells[:-1] + (Y.cells[-1][:-1],))
         want = outcomes(SET_CHECKS, fresh(Y))
         assert want[0][0] == "StructuralError", want[0]
         assert outcomes(SET_CHECKS, Y) == want
+        Y = recorded(name)
+        object.__setattr__(Y, "cells", tuple(list(Y.cells)))
+        want = outcomes(SET_CHECKS, fresh(Y))
+        shape_tests.clear()
+        assert outcomes(SET_CHECKS, Y) == want
+        assert want[0].holds and shape_tests == ["d", "s"]
+
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_changed_level_is_tested_as_fresh(self, name):
+        # one level down (the top cells and tables then lie outside the
+        # truncation) and one up (its tables are missing), each against a
+        # copy without a record changed the same way
+        for step in (-1, 1):
+            Y = recorded(name)
+            Z = fresh(Y)
+            for T in (Y, Z):
+                object.__setattr__(T, "level", T.level + step)
+            assert outcomes(SET_CHECKS, Y) == outcomes(SET_CHECKS, Z), step
+
+    def test_level_below_zero_is_tested_as_fresh(self):
+        # levels below 0 have as few tables as level 0, so the level of a
+        # remembered report is compared too: a point of level 0 set to
+        # level -1 and back, each step against a copy without a record
+        Y = read_back(point(0))
+        Z = fresh(Y)
+        for level in (0, -1, 0):
+            for T in (Y, Z):
+                object.__setattr__(T, "level", level)
+            assert outcomes(SET_CHECKS, Y) == outcomes(SET_CHECKS, Z), level
+            assert vars(Y)["_as_read"][2].checked_level == level
 
     @pytest.mark.parametrize("name", sorted(CERTIFIED))
     def test_copies_and_operators_of_a_read_set(self, name):
@@ -429,12 +493,20 @@ class TestReaderCertificate:
         assert outcomes(SET_CHECKS, truncate(Y, top)) == outcomes(SET_CHECKS, truncate(X, top))
 
     def test_only_the_reader_certifies(self):
+        # the reader and a walk that holds record; nothing that makes a
+        # new set carries the record, and ==, hash and repr do not see it
         X = CERTIFIED["words-L3"]()
         Y = read_back(X)
         assert "_as_read" not in vars(X)
         assert "_as_read" in vars(Y)
-        made = (opposite(Y), truncate(Y, 2), dataclasses.replace(Y), fresh(Y))
-        assert ["_as_read" in vars(Z) for Z in made] == [False] * 4
+        for Y in (
+            Y, checked(X, sset.validate), checked(read_back(X), criteria.check_segal)
+        ):
+            made = (opposite(Y), truncate(Y, 2), dataclasses.replace(Y), fresh(Y))
+            assert ["_as_read" in vars(Z) for Z in made] == [False] * 4
+            Z = fresh(Y)
+            assert Y == Z and repr(Y) == repr(Z)
+            assert outcomes((hash,), Y) == outcomes((hash,), Z)
 
     @pytest.mark.parametrize("change", sorted(TABLE_CHANGES))
     def test_changed_component_is_tested_as_fresh(self, change):
@@ -444,7 +516,8 @@ class TestReaderCertificate:
         components[n] = TABLE_CHANGES[change](components[n], len(m.target.cells[n]))
         object.__setattr__(m, "components", tuple(components))
         want = outcomes(MAP_CHECKS, SimplicialMap(m.source, m.target, tuple(components)))
-        assert want[0][0] == "StructuralError", want[0]
+        defect = change != "equal"
+        assert want[0][0] == "StructuralError" if defect else want[0].holds, want[0]
         assert outcomes(MAP_CHECKS, m) == want
 
     @pytest.mark.parametrize("change", sorted(TABLE_CHANGES) + ["deleted"])
@@ -459,5 +532,6 @@ class TestReaderCertificate:
         else:
             faces[key] = TABLE_CHANGES[change](faces[key], len(m.source.cells[key[0] - 1]))
         want = outcomes(MAP_CHECKS, SimplicialMap(fresh(m.source), m.target, m.components))
-        assert want[0][0] == "StructuralError", want[0]
+        defect = change != "equal"
+        assert want[0][0] == "StructuralError" if defect else want[0].holds, want[0]
         assert outcomes(MAP_CHECKS, m) == want

@@ -18,6 +18,7 @@ the plan tests interleave levels, rank caps, modes and instances from
 cold caches, and check that no cache keeps a simplicial set alive.
 """
 
+import dataclasses
 import gc
 import sys
 import weakref
@@ -40,6 +41,7 @@ from decompspace import builders, criteria, delta, operators, sset
 from decompspace.sset import (
     CheckReport,
     LevelError,
+    SimplicialMap,
     StructuralError,
     TruncatedSSet,
     opposite,
@@ -763,3 +765,70 @@ class TestSplitSquares:
             assert want.holds is (cap < level - 1), cap
             if not want.holds:
                 assert want.witness is not None
+
+
+#: validate and the checkers of a set, in lib-corpus's order.
+SET_STEPS = (
+    sset.validate,
+    criteria.check_segal,
+    criteria.check_segal_iterated,
+    criteria.check_upper_2segal,
+    criteria.check_upper_2segal_reduced,
+    criteria.check_lower_2segal,
+    criteria.check_decomposition,
+    criteria.check_decomposition_direct,
+    criteria.check_2segal_polygonal,
+)
+
+
+def attempt(step, *args):
+    """What step gives on args: its result, or its error's type and text."""
+    try:
+        return step(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def checked_sequence(X, fresh: bool) -> list:
+    """lib-corpus's sequence on X: validate, the checkers, culf on X's
+    identity, then dec_top and dec_bot with Segal on each décalage and
+    culf on its projection, then sd with Segal on it.  With fresh every
+    step reads copies made for it by dataclasses.replace, which carry no
+    record of a check; else every step reads X and the very sets the
+    operators made, so each check after the first finds X's record."""
+    copy = dataclasses.replace if fresh else lambda Y: Y
+    out = [attempt(step, copy(X)) for step in SET_STEPS]
+    out.append(attempt(lambda Y: criteria.check_culf(identity_map(Y)), copy(X)))
+    for operator in (operators.dec_top, operators.dec_bot):
+        out.append(attempt(operator, copy(X)))
+        if type(out[-1][0]) is TruncatedSSet:
+            Y, f = out[-1]
+            f = SimplicialMap(copy(f.source), copy(f.target), f.components)
+            out.append(attempt(criteria.check_segal, copy(Y)))
+            out.append(attempt(criteria.check_culf, f))
+    out.append(attempt(operators.sd, copy(X)))
+    if type(out[-1]) is TruncatedSSet:
+        out.append(attempt(criteria.check_segal, copy(out[-1])))
+    return out
+
+
+class TestRememberedVerdict:
+    """A walk that holds is remembered on the set, so every later check of
+    the same objects skips the shape test and the walk; each report,
+    witness and error must be the one a fresh copy gives."""
+
+    def assert_remembered_as_fresh(self, name, X):
+        remembered = checked_sequence(X, fresh=False)
+        assert remembered == checked_sequence(X, fresh=True), name
+        if type(remembered[0]) is CheckReport:
+            assert vars(X)["_as_read"][2] is remembered[0], name
+        else:
+            assert "_as_read" not in vars(X), name
+
+    @pytest.mark.parametrize("inst", corpus(), ids=lambda inst: inst.name)
+    def test_corpus_matches_fresh(self, inst):
+        self.assert_remembered_as_fresh(inst.name, inst.X)
+
+    def test_perturbed_corpus_matches_fresh(self):
+        for name, X in perturbed_corpus():
+            self.assert_remembered_as_fresh(name, X)
