@@ -84,7 +84,6 @@ from .sset import (
     Table,
     TruncatedSSet,
     _Call,
-    _components,
     _naturality,
     _then,
     _valid_call,
@@ -659,8 +658,7 @@ def check_culf(f: SimplicialMap) -> CheckReport:
     validated ends, so each is decided by the count alone.
     """
     call = _valid_call(f.source, f.target, ends=("source", "target"))
-    c = _components(f, call.code)
-    report = _naturality(f, call, c)
+    c, report = _naturality(f, call)
     if not report.holds:
         raise StructuralError(f"input is not a simplicial map: {report.detail}")
     top = f.shared_level

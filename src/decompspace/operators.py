@@ -7,6 +7,14 @@ levels X_{2n+1} with faces d_{n-i} d_{n+i+1} and degeneracies
 s_{n-i} s_{n+i+1}.  Cells keep their source identifiers throughout, and
 the decalages reuse the index tables of X unchanged.  The lower
 decalage is the upper one seen through the opposite.
+
+So every simplicial identity of a decalage, and every naturality
+equation of its projection, is one of X's identities on X's very
+tables, and the decalages pass on what X's record proves (sset's
+_inherit and _inherit_map): a set X that a walk has proven gives
+decalages and projections that later checks do not walk again.  sd
+composes new tables, whose identities follow from X's only by
+functoriality, so its output carries no record and is walked.
 """
 
 from __future__ import annotations
@@ -15,6 +23,10 @@ from .sset import (
     LevelError,
     SimplicialMap,
     TruncatedSSet,
+    _current,
+    _inherit,
+    _inherit_map,
+    _reversed,
     compose_tables,
     opposite,
 )
@@ -24,8 +36,30 @@ def dec_top(X: TruncatedSSet) -> tuple[TruncatedSSet, SimplicialMap]:
     """Drop to level L-1 with Y_n = X_{n+1}, forgetting the top operators.
 
     Returns (Y, proj) where proj: Y -> X is the forgotten top face at
-    each level.
+    each level.  d_i and s_i on Y_n (i <= n) are X's tables d_i and s_i
+    on X_{n+1}, so each equation a walk of Y compares is the same
+    equation of X on X_{n+1}, over the same cells; proj's naturality
+    equations are X's d_i d_{n+1} = d_n d_i and d_{n+2} s_i = s_i d_{n+1}.
     """
+    return _inherited(X, *_upper(X))
+
+
+def dec_bot(X: TruncatedSSet) -> tuple[TruncatedSSet, SimplicialMap]:
+    """Drop to level L-1 with Y_n = X_{n+1}, forgetting the bottom operators.
+
+    The dual of dec_top, Dec_bot X = (Dec_top X^op)^op: the remaining
+    operator indices shift down by one, and proj: Y -> X is the
+    forgotten bottom face at each level, the top face of X^op.  So d_i
+    and s_i on Y_n are X's tables d_{i+1} and s_{i+1} on X_{n+1}, and
+    the record is passed on as by dec_top, once, to the result.
+    """
+    Y, proj = _upper(_reversed(X))
+    Y = _reversed(Y)
+    return _inherited(X, Y, SimplicialMap(Y, X, proj.components))
+
+
+def _upper(X: TruncatedSSet) -> tuple[TruncatedSSet, SimplicialMap]:
+    """dec_top's (Y, proj), with no record."""
     if X.level < 1:
         raise LevelError("decalage needs level >= 1")
     level = X.level - 1
@@ -47,16 +81,14 @@ def dec_top(X: TruncatedSSet) -> tuple[TruncatedSSet, SimplicialMap]:
     return Y, proj
 
 
-def dec_bot(X: TruncatedSSet) -> tuple[TruncatedSSet, SimplicialMap]:
-    """Drop to level L-1 with Y_n = X_{n+1}, forgetting the bottom operators.
-
-    The dual of dec_top, Dec_bot X = (Dec_top X^op)^op: the remaining
-    operator indices shift down by one, and proj: Y -> X is the
-    forgotten bottom face at each level, the top face of X^op.
-    """
-    Y, proj = dec_top(opposite(X))
-    Y = opposite(Y)
-    return Y, SimplicialMap(Y, X, proj.components)
+def _inherited(
+    X: TruncatedSSet, Y: TruncatedSSet, proj: SimplicialMap
+) -> tuple[TruncatedSSet, SimplicialMap]:
+    """(Y, proj), a decalage of X and its projection just made, given
+    what X's record proves of them."""
+    record = _current(X)
+    _inherit_map(proj, record, _inherit(Y, record))
+    return Y, proj
 
 
 def sd(X: TruncatedSSet) -> TruncatedSSet:

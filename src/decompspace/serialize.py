@@ -14,11 +14,14 @@ certify what they checked: each records, as the private attribute
 _as_read, the cells and the tables it tested, by reference (no copy,
 and no dataclass field, so ==, hash and repr do not see it).  sset
 converts a table untested only while the object still holds that very
-table, compared by identity.  The one other writer of the record is
-sset's validation, which adds its report once the simplicial identities
-hold on those same objects, so later checks of the set skip the walk
-too.  A set that a builder, an operator or dataclasses.replace makes
-carries no record, and is tested as any other.
+table, compared by identity.  The other writers of the record are in
+sset: its validation, which adds its report once the simplicial
+identities hold on those same objects, so later checks of the set skip
+the walk too, and the inheritance through which opposite, truncate and
+the decalages give their output what the record of their input proves
+(a set read and not yet walked gives outputs with the shape test only).
+A set that a builder, sd or dataclasses.replace makes carries no
+record, and is tested as any other.
 
 dumps writes the documented layout (two-space indents, sorted keys, a
 final newline) directly, a whole row of indices or names at a time; the

@@ -150,17 +150,20 @@ def test_one_loop_walks_equations():
 
 
 #: The private attribute in which serialize's readers record the tables
-#: they tested, and sset's validation the report of a walk that held on
-#: them, for sset to trust while they are unchanged.
+#: they tested, sset's validation the report of a walk that held on
+#: them, and sset's inheritance what an operator's output owes to its
+#: input's record, for sset to trust while they are unchanged.
 CERTIFICATE = "_as_read"
 
 
 def test_only_the_readers_certify():
-    # the set and map readers and sset's one validation entry set the
-    # record through object.__setattr__, and only that entry and the sset
-    # function that converts a map's components read it, so that a
-    # builder or an operator that certified its own output would fail
-    # here
+    # the set and map readers, sset's one validation entry and the two
+    # sset functions through which opposite, truncate and the decalages
+    # pass their input's record on set the record through
+    # object.__setattr__; only sset reads it: the test of whether a set's
+    # record is current, and the map naturality that reads a map's.  A
+    # builder, sd or any other function that certified its own output
+    # would fail here
     setters, readers = set(), set()
     for module, tree in TREES.items():
         for node in tree.body:
@@ -184,5 +187,7 @@ def test_only_the_readers_certify():
         ("serialize.py", "sset_from_obj"),
         ("serialize.py", "smap_from_obj"),
         ("sset.py", "_proven"),
+        ("sset.py", "_inherit"),
+        ("sset.py", "_inherit_map"),
     }
-    assert readers == {("sset.py", "_proven"), ("sset.py", "_components")}
+    assert readers == {("sset.py", "_current"), ("sset.py", "_naturality")}

@@ -23,7 +23,7 @@ from corpus import (
     point,
     short_words_pmonoid,
 )
-from decompspace import builders, criteria, serialize, sset
+from decompspace import builders, criteria, operators, serialize, sset
 from decompspace.cli import main
 from decompspace.serialize import SchemaError
 from decompspace.sset import SimplicialMap, TruncatedSSet, opposite, truncate
@@ -493,8 +493,12 @@ class TestReaderCertificate:
         assert outcomes(SET_CHECKS, truncate(Y, top)) == outcomes(SET_CHECKS, truncate(X, top))
 
     def test_only_the_reader_certifies(self):
-        # the reader and a walk that holds record; nothing that makes a
-        # new set carries the record, and ==, hash and repr do not see it
+        # the reader and a walk that holds record, and opposite and
+        # truncate pass their input's record on, as the report a walk of
+        # their output gives; nothing else that makes a new set (a
+        # builder, sd, dataclasses.replace) carries a record of its own,
+        # copy.copy shares its original's, and ==, hash and repr do not
+        # see it
         X = CERTIFIED["words-L3"]()
         Y = read_back(X)
         assert "_as_read" not in vars(X)
@@ -502,8 +506,15 @@ class TestReaderCertificate:
         for Y in (
             Y, checked(X, sset.validate), checked(read_back(X), criteria.check_segal)
         ):
-            made = (opposite(Y), truncate(Y, 2), dataclasses.replace(Y), fresh(Y))
-            assert ["_as_read" in vars(Z) for Z in made] == [False] * 4
+            made = (operators.sd(Y), dataclasses.replace(Y), fresh(Y))
+            assert ["_as_read" in vars(Z) for Z in made] == [False] * 3
+            assert vars(copy.copy(Y))["_as_read"] is vars(Y)["_as_read"]
+            for Z in (opposite(Y), truncate(Y, 2)):
+                remembered = vars(Z)["_as_read"][2]
+                if vars(Y)["_as_read"][2] is None:
+                    assert remembered is None
+                else:
+                    assert remembered == sset.validate(fresh(Z))
             Z = fresh(Y)
             assert Y == Z and repr(Y) == repr(Z)
             assert outcomes((hash,), Y) == outcomes((hash,), Z)

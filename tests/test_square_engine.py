@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from corpus import (
     boundary_sets,
+    chain_category,
     collapsed_triangle,
     corpus,
     direct_sweep_shape,
@@ -37,7 +38,7 @@ from corpus import (
     duplicate_top,
     point,
 )
-from decompspace import builders, criteria, delta, operators, sset
+from decompspace import builders, criteria, delta, operators, serialize, sset
 from decompspace.sset import (
     CheckReport,
     LevelError,
@@ -789,26 +790,57 @@ def attempt(step, *args):
         return type(exc).__name__, str(exc)
 
 
+#: validate_map and the checker of a map.
+MAP_STEPS = (sset.validate_map, criteria.check_culf)
+
+#: The steps of a chain of operators: validation, and one checker that
+#: reads the tables a check converted.
+CHAIN_STEPS = (sset.validate, criteria.check_segal)
+
+
 def checked_sequence(X, fresh: bool) -> list:
     """lib-corpus's sequence on X: validate, the checkers, culf on X's
-    identity, then dec_top and dec_bot with Segal on each décalage and
-    culf on its projection, then sd with Segal on it.  With fresh every
-    step reads copies made for it by dataclasses.replace, which carry no
-    record of a check; else every step reads X and the very sets the
-    operators made, so each check after the first finds X's record."""
+    identity, then dec_top and dec_bot with validate and every checker
+    on each décalage and validate_map and culf on its projection, then
+    sd with Segal on it; then the chains dec_top(dec_bot(X)),
+    opposite(opposite(X)) and truncate(dec_top(X), k) for each k below
+    its level, each through CHAIN_STEPS, and the first chain's
+    projection through the map steps.
+
+    With fresh, each step on X reads a copy made for it by
+    dataclasses.replace, which carries no record of a check, and the
+    steps on each operator output one copy made before the first of
+    them, so what they find remembered was walked on that copy; its
+    projection is rebuilt from that copy and a copy of its target.
+    Otherwise every step reads X and the very sets and maps the
+    operators made, so each check after the first finds X's record or
+    the one an operator passed on."""
     copy = dataclasses.replace if fresh else lambda Y: Y
+
+    def through(Y, f=None, steps=SET_STEPS):
+        Y = copy(Y)
+        out.extend(attempt(step, Y) for step in steps)
+        if f is not None:
+            if fresh:
+                f = SimplicialMap(Y, copy(f.target), f.components)
+            out.extend(attempt(step, f) for step in MAP_STEPS)
+
     out = [attempt(step, copy(X)) for step in SET_STEPS]
     out.append(attempt(lambda Y: criteria.check_culf(identity_map(Y)), copy(X)))
+    decalages = []
     for operator in (operators.dec_top, operators.dec_bot):
         out.append(attempt(operator, copy(X)))
         if type(out[-1][0]) is TruncatedSSet:
-            Y, f = out[-1]
-            f = SimplicialMap(copy(f.source), copy(f.target), f.components)
-            out.append(attempt(criteria.check_segal, copy(Y)))
-            out.append(attempt(criteria.check_culf, f))
+            decalages.append(out[-1])
+            through(*out[-1])
     out.append(attempt(operators.sd, copy(X)))
     if type(out[-1]) is TruncatedSSet:
         out.append(attempt(criteria.check_segal, copy(out[-1])))
+    if len(decalages) == 2 and decalages[1][0].level:
+        through(*operators.dec_top(copy(decalages[1][0])), steps=CHAIN_STEPS)
+    through(opposite(opposite(copy(X))), steps=CHAIN_STEPS)
+    for k in range(decalages[0][0].level if decalages else 0):
+        through(truncate(copy(decalages[0][0]), k), steps=CHAIN_STEPS)
     return out
 
 
@@ -832,3 +864,147 @@ class TestRememberedVerdict:
     def test_perturbed_corpus_matches_fresh(self):
         for name, X in perturbed_corpus():
             self.assert_remembered_as_fresh(name, X)
+
+
+def made_of(X) -> list:
+    """What opposite, truncate one level down and the décalages make of
+    X: the sets, and each décalage's projection after its set."""
+    made = [opposite(X)]
+    if X.level:
+        made.append(truncate(X, X.level - 1))
+        for operator in (operators.dec_top, operators.dec_bot):
+            made.extend(operator(X))
+    return made
+
+
+def check_outcomes(x) -> list:
+    """Every set step on a set, or both map steps on a map."""
+    steps = MAP_STEPS if type(x) is SimplicialMap else SET_STEPS
+    return [attempt(step, x) for step in steps]
+
+
+def fresh_copy(x):
+    """x built afresh from its objects as they are now, with no record."""
+    if type(x) is SimplicialMap:
+        return SimplicialMap(fresh_copy(x.source), fresh_copy(x.target), x.components)
+    return TruncatedSSet(x.level, x.cells, dict(x.faces), dict(x.degeneracies))
+
+
+def remembered_report(x):
+    """The report x's record holds, None for a shape test alone, or
+    "none" when x carries no record."""
+    record = vars(x).get("_as_read")
+    if record is None:
+        return "none"
+    if type(x) is SimplicialMap:
+        return record[5] if len(record) > 3 else None
+    return record[2]
+
+
+def read_back(X):
+    """X written and read back, with the reader's certificate."""
+    return serialize.sset_from_obj(
+        serialize.loads(serialize.dumps(serialize.sset_to_obj(X)))
+    )
+
+
+def chain_nerve(level):
+    return builders.nerve(chain_category(2), level)
+
+
+def broken_nerve():
+    """chain_nerve(3) with d_0 on X_2 sent to one cell, which breaks
+    d_0 d_1 = d_0 d_0 at level 2."""
+    X = chain_nerve(3)
+    faces = {**X.faces, (2, 0): (0,) * len(X.cells[2])}
+    return TruncatedSSet(3, X.cells, faces, dict(X.degeneracies))
+
+
+class TestDerivedRecords:
+    """opposite, truncate and the décalages pass on what their input's
+    current record proves: a walk's report as the report a walk of the
+    output gives, the reader's shape test as a shape test, and for a
+    projection the report of its naturality walk.  Whatever an output
+    carries, every step on it must give what a fresh copy gives."""
+
+    def assert_as_fresh(self, made):
+        for x in made:
+            assert check_outcomes(x) == check_outcomes(fresh_copy(x)), x
+
+    @pytest.mark.parametrize("inst", corpus(), ids=lambda inst: inst.name)
+    def test_outputs_of_a_walked_set_carry_its_report(self, inst):
+        X = dataclasses.replace(inst.X)
+        report = sset.validate(X)
+        made = made_of(X)
+        for x in made:
+            carried = remembered_report(x)
+            if report.holds:
+                assert carried.holds, x
+                assert carried == check_outcomes(fresh_copy(x))[0], x
+            else:
+                assert carried == "none", x
+        self.assert_as_fresh(made)
+
+    @pytest.mark.parametrize("inst", corpus(), ids=lambda inst: inst.name)
+    def test_outputs_of_a_read_set_carry_its_shape_test_only(self, inst):
+        # never walked: the reader's certificate is passed on, and no
+        # report; a built set, with no record, passes on nothing
+        X = read_back(inst.X)
+        made = made_of(X)
+        assert {remembered_report(x) for x in made} == {None}
+        self.assert_as_fresh(made)
+        built = dataclasses.replace(inst.X)
+        assert {remembered_report(x) for x in made_of(built)} == {"none"}
+
+    @pytest.mark.parametrize("read", [False, True])
+    def test_failed_walk_passes_on_nothing(self, read):
+        X = read_back(broken_nerve()) if read else broken_nerve()
+        assert not sset.validate(X).holds
+        made = made_of(X)
+        assert {remembered_report(x) for x in made} == ({None} if read else {"none"})
+        self.assert_as_fresh(made)
+        assert not sset.validate(made[0]).holds
+
+    @pytest.mark.parametrize("change", ["equal", "broken"])
+    def test_table_of_x_replaced_after_its_walk(self, change):
+        # X's record is stale, so nothing is passed on, and the outputs
+        # are walked: a broken table is found in each that holds it
+        X = chain_nerve(3)
+        assert sset.validate(X).holds
+        key = (2, 0)
+        X.faces[key] = (
+            tuple(list(X.faces[key])) if change == "equal" else (0,) * len(X.cells[2])
+        )
+        made = made_of(X)
+        assert {remembered_report(x) for x in made} == {"none"}
+        self.assert_as_fresh(made)
+        assert sset.validate(made[0]).holds is (change == "equal")
+
+    @pytest.mark.parametrize("change", ["equal", "broken"])
+    def test_table_of_an_output_replaced_after_derivation(self, change):
+        # the output's own record is stale, and so is its projection's,
+        # which names it: both are tested afresh
+        for operator in (operators.dec_top, operators.dec_bot):
+            X = chain_nerve(4)
+            assert sset.validate(X).holds
+            Y, f = operator(X)
+            assert remembered_report(f).holds
+            key = (2, 1)
+            Y.faces[key] = (
+                tuple(list(Y.faces[key])) if change == "equal"
+                else (0,) * len(Y.cells[2])
+            )
+            want = [check_outcomes(fresh_copy(x)) for x in (Y, f)]
+            assert want[0][0].holds is (change == "equal")
+            assert [check_outcomes(f), check_outcomes(Y)] == [want[1], want[0]]
+
+    def test_table_of_x_replaced_after_derivation(self):
+        # the projection names X's record, which is now stale: its
+        # naturality is walked, and finds the broken table
+        X = chain_nerve(4)
+        assert sset.validate(X).holds
+        Y, f = operators.dec_top(X)
+        X.faces[(3, 0)] = (0,) * len(X.cells[3])
+        want = check_outcomes(fresh_copy(f))
+        assert not want[0].holds and want[1][0] == "StructuralError"
+        assert check_outcomes(f) == want

@@ -222,6 +222,22 @@ class TestEquationPlans:
         # plan's five templates
         assert len({id(run[6]) for run in runs}) <= 5
 
+    def test_deep_plan_is_evicted(self):
+        # the plan caches keep _PLAN_LEVELS levels: the level-150 plan
+        # (56,174 runs) stays while fewer smaller levels are validated
+        # after it, and goes with the next one
+        sset._identity_plan.cache_clear()
+        sset._identity_plan(150)
+        for level in range(sset._PLAN_LEVELS):
+            assert sset._identity_plan.cache_info().currsize == level + 1
+            validate(point(level))
+        assert sset._identity_plan.cache_info().currsize == sset._PLAN_LEVELS
+        misses = sset._identity_plan.cache_info().misses
+        sset._identity_plan(150)
+        assert sset._identity_plan.cache_info().misses == misses + 1
+        sset._identity_plan.cache_clear()
+        assert sset._naturality_plan.cache_info().maxsize == sset._PLAN_LEVELS
+
     def test_cold_validate_stays_small(self):
         # the plan and the walk of a cold validate at level 50 peak at
         # 2.3 MB, against 1.1 MB for nested loops that compile no plan
