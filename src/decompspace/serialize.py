@@ -11,8 +11,9 @@ FORMATS.md for the documented schemas.
 The check of each row is the shape test validate would run again (a
 tuple of that many ints in range), so the set and the map readers
 certify what they checked: each records, as the private attribute
-_as_read, the cells and the tables it tested, by reference (no copy,
-and no dataclass field, so ==, hash and repr do not see it).  sset
+_as_read (sset's _SetRecord or _MapRecord), the cells and the tables it
+tested, by reference (no copy, and no dataclass field, so ==, hash and
+repr do not see it).  sset
 converts a table untested only while the object still holds that very
 table, compared by identity.  The other writers of the record are in
 sset: its validation, which adds its report once the simplicial
@@ -39,7 +40,7 @@ import os
 import tempfile
 from typing import TYPE_CHECKING, Any, Iterator
 
-from .sset import SimplicialMap, Table, TruncatedSSet
+from .sset import SimplicialMap, Table, TruncatedSSet, _MapRecord, _SetRecord
 
 if TYPE_CHECKING:
     # the readers that build these import them, so reading an sset or a
@@ -133,7 +134,7 @@ def sset_from_obj(obj: dict, where: str = "sset") -> TruncatedSSet:
     # tested, in the order of sset._table_keys (_blocks fills each dict in
     # it), by reference, and no report, as no identity is walked yet
     tables = (*faces.values(), *degeneracies.values())
-    object.__setattr__(X, "_as_read", (X.cells, tables, None))
+    object.__setattr__(X, "_as_read", _SetRecord(X.cells, tables))
     return X
 
 
@@ -226,8 +227,8 @@ def smap_from_obj(obj: dict, where: str = "smap") -> SimplicialMap:
         for n in range(shared + 1)
     )
     m = SimplicialMap(source, target, components)
-    # the certificate sset._components reads, as sset_from_obj's
-    object.__setattr__(m, "_as_read", (source.cells, target.cells, m.components))
+    # the record sset._naturality reads, as sset_from_obj's
+    object.__setattr__(m, "_as_read", _MapRecord(source.cells, target.cells, m.components))
     return m
 
 

@@ -30,8 +30,7 @@ the tables validate converted, and a memo in which the padded operands
 validate made and the fiber sizes of each q are kept.  The walks of
 criteria and map naturality read those tables and compose and decide in
 that encoding, so no table is converted or padded twice in a call, and
-nothing in a call outlives it but the converted tables a record keeps
-(below).  A bytes table
+nothing in a call outlives it.  A bytes table
 holds the same indices as its tuple, and a decision on bytes is the
 counting test of pullback_holds, so no verdict depends on the encoding
 either.  A square whose legs f and q are split monos (X of a surjection
@@ -46,19 +45,18 @@ test, and a walk that holds adds its report.  While the set still holds
 those objects, compared by identity (_current), its tables are
 converted untested and a remembered report is not walked again, so a
 set is shape-tested and walked once however many checks read it, and a
-change afterwards is tested as in a fresh set.  From the second check
-of a remembered set on, the record keeps its tables as converted, one
-tuple of them per encoding, so later checks convert nothing.
+change afterwards is tested as in a fresh set.  Only what was proven is
+remembered: each call still converts the tables for itself.
 
 opposite, truncate and the decalages make their output of their input's
 very tables, reindexed, so each identity of the output is one of the
 input's on the same tables: _inherit gives the output what the input's
-current record proves, a shape test or a walk's report (counted from
-the plan, as the walk would count it), and _inherit_map gives a
-decalage projection the report of its naturality walk, whose equations
-are identities of its target, for as long as both ends keep their
-records.  _naturality reads that, and the components serialize's map
-reader tested, as _proven reads a set's record.
+current record proves, a shape test or a walk's report (its equations
+counted in closed form, as the walk would count them), and _inherit_map
+gives a decalage projection the report of its naturality walk, whose
+equations are identities of its target, for as long as both ends keep
+their records.  _naturality reads that, and the components serialize's
+map reader tested, as _proven reads a set's record.
 """
 
 from __future__ import annotations
@@ -463,28 +461,50 @@ def _checked_tables(X: TruncatedSSet, kind: str, encode) -> tuple[list, list[lis
     return tested, rows
 
 
-def _current(X: TruncatedSSet) -> tuple | None:
-    """X's record _as_read while X still holds the very objects it names,
-    else None.
-
-    The record is (X.cells, X's tables in the order of _table_keys,
-    report), and (..., report, kept) once report is not None, kept a
-    dict of the tables as converted by each encoding, keyed by its
-    convert (bytes or tuple, so that a set with its record still
-    pickles).  serialize's reader sets it with report None once it has
+class _SetRecord(NamedTuple):
+    """What has been proven of a set's very objects, kept as its private
+    attribute _as_read: its cells, its tables in the order of
+    _table_keys, and once a walk of them holds, the walk's report.
+    serialize's reader sets it without a report once it has
     shape-tested every table it read; a walk that holds in _proven sets
     it with its report, and _inherit on what an operator makes of a set
-    whose record is current.
+    whose record is current."""
+
+    cells: tuple
+    tables: Sequence[Table]
+    report: CheckReport | None = None
+
+
+class _MapRecord(NamedTuple):
+    """What has been proven of a map's very objects, kept as its private
+    attribute _as_read: the cells of both ends and the components, each
+    of which passed the shape test, and from _inherit_map the records of
+    both ends it was proven with and the report of its naturality."""
+
+    source_cells: tuple
+    target_cells: tuple
+    components: tuple
+    source: _SetRecord | None = None
+    target: _SetRecord | None = None
+    report: CheckReport | None = None
+
+
+def _current(X: TruncatedSSet) -> _SetRecord | None:
+    """X's record while X still holds the very objects it names, else
+    None.
+
     The objects are compared once by is (never ==, since (1,) ==
     (True,)): tables that pass the shape test are tuples of ints, which
     cannot change, so any change (a table replaced, a key deleted, the
-    cells or the level replaced) makes the record stale."""
+    cells or the level replaced) makes the record stale.  So does a
+    record of any other type, such as the plain tuple an older version
+    of this module recorded."""
     record = vars(X).get("_as_read")
     # a level L >= 0 has L * L + 2 * L tables, so only the levels below 0,
     # which a set can be given only once built, share a count; a report
     # names its level
-    if record is None or record[0] is not X.cells or (
-        record[2] is not None and record[2].checked_level != X.level
+    if not isinstance(record, _SetRecord) or record.cells is not X.cells or (
+        record.report is not None and record.report.checked_level != X.level
     ):
         return None
     faces, degeneracies = _table_keys(X.level)
@@ -493,14 +513,14 @@ def _current(X: TruncatedSSet) -> tuple | None:
                 *map(X.degeneracies.__getitem__, degeneracies)]
     except KeyError:
         return None
-    if len(held) == len(record[1]) and all(map(is_, held, record[1])):
+    if len(held) == len(record.tables) and all(map(is_, held, record.tables)):
         return record
     return None
 
 
 def _proven(
     X: TruncatedSSet,
-    record: tuple | None,
+    record: _SetRecord | None,
     code: _Encoding | None,
     memo: dict | None,
     walk: bool = True,
@@ -513,43 +533,28 @@ def _proven(
 
     record is _current(X).  With it, the tables are converted untested,
     and with its report the duplicate-cell test and the walk are skipped
-    as well; the tables are then converted once per encoding and kept in
-    the record as tuples, which later calls share.  A walk that holds
-    sets a new record, without converted tables: a set checked once
-    keeps none."""
-    report = None if record is None else record[2]
+    as well.  A walk that holds sets a new record with its report."""
+    report = None if record is None else record.report
     if code is None:  # validate alone, which wants only the report
         if report is not None:
             return None, None, report
         code = _encoding(X)
-    if report is not None:
-        kept = record[3]
-        rows = kept.get(code.convert)
-        if rows is None:
-            rows = kept[code.convert] = _levels(X.level, map(code.convert, record[1]))
-        return [*rows[0]], [*rows[1]], report
+    walk = walk and report is None
     if walk:
         _check_distinct(X.cells)
     if record is None:
         (faces, d), (degeneracies, s) = (_checked_tables(X, k, code.table) for k in "ds")
         tables = faces + degeneracies
     else:
-        tables = record[1]
-        d, s = _levels(X.level, map(code.convert, tables), list)
+        tables = record.tables
+        converted = map(code.convert, tables)
+        d = [[], *(list(islice(converted, n + 1)) for n in range(1, X.level + 1))]
+        s = [*(list(islice(converted, n + 1)) for n in range(X.level)), []]
     if walk:
         report = _identities(X, code, memo, d, s)
         if report.holds:
-            object.__setattr__(X, "_as_read", (X.cells, tables, report, {}))
+            object.__setattr__(X, "_as_read", _SetRecord(X.cells, tables, report))
     return d, s, report
-
-
-def _levels(level: int, converted: Iterator, row=tuple) -> tuple[list, list]:
-    """(d, s): the tables converted, in the order of _table_keys, as
-    d[n][i] and s[n][i], each level a row: a tuple to keep, a list for
-    one call (small tuples freed by every call fill CPython's tuple free
-    lists, 2,000 of each size, which hold about 0.7 MB for sizes 2-7)."""
-    d = [row(), *(row(islice(converted, n + 1)) for n in range(1, level + 1))]
-    return d, [*(row(islice(converted, n + 1)) for n in range(level)), row()]
 
 
 @lru_cache(maxsize=256)
@@ -570,8 +575,7 @@ class _Call:
     and s[n][i]; records[k] is the k-th set's record as _current found
     it; memo keeps what the encoding derives from a table (the operands
     validate padded among them); operand and decide are those of code on
-    that memo.  Nothing in it outlives the check but the tables a record
-    keeps.
+    that memo.  Nothing in it outlives the check.
     """
 
     __slots__ = ("code", "rows", "records", "memo", "operand", "decide", "__weakref__")
@@ -665,17 +669,16 @@ def _identity_plan(level: int) -> tuple:
     s_{j+1} s_i for i <= j on X_n with n + 2 <= level, then d_i s_j on
     X_n with n + 1 <= level.
 
-    A plan is (runs, firsts, seconds, words, counts).  A run (n, f, g,
-    h, k, count, name, i, j) holds count equations on X_n: for e <
-    count, the table g + e after f equals the table k after h + e, or
-    the identity of X_n when h and k are None, where f, g, h and k are
-    slots into a call's tables.  With i + e for i, name.format(i, j,
-    i - 1, j - 1, j + 1) words the equation, and words.format(that, n,
-    cell) a failure on cell.  firsts and seconds slice the slots
-    composed first (f and h) and those composed second (g and k);
-    counts[n] is the number of equations on X_n.  Each family takes one
-    run per (n, j), and d_i s_j three: i < j, the identity pair, and
-    i > j + 1.  No run is empty."""
+    A plan is (runs, firsts, seconds, words).  A run (n, f, g, h, k,
+    count, name, i, j) holds count equations on X_n: for e < count, the
+    table g + e after f equals the table k after h + e, or the identity
+    of X_n when h and k are None, where f, g, h and k are slots into a
+    call's tables.  With i + e for i, name.format(i, j, i - 1, j - 1,
+    j + 1) words the equation, and words.format(that, n, cell) a failure
+    on cell.  firsts and seconds slice the slots composed first (f and
+    h) and those composed second (g and k).  Each family takes one run
+    per (n, j), and d_i s_j three: i < j, the identity pair, and
+    i > j + 1.  No run is empty; _identity_counts counts them."""
     (d, s), words = _bases(level), "identity {} fails at level {} on cell {!r}"
     dd, ss = "d_{0} d_{1} = d_{3} d_{0}", "s_{0} s_{1} = s_{4} s_{0}"
     below, split = "d_{0} s_{1} = s_{3} d_{0}", "d_{0} s_{1} = id"
@@ -693,21 +696,28 @@ def _identity_plan(level: int) -> tuple:
             if j < n:
                 g, h, k = d[n + 1] + j + 2, d[n] + j + 1, s[n - 1] + j
                 runs.append((n, f, g, h, k, n - j, above, j + 2, j))
-    return tuple(runs), slice(None), slice(None), words, _counts(level, runs)
+    return tuple(runs), slice(None), slice(None), words
 
 
-def _counts(top: int, runs: list) -> tuple[int, ...]:
-    """The number of equations runs hold on X_n, for each n <= top."""
-    counts = [0] * (top + 1)
-    for run in runs:
-        counts[run[0]] += run[5]
-    return tuple(counts)
+def _identity_counts(level: int) -> Iterator[int]:
+    """How many equations _identity_plan(level) holds on X_n, for each n
+    <= level: n(n+1)/2 of d_i d_j (n >= 2), t = (n+1)(n+2)/2 of s_i s_j
+    (n + 2 <= level) and 2t of d_i s_j (n + 1 <= level)."""
+    for n in range(level + 1):
+        t = (n + 1) * (n + 2) // 2
+        yield (n >= 2) * n * (n + 1) // 2 + t * ((n + 2 <= level) + 2 * (n < level))
 
 
-def _holding(plan, cells, level: int) -> CheckReport:
-    """The report of a walk of plan that holds, on a set whose levels
-    hold cells: each equation on X_n is compared on every cell of X_n."""
-    squares = sum(map(mul, plan[4], map(len, cells)))
+def _naturality_counts(top: int) -> Iterator[int]:
+    """How many equations _naturality_plan(top) holds on X_n, for each n
+    <= top: n + 1 of c d_i (n >= 1) and n + 1 of c s_i (n < top)."""
+    return ((n + 1) * ((n >= 1) + (n < top)) for n in range(top + 1))
+
+
+def _holding(counts: Iterator[int], cells, level: int) -> CheckReport:
+    """The report of a walk that holds of counts[n] equations on X_n, on
+    a set whose levels hold cells: each is compared on every cell."""
+    squares = sum(map(mul, counts, map(len, cells)))
     return CheckReport(holds=True, checked_level=level, squares_checked=squares)
 
 
@@ -718,7 +728,7 @@ def _equations(plan, tables: list, code: _Encoding, memo, cells, level) -> Check
     once, and the identity of each X_n once.  The first unequal pair ends
     the walk, counted up to its first differing cell, and only then is the
     failing equation named."""
-    runs, firsts, seconds, words, _ = plan
+    runs, firsts, seconds, words = plan
     getters, operands = [None] * len(tables), [None] * len(tables)
     getters[firsts] = map(code.step, tables[firsts])
     operands[seconds] = map(partial(code.operand, memo), tables[seconds])
@@ -812,7 +822,7 @@ def truncate(X: TruncatedSSet, level: int) -> TruncatedSSet:
     return Y
 
 
-def _inherit(Y: TruncatedSSet, record: tuple | None) -> tuple | None:
+def _inherit(Y: TruncatedSSet, record: _SetRecord | None) -> _SetRecord | None:
     """Give Y what record proves of it, record being _current(X) for the
     set X that opposite, truncate or a decalage made Y of just now, and
     return Y's new record (None when record is None).
@@ -829,17 +839,17 @@ def _inherit(Y: TruncatedSSet, record: tuple | None) -> tuple | None:
     faces, degeneracies = _table_keys(Y.level)
     tables = (*map(Y.faces.__getitem__, faces),
               *map(Y.degeneracies.__getitem__, degeneracies))
-    if record[2] is None:
-        inherited = Y.cells, tables, None
+    if record.report is None:
+        inherited = _SetRecord(Y.cells, tables)
     else:
-        report = _holding(_identity_plan(Y.level), Y.cells, Y.level)
-        inherited = Y.cells, tables, report, {}
+        report = _holding(_identity_counts(Y.level), Y.cells, Y.level)
+        inherited = _SetRecord(Y.cells, tables, report)
     object.__setattr__(Y, "_as_read", inherited)
     return inherited
 
 
 def _inherit_map(
-    m: SimplicialMap, record: tuple | None, source: tuple | None
+    m: SimplicialMap, record: _SetRecord | None, source: _SetRecord | None
 ) -> None:
     """Give m what record proves of it, record being _current(X) for the
     target X of a decalage projection m made just now, and source the
@@ -855,11 +865,11 @@ def _inherit_map(
     naturality would give."""
     if record is None:
         return
-    read = (m.source.cells, m.target.cells, m.components)
-    if record[2] is not None:
+    read = m.source.cells, m.target.cells, m.components
+    if record.report is not None:
         top = m.shared_level
-        read += (source, record, _holding(_naturality_plan(top), m.source.cells, top))
-    object.__setattr__(m, "_as_read", read)
+        read += source, record, _holding(_naturality_counts(top), m.source.cells, top)
+    object.__setattr__(m, "_as_read", _MapRecord(*read))
 
 
 def compose_tables(*tables: Table) -> Table:
@@ -1028,22 +1038,25 @@ def _naturality(m: SimplicialMap, call: _Call) -> tuple[list, CheckReport]:
     """m's components converted in the call of its ends, and validate_map's
     report on them, composed as validate composes.
 
-    m's private record _as_read is (source cells, target cells,
-    components), and then (source record, target record, report) from
-    _inherit_map.  serialize's map reader sets the first three once it
-    has shape-tested each component.  While m holds those objects, by
-    is, its components are converted untested; and while the records
-    the call found current for its ends are the ones named, the report
-    is the one recorded, with no walk."""
+    m's record is a _MapRecord: serialize's map reader sets it once it
+    has shape-tested each component, and _inherit_map on a decalage
+    projection.  While m holds the objects it names, by is, its
+    components are converted untested; and while the records the call
+    found current for its ends are the ones it names, its report is
+    returned with no walk."""
     read = vars(m).get("_as_read")
-    if read is None or not all(
-        map(is_, read, (m.source.cells, m.target.cells, m.components))
+    if not isinstance(read, _MapRecord) or not (
+        read.source_cells is m.source.cells
+        and read.target_cells is m.target.cells
+        and read.components is m.components
     ):
         comps = _components(m, call.code)
     else:
         comps = list(map(call.code.convert, m.components))
-        if read[3:] and read[3] is call.records[0] and read[4] is call.records[1]:
-            return comps, read[5]
+        if read.report is not None and read.source is call.records[0] and (
+            read.target is call.records[1]
+        ):
+            return comps, read.report
     top = m.shared_level
     tables = [*_flat(top, *call.rows[0]), *comps, *_flat(top, *call.rows[1])]
     plan, cells = _naturality_plan(top), m.source.cells
@@ -1055,15 +1068,16 @@ def _naturality_plan(top: int) -> tuple:
     """validate_map's equations on a map c of shared level top, in walk
     order: c_{n-1} d_i = d_i c_n on X_n for 1 <= n <= top, then c_{n+1}
     s_i = s_i c_n on X_n for n < top, each for i <= n, one run per
-    (kind, n), and counts, as _identity_plan says.  The source's tables
-    take the first slots, as _flat gives them, then c's components, then
-    the target's tables, so that the slots composed first (the source's
-    and c's) and those composed second (c's and the target's) are each
-    one slice, and no getter is made for the target's tables."""
+    (kind, n) as _identity_plan says, and _naturality_counts counts
+    them.  The source's tables take the first slots, as _flat gives
+    them, then c's components, then the target's tables, so that the
+    slots composed first (the source's and c's) and those composed
+    second (c's and the target's) are each one slice, and no getter is
+    made for the target's tables."""
     (d, s), c = _bases(top), top * top + 2 * top
     Y, words = c + top + 1, "naturality fails for {} at level {} on {!r}"
     runs = [(n, c + n, Y + d[n], d[n], c + n - 1, n + 1, "d_{0}", 0, 0)
             for n in range(1, top + 1)]
     runs += [(n, c + n, Y + s[n], s[n], c + n + 1, n + 1, "s_{0}", 0, 0)
              for n in range(top)]
-    return tuple(runs), slice(Y), slice(c, None), words, _counts(top, runs)
+    return tuple(runs), slice(Y), slice(c, None), words

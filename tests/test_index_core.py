@@ -405,9 +405,7 @@ class TestPlantedFaults:
 
 
 def spy_encodings(monkeypatch) -> Counter:
-    """Count the tables validate converts with each encoding of sset,
-    after the shape test of each (under the encoding's name) and untested
-    (under the name and "untested")."""
+    """Count the tables validate converts with each encoding of sset."""
     calls = Counter()
     for name in ("_BYTES", "_TUPLES"):
         code = getattr(sset, name)
@@ -416,11 +414,7 @@ def spy_encodings(monkeypatch) -> Counter:
             calls[name] += 1
             return code.table(t, source, size)
 
-        def convert(t, code=code, name=name):
-            calls[f"{name} untested"] += 1
-            return code.convert(t)
-
-        monkeypatch.setattr(sset, name, code._replace(table=table, convert=convert))
+        monkeypatch.setattr(sset, name, code._replace(table=table))
     return calls
 
 
@@ -460,9 +454,7 @@ def test_checkers_convert_each_table_once(monkeypatch, X, encoding):
     # a checker's squares read the tables its validation converted: one
     # conversion per table per call, and for culf one per component too,
     # each on a fresh copy of X, which carries no record of a walk; a
-    # second checker on the same copy shape-tests no table and keeps the
-    # tables it converts untested in the copy's record, so a third
-    # converts none
+    # second checker on the same copy shape-tests no table
     calls = spy_encodings(monkeypatch)
     tables = len(X.faces) + len(X.degeneracies)
     for check in (
@@ -477,93 +469,29 @@ def test_checkers_convert_each_table_once(monkeypatch, X, encoding):
         assert calls == {encoding: tables}, check.__name__
     calls.clear()
     assert not criteria.check_segal(Y).holds
-    assert calls == {f"{encoding} untested": tables}
-    calls.clear()
-    assert criteria.check_decomposition(Y).holds
     assert calls == {}
     assert criteria.check_culf(identity_map(dataclasses.replace(X))).holds
     assert calls == {encoding: tables + len(X.cells)}
 
 
-class TestKeptRows:
-    """From the second check of a set whose walk held, its record keeps
-    the tables as converted, one tuple per level, under the encoding:
-    later calls in that encoding share them and convert nothing, and a
-    call in the other encoding converts afresh."""
-
-    @staticmethod
-    def walked(name):
-        X = dataclasses.replace(BOUNDARY[name])
-        assert validate(X).holds
-        return X, len(X.faces) + len(X.degeneracies)
-
-    def test_rows_are_tuples_shared_under_one_encoding(self, monkeypatch):
-        calls = spy_encodings(monkeypatch)
-        (X, tables), (Z, more) = self.walked("largest-256"), self.walked("largest-257")
-        calls.clear()
-        first = sset._valid_call(X)
-        assert calls == {"_BYTES untested": tables}
-        calls.clear()
-        second = sset._valid_call(X)
-        assert calls == {}
-        for ours, theirs in zip(first.rows[0], second.rows[0]):
-            assert ours is not theirs and ours == theirs
-            assert {type(level) for level in ours} == {tuple}
-            assert all(a is b for a, b in zip(ours, theirs))
-        # culf of the inclusion into the set with one point more: the
-        # call holds tuples, so both ends are converted afresh, and kept
-        inclusion = SimplicialMap(X, Z, tuple(tuple(range(len(cs))) for cs in X.cells))
-        want = criteria.check_culf(SimplicialMap(
-            dataclasses.replace(X), dataclasses.replace(Z), inclusion.components
-        ))
-        calls.clear()
-        assert criteria.check_culf(inclusion) == want and want.holds
-        assert calls == {"_TUPLES untested": tables + more, "_TUPLES": len(X.cells)}
-        calls.clear()
-        assert criteria.check_culf(inclusion) == want
-        assert calls == {"_TUPLES": len(X.cells)}
-        kept = vars(X)["_as_read"][3]
-        assert set(kept) == {sset._BYTES.convert, sset._TUPLES.convert}
-        calls.clear()
-        third = sset._valid_call(X)
-        assert calls == {}
-        assert all(a is b for a, b in zip(third.rows[0][0], first.rows[0][0]))
-        assert {type(t) for level in kept[sset._BYTES.convert][0] for t in level} == {bytes}
-        assert {type(t) for level in kept[sset._TUPLES.convert][0] for t in level} == {tuple}
-
-    def test_remembered_objects_pickle(self):
-        # a set with kept rows, its décalage and the projection, whose
-        # record names both ends' records, come back from pickle with
-        # their records, and each check gives what a copy with no record
-        # gives
-        X = builders.free_decomposition(builders.bounded_words(("a", "b"), 2), 3)
-        for check in (validate, criteria.check_segal, criteria.check_segal):
-            check(X)
-        Y, f = operators.dec_top(X)
-        assert criteria.check_segal(Y).holds and vars(X)["_as_read"][3]
-        X, Y, f = pickle.loads(pickle.dumps((X, Y, f)))
-        assert vars(f)["_as_read"][3] is vars(Y)["_as_read"]
-        set_checks = (validate, criteria.check_segal, criteria.check_decomposition)
-        for check in set_checks:
-            for Z in (X, Y):
-                assert outcome(check, Z) == outcome(check, dataclasses.replace(Z))
-        fresh = SimplicialMap(dataclasses.replace(Y), dataclasses.replace(X), f.components)
-        for check in (validate_map, criteria.check_culf):
-            assert outcome(check, f) == outcome(check, fresh)
-
-    def test_replaced_table_drops_the_rows(self, monkeypatch):
-        calls = spy_encodings(monkeypatch)
-        X, tables = self.walked("largest-256")
-        for _ in range(2):
-            kept = sset._valid_call(X).rows[0][0]
-        key = max(X.faces)
-        X.faces[key] = tuple(list(X.faces[key]))
-        calls.clear()
-        call = sset._valid_call(X)
-        assert calls == {"_BYTES": tables}
-        record = vars(X)["_as_read"]
-        assert record[3] == {} and any(t is X.faces[key] for t in record[1])
-        assert not any(a is b for a, b in zip(call.rows[0][0][1:], kept[1:]))
+def test_remembered_objects_pickle():
+    # a walked set, its décalage and the projection, whose record names
+    # both ends' records, come back from pickle with their records, and
+    # each check gives what a copy with no record gives
+    X = builders.free_decomposition(builders.bounded_words(("a", "b"), 2), 3)
+    assert validate(X).holds
+    Y, f = operators.dec_top(X)
+    X, Y, f = pickle.loads(pickle.dumps((X, Y, f)))
+    assert vars(f)["_as_read"].source is vars(Y)["_as_read"]
+    assert vars(f)["_as_read"].target is vars(X)["_as_read"]
+    assert sset._current(X).report.holds and sset._current(Y).report.holds
+    set_checks = (validate, criteria.check_segal, criteria.check_decomposition)
+    for check in set_checks:
+        for Z in (X, Y):
+            assert outcome(check, Z) == outcome(check, dataclasses.replace(Z))
+    fresh = SimplicialMap(dataclasses.replace(Y), dataclasses.replace(X), f.components)
+    for check in (validate_map, criteria.check_culf):
+        assert outcome(check, f) == outcome(check, fresh)
 
 
 def serialized_forms(inst):

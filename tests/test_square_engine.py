@@ -807,23 +807,20 @@ def checked_sequence(X, fresh: bool) -> list:
     its level, each through CHAIN_STEPS, and the first chain's
     projection through the map steps.
 
-    With fresh, each step on X reads a copy made for it by
-    dataclasses.replace, which carries no record of a check, and the
-    steps on each operator output one copy made before the first of
-    them, so what they find remembered was walked on that copy; its
-    projection is rebuilt from that copy and a copy of its target.
-    Otherwise every step reads X and the very sets and maps the
-    operators made, so each check after the first finds X's record or
-    the one an operator passed on."""
+    With fresh, each step reads a copy made for it by
+    dataclasses.replace, which carries no record of a check, of X or
+    of the operator output, and a map step reads the projection rebuilt
+    on copies of both its ends.  Otherwise every step reads X and the
+    very sets and maps the operators made, so each check after the first
+    finds X's record or the one an operator passed on."""
     copy = dataclasses.replace if fresh else lambda Y: Y
 
     def through(Y, f=None, steps=SET_STEPS):
-        Y = copy(Y)
-        out.extend(attempt(step, Y) for step in steps)
+        out.extend(attempt(step, copy(Y)) for step in steps)
         if f is not None:
-            if fresh:
-                f = SimplicialMap(Y, copy(f.target), f.components)
-            out.extend(attempt(step, f) for step in MAP_STEPS)
+            for step in MAP_STEPS:
+                g = SimplicialMap(copy(f.source), copy(f.target), f.components)
+                out.append(attempt(step, g if fresh else f))
 
     out = [attempt(step, copy(X)) for step in SET_STEPS]
     out.append(attempt(lambda Y: criteria.check_culf(identity_map(Y)), copy(X)))
@@ -853,7 +850,7 @@ class TestRememberedVerdict:
         remembered = checked_sequence(X, fresh=False)
         assert remembered == checked_sequence(X, fresh=True), name
         if type(remembered[0]) is CheckReport:
-            assert vars(X)["_as_read"][2] is remembered[0], name
+            assert vars(X)["_as_read"].report is remembered[0], name
         else:
             assert "_as_read" not in vars(X), name
 
@@ -877,10 +874,11 @@ def made_of(X) -> list:
     return made
 
 
-def check_outcomes(x) -> list:
-    """Every set step on a set, or both map steps on a map."""
+def check_outcomes(x, fresh: bool = False) -> list:
+    """Every set step on a set, or both map steps on a map; with fresh,
+    each step reads a fresh copy of x made for it."""
     steps = MAP_STEPS if type(x) is SimplicialMap else SET_STEPS
-    return [attempt(step, x) for step in steps]
+    return [attempt(step, fresh_copy(x) if fresh else x) for step in steps]
 
 
 def fresh_copy(x):
@@ -894,11 +892,7 @@ def remembered_report(x):
     """The report x's record holds, None for a shape test alone, or
     "none" when x carries no record."""
     record = vars(x).get("_as_read")
-    if record is None:
-        return "none"
-    if type(x) is SimplicialMap:
-        return record[5] if len(record) > 3 else None
-    return record[2]
+    return "none" if record is None else record.report
 
 
 def read_back(X):
@@ -929,7 +923,7 @@ class TestDerivedRecords:
 
     def assert_as_fresh(self, made):
         for x in made:
-            assert check_outcomes(x) == check_outcomes(fresh_copy(x)), x
+            assert check_outcomes(x) == check_outcomes(x, fresh=True), x
 
     @pytest.mark.parametrize("inst", corpus(), ids=lambda inst: inst.name)
     def test_outputs_of_a_walked_set_carry_its_report(self, inst):
@@ -940,7 +934,7 @@ class TestDerivedRecords:
             carried = remembered_report(x)
             if report.holds:
                 assert carried.holds, x
-                assert carried == check_outcomes(fresh_copy(x))[0], x
+                assert carried == check_outcomes(x, fresh=True)[0], x
             else:
                 assert carried == "none", x
         self.assert_as_fresh(made)
@@ -994,7 +988,7 @@ class TestDerivedRecords:
                 tuple(list(Y.faces[key])) if change == "equal"
                 else (0,) * len(Y.cells[2])
             )
-            want = [check_outcomes(fresh_copy(x)) for x in (Y, f)]
+            want = [check_outcomes(x, fresh=True) for x in (Y, f)]
             assert want[0][0].holds is (change == "equal")
             assert [check_outcomes(f), check_outcomes(Y)] == [want[1], want[0]]
 
@@ -1005,6 +999,6 @@ class TestDerivedRecords:
         assert sset.validate(X).holds
         Y, f = operators.dec_top(X)
         X.faces[(3, 0)] = (0,) * len(X.cells[3])
-        want = check_outcomes(fresh_copy(f))
+        want = check_outcomes(f, fresh=True)
         assert not want[0].holds and want[1][0] == "StructuralError"
         assert check_outcomes(f) == want

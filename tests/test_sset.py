@@ -204,6 +204,21 @@ class TestEquationPlans:
             assert {f, *range(h, h + count)} <= firsts
             assert {*range(g, g + count), k} <= seconds
 
+    @pytest.mark.parametrize("level", range(12))
+    def test_counts_are_those_of_the_plans(self, level):
+        # a record passed on by an operator counts its report's squares
+        # in closed form: the counts must be the equations each plan
+        # holds on each level
+        def counts(plan):
+            per_level = Counter()
+            for run in plan[0]:
+                per_level[run[0]] += run[5]
+            return [per_level[n] for n in range(level + 1)]
+
+        assert list(sset._identity_counts(level)) == counts(sset._identity_plan(level))
+        want = counts(sset._naturality_plan(level))
+        assert list(sset._naturality_counts(level)) == want
+
     @pytest.mark.parametrize("level", range(7))
     def test_slots_do_not_depend_on_the_level(self, level):
         # d_i on X_n is slot n*n - 1 + i and s_i on X_n slot n*n + 3n + 2
