@@ -66,6 +66,21 @@ _first_failure, the one loop that does; a certificate only asks whether
 a square failed, so it builds no witness.
 At level 2 check_decomposition decides the same unit squares the
 certificate does there, since the 2-Segal squares need X_3.
+
+A square family is proven once per set.  When a full walk of the Segal
+squares, of the upper or lower 2-Segal squares, or of the unit squares
+holds (check_segal; check_upper_2segal, check_lower_2segal and
+check_decomposition; the latter's unit squares at level 2 and the direct
+certificate at rank cap = level, without a cut-off), its family is added
+to the record X was validated with (sset._proves), for as long as X
+holds those very tables.  Each compiled plan tags its elementary squares
+with their family (_family), and a square of a family X's record holds
+is counted in walk order like an identity-leg square, not decided, and
+fills no slot: every later checker reads it, and so do the decalages
+and their projections, whose Segal and culf squares are X's 2-Segal and
+unit squares on the same tables (operators.dec_top).  The first failure
+is still decided and described by the walk, so every report, witness
+and squares_checked is the one a fresh set gives.
 """
 
 from __future__ import annotations
@@ -85,6 +100,7 @@ from .sset import (
     TruncatedSSet,
     _Call,
     _naturality,
+    _proves,
     _then,
     _valid_call,
     _word_steps,
@@ -165,9 +181,13 @@ def check_segal(X: TruncatedSSet) -> CheckReport:
     """The outer-face squares X_{n+1} over X_{n-1}, for n+1 within level."""
     call = _valid_call(X)
     d = call.rows[0][0]
+    proven = "segal" in call.records[0].families
 
     def squares():
         for n in range(1, X.level):
+            if proven:
+                yield None, None
+                continue
             yield (d[n + 1][0], d[n + 1][n + 1], d[n][n], d[n][0]), lambda: _on(
                 X,
                 f"segal n={n}: X{n + 1} -(d_bot)-> X{n} -(d_top)-> X{n - 1}, "
@@ -175,7 +195,10 @@ def check_segal(X: TruncatedSSet) -> CheckReport:
                 (n + 1, n, n, n - 1),
             )
 
-    return _decide(X.level, call, squares())
+    report = _decide(X.level, call, squares())
+    if report.holds:
+        _proves(call, X, "segal")
+    return report
 
 
 def check_segal_iterated(X: TruncatedSSet) -> CheckReport:
@@ -241,10 +264,17 @@ def _chains(n: int, ends: Table, starts: dict[int, list[int]]) -> Iterator[tuple
             stack.append(iter(starts.get(ends[e], ())))
 
 
+#: The family of the 2-Segal squares of each side (iota at offset 1 or 0).
+_SIDES = {1: "upper", 0: "lower"}
+
+
 def _check_two_segal(X: TruncatedSSet, sides: tuple[int, ...]) -> CheckReport:
     call = _valid_call(X)
     plan = _two_segal_plan(X.level, sides)
-    return _decide(X.level, call, _pushout_squares(X, call, plan, _two_segal_label))
+    report = _decide(X.level, call, _pushout_squares(X, call, plan, _two_segal_label))
+    if report.holds:
+        _proves(call, X, *map(_SIDES.get, sides))
+    return report
 
 
 def check_upper_2segal(X: TruncatedSSet) -> CheckReport:
@@ -290,7 +320,10 @@ def check_decomposition(X: TruncatedSSet) -> CheckReport:
         return _check_two_segal(X, (1, 0))
     call = _valid_call(X)
     squares = _pushout_squares(X, call, _elementary_plan(2, 2), _active_inert_label)
-    return _decide(2, call, squares)
+    report = _decide(2, call, squares)
+    if report.holds:
+        _proves(call, X, "unit")
+    return report
 
 
 #: A map alpha: [len(values) - 1] -> [target_rank] as (target_rank, values).
@@ -303,9 +336,10 @@ MapKey = tuple[int, tuple[int, ...]]
 Slot = tuple[int, int, tuple[int, int]]
 
 #: A compiled plan: its slots, and its squares as (alpha, iota, k, p,
-#: legs, filled), legs the slots of f, g, p and q and whether alpha is
-#: surjective (None for a square with an identity leg) and filled the
-#: number of slots the walk has filled once it reaches the square.
+#: legs, filled), legs the slots of f, g, p and q, whether alpha is
+#: surjective and the square's family (_family), None for a square with
+#: an identity leg, and filled the number of slots the walk has filled
+#: once it reaches the square.
 Plan = tuple[Sequence[Slot], Iterable[tuple]]
 
 
@@ -326,6 +360,22 @@ def _prepared(alpha, iota, theta, phi):
     return alpha, iota, k, p, ((p, phi), (p, theta), (k, iota), (m, alpha))
 
 
+def _family(alpha, iota, k: int) -> str | None:
+    """The family of the square of alpha: [n] -> [m] and iota: [n] -> [k]
+    whose proof a set's record may hold (sset._FAMILIES), or None.
+
+    The elementary squares are those with iota an outer coface, k = n +
+    1: alpha a codegeneracy (m = n - 1) gives a unit square, and alpha an
+    inner coface (m = n + 1) a 2-Segal square, upper when iota skips 0
+    and lower when it skips k.  Any such square within a set's level is
+    one of the family that check_upper_2segal, check_lower_2segal and
+    the direct checker's pasting certificate decide at that level."""
+    n, m = len(alpha) - 1, alpha[-1]
+    if k != n + 1 or m - n not in (1, -1):
+        return None
+    return "unit" if m < n else _SIDES[iota[0]]
+
+
 def _compiled(squares, slots: list[Slot]) -> Iterator[tuple]:
     """Prepared squares (_prepared) as the squares of a compiled plan,
     whose new slots are appended to slots in walk order.
@@ -336,7 +386,8 @@ def _compiled(squares, slots: list[Slot]) -> Iterator[tuple]:
     with legs is flagged split when alpha is surjective: then so is its
     pushout phi, and f = X(phi) and q = X(alpha) are composites of
     degeneracies, injective on a validated X, so the call decides it by
-    the count alone (sset._tuple_holds).
+    the count alone (sset._tuple_holds).  Each square with legs is also
+    tagged with its family (_family), once per process for a cached plan.
     """
     of_map: dict[MapKey, int] = {}
     of_step: dict[Slot, int] = {}
@@ -358,7 +409,8 @@ def _compiled(squares, slots: list[Slot]) -> Iterator[tuple]:
         if keys is None:
             legs = None
         else:
-            legs = (*map(slot, keys), len(set(alpha)) == alpha[-1] + 1)
+            split = len(set(alpha)) == alpha[-1] + 1
+            legs = (*map(slot, keys), split, _family(alpha, iota, k))
         yield alpha, iota, k, p, legs, len(slots)
 
 
@@ -380,21 +432,23 @@ def _pushout_squares(X: TruncatedSSet, call: _Call, plan: Plan, label) -> Iterat
     composes, so a walk that stops early composes nothing past its
     stop.  The slots may still grow while the squares are drawn, as
     when the direct walk compiles its squares as it streams them.  A
-    square without legs comes without tables; the others come with
-    their split flag.
+    square without legs, or of a family that X's record holds proven,
+    comes without tables and fills no slot; the others come with their
+    split flag.
     """
     slots, squares = plan
     own, step, operand = call.rows[0], call.code.step, call.operand
+    proven = call.records[0].families
     tables: list = []
     for alpha, iota, k, p, legs, filled in squares:
-        if legs is None:
+        if legs is None or legs[5] in proven:
             yield None, None
             continue
         for s in range(len(tables), filled):
             prefix, kind, (n, i) = slots[s]
             table = own[kind][n][i]
             tables.append(table if prefix < 0 else step(tables[prefix])(operand(table)))
-        f, g, p_leg, q_leg, split = legs
+        f, g, p_leg, q_leg, split, _ = legs
         yield (tables[f], tables[g], tables[p_leg], tables[q_leg], split), lambda: _on(
             X, label(alpha, iota, k, p), (p, k, alpha[-1], len(alpha) - 1)
         )
@@ -642,6 +696,8 @@ def check_decomposition_direct(
     )[1] is None:
         if max_squares is not None and max_squares < size:
             return _cut_off(X.level, max_squares)
+        if rank_cap == X.level:
+            _proves(call, X, "unit", "upper", "lower")
         return CheckReport(holds=True, checked_level=X.level, squares_checked=size)
     slots: list[Slot] = []
     plan = slots, _compiled(_direct_squares(ranks), slots)
@@ -655,19 +711,25 @@ def check_culf(f: SimplicialMap) -> CheckReport:
     The source and the target are validated first, then f itself; a
     malformed end raises StructuralError naming it.  The degeneracy
     squares are split: their legs s_j of X and of Y are injective on
-    validated ends, so each is decided by the count alone.
+    validated ends, so each is decided by the count alone.  A decalage
+    projection whose ends still hold their records counts the squares
+    its target's families prove (sset._inherit_map), undecided.
     """
     call = _valid_call(f.source, f.target, ends=("source", "target"))
-    c, report = _naturality(f, call)
+    c, report, proven = _naturality(f, call)
     if not report.holds:
         raise StructuralError(f"input is not a simplicial map: {report.detail}")
     top = f.shared_level
     X, Y = f.source, f.target
     (dX, sX), (dY, sY) = call.rows
+    faces, degeneracies = "face" in proven, "degeneracy" in proven
 
     def squares():
         for n in range(2, top + 1):
             for i in range(1, n):
+                if faces:
+                    yield None, None
+                    continue
                 yield (dX[n][i], c[n], c[n - 1], dY[n][i]), lambda: (
                     f"culf face n={n} i={i}: X{n} -(d_{i})-> X{n - 1} over "
                     f"Y{n} -(d_{i})-> Y{n - 1}",
@@ -676,6 +738,9 @@ def check_culf(f: SimplicialMap) -> CheckReport:
                 )
         for n in range(top):
             for j in range(n + 1):
+                if degeneracies:
+                    yield None, None
+                    continue
                 yield (sX[n][j], c[n], c[n + 1], sY[n][j], True), lambda: (
                     f"culf degeneracy n={n} j={j}: X{n} -(s_{j})-> X{n + 1} "
                     f"over Y{n} -(s_{j})-> Y{n + 1}",

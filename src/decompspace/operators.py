@@ -15,6 +15,16 @@ _inherit and _inherit_map): a set X that a walk has proven gives
 decalages and projections that later checks do not walk again.  sd
 composes new tables, whose identities follow from X's only by
 functoriality, so its output carries no record and is walked.
+
+Squares are passed on the same way.  A Segal square of Dec_top X is an
+upper 2-Segal square of X, and a culf square of its projection a lower
+2-Segal or a unit square of X (mirrored for Dec_bot), on the same
+tables, so the square families X's record holds proven give the
+decalage its Segal squares and the projection its culf squares, which
+later checks count without deciding.  This is the "only if" direction of
+the path space criterion (Galvez-Carrillo, Kock and Tonks,
+arXiv:1512.07573), by construction: a decomposition space has Segal
+decalages whose projections are culf.
 """
 
 from __future__ import annotations
@@ -40,8 +50,18 @@ def dec_top(X: TruncatedSSet) -> tuple[TruncatedSSet, SimplicialMap]:
     on X_{n+1}, so each equation a walk of Y compares is the same
     equation of X on X_{n+1}, over the same cells; proj's naturality
     equations are X's d_i d_{n+1} = d_n d_i and d_{n+2} s_i = s_i d_{n+1}.
+
+    The same goes for squares (_TOP, _TOP_PROJECTION).  The Segal square
+    of Y at n, (d_0, d_{n+1}, d_n, d_0) on X_{n+2} over X_n, is X's upper
+    2-Segal square (n + 1, n), (d_{n+1}, d_0, d_0, d_n), transposed, so
+    Y is Segal where X is upper 2-Segal: the path space criterion's "only
+    if" half.  proj's culf face square (n, i), (d_i, d_{n+1}, d_n, d_i)
+    on X_{n+1} over X_{n-1}, is X's lower square (n, i); its degeneracy
+    square (n, j), (s_j, d_{n+1}, d_{n+2}, s_j) on X_{n+1} over X_{n+1},
+    is X's unit square of the codegeneracy doubling j on [n + 1] along
+    the outer coface at offset 0.
     """
-    return _inherited(X, *_upper(X))
+    return _inherited(X, *_upper(X), _TOP, _TOP_PROJECTION)
 
 
 def dec_bot(X: TruncatedSSet) -> tuple[TruncatedSSet, SimplicialMap]:
@@ -51,11 +71,16 @@ def dec_bot(X: TruncatedSSet) -> tuple[TruncatedSSet, SimplicialMap]:
     operator indices shift down by one, and proj: Y -> X is the
     forgotten bottom face at each level, the top face of X^op.  So d_i
     and s_i on Y_n are X's tables d_{i+1} and s_{i+1} on X_{n+1}, and
-    the record is passed on as by dec_top, once, to the result.
+    the record is passed on as by dec_top, once, to the result, with the
+    mirror images of its families (_BOT, _BOT_PROJECTION): Y's Segal
+    square at n, (d_1, d_{n+2}, d_{n+1}, d_1) on X_{n+2}, is X's lower
+    square (n + 1, 1); proj's culf face square (n, i), (d_{i+1}, d_0,
+    d_0, d_i), is X's upper square (n, i); and its degeneracy squares are
+    X's unit squares along the outer coface at offset 1.
     """
     Y, proj = _upper(_reversed(X))
     Y = _reversed(Y)
-    return _inherited(X, Y, SimplicialMap(Y, X, proj.components))
+    return _inherited(X, Y, SimplicialMap(Y, X, proj.components), _BOT, _BOT_PROJECTION)
 
 
 def _upper(X: TruncatedSSet) -> tuple[TruncatedSSet, SimplicialMap]:
@@ -81,13 +106,26 @@ def _upper(X: TruncatedSSet) -> tuple[TruncatedSSet, SimplicialMap]:
     return Y, proj
 
 
+#: The families of X that dec_top's and dec_bot's output and projection
+#: hold, by what they become there; the decalages' docstrings prove each.
+_TOP = {"upper": "segal"}
+_TOP_PROJECTION = {"lower": "face", "unit": "degeneracy"}
+_BOT = {"lower": "segal"}
+_BOT_PROJECTION = {"upper": "face", "unit": "degeneracy"}
+
+
 def _inherited(
-    X: TruncatedSSet, Y: TruncatedSSet, proj: SimplicialMap
+    X: TruncatedSSet,
+    Y: TruncatedSSet,
+    proj: SimplicialMap,
+    families: dict[str, str],
+    culf: dict[str, str],
 ) -> tuple[TruncatedSSet, SimplicialMap]:
     """(Y, proj), a decalage of X and its projection just made, given
-    what X's record proves of them."""
+    what X's record proves of them, X's families as families names them
+    for Y and as culf names them for proj, from one _current(X)."""
     record = _current(X)
-    _inherit_map(proj, record, _inherit(Y, record))
+    _inherit_map(proj, record, _inherit(Y, record, families), culf)
     return Y, proj
 
 

@@ -57,6 +57,14 @@ gives a decalage projection the report of its naturality walk, whose
 equations are identities of its target, for as long as both ends keep
 their records.  _naturality reads that, and the components serialize's
 map reader tested, as _proven reads a set's record.
+
+A record with a report also holds the square families (Segal, upper and
+lower 2-Segal, unit) that a full walk of the checkers in criteria has
+since proven on those same tables (_proves).  The operators pass them
+on, each rule proven in their docstrings: the opposite swaps upper and
+lower, a truncation keeps every family, and a decalage gives its output
+Segal squares and its projection culf squares from X's 2-Segal and unit
+squares.
 """
 
 from __future__ import annotations
@@ -464,22 +472,26 @@ def _checked_tables(X: TruncatedSSet, kind: str, encode) -> tuple[list, list[lis
 class _SetRecord(NamedTuple):
     """What has been proven of a set's very objects, kept as its private
     attribute _as_read: its cells, its tables in the order of
-    _table_keys, and once a walk of them holds, the walk's report.
+    _table_keys, and once a walk of them holds, the walk's report and
+    the set of square families (_FAMILIES) that a full walk has since
+    proven to hold on those tables, which grows in place (_proves).
     serialize's reader sets it without a report once it has
     shape-tested every table it read; a walk that holds in _proven sets
-    it with its report, and _inherit on what an operator makes of a set
-    whose record is current."""
+    it with its report and no family, and _inherit on what an operator
+    makes of a set whose record is current."""
 
     cells: tuple
     tables: Sequence[Table]
     report: CheckReport | None = None
+    families: set | None = None
 
 
 class _MapRecord(NamedTuple):
     """What has been proven of a map's very objects, kept as its private
     attribute _as_read: the cells of both ends and the components, each
     of which passed the shape test, and from _inherit_map the records of
-    both ends it was proven with and the report of its naturality."""
+    both ends it was proven with, the report of its naturality and the
+    culf squares proven to be pullbacks ("face", "degeneracy")."""
 
     source_cells: tuple
     target_cells: tuple
@@ -487,6 +499,25 @@ class _MapRecord(NamedTuple):
     source: _SetRecord | None = None
     target: _SetRecord | None = None
     report: CheckReport | None = None
+    families: frozenset = frozenset()
+
+
+#: The square families a record can hold proven: X's Segal squares, its
+#: upper and lower 2-Segal squares, and its unit squares (the elementary
+#: squares whose alpha is a codegeneracy), each the whole family within
+#: X's level, as check_segal, the 2-Segal checkers and the direct
+#: checker's pasting certificate decide them.
+_FAMILIES = ("segal", "upper", "lower", "unit")
+
+
+def _proves(call: _Call, X: TruncatedSSet, *families: str) -> None:
+    """Record that families hold on X, a full walk of each having just
+    held on the call's tables: they are added to the record the call
+    validated X with, while that record is still X's, so they are read
+    only while X holds the very tables they were proven on."""
+    record = call.records[0]
+    if vars(X).get("_as_read") is record:
+        record.families.update(families)
 
 
 def _current(X: TruncatedSSet) -> _SetRecord | None:
@@ -498,13 +529,15 @@ def _current(X: TruncatedSSet) -> _SetRecord | None:
     cannot change, so any change (a table replaced, a key deleted, the
     cells or the level replaced) makes the record stale.  So does a
     record of any other type, such as the plain tuple an older version
-    of this module recorded."""
+    of this module recorded, or a report without its set of families,
+    as a record of the previous layout loads."""
     record = vars(X).get("_as_read")
     # a level L >= 0 has L * L + 2 * L tables, so only the levels below 0,
     # which a set can be given only once built, share a count; a report
     # names its level
     if not isinstance(record, _SetRecord) or record.cells is not X.cells or (
-        record.report is not None and record.report.checked_level != X.level
+        record.report is not None
+        and (record.report.checked_level != X.level or record.families is None)
     ):
         return None
     faces, degeneracies = _table_keys(X.level)
@@ -525,19 +558,21 @@ def _proven(
     memo: dict | None,
     walk: bool = True,
 ):
-    """(d, s, report): X's tables converted by code, as d[n][i] and
-    s[n][i], after the shape test of each, and with walk the report of
-    validate's walk on them, its operands kept in memo (else None).
-    Without code, as for validate alone, _encoding picks it, and a
-    remembered report comes back without d and s.
+    """(d, s, report, record): X's tables converted by code, as d[n][i]
+    and s[n][i], after the shape test of each, with walk the report of
+    validate's walk on them, its operands kept in memo (else None), and
+    X's record once they are proven.  Without code, as for validate
+    alone, _encoding picks it, and a remembered report comes back
+    without d and s.
 
     record is _current(X).  With it, the tables are converted untested,
     and with its report the duplicate-cell test and the walk are skipped
-    as well.  A walk that holds sets a new record with its report."""
+    as well.  A walk that holds sets a new record with its report and no
+    family."""
     report = None if record is None else record.report
     if code is None:  # validate alone, which wants only the report
         if report is not None:
-            return None, None, report
+            return None, None, report, record
         code = _encoding(X)
     walk = walk and report is None
     if walk:
@@ -553,8 +588,9 @@ def _proven(
     if walk:
         report = _identities(X, code, memo, d, s)
         if report.holds:
-            object.__setattr__(X, "_as_read", _SetRecord(X.cells, tables, report))
-    return d, s, report
+            record = _SetRecord(X.cells, tables, report, set())
+            object.__setattr__(X, "_as_read", record)
+    return d, s, report, record
 
 
 @lru_cache(maxsize=256)
@@ -572,10 +608,11 @@ class _Call:
 
     code is the encoding, chosen once over every set of the check;
     rows[k] is (d, s), the converted tables of the k-th set as d[n][i]
-    and s[n][i]; records[k] is the k-th set's record as _current found
-    it; memo keeps what the encoding derives from a table (the operands
-    validate padded among them); operand and decide are those of code on
-    that memo.  Nothing in it outlives the check.
+    and s[n][i]; records[k] is the k-th set's record once validated (as
+    _current found it, or the one its walk set); memo keeps what the
+    encoding derives from a table (the operands validate padded among
+    them); operand and decide are those of code on that memo.  Nothing
+    in it outlives the check.
     """
 
     __slots__ = ("code", "rows", "records", "memo", "operand", "decide", "__weakref__")
@@ -601,10 +638,10 @@ def _valid_call(
             records.append(records[0])
             continue
         who = "input" if ends is None else f"map {ends[k]}"
-        records.append(_current(X))
         try:
-            d, s, report = _proven(X, records[k], code, memo, walk)
+            d, s, report, record = _proven(X, _current(X), code, memo, walk)
             rows.append((d, s))
+            records.append(record)
         except StructuralError as exc:
             if ends is None:
                 raise
@@ -791,13 +828,30 @@ def _word_steps(target_rank: int, values: tuple[int, ...]):
     return tuple(steps)
 
 
+#: The families of X that its opposite holds, by the family they become.
+#: d_k |-> d_{n-k} on X_n turns the Segal square of X^op at n into X's at
+#: n, transposed: (d_0, d_{n+1}, d_n, d_0) of X^op is (d_{n+1}, d_0, d_0,
+#: d_n) of X.  It turns the upper square (k, i) of X^op, (d_{i+1}, d_0,
+#: d_0, d_i) on X_{k+1} over X_{k-1}, into (d_{k-i}, d_{k+1}, d_k,
+#: d_{k-i}), X's lower square (k, k - i), and so the lower squares into
+#: the upper ones.  A unit square, alpha the codegeneracy doubling j
+#: pushed out along the outer coface at offset c, becomes X's unit square
+#: doubling n - 1 - j at offset 1 - c.
+_OPPOSITE = {"segal": "segal", "upper": "lower", "lower": "upper", "unit": "unit"}
+
+#: truncate keeps every family: each square of a family within level k is
+#: one of the same family within any level above k, on the same tables.
+_SAME = {family: family for family in _FAMILIES}
+
+
 def opposite(X: TruncatedSSet) -> TruncatedSSet:
     """Reverse the operator order: d_k becomes d_{n-k}, s_k becomes s_{n-k}.
 
     d_k |-> d_{n-k} maps X's simplicial identities onto themselves, so
-    the opposite inherits what X's record proves (_inherit)."""
+    the opposite inherits what X's record proves (_inherit), with the
+    upper and lower families swapped (_OPPOSITE)."""
     Y = _reversed(X)
-    _inherit(Y, _current(X))
+    _inherit(Y, _current(X), _OPPOSITE)
     return Y
 
 
@@ -809,8 +863,9 @@ def _reversed(X: TruncatedSSet) -> TruncatedSSet:
 
 
 def truncate(X: TruncatedSSet, level: int) -> TruncatedSSet:
-    """Forget everything above the given level.  Its identities are some
-    of X's, so it inherits what X's record proves (_inherit)."""
+    """Forget everything above the given level.  Its identities and its
+    squares are some of X's, so it inherits what X's record proves
+    (_inherit), every family included."""
     if level > X.level:
         raise LevelError(f"cannot extend level {X.level} to {level}")
     faces = {(n, i): t for (n, i), t in X.faces.items() if n <= level}
@@ -818,14 +873,18 @@ def truncate(X: TruncatedSSet, level: int) -> TruncatedSSet:
         (n, i): t for (n, i), t in X.degeneracies.items() if n + 1 <= level
     }
     Y = TruncatedSSet(level, X.cells[: level + 1], faces, degeneracies)
-    _inherit(Y, _current(X))
+    _inherit(Y, _current(X), _SAME)
     return Y
 
 
-def _inherit(Y: TruncatedSSet, record: _SetRecord | None) -> _SetRecord | None:
+def _inherit(
+    Y: TruncatedSSet, record: _SetRecord | None, families: Mapping[str, str]
+) -> _SetRecord | None:
     """Give Y what record proves of it, record being _current(X) for the
     set X that opposite, truncate or a decalage made Y of just now, and
-    return Y's new record (None when record is None).
+    return Y's new record (None when record is None).  families maps
+    each family of X to the family of Y whose squares are its squares
+    on the same tables, as the operator's docstring proves.
 
     Each of them makes Y of X's very tables, reindexed: every table of Y
     is one of X's, between levels of X of the sizes of Y's, so it passes
@@ -833,7 +892,9 @@ def _inherit(Y: TruncatedSSet, record: _SetRecord | None) -> _SetRecord | None:
     duplicate cell; and each simplicial identity of Y, on each cell, is
     one of X's on the same tables and cells.  So the reader's shape-only
     record carries over as a shape-only record, and a holding report as
-    the report a walk of Y would give."""
+    the report a walk of Y would give, and each family X holds as the
+    family of Y that families names, which a full walk of Y would prove
+    on the same squares."""
     if record is None:
         return None
     faces, degeneracies = _table_keys(Y.level)
@@ -843,17 +904,23 @@ def _inherit(Y: TruncatedSSet, record: _SetRecord | None) -> _SetRecord | None:
         inherited = _SetRecord(Y.cells, tables)
     else:
         report = _holding(_identity_counts(Y.level), Y.cells, Y.level)
-        inherited = _SetRecord(Y.cells, tables, report)
+        proven = {families[f] for f in record.families if f in families}
+        inherited = _SetRecord(Y.cells, tables, report, proven)
     object.__setattr__(Y, "_as_read", inherited)
     return inherited
 
 
 def _inherit_map(
-    m: SimplicialMap, record: _SetRecord | None, source: _SetRecord | None
+    m: SimplicialMap,
+    record: _SetRecord | None,
+    source: _SetRecord | None,
+    families: Mapping[str, str],
 ) -> None:
     """Give m what record proves of it, record being _current(X) for the
-    target X of a decalage projection m made just now, and source the
-    record _inherit gave m's source from it.
+    target X of a decalage projection m made just now, source the record
+    _inherit gave m's source from it, and families the map from X's
+    families to the kinds of culf square of m ("face", "degeneracy")
+    that are the same squares, as the decalage's docstring proves.
 
     m's components are outer faces of X, so they pass the shape test X's
     tables passed.  With a holding report, each naturality equation of m
@@ -861,14 +928,16 @@ def _inherit_map(
     c_{n-1} d_i = d_i c_n is d_i d_{n+1} = d_n d_i and c_{n+1} s_i =
     s_i c_n is d_{n+2} s_i = s_i d_{n+1} on X_{n+1}, and the mirror
     images for Dec_bot.  So m's record then names the records of both
-    ends, which must still be current, and the report a walk of its
-    naturality would give."""
+    ends, which must still be current, the report a walk of its
+    naturality would give, and the kinds of culf square X's families
+    prove."""
     if record is None:
         return
     read = m.source.cells, m.target.cells, m.components
     if record.report is not None:
         top = m.shared_level
         read += source, record, _holding(_naturality_counts(top), m.source.cells, top)
+        read += (frozenset(families[f] for f in record.families if f in families),)
     object.__setattr__(m, "_as_read", _MapRecord(*read))
 
 
@@ -1034,16 +1103,17 @@ def _components(m: SimplicialMap, code: _Encoding) -> list:
     return comps
 
 
-def _naturality(m: SimplicialMap, call: _Call) -> tuple[list, CheckReport]:
-    """m's components converted in the call of its ends, and validate_map's
-    report on them, composed as validate composes.
+def _naturality(m: SimplicialMap, call: _Call) -> tuple[list, CheckReport, frozenset]:
+    """m's components converted in the call of its ends, validate_map's
+    report on them, composed as validate composes, and the kinds of culf
+    square of m proven to be pullbacks.
 
     m's record is a _MapRecord: serialize's map reader sets it once it
     has shape-tested each component, and _inherit_map on a decalage
     projection.  While m holds the objects it names, by is, its
     components are converted untested; and while the records the call
-    found current for its ends are the ones it names, its report is
-    returned with no walk."""
+    found current for its ends are the ones it names, its report and its
+    culf squares are returned with no walk (else no culf square)."""
     read = vars(m).get("_as_read")
     if not isinstance(read, _MapRecord) or not (
         read.source_cells is m.source.cells
@@ -1056,11 +1126,11 @@ def _naturality(m: SimplicialMap, call: _Call) -> tuple[list, CheckReport]:
         if read.report is not None and read.source is call.records[0] and (
             read.target is call.records[1]
         ):
-            return comps, read.report
+            return comps, read.report, read.families
     top = m.shared_level
     tables = [*_flat(top, *call.rows[0]), *comps, *_flat(top, *call.rows[1])]
     plan, cells = _naturality_plan(top), m.source.cells
-    return comps, _equations(plan, tables, call.code, call.memo, cells, top)
+    return comps, _equations(plan, tables, call.code, call.memo, cells, top), frozenset()
 
 
 @lru_cache(maxsize=_PLAN_LEVELS)

@@ -156,19 +156,35 @@ def test_one_loop_walks_equations():
 CERTIFICATE = "_as_read"
 
 
+#: The field of a record that holds the square families proven on it.
+FAMILIES = "families"
+
+
 def test_only_the_readers_certify():
     # the set and map readers, sset's one validation entry and the two
     # sset functions through which opposite, truncate and the decalages
     # pass their input's record on set the record through
     # object.__setattr__; only sset reads it: the test of whether a set's
-    # record is current, and the map naturality that reads a map's.  A
-    # builder, sd or any other function that certified its own output
-    # would fail here
+    # record is current, the map naturality that reads a map's, and
+    # _proves, which adds a family only to the record the set still
+    # holds.  A builder, sd or any other function that certified its own
+    # output would fail here.  A record's families are written only by
+    # _proves, which only the checkers whose full walk decides a whole
+    # family call, and by the functions that make a record; they are
+    # read by the square walks and check_segal, and by the culf check
+    # through _naturality
     setters, readers = set(), set()
+    provers, family_readers = set(), set()
     for module, tree in TREES.items():
         for node in tree.body:
             where, set_here = (module, getattr(node, "name", None)), set()
             for inner in ast.walk(node):
+                if isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == (
+                    "_proves"
+                ):
+                    provers.add(where)
+                if getattr(inner, "attr", None) == FAMILIES:
+                    family_readers.add(where)
                 if (
                     isinstance(inner, ast.Call)
                     and ast.unparse(inner.func) == "object.__setattr__"
@@ -190,4 +206,23 @@ def test_only_the_readers_certify():
         ("sset.py", "_inherit"),
         ("sset.py", "_inherit_map"),
     }
-    assert readers == {("sset.py", "_current"), ("sset.py", "_naturality")}
+    assert readers == {
+        ("sset.py", "_current"),
+        ("sset.py", "_naturality"),
+        ("sset.py", "_proves"),
+    }
+    assert provers == {
+        ("criteria.py", "check_segal"),
+        ("criteria.py", "_check_two_segal"),
+        ("criteria.py", "check_decomposition"),
+        ("criteria.py", "check_decomposition_direct"),
+    }
+    assert family_readers == {
+        ("sset.py", "_current"),
+        ("sset.py", "_proves"),
+        ("sset.py", "_inherit"),
+        ("sset.py", "_inherit_map"),
+        ("sset.py", "_naturality"),
+        ("criteria.py", "_pushout_squares"),
+        ("criteria.py", "check_segal"),
+    }

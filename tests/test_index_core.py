@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import boundary_sets, corpus, direct_sweep_shape, point
+from corpus import boundary_sets, chain_category, corpus, direct_sweep_shape, point
 from decompspace import builders, criteria, operators, serialize, sset
 from decompspace.sset import (
     SimplicialMap,
@@ -474,17 +474,16 @@ def test_checkers_convert_each_table_once(monkeypatch, X, encoding):
     assert calls == {encoding: tables + len(X.cells)}
 
 
-def test_remembered_objects_pickle():
-    # a walked set, its décalage and the projection, whose record names
-    # both ends' records, come back from pickle with their records, and
-    # each check gives what a copy with no record gives
-    X = builders.free_decomposition(builders.bounded_words(("a", "b"), 2), 3)
-    assert validate(X).holds
-    Y, f = operators.dec_top(X)
-    X, Y, f = pickle.loads(pickle.dumps((X, Y, f)))
-    assert vars(f)["_as_read"].source is vars(Y)["_as_read"]
-    assert vars(f)["_as_read"].target is vars(X)["_as_read"]
-    assert sset._current(X).report.holds and sset._current(Y).report.holds
+def walked_decalage():
+    """A set on which every family is proven, its top décalage and its
+    projection, whose record names both ends' records."""
+    X = builders.nerve(chain_category(3), 3)
+    assert criteria.check_segal(X).holds
+    assert criteria.check_decomposition_direct(X).holds
+    return (X, *operators.dec_top(X))
+
+
+def assert_checks_as_fresh(X, Y, f):
     set_checks = (validate, criteria.check_segal, criteria.check_decomposition)
     for check in set_checks:
         for Z in (X, Y):
@@ -492,6 +491,36 @@ def test_remembered_objects_pickle():
     fresh = SimplicialMap(dataclasses.replace(Y), dataclasses.replace(X), f.components)
     for check in (validate_map, criteria.check_culf):
         assert outcome(check, f) == outcome(check, fresh)
+
+
+def test_remembered_objects_pickle(monkeypatch):
+    # a walked set, its décalage and the projection come back from
+    # pickle with their records and the families proven on them, and
+    # each check gives what a copy with no record gives
+    X, Y, f = pickle.loads(pickle.dumps(walked_decalage()))
+    assert vars(f)["_as_read"].source is vars(Y)["_as_read"]
+    assert vars(f)["_as_read"].target is vars(X)["_as_read"]
+    assert sset._current(X).report.holds and sset._current(Y).report.holds
+    assert sset._current(X).families == {"segal", "unit", "upper", "lower"}
+    assert sset._current(Y).families == {"segal"}
+    assert vars(f)["_as_read"].families == {"face", "degeneracy"}
+    assert_checks_as_fresh(X, Y, f)
+    # records pickled in the previous layout, with no families: a set's
+    # report is not read, so it is walked afresh and proves its families
+    # anew, and a projection's record loads with no culf square proven
+    monkeypatch.setattr(sset._SetRecord, "__getnewargs__", lambda r: tuple(r)[:3])
+    monkeypatch.setattr(sset._MapRecord, "__getnewargs__", lambda r: tuple(r)[:6])
+    old = pickle.dumps(walked_decalage())
+    monkeypatch.undo()
+    X, Y, f = pickle.loads(old)
+    for Z in (X, Y):
+        assert vars(Z)["_as_read"].report.holds
+        assert vars(Z)["_as_read"].families is None
+        assert sset._current(Z) is None
+    assert vars(f)["_as_read"].families == frozenset()
+    assert_checks_as_fresh(X, Y, f)
+    assert sset._current(X).families == {"segal", "upper", "lower"}
+    assert sset._current(Y).families == {"segal", "unit"}
 
 
 def serialized_forms(inst):

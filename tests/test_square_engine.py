@@ -36,6 +36,7 @@ from corpus import (
     direct_sweep_shape,
     doubled_degenerate_nerve,
     duplicate_top,
+    one_sided_upper,
     point,
 )
 from decompspace import builders, criteria, delta, operators, serialize, sset
@@ -428,11 +429,13 @@ class TestTwoSegalFamily:
                 assert check(X) == reference(X), (level, check.__name__)
 
 
-def segal_instances():
+def segal_instances(with_corpus: bool = True):
     """Every corpus instance, with a second copy of each of its first
-    three top cells, and the doubled degenerate nerves at levels 2-6."""
+    three top cells, and the doubled degenerate nerves at levels 2-6;
+    without with_corpus, the copies and the nerves alone."""
     for inst in corpus():
-        yield inst.name, inst.X
+        if with_corpus:
+            yield inst.name, inst.X
         for j in range(min(3, len(inst.X.cells[inst.X.level]))):
             yield f"{inst.name}-top{j}", duplicate_top(inst.X, j)
     for level in range(2, 7):
@@ -664,12 +667,13 @@ def compiled_plans(level):
     yield "direct", (slots, tuple(criteria._compiled(criteria._direct_squares(ranks), slots)))
 
 
-def perturbed_corpus():
+def perturbed_corpus(with_corpus: bool = True):
     """The corpus with a second copy of each of its first three top
     cells, and the perturbed corpus of the pasting certificate's test:
     each instance truncated to levels 1-5, with a second copy of one of
-    its first 12 top cells."""
-    for name, X in segal_instances():
+    its first 12 top cells; without with_corpus, all but the corpus
+    instances themselves."""
+    for name, X in segal_instances(with_corpus):
         yield name, X
     for inst in corpus():
         for level in range(1, min(5, inst.X.level) + 1):
@@ -798,9 +802,9 @@ MAP_STEPS = (sset.validate_map, criteria.check_culf)
 CHAIN_STEPS = (sset.validate, criteria.check_segal)
 
 
-def checked_sequence(X, fresh: bool) -> list:
-    """lib-corpus's sequence on X: validate, the checkers, culf on X's
-    identity, then dec_top and dec_bot with validate and every checker
+def checked_sequence(X, fresh: bool, set_steps=SET_STEPS) -> list:
+    """lib-corpus's sequence on X: set_steps (validate and the checkers,
+    in lib-corpus's order unless given another), culf on X's identity, then dec_top and dec_bot with validate and every checker
     on each décalage and validate_map and culf on its projection, then
     sd with Segal on it; then the chains dec_top(dec_bot(X)),
     opposite(opposite(X)) and truncate(dec_top(X), k) for each k below
@@ -815,14 +819,14 @@ def checked_sequence(X, fresh: bool) -> list:
     finds X's record or the one an operator passed on."""
     copy = dataclasses.replace if fresh else lambda Y: Y
 
-    def through(Y, f=None, steps=SET_STEPS):
+    def through(Y, f=None, steps=set_steps):
         out.extend(attempt(step, copy(Y)) for step in steps)
         if f is not None:
             for step in MAP_STEPS:
                 g = SimplicialMap(copy(f.source), copy(f.target), f.components)
                 out.append(attempt(step, g if fresh else f))
 
-    out = [attempt(step, copy(X)) for step in SET_STEPS]
+    out = [attempt(step, copy(X)) for step in set_steps]
     out.append(attempt(lambda Y: criteria.check_culf(identity_map(Y)), copy(X)))
     decalages = []
     for operator in (operators.dec_top, operators.dec_bot):
@@ -859,7 +863,8 @@ class TestRememberedVerdict:
         self.assert_remembered_as_fresh(inst.name, inst.X)
 
     def test_perturbed_corpus_matches_fresh(self):
-        for name, X in perturbed_corpus():
+        # the corpus instances themselves are test_corpus_matches_fresh's
+        for name, X in perturbed_corpus(with_corpus=False):
             self.assert_remembered_as_fresh(name, X)
 
 
@@ -1002,3 +1007,237 @@ class TestDerivedRecords:
         want = check_outcomes(f, fresh=True)
         assert not want[0].holds and want[1][0] == "StructuralError"
         assert check_outcomes(f) == want
+
+
+def proven(x) -> set:
+    """The families x's record holds proven: a set's square families, or
+    the kinds of culf square of a projection; empty without a record or
+    without a report."""
+    return set(getattr(vars(x).get("_as_read"), "families", None) or ())
+
+
+def counted_decisions(monkeypatch) -> Counter:
+    """Wrap the decide of both encodings so that each call is counted
+    under "decided"."""
+    calls = Counter()
+    for name in ("_BYTES", "_TUPLES"):
+        code = getattr(sset, name)
+
+        def counted(memo, *legs, decide=code.decide):
+            calls["decided"] += 1
+            return decide(memo, *legs)
+
+        monkeypatch.setattr(sset, name, code._replace(decide=counted))
+    return calls
+
+
+def family_holds(x, family: str) -> bool:
+    """Whether every square of family is a pullback on a fresh copy of
+    x, each read off its own tables and decided by the references or
+    by pullback_holds: the Segal and 2-Segal families by the reference
+    checkers, the unit squares (the elementary squares whose alpha is a
+    codegeneracy) induced one by one, and a map's culf face or
+    degeneracy squares from its components."""
+    x = fresh_copy(x)
+    if type(x) is SimplicialMap:
+        X, Y, c, top = x.source, x.target, x.components, x.shared_level
+        if family == "face":
+            squares = [(X.face(n, i), c[n], c[n - 1], Y.face(n, i))
+                       for n in range(2, top + 1) for i in range(1, n)]
+        else:
+            squares = [(X.degeneracy(n, j), c[n], c[n + 1], Y.degeneracy(n, j))
+                       for n in range(top) for j in range(n + 1)]
+        return all(sset.pullback_holds(*square) for square in squares)
+    if family == "unit":
+        return all(
+            sset.pullback_holds(
+                sset.induce(x, phi[-1], phi), sset.induce(x, phi[-1], theta),
+                sset.induce(x, len(phi) - 1, iota), sset.induce(x, alpha[-1], alpha),
+            )
+            for alpha, iota, theta, phi in delta.elementary_squares(x.level, x.level)
+            if alpha[-1] < len(alpha) - 1
+        )
+    reference = {
+        "segal": reference_check_segal,
+        "upper": reference_check_upper_2segal,
+        "lower": reference_check_lower_2segal,
+    }[family]
+    return reference(x).holds
+
+
+def one_sided_lower(level: int = 3) -> TruncatedSSet:
+    """The opposite of one_sided_upper, built with no record."""
+    return opposite(one_sided_upper(level))
+
+
+class TestProvenFamilies:
+    """A full walk that holds records its square family on the set's
+    record; later checks, and the sets and maps the operators make,
+    count the squares of a proven family without deciding them.  Only a
+    whole family that held on the very tables is recorded, every
+    recorded family holds square by square, and every outcome is the one
+    a fresh copy gives."""
+
+    def test_full_walks_record_their_families(self):
+        records = {
+            criteria.check_segal: {"segal"},
+            criteria.check_upper_2segal: {"upper"},
+            criteria.check_lower_2segal: {"lower"},
+            criteria.check_decomposition: {"upper", "lower"},
+            criteria.check_decomposition_direct: {"unit", "upper", "lower"},
+            criteria.check_2segal_polygonal: set(),
+            criteria.check_upper_2segal_reduced: set(),
+            criteria.check_segal_iterated: set(),
+            sset.validate: set(),
+        }
+        for check, families in records.items():
+            X = chain_nerve(4)
+            assert check(X).holds, check.__name__
+            assert proven(X) == families, check.__name__
+        X = chain_nerve(4)
+        assert criteria.check_culf(identity_map(X)).holds
+        assert proven(X) == set()
+        # at level 2 the decomposition checker decides the unit squares
+        X = chain_nerve(2)
+        assert criteria.check_decomposition(X).holds
+        assert proven(X) == {"unit"}
+
+    def test_failed_cut_off_or_capped_walks_record_nothing(self):
+        for check in (
+            criteria.check_lower_2segal,
+            criteria.check_decomposition,
+            criteria.check_decomposition_direct,
+        ):
+            X = one_sided_upper(3)
+            assert not check(X).holds and proven(X) == set(), check.__name__
+        X = one_sided_upper(3)
+        assert criteria.check_upper_2segal(X).holds
+        assert not criteria.check_lower_2segal(X).holds
+        assert not criteria.check_decomposition_direct(X).holds
+        assert proven(X) == {"upper"}
+        X = collapsed_triangle(3)
+        assert not criteria.check_upper_2segal(X).holds and proven(X) == set()
+        _, size, _ = criteria._direct_plan(4, 4)
+        X = chain_nerve(4)
+        report = criteria.check_decomposition_direct(X, max_squares=size - 1)
+        assert report.inconclusive and proven(X) == set()
+        for cap in range(4):
+            assert criteria.check_decomposition_direct(X, cap).holds
+            assert proven(X) == set(), cap
+        assert criteria.check_decomposition_direct(X, max_squares=size).holds
+        assert proven(X) == {"unit", "upper", "lower"}
+
+    def test_proven_squares_are_counted_not_decided(self, monkeypatch):
+        X = chain_nerve(4)
+        assert criteria.check_segal(X).holds
+        assert criteria.check_decomposition_direct(X).holds
+        calls = counted_decisions(monkeypatch)
+        checks = (
+            criteria.check_segal,
+            criteria.check_upper_2segal,
+            criteria.check_lower_2segal,
+            criteria.check_decomposition,
+            criteria.check_decomposition_direct,
+            criteria.check_2segal_polygonal,
+        )
+        for check in checks:
+            assert check(X) == check(fresh_copy(X)), check.__name__
+        calls.clear()
+        reports = [check(X) for check in checks]
+        for operator in (operators.dec_top, operators.dec_bot):
+            Y, f = operator(X)
+            reports += [criteria.check_segal(Y), criteria.check_culf(f)]
+        assert calls == {} and all(report.holds for report in reports)
+        assert sum(report.squares_checked for report in reports) > 100
+
+    @pytest.mark.parametrize("change", ["equal", "swapped"])
+    def test_replaced_table_is_decided_afresh(self, monkeypatch, change):
+        # an equal new tuple is decided and proven again; the tables of
+        # the opposite, which is lower and not upper 2-Segal on the same
+        # cells, fail the family the old tables proved
+        calls = counted_decisions(monkeypatch)
+        X = one_sided_upper(3)
+        assert criteria.check_upper_2segal(X).holds and proven(X) == {"upper"}
+        if change == "equal":
+            X.faces[(3, 1)] = tuple(list(X.faces[(3, 1)]))
+        else:
+            Z = one_sided_lower(3)
+            assert Z.cells == X.cells
+            X.faces.update(Z.faces)
+            X.degeneracies.update(Z.degeneracies)
+        want = criteria.check_upper_2segal(fresh_copy(X))
+        calls.clear()
+        assert criteria.check_upper_2segal(X) == want
+        assert calls["decided"] > 0
+        assert want.holds is (change == "equal")
+        assert proven(X) == ({"upper"} if want.holds else set())
+
+    def test_opposite_swaps_upper_and_lower_and_truncate_keeps_all(self):
+        X = one_sided_upper(3)
+        for check in SET_STEPS:
+            check(X)
+        assert proven(X) == {"upper"}
+        assert proven(opposite(X)) == {"lower"}
+        assert proven(opposite(opposite(X))) == {"upper"}
+        for k in range(4):
+            assert proven(truncate(X, k)) == {"upper"}, k
+        W = chain_nerve(4)
+        for check in SET_STEPS:
+            check(W)
+        everything = {"segal", "upper", "lower", "unit"}
+        assert proven(W) == everything
+        assert proven(opposite(W)) == proven(truncate(W, 2)) == everything
+        for x in (opposite(X), truncate(X, 2), opposite(W), truncate(W, 2)):
+            assert check_outcomes(x) == check_outcomes(x, fresh=True), x
+
+    @pytest.mark.parametrize(
+        "make, steps, families",
+        [
+            (one_sided_upper, SET_STEPS, {"upper"}),
+            (one_sided_lower, SET_STEPS, {"lower"}),
+            (lambda: chain_nerve(4), SET_STEPS, {"segal", "upper", "lower", "unit"}),
+            (lambda: chain_nerve(4), SET_STEPS[3:7], {"upper", "lower"}),
+            (lambda: chain_nerve(2), (criteria.check_decomposition,), {"unit"}),
+        ],
+        ids=["one-sided-upper", "one-sided-lower", "nerve", "no-unit", "unit-only"],
+    )
+    def test_decalages_take_families_from_the_right_half(self, make, steps, families):
+        # Segal from the upper (dec_top) or lower (dec_bot) squares; culf
+        # faces from the other side, culf degeneracies from the units
+        X = make()
+        for check in steps:
+            check(X)
+        assert proven(X) == families
+        for operator, segal, face in (
+            (operators.dec_top, "upper", "lower"),
+            (operators.dec_bot, "lower", "upper"),
+        ):
+            Y, f = operator(X)
+            assert proven(Y) == ({"segal"} if segal in families else set())
+            want = {"face"} if face in families else set()
+            assert proven(f) == want | ({"degeneracy"} if "unit" in families else set())
+            for x in (Y, f):
+                assert check_outcomes(x) == check_outcomes(x, fresh=True), x
+
+    def test_every_recorded_family_holds_square_by_square(self):
+        # on the corpus, the one-sided negatives among it, and what the
+        # operators make of each once every checker has run on it
+        seen = Counter()
+        for inst in corpus():
+            X = dataclasses.replace(inst.X)
+            for check in SET_STEPS:
+                attempt(check, X)
+            for x in (X, *made_of(X)):
+                for family in proven(x):
+                    assert family_holds(x, family), (inst.name, x, family)
+                    seen[family] += 1
+        assert set(seen) == {"segal", "upper", "lower", "unit", "face", "degeneracy"}
+
+    @pytest.mark.parametrize("inst", corpus(), ids=lambda inst: inst.name)
+    def test_reversed_steps_match_fresh(self, inst):
+        # the direct checker now proves the families the 2-Segal checkers
+        # and check_segal read, and each later check still gives what a
+        # fresh copy gives
+        steps = SET_STEPS[::-1]
+        remembered = checked_sequence(inst.X, fresh=False, set_steps=steps)
+        assert remembered == checked_sequence(inst.X, fresh=True, set_steps=steps)
