@@ -71,14 +71,15 @@ A square family is proven once per set.  When a full walk of the Segal
 squares, of the upper or lower 2-Segal squares, or of the unit squares
 holds (check_segal; check_upper_2segal, check_lower_2segal and
 check_decomposition; the latter's unit squares at level 2 and the direct
-certificate at rank cap = level, without a cut-off), its family is added
-to the record X was validated with (sset._proves), for as long as X
-holds those very tables.  Each compiled plan tags its elementary squares
-with their family (_family), and a square of a family X's record holds
-is counted in walk order like an identity-leg square, not decided, and
-fills no slot: every later checker reads it, and so do the decalages
-and their projections, whose Segal and culf squares are X's 2-Segal and
-unit squares on the same tables (operators.dec_top).  The first failure
+certificate at rank cap = level, without a cut-off), its family joins
+the facts of the one record X was validated with (sset._proves), which
+names those very tables, so it is read only while X holds them.  Each
+compiled plan tags its elementary squares with their family (_family),
+and a square of a family among the facts of X's record is counted in
+walk order like an identity-leg square, not decided, and fills no slot:
+every later checker reads it, and so do the decalages and their
+projections, whose Segal and culf squares are X's 2-Segal and unit
+squares on the same tables (operators.dec_top).  The first failure
 is still decided and described by the walk, so every report, witness
 and squares_checked is the one a fresh set gives.
 """
@@ -181,7 +182,7 @@ def check_segal(X: TruncatedSSet) -> CheckReport:
     """The outer-face squares X_{n+1} over X_{n-1}, for n+1 within level."""
     call = _valid_call(X)
     d = call.rows[0][0]
-    proven = "segal" in call.records[0].families
+    proven = "segal" in call.records[0].facts
 
     def squares():
         for n in range(1, X.level):
@@ -197,7 +198,7 @@ def check_segal(X: TruncatedSSet) -> CheckReport:
 
     report = _decide(X.level, call, squares())
     if report.holds:
-        _proves(call, X, "segal")
+        _proves(call, "segal")
     return report
 
 
@@ -273,7 +274,7 @@ def _check_two_segal(X: TruncatedSSet, sides: tuple[int, ...]) -> CheckReport:
     plan = _two_segal_plan(X.level, sides)
     report = _decide(X.level, call, _pushout_squares(X, call, plan, _two_segal_label))
     if report.holds:
-        _proves(call, X, *map(_SIDES.get, sides))
+        _proves(call, *map(_SIDES.get, sides))
     return report
 
 
@@ -322,7 +323,7 @@ def check_decomposition(X: TruncatedSSet) -> CheckReport:
     squares = _pushout_squares(X, call, _elementary_plan(2, 2), _active_inert_label)
     report = _decide(2, call, squares)
     if report.holds:
-        _proves(call, X, "unit")
+        _proves(call, "unit")
     return report
 
 
@@ -438,7 +439,7 @@ def _pushout_squares(X: TruncatedSSet, call: _Call, plan: Plan, label) -> Iterat
     """
     slots, squares = plan
     own, step, operand = call.rows[0], call.code.step, call.operand
-    proven = call.records[0].families
+    proven = call.records[0].facts
     tables: list = []
     for alpha, iota, k, p, legs, filled in squares:
         if legs is None or legs[5] in proven:
@@ -697,7 +698,7 @@ def check_decomposition_direct(
         if max_squares is not None and max_squares < size:
             return _cut_off(X.level, max_squares)
         if rank_cap == X.level:
-            _proves(call, X, "unit", "upper", "lower")
+            _proves(call, "unit", "upper", "lower")
         return CheckReport(holds=True, checked_level=X.level, squares_checked=size)
     slots: list[Slot] = []
     plan = slots, _compiled(_direct_squares(ranks), slots)
@@ -713,7 +714,7 @@ def check_culf(f: SimplicialMap) -> CheckReport:
     squares are split: their legs s_j of X and of Y are injective on
     validated ends, so each is decided by the count alone.  A decalage
     projection whose ends still hold their records counts the squares
-    its target's families prove (sset._inherit_map), undecided.
+    its record's facts prove (sset._inherit), undecided.
     """
     call = _valid_call(f.source, f.target, ends=("source", "target"))
     c, report, proven = _naturality(f, call)

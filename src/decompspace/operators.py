@@ -10,11 +10,12 @@ decalage is the upper one seen through the opposite.
 
 So every simplicial identity of a decalage, and every naturality
 equation of its projection, is one of X's identities on X's very
-tables, and the decalages pass on what X's record proves (sset's
-_inherit and _inherit_map): a set X that a walk has proven gives
-decalages and projections that later checks do not walk again.  sd
-composes new tables, whose identities follow from X's only by
-functoriality, so its output carries no record and is walked.
+tables, and the decalages pass on the facts X's record proves (sset's
+_inherit, through one table of facts for the output and one for the
+projection): a set X that a walk has proven gives decalages and
+projections that later checks do not walk again.  sd composes new
+tables, whose identities follow from X's only by functoriality, so its
+output carries no record and is walked.
 
 Squares are passed on the same way.  A Segal square of Dec_top X is an
 upper 2-Segal square of X, and a culf square of its projection a lower
@@ -35,7 +36,6 @@ from .sset import (
     TruncatedSSet,
     _current,
     _inherit,
-    _inherit_map,
     _reversed,
     compose_tables,
     opposite,
@@ -106,12 +106,12 @@ def _upper(X: TruncatedSSet) -> tuple[TruncatedSSet, SimplicialMap]:
     return Y, proj
 
 
-#: The families of X that dec_top's and dec_bot's output and projection
+#: The facts of X that dec_top's and dec_bot's output and projection
 #: hold, by what they become there; the decalages' docstrings prove each.
-_TOP = {"upper": "segal"}
-_TOP_PROJECTION = {"lower": "face", "unit": "degeneracy"}
-_BOT = {"lower": "segal"}
-_BOT_PROJECTION = {"upper": "face", "unit": "degeneracy"}
+_TOP = {"identities": "identities", "upper": "segal"}
+_TOP_PROJECTION = {"identities": "naturality", "lower": "face", "unit": "degeneracy"}
+_BOT = {"identities": "identities", "lower": "segal"}
+_BOT_PROJECTION = {"identities": "naturality", "upper": "face", "unit": "degeneracy"}
 
 
 def _inherited(
@@ -122,10 +122,11 @@ def _inherited(
     culf: dict[str, str],
 ) -> tuple[TruncatedSSet, SimplicialMap]:
     """(Y, proj), a decalage of X and its projection just made, given
-    what X's record proves of them, X's families as families names them
-    for Y and as culf names them for proj, from one _current(X)."""
+    what X's record proves of them, X's facts as families names them for
+    Y and as culf names them for proj, from one _current(X), and proj's
+    record names Y's and X's."""
     record = _current(X)
-    _inherit_map(proj, record, _inherit(Y, record, families), culf)
+    _inherit(proj, record, culf, (_inherit(Y, record, families), record))
     return Y, proj
 
 

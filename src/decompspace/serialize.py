@@ -10,17 +10,18 @@ FORMATS.md for the documented schemas.
 
 The check of each row is the shape test validate would run again (a
 tuple of that many ints in range), so the set and the map readers
-certify what they checked: each records, as the private attribute
-_as_read (sset's _SetRecord or _MapRecord), the cells and the tables it
-tested, by reference (no copy, and no dataclass field, so ==, hash and
-repr do not see it).  sset
-converts a table untested only while the object still holds that very
-table, compared by identity.  The other writers of the record are in
-sset: its validation, which adds its report once the simplicial
-identities hold on those same objects, so later checks of the set skip
-the walk too, and the inheritance through which opposite, truncate and
-the decalages give their output what the record of their input proves
-(a set read and not yet walked gives outputs with the shape test only).
+certify what they checked: each gives what it returns sset's one
+private record (sset._certify), of a set's cells and the tables it
+tested, or of a map's components and the records its ends were just
+given, by reference (no copy, and no dataclass field, so ==, hash and
+repr do not see it), with no fact proven yet.  sset converts a table
+untested only while the object still holds that very table, compared
+by identity.  sset alone adds facts to the record: its validation adds
+"identities" once the simplicial identities hold on those same objects
+(a map's naturality walk "naturality"), so later checks skip the walk
+too, and the inheritance through which opposite, truncate and the
+decalages give their output what the record of their input proves (a
+set read and not yet walked gives outputs with the shape test only).
 A set that a builder, sd or dataclasses.replace makes carries no
 record, and is tested as any other.
 
@@ -40,7 +41,7 @@ import os
 import tempfile
 from typing import TYPE_CHECKING, Any, Iterator
 
-from .sset import SimplicialMap, Table, TruncatedSSet, _MapRecord, _SetRecord
+from .sset import SimplicialMap, Table, TruncatedSSet, _certify
 
 if TYPE_CHECKING:
     # the readers that build these import them, so reading an sset or a
@@ -130,11 +131,8 @@ def sset_from_obj(obj: dict, where: str = "sset") -> TruncatedSSet:
     faces = _blocks(faces_raw, "faces", 1, -1, cells, where)
     degeneracies = _blocks(degen_raw, "degeneracies", 0, 1, cells, where)
     X = TruncatedSSet(level, cells, faces, degeneracies)
-    # the record sset._proven reads: the cells and every table _table
-    # tested, in the order of sset._table_keys (_blocks fills each dict in
-    # it), by reference, and no report, as no identity is walked yet
-    tables = (*faces.values(), *degeneracies.values())
-    object.__setattr__(X, "_as_read", _SetRecord(X.cells, tables))
+    # every table _table tested, and no fact, as no identity is walked yet
+    _certify(X)
     return X
 
 
@@ -227,8 +225,8 @@ def smap_from_obj(obj: dict, where: str = "smap") -> SimplicialMap:
         for n in range(shared + 1)
     )
     m = SimplicialMap(source, target, components)
-    # the record sset._naturality reads, as sset_from_obj's
-    object.__setattr__(m, "_as_read", _MapRecord(source.cells, target.cells, m.components))
+    # every component _table tested, as sset_from_obj's
+    _certify(m)
     return m
 
 

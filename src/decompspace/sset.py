@@ -38,30 +38,35 @@ of Delta, on a set validate has passed) is decided by that test's count
 alone, as _tuple_holds says.
 
 _proven is the one place that converts a set's tables, after the shape
-test of each, and walks its identities.  It remembers what it proved on
-the set itself, in a private record of the very cells and tables it
-proved it of: serialize's set reader starts that record with the shape
-test, and a walk that holds adds its report.  While the set still holds
-those objects, compared by identity (_current), its tables are
-converted untested and a remembered report is not walked again, so a
-set is shape-tested and walked once however many checks read it, and a
-change afterwards is tested as in a fresh set.  Only what was proven is
-remembered: each call still converts the tables for itself.
+test of each, and walks its identities.  What has been proven is kept
+on the object itself, in one private record (_Record) of the very
+objects proven (its parts) and of what was proven of them (its facts, a
+set that grows in place), and _certify is the one writer of it.
+serialize's set and map readers give what they read a record with no
+fact, once they have shape-tested every table and component.  A walk of
+a set's identities that holds adds "identities" (giving the set a
+record first if it has none), and a walk of a map's naturality
+"naturality".  A map's parts are its components and the records of its
+two ends, so a fact of a map holds only while both ends keep theirs,
+and a walk of an end adds to the very record the map names.  While an
+object still holds its parts, compared by identity (_current), its
+tables are converted untested and a proven walk is not walked again: no
+report is kept, since one that held is the closed-form count of its
+equations (_holding), so a set is shape-tested and walked once however
+many checks read it, and a change afterwards is tested as in a fresh
+set.  Only what was proven is remembered: each call still converts the
+tables for itself.
 
 opposite, truncate and the decalages make their output of their input's
-very tables, reindexed, so each identity of the output is one of the
-input's on the same tables: _inherit gives the output what the input's
-current record proves, a shape test or a walk's report (its equations
-counted in closed form, as the walk would count them), and _inherit_map
-gives a decalage projection the report of its naturality walk, whose
-equations are identities of its target, for as long as both ends keep
-their records.  _naturality reads that, and the components serialize's
-map reader tested, as _proven reads a set's record.
+very tables, reindexed, so each identity of the output, and each
+naturality equation of a decalage's projection, is one of the input's
+on the same tables: _inherit gives each output what the input's current
+record proves, its facts mapped through one table per operator.
 
-A record with a report also holds the square families (Segal, upper and
-lower 2-Segal, unit) that a full walk of the checkers in criteria has
-since proven on those same tables (_proves).  The operators pass them
-on, each rule proven in their docstrings: the opposite swaps upper and
+A record also holds the square families (Segal, upper and lower
+2-Segal, unit) that a full walk of the checkers in criteria has since
+proven on those same tables (_proves).  The operators pass them on,
+each rule proven in their docstrings: the opposite swaps upper and
 lower, a truncation keeps every family, and a decalage gives its output
 Segal squares and its projection culf squares from X's 2-Segal and unit
 squares.
@@ -444,62 +449,62 @@ def _encoding(*sets: TruncatedSSet) -> _Encoding:
     return _BYTES if largest <= 256 else _TUPLES
 
 
-def _checked_tables(X: TruncatedSSet, kind: str, encode) -> tuple[list, list[list]]:
+def _checked_tables(X: TruncatedSSet, kind: str, encode) -> list[list]:
     """X's face ("d") or degeneracy ("s") tables, each checked to be a
-    tuple of indices of the right length and range: the tables checked,
-    in the order of _table_keys, and each converted by encode
-    (_tuple_table or _byte_table) as rows[n][i]."""
+    tuple of indices of the right length and range, in the order of
+    _table_keys, and converted by encode (_tuple_table or _byte_table)
+    as rows[n][i]."""
     tables, levels, step = (
         (X.faces, range(1, X.level + 1), -1)
         if kind == "d"
         else (X.degeneracies, range(X.level), 1)
     )
-    tested, rows = [], [[] for _ in X.cells]
+    rows = [[] for _ in X.cells]
     for n in levels:
         source, size = X.cells[n], len(X.cells[n + step])
         for i in range(n + 1):
             if (n, i) not in tables:
                 raise StructuralError(f"missing table {kind}_{i} at level {n}")
-            tested.append(tables[(n, i)])
-            table = encode(tested[-1], source, size)
+            table = encode(tables[(n, i)], source, size)
             if table is None:
-                problem = _index_problem(tested[-1], source, size)
+                problem = _index_problem(tables[(n, i)], source, size)
                 raise StructuralError(f"{kind}_{i} at level {n} {problem}")
             rows[n].append(table)
-    return tested, rows
+    return rows
 
 
-class _SetRecord(NamedTuple):
-    """What has been proven of a set's very objects, kept as its private
-    attribute _as_read: its cells, its tables in the order of
-    _table_keys, and once a walk of them holds, the walk's report and
-    the set of square families (_FAMILIES) that a full walk has since
-    proven to hold on those tables, which grows in place (_proves).
-    serialize's reader sets it without a report once it has
-    shape-tested every table it read; a walk that holds in _proven sets
-    it with its report and no family, and _inherit on what an operator
-    makes of a set whose record is current."""
+class _Record(NamedTuple):
+    """What has been proven of an object's very parts, kept as its
+    private attribute _as_read.
 
-    cells: tuple
-    tables: Sequence[Table]
-    report: CheckReport | None = None
-    families: set | None = None
+    parts are the objects proven, compared by is (_parts): a set's cells
+    and its tables in the order of _table_keys, or a map's components
+    and the records of its two ends.  facts is a set that grows in
+    place: empty after a reader's shape test of every table, with
+    "identities" for a set, or "naturality" for a map, once a walk of
+    them holds, and with each square family (_FAMILIES for a set, the
+    kinds of culf square "face" and "degeneracy" for a map) once a full
+    walk of it holds (_proves) or an operator passes it on (_inherit).
+    No report is kept: one that held is _holding of the closed-form
+    count of its equations."""
+
+    parts: tuple
+    facts: set
 
 
-class _MapRecord(NamedTuple):
-    """What has been proven of a map's very objects, kept as its private
-    attribute _as_read: the cells of both ends and the components, each
-    of which passed the shape test, and from _inherit_map the records of
-    both ends it was proven with, the report of its naturality and the
-    culf squares proven to be pullbacks ("face", "degeneracy")."""
+class _OldRecord(tuple):
+    """A record of an older layout, as a pickle made then loads it: it
+    is not a _Record, so _current never trusts it."""
 
-    source_cells: tuple
-    target_cells: tuple
-    components: tuple
-    source: _SetRecord | None = None
-    target: _SetRecord | None = None
-    report: CheckReport | None = None
-    families: frozenset = frozenset()
+    def __new__(cls, *fields):
+        return tuple.__new__(cls, fields)
+
+
+def __getattr__(name: str):
+    """The record classes of an older layout, which its pickles name."""
+    if name in ("_SetRecord", "_MapRecord"):
+        return _OldRecord
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 #: The square families a record can hold proven: X's Segal squares, its
@@ -510,50 +515,61 @@ class _MapRecord(NamedTuple):
 _FAMILIES = ("segal", "upper", "lower", "unit")
 
 
-def _proves(call: _Call, X: TruncatedSSet, *families: str) -> None:
-    """Record that families hold on X, a full walk of each having just
-    held on the call's tables: they are added to the record the call
-    validated X with, while that record is still X's, so they are read
-    only while X holds the very tables they were proven on."""
-    record = call.records[0]
-    if vars(X).get("_as_read") is record:
-        record.families.update(families)
+def _proves(call: _Call, *families: str) -> None:
+    """Record that families hold on the call's first set, a full walk of
+    each having just held on the call's tables: they join the facts of
+    the record the call validated it with, which names those tables."""
+    call.records[0].facts.update(families)
 
 
-def _current(X: TruncatedSSet) -> _SetRecord | None:
-    """X's record while X still holds the very objects it names, else
-    None.
+def _parts(x: TruncatedSSet | SimplicialMap, ends: Sequence | None = None) -> tuple:
+    """The objects a record of x names, as x holds them now: a set's
+    cells and its tables in the order of _table_keys (KeyError if one is
+    missing), or a map's components and the current records of its
+    ends, which ends gives when the caller has them already."""
+    if isinstance(x, SimplicialMap):
+        return (x.components, *(ends or (_current(x.source), _current(x.target))))
+    faces, degeneracies = _table_keys(x.level)
+    return (x.cells, *map(x.faces.__getitem__, faces),
+            *map(x.degeneracies.__getitem__, degeneracies))
+
+
+def _certify(x: TruncatedSSet | SimplicialMap, facts=(), ends=None) -> _Record:
+    """Give x the record of its parts as it holds them now (_parts(x,
+    ends)), with facts, and return it: the one writer of _as_read."""
+    record = _Record(_parts(x, ends), set(facts))
+    object.__setattr__(x, "_as_read", record)
+    return record
+
+
+def _current(x: TruncatedSSet | SimplicialMap, ends=None) -> _Record | None:
+    """x's record while x still holds the very objects it names
+    (_parts(x, ends)), else None.
 
     The objects are compared once by is (never ==, since (1,) ==
     (True,)): tables that pass the shape test are tuples of ints, which
     cannot change, so any change (a table replaced, a key deleted, the
-    cells or the level replaced) makes the record stale.  So does a
-    record of any other type, such as the plain tuple an older version
-    of this module recorded, or a report without its set of families,
-    as a record of the previous layout loads."""
-    record = vars(X).get("_as_read")
-    # a level L >= 0 has L * L + 2 * L tables, so only the levels below 0,
-    # which a set can be given only once built, share a count; a report
-    # names its level
-    if not isinstance(record, _SetRecord) or record.cells is not X.cells or (
-        record.report is not None
-        and (record.report.checked_level != X.level or record.families is None)
-    ):
+    cells or the level replaced, or for a map its components or the
+    record of an end) makes the record stale.  Every level L >= 0 has
+    its own count of tables, L * L + 2 * L, and a record's facts name no
+    level, so the levels below 0, which share level 0's count, read the
+    same facts at their own level.  A record of any other type, such as
+    one of an older layout, is never read."""
+    record = vars(x).get("_as_read")
+    if type(record) is not _Record:
         return None
-    faces, degeneracies = _table_keys(X.level)
     try:
-        held = [*map(X.faces.__getitem__, faces),
-                *map(X.degeneracies.__getitem__, degeneracies)]
+        parts = _parts(x, ends)
     except KeyError:
         return None
-    if len(held) == len(record.tables) and all(map(is_, held, record.tables)):
+    if len(parts) == len(record.parts) and all(map(is_, parts, record.parts)):
         return record
     return None
 
 
 def _proven(
     X: TruncatedSSet,
-    record: _SetRecord | None,
+    record: _Record | None,
     code: _Encoding | None,
     memo: dict | None,
     walk: bool = True,
@@ -562,34 +578,34 @@ def _proven(
     and s[n][i], after the shape test of each, with walk the report of
     validate's walk on them, its operands kept in memo (else None), and
     X's record once they are proven.  Without code, as for validate
-    alone, _encoding picks it, and a remembered report comes back
-    without d and s.
+    alone, _encoding picks it, and the report of a remembered walk comes
+    back without d and s.
 
     record is _current(X).  With it, the tables are converted untested,
-    and with its report the duplicate-cell test and the walk are skipped
-    as well.  A walk that holds sets a new record with its report and no
-    family."""
-    report = None if record is None else record.report
+    and once it holds "identities" the duplicate-cell test and the walk
+    are skipped as well (report None).  A walk that holds adds
+    "identities" to the record, or gives X one that holds it."""
+    known = record is not None and "identities" in record.facts
     if code is None:  # validate alone, which wants only the report
-        if report is not None:
+        if known:
+            report = _holding(_identity_counts(X.level), X.cells, X.level)
             return None, None, report, record
         code = _encoding(X)
-    walk = walk and report is None
+    walk = walk and not known
     if walk:
         _check_distinct(X.cells)
     if record is None:
-        (faces, d), (degeneracies, s) = (_checked_tables(X, k, code.table) for k in "ds")
-        tables = faces + degeneracies
+        d, s = (_checked_tables(X, k, code.table) for k in "ds")
     else:
-        tables = record.tables
-        converted = map(code.convert, tables)
+        converted = map(code.convert, islice(record.parts, 1, None))
         d = [[], *(list(islice(converted, n + 1)) for n in range(1, X.level + 1))]
         s = [*(list(islice(converted, n + 1)) for n in range(X.level)), []]
-    if walk:
-        report = _identities(X, code, memo, d, s)
-        if report.holds:
-            record = _SetRecord(X.cells, tables, report, set())
-            object.__setattr__(X, "_as_read", record)
+    report = _identities(X, code, memo, d, s) if walk else None
+    if walk and report.holds:
+        if record is None:
+            record = _certify(X, ("identities",))
+        else:
+            record.facts.add("identities")
     return d, s, report, record
 
 
@@ -609,10 +625,11 @@ class _Call:
     code is the encoding, chosen once over every set of the check;
     rows[k] is (d, s), the converted tables of the k-th set as d[n][i]
     and s[n][i]; records[k] is the k-th set's record once validated (as
-    _current found it, or the one its walk set); memo keeps what the
-    encoding derives from a table (the operands validate padded among
-    them); operand and decide are those of code on that memo.  Nothing
-    in it outlives the check.
+    _current found it, or the one its walk set; None for a set with no
+    record that was shape-tested only); memo keeps what the encoding
+    derives from a table (the operands validate padded among them);
+    operand and decide are those of code on that memo.  Nothing in it
+    outlives the check.
     """
 
     __slots__ = ("code", "rows", "records", "memo", "operand", "decide", "__weakref__")
@@ -665,8 +682,9 @@ def validate(X: TruncatedSSet) -> CheckReport:
     shape test exactly when _index_problem finds a fault, which then
     words the error; the walk is the same for both, so its order,
     squares_checked and every report are as well.  A set on which a
-    walk has held since its tables last changed gets that walk's report
-    again, as _proven says.
+    walk has held since its tables last changed is not walked again: it
+    gets the report of a walk that holds, its squares counted in closed
+    form (_holding), as _proven says.
     """
     return _proven(X, _current(X), None, None)[2]
 
@@ -828,20 +846,21 @@ def _word_steps(target_rank: int, values: tuple[int, ...]):
     return tuple(steps)
 
 
-#: The families of X that its opposite holds, by the family they become.
-#: d_k |-> d_{n-k} on X_n turns the Segal square of X^op at n into X's at
-#: n, transposed: (d_0, d_{n+1}, d_n, d_0) of X^op is (d_{n+1}, d_0, d_0,
-#: d_n) of X.  It turns the upper square (k, i) of X^op, (d_{i+1}, d_0,
+#: truncate keeps every fact: each identity and each square of a family
+#: within level k is one within any level above k, on the same tables.
+_SAME = {fact: fact for fact in ("identities", *_FAMILIES)}
+
+#: The facts of X that its opposite holds, by the fact they become: its
+#: identities, since d_k |-> d_{n-k} maps them onto themselves, and its
+#: families.  d_k |-> d_{n-k} on X_n turns the Segal square of X^op at n
+#: into X's at n, transposed: (d_0, d_{n+1}, d_n, d_0) of X^op is
+#: (d_{n+1}, d_0, d_0, d_n) of X.  It turns the upper square (k, i) of X^op, (d_{i+1}, d_0,
 #: d_0, d_i) on X_{k+1} over X_{k-1}, into (d_{k-i}, d_{k+1}, d_k,
 #: d_{k-i}), X's lower square (k, k - i), and so the lower squares into
 #: the upper ones.  A unit square, alpha the codegeneracy doubling j
 #: pushed out along the outer coface at offset c, becomes X's unit square
 #: doubling n - 1 - j at offset 1 - c.
-_OPPOSITE = {"segal": "segal", "upper": "lower", "lower": "upper", "unit": "unit"}
-
-#: truncate keeps every family: each square of a family within level k is
-#: one of the same family within any level above k, on the same tables.
-_SAME = {family: family for family in _FAMILIES}
+_OPPOSITE = {**_SAME, "upper": "lower", "lower": "upper"}
 
 
 def opposite(X: TruncatedSSet) -> TruncatedSSet:
@@ -878,67 +897,31 @@ def truncate(X: TruncatedSSet, level: int) -> TruncatedSSet:
 
 
 def _inherit(
-    Y: TruncatedSSet, record: _SetRecord | None, families: Mapping[str, str]
-) -> _SetRecord | None:
-    """Give Y what record proves of it, record being _current(X) for the
-    set X that opposite, truncate or a decalage made Y of just now, and
-    return Y's new record (None when record is None).  families maps
-    each family of X to the family of Y whose squares are its squares
-    on the same tables, as the operator's docstring proves.
+    z: TruncatedSSet | SimplicialMap, record: _Record | None, facts, ends=None
+) -> _Record | None:
+    """Give z what record proves of it, record being _current(X) for the
+    set X that opposite, truncate or a decalage made z of just now (a
+    decalage's projection after its set, ends the records of its ends),
+    and return z's new record: each fact of X that facts maps becomes
+    the fact of z it names, as the operator's docstring proves.  Nothing
+    is given when record is None.
 
-    Each of them makes Y of X's very tables, reindexed: every table of Y
-    is one of X's, between levels of X of the sizes of Y's, so it passes
-    the same shape test; the levels of Y are levels of X, so they hold no
-    duplicate cell; and each simplicial identity of Y, on each cell, is
-    one of X's on the same tables and cells.  So the reader's shape-only
-    record carries over as a shape-only record, and a holding report as
-    the report a walk of Y would give, and each family X holds as the
-    family of Y that families names, which a full walk of Y would prove
-    on the same squares."""
-    if record is None:
-        return None
-    faces, degeneracies = _table_keys(Y.level)
-    tables = (*map(Y.faces.__getitem__, faces),
-              *map(Y.degeneracies.__getitem__, degeneracies))
-    if record.report is None:
-        inherited = _SetRecord(Y.cells, tables)
-    else:
-        report = _holding(_identity_counts(Y.level), Y.cells, Y.level)
-        proven = {families[f] for f in record.families if f in families}
-        inherited = _SetRecord(Y.cells, tables, report, proven)
-    object.__setattr__(Y, "_as_read", inherited)
-    return inherited
-
-
-def _inherit_map(
-    m: SimplicialMap,
-    record: _SetRecord | None,
-    source: _SetRecord | None,
-    families: Mapping[str, str],
-) -> None:
-    """Give m what record proves of it, record being _current(X) for the
-    target X of a decalage projection m made just now, source the record
-    _inherit gave m's source from it, and families the map from X's
-    families to the kinds of culf square of m ("face", "degeneracy")
-    that are the same squares, as the decalage's docstring proves.
-
-    m's components are outer faces of X, so they pass the shape test X's
-    tables passed.  With a holding report, each naturality equation of m
-    is a simplicial identity of X on the same tables: for Dec_top,
-    c_{n-1} d_i = d_i c_n is d_i d_{n+1} = d_n d_i and c_{n+1} s_i =
-    s_i c_n is d_{n+2} s_i = s_i d_{n+1} on X_{n+1}, and the mirror
-    images for Dec_bot.  So m's record then names the records of both
-    ends, which must still be current, the report a walk of its
-    naturality would give, and the kinds of culf square X's families
-    prove."""
-    if record is None:
-        return
-    read = m.source.cells, m.target.cells, m.components
-    if record.report is not None:
-        top = m.shared_level
-        read += source, record, _holding(_naturality_counts(top), m.source.cells, top)
-        read += (frozenset(families[f] for f in record.families if f in families),)
-    object.__setattr__(m, "_as_read", _MapRecord(*read))
+    Each of them makes z of X's very tables, reindexed: every table of
+    z is one of X's, between levels of X of the sizes of z's, so it
+    passes the same shape test; the levels of a set z are levels of X,
+    so they hold no duplicate cell; and each simplicial identity of a
+    set z, on each cell, is one of X's on the same tables and cells.
+    So the reader's shape test carries over as a shape test, and
+    "identities" as the identities a walk of z would find holding.  A
+    projection's components are outer faces of X, and with "identities"
+    each naturality equation of it is a simplicial identity of X on the
+    same tables: for Dec_top, c_{n-1} d_i = d_i c_n is d_i d_{n+1} =
+    d_n d_i and c_{n+1} s_i = s_i c_n is d_{n+2} s_i = s_i d_{n+1} on
+    X_{n+1}, and the mirror images for Dec_bot.  Its record names the
+    records of both ends, so it holds only while they do."""
+    if record is not None:
+        return _certify(z, [facts[f] for f in record.facts if f in facts], ends)
+    return None
 
 
 def compose_tables(*tables: Table) -> Table:
@@ -1103,34 +1086,31 @@ def _components(m: SimplicialMap, code: _Encoding) -> list:
     return comps
 
 
-def _naturality(m: SimplicialMap, call: _Call) -> tuple[list, CheckReport, frozenset]:
+def _naturality(m: SimplicialMap, call: _Call) -> tuple[list, CheckReport, set]:
     """m's components converted in the call of its ends, validate_map's
-    report on them, composed as validate composes, and the kinds of culf
-    square of m proven to be pullbacks.
+    report on them, composed as validate composes, and the facts of m's
+    record (empty without one), among them the kinds of culf square
+    proven to be pullbacks.
 
-    m's record is a _MapRecord: serialize's map reader sets it once it
-    has shape-tested each component, and _inherit_map on a decalage
-    projection.  While m holds the objects it names, by is, its
-    components are converted untested; and while the records the call
-    found current for its ends are the ones it names, its report and its
-    culf squares are returned with no walk (else no culf square)."""
-    read = vars(m).get("_as_read")
-    if not isinstance(read, _MapRecord) or not (
-        read.source_cells is m.source.cells
-        and read.target_cells is m.target.cells
-        and read.components is m.components
-    ):
-        comps = _components(m, call.code)
+    m's record is set by serialize's map reader once it has shape-tested
+    each component, and by _inherit on a decalage projection.  While it
+    is current (_current: m holds the components it names, and its ends
+    the records it names), m's components are converted untested, and
+    once it holds "naturality" the report comes back with no walk; a
+    walk that holds adds "naturality" to it."""
+    record, top = _current(m, call.records), m.shared_level
+    if record is None:
+        comps, facts = _components(m, call.code), set()
     else:
-        comps = list(map(call.code.convert, m.components))
-        if read.report is not None and read.source is call.records[0] and (
-            read.target is call.records[1]
-        ):
-            return comps, read.report, read.families
-    top = m.shared_level
+        comps, facts = list(map(call.code.convert, m.components)), record.facts
+        if "naturality" in facts:
+            return comps, _holding(_naturality_counts(top), m.source.cells, top), facts
     tables = [*_flat(top, *call.rows[0]), *comps, *_flat(top, *call.rows[1])]
     plan, cells = _naturality_plan(top), m.source.cells
-    return comps, _equations(plan, tables, call.code, call.memo, cells, top), frozenset()
+    report = _equations(plan, tables, call.code, call.memo, cells, top)
+    if report.holds:
+        facts.add("naturality")
+    return comps, report, facts
 
 
 @lru_cache(maxsize=_PLAN_LEVELS)

@@ -3,8 +3,9 @@ linter: every module-level import of the package is used in its module,
 every private module-level definition is read somewhere in the package,
 one loop of criteria decides squares, its walks read the tables
 validate converted rather than a set's own, one loop of sset walks
-the equations of validate and map naturality, and only serialize's
-readers and sset's validation certify the tables they tested."""
+the equations of validate and map naturality, and one function of sset
+writes the record of what was proven of an object, for serialize's
+readers, sset's validation and the operators' inheritance."""
 
 import ast
 from pathlib import Path
@@ -149,42 +150,43 @@ def test_one_loop_walks_equations():
         assert not any(isinstance(inner, LOOPS) for inner in ast.walk(bodies[name]))
 
 
-#: The private attribute in which serialize's readers record the tables
-#: they tested, sset's validation the report of a walk that held on
-#: them, and sset's inheritance what an operator's output owes to its
-#: input's record, for sset to trust while they are unchanged.
+#: The private attribute that holds an object's one record of what has
+#: been proven of its very parts, for sset to trust while they are
+#: unchanged.
 CERTIFICATE = "_as_read"
 
+#: The one function that writes it.
+CERTIFY = "_certify"
 
-#: The field of a record that holds the square families proven on it.
-FAMILIES = "families"
+#: The field of a record that holds what was proven of its parts.
+FACTS = "facts"
 
 
 def test_only_the_readers_certify():
-    # the set and map readers, sset's one validation entry and the two
-    # sset functions through which opposite, truncate and the decalages
-    # pass their input's record on set the record through
-    # object.__setattr__; only sset reads it: the test of whether a set's
-    # record is current, the map naturality that reads a map's, and
-    # _proves, which adds a family only to the record the set still
-    # holds.  A builder, sd or any other function that certified its own
-    # output would fail here.  A record's families are written only by
-    # _proves, which only the checkers whose full walk decides a whole
-    # family call, and by the functions that make a record; they are
-    # read by the square walks and check_segal, and by the culf check
-    # through _naturality
-    setters, readers = set(), set()
-    provers, family_readers = set(), set()
+    # one sset function sets the record, through object.__setattr__, and
+    # only the set and map readers, sset's one validation entry and the
+    # inheritance through which opposite, truncate and the decalages pass
+    # their input's record on call it; only sset's test of whether a
+    # record is current reads it, so serialize's map reader reads no
+    # record of its ends itself.  A builder, sd or any other function
+    # that certified its own output would fail here.  A record's facts
+    # grow in place only through _proves, which only the checkers whose
+    # full walk decides a whole family call, and the two walks that add
+    # "identities" and "naturality"; they are read by the square walks
+    # and check_segal, and by the culf check through _naturality
+    setters, certifiers, readers = set(), set(), set()
+    provers, fact_readers = set(), set()
     for module, tree in TREES.items():
         for node in tree.body:
             where, set_here = (module, getattr(node, "name", None)), set()
             for inner in ast.walk(node):
-                if isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == (
-                    "_proves"
-                ):
+                called = getattr(getattr(inner, "func", None), "id", None)
+                if isinstance(inner, ast.Call) and called == "_proves":
                     provers.add(where)
-                if getattr(inner, "attr", None) == FAMILIES:
-                    family_readers.add(where)
+                if isinstance(inner, ast.Call) and called == CERTIFY:
+                    certifiers.add(where)
+                if getattr(inner, "attr", None) == FACTS:
+                    fact_readers.add(where)
                 if (
                     isinstance(inner, ast.Call)
                     and ast.unparse(inner.func) == "object.__setattr__"
@@ -199,29 +201,24 @@ def test_only_the_readers_certify():
                     getattr(inner, "attr", None),
                 ):
                     readers.add(where)
-    assert setters == {
+    assert setters == {("sset.py", CERTIFY)}
+    assert certifiers == {
         ("serialize.py", "sset_from_obj"),
         ("serialize.py", "smap_from_obj"),
         ("sset.py", "_proven"),
         ("sset.py", "_inherit"),
-        ("sset.py", "_inherit_map"),
     }
-    assert readers == {
-        ("sset.py", "_current"),
-        ("sset.py", "_naturality"),
-        ("sset.py", "_proves"),
-    }
+    assert readers == {("sset.py", "_current")}
     assert provers == {
         ("criteria.py", "check_segal"),
         ("criteria.py", "_check_two_segal"),
         ("criteria.py", "check_decomposition"),
         ("criteria.py", "check_decomposition_direct"),
     }
-    assert family_readers == {
-        ("sset.py", "_current"),
+    assert fact_readers == {
         ("sset.py", "_proves"),
+        ("sset.py", "_proven"),
         ("sset.py", "_inherit"),
-        ("sset.py", "_inherit_map"),
         ("sset.py", "_naturality"),
         ("criteria.py", "_pushout_squares"),
         ("criteria.py", "check_segal"),

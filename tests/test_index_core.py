@@ -24,7 +24,7 @@ encoder gives.
 
 import dataclasses
 import pickle
-from collections import Counter
+from collections import Counter, namedtuple
 
 import pytest
 from hypothesis import given, settings
@@ -430,7 +430,8 @@ def spy_encodings(monkeypatch) -> Counter:
 def test_validate_encoding(monkeypatch, X, largest, encoding):
     # every table goes through the one encoding the largest level
     # selects, on a fresh copy of X, which carries no record of a walk;
-    # validate on the same copy again returns the walk's report untested
+    # validate on the same copy again returns the walk's report untested,
+    # counted in closed form
     assert max(map(len, X.cells)) == largest
     X = dataclasses.replace(X)
     calls = spy_encodings(monkeypatch)
@@ -438,7 +439,7 @@ def test_validate_encoding(monkeypatch, X, largest, encoding):
     assert report.holds
     assert calls == {encoding: len(X.faces) + len(X.degeneracies)}
     calls.clear()
-    assert validate(X) is report and calls == {}
+    assert validate(X) == report and calls == {}
 
 
 @pytest.mark.parametrize(
@@ -493,34 +494,65 @@ def assert_checks_as_fresh(X, Y, f):
         assert outcome(check, f) == outcome(check, fresh)
 
 
-def test_remembered_objects_pickle(monkeypatch):
-    # a walked set, its décalage and the projection come back from
-    # pickle with their records and the families proven on them, and
-    # each check gives what a copy with no record gives
-    X, Y, f = pickle.loads(pickle.dumps(walked_decalage()))
-    assert vars(f)["_as_read"].source is vars(Y)["_as_read"]
-    assert vars(f)["_as_read"].target is vars(X)["_as_read"]
-    assert sset._current(X).report.holds and sset._current(Y).report.holds
-    assert sset._current(X).families == {"segal", "unit", "upper", "lower"}
-    assert sset._current(Y).families == {"segal"}
-    assert vars(f)["_as_read"].families == {"face", "degeneracy"}
-    assert_checks_as_fresh(X, Y, f)
-    # records pickled in the previous layout, with no families: a set's
-    # report is not read, so it is walked afresh and proves its families
-    # anew, and a projection's record loads with no culf square proven
-    monkeypatch.setattr(sset._SetRecord, "__getnewargs__", lambda r: tuple(r)[:3])
-    monkeypatch.setattr(sset._MapRecord, "__getnewargs__", lambda r: tuple(r)[:6])
-    old = pickle.dumps(walked_decalage())
-    monkeypatch.undo()
-    X, Y, f = pickle.loads(old)
+#: The fields of a set's and of a map's record as an older version of
+#: sset kept them, in named tuples sset._SetRecord and sset._MapRecord;
+#: the version before that kept the first three and the first six.
+OLD_SET_FIELDS = ("cells", "tables", "report", "families")
+OLD_MAP_FIELDS = (
+    "source_cells", "target_cells", "components", "source", "target", "report", "families"
+)
+
+
+def pickled_in_old_layout(X, Y, f, set_width: int, map_width: int) -> bytes:
+    """walked_decalage's X, Y and f pickled with the records an older
+    version of sset would have kept on them, of the first set_width and
+    map_width fields: the cells and tables proven, the report of the
+    walk, the square families, and for the projection the records of
+    both ends and its culf squares."""
+    module = sset.__name__
+    SetRecord = namedtuple("_SetRecord", OLD_SET_FIELDS[:set_width], module=module)
+    MapRecord = namedtuple("_MapRecord", OLD_MAP_FIELDS[:map_width], module=module)
+    old = []
     for Z in (X, Y):
-        assert vars(Z)["_as_read"].report.holds
-        assert vars(Z)["_as_read"].families is None
-        assert sset._current(Z) is None
-    assert vars(f)["_as_read"].families == frozenset()
+        record = sset._current(Z)
+        fields = (Z.cells, record.parts[1:], validate(Z), record.facts - {"identities"})
+        old.append(SetRecord(*fields[:set_width]))
+    culf = frozenset(sset._current(f).facts - {"naturality"})
+    fields = (Y.cells, X.cells, f.components, old[1], old[0], validate_map(f), culf)
+    for x, record in ((X, old[0]), (Y, old[1]), (f, MapRecord(*fields[:map_width]))):
+        object.__setattr__(x, "_as_read", record)
+    sset._SetRecord, sset._MapRecord = SetRecord, MapRecord
+    try:
+        return pickle.dumps((X, Y, f))
+    finally:
+        del sset._SetRecord, sset._MapRecord
+
+
+def test_remembered_objects_pickle():
+    # a walked set, its décalage and the projection come back from
+    # pickle with their records and the facts proven on them, the
+    # projection's naming the records of both ends, and each check gives
+    # what a copy with no record gives
+    X, Y, f = pickle.loads(pickle.dumps(walked_decalage()))
+    parts = sset._current(f).parts
+    assert parts[1] is sset._current(Y) and parts[2] is sset._current(X)
+    assert sset._current(X).facts == {"identities", "segal", "unit", "upper", "lower"}
+    assert sset._current(Y).facts == {"identities", "segal"}
+    assert sset._current(f).facts == {"naturality", "face", "degeneracy"}
     assert_checks_as_fresh(X, Y, f)
-    assert sset._current(X).families == {"segal", "upper", "lower"}
-    assert sset._current(Y).families == {"segal", "unit"}
+    # records pickled in the two older layouts load, each with its
+    # holding report, but are not read: each set is walked afresh and
+    # proves its families anew, and the projection is tested afresh
+    for widths in ((4, 7), (3, 6)):
+        X, Y, f = pickle.loads(pickled_in_old_layout(*walked_decalage(), *widths))
+        for x, width in ((X, widths[0]), (Y, widths[0]), (f, widths[1])):
+            old = vars(x)["_as_read"]
+            assert len(old) == width and old[5 if x is f else 2].holds, widths
+            assert sset._current(x) is None, widths
+        assert_checks_as_fresh(X, Y, f)
+        assert sset._current(X).facts == {"identities", "segal", "upper", "lower"}
+        assert sset._current(Y).facts == {"identities", "segal", "unit"}
+        assert sset._current(f) is None
 
 
 def serialized_forms(inst):

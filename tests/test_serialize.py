@@ -352,7 +352,7 @@ CERTIFIED = {
 def checked(X, check):
     """X, once check has walked it and the walk has held."""
     check(X)
-    assert vars(X)["_as_read"].report.holds
+    assert "identities" in sset._current(X).facts
     return X
 
 
@@ -402,6 +402,20 @@ def shape_tests(monkeypatch):
         return checked_tables(X, kind, encode)
 
     monkeypatch.setattr(sset, "_checked_tables", counting)
+    return tested
+
+
+@pytest.fixture
+def component_tests(monkeypatch):
+    """The maps whose components sset shape-tests, one by one."""
+    tested = []
+    components = sset._components
+
+    def counting(m, code):
+        tested.append(m)
+        return components(m, code)
+
+    monkeypatch.setattr(sset, "_components", counting)
     return tested
 
 
@@ -470,16 +484,18 @@ class TestReaderCertificate:
             assert outcomes(SET_CHECKS, Y) == outcomes(SET_CHECKS, Z), step
 
     def test_level_below_zero_is_tested_as_fresh(self):
-        # levels below 0 have as few tables as level 0, so the level of a
-        # remembered report is compared too: a point of level 0 set to
-        # level -1 and back, each step against a copy without a record
+        # levels below 0 have as few tables as level 0, so the record
+        # stays current, and what it proves is reported at the level the
+        # set has now: a point of level 0 set to level -1 and back, each
+        # step against a copy without a record
         Y = read_back(point(0))
         Z = fresh(Y)
         for level in (0, -1, 0):
             for T in (Y, Z):
                 object.__setattr__(T, "level", level)
             assert outcomes(SET_CHECKS, Y) == outcomes(SET_CHECKS, Z), level
-            assert vars(Y)["_as_read"].report.checked_level == level
+            assert "identities" in sset._current(Y).facts
+            assert sset.validate(Y).checked_level == level
 
     @pytest.mark.parametrize("name", sorted(CERTIFIED))
     def test_copies_and_operators_of_a_read_set(self, name):
@@ -494,11 +510,11 @@ class TestReaderCertificate:
 
     def test_only_the_reader_certifies(self):
         # the reader and a walk that holds record, and opposite and
-        # truncate pass their input's record on, as the report a walk of
-        # their output gives; nothing else that makes a new set (a
-        # builder, sd, dataclasses.replace) carries a record of its own,
-        # copy.copy shares its original's, and ==, hash and repr do not
-        # see it
+        # truncate pass their input's record on, so that validate reports
+        # on them what a walk of a fresh copy reports; nothing else that
+        # makes a new set (a builder, sd, dataclasses.replace) carries a
+        # record of its own, copy.copy shares its original's, and ==,
+        # hash and repr do not see it
         X = CERTIFIED["words-L3"]()
         Y = read_back(X)
         assert "_as_read" not in vars(X)
@@ -510,11 +526,10 @@ class TestReaderCertificate:
             assert ["_as_read" in vars(Z) for Z in made] == [False] * 3
             assert vars(copy.copy(Y))["_as_read"] is vars(Y)["_as_read"]
             for Z in (opposite(Y), truncate(Y, 2)):
-                remembered = vars(Z)["_as_read"].report
-                if vars(Y)["_as_read"].report is None:
-                    assert remembered is None
-                else:
-                    assert remembered == sset.validate(fresh(Z))
+                assert sset._current(Z).facts & {"identities"} == (
+                    sset._current(Y).facts & {"identities"}
+                )
+                assert sset.validate(Z) == sset.validate(fresh(Z))
             Z = fresh(Y)
             assert Y == Z and repr(Y) == repr(Z)
             assert outcomes((hash,), Y) == outcomes((hash,), Z)
@@ -569,3 +584,35 @@ class TestReaderCertificate:
         defect = change != "equal"
         assert want[0][0] == "StructuralError" if defect else want[0].holds, want[0]
         assert outcomes(MAP_CHECKS, m) == want
+
+    @pytest.mark.parametrize("end", ["source", "target"])
+    def test_read_map_keeps_its_certificate_while_its_ends_keep_theirs(
+        self, end, component_tests
+    ):
+        # check_culf walks both ends of a read map, and each walk adds to
+        # the very record the map's names, so the map keeps its component
+        # certificate and remembers its naturality; a table of one end
+        # replaced, even by an equal tuple, makes that end's record stale
+        # and the map's with it, so every check shape-tests the
+        # components again.  Each check gives what a fresh copy gives
+        built = builders.length_map(builders.bounded_words(("a", "b"), 2), 3)
+        m = read_map_back(built)
+        record = sset._current(m)
+        assert record.facts == set()
+        want = outcomes(MAP_CHECKS, built)
+        component_tests.clear()
+        for _ in range(2):
+            assert outcomes(MAP_CHECKS, m) == want
+        assert component_tests == []
+        assert sset._current(m) is record and record.facts == {"naturality"}
+        assert {"identities"} <= sset._current(m.source).facts
+        assert {"identities"} <= sset._current(m.target).facts
+        X = getattr(m, end)
+        key = max(X.faces)
+        X.faces[key] = tuple(list(X.faces[key]))
+        rebuilt = SimplicialMap(fresh(m.source), fresh(m.target), m.components)
+        want = outcomes(MAP_CHECKS, rebuilt)
+        component_tests.clear()
+        assert outcomes(MAP_CHECKS, m) == want
+        assert component_tests == [m] * len(MAP_CHECKS)
+        assert sset._current(m) is None

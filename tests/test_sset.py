@@ -204,11 +204,11 @@ class TestEquationPlans:
             assert {f, *range(h, h + count)} <= firsts
             assert {*range(g, g + count), k} <= seconds
 
-    @pytest.mark.parametrize("level", range(12))
+    @pytest.mark.parametrize("level", range(41))
     def test_counts_are_those_of_the_plans(self, level):
-        # a record passed on by an operator counts its report's squares
-        # in closed form: the counts must be the equations each plan
-        # holds on each level
+        # every remembered report, of validate or validate_map, counts
+        # its squares in closed form: the counts must be the equations
+        # each plan holds on each level
         def counts(plan):
             per_level = Counter()
             for run in plan[0]:
