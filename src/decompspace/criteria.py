@@ -72,8 +72,8 @@ squares, of the upper or lower 2-Segal squares, or of the unit squares
 holds (check_segal; check_upper_2segal, check_lower_2segal and
 check_decomposition; the latter's unit squares at level 2 and the direct
 certificate at rank cap = level, without a cut-off), its family joins
-the facts of the one record X was validated with (sset._proves), which
-names those very tables, so it is read only while X holds them.  Each
+the facts of the one record X was validated with (sset._proves), and
+X's tables cannot change, so it holds for as long as X lives.  Each
 compiled plan tags its elementary squares with their family (_family),
 and a square of a family among the facts of X's record is counted in
 walk order like an identity-leg square, not decided, and fills no slot:
@@ -182,7 +182,7 @@ def check_segal(X: TruncatedSSet) -> CheckReport:
     """The outer-face squares X_{n+1} over X_{n-1}, for n+1 within level."""
     call = _valid_call(X)
     d = call.rows[0][0]
-    proven = "segal" in call.records[0].facts
+    proven = "segal" in call.facts[0]
 
     def squares():
         for n in range(1, X.level):
@@ -439,7 +439,7 @@ def _pushout_squares(X: TruncatedSSet, call: _Call, plan: Plan, label) -> Iterat
     """
     slots, squares = plan
     own, step, operand = call.rows[0], call.code.step, call.operand
-    proven = call.records[0].facts
+    proven = call.facts[0]
     tables: list = []
     for alpha, iota, k, p, legs, filled in squares:
         if legs is None or legs[5] in proven:
@@ -713,10 +713,10 @@ def check_culf(f: SimplicialMap) -> CheckReport:
     malformed end raises StructuralError naming it.  The degeneracy
     squares are split: their legs s_j of X and of Y are injective on
     validated ends, so each is decided by the count alone.  A decalage
-    projection whose ends still hold their records counts the squares
-    its record's facts prove (sset._inherit), undecided.
+    projection counts the squares its record's facts prove
+    (sset._inherit), undecided.
     """
-    call = _valid_call(f.source, f.target, ends=("source", "target"))
+    call = _valid_call(f.source, f.target, roles=("source", "target"))
     c, report, proven = _naturality(f, call)
     if not report.holds:
         raise StructuralError(f"input is not a simplicial map: {report.detail}")

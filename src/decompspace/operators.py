@@ -5,8 +5,10 @@ the top (resp. bottom) face and degeneracy; the forgotten face assembles
 into a projection back to X.  The edgewise subdivision reads the odd
 levels X_{2n+1} with faces d_{n-i} d_{n+i+1} and degeneracies
 s_{n-i} s_{n+i+1}.  Cells keep their source identifiers throughout, and
-the decalages reuse the index tables of X unchanged.  The lower
-decalage is the upper one seen through the opposite.
+the decalages reuse the index tables of X unchanged, which are
+read-only, so neither X nor its decalage can change what the other was
+proven of.  The lower decalage is the upper one seen through the
+opposite.
 
 So every simplicial identity of a decalage, and every naturality
 equation of its projection, is one of X's identities on X's very
@@ -122,11 +124,11 @@ def _inherited(
     culf: dict[str, str],
 ) -> tuple[TruncatedSSet, SimplicialMap]:
     """(Y, proj), a decalage of X and its projection just made, given
-    what X's record proves of them, X's facts as families names them for
-    Y and as culf names them for proj, from one _current(X), and proj's
-    record names Y's and X's."""
+    what X's record proves of them: X's facts as families names them for
+    Y and as culf names them for proj, from one _current(X)."""
     record = _current(X)
-    _inherit(proj, record, culf, (_inherit(Y, record, families), record))
+    _inherit(Y, record, families)
+    _inherit(proj, record, culf)
     return Y, proj
 
 

@@ -11,19 +11,17 @@ FORMATS.md for the documented schemas.
 The check of each row is the shape test validate would run again (a
 tuple of that many ints in range), so the set and the map readers
 certify what they checked: each gives what it returns sset's one
-private record (sset._certify), of a set's cells and the tables it
-tested, or of a map's components and the records its ends were just
-given, by reference (no copy, and no dataclass field, so ==, hash and
-repr do not see it), with no fact proven yet.  sset converts a table
-untested only while the object still holds that very table, compared
-by identity.  sset alone adds facts to the record: its validation adds
-"identities" once the simplicial identities hold on those same objects
-(a map's naturality walk "naturality"), so later checks skip the walk
-too, and the inheritance through which opposite, truncate and the
-decalages give their output what the record of their input proves (a
-set read and not yet walked gives outputs with the shape test only).
-A set that a builder, sd or dataclasses.replace makes carries no
-record, and is tested as any other.
+private record (sset._certify), the set of facts proven of it, empty
+here (no dataclass field, so ==, hash and repr do not see it).  A set's
+tables are read-only and a map's components a tuple, so the objects the
+reader tested are the ones sset later converts untested.  sset alone
+adds facts to the record: its validation adds "identities" once the
+simplicial identities hold (a map's naturality walk "naturality"), so
+later checks skip the walk too, and the inheritance through which
+opposite, truncate and the decalages give their output what the record
+of their input proves (a set read and not yet walked gives outputs with
+the shape test only).  A set that a builder, sd or dataclasses.replace
+makes carries no record, and is tested as any other.
 
 dumps writes the documented layout (two-space indents, sorted keys, a
 final newline) directly, a whole row of indices or names at a time; the

@@ -37,31 +37,30 @@ either.  A square whose legs f and q are split monos (X of a surjection
 of Delta, on a set validate has passed) is decided by that test's count
 alone, as _tuple_holds says.
 
-_proven is the one place that converts a set's tables, after the shape
-test of each, and walks its identities.  What has been proven is kept
-on the object itself, in one private record (_Record) of the very
-objects proven (its parts) and of what was proven of them (its facts, a
-set that grows in place), and _certify is the one writer of it.
-serialize's set and map readers give what they read a record with no
-fact, once they have shape-tested every table and component.  A walk of
-a set's identities that holds adds "identities" (giving the set a
-record first if it has none), and a walk of a map's naturality
-"naturality".  A map's parts are its components and the records of its
-two ends, so a fact of a map holds only while both ends keep theirs,
-and a walk of an end adds to the very record the map names.  While an
-object still holds its parts, compared by identity (_current), its
-tables are converted untested and a proven walk is not walked again: no
-report is kept, since one that held is the closed-form count of its
-equations (_holding), so a set is shape-tested and walked once however
-many checks read it, and a change afterwards is tested as in a fresh
-set.  Only what was proven is remembered: each call still converts the
-tables for itself.
+A set's tables are read-only (_ReadOnly): the constructor copies its
+face and degeneracy tables once into that dict, whose every mutating
+method raises TypeError, and the cells, the level and a map's components
+are tuples and ints in frozen fields.  So a fact about an object's
+tables holds for as long as the object lives.  _proven is the one place
+that converts a set's tables, after the shape test of each, and walks
+its identities.  What has been proven is kept on the object itself, in
+one private record: the set of facts proven of it, which grows in place,
+and _certify is the one writer of it.  serialize's set and map readers
+give what they read a record with no fact, once they have shape-tested
+every table and component.  A walk of a set's identities that holds
+adds "identities" (giving the set a record first if it has none), and a
+walk of a map's naturality "naturality".  An object with a record
+(_current) has its tables converted untested, and a proven walk is not
+walked again: no report is kept, since one that held is the closed-form
+count of its equations (_holding), so a set is shape-tested and walked
+once however many checks read it.  Only what was proven is remembered:
+each call still converts the tables for itself.
 
 opposite, truncate and the decalages make their output of their input's
 very tables, reindexed, so each identity of the output, and each
 naturality equation of a decalage's projection, is one of the input's
-on the same tables: _inherit gives each output what the input's current
-record proves, its facts mapped through one table per operator.
+on the same tables: _inherit gives each output what the input's record
+proves, its facts mapped through one table per operator.
 
 A record also holds the square families (Segal, upper and lower
 2-Segal, unit) that a full walk of the checkers in criteria has since
@@ -77,8 +76,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, islice, repeat
-from operator import attrgetter, is_, itemgetter, mul
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter, mul
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import delta
@@ -178,6 +177,23 @@ def _check_distinct(cells: tuple[tuple[str, ...], ...]) -> None:
                 seen.add(c)
 
 
+class _ReadOnly(dict):
+    """A set's face or degeneracy tables: a dict whose every mutating
+    method raises TypeError.  ==, repr and dict() read it as the plain
+    dict of its entries, and it pickles and copies as one."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("the tables of a TruncatedSSet are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    pop = popitem = clear = update = setdefault = _refuse
+
+    def __reduce__(self):
+        return _ReadOnly, (dict(self),)
+
+
 @dataclass(frozen=True)
 class TruncatedSSet:
     """A simplicial set known up to a finite level.
@@ -186,8 +202,11 @@ class TruncatedSSet:
     (n, i) with 1 <= n <= level, 0 <= i <= n to the index table of
     d_i: cells[n] -> cells[n-1]; degeneracies maps (n, i) with
     0 <= n < level, 0 <= i <= n to that of s_i: cells[n] -> cells[n+1].
-    Treat instances as immutable after construction; from_names builds
-    one from name-keyed tables.
+    Instances are immutable: the constructor copies faces and
+    degeneracies into read-only dicts (an input that is one already is
+    kept), and assigning, deleting or updating a key of either raises
+    TypeError.  Overwriting a field through object.__setattr__ is
+    unsupported.  from_names builds one from name-keyed tables.
     """
 
     level: int
@@ -198,6 +217,16 @@ class TruncatedSSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "cells", tuple(tuple(cs) for cs in self.cells))
         _check_cell_count(self.level, self.cells)
+        for field in ("faces", "degeneracies"):
+            tables = getattr(self, field)
+            if type(tables) is not _ReadOnly:
+                object.__setattr__(self, field, _ReadOnly(tables))
+
+    def __setstate__(self, state: dict) -> None:
+        """Load a pickle, whose tables are plain dicts if it was made
+        before they were read-only, with read-only tables."""
+        vars(self).update(state)
+        self.__post_init__()
 
     @classmethod
     def from_names(
@@ -327,12 +356,13 @@ class _Encoding(NamedTuple):
     """How one call holds the tables of X.
 
     table(t, source, size) is t converted, or None when t is not a tuple
-    of len(source) indices in range(size); convert(t) is t converted
-    without that test, for a t known to pass it; step(t) is the callable
-    u -> the table of u after t, and operand(memo, t) the u those
-    callables take; identity(size) is the identity table on size cells;
-    decide(memo, f, g, p, q, split=False) is pullback_holds on converted
-    tables, by the count alone when split says f and q are injective.
+    of len(source) indices in range(size); convert(t, source, size) is t
+    converted without that test, for a t known to pass it; step(t) is
+    the callable u -> the table of u after t, and operand(memo, t) the u
+    those callables take; identity(size) is the identity table on size
+    cells; decide(memo, f, g, p, q, split=False) is pullback_holds on
+    converted tables, by the count alone when split says f and q are
+    injective.
     memo is a dict of one call, in which operand and decide keep what
     they derive from a table (a padded operand, the fiber sizes of a q),
     so each is derived once per call.
@@ -425,7 +455,7 @@ def _byte_holds(
 
 _TUPLES = _Encoding(
     _tuple_table,
-    tuple,
+    lambda table, source, size: table,
     _getter,
     lambda memo, table: table,
     lambda size: tuple(range(size)),
@@ -434,7 +464,7 @@ _TUPLES = _Encoding(
 #: first.translate(second padded to 256 bytes) is second after first.
 _BYTES = _Encoding(
     _byte_table,
-    bytes,
+    lambda table, source, size: bytes(table),
     attrgetter("translate"),
     _padded,
     lambda size: _BYTE_RANGE[:size],
@@ -450,10 +480,10 @@ def _encoding(*sets: TruncatedSSet) -> _Encoding:
 
 
 def _checked_tables(X: TruncatedSSet, kind: str, encode) -> list[list]:
-    """X's face ("d") or degeneracy ("s") tables, each checked to be a
-    tuple of indices of the right length and range, in the order of
-    _table_keys, and converted by encode (_tuple_table or _byte_table)
-    as rows[n][i]."""
+    """X's face ("d") or degeneracy ("s") tables, by n and then i, each
+    converted by encode as rows[n][i]: an encoding's table, which checks
+    it to be a tuple of indices of the right length and range first, or
+    its convert, for tables a record has proven to be."""
     tables, levels, step = (
         (X.faces, range(1, X.level + 1), -1)
         if kind == "d"
@@ -463,38 +493,21 @@ def _checked_tables(X: TruncatedSSet, kind: str, encode) -> list[list]:
     for n in levels:
         source, size = X.cells[n], len(X.cells[n + step])
         for i in range(n + 1):
-            if (n, i) not in tables:
-                raise StructuralError(f"missing table {kind}_{i} at level {n}")
-            table = encode(tables[(n, i)], source, size)
-            if table is None:
-                problem = _index_problem(tables[(n, i)], source, size)
+            try:
+                table = tables[(n, i)]
+            except KeyError:
+                raise StructuralError(f"missing table {kind}_{i} at level {n}") from None
+            row = encode(table, source, size)
+            if row is None:
+                problem = _index_problem(table, source, size)
                 raise StructuralError(f"{kind}_{i} at level {n} {problem}")
-            rows[n].append(table)
+            rows[n].append(row)
     return rows
-
-
-class _Record(NamedTuple):
-    """What has been proven of an object's very parts, kept as its
-    private attribute _as_read.
-
-    parts are the objects proven, compared by is (_parts): a set's cells
-    and its tables in the order of _table_keys, or a map's components
-    and the records of its two ends.  facts is a set that grows in
-    place: empty after a reader's shape test of every table, with
-    "identities" for a set, or "naturality" for a map, once a walk of
-    them holds, and with each square family (_FAMILIES for a set, the
-    kinds of culf square "face" and "degeneracy" for a map) once a full
-    walk of it holds (_proves) or an operator passes it on (_inherit).
-    No report is kept: one that held is _holding of the closed-form
-    count of its equations."""
-
-    parts: tuple
-    facts: set
 
 
 class _OldRecord(tuple):
     """A record of an older layout, as a pickle made then loads it: it
-    is not a _Record, so _current never trusts it."""
+    is not a set, so _current never trusts it."""
 
     def __new__(cls, *fields):
         return tuple.__new__(cls, fields)
@@ -502,7 +515,7 @@ class _OldRecord(tuple):
 
 def __getattr__(name: str):
     """The record classes of an older layout, which its pickles name."""
-    if name in ("_SetRecord", "_MapRecord"):
+    if name in ("_SetRecord", "_MapRecord", "_Record"):
         return _OldRecord
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -518,58 +531,30 @@ _FAMILIES = ("segal", "upper", "lower", "unit")
 def _proves(call: _Call, *families: str) -> None:
     """Record that families hold on the call's first set, a full walk of
     each having just held on the call's tables: they join the facts of
-    the record the call validated it with, which names those tables."""
-    call.records[0].facts.update(families)
+    the record the call validated it with."""
+    call.facts[0].update(families)
 
 
-def _parts(x: TruncatedSSet | SimplicialMap, ends: Sequence | None = None) -> tuple:
-    """The objects a record of x names, as x holds them now: a set's
-    cells and its tables in the order of _table_keys (KeyError if one is
-    missing), or a map's components and the current records of its
-    ends, which ends gives when the caller has them already."""
-    if isinstance(x, SimplicialMap):
-        return (x.components, *(ends or (_current(x.source), _current(x.target))))
-    faces, degeneracies = _table_keys(x.level)
-    return (x.cells, *map(x.faces.__getitem__, faces),
-            *map(x.degeneracies.__getitem__, degeneracies))
-
-
-def _certify(x: TruncatedSSet | SimplicialMap, facts=(), ends=None) -> _Record:
-    """Give x the record of its parts as it holds them now (_parts(x,
-    ends)), with facts, and return it: the one writer of _as_read."""
-    record = _Record(_parts(x, ends), set(facts))
+def _certify(x: TruncatedSSet | SimplicialMap, facts=()) -> set:
+    """Give x the record of facts, the one writer of _as_read, and return
+    it.  x's tables and components cannot change (TruncatedSSet), so a
+    fact proven of them holds for as long as x lives."""
+    record = set(facts)
     object.__setattr__(x, "_as_read", record)
     return record
 
 
-def _current(x: TruncatedSSet | SimplicialMap, ends=None) -> _Record | None:
-    """x's record while x still holds the very objects it names
-    (_parts(x, ends)), else None.
-
-    The objects are compared once by is (never ==, since (1,) ==
-    (True,)): tables that pass the shape test are tuples of ints, which
-    cannot change, so any change (a table replaced, a key deleted, the
-    cells or the level replaced, or for a map its components or the
-    record of an end) makes the record stale.  Every level L >= 0 has
-    its own count of tables, L * L + 2 * L, and a record's facts name no
-    level, so the levels below 0, which share level 0's count, read the
-    same facts at their own level.  A record of any other type, such as
-    one of an older layout, is never read."""
+def _current(x: TruncatedSSet | SimplicialMap) -> set | None:
+    """x's record, the set of facts proven of it, or None without one.
+    A record of any other type, such as one of an older layout that a
+    pickle made then holds, is never read."""
     record = vars(x).get("_as_read")
-    if type(record) is not _Record:
-        return None
-    try:
-        parts = _parts(x, ends)
-    except KeyError:
-        return None
-    if len(parts) == len(record.parts) and all(map(is_, parts, record.parts)):
-        return record
-    return None
+    return record if type(record) is set else None
 
 
 def _proven(
     X: TruncatedSSet,
-    record: _Record | None,
+    record: set | None,
     code: _Encoding | None,
     memo: dict | None,
     walk: bool = True,
@@ -585,7 +570,7 @@ def _proven(
     and once it holds "identities" the duplicate-cell test and the walk
     are skipped as well (report None).  A walk that holds adds
     "identities" to the record, or gives X one that holds it."""
-    known = record is not None and "identities" in record.facts
+    known = record is not None and "identities" in record
     if code is None:  # validate alone, which wants only the report
         if known:
             report = _holding(_identity_counts(X.level), X.cells, X.level)
@@ -594,29 +579,15 @@ def _proven(
     walk = walk and not known
     if walk:
         _check_distinct(X.cells)
-    if record is None:
-        d, s = (_checked_tables(X, k, code.table) for k in "ds")
-    else:
-        converted = map(code.convert, islice(record.parts, 1, None))
-        d = [[], *(list(islice(converted, n + 1)) for n in range(1, X.level + 1))]
-        s = [*(list(islice(converted, n + 1)) for n in range(X.level)), []]
+    encode = code.table if record is None else code.convert
+    d, s = (_checked_tables(X, k, encode) for k in "ds")
     report = _identities(X, code, memo, d, s) if walk else None
     if walk and report.holds:
         if record is None:
             record = _certify(X, ("identities",))
         else:
-            record.facts.add("identities")
+            record.add("identities")
     return d, s, report, record
-
-
-@lru_cache(maxsize=256)
-def _table_keys(level: int) -> tuple[tuple, tuple]:
-    """The keys (n, i) of the face and of the degeneracy tables of a set
-    of the given level, each by n and then i: the order in which
-    serialize's reader and _checked_tables test them, and the record
-    keeps them."""
-    faces = tuple((n, i) for n in range(1, level + 1) for i in range(n + 1))
-    return faces, tuple((n, i) for n in range(level) for i in range(n + 1))
 
 
 class _Call:
@@ -624,7 +595,7 @@ class _Call:
 
     code is the encoding, chosen once over every set of the check;
     rows[k] is (d, s), the converted tables of the k-th set as d[n][i]
-    and s[n][i]; records[k] is the k-th set's record once validated (as
+    and s[n][i]; facts[k] is the k-th set's record once validated (as
     _current found it, or the one its walk set; None for a set with no
     record that was shape-tested only); memo keeps what the encoding
     derives from a table (the operands validate padded among them);
@@ -632,40 +603,40 @@ class _Call:
     outlives the check.
     """
 
-    __slots__ = ("code", "rows", "records", "memo", "operand", "decide", "__weakref__")
+    __slots__ = ("code", "rows", "facts", "memo", "operand", "decide", "__weakref__")
 
-    def __init__(self, code: _Encoding, rows: list, records: list, memo: dict) -> None:
-        self.code, self.rows, self.records, self.memo = code, rows, records, memo
+    def __init__(self, code: _Encoding, rows: list, facts: list, memo: dict) -> None:
+        self.code, self.rows, self.facts, self.memo = code, rows, facts, memo
         self.operand = partial(code.operand, memo)
         self.decide = partial(code.decide, memo)
 
 
 def _valid_call(
-    *sets: TruncatedSSet, ends: tuple[str, ...] | None = None, walk: bool = True
+    *sets: TruncatedSSet, roles: tuple[str, ...] | None = None, walk: bool = True
 ) -> _Call:
     """The call of one check on sets, once each is validated (without
     walk, once each table has the right shape): StructuralError unless
-    it is a simplicial set.  ends names the sets of a map in the errors
+    it is a simplicial set.  roles names the sets of a map in the errors
     ("map source: ..."); without it they are the input's.  A set given
     twice is read once."""
-    code, memo, rows, records = _encoding(*sets), {}, [], []
+    code, memo, rows, facts = _encoding(*sets), {}, [], []
     for k, X in enumerate(sets):
         if k and X is sets[0]:
             rows.append(rows[0])
-            records.append(records[0])
+            facts.append(facts[0])
             continue
-        who = "input" if ends is None else f"map {ends[k]}"
+        who = "input" if roles is None else f"map {roles[k]}"
         try:
             d, s, report, record = _proven(X, _current(X), code, memo, walk)
             rows.append((d, s))
-            records.append(record)
+            facts.append(record)
         except StructuralError as exc:
-            if ends is None:
+            if roles is None:
                 raise
             raise StructuralError(f"{who}: {exc}") from None
         if report is not None and not report.holds:
             raise StructuralError(f"{who} is not a simplicial set: {report.detail}")
-    return _Call(code, rows, records, memo)
+    return _Call(code, rows, facts, memo)
 
 
 def validate(X: TruncatedSSet) -> CheckReport:
@@ -682,9 +653,9 @@ def validate(X: TruncatedSSet) -> CheckReport:
     shape test exactly when _index_problem finds a fault, which then
     words the error; the walk is the same for both, so its order,
     squares_checked and every report are as well.  A set on which a
-    walk has held since its tables last changed is not walked again: it
-    gets the report of a walk that holds, its squares counted in closed
-    form (_holding), as _proven says.
+    walk has held is not walked again: it gets the report of a walk that
+    holds, its squares counted in closed form (_holding), as _proven
+    says.
     """
     return _proven(X, _current(X), None, None)[2]
 
@@ -896,15 +867,11 @@ def truncate(X: TruncatedSSet, level: int) -> TruncatedSSet:
     return Y
 
 
-def _inherit(
-    z: TruncatedSSet | SimplicialMap, record: _Record | None, facts, ends=None
-) -> _Record | None:
+def _inherit(z: TruncatedSSet | SimplicialMap, record: set | None, facts) -> None:
     """Give z what record proves of it, record being _current(X) for the
-    set X that opposite, truncate or a decalage made z of just now (a
-    decalage's projection after its set, ends the records of its ends),
-    and return z's new record: each fact of X that facts maps becomes
-    the fact of z it names, as the operator's docstring proves.  Nothing
-    is given when record is None.
+    set X that opposite, truncate or a decalage made z of just now: each
+    fact of X that facts maps becomes the fact of z it names, as the
+    operator's docstring proves.  Nothing is given when record is None.
 
     Each of them makes z of X's very tables, reindexed: every table of
     z is one of X's, between levels of X of the sizes of z's, so it
@@ -917,11 +884,9 @@ def _inherit(
     each naturality equation of it is a simplicial identity of X on the
     same tables: for Dec_top, c_{n-1} d_i = d_i c_n is d_i d_{n+1} =
     d_n d_i and c_{n+1} s_i = s_i c_n is d_{n+2} s_i = s_i d_{n+1} on
-    X_{n+1}, and the mirror images for Dec_bot.  Its record names the
-    records of both ends, so it holds only while they do."""
+    X_{n+1}, and the mirror images for Dec_bot."""
     if record is not None:
-        return _certify(z, [facts[f] for f in record.facts if f in facts], ends)
-    return None
+        _certify(z, [facts[f] for f in record if f in facts])
 
 
 def compose_tables(*tables: Table) -> Table:
@@ -1021,6 +986,8 @@ class SimplicialMap:
     components[n] is the index table of the function source cells[n] ->
     target cells[n], for every shared level n <= min(source.level,
     target.level); from_names builds one from name-keyed components.
+    Instances are immutable, as a set's tables are; overwriting a field
+    through object.__setattr__ is unsupported.
     """
 
     source: TruncatedSSet
@@ -1067,18 +1034,18 @@ def validate_map(m: SimplicialMap) -> CheckReport:
 
     A table of either end of the wrong shape raises StructuralError
     naming the end."""
-    call = _valid_call(m.source, m.target, ends=("source", "target"), walk=False)
+    call = _valid_call(m.source, m.target, roles=("source", "target"), walk=False)
     return _naturality(m, call)[1]
 
 
-def _components(m: SimplicialMap, code: _Encoding) -> list:
-    """m's components converted by code after the shape test of each: a
-    component of the wrong shape raises StructuralError naming its
-    level."""
+def _components(m: SimplicialMap, encode) -> list:
+    """m's components converted by encode, an encoding's table, which
+    shape-tests each first (a component of the wrong shape raises
+    StructuralError naming its level), or its convert."""
     comps = []
     for n, comp in enumerate(m.components):
         source, size = m.source.cells[n], len(m.target.cells[n])
-        table = code.table(comp, source, size)
+        table = encode(comp, source, size)
         if table is None:
             problem = _index_problem(comp, source, size)
             raise StructuralError(f"component at level {n} {problem}")
@@ -1093,21 +1060,19 @@ def _naturality(m: SimplicialMap, call: _Call) -> tuple[list, CheckReport, set]:
     proven to be pullbacks.
 
     m's record is set by serialize's map reader once it has shape-tested
-    each component, and by _inherit on a decalage projection.  While it
-    is current (_current: m holds the components it names, and its ends
-    the records it names), m's components are converted untested, and
-    once it holds "naturality" the report comes back with no walk; a
-    walk that holds adds "naturality" to it."""
-    record, top = _current(m, call.records), m.shared_level
-    if record is None:
-        comps, facts = _components(m, call.code), set()
-    else:
-        comps, facts = list(map(call.code.convert, m.components)), record.facts
-        if "naturality" in facts:
-            return comps, _holding(_naturality_counts(top), m.source.cells, top), facts
+    each component, and by _inherit on a decalage projection.  With it,
+    m's components are converted untested, and once it holds
+    "naturality" the report comes back with no walk; a walk that holds
+    adds "naturality" to it."""
+    facts, code, top = _current(m), call.code, m.shared_level
+    comps = _components(m, code.table if facts is None else code.convert)
+    if facts is None:
+        facts = set()
+    elif "naturality" in facts:
+        return comps, _holding(_naturality_counts(top), m.source.cells, top), facts
     tables = [*_flat(top, *call.rows[0]), *comps, *_flat(top, *call.rows[1])]
     plan, cells = _naturality_plan(top), m.source.cells
-    report = _equations(plan, tables, call.code, call.memo, cells, top)
+    report = _equations(plan, tables, code, call.memo, cells, top)
     if report.holds:
         facts.add("naturality")
     return comps, report, facts

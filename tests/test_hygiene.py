@@ -71,6 +71,18 @@ def test_every_import_is_used(module):
     assert [name for name in imports(tree) if name not in loaded(tree)] == []
 
 
+#: The functions that write, read or pass on a record.
+RECORD_FUNCTIONS = (
+    ("sset.py", "_certify"),
+    ("sset.py", "_current"),
+    ("sset.py", "_inherit"),
+    ("sset.py", "_proven"),
+    ("sset.py", "_naturality"),
+    ("sset.py", "_valid_call"),
+    ("operators.py", "_inherited"),
+)
+
+
 def test_every_private_definition_is_read():
     read = set().union(*map(loaded, TREES.values()))
     defined = [
@@ -80,6 +92,13 @@ def test_every_private_definition_is_read():
     ]
     assert len(defined) > 70
     assert [(module, name) for module, name in defined if name not in read] == []
+    # a record is its facts alone: nothing is left that kept the parts it
+    # was proven of (_Record, _parts, _table_keys), and no record function
+    # takes the records of a map's ends
+    assert not {"_Record", "_parts", "_table_keys"} & {name for _, name in defined}
+    for module, name in RECORD_FUNCTIONS:
+        (node,) = (n for n in TREES[module].body if getattr(n, "name", None) == name)
+        assert "ends" not in [a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)]
 
 
 #: The names through which a square is decided: the public predicate, the
@@ -158,24 +177,28 @@ CERTIFICATE = "_as_read"
 #: The one function that writes it.
 CERTIFY = "_certify"
 
-#: The field of a record that holds what was proven of its parts.
+#: The attribute of a check's call that holds the records of its sets.
 FACTS = "facts"
+
+#: The one function that reads a record.
+CURRENT = "_current"
 
 
 def test_only_the_readers_certify():
     # one sset function sets the record, through object.__setattr__, and
     # only the set and map readers, sset's one validation entry and the
     # inheritance through which opposite, truncate and the decalages pass
-    # their input's record on call it; only sset's test of whether a
-    # record is current reads it, so serialize's map reader reads no
-    # record of its ends itself.  A builder, sd or any other function
-    # that certified its own output would fail here.  A record's facts
-    # grow in place only through _proves, which only the checkers whose
-    # full walk decides a whole family call, and the two walks that add
-    # "identities" and "naturality"; they are read by the square walks
-    # and check_segal, and by the culf check through _naturality
+    # their input's record on call it; only _current reads it, and only
+    # validation, the map walk, opposite, truncate and the decalages
+    # call that.  A builder, sd or any other function that certified its
+    # own output would fail here.  A record's facts grow in place only
+    # through _proves, which only the checkers whose full walk decides a
+    # whole family call, and the two walks that add "identities" and
+    # "naturality"; of a check's call, they are read by _proves, the
+    # square walks and check_segal, and the culf check gets a map's from
+    # _naturality
     setters, certifiers, readers = set(), set(), set()
-    provers, fact_readers = set(), set()
+    provers, fact_readers, current_callers = set(), set(), set()
     for module, tree in TREES.items():
         for node in tree.body:
             where, set_here = (module, getattr(node, "name", None)), set()
@@ -185,7 +208,9 @@ def test_only_the_readers_certify():
                     provers.add(where)
                 if isinstance(inner, ast.Call) and called == CERTIFY:
                     certifiers.add(where)
-                if getattr(inner, "attr", None) == FACTS:
+                if isinstance(inner, ast.Call) and called == CURRENT:
+                    current_callers.add(where)
+                if getattr(inner, "attr", None) == FACTS and isinstance(inner.ctx, ast.Load):
                     fact_readers.add(where)
                 if (
                     isinstance(inner, ast.Call)
@@ -215,11 +240,16 @@ def test_only_the_readers_certify():
         ("criteria.py", "check_decomposition"),
         ("criteria.py", "check_decomposition_direct"),
     }
+    assert current_callers == {
+        ("sset.py", "_valid_call"),
+        ("sset.py", "validate"),
+        ("sset.py", "opposite"),
+        ("sset.py", "truncate"),
+        ("sset.py", "_naturality"),
+        ("operators.py", "_inherited"),
+    }
     assert fact_readers == {
         ("sset.py", "_proves"),
-        ("sset.py", "_proven"),
-        ("sset.py", "_inherit"),
-        ("sset.py", "_naturality"),
         ("criteria.py", "_pushout_squares"),
         ("criteria.py", "check_segal"),
     }

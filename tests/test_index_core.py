@@ -324,10 +324,10 @@ class TestByteBoundary:
     @pytest.mark.parametrize("mutation", BYTE_MUTATIONS)
     @pytest.mark.parametrize("name", sorted(BOUNDARY))
     def test_mutants_match_reference(self, name, mutation):
-        # each mutant as built, and planted in place in a copy of the set
-        # after a check held on it, so that the copy holds the record of
-        # that walk: the next check and validate give the mutant's own
-        # outcome, and with the table put back the copy passes again
+        # each mutant as built, and made from a copy of the set after a
+        # check held on it, whose record of that walk it does not carry:
+        # the next check and validate give the mutant's own outcome.  The
+        # walked copy refuses the mutation in place and still passes
         X = BOUNDARY[name]
         Z = TruncatedSSet(X.level, X.cells, dict(X.faces), dict(X.degeneracies))
         assert criteria.check_upper_2segal(Z).holds
@@ -335,16 +335,16 @@ class TestByteBoundary:
             want = outcome(validate, Y)
             assert want == outcome(reference_validate, Y), where
             kind, key = where
-            own, planted = (
-                (Z.faces, Y.faces) if kind == "d" else (Z.degeneracies, Y.degeneracies)
-            )
-            kept = own.pop(key)
-            if key in planted:
-                own[key] = planted[key]
+            field = "faces" if kind == "d" else "degeneracies"
+            own, planted = getattr(Z, field), getattr(Y, field)
+            with pytest.raises(TypeError):
+                own.pop(key)
+            with pytest.raises(TypeError):
+                own[key] = planted.get(key)
+            M = dataclasses.replace(Z, **{field: planted})
             segal = outcome(criteria.check_segal, Y)
-            assert outcome(criteria.check_segal, Z) == segal, where
-            assert outcome(validate, Z) == want, where
-            own[key] = kept
+            assert outcome(criteria.check_segal, M) == segal, where
+            assert outcome(validate, M) == want, where
             assert validate(Z).holds, where
 
 
@@ -477,7 +477,7 @@ def test_checkers_convert_each_table_once(monkeypatch, X, encoding):
 
 def walked_decalage():
     """A set on which every family is proven, its top décalage and its
-    projection, whose record names both ends' records."""
+    projection."""
     X = builders.nerve(chain_category(3), 3)
     assert criteria.check_segal(X).holds
     assert criteria.check_decomposition_direct(X).holds
@@ -494,13 +494,39 @@ def assert_checks_as_fresh(X, Y, f):
         assert outcome(check, f) == outcome(check, fresh)
 
 
-#: The fields of a set's and of a map's record as an older version of
-#: sset kept them, in named tuples sset._SetRecord and sset._MapRecord;
-#: the version before that kept the first three and the first six.
+def assert_read_only(*sets):
+    for X in sets:
+        for tables in (X.faces, X.degeneracies):
+            assert type(tables) is sset._ReadOnly
+            with pytest.raises(TypeError):
+                tables[(0, 0)] = ()
+
+
+#: The fields of a set's and of a map's record as older versions of sset
+#: kept them, in named tuples sset._SetRecord and sset._MapRecord; the
+#: version before that kept the first three and the first six.
 OLD_SET_FIELDS = ("cells", "tables", "report", "families")
 OLD_MAP_FIELDS = (
     "source_cells", "target_cells", "components", "source", "target", "report", "families"
 )
+
+
+def pickled_with_records(X, Y, f, records: tuple, classes: dict) -> bytes:
+    """X, Y and f pickled as an older version of sset pickled them: with
+    records, one each, of the named tuple classes that sset then defined,
+    and their tables as plain dicts."""
+    for x, record in zip((X, Y, f), records):
+        object.__setattr__(x, "_as_read", record)
+    reduce = sset._ReadOnly.__reduce__
+    sset._ReadOnly.__reduce__ = lambda tables: (dict, (dict(tables),))
+    for name, cls in classes.items():
+        setattr(sset, name, cls)
+    try:
+        return pickle.dumps((X, Y, f))
+    finally:
+        sset._ReadOnly.__reduce__ = reduce
+        for name in classes:
+            delattr(sset, name)
 
 
 def pickled_in_old_layout(X, Y, f, set_width: int, map_width: int) -> bytes:
@@ -514,45 +540,65 @@ def pickled_in_old_layout(X, Y, f, set_width: int, map_width: int) -> bytes:
     MapRecord = namedtuple("_MapRecord", OLD_MAP_FIELDS[:map_width], module=module)
     old = []
     for Z in (X, Y):
-        record = sset._current(Z)
-        fields = (Z.cells, record.parts[1:], validate(Z), record.facts - {"identities"})
+        tables = (*Z.faces.values(), *Z.degeneracies.values())
+        fields = (Z.cells, tables, validate(Z), sset._current(Z) - {"identities"})
         old.append(SetRecord(*fields[:set_width]))
-    culf = frozenset(sset._current(f).facts - {"naturality"})
+    culf = frozenset(sset._current(f) - {"naturality"})
     fields = (Y.cells, X.cells, f.components, old[1], old[0], validate_map(f), culf)
-    for x, record in ((X, old[0]), (Y, old[1]), (f, MapRecord(*fields[:map_width]))):
-        object.__setattr__(x, "_as_read", record)
-    sset._SetRecord, sset._MapRecord = SetRecord, MapRecord
-    try:
-        return pickle.dumps((X, Y, f))
-    finally:
-        del sset._SetRecord, sset._MapRecord
+    records = (*old, MapRecord(*fields[:map_width]))
+    classes = {"_SetRecord": SetRecord, "_MapRecord": MapRecord}
+    return pickled_with_records(X, Y, f, records, classes)
+
+
+def pickled_with_parts(X, Y, f) -> bytes:
+    """walked_decalage's X, Y and f pickled with the records the version
+    before read-only tables kept: a named tuple sset._Record(parts,
+    facts), whose parts are a set's cells and tables, or a map's
+    components and the records of its ends."""
+    Record = namedtuple("_Record", ("parts", "facts"), module=sset.__name__)
+    old = [
+        Record((Z.cells, *Z.faces.values(), *Z.degeneracies.values()), sset._current(Z))
+        for Z in (X, Y)
+    ]
+    records = (*old, Record((f.components, old[1], old[0]), sset._current(f)))
+    return pickled_with_records(X, Y, f, records, {"_Record": Record})
 
 
 def test_remembered_objects_pickle():
     # a walked set, its décalage and the projection come back from
-    # pickle with their records and the facts proven on them, the
-    # projection's naming the records of both ends, and each check gives
-    # what a copy with no record gives
+    # pickle with read-only tables and the facts proven on them, and
+    # each check gives what a copy with no record gives
     X, Y, f = pickle.loads(pickle.dumps(walked_decalage()))
-    parts = sset._current(f).parts
-    assert parts[1] is sset._current(Y) and parts[2] is sset._current(X)
-    assert sset._current(X).facts == {"identities", "segal", "unit", "upper", "lower"}
-    assert sset._current(Y).facts == {"identities", "segal"}
-    assert sset._current(f).facts == {"naturality", "face", "degeneracy"}
+    assert_read_only(X, Y, f.source, f.target)
+    assert sset._current(X) == {"identities", "segal", "unit", "upper", "lower"}
+    assert sset._current(Y) == {"identities", "segal"}
+    assert sset._current(f) == {"naturality", "face", "degeneracy"}
     assert_checks_as_fresh(X, Y, f)
-    # records pickled in the two older layouts load, each with its
-    # holding report, but are not read: each set is walked afresh and
-    # proves its families anew, and the projection is tested afresh
+    # records pickled in the older layouts, over plain-dict tables, load
+    # with read-only tables, each with its holding report, but are not
+    # read: each set is walked afresh and proves its families anew, and
+    # the projection is tested afresh
     for widths in ((4, 7), (3, 6)):
         X, Y, f = pickle.loads(pickled_in_old_layout(*walked_decalage(), *widths))
+        assert_read_only(X, Y, f.source, f.target)
         for x, width in ((X, widths[0]), (Y, widths[0]), (f, widths[1])):
             old = vars(x)["_as_read"]
             assert len(old) == width and old[5 if x is f else 2].holds, widths
             assert sset._current(x) is None, widths
         assert_checks_as_fresh(X, Y, f)
-        assert sset._current(X).facts == {"identities", "segal", "upper", "lower"}
-        assert sset._current(Y).facts == {"identities", "segal", "unit"}
+        assert sset._current(X) == {"identities", "segal", "upper", "lower"}
+        assert sset._current(Y) == {"identities", "segal", "unit"}
         assert sset._current(f) is None
+    # and so do records of parts and facts, though their facts are sets
+    X, Y, f = pickle.loads(pickled_with_parts(*walked_decalage()))
+    assert_read_only(X, Y, f.source, f.target)
+    for x, fact in ((X, "identities"), (Y, "identities"), (f, "naturality")):
+        parts, facts = vars(x)["_as_read"]
+        assert fact in facts and sset._current(x) is None
+    assert_checks_as_fresh(X, Y, f)
+    assert sset._current(X) == {"identities", "segal", "upper", "lower"}
+    assert sset._current(Y) == {"identities", "segal", "unit"}
+    assert sset._current(f) is None
 
 
 def serialized_forms(inst):

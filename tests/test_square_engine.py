@@ -856,7 +856,7 @@ class TestRememberedVerdict:
         if type(remembered[0]) is CheckReport:
             # remembered, validate counts in closed form what its walk,
             # the sequence's first step, counted
-            assert "identities" in sset._current(X).facts, name
+            assert "identities" in sset._current(X), name
             assert sset.validate(X) == remembered[0], name
         else:
             assert "_as_read" not in vars(X), name
@@ -903,7 +903,7 @@ def remembered_report(x):
     record = vars(x).get("_as_read")
     if record is None:
         return "none"
-    if record.facts.isdisjoint({"identities", "naturality"}):
+    if record.isdisjoint({"identities", "naturality"}):
         return None
     return (sset.validate_map if type(x) is SimplicialMap else sset.validate)(x)
 
@@ -974,14 +974,19 @@ class TestDerivedRecords:
 
     @pytest.mark.parametrize("change", ["equal", "broken"])
     def test_table_of_x_replaced_after_its_walk(self, change):
-        # X's record is stale, so nothing is passed on, and the outputs
-        # are walked: a broken table is found in each that holds it
+        # X's table cannot be replaced in place; a set made with it
+        # replaced carries no record, so nothing is passed on, and the
+        # outputs are walked: a broken table is found in each that holds it
         X = chain_nerve(3)
         assert sset.validate(X).holds
         key = (2, 0)
-        X.faces[key] = (
+        table = (
             tuple(list(X.faces[key])) if change == "equal" else (0,) * len(X.cells[2])
         )
+        with pytest.raises(TypeError):
+            X.faces[key] = table
+        self.assert_as_fresh(made_of(X))
+        X = dataclasses.replace(X, faces={**X.faces, key: table})
         made = made_of(X)
         assert {remembered_report(x) for x in made} == {"none"}
         self.assert_as_fresh(made)
@@ -989,29 +994,42 @@ class TestDerivedRecords:
 
     @pytest.mark.parametrize("change", ["equal", "broken"])
     def test_table_of_an_output_replaced_after_derivation(self, change):
-        # the output's own record is stale, and so is its projection's,
-        # which names it: both are tested afresh
+        # an output's table cannot be replaced in place; an output made
+        # with it replaced, and a projection made onto that output, carry
+        # no record: both are tested afresh
         for operator in (operators.dec_top, operators.dec_bot):
             X = chain_nerve(4)
             assert sset.validate(X).holds
             Y, f = operator(X)
             assert remembered_report(f).holds
             key = (2, 1)
-            Y.faces[key] = (
+            table = (
                 tuple(list(Y.faces[key])) if change == "equal"
                 else (0,) * len(Y.cells[2])
             )
+            with pytest.raises(TypeError):
+                Y.faces[key] = table
+            self.assert_as_fresh((Y, f))
+            Y = dataclasses.replace(Y, faces={**Y.faces, key: table})
+            f = dataclasses.replace(f, source=Y)
+            assert {remembered_report(x) for x in (Y, f)} == {"none"}
             want = [check_outcomes(x, fresh=True) for x in (Y, f)]
             assert want[0][0].holds is (change == "equal")
             assert [check_outcomes(f), check_outcomes(Y)] == [want[1], want[0]]
 
     def test_table_of_x_replaced_after_derivation(self):
-        # the projection names X's record, which is now stale: its
-        # naturality is walked, and finds the broken table
+        # X's table cannot be replaced in place, so the projection keeps
+        # its record; a projection made onto X with the table broken
+        # carries none: its naturality is walked, and finds the table
         X = chain_nerve(4)
         assert sset.validate(X).holds
         Y, f = operators.dec_top(X)
-        X.faces[(3, 0)] = (0,) * len(X.cells[3])
+        broken = {**X.faces, (3, 0): (0,) * len(X.cells[3])}
+        with pytest.raises(TypeError):
+            X.faces.update(broken)
+        assert remembered_report(f).holds
+        self.assert_as_fresh((f,))
+        f = dataclasses.replace(f, target=dataclasses.replace(X, faces=broken))
         want = check_outcomes(f, fresh=True)
         assert not want[0].holds and want[1][0] == "StructuralError"
         assert check_outcomes(f) == want
@@ -1021,7 +1039,7 @@ def proven(x) -> set:
     """The families x's record holds proven: a set's square families, or
     the kinds of culf square of a projection; empty without a record."""
     record = vars(x).get("_as_read")
-    return set() if record is None else record.facts - {"identities", "naturality"}
+    return set() if record is None else record - {"identities", "naturality"}
 
 
 def counted_decisions(monkeypatch) -> Counter:
@@ -1160,19 +1178,27 @@ class TestProvenFamilies:
 
     @pytest.mark.parametrize("change", ["equal", "swapped"])
     def test_replaced_table_is_decided_afresh(self, monkeypatch, change):
-        # an equal new tuple is decided and proven again; the tables of
-        # the opposite, which is lower and not upper 2-Segal on the same
-        # cells, fail the family the old tables proved
+        # the tables cannot be replaced in place; a set made with an equal
+        # new tuple is decided and proven again, and one made with the
+        # tables of the opposite, which is lower and not upper 2-Segal on
+        # the same cells, fails the family the old tables proved
         calls = counted_decisions(monkeypatch)
         X = one_sided_upper(3)
         assert criteria.check_upper_2segal(X).holds and proven(X) == {"upper"}
         if change == "equal":
-            X.faces[(3, 1)] = tuple(list(X.faces[(3, 1)]))
+            faces = {**X.faces, (3, 1): tuple(list(X.faces[(3, 1)]))}
+            degeneracies = X.degeneracies
+            with pytest.raises(TypeError):
+                X.faces[(3, 1)] = faces[(3, 1)]
         else:
             Z = one_sided_lower(3)
             assert Z.cells == X.cells
-            X.faces.update(Z.faces)
-            X.degeneracies.update(Z.degeneracies)
+            faces, degeneracies = Z.faces, Z.degeneracies
+            for tables, new in ((X.faces, faces), (X.degeneracies, degeneracies)):
+                with pytest.raises(TypeError):
+                    tables.update(new)
+        assert proven(X) == {"upper"}
+        X = dataclasses.replace(X, faces=faces, degeneracies=degeneracies)
         want = criteria.check_upper_2segal(fresh_copy(X))
         calls.clear()
         assert criteria.check_upper_2segal(X) == want

@@ -1,5 +1,8 @@
 """Tables, identities, induced maps, the opposite, and the pullback engine."""
 
+import copy
+import dataclasses
+import pickle
 import tracemalloc
 from collections import Counter
 from itertools import permutations, product
@@ -14,9 +17,10 @@ from corpus import (
     opposite_category,
     parallel_pair_category,
     point,
+    short_words_pmonoid,
     z2_category,
 )
-from decompspace import builders, operators, sset
+from decompspace import builders, operators, serialize, sset
 from decompspace.sset import (
     LevelError,
     SimplicialMap,
@@ -529,3 +533,122 @@ class TestIsomorphismSearch:
         X = builders.nerve(parallel_pair_category(), 2)
         Y = builders.nerve(arrow_category(), 2)
         assert not are_isomorphic(X, Y)
+
+
+def words(level=3):
+    return builders.free_decomposition(builders.bounded_words(("a", "b"), 2), level)
+
+
+def named(X):
+    """X's tables keyed by cell names, as from_names takes them."""
+    return (
+        {key: X.face_names(*key) for key in X.faces},
+        {key: X.degeneracy_names(*key) for key in X.degeneracies},
+    )
+
+
+#: Every route that makes a set or map, as the sets or maps it makes from
+#: a caller's face and degeneracy dicts of words() (a builder reads none).
+def _made_by(route):
+    def made(faces, degeneracies):
+        X = words()
+        return route(TruncatedSSet(X.level, X.cells, faces, degeneracies))
+    return made
+
+
+ROUTES = {
+    "constructor": _made_by(lambda X: [X]),
+    "from_names": _made_by(lambda X: [TruncatedSSet.from_names(X.level, X.cells, *named(X))]),
+    "nerve": lambda *_: [builders.nerve(arrow_category(), 3)],
+    "from_partial_category": lambda *_: [
+        builders.from_partial_category(one_gap_pcategory(), 3)
+    ],
+    "from_partial_monoid": lambda *_: [
+        builders.from_partial_monoid(short_words_pmonoid(2), 3)
+    ],
+    "free_decomposition": lambda *_: [words()],
+    "length_map": lambda *_: [builders.length_map(builders.bounded_words(("a",), 2), 3)],
+    "opposite": _made_by(lambda X: [opposite(X)]),
+    "truncate": _made_by(lambda X: [truncate(X, 2)]),
+    "sd": _made_by(lambda X: [operators.sd(X)]),
+    "dec_top": _made_by(lambda X: list(operators.dec_top(X))),
+    "dec_bot": _made_by(lambda X: list(operators.dec_bot(X))),
+    "sset_from_obj": _made_by(
+        lambda X: [serialize.sset_from_obj(serialize.loads(serialize.dumps(
+            serialize.sset_to_obj(X)
+        )))]
+    ),
+    "smap_from_obj": _made_by(
+        lambda X: [serialize.smap_from_obj(serialize.loads(serialize.dumps(
+            serialize.smap_to_obj(operators.dec_top(X)[1])
+        )))]
+    ),
+    "replace": lambda faces, degeneracies: [
+        dataclasses.replace(words(), faces=faces, degeneracies=degeneracies)
+    ],
+    "copy": _made_by(lambda X: [copy.copy(X)]),
+    "deepcopy": _made_by(lambda X: [copy.deepcopy(X)]),
+    "pickle": _made_by(lambda X: [pickle.loads(pickle.dumps(X))]),
+}
+
+
+def _ior(tables, key):
+    tables |= {key: ()}
+
+
+#: Every method through which a dict changes, as (tables, key) -> None.
+MUTATIONS = {
+    "__setitem__": lambda tables, key: tables.__setitem__(key, ()),
+    "__delitem__": lambda tables, key: tables.__delitem__(key),
+    "pop": lambda tables, key: tables.pop(key),
+    "popitem": lambda tables, key: tables.popitem(),
+    "clear": lambda tables, key: tables.clear(),
+    "update": lambda tables, key: tables.update({key: ()}),
+    "setdefault": lambda tables, key: tables.setdefault(key, ()),
+    "|=": _ior,
+}
+
+
+class TestReadOnlyTables:
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_every_route_makes_read_only_tables(self, route):
+        # every mutation of either mapping raises TypeError, a change to
+        # the caller's dicts does not reach the set, and ==, repr and hash
+        # read the set as one built from plain dicts
+        X = words()
+        faces, degeneracies = dict(X.faces), dict(X.degeneracies)
+        sets = []
+        for x in ROUTES[route](faces, degeneracies):
+            if type(x) is SimplicialMap:
+                with pytest.raises(TypeError):
+                    x.components[0] = ()
+                sets += [x.source, x.target]
+            else:
+                sets.append(x)
+        plain = [(Z.level, Z.cells, dict(Z.faces), dict(Z.degeneracies)) for Z in sets]
+        faces.clear()
+        degeneracies[(0, 0)] = ()
+        for Z, (level, cells, d, s) in zip(sets, plain):
+            for tables in (Z.faces, Z.degeneracies):
+                key = max(tables, default=(0, 0))
+                for name, mutate in MUTATIONS.items():
+                    with pytest.raises(TypeError):
+                        mutate(tables, key)
+                    assert (Z.faces, Z.degeneracies) == (d, s), name
+                    assert {**Z.faces} == d and dict(Z.degeneracies) == s, name
+            expected = (
+                f"TruncatedSSet(level={level!r}, cells={cells!r}, faces={d!r}, "
+                f"degeneracies={s!r})"
+            )
+            assert repr(Z) == expected
+            assert Z == TruncatedSSet(level, cells, d, s)
+            for x in (Z, Z.faces, d):
+                with pytest.raises(TypeError):
+                    hash(x)
+
+    def test_read_only_input_is_kept(self):
+        X = words()
+        Y = TruncatedSSet(X.level, X.cells, X.faces, X.degeneracies)
+        assert Y.faces is X.faces and Y.degeneracies is X.degeneracies
+        assert dataclasses.replace(X).faces is X.faces
+        assert type(pickle.loads(pickle.dumps(X.faces))) is type(X.faces)
