@@ -46,42 +46,44 @@ map is composed at most once per walk, a walk that stops early
 composes nothing past its stop, and nothing about X outlives the call;
 the full direct walk compiles its squares as it streams them.
 
-The direct checker first decides a pasting certificate: every
-active-inert square is a pasting of elementary ones
-(delta.elementary_squares: an outer coface against one codegeneracy or
-one inner coface), and a pasting of pullbacks is a pullback
-(Galvez-Carrillo, Kock and Tonks, arXiv:1512.07573).  A family square
-whose alpha has a degeneracy pastes through elementary squares of
-pushout rank up to k - 1, above its own p, so the elementary squares
-within the rank cap settle the family only when rank_cap >= level - 1
-or rank_cap <= 1; at other caps, and when an elementary square fails,
-the whole family is walked, so a failure's report is always the walk's.
-check_2segal_polygonal has the same shape: each of its squares is a
-pasting of upper and lower 2-Segal squares within the truncation
+Two checkers hand _decide a cover with their walk: a pasting
+certificate, squares such that the family holds if each of them is a
+pullback, since a pasting of pullbacks is a pullback (Galvez-Carrillo,
+Kock and Tonks, arXiv:1512.07573).  The driver decides
+the cover first; if none of its squares fails, the family holds with
+its closed-form size, and otherwise, or without a cover, the family is
+walked, so a failure's report is always the walk's.  Every active-inert
+square is a pasting of elementary ones (delta.elementary_squares: an
+outer coface against one codegeneracy or one inner coface).  A family
+square whose alpha has a degeneracy pastes through elementary squares
+of pushout rank up to k - 1, above its own p, so the direct checker's
+elementary squares within the rank cap are its cover only when rank_cap
+>= level - 1 or rank_cap <= 1.  Each square of check_2segal_polygonal is
+a pasting of upper and lower 2-Segal squares within the truncation
 (Dyckerhoff and Kapranov, arXiv:1212.3563), the upper ones at i = n - 1
-and the lower ones at i = 1, so it decides those first and walks its
-own squares only when one of them fails; its docstring gives the
-pasting.  Both certificates, and _decide, decide their squares in
-_first_failure, the one loop that does; a certificate only asks whether
-a square failed, so it builds no witness.
+and the lower ones at i = 1, which _polygonal_plan compiles as its
+cover; its docstring gives the pasting.  The cover and the walk are
+decided in _first_failure, the one loop that does; a cover only asks
+whether a square failed, so it builds no witness.
 At level 2 check_decomposition decides the same unit squares the
-certificate does there, since the 2-Segal squares need X_3.
+direct cover does there, since the 2-Segal squares need X_3.
 
-A square family is proven once per set.  When a full walk of the Segal
-squares, of the upper or lower 2-Segal squares, or of the unit squares
-holds (check_segal; check_upper_2segal, check_lower_2segal and
-check_decomposition; the latter's unit squares at level 2 and the direct
-certificate at rank cap = level, without a cut-off), its family joins
-the facts of the one record X was validated with (sset._proves), and
-X's tables cannot change, so it holds for as long as X lives.  Each
-compiled plan tags its elementary squares with their family (_family),
-and a square of a family among the facts of X's record is counted in
-walk order like an identity-leg square, not decided, and fills no slot:
-every later checker reads it, and so do the decalages and their
-projections, whose Segal and culf squares are X's 2-Segal and unit
-squares on the same tables (operators.dec_top).  The first failure
-is still decided and described by the walk, so every report, witness
-and squares_checked is the one a fresh set gives.
+A square family is proven once per set.  When the Segal squares, the
+upper or lower 2-Segal squares, or the unit squares hold whole, walked
+or by a cover, and without a cut-off (check_segal; check_upper_2segal,
+check_lower_2segal and check_decomposition; the latter's unit squares at
+level 2 and the direct checker at rank cap = level), _decide adds the
+family to the facts of the one record X was validated with, and X's
+tables cannot change, so it holds for as long as X lives.  Each
+compiled plan tags the squares a family proves with it (_family): the
+elementary squares and the polygonal end squares, reduced's composites
+among them.  A square of a family among the facts of X's record is
+counted in walk order like an identity-leg square, not decided, and
+fills no slot: every later checker reads it, and so do the decalages and
+their projections, whose Segal and culf squares are X's 2-Segal and unit
+squares on the same tables (operators.dec_top).  The first failure is
+still decided and described by the walk, so every report, witness and
+squares_checked is the one a fresh set gives.
 """
 
 from __future__ import annotations
@@ -101,7 +103,6 @@ from .sset import (
     TruncatedSSet,
     _Call,
     _naturality,
-    _proves,
     _then,
     _valid_call,
     _word_steps,
@@ -122,28 +123,41 @@ def _decide(
     level: int,
     call: _Call,
     squares: Iterable[Square],
+    cover: Iterable[Square] | None = None,
+    size: int | None = None,
     max_squares: int | None = None,
+    proves: tuple[str, ...] = (),
 ) -> CheckReport:
     """The report of a family of squares that must all be pullbacks,
     their tables held in the call's encoding.
 
-    max_squares cuts the walk off deterministically: a walk stopped
-    before its last square reports holds=False and inconclusive=True,
-    with the cut-off in the detail.  Only the square that fails is
-    described, and handed, its tables as tuples, to is_pullback_square
-    for its witness.
+    cover, when given, is a pasting certificate: squares such that the
+    family holds if each of them is a pullback.  When none of them
+    fails, the family holds with its size, the number of its squares,
+    and is not walked; otherwise the squares are walked in order.
+    max_squares cuts the family off deterministically: a family larger
+    than it that holds (or whose first max_squares squares do) reports
+    holds=False and inconclusive=True, with the cut-off in the detail;
+    size is needed with a cover or a budget.  Only the square
+    that fails is described, before another is drawn, and handed, its
+    tables as tuples, to is_pullback_square for its witness.  A family
+    that holds, with no cut-off, adds proves, the square families it
+    includes whole, to the facts of the record X was validated with;
+    X's tables cannot change, so they hold for as long as X lives.
     """
-    squares = iter(squares)
-    checked, failed = _first_failure(call, islice(squares, max_squares))
-    if failed is not None:
-        square, levels, names = failed[1]()
-        legs = map(tuple, failed[0][:4])
-        sub = is_pullback_square(*legs, square=square, levels=levels, names=names)
-        return CheckReport(
-            holds=False, checked_level=level, squares_checked=checked, witness=sub.witness
-        )
-    if checked == max_squares and next(squares, None) is not None:
+    checked = size
+    if cover is None or _first_failure(call, cover)[1] is not None:
+        checked, failed = _first_failure(call, islice(squares, max_squares))
+        if failed is not None:
+            square, levels, names = failed[1]()
+            legs = map(tuple, failed[0][:4])
+            sub = is_pullback_square(*legs, square=square, levels=levels, names=names)
+            return CheckReport(
+                holds=False, checked_level=level, squares_checked=checked, witness=sub.witness
+            )
+    if max_squares is not None and max_squares < size:
         return _cut_off(level, max_squares)
+    call.facts[0].update(proves)
     return CheckReport(holds=True, checked_level=level, squares_checked=checked)
 
 
@@ -196,10 +210,7 @@ def check_segal(X: TruncatedSSet) -> CheckReport:
                 (n + 1, n, n, n - 1),
             )
 
-    report = _decide(X.level, call, squares())
-    if report.holds:
-        _proves(call, "segal")
-    return report
+    return _decide(X.level, call, squares(), proves=("segal",))
 
 
 def check_segal_iterated(X: TruncatedSSet) -> CheckReport:
@@ -271,11 +282,8 @@ _SIDES = {1: "upper", 0: "lower"}
 
 def _check_two_segal(X: TruncatedSSet, sides: tuple[int, ...]) -> CheckReport:
     call = _valid_call(X)
-    plan = _two_segal_plan(X.level, sides)
-    report = _decide(X.level, call, _pushout_squares(X, call, plan, _two_segal_label))
-    if report.holds:
-        _proves(call, *map(_SIDES.get, sides))
-    return report
+    squares = _pushout_squares(X, call, _two_segal_plan(X.level, sides), _two_segal_label)
+    return _decide(X.level, call, squares, proves=tuple(map(_SIDES.get, sides)))
 
 
 def check_upper_2segal(X: TruncatedSSet) -> CheckReport:
@@ -321,10 +329,7 @@ def check_decomposition(X: TruncatedSSet) -> CheckReport:
         return _check_two_segal(X, (1, 0))
     call = _valid_call(X)
     squares = _pushout_squares(X, call, _elementary_plan(2, 2), _active_inert_label)
-    report = _decide(2, call, squares)
-    if report.holds:
-        _proves(call, "unit")
-    return report
+    return _decide(2, call, squares, proves=("unit",))
 
 
 #: A map alpha: [len(values) - 1] -> [target_rank] as (target_rank, values).
@@ -370,11 +375,21 @@ def _family(alpha, iota, k: int) -> str | None:
     inner coface (m = n + 1) a 2-Segal square, upper when iota skips 0
     and lower when it skips k.  Any such square within a set's level is
     one of the family that check_upper_2segal, check_lower_2segal and
-    the direct checker's pasting certificate decide at that level."""
+    the direct checker's pasting certificate decide at that level.
+
+    The polygonal end squares, alpha = (0, m) with m >= 2 and iota the
+    last edge (k - 1, k) or the first edge (0, 1), are the polygonal
+    squares {k - 1, p} and {0, m} inside [p], p = k - 1 + m, reduced's
+    composites among them.  The proof of check_2segal_polygonal pastes
+    each {i, p} from the upper squares (N - 1, N - 2) with N <= p, so it
+    is tagged upper, and each {0, j}, its mirror image, lower.  (m = 0
+    gives a codegeneracy and m = 1 the identity, no polygonal square.)"""
     n, m = len(alpha) - 1, alpha[-1]
-    if k != n + 1 or m - n not in (1, -1):
+    elementary = k == n + 1 and m - n in (1, -1)
+    polygonal_end = n == 1 and m >= 2 and iota[0] in (0, k - 1)
+    if not (elementary or polygonal_end):
         return None
-    return "unit" if m < n else _SIDES[iota[0]]
+    return "unit" if m < n else _SIDES[iota[0] > 0]
 
 
 def _compiled(squares, slots: list[Slot]) -> Iterator[tuple]:
@@ -482,8 +497,18 @@ def _polygonal_squares(level: int, mode: str) -> Iterator[tuple]:
 
 
 @lru_cache(maxsize=256)
-def _polygonal_plan(level: int, mode: str) -> Plan:
-    return _plan(_polygonal_squares(level, mode))
+def _polygonal_plan(level: int, mode: str) -> tuple[Plan, Plan]:
+    """The plans of check_2segal_polygonal: the mode's squares, and the
+    cover its proof pastes them from, the 2-Segal squares of the mode's
+    sides at (n, n - 1) for the upper ones and at (n, 1) for the lower."""
+    _, sides = _POLYGONAL_MODES[mode]
+    cover = [
+        sq
+        for sq in _two_segal_squares(level, sides)
+        # iota at offset 1 (upper) or 0 (lower), alpha skipping i
+        if _skipped(sq[0]) == (sq[2] - 1 if sq[1][0] else 1)
+    ]
+    return _plan(_polygonal_squares(level, mode)), _plan(cover)
 
 
 def check_2segal_polygonal(X: TruncatedSSet, mode: str = "full") -> CheckReport:
@@ -497,12 +522,12 @@ def check_2segal_polygonal(X: TruncatedSSet, mode: str = "full") -> CheckReport:
     level 3 every such square has an identity leg, so nothing is decided.
 
     Certificate.  The 2-Segal squares the proof below pastes within
-    the truncation L are decided first: the upper ones at i = n - 1 for
-    "upper", the lower ones at i = 1 for "lower", both otherwise.  If
-    they all hold, so does every square of the mode, and the report is
-    the walk's: holds, with the number of its squares.  If one fails,
-    the mode's squares are walked in order, so a failure and its
-    witness are the walk's own.
+    the truncation L are the cover _decide decides first: the upper
+    ones at i = n - 1 for "upper", the lower ones at i = 1 for "lower",
+    both otherwise.  If they all hold, so does every square of the
+    mode, and the report is the walk's: holds, with the number of its
+    squares.  If one fails, the mode's squares are walked in order, so a
+    failure and its witness are the walk's own.
 
     Proof.  For S inside [n] write X_S for X_{|S| - 1}, reached from
     X_n by the faces that drop the vertices outside S, and [a, b] for
@@ -530,22 +555,20 @@ def check_2segal_polygonal(X: TruncatedSSet, mode: str = "full") -> CheckReport:
       x_{X_{i, j}} X_[i, j], which is so a bijection.
     Every square used sits in some X_m with m <= n <= L, and the 2-Segal
     squares used are the upper ones (N - 1, N - 2) and the lower ones
-    (N - 1, 1) with N <= n, which _two_segal_plan(L, sides, pasted=True)
+    (N - 1, 1) with N <= n, which the cover of _polygonal_plan(L, mode)
     holds: no square above X_L is needed, and no other one is decided.
     """
     if mode not in _POLYGONAL_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     call = _valid_call(X)
-    slots, squares = _polygonal_plan(X.level, mode)
-    _, sides = _POLYGONAL_MODES[mode]
-    pasted = _two_segal_plan(X.level, sides, pasted=True)
-    certificate = _pushout_squares(X, call, pasted, _two_segal_label)
-    if _first_failure(call, certificate)[1] is None:
-        return CheckReport(
-            holds=True, checked_level=X.level, squares_checked=len(squares)
-        )
-    walk = _pushout_squares(X, call, (slots, squares), _polygonal_label)
-    return _decide(X.level, call, walk)
+    plan, cover = _polygonal_plan(X.level, mode)
+    return _decide(
+        X.level,
+        call,
+        _pushout_squares(X, call, plan, _polygonal_label),
+        _pushout_squares(X, call, cover, _two_segal_label),
+        len(plan[1]),
+    )
 
 
 def _active_inert_label(alpha, iota, k: int, p: int) -> str:
@@ -589,16 +612,8 @@ def _two_segal_squares(level: int, sides: tuple[int, ...]) -> list:
 
 
 @lru_cache(maxsize=256)
-def _two_segal_plan(level: int, sides: tuple[int, ...], pasted: bool = False) -> Plan:
-    """With pasted, only the squares check_2segal_polygonal's proof
-    pastes: the upper ones at i = n - 1 and the lower ones at i = 1."""
-    squares = _two_segal_squares(level, sides)
-    if pasted:
-        # iota at offset 1 (upper) or 0 (lower), alpha skipping i
-        squares = [
-            sq for sq in squares if _skipped(sq[0]) == (sq[2] - 1 if sq[1][0] else 1)
-        ]
-    return _plan(squares)
+def _two_segal_plan(level: int, sides: tuple[int, ...]) -> Plan:
+    return _plan(_two_segal_squares(level, sides))
 
 
 @lru_cache(maxsize=256)
@@ -675,12 +690,12 @@ def check_decomposition_direct(
     the caps in between they do not: the nerve of [1] at level R + 2
     with its degenerate top simplex doubled passes them at rank cap R
     and fails the family.  Where the certificate applies, the
-    elementary squares are decided first; if they all hold, so does the
-    family, and the report is the walk's: holds with the family's size,
-    counted from the ranks, or the budget's cut-off when max_squares is
-    smaller.  Otherwise, and whenever an elementary square fails, every
-    square is walked in order, so the first failure and its witness are
-    the walk's own.
+    elementary squares are the cover _decide decides first; if they all
+    hold, so does the family, and the report is the walk's: holds with
+    the family's size, counted from the ranks, or the budget's cut-off
+    when max_squares is smaller.  Otherwise, and whenever an elementary
+    square fails, every square is walked in order, so the first failure
+    and its witness are the walk's own.
     """
     if rank_cap is not None and rank_cap < 0:
         raise ValueError(f"rank cap {rank_cap} is negative")
@@ -692,18 +707,15 @@ def check_decomposition_direct(
     if rank_cap > X.level:
         raise LevelError(f"rank cap {rank_cap} exceeds level {X.level}")
     ranks, size, elementary = _direct_plan(X.level, rank_cap)
-    if elementary is not None and _first_failure(
-        call, _pushout_squares(X, call, elementary, _active_inert_label)
-    )[1] is None:
-        if max_squares is not None and max_squares < size:
-            return _cut_off(X.level, max_squares)
-        if rank_cap == X.level:
-            _proves(call, "unit", "upper", "lower")
-        return CheckReport(holds=True, checked_level=X.level, squares_checked=size)
     slots: list[Slot] = []
     plan = slots, _compiled(_direct_squares(ranks), slots)
     walk = _pushout_squares(X, call, plan, _active_inert_label)
-    return _decide(X.level, call, walk, max_squares)
+    cover = None
+    if elementary is not None:
+        cover = _pushout_squares(X, call, elementary, _active_inert_label)
+    # at the full rank cap the family includes every elementary square
+    proves = ("unit", "upper", "lower") if rank_cap == X.level else ()
+    return _decide(X.level, call, walk, cover, size, max_squares, proves)
 
 
 def check_culf(f: SimplicialMap) -> CheckReport:

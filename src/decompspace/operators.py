@@ -7,12 +7,13 @@ levels X_{2n+1} with faces d_{n-i} d_{n+i+1} and degeneracies
 s_{n-i} s_{n+i+1}.  Cells keep their source identifiers throughout, and
 the decalages reuse the index tables of X unchanged, which are
 read-only, so neither X nor its decalage can change what the other was
-proven of.  The lower decalage is the upper one seen through the
-opposite.
+proven of.  One builder, _decalage, makes both: the lower decalage is
+the upper one seen through the opposite, so it reads X's tables with
+every operator index shifted up by one, and its projection is d_0.
 
 So every simplicial identity of a decalage, and every naturality
 equation of its projection, is one of X's identities on X's very
-tables, and the decalages pass on the facts X's record proves (sset's
+tables, and each decalage passes on the facts X's record proves (sset's
 _inherit, through one table of facts for the output and one for the
 projection): a set X that a walk has proven gives decalages and
 projections that later checks do not walk again.  sd composes new
@@ -38,10 +39,32 @@ from .sset import (
     TruncatedSSet,
     _current,
     _inherit,
-    _reversed,
     compose_tables,
     opposite,
 )
+
+
+def _decalage(X: TruncatedSSet, b: int) -> tuple[TruncatedSSet, SimplicialMap]:
+    """The decalage of X that forgets the top (b = 0) or the bottom (b =
+    1) operators, and its projection, with no record: d_i and s_i on Y_n
+    are X's tables d_{i+b} and s_{i+b} on X_{n+1}, and proj: Y -> X is
+    the forgotten face at each level, d_{n+1} for b = 0 and d_0 for b = 1."""
+    if X.level < 1:
+        raise LevelError("decalage needs level >= 1")
+    level = X.level - 1
+    faces = {
+        (n, i): X.faces[(n + 1, i + b)]
+        for n in range(1, level + 1)
+        for i in range(n + 1)
+    }
+    degeneracies = {
+        (n, i): X.degeneracies[(n + 1, i + b)]
+        for n in range(level)
+        for i in range(n + 1)
+    }
+    Y = TruncatedSSet(level, X.cells[1:], faces, degeneracies)
+    forgotten = (X.faces[(n + 1, (n + 1) * (1 - b))] for n in range(level + 1))
+    return Y, SimplicialMap(Y, X, tuple(forgotten))
 
 
 def dec_top(X: TruncatedSSet) -> tuple[TruncatedSSet, SimplicialMap]:
@@ -63,7 +86,11 @@ def dec_top(X: TruncatedSSet) -> tuple[TruncatedSSet, SimplicialMap]:
     is X's unit square of the codegeneracy doubling j on [n + 1] along
     the outer coface at offset 0.
     """
-    return _inherited(X, *_upper(X), _TOP, _TOP_PROJECTION)
+    Y, proj = _decalage(X, 0)
+    record = _current(X)
+    _inherit(Y, record, _TOP)
+    _inherit(proj, record, _TOP_PROJECTION)
+    return Y, proj
 
 
 def dec_bot(X: TruncatedSSet) -> tuple[TruncatedSSet, SimplicialMap]:
@@ -72,39 +99,18 @@ def dec_bot(X: TruncatedSSet) -> tuple[TruncatedSSet, SimplicialMap]:
     The dual of dec_top, Dec_bot X = (Dec_top X^op)^op: the remaining
     operator indices shift down by one, and proj: Y -> X is the
     forgotten bottom face at each level, the top face of X^op.  So d_i
-    and s_i on Y_n are X's tables d_{i+1} and s_{i+1} on X_{n+1}, and
-    the record is passed on as by dec_top, once, to the result, with the
-    mirror images of its families (_BOT, _BOT_PROJECTION): Y's Segal
+    and s_i on Y_n are X's tables d_{i+1} and s_{i+1} on X_{n+1}, built
+    as such (_decalage), and the record is passed on as by dec_top, with
+    the mirror images of its families (_BOT, _BOT_PROJECTION): Y's Segal
     square at n, (d_1, d_{n+2}, d_{n+1}, d_1) on X_{n+2}, is X's lower
     square (n + 1, 1); proj's culf face square (n, i), (d_{i+1}, d_0,
     d_0, d_i), is X's upper square (n, i); and its degeneracy squares are
     X's unit squares along the outer coface at offset 1.
     """
-    Y, proj = _upper(_reversed(X))
-    Y = _reversed(Y)
-    return _inherited(X, Y, SimplicialMap(Y, X, proj.components), _BOT, _BOT_PROJECTION)
-
-
-def _upper(X: TruncatedSSet) -> tuple[TruncatedSSet, SimplicialMap]:
-    """dec_top's (Y, proj), with no record."""
-    if X.level < 1:
-        raise LevelError("decalage needs level >= 1")
-    level = X.level - 1
-    cells = X.cells[1:]
-    faces = {
-        (n, i): X.faces[(n + 1, i)]
-        for n in range(1, level + 1)
-        for i in range(n + 1)
-    }
-    degeneracies = {
-        (n, i): X.degeneracies[(n + 1, i)]
-        for n in range(level)
-        for i in range(n + 1)
-    }
-    Y = TruncatedSSet(level, cells, faces, degeneracies)
-    proj = SimplicialMap(
-        Y, X, tuple(X.faces[(n + 1, n + 1)] for n in range(level + 1))
-    )
+    Y, proj = _decalage(X, 1)
+    record = _current(X)
+    _inherit(Y, record, _BOT)
+    _inherit(proj, record, _BOT_PROJECTION)
     return Y, proj
 
 
@@ -114,22 +120,6 @@ _TOP = {"identities": "identities", "upper": "segal"}
 _TOP_PROJECTION = {"identities": "naturality", "lower": "face", "unit": "degeneracy"}
 _BOT = {"identities": "identities", "lower": "segal"}
 _BOT_PROJECTION = {"identities": "naturality", "upper": "face", "unit": "degeneracy"}
-
-
-def _inherited(
-    X: TruncatedSSet,
-    Y: TruncatedSSet,
-    proj: SimplicialMap,
-    families: dict[str, str],
-    culf: dict[str, str],
-) -> tuple[TruncatedSSet, SimplicialMap]:
-    """(Y, proj), a decalage of X and its projection just made, given
-    what X's record proves of them: X's facts as families names them for
-    Y and as culf names them for proj, from one _current(X)."""
-    record = _current(X)
-    _inherit(Y, record, families)
-    _inherit(proj, record, culf)
-    return Y, proj
 
 
 def sd(X: TruncatedSSet) -> TruncatedSSet:

@@ -15,11 +15,12 @@ it: when every level holds at most 256 cells (for a map, of both ends),
 the tables are bytes copies made for the call, where composing two
 tables is one bytes.translate and comparing them one memcmp; otherwise
 they are the tuples themselves.  validate walks the simplicial
-identities in that encoding: both pass the same shape test and go
-through the same walk, so the report or StructuralError cannot depend
-on the encoding.  The identities, and the naturality equations of a
-map, are compiled plans, cached by level, of runs of equations on one
-level: consecutive table slots after one fixed table equal one fixed
+identities in that encoding: each table of a set with no record
+meets the one shape test, _index_problem, before it is converted, and
+both encodings go through the same walk, so the report or
+StructuralError cannot depend on the encoding.  The identities, and the
+naturality equations of a map, are compiled plans, cached by level, of
+runs of equations on one level: consecutive table slots after one fixed table equal one fixed
 table after consecutive slots, or the identity, so a plan holds about
 2.5 L^2 runs at level L rather than the L^3 / 2 equations.  A table's
 slot does not depend on the level.  One loop, _equations, walks any
@@ -42,12 +43,12 @@ face and degeneracy tables once into that dict, whose every mutating
 method raises TypeError, and the cells, the level and a map's components
 are tuples and ints in frozen fields.  So a fact about an object's
 tables holds for as long as the object lives.  _proven is the one place
-that converts a set's tables, after the shape test of each, and walks
-its identities.  What has been proven is kept on the object itself, in
-one private record: the set of facts proven of it, which grows in place,
-and _certify is the one writer of it.  serialize's set and map readers
-give what they read a record with no fact, once they have shape-tested
-every table and component.  A walk of a set's identities that holds
+that converts a set's tables, after the shape test of each when the set
+has no record, and walks its identities.  What has been proven is kept
+on the object itself, in one private record: the set of facts proven of
+it, which grows in place, and _certify is the one writer of it.
+serialize's set and map readers give what they read a record with no
+fact, once they have shape-tested every table and component.  A walk of a set's identities that holds
 adds "identities" (giving the set a record first if it has none), and a
 walk of a map's naturality "naturality".  An object with a record
 (_current) has its tables converted untested, and a proven walk is not
@@ -63,8 +64,9 @@ on the same tables: _inherit gives each output what the input's record
 proves, its facts mapped through one table per operator.
 
 A record also holds the square families (Segal, upper and lower
-2-Segal, unit) that a full walk of the checkers in criteria has since
-proven on those same tables (_proves).  The operators pass them on,
+2-Segal, unit) that the checkers in criteria have since proven whole on
+those same tables: their one driver, criteria._decide, adds them to the
+record of the call's first set.  The operators pass them on,
 each rule proven in their docstrings: the opposite swaps upper and
 lower, a truncation keeps every family, and a decalage gives its output
 Segal squares and its projection culf squares from X's 2-Segal and unit
@@ -327,48 +329,24 @@ def _first_difference(lhs: Sequence[int], rhs: Sequence[int]) -> int:
     return next(j for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
 
 
-def _tuple_table(table, source: tuple[str, ...], size: int) -> Table | None:
-    """table if it is a tuple of len(source) ints in range(size), else None."""
-    return table if _index_problem(table, source, size) is None else None
-
-
 #: Byte k is k; its first size bytes are the identity table on size cells.
 _BYTE_RANGE = bytes(range(256))
-
-
-def _byte_table(table, source: tuple[str, ...], size: int) -> bytes | None:
-    """table as bytes if it is a tuple of len(source) ints in range(size),
-    else None; size is at most 256.  The test of _index_problem, with
-    bytes() in place of min and the deletion of every byte below size
-    in place of max."""
-    if not isinstance(table, tuple) or len(table) != len(source):
-        return None
-    if not _INT.issuperset(map(type, table)):
-        return None
-    try:
-        row = bytes(table)
-    except ValueError:
-        return None
-    return None if row.translate(None, _BYTE_RANGE[:size]) else row
 
 
 class _Encoding(NamedTuple):
     """How one call holds the tables of X.
 
-    table(t, source, size) is t converted, or None when t is not a tuple
-    of len(source) indices in range(size); convert(t, source, size) is t
-    converted without that test, for a t known to pass it; step(t) is
-    the callable u -> the table of u after t, and operand(memo, t) the u
-    those callables take; identity(size) is the identity table on size
-    cells; decide(memo, f, g, p, q, split=False) is pullback_holds on
-    converted tables, by the count alone when split says f and q are
-    injective.
+    convert(t) is t converted, for a t that _index_problem passes;
+    step(t) is the callable u -> the table of u after t, and operand(memo,
+    t) the u those callables take; identity(size) is the identity table
+    on size cells; decide(memo, f, g, p, q, split=False) is
+    pullback_holds on converted tables, by the count alone when split
+    says f and q are injective.
     memo is a dict of one call, in which operand and decide keep what
     they derive from a table (a padded operand, the fiber sizes of a q),
     so each is derived once per call.
     """
 
-    table: Callable
     convert: Callable
     step: Callable
     operand: Callable
@@ -454,8 +432,7 @@ def _byte_holds(
 
 
 _TUPLES = _Encoding(
-    _tuple_table,
-    lambda table, source, size: table,
+    lambda table: table,
     _getter,
     lambda memo, table: table,
     lambda size: tuple(range(size)),
@@ -463,8 +440,7 @@ _TUPLES = _Encoding(
 )
 #: first.translate(second padded to 256 bytes) is second after first.
 _BYTES = _Encoding(
-    _byte_table,
-    lambda table, source, size: bytes(table),
+    bytes,
     attrgetter("translate"),
     _padded,
     lambda size: _BYTE_RANGE[:size],
@@ -479,11 +455,11 @@ def _encoding(*sets: TruncatedSSet) -> _Encoding:
     return _BYTES if largest <= 256 else _TUPLES
 
 
-def _checked_tables(X: TruncatedSSet, kind: str, encode) -> list[list]:
+def _checked_tables(X: TruncatedSSet, kind: str, convert, tested: bool) -> list[list]:
     """X's face ("d") or degeneracy ("s") tables, by n and then i, each
-    converted by encode as rows[n][i]: an encoding's table, which checks
-    it to be a tuple of indices of the right length and range first, or
-    its convert, for tables a record has proven to be."""
+    converted by convert as rows[n][i]; with tested, each is first
+    checked by _index_problem to be a tuple of indices of the right
+    length and range, as a set without a record needs."""
     tables, levels, step = (
         (X.faces, range(1, X.level + 1), -1)
         if kind == "d"
@@ -497,11 +473,10 @@ def _checked_tables(X: TruncatedSSet, kind: str, encode) -> list[list]:
                 table = tables[(n, i)]
             except KeyError:
                 raise StructuralError(f"missing table {kind}_{i} at level {n}") from None
-            row = encode(table, source, size)
-            if row is None:
-                problem = _index_problem(table, source, size)
+            problem = tested and _index_problem(table, source, size)
+            if problem:
                 raise StructuralError(f"{kind}_{i} at level {n} {problem}")
-            rows[n].append(row)
+            rows[n].append(convert(table))
     return rows
 
 
@@ -526,13 +501,6 @@ def __getattr__(name: str):
 #: X's level, as check_segal, the 2-Segal checkers and the direct
 #: checker's pasting certificate decide them.
 _FAMILIES = ("segal", "upper", "lower", "unit")
-
-
-def _proves(call: _Call, *families: str) -> None:
-    """Record that families hold on the call's first set, a full walk of
-    each having just held on the call's tables: they join the facts of
-    the record the call validated it with."""
-    call.facts[0].update(families)
 
 
 def _certify(x: TruncatedSSet | SimplicialMap, facts=()) -> set:
@@ -579,8 +547,7 @@ def _proven(
     walk = walk and not known
     if walk:
         _check_distinct(X.cells)
-    encode = code.table if record is None else code.convert
-    d, s = (_checked_tables(X, k, encode) for k in "ds")
+    d, s = (_checked_tables(X, k, code.convert, record is None) for k in "ds")
     report = _identities(X, code, memo, d, s) if walk else None
     if walk and report.holds:
         if record is None:
@@ -649,10 +616,10 @@ def validate(X: TruncatedSSet) -> CheckReport:
     at most 256 cells, the tables are bytes copies made for this call
     and a composition is one bytes.translate; otherwise they are X's
     own tuples, each composing through one getter built per call.  A
-    bytes copy has the entries of its tuple and a table fails the bytes
-    shape test exactly when _index_problem finds a fault, which then
-    words the error; the walk is the same for both, so its order,
-    squares_checked and every report are as well.  A set on which a
+    bytes copy has the entries of its tuple, and is made only once
+    _index_problem, which words any fault, has passed the table; the
+    walk is the same for both, so its order, squares_checked and every
+    report are as well.  A set on which a
     walk has held is not walked again: it gets the report of a walk that
     holds, its squares counted in closed form (_holding), as _proven
     says.
@@ -840,16 +807,11 @@ def opposite(X: TruncatedSSet) -> TruncatedSSet:
     d_k |-> d_{n-k} maps X's simplicial identities onto themselves, so
     the opposite inherits what X's record proves (_inherit), with the
     upper and lower families swapped (_OPPOSITE)."""
-    Y = _reversed(X)
-    _inherit(Y, _current(X), _OPPOSITE)
-    return Y
-
-
-def _reversed(X: TruncatedSSet) -> TruncatedSSet:
-    """opposite's set, with no record."""
     faces = {(n, i): X.faces[(n, n - i)] for (n, i) in X.faces}
     degeneracies = {(n, i): X.degeneracies[(n, n - i)] for (n, i) in X.degeneracies}
-    return TruncatedSSet(X.level, X.cells, faces, degeneracies)
+    Y = TruncatedSSet(X.level, X.cells, faces, degeneracies)
+    _inherit(Y, _current(X), _OPPOSITE)
+    return Y
 
 
 def truncate(X: TruncatedSSet, level: int) -> TruncatedSSet:
@@ -1038,18 +1000,16 @@ def validate_map(m: SimplicialMap) -> CheckReport:
     return _naturality(m, call)[1]
 
 
-def _components(m: SimplicialMap, encode) -> list:
-    """m's components converted by encode, an encoding's table, which
-    shape-tests each first (a component of the wrong shape raises
-    StructuralError naming its level), or its convert."""
+def _components(m: SimplicialMap, convert, tested: bool) -> list:
+    """m's components converted by convert; with tested, each is first
+    shape-tested by _index_problem, and one of the wrong shape raises
+    StructuralError naming its level."""
     comps = []
     for n, comp in enumerate(m.components):
-        source, size = m.source.cells[n], len(m.target.cells[n])
-        table = encode(comp, source, size)
-        if table is None:
-            problem = _index_problem(comp, source, size)
+        problem = tested and _index_problem(comp, m.source.cells[n], len(m.target.cells[n]))
+        if problem:
             raise StructuralError(f"component at level {n} {problem}")
-        comps.append(table)
+        comps.append(convert(comp))
     return comps
 
 
@@ -1065,7 +1025,7 @@ def _naturality(m: SimplicialMap, call: _Call) -> tuple[list, CheckReport, set]:
     "naturality" the report comes back with no walk; a walk that holds
     adds "naturality" to it."""
     facts, code, top = _current(m), call.code, m.shared_level
-    comps = _components(m, code.table if facts is None else code.convert)
+    comps = _components(m, code.convert, facts is None)
     if facts is None:
         facts = set()
     elif "naturality" in facts:

@@ -1,11 +1,13 @@
 """Source hygiene, checked with the standard library's ast in place of a
 linter: every module-level import of the package is used in its module,
 every private module-level definition is read somewhere in the package,
-one loop of criteria decides squares, its walks read the tables
-validate converted rather than a set's own, one loop of sset walks
-the equations of validate and map naturality, and one function of sset
+one loop of criteria decides squares and one driver reports them, its
+walks read the tables validate converted rather than a set's own, one
+function of sset shape-tests a table, one loop of sset walks the
+equations of validate and map naturality, and one function of sset
 writes the record of what was proven of an object, for serialize's
-readers, sset's validation and the operators' inheritance."""
+readers, sset's validation and the operators' inheritance, to which only
+criteria's driver adds the square families it proves."""
 
 import ast
 from pathlib import Path
@@ -79,7 +81,8 @@ RECORD_FUNCTIONS = (
     ("sset.py", "_proven"),
     ("sset.py", "_naturality"),
     ("sset.py", "_valid_call"),
-    ("operators.py", "_inherited"),
+    ("operators.py", "dec_top"),
+    ("operators.py", "dec_bot"),
 )
 
 
@@ -106,9 +109,22 @@ def test_every_private_definition_is_read():
 DECISIONS = {"pullback_holds", "decide", "_tuple_holds", "_byte_holds"}
 
 
+def called_in(tree, called: str) -> set:
+    """The module-level definitions of tree that call the name called."""
+    return {
+        getattr(node, "name", None)
+        for node in tree.body
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == called
+    }
+
+
 def test_one_loop_decides_squares():
     # in criteria, only _first_failure reads a square decision, so that a
-    # second decision loop, for one encoding or for one family, fails here
+    # second decision loop, for one encoding or for one family, fails
+    # here; and only the driver _decide, its budget's cut-off and the
+    # iterated Segal check, which is no family of squares, build a
+    # report, so that a certificate decided outside the driver fails too
     readers = set()
     for node in TREES["criteria.py"].body:
         for inner in ast.walk(node):
@@ -116,6 +132,19 @@ def test_one_loop_decides_squares():
             if name in DECISIONS and isinstance(inner.ctx, ast.Load):
                 readers.add(getattr(node, "name", None))
     assert readers == {"_first_failure"}
+    assert called_in(TREES["criteria.py"], "CheckReport") == {
+        "_decide", "_cut_off", "check_segal_iterated"
+    }
+
+
+def test_one_shape_test():
+    # _index_problem is sset's one test of a table's shape, run by the
+    # two functions that convert a set's tables and a map's components;
+    # an encoding converts, and tests nothing
+    assert called_in(TREES["sset.py"], "_index_problem") == {"_checked_tables", "_components"}
+    (encoding,) = (n for n in TREES["sset.py"].body if getattr(n, "name", None) == "_Encoding")
+    fields = [node.target.id for node in encoding.body if isinstance(node, ast.AnnAssign)]
+    assert fields == ["convert", "step", "operand", "identity", "decide"]
 
 
 #: The attributes through which a set's own tables are read.
@@ -183,6 +212,9 @@ FACTS = "facts"
 #: The one function that reads a record.
 CURRENT = "_current"
 
+#: The methods through which a set, such as a record, grows or shrinks.
+SET_MUTATORS = {"add", "update", "discard", "remove", "pop", "clear"}
+
 
 def test_only_the_readers_certify():
     # one sset function sets the record, through object.__setattr__, and
@@ -192,20 +224,24 @@ def test_only_the_readers_certify():
     # validation, the map walk, opposite, truncate and the decalages
     # call that.  A builder, sd or any other function that certified its
     # own output would fail here.  A record's facts grow in place only
-    # through _proves, which only the checkers whose full walk decides a
-    # whole family call, and the two walks that add "identities" and
-    # "naturality"; of a check's call, they are read by _proves, the
+    # through criteria's driver _decide, for the families a whole walk or
+    # certificate proves, and the two walks that add "identities" and
+    # "naturality"; of a check's call, they are read by _decide, the
     # square walks and check_segal, and the culf check gets a map's from
     # _naturality
     setters, certifiers, readers = set(), set(), set()
-    provers, fact_readers, current_callers = set(), set(), set()
+    fact_writers, fact_readers, current_callers = set(), set(), set()
     for module, tree in TREES.items():
         for node in tree.body:
             where, set_here = (module, getattr(node, "name", None)), set()
             for inner in ast.walk(node):
                 called = getattr(getattr(inner, "func", None), "id", None)
-                if isinstance(inner, ast.Call) and called == "_proves":
-                    provers.add(where)
+                if (
+                    isinstance(inner, ast.Call)
+                    and getattr(inner.func, "attr", None) in SET_MUTATORS
+                    and FACTS in loaded(inner.func.value)
+                ):
+                    fact_writers.add(where)
                 if isinstance(inner, ast.Call) and called == CERTIFY:
                     certifiers.add(where)
                 if isinstance(inner, ast.Call) and called == CURRENT:
@@ -234,22 +270,20 @@ def test_only_the_readers_certify():
         ("sset.py", "_inherit"),
     }
     assert readers == {("sset.py", "_current")}
-    assert provers == {
-        ("criteria.py", "check_segal"),
-        ("criteria.py", "_check_two_segal"),
-        ("criteria.py", "check_decomposition"),
-        ("criteria.py", "check_decomposition_direct"),
-    }
+    # besides the driver, only the map walk adds a fact: "naturality",
+    # to the map's own record
+    assert fact_writers == {("criteria.py", "_decide"), ("sset.py", "_naturality")}
     assert current_callers == {
         ("sset.py", "_valid_call"),
         ("sset.py", "validate"),
         ("sset.py", "opposite"),
         ("sset.py", "truncate"),
         ("sset.py", "_naturality"),
-        ("operators.py", "_inherited"),
+        ("operators.py", "dec_top"),
+        ("operators.py", "dec_bot"),
     }
     assert fact_readers == {
-        ("sset.py", "_proves"),
+        ("criteria.py", "_decide"),
         ("criteria.py", "_pushout_squares"),
         ("criteria.py", "check_segal"),
     }

@@ -405,16 +405,22 @@ class TestPlantedFaults:
 
 
 def spy_encodings(monkeypatch) -> Counter:
-    """Count the tables validate converts with each encoding of sset."""
-    calls = Counter()
-    for name in ("_BYTES", "_TUPLES"):
-        code = getattr(sset, name)
+    """Count the tables sset shape-tests, through its one shape test
+    _index_problem, by the encoding of sset its call chose for them."""
+    calls, chosen = Counter(), [None]
+    encoding, index_problem = sset._encoding, sset._index_problem
 
-        def table(t, source, size, code=code, name=name):
-            calls[name] += 1
-            return code.table(t, source, size)
+    def choosing(*sets):
+        code = encoding(*sets)
+        chosen[0] = "_BYTES" if code is sset._BYTES else "_TUPLES"
+        return code
 
-        monkeypatch.setattr(sset, name, code._replace(table=table))
+    def counted(*args):
+        calls[chosen[0]] += 1
+        return index_problem(*args)
+
+    monkeypatch.setattr(sset, "_encoding", choosing)
+    monkeypatch.setattr(sset, "_index_problem", counted)
     return calls
 
 

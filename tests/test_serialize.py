@@ -391,39 +391,39 @@ TABLE_CHANGES = {
 }
 
 
-#: The conversions that shape-test a table first; the encodings' convert
-#: does not.
-SHAPE_TESTS = (sset._TUPLES.table, sset._BYTES.table)
+def shape_tested(monkeypatch, name: str, key) -> list:
+    """key(*args) of each call of sset's function name in which the one
+    shape test, _index_problem, runs, whether or not it finds a fault."""
+    tested, runs = [], [0]
+    index_problem, inner = sset._index_problem, getattr(sset, name)
+
+    def counted_problem(*args):
+        runs[0] += 1
+        return index_problem(*args)
+
+    def counting(*args):
+        before = runs[0]
+        try:
+            return inner(*args)
+        finally:
+            if runs[0] > before:
+                tested.append(key(*args))
+
+    monkeypatch.setattr(sset, "_index_problem", counted_problem)
+    monkeypatch.setattr(sset, name, counting)
+    return tested
 
 
 @pytest.fixture
 def shape_tests(monkeypatch):
     """The number of sets whose tables sset shape-tests, one by one."""
-    tested = []
-    checked_tables = sset._checked_tables
-
-    def counting(X, kind, encode):
-        if encode in SHAPE_TESTS:
-            tested.append(kind)
-        return checked_tables(X, kind, encode)
-
-    monkeypatch.setattr(sset, "_checked_tables", counting)
-    return tested
+    return shape_tested(monkeypatch, "_checked_tables", lambda X, kind, *_: kind)
 
 
 @pytest.fixture
 def component_tests(monkeypatch):
     """The maps whose components sset shape-tests, one by one."""
-    tested = []
-    components = sset._components
-
-    def counting(m, encode):
-        if encode in SHAPE_TESTS:
-            tested.append(m)
-        return components(m, encode)
-
-    monkeypatch.setattr(sset, "_components", counting)
-    return tested
+    return shape_tested(monkeypatch, "_components", lambda m, *_: m)
 
 
 class TestReaderCertificate:

@@ -124,10 +124,11 @@ def assert_decisions_match(square):
     holds = isinstance(want, CheckReport) and want.holds
     tables, _ = indexed_square(*square)
     assert sset.pullback_holds(*tables) == holds
+    assert [sset._index_problem(t, t, 256) for t in tables] == [None] * 4
     for code in (sset._TUPLES, sset._BYTES):
-        legs, memo = tuple(code.table(t, t, 256) for t in tables), {}
-        assert code.decide(memo, *legs) == holds, code.table
-        assert code.decide(memo, *legs) == holds, code.table
+        legs, memo = tuple(map(code.convert, tables)), {}
+        assert code.decide(memo, *legs) == holds, code.convert
+        assert code.decide(memo, *legs) == holds, code.convert
     return want
 
 
@@ -233,6 +234,10 @@ class TestDirectWalk:
         ) == reference_check_decomposition_direct(inst.X)
 
     def test_matches_reference_at_every_budget(self):
+        # the budget equal to the first failure's position among them: a
+        # driver that drew one more square before describing the failure
+        # would move the generator's loop variables, and name the wrong
+        # square in the witness (iota=(1, 2) for (0, 1))
         X = collapsed_triangle(3)
         first_failure = reference_check_decomposition_direct(X).squares_checked
         for budget in range(first_failure + 3):
@@ -650,15 +655,17 @@ def is_surjective(values) -> bool:
 
 
 def compiled_plans(level):
-    """Every compiled plan of a set of the given level: the elementary,
-    polygonal, 2-Segal and reduced plans, and the whole direct family
-    at full rank cap, compiled as check_decomposition_direct streams it."""
+    """Every compiled plan of a set of the given level: the elementary
+    plan, the polygonal plans and their covers, the 2-Segal and reduced
+    plans, and the whole direct family at full rank cap, compiled as
+    check_decomposition_direct streams it."""
     yield "elementary", criteria._elementary_plan(level, level)
     for mode in MODES:
-        yield f"polygonal-{mode}", criteria._polygonal_plan(level, mode)
+        plan, cover = criteria._polygonal_plan(level, mode)
+        yield f"polygonal-{mode}", plan
+        yield f"cover-{mode}", cover
     for sides in ((1,), (0,), (1, 0)):
         yield f"2-segal-{sides}", criteria._two_segal_plan(level, sides)
-        yield f"pasted-{sides}", criteria._two_segal_plan(level, sides, pasted=True)
     units, composites = criteria._reduced_plan(level)
     yield "reduced-units", units
     yield "reduced-composites", composites
@@ -1091,6 +1098,28 @@ def family_holds(x, family: str) -> bool:
     return reference(x).holds
 
 
+def tagged_squares_hold(x, plans):
+    """(plan name, family) for each square of plans, the compiled plans
+    of x's level, whose tag is a family x's record holds, once it is
+    shown to be a pullback on a fresh copy of x, its four maps induced
+    one by one."""
+    families, fresh, induced = proven(x), fresh_copy(x), {}
+
+    def induce(key):
+        if key not in induced:
+            induced[key] = sset.induce(fresh, *key)
+        return induced[key]
+
+    for name, (_, squares) in plans:
+        for alpha, iota, k, p, legs, _ in squares:
+            if legs is not None and legs[5] in families:
+                theta, phi = delta.pushout_values(alpha, iota[0], k)
+                keys = ((p, phi), (p, theta), (k, iota), (alpha[-1], alpha))
+                holds = sset.pullback_holds(*map(induce, keys))
+                assert holds, (name, alpha, iota, legs[5])
+                yield name, legs[5]
+
+
 def one_sided_lower(level: int = 3) -> TruncatedSSet:
     """The opposite of one_sided_upper, built with no record."""
     return opposite(one_sided_upper(level))
@@ -1255,8 +1284,11 @@ class TestProvenFamilies:
 
     def test_every_recorded_family_holds_square_by_square(self):
         # on the corpus, the one-sided negatives among it, and what the
-        # operators make of each once every checker has run on it
-        seen = Counter()
+        # operators make of each once every checker has run on it; and on
+        # each of those sets, every square of every compiled plan that is
+        # tagged with a family the set's record holds, which a check
+        # counts without deciding, is a pullback too
+        seen, tagged, plans = Counter(), {}, {}
         for inst in corpus():
             X = dataclasses.replace(inst.X)
             for check in SET_STEPS:
@@ -1265,7 +1297,26 @@ class TestProvenFamilies:
                 for family in proven(x):
                     assert family_holds(x, family), (inst.name, x, family)
                     seen[family] += 1
+                if type(x) is SimplicialMap or not proven(x):
+                    continue
+                if x.level not in plans:
+                    plans[x.level] = list(compiled_plans(x.level))
+                for plan, family in tagged_squares_hold(x, plans[x.level]):
+                    tagged.setdefault(plan, set()).add(family)
         assert set(seen) == {"segal", "upper", "lower", "unit", "face", "degeneracy"}
+        # every compiled plan, every polygonal mode, both reduced plans
+        # and the direct family at full cap among them, holds tagged
+        # squares of each family of its sides on some set
+        both, upper, lower = {"upper", "lower"}, {"upper"}, {"lower"}
+        want = {"elementary": both | {"unit"}, "direct": both | {"unit"}}
+        for mode, sides in (("full", both), ("restricted", both), ("upper", upper),
+                            ("lower", lower)):
+            want[f"polygonal-{mode}"] = want[f"cover-{mode}"] = sides
+        for sides, families in (((1,), upper), ((0,), lower), ((1, 0), both)):
+            want[f"2-segal-{sides}"] = families
+        want["reduced-units"] = want["reduced-composites"] = upper
+        assert tagged == want
+        assert set(want) == {name for name, _ in compiled_plans(3)}
 
     @pytest.mark.parametrize("inst", corpus(), ids=lambda inst: inst.name)
     def test_reversed_steps_match_fresh(self, inst):
