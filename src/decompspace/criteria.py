@@ -304,6 +304,12 @@ def check_upper_2segal_reduced(X: TruncatedSSet) -> CheckReport:
     The composite at n is the polygonal square of {1, n + 1} inside
     [n + 1].  Equivalent to check_upper_2segal on every valid input;
     kept separate so the equivalence is testable.
+
+    The first composite, {1, 3} inside [3], is the first i=1 square, the
+    upper square at k = 2, so the walk meets that square twice:
+    squares_checked counts it twice, and on a set whose record does not
+    hold "upper" it is decided twice.  The benchmark's golden records
+    pin that count, so the duplicate is kept.
     """
     call = _valid_call(X)
     units, composites = _reduced_plan(X.level)
@@ -368,7 +374,7 @@ def _prepared(alpha, iota, theta, phi):
 
 def _family(alpha, iota, k: int) -> str | None:
     """The family of the square of alpha: [n] -> [m] and iota: [n] -> [k]
-    whose proof a set's record may hold (sset._FAMILIES), or None.
+    whose proof a set's record may hold (sset._SAME), or None.
 
     The elementary squares are those with iota an outer coface, k = n +
     1: alpha a codegeneracy (m = n - 1) gives a unit square, and alpha an
@@ -453,7 +459,7 @@ def _pushout_squares(X: TruncatedSSet, call: _Call, plan: Plan, label) -> Iterat
     split flag.
     """
     slots, squares = plan
-    own, step, operand = call.rows[0], call.code.step, call.operand
+    own, step, operand = call.rows[0], call.code.step, call.code.operand
     proven = call.facts[0]
     tables: list = []
     for alpha, iota, k, p, legs, filled in squares:

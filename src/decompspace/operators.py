@@ -37,6 +37,7 @@ from .sset import (
     LevelError,
     SimplicialMap,
     TruncatedSSet,
+    _OPPOSITE,
     _current,
     _inherit,
     compose_tables,
@@ -100,12 +101,13 @@ def dec_bot(X: TruncatedSSet) -> tuple[TruncatedSSet, SimplicialMap]:
     operator indices shift down by one, and proj: Y -> X is the
     forgotten bottom face at each level, the top face of X^op.  So d_i
     and s_i on Y_n are X's tables d_{i+1} and s_{i+1} on X_{n+1}, built
-    as such (_decalage), and the record is passed on as by dec_top, with
-    the mirror images of its families (_BOT, _BOT_PROJECTION): Y's Segal
-    square at n, (d_1, d_{n+2}, d_{n+1}, d_1) on X_{n+2}, is X's lower
-    square (n + 1, 1); proj's culf face square (n, i), (d_{i+1}, d_0,
-    d_0, d_i), is X's upper square (n, i); and its degeneracy squares are
-    X's unit squares along the outer coface at offset 1.
+    as such (_decalage), and the record is passed on by dec_top's rules
+    read through the opposite (_BOT, _BOT_PROJECTION), which give the
+    mirror images of its families: Y's Segal square at n, (d_1, d_{n+2},
+    d_{n+1}, d_1) on X_{n+2}, is X's lower square (n + 1, 1); proj's culf
+    face square (n, i), (d_{i+1}, d_0, d_0, d_i), is X's upper square
+    (n, i); and its degeneracy squares are X's unit squares along the
+    outer coface at offset 1.
     """
     Y, proj = _decalage(X, 1)
     record = _current(X)
@@ -114,12 +116,23 @@ def dec_bot(X: TruncatedSSet) -> tuple[TruncatedSSet, SimplicialMap]:
     return Y, proj
 
 
-#: The facts of X that dec_top's and dec_bot's output and projection
-#: hold, by what they become there; the decalages' docstrings prove each.
+#: The facts of X that dec_top's output and projection hold, by what they
+#: become there; dec_top's docstring proves each.
 _TOP = {"identities": "identities", "upper": "segal"}
 _TOP_PROJECTION = {"identities": "naturality", "lower": "face", "unit": "degeneracy"}
-_BOT = {"identities": "identities", "lower": "segal"}
-_BOT_PROJECTION = {"identities": "naturality", "upper": "face", "unit": "degeneracy"}
+
+#: dec_bot's, read through the opposite: Dec_bot X = (Dec_top X^op)^op
+#: on the very same tables.  If X holds _OPPOSITE[f], X^op holds f
+#: (sset.opposite; _OPPOSITE is an involution), so Dec_top X^op holds t
+#: for each rule f -> t of dec_top, and so does its opposite, since the
+#: opposite fixes every fact that a decalage or its projection can hold:
+#: identities, segal (the Segal square of Y^op at n is Y's, transposed),
+#: naturality (each equation of a map's opposite is one of the map's),
+#: face and degeneracy (the culf square of d_i or s_j on level n of the
+#: opposite map is the map's of d_{n-i} or s_{n-j}, so each kind of square
+#: is carried onto itself).
+_BOT = {_OPPOSITE[f]: t for f, t in _TOP.items()}
+_BOT_PROJECTION = {_OPPOSITE[f]: t for f, t in _TOP_PROJECTION.items()}
 
 
 def sd(X: TruncatedSSet) -> TruncatedSSet:

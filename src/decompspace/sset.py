@@ -20,23 +20,22 @@ meets the one shape test, _index_problem, before it is converted, and
 both encodings go through the same walk, so the report or
 StructuralError cannot depend on the encoding.  The identities, and the
 naturality equations of a map, are compiled plans, cached by level, of
-runs of equations on one level: consecutive table slots after one fixed table equal one fixed
-table after consecutive slots, or the identity, so a plan holds about
-2.5 L^2 runs at level L rather than the L^3 / 2 equations.  A table's
-slot does not depend on the level.  One loop, _equations, walks any
-such plan, stops at the first unequal pair, and only then names its
-equation.  A check validates through _valid_call, the one entry that
-builds a _Call: the encoding, chosen once over every set of the check,
-the tables validate converted, and a memo in which the padded operands
-validate made and the fiber sizes of each q are kept.  The walks of
-criteria and map naturality read those tables and compose and decide in
-that encoding, so no table is converted or padded twice in a call, and
-nothing in a call outlives it.  A bytes table
-holds the same indices as its tuple, and a decision on bytes is the
-counting test of pullback_holds, so no verdict depends on the encoding
-either.  A square whose legs f and q are split monos (X of a surjection
-of Delta, on a set validate has passed) is decided by that test's count
-alone, as _tuple_holds says.
+runs of equations on one level: consecutive table slots after one fixed
+table equal one fixed table after consecutive slots, or the identity, so
+a plan holds about 2.5 L^2 runs at level L rather than the L^3 / 2
+equations.  A table's slot does not depend on the level.  One loop,
+_equations, walks any such plan, stops at the first unequal pair, and
+only then names its equation.  A check validates through _valid_call,
+the one entry that builds a _Call: the encoding, chosen once over every
+set of the check, the tables validate converted, and a memo in which the
+fiber sizes of each q are kept.  The walks of criteria and map
+naturality read those tables and compose and decide in that encoding, so
+no table is converted twice in a call, and nothing in a call outlives
+it.  A bytes table holds the same indices as its tuple, and a decision
+on bytes is the counting test of pullback_holds, so no verdict depends
+on the encoding either.  A square whose legs f and q are split monos (X
+of a surjection of Delta, on a set validate has passed) is decided by
+that test's count alone, as _tuple_holds says.
 
 A set's tables are read-only (_ReadOnly): the constructor copies its
 face and degeneracy tables once into that dict, whose every mutating
@@ -48,14 +47,14 @@ has no record, and walks its identities.  What has been proven is kept
 on the object itself, in one private record: the set of facts proven of
 it, which grows in place, and _certify is the one writer of it.
 serialize's set and map readers give what they read a record with no
-fact, once they have shape-tested every table and component.  A walk of a set's identities that holds
-adds "identities" (giving the set a record first if it has none), and a
-walk of a map's naturality "naturality".  An object with a record
-(_current) has its tables converted untested, and a proven walk is not
-walked again: no report is kept, since one that held is the closed-form
-count of its equations (_holding), so a set is shape-tested and walked
-once however many checks read it.  Only what was proven is remembered:
-each call still converts the tables for itself.
+fact, once they have shape-tested every table and component.  A walk of
+a set's identities that holds adds "identities" (giving the set a record
+first if it has none), and a walk of a map's naturality "naturality".
+An object with a record (_current) has its tables converted untested,
+and a proven walk is not walked again: no report is kept, since one that
+held is counted from the plan that would walk it (_holding), so a set is
+shape-tested and walked once however many checks read it.  Only what was
+proven is remembered: each call still converts the tables for itself.
 
 opposite, truncate and the decalages make their output of their input's
 very tables, reindexed, so each identity of the output, and each
@@ -79,8 +78,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, repeat
-from operator import attrgetter, itemgetter, mul
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import delta
 
@@ -337,14 +336,12 @@ class _Encoding(NamedTuple):
     """How one call holds the tables of X.
 
     convert(t) is t converted, for a t that _index_problem passes;
-    step(t) is the callable u -> the table of u after t, and operand(memo,
-    t) the u those callables take; identity(size) is the identity table
-    on size cells; decide(memo, f, g, p, q, split=False) is
-    pullback_holds on converted tables, by the count alone when split
-    says f and q are injective.
-    memo is a dict of one call, in which operand and decide keep what
-    they derive from a table (a padded operand, the fiber sizes of a q),
-    so each is derived once per call.
+    step(t) is the callable u -> the table of u after t, and operand(t)
+    the u those callables take; identity(size) is the identity table on
+    size cells; decide(memo, f, g, p, q, split=False) is pullback_holds
+    on converted tables, by the count alone when split says f and q are
+    injective.  memo is a dict of one call, in which decide keeps the
+    fiber sizes of each q, so they are counted once per call.
     """
 
     convert: Callable
@@ -402,16 +399,9 @@ def _tuple_holds(
     return len(f) == _fiber_product_size(memo, p, q)
 
 
-def _padded(memo: dict | None, table: bytes) -> bytes:
-    """table padded to 256 bytes, the translate table that applies it,
-    made once per memo and kept under table itself (without a memo, as
-    for validate alone, made and kept nowhere)."""
-    if memo is None:
-        return table.ljust(256, b"\0")
-    operand = memo.get(table)
-    if operand is None:
-        operand = memo[table] = table.ljust(256, b"\0")
-    return operand
+def _padded(table: bytes) -> bytes:
+    """table padded to 256 bytes, the translate table that applies it."""
+    return table.ljust(256, b"\0")
 
 
 def _byte_holds(
@@ -422,7 +412,7 @@ def _byte_holds(
     pairs (f(a), g(a)) are pairs of bytes, and with split the b whose
     p(b) is not in the image of q are those p.translate keeps when it
     deletes the bytes of q."""
-    if f.translate(_padded(memo, p)) != g.translate(_padded(memo, q)):
+    if f.translate(_padded(p)) != g.translate(_padded(q)):
         return False
     if split:
         return len(f) == len(p) - len(p.translate(None, q))
@@ -434,7 +424,7 @@ def _byte_holds(
 _TUPLES = _Encoding(
     lambda table: table,
     _getter,
-    lambda memo, table: table,
+    lambda table: table,
     lambda size: tuple(range(size)),
     _tuple_holds,
 )
@@ -480,29 +470,6 @@ def _checked_tables(X: TruncatedSSet, kind: str, convert, tested: bool) -> list[
     return rows
 
 
-class _OldRecord(tuple):
-    """A record of an older layout, as a pickle made then loads it: it
-    is not a set, so _current never trusts it."""
-
-    def __new__(cls, *fields):
-        return tuple.__new__(cls, fields)
-
-
-def __getattr__(name: str):
-    """The record classes of an older layout, which its pickles name."""
-    if name in ("_SetRecord", "_MapRecord", "_Record"):
-        return _OldRecord
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-#: The square families a record can hold proven: X's Segal squares, its
-#: upper and lower 2-Segal squares, and its unit squares (the elementary
-#: squares whose alpha is a codegeneracy), each the whole family within
-#: X's level, as check_segal, the 2-Segal checkers and the direct
-#: checker's pasting certificate decide them.
-_FAMILIES = ("segal", "upper", "lower", "unit")
-
-
 def _certify(x: TruncatedSSet | SimplicialMap, facts=()) -> set:
     """Give x the record of facts, the one writer of _as_read, and return
     it.  x's tables and components cannot change (TruncatedSSet), so a
@@ -521,35 +488,34 @@ def _current(x: TruncatedSSet | SimplicialMap) -> set | None:
 
 
 def _proven(
-    X: TruncatedSSet,
-    record: set | None,
-    code: _Encoding | None,
-    memo: dict | None,
-    walk: bool = True,
+    X: TruncatedSSet, record: set | None, code: _Encoding | None, walk: bool = True
 ):
     """(d, s, report, record): X's tables converted by code, as d[n][i]
     and s[n][i], after the shape test of each, with walk the report of
-    validate's walk on them, its operands kept in memo (else None), and
-    X's record once they are proven.  Without code, as for validate
-    alone, _encoding picks it, and the report of a remembered walk comes
-    back without d and s.
+    validate's walk on them (else None), and X's record once they are
+    proven.  Without code, as for validate alone, _encoding picks it, and
+    the report of a remembered walk comes back without d and s.
 
     record is _current(X).  With it, the tables are converted untested,
     and once it holds "identities" the duplicate-cell test and the walk
-    are skipped as well (report None).  A walk that holds adds
-    "identities" to the record, or gives X one that holds it."""
+    are skipped as well: the report is None, or for validate alone the
+    one of the walk that held, counted from its plan (_holding).  A walk
+    that holds adds "identities" to the record, or gives X one that
+    holds it."""
     known = record is not None and "identities" in record
     if code is None:  # validate alone, which wants only the report
         if known:
-            report = _holding(_identity_counts(X.level), X.cells, X.level)
-            return None, None, report, record
+            return None, None, _holding(_identity_plan(X.level), X.cells, X.level), record
         code = _encoding(X)
     walk = walk and not known
     if walk:
         _check_distinct(X.cells)
     d, s = (_checked_tables(X, k, code.convert, record is None) for k in "ds")
-    report = _identities(X, code, memo, d, s) if walk else None
-    if walk and report.holds:
+    if not walk:
+        return d, s, None, record
+    tables = _flat(X.level, d, s)
+    report = _equations(_identity_plan(X.level), tables, code, X.cells, X.level)
+    if report.holds:
         if record is None:
             record = _certify(X, ("identities",))
         else:
@@ -564,18 +530,16 @@ class _Call:
     rows[k] is (d, s), the converted tables of the k-th set as d[n][i]
     and s[n][i]; facts[k] is the k-th set's record once validated (as
     _current found it, or the one its walk set; None for a set with no
-    record that was shape-tested only); memo keeps what the encoding
-    derives from a table (the operands validate padded among them);
-    operand and decide are those of code on that memo.  Nothing in it
-    outlives the check.
+    record that was shape-tested only); memo keeps the fiber sizes of
+    each q that decide counts, and decide is code's on that memo.
+    Nothing in it outlives the check.
     """
 
-    __slots__ = ("code", "rows", "facts", "memo", "operand", "decide", "__weakref__")
+    __slots__ = ("code", "rows", "facts", "memo", "decide", "__weakref__")
 
-    def __init__(self, code: _Encoding, rows: list, facts: list, memo: dict) -> None:
-        self.code, self.rows, self.facts, self.memo = code, rows, facts, memo
-        self.operand = partial(code.operand, memo)
-        self.decide = partial(code.decide, memo)
+    def __init__(self, code: _Encoding, rows: list, facts: list) -> None:
+        self.code, self.rows, self.facts, self.memo = code, rows, facts, {}
+        self.decide = partial(code.decide, self.memo)
 
 
 def _valid_call(
@@ -586,7 +550,7 @@ def _valid_call(
     it is a simplicial set.  roles names the sets of a map in the errors
     ("map source: ..."); without it they are the input's.  A set given
     twice is read once."""
-    code, memo, rows, facts = _encoding(*sets), {}, [], []
+    code, rows, facts = _encoding(*sets), [], []
     for k, X in enumerate(sets):
         if k and X is sets[0]:
             rows.append(rows[0])
@@ -594,7 +558,7 @@ def _valid_call(
             continue
         who = "input" if roles is None else f"map {roles[k]}"
         try:
-            d, s, report, record = _proven(X, _current(X), code, memo, walk)
+            d, s, report, record = _proven(X, _current(X), code, walk)
             rows.append((d, s))
             facts.append(record)
         except StructuralError as exc:
@@ -603,7 +567,7 @@ def _valid_call(
             raise StructuralError(f"{who}: {exc}") from None
         if report is not None and not report.holds:
             raise StructuralError(f"{who} is not a simplicial set: {report.detail}")
-    return _Call(code, rows, facts, memo)
+    return _Call(code, rows, facts)
 
 
 def validate(X: TruncatedSSet) -> CheckReport:
@@ -619,19 +583,11 @@ def validate(X: TruncatedSSet) -> CheckReport:
     bytes copy has the entries of its tuple, and is made only once
     _index_problem, which words any fault, has passed the table; the
     walk is the same for both, so its order, squares_checked and every
-    report are as well.  A set on which a
-    walk has held is not walked again: it gets the report of a walk that
-    holds, its squares counted in closed form (_holding), as _proven
-    says.
+    report are as well.  A set on which a walk has held is not walked
+    again: it gets the report of a walk that holds, its squares counted
+    from the plan that walked them (_holding), as _proven says.
     """
-    return _proven(X, _current(X), None, None)[2]
-
-
-def _identities(X: TruncatedSSet, code: _Encoding, memo: dict | None, d, s) -> CheckReport:
-    """validate's walk on X's tables d and s as _proven converts them, its
-    operands kept in memo."""
-    tables = _flat(X.level, d, s)
-    return _equations(_identity_plan(X.level), tables, code, memo, X.cells, X.level)
+    return _proven(X, _current(X), None)[2]
 
 
 def _flat(top: int, d: list, s: list) -> list:
@@ -671,7 +627,7 @@ def _identity_plan(level: int) -> tuple:
     on cell.  firsts and seconds slice the slots composed first (f and
     h) and those composed second (g and k).  Each family takes one run
     per (n, j), and d_i s_j three: i < j, the identity pair, and
-    i > j + 1.  No run is empty; _identity_counts counts them."""
+    i > j + 1.  No run is empty."""
     (d, s), words = _bases(level), "identity {} fails at level {} on cell {!r}"
     dd, ss = "d_{0} d_{1} = d_{3} d_{0}", "s_{0} s_{1} = s_{4} s_{0}"
     below, split = "d_{0} s_{1} = s_{3} d_{0}", "d_{0} s_{1} = id"
@@ -692,39 +648,25 @@ def _identity_plan(level: int) -> tuple:
     return tuple(runs), slice(None), slice(None), words
 
 
-def _identity_counts(level: int) -> Iterator[int]:
-    """How many equations _identity_plan(level) holds on X_n, for each n
-    <= level: n(n+1)/2 of d_i d_j (n >= 2), t = (n+1)(n+2)/2 of s_i s_j
-    (n + 2 <= level) and 2t of d_i s_j (n + 1 <= level)."""
-    for n in range(level + 1):
-        t = (n + 1) * (n + 2) // 2
-        yield (n >= 2) * n * (n + 1) // 2 + t * ((n + 2 <= level) + 2 * (n < level))
-
-
-def _naturality_counts(top: int) -> Iterator[int]:
-    """How many equations _naturality_plan(top) holds on X_n, for each n
-    <= top: n + 1 of c d_i (n >= 1) and n + 1 of c s_i (n < top)."""
-    return ((n + 1) * ((n >= 1) + (n < top)) for n in range(top + 1))
-
-
-def _holding(counts: Iterator[int], cells, level: int) -> CheckReport:
-    """The report of a walk that holds of counts[n] equations on X_n, on
-    a set whose levels hold cells: each is compared on every cell."""
-    squares = sum(map(mul, counts, map(len, cells)))
+def _holding(plan, cells, level: int) -> CheckReport:
+    """The report of a walk of plan that holds, on a set whose levels
+    hold cells: each run's count equations on X_n, each compared on every
+    cell of X_n."""
+    sizes = list(map(len, cells))
+    squares = sum(run[5] * sizes[run[0]] for run in plan[0])
     return CheckReport(holds=True, checked_level=level, squares_checked=squares)
 
 
-def _equations(plan, tables: list, code: _Encoding, memo, cells, level) -> CheckReport:
+def _equations(plan, tables: list, code: _Encoding, cells, level) -> CheckReport:
     """The one loop that walks equations: the report of plan on tables,
-    held in code, at the checked level, its operands kept in memo and
-    cells[n] the names of X_n; each table is made a getter or an operand
-    once, and the identity of each X_n once.  The first unequal pair ends
-    the walk, counted up to its first differing cell, and only then is the
-    failing equation named."""
+    held in code, at the checked level, cells[n] the names of X_n; each
+    table is made a getter or an operand once, and the identity of each
+    X_n once.  The first unequal pair ends the walk, counted up to its
+    first differing cell, and only then is the failing equation named."""
     runs, firsts, seconds, words = plan
     getters, operands = [None] * len(tables), [None] * len(tables)
     getters[firsts] = map(code.step, tables[firsts])
-    operands[seconds] = map(partial(code.operand, memo), tables[seconds])
+    operands[seconds] = map(code.operand, tables[seconds])
     sizes = list(map(len, cells))
     identities, checked = list(map(code.identity, sizes)), 0
     for n, f, g, h, k, count, name, i, j in runs:
@@ -784,9 +726,15 @@ def _word_steps(target_rank: int, values: tuple[int, ...]):
     return tuple(steps)
 
 
-#: truncate keeps every fact: each identity and each square of a family
-#: within level k is one within any level above k, on the same tables.
-_SAME = {fact: fact for fact in ("identities", *_FAMILIES)}
+#: The facts a set's record can hold, each kept by truncate: its
+#: identities, and the square families, X's Segal squares, its upper and
+#: lower 2-Segal squares and its unit squares (the elementary squares
+#: whose alpha is a codegeneracy), each the whole family within X's
+#: level, as check_segal, the 2-Segal checkers and the direct checker's
+#: pasting certificate decide them.  Each identity and each square of a
+#: family within level k is one within any level above k, on the same
+#: tables.
+_SAME = {fact: fact for fact in ("identities", "segal", "upper", "lower", "unit")}
 
 #: The facts of X that its opposite holds, by the fact they become: its
 #: identities, since d_k |-> d_{n-k} maps them onto themselves, and its
@@ -1022,17 +970,19 @@ def _naturality(m: SimplicialMap, call: _Call) -> tuple[list, CheckReport, set]:
     m's record is set by serialize's map reader once it has shape-tested
     each component, and by _inherit on a decalage projection.  With it,
     m's components are converted untested, and once it holds
-    "naturality" the report comes back with no walk; a walk that holds
-    adds "naturality" to it."""
+    "naturality" the report is the one of the walk that held, counted
+    from its plan (_holding), with no walk; a walk that holds adds
+    "naturality" to it."""
     facts, code, top = _current(m), call.code, m.shared_level
     comps = _components(m, code.convert, facts is None)
     if facts is None:
         facts = set()
-    elif "naturality" in facts:
-        return comps, _holding(_naturality_counts(top), m.source.cells, top), facts
-    tables = [*_flat(top, *call.rows[0]), *comps, *_flat(top, *call.rows[1])]
     plan, cells = _naturality_plan(top), m.source.cells
-    report = _equations(plan, tables, code, call.memo, cells, top)
+    if "naturality" in facts:
+        report = _holding(plan, cells, top)
+    else:
+        tables = [*_flat(top, *call.rows[0]), *comps, *_flat(top, *call.rows[1])]
+        report = _equations(plan, tables, code, cells, top)
     if report.holds:
         facts.add("naturality")
     return comps, report, facts
@@ -1043,8 +993,7 @@ def _naturality_plan(top: int) -> tuple:
     """validate_map's equations on a map c of shared level top, in walk
     order: c_{n-1} d_i = d_i c_n on X_n for 1 <= n <= top, then c_{n+1}
     s_i = s_i c_n on X_n for n < top, each for i <= n, one run per
-    (kind, n) as _identity_plan says, and _naturality_counts counts
-    them.  The source's tables take the first slots, as _flat gives
+    (kind, n) as _identity_plan says.  The source's tables take the first slots, as _flat gives
     them, then c's components, then the target's tables, so that the
     slots composed first (the source's and c's) and those composed
     second (c's and the target's) are each one slice, and no getter is

@@ -191,6 +191,30 @@ class TestBuild:
         assert f"{field}[4] repeats the pair ['a', 'a']" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_free_build(self, tmp_path, capsys):
+        # build free completes an outer face complex read from a file, and
+        # with --length-map writes its length map too
+        ofc = builders.bounded_words(("a", "b"), 2)
+        source = tmp_path / "ofc.json"
+        source.write_text(serialize.dumps(serialize.ofc_to_obj(ofc)))
+        build = ["build", "free", "--input", str(source)]
+        plain, obj, lmap = (tmp_path / n for n in ("p.json", "x.json", "l.json"))
+        assert main([*build, "--level", "3", "--output", str(plain)]) == 0
+        X = builders.free_decomposition(ofc, 3)
+        assert plain.read_text() == serialize.dumps(serialize.sset_to_obj(X))
+        assert main([*build, "--level", "3", "--output", str(obj),
+                     "--length-map", str(lmap)]) == 0
+        assert obj.read_bytes() == plain.read_bytes()
+        expected = builders.length_map(ofc, 3)
+        assert lmap.read_text() == serialize.dumps(serialize.smap_to_obj(expected))
+        # the level is required, and nothing is written without it
+        capsys.readouterr()
+        assert main([*build, "--output", str(tmp_path / "o.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: build free requires --level\n"
+        assert captured.out == ""
+        assert not (tmp_path / "o.json").exists()
+
     def test_missing_flag_exit_2(self, tmp_path):
         out = tmp_path / "out.json"
         assert main(["build", "words", "--alphabet", "ab",

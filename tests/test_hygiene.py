@@ -96,9 +96,15 @@ def test_every_private_definition_is_read():
     assert len(defined) > 70
     assert [(module, name) for module, name in defined if name not in read] == []
     # a record is its facts alone: nothing is left that kept the parts it
-    # was proven of (_Record, _parts, _table_keys), and no record function
-    # takes the records of a map's ends
-    assert not {"_Record", "_parts", "_table_keys"} & {name for _, name in defined}
+    # was proven of (_Record, _parts, _table_keys) or loads an older one
+    # (_OldRecord, a module __getattr__), a proven walk is counted from
+    # its plan, not in a closed form of its own (_identity_counts,
+    # _naturality_counts), and no record function takes the records of a
+    # map's ends
+    gone = {"_Record", "_parts", "_table_keys", "_OldRecord", "_identity_counts",
+            "_naturality_counts"}
+    assert not gone & {name for _, name in defined}
+    assert "__getattr__" not in {getattr(node, "name", None) for node in TREES["sset.py"].body}
     for module, name in RECORD_FUNCTIONS:
         (node,) = (n for n in TREES[module].body if getattr(n, "name", None) == name)
         assert "ends" not in [a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)]
@@ -182,7 +188,8 @@ def test_one_loop_walks_equations():
     # in sset, only _equations composes tables by an encoding's step or
     # identity, so that a second walk of the simplicial identities or of
     # map naturality fails here; the two that hand it their compiled
-    # plans hold no loop of their own
+    # plans hold no loop of their own, but for _proven's over the kinds
+    # of table it converts, faces and then degeneracies
     readers, bodies = set(), {}
     for node in TREES["sset.py"].body:
         bodies[getattr(node, "name", None)] = node
@@ -194,8 +201,9 @@ def test_one_loop_walks_equations():
             ):
                 readers.add(getattr(node, "name", None))
     assert readers == {"_equations"}
-    for name in ("_identities", "_naturality"):
-        assert not any(isinstance(inner, LOOPS) for inner in ast.walk(bodies[name]))
+    for name, kinds in (("_proven", ["ds"]), ("_naturality", [])):
+        loops = [inner for inner in ast.walk(bodies[name]) if isinstance(inner, LOOPS)]
+        assert [ast.literal_eval(loop.iter) for loop in loops] == kinds, name
 
 
 #: The private attribute that holds an object's one record of what has
@@ -287,3 +295,24 @@ def test_only_the_readers_certify():
         ("criteria.py", "_pushout_squares"),
         ("criteria.py", "check_segal"),
     }
+
+
+def test_one_source_per_rule():
+    # dec_bot's rules are dec_top's read through the opposite, so no rule
+    # of a decalage is stated twice: each of _BOT and _BOT_PROJECTION is
+    # a comprehension over _OPPOSITE and dec_top's table of the same role
+    assigned = {
+        node.targets[0].id: node.value
+        for node in TREES["operators.py"].body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+    for bot, top in (("_BOT", "_TOP"), ("_BOT_PROJECTION", "_TOP_PROJECTION")):
+        rule = assigned[bot]
+        assert isinstance(rule, ast.DictComp), bot
+        assert loaded(rule) >= {"_OPPOSITE", top}, bot
+        assert isinstance(assigned[top], ast.Dict), top
+    # the call memo keeps only the fiber sizes decide reuses: no operand
+    # is padded into it, and no walk or encoding operand takes it
+    for name in ("_padded", "_equations", "_proven"):
+        (node,) = (n for n in TREES["sset.py"].body if getattr(n, "name", None) == name)
+        assert "memo" not in [a.arg for a in node.args.args], name
