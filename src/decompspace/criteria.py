@@ -99,7 +99,6 @@ from .sset import (
     SimplicialMap,
     SquareWitness,
     StructuralError,
-    Table,
     TruncatedSSet,
     _Call,
     _naturality,
@@ -221,17 +220,21 @@ def check_segal_iterated(X: TruncatedSSet) -> CheckReport:
     the last edge is that of its bottom face, so each level costs one
     composite of tables.  The chains of n edges, each edge's end the
     next one's start, are then walked in lexicographic order; the first
-    whose number of preimages is not 1 is the witness.
+    whose number of preimages is not 1 is the witness.  They are built
+    level by level, as the spines are: the chains of n edges extend
+    those of n - 1 edges by each edge that starts where they end, and
+    level n is built only once every chain of level n - 1 had one
+    preimage, so for a Segal set they number |X_n|, like the spines.
     """
     d = _valid_call(X).rows[0][0]
     checked = 0
     if X.level < 1:
         return CheckReport(holds=True, checked_level=X.level, squares_checked=0)
     d_bot1, d_top1 = d[1]
-    fibers: dict[int, list[int]] = {}
+    starts: dict[int, list[int]] = {}
     for e, v in enumerate(d_top1):
-        fibers.setdefault(v, []).append(e)
-    spines = [(e,) for e in range(len(d_bot1))]
+        starts.setdefault(v, []).append(e)
+    spines = chains = [(e,) for e in range(len(d_bot1))]
     last = tuple(range(len(d_bot1)))
     for n in range(2, X.level + 1):
         checked += 1
@@ -240,7 +243,8 @@ def check_segal_iterated(X: TruncatedSSet) -> CheckReport:
         preimages: dict[tuple[int, ...], list[int]] = {}
         for c, key in enumerate(spines):
             preimages.setdefault(key, []).append(c)
-        for chain in _chains(n, d_bot1, fibers):
+        chains = [c + (e,) for c in chains for e in starts.get(d_bot1[c[-1]], ())]
+        for chain in chains:
             pre = preimages.get(chain, [])
             if len(pre) != 1:
                 witness = SquareWitness(
@@ -257,23 +261,6 @@ def check_segal_iterated(X: TruncatedSSet) -> CheckReport:
                     witness=witness,
                 )
     return CheckReport(holds=True, checked_level=X.level, squares_checked=checked)
-
-
-def _chains(n: int, ends: Table, starts: dict[int, list[int]]) -> Iterator[tuple]:
-    """The chains of n >= 2 edges, edge e ending at ends[e] and starts[v]
-    the edges starting at v in order, in lexicographic order."""
-    prefix: list[int] = []
-    stack = [iter(range(len(ends)))]
-    while stack:
-        e = next(stack[-1], None)
-        if e is None:
-            stack.pop()
-            del prefix[-1:]
-        elif len(prefix) == n - 1:
-            yield (*prefix, e)
-        else:
-            prefix.append(e)
-            stack.append(iter(starts.get(ends[e], ())))
 
 
 #: The family of the 2-Segal squares of each side (iota at offset 1 or 0).

@@ -9,16 +9,22 @@ the decalages reuse the index tables of X unchanged, which are
 read-only, so neither X nor its decalage can change what the other was
 proven of.  One builder, _decalage, makes both: the lower decalage is
 the upper one seen through the opposite, so it reads X's tables with
-every operator index shifted up by one, and its projection is d_0.
+every operator index shifted up by one, and its projection is d_0.  It
+makes the decalage through sset._reindexed, the one builder of a set of
+X's very tables (opposite and truncate are the others it makes), and
+the projection of X's forgotten faces.
 
 So every simplicial identity of a decalage, and every naturality
 equation of its projection, is one of X's identities on X's very
 tables, and each decalage passes on the facts X's record proves (sset's
-_inherit, through one table of facts for the output and one for the
-projection): a set X that a walk has proven gives decalages and
-projections that later checks do not walk again.  sd composes new
-tables, whose identities follow from X's only by functoriality, so its
-output carries no record and is walked.
+_inherit, through one table of facts for the output, in _reindexed, and
+one for the projection, in _decalage; they are its only callers): a set
+X that a walk has proven gives decalages and projections that later
+checks do not walk again.  sd restricts X along the edgewise functor,
+which sends generators to composites, so it composes new tables, whose
+identities follow from X's only by functoriality; its output carries no
+record and is walked.  An operator given a set that lacks a table it
+reads raises StructuralError, worded as validate words it.
 
 Squares are passed on the same way.  A Segal square of Dec_top X is an
 upper 2-Segal square of X, and a culf square of its projection a lower
@@ -40,6 +46,8 @@ from .sset import (
     _OPPOSITE,
     _current,
     _inherit,
+    _missing,
+    _reindexed,
     compose_tables,
     opposite,
 )
@@ -47,25 +55,23 @@ from .sset import (
 
 def _decalage(X: TruncatedSSet, b: int) -> tuple[TruncatedSSet, SimplicialMap]:
     """The decalage of X that forgets the top (b = 0) or the bottom (b =
-    1) operators, and its projection, with no record: d_i and s_i on Y_n
-    are X's tables d_{i+b} and s_{i+b} on X_{n+1}, and proj: Y -> X is
-    the forgotten face at each level, d_{n+1} for b = 0 and d_0 for b = 1."""
+    1) operators, and its projection: d_i and s_i on Y_n are X's tables
+    d_{i+b} and s_{i+b} on X_{n+1}, built by sset._reindexed with the
+    rules _TOP or _BOT, and proj: Y -> X is the forgotten face at each
+    level, d_{n+1} for b = 0 and d_0 for b = 1, which inherits X's facts
+    through _TOP_PROJECTION or _BOT_PROJECTION.  With _reindexed, it is
+    one of the two callers of sset._inherit.  A face of X that it reads
+    and X lacks raises StructuralError."""
     if X.level < 1:
         raise LevelError("decalage needs level >= 1")
-    level = X.level - 1
-    faces = {
-        (n, i): X.faces[(n + 1, i + b)]
-        for n in range(1, level + 1)
-        for i in range(n + 1)
-    }
-    degeneracies = {
-        (n, i): X.degeneracies[(n + 1, i + b)]
-        for n in range(level)
-        for i in range(n + 1)
-    }
-    Y = TruncatedSSet(level, X.cells[1:], faces, degeneracies)
-    forgotten = (X.faces[(n + 1, (n + 1) * (1 - b))] for n in range(level + 1))
-    return Y, SimplicialMap(Y, X, tuple(forgotten))
+    Y = _reindexed(X, (_TOP, _BOT)[b], X.level - 1, 1, b)
+    try:
+        forgotten = tuple(X.faces[(n, n * (1 - b))] for n in range(1, X.level + 1))
+    except KeyError as exc:
+        raise _missing("d", exc.args[0]) from None
+    proj = SimplicialMap(Y, X, forgotten)
+    _inherit(proj, _current(X), (_TOP_PROJECTION, _BOT_PROJECTION)[b])
+    return Y, proj
 
 
 def dec_top(X: TruncatedSSet) -> tuple[TruncatedSSet, SimplicialMap]:
@@ -87,11 +93,7 @@ def dec_top(X: TruncatedSSet) -> tuple[TruncatedSSet, SimplicialMap]:
     is X's unit square of the codegeneracy doubling j on [n + 1] along
     the outer coface at offset 0.
     """
-    Y, proj = _decalage(X, 0)
-    record = _current(X)
-    _inherit(Y, record, _TOP)
-    _inherit(proj, record, _TOP_PROJECTION)
-    return Y, proj
+    return _decalage(X, 0)
 
 
 def dec_bot(X: TruncatedSSet) -> tuple[TruncatedSSet, SimplicialMap]:
@@ -109,11 +111,7 @@ def dec_bot(X: TruncatedSSet) -> tuple[TruncatedSSet, SimplicialMap]:
     (n, i); and its degeneracy squares are X's unit squares along the
     outer coface at offset 1.
     """
-    Y, proj = _decalage(X, 1)
-    record = _current(X)
-    _inherit(Y, record, _BOT)
-    _inherit(proj, record, _BOT_PROJECTION)
-    return Y, proj
+    return _decalage(X, 1)
 
 
 #: The facts of X that dec_top's output and projection hold, by what they
@@ -136,39 +134,42 @@ _BOT_PROJECTION = {_OPPOSITE[f]: t for f, t in _TOP_PROJECTION.items()}
 
 
 def sd(X: TruncatedSSet) -> TruncatedSSet:
-    """Edgewise subdivision: level floor((L-1)/2) with Z_n = X_{2n+1}."""
+    """Edgewise subdivision: level floor((L-1)/2) with Z_n = X_{2n+1}.
+
+    Its tables are composites of X's, so it carries no record.  A table
+    of X that it reads and X lacks raises StructuralError."""
     if X.level < 1:
         raise LevelError("edgewise subdivision needs level >= 1")
     level = (X.level - 1) // 2
     cells = tuple(X.cells[2 * n + 1] for n in range(level + 1))
-    faces = {}
-    for n in range(1, level + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = compose_tables(
-                X.faces[(2 * n + 1, n + i + 1)], X.faces[(2 * n, n - i)]
-            )
-    degeneracies = {}
-    for n in range(level):
-        for i in range(n + 1):
-            degeneracies[(n, i)] = compose_tables(
-                X.degeneracies[(2 * n + 1, n + i + 1)],
-                X.degeneracies[(2 * n + 2, n - i)],
-            )
-    return TruncatedSSet(level, cells, faces, degeneracies)
+    d, s, kind = X.faces, X.degeneracies, "d"
+    try:
+        zd = {(n, i): compose_tables(d[(2 * n + 1, n + i + 1)], d[(2 * n, n - i)])
+              for n in range(1, level + 1) for i in range(n + 1)}
+        kind = "s"
+        zs = {(n, i): compose_tables(s[(2 * n + 1, n + i + 1)], s[(2 * n + 2, n - i)])
+              for n in range(level) for i in range(n + 1)}
+    except KeyError as exc:
+        raise _missing(kind, exc.args[0]) from None
+    return TruncatedSSet(level, cells, zd, zs)
 
 
 def _degeneracies_into_sd(X: TruncatedSSet, top: bool) -> SimplicialMap:
     """The iterated bottom (top) degeneracies X_{n+1} -> X_{2n+1}, as a
     simplicial map into the edgewise subdivision from the bottom
-    decalage (the opposite of the top one)."""
+    decalage (the opposite of the top one).  A table of X that it reads
+    and X lacks raises StructuralError."""
     Z = sd(X)
     Y = opposite(dec_top(X)[0]) if top else dec_bot(X)[0]
     components = []
-    for n in range(Z.level + 1):
-        row = tuple(range(len(X.cells[n + 1])))
-        for lvl in range(n + 1, 2 * n + 1):
-            row = compose_tables(row, X.degeneracies[(lvl, lvl if top else 0)])
-        components.append(row)
+    try:
+        for n in range(Z.level + 1):
+            row = tuple(range(len(X.cells[n + 1])))
+            for lvl in range(n + 1, 2 * n + 1):
+                row = compose_tables(row, X.degeneracies[(lvl, lvl if top else 0)])
+            components.append(row)
+    except KeyError as exc:
+        raise _missing("s", exc.args[0]) from None
     return SimplicialMap(Y, Z, tuple(components))
 
 

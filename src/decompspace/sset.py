@@ -57,10 +57,14 @@ shape-tested and walked once however many checks read it.  Only what was
 proven is remembered: each call still converts the tables for itself.
 
 opposite, truncate and the decalages make their output of their input's
-very tables, reindexed, so each identity of the output, and each
-naturality equation of a decalage's projection, is one of the input's
-on the same tables: _inherit gives each output what the input's record
-proves, its facts mapped through one table per operator.
+very tables, reindexed, each restricting X along a functor of Delta that
+sends generators to generators, and one builder, _reindexed, makes all
+four.  So each identity of the output, and each naturality equation of
+a decalage's projection, is one of the input's on the same tables:
+_inherit gives each output what the input's record proves, its facts
+mapped through one table per operator, and only _reindexed and
+operators._decalage (for the projection) call it.  sd composes new
+tables, and neither it, a builder nor a reader can reach _inherit.
 
 A record also holds the square families (Segal, upper and lower
 2-Segal, unit) that the checkers in criteria have since proven whole on
@@ -250,7 +254,7 @@ class TruncatedSSet:
 
         def convert(kind, tables, n, i, target_level) -> Table:
             if (n, i) not in tables:
-                raise StructuralError(f"missing table {kind}_{i} at level {n}")
+                raise _missing(kind, (n, i))
             table, what = tables[(n, i)], f"{kind}_{i} at level {n}"
             row = _name_row(table, cells[n], index[target_level], what, "dangling cell")
             if len(table) != len(row):
@@ -445,6 +449,13 @@ def _encoding(*sets: TruncatedSSet) -> _Encoding:
     return _BYTES if largest <= 256 else _TUPLES
 
 
+def _missing(kind: str, key: tuple[int, int]) -> StructuralError:
+    """The error for a set that lacks its face ("d") or degeneracy ("s")
+    table at key, (level, index)."""
+    n, i = key
+    return StructuralError(f"missing table {kind}_{i} at level {n}")
+
+
 def _checked_tables(X: TruncatedSSet, kind: str, convert, tested: bool) -> list[list]:
     """X's face ("d") or degeneracy ("s") tables, by n and then i, each
     converted by convert as rows[n][i]; with tested, each is first
@@ -462,7 +473,7 @@ def _checked_tables(X: TruncatedSSet, kind: str, convert, tested: bool) -> list[
             try:
                 table = tables[(n, i)]
             except KeyError:
-                raise StructuralError(f"missing table {kind}_{i} at level {n}") from None
+                raise _missing(kind, (n, i)) from None
             problem = tested and _index_problem(table, source, size)
             if problem:
                 raise StructuralError(f"{kind}_{i} at level {n} {problem}")
@@ -548,14 +559,9 @@ def _valid_call(
     """The call of one check on sets, once each is validated (without
     walk, once each table has the right shape): StructuralError unless
     it is a simplicial set.  roles names the sets of a map in the errors
-    ("map source: ..."); without it they are the input's.  A set given
-    twice is read once."""
+    ("map source: ..."); without it they are the input's."""
     code, rows, facts = _encoding(*sets), [], []
     for k, X in enumerate(sets):
-        if k and X is sets[0]:
-            rows.append(rows[0])
-            facts.append(facts[0])
-            continue
         who = "input" if roles is None else f"map {roles[k]}"
         try:
             d, s, report, record = _proven(X, _current(X), code, walk)
@@ -755,11 +761,7 @@ def opposite(X: TruncatedSSet) -> TruncatedSSet:
     d_k |-> d_{n-k} maps X's simplicial identities onto themselves, so
     the opposite inherits what X's record proves (_inherit), with the
     upper and lower families swapped (_OPPOSITE)."""
-    faces = {(n, i): X.faces[(n, n - i)] for (n, i) in X.faces}
-    degeneracies = {(n, i): X.degeneracies[(n, n - i)] for (n, i) in X.degeneracies}
-    Y = TruncatedSSet(X.level, X.cells, faces, degeneracies)
-    _inherit(Y, _current(X), _OPPOSITE)
-    return Y
+    return _reindexed(X, _OPPOSITE, X.level, mirror=True)
 
 
 def truncate(X: TruncatedSSet, level: int) -> TruncatedSSet:
@@ -768,28 +770,49 @@ def truncate(X: TruncatedSSet, level: int) -> TruncatedSSet:
     (_inherit), every family included."""
     if level > X.level:
         raise LevelError(f"cannot extend level {X.level} to {level}")
-    faces = {(n, i): t for (n, i), t in X.faces.items() if n <= level}
-    degeneracies = {
-        (n, i): t for (n, i), t in X.degeneracies.items() if n + 1 <= level
-    }
-    Y = TruncatedSSet(level, X.cells[: level + 1], faces, degeneracies)
-    _inherit(Y, _current(X), _SAME)
+    return _reindexed(X, _SAME, level)
+
+
+def _reindexed(
+    X: TruncatedSSet, facts, level: int, lo: int = 0, b: int = 0, mirror: bool = False
+) -> TruncatedSSet:
+    """The one builder of a set Y made of X's very tables, reindexed:
+    Y_n = X_{n+lo} for n <= level, and d_i and s_i on Y_n are X's d_j and
+    s_j on X_{n+lo}, with j = n + lo - i for the opposite (mirror) and
+    j = i + b otherwise.  Y inherits what X's record proves, mapped
+    through facts (_inherit).  A table of X that Y needs and X lacks
+    raises StructuralError, worded as validate words it."""
+    faces, degeneracies, kind = X.faces, X.degeneracies, "d"
+    try:
+        d = {(n, i): faces[(n + lo, n + lo - i if mirror else i + b)]
+             for n in range(1, level + 1) for i in range(n + 1)}
+        kind = "s"
+        s = {(n, i): degeneracies[(n + lo, n + lo - i if mirror else i + b)]
+             for n in range(level) for i in range(n + 1)}
+    except KeyError as exc:
+        raise _missing(kind, exc.args[0]) from None
+    Y = TruncatedSSet(level, X.cells[lo : lo + level + 1], d, s)
+    _inherit(Y, _current(X), facts)
     return Y
 
 
 def _inherit(z: TruncatedSSet | SimplicialMap, record: set | None, facts) -> None:
     """Give z what record proves of it, record being _current(X) for the
-    set X that opposite, truncate or a decalage made z of just now: each
-    fact of X that facts maps becomes the fact of z it names, as the
-    operator's docstring proves.  Nothing is given when record is None.
+    set X that z was made of just now: each fact of X that facts maps
+    becomes the fact of z it names, as the operator's docstring proves.
+    Nothing is given when record is None.
 
-    Each of them makes z of X's very tables, reindexed: every table of
-    z is one of X's, between levels of X of the sizes of z's, so it
-    passes the same shape test; the levels of a set z are levels of X,
-    so they hold no duplicate cell; and each simplicial identity of a
-    set z, on each cell, is one of X's on the same tables and cells.
-    So the reader's shape test carries over as a shape test, and
-    "identities" as the identities a walk of z would find holding.  A
+    It has two callers, the two builders that make z of X's very tables,
+    reindexed: _reindexed, the one builder of such a set (opposite,
+    truncate and both decalages), and operators._decalage, for the
+    projection onto X.  sd, the builders and the readers cannot reach
+    it.  Every table of z is one of X's, between levels of X of the
+    sizes of z's, so it passes the same shape test; the levels of a set
+    z are levels of X, so they hold no duplicate cell; and each
+    simplicial identity of a set z, on each cell, is one of X's on the
+    same tables and cells.  So the reader's shape test carries over as a
+    shape test, and "identities" as the identities a walk of z would
+    find holding.  A
     projection's components are outer faces of X, and with "identities"
     each naturality equation of it is a simplicial identity of X on the
     same tables: for Dec_top, c_{n-1} d_i = d_i c_n is d_i d_{n+1} =

@@ -1,14 +1,14 @@
-"""The errors of builder preconditions, readers and sset's constructors
-that no other test reaches: each raises its own type with its own
-message, and each that a file can carry ends in the CLI's exit code and
-message, with no traceback and no output written."""
+"""The errors of builder preconditions, readers, sset's constructors and
+the operators that no other test reaches: each raises its own type with
+its own message, and each that a file can carry ends in the CLI's exit
+code and message, with no traceback and no output written."""
 
 import json
 
 import pytest
 
 from corpus import arrow_category, input_obj, paper_graph, short_words_pmonoid
-from decompspace import builders, serialize
+from decompspace import builders, operators, serialize
 from decompspace.builders import OuterFaceComplex
 from decompspace.cli import main
 from decompspace.serialize import SchemaError
@@ -19,6 +19,9 @@ from decompspace.sset import (
     TruncatedSSet,
     compose_tables,
     is_pullback_square,
+    opposite,
+    truncate,
+    validate,
 )
 from oracles import identity_map
 
@@ -177,3 +180,47 @@ def test_failing_square_without_names_labels_by_index():
     assert (witness.element, witness.preimage_count, witness.preimages) == (
         (0, 0), 2, (0, 1)
     )
+
+
+#: The operators that read a set's tables, by name.
+OPERATORS = {
+    "opposite": opposite,
+    "truncate": lambda X: truncate(X, 2),
+    "dec_top": operators.dec_top,
+    "dec_bot": operators.dec_bot,
+    "sd": operators.sd,
+    "map_decbot_to_sd": operators.map_decbot_to_sd,
+    "map_dectop_op_to_sd": operators.map_dectop_op_to_sd,
+}
+
+#: For each operator, a face and a degeneracy table of a level-3 set that
+#: it reads, as (operator, kind, level, index): the décalages' also the
+#: face their projection reads, and map_dectop_op_to_sd's s_2 at level 2
+#: one that only its iterated degeneracies read.
+MISSING = [
+    ("opposite", "d", 2, 1), ("opposite", "s", 1, 0),
+    ("truncate", "d", 2, 1), ("truncate", "s", 1, 0),
+    ("dec_top", "d", 2, 1), ("dec_top", "d", 1, 1), ("dec_top", "s", 1, 0),
+    ("dec_bot", "d", 2, 1), ("dec_bot", "d", 1, 0), ("dec_bot", "s", 1, 1),
+    ("sd", "d", 2, 1), ("sd", "s", 1, 1),
+    ("map_decbot_to_sd", "d", 2, 1), ("map_decbot_to_sd", "s", 2, 0),
+    ("map_dectop_op_to_sd", "d", 2, 1), ("map_dectop_op_to_sd", "s", 2, 2),
+]
+
+
+@pytest.mark.parametrize("case", MISSING, ids=lambda case: "-".join(map(str, case)))
+def test_operator_names_a_missing_table(case):
+    # an operator given a set that lacks a table it reads raises, at the
+    # call, the StructuralError that validate raises on that set
+    name, kind, n, i = case
+    X = builders.free_decomposition(builders.terminal_complex(2), 3)
+    tables = {"d": dict(X.faces), "s": dict(X.degeneracies)}
+    del tables[kind][(n, i)]
+    broken = TruncatedSSet(X.level, X.cells, tables["d"], tables["s"])
+    message = f"missing table {kind}_{i} at level {n}"
+    with pytest.raises(StructuralError) as from_validate:
+        validate(broken)
+    assert str(from_validate.value) == message
+    with pytest.raises(StructuralError) as from_operator:
+        OPERATORS[name](broken)
+    assert str(from_operator.value) == message

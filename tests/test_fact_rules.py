@@ -1,4 +1,4 @@
-"""Mutation test of the rules by which the operators pass facts on.
+"""Mutation test of the rules by which facts are proven and passed on.
 
 Four tables are the only sources of those rules: sset._SAME (truncate),
 sset._OPPOSITE (opposite), and operators._TOP and _TOP_PROJECTION
@@ -12,16 +12,25 @@ have proven what they prove, gives what the same check does not give on
 a copy that carries no record.  A table with such a fault would let a
 remembered check report a family as holding that does not hold.
 
-The sets are taken from tests/sweep_remembered.py's 1,835, four that
-together show every fault.  checked_sequence reads an opposite only
-twice over, opposite(opposite(X)), on which an _OPPOSITE that does not
-swap gives the right facts, and a truncation only of a decalage, through
-the Segal checker alone; rule_sequence adds one opposite and every
-truncation of X one level down, each through RULE_STEPS.
+The same goes for the facts a checker proves: each call of
+criteria._decide that hands it a proves= argument (PROVES_FAULTS), and
+each branch of criteria._family, which tags the squares of a compiled
+plan with the family whose proof lets a later check count them
+undecided (FAMILY_FAULTS).  A fault there adds an unsound fact to what a
+check that holds proves, or an unsound tag to a square.
+
+The sets are taken from tests/sweep_remembered.py's 1,835, five that
+together show every fault that some sweep set shows.  checked_sequence
+reads an opposite only twice over, opposite(opposite(X)), on which an
+_OPPOSITE that does not swap gives the right facts, and a truncation
+only of a decalage, through the Segal checker alone; rule_sequence adds
+one opposite and every truncation of X one level down, each through
+RULE_STEPS.
 """
 
 import dataclasses
 from functools import lru_cache
+from itertools import chain
 
 import pytest
 
@@ -153,6 +162,105 @@ FAULTS = [
 #   cannot be planted, as operators reads _OPPOSITE of each at import.
 
 
+#: The proves= argument of each call of criteria._decide that hands it
+#: one, by the checker that makes the call.
+PROVES = {
+    "check_segal": ("segal",),
+    "check_upper_2segal": ("upper",),
+    "check_lower_2segal": ("lower",),
+    "check_decomposition at level 3 and up": ("upper", "lower"),
+    "check_decomposition at level 2": ("unit",),
+    "check_decomposition_direct at rank cap = level": ("unit", "upper", "lower"),
+}
+
+#: Each fault of a call site: the proves= argument of the call, the fact
+#: it also proves, and the sweep set that shows it, with the number of
+#: the 1,835 that do.
+PROVES_FAULTS = [
+    # the upper checker also proving lower, and the lower one upper (32 each)
+    (("upper",), "lower", (49, 3)),
+    (("lower",), "upper", (63, 3)),
+    # check_decomposition at level 3 proving segal (4)
+    (("upper", "lower"), "segal", (47, 3)),
+    # check_decomposition at level 2 proving segal (93)
+    (("unit",), "segal", (47, 2)),
+    # the direct checker at rank cap = level proving segal (97)
+    (("unit", "upper", "lower"), "segal", (47, 3)),
+]
+
+# The faults of a call site that no sweep set shows, and why:
+# - check_segal proving upper, lower or unit: a Segal space is a
+#   decomposition space (arXiv:1512.07573), and on every sweep set whose
+#   Segal squares hold, so do its other families.
+# - check_decomposition at level 3 and up proving unit: no sweep set of
+#   level 3 whose 2-Segal squares hold fails a unit square (at level 2
+#   some do, which is why the level-2 call decides them; ROADMAP item 2
+#   asks at what depth 2-Segal implies unital in a truncation).
+# - check_decomposition at level 2 proving upper or lower: at level 2 no
+#   2-Segal square exists (each needs X_3), so the fact holds vacuously,
+#   as it does of each truncation and decalage of the set.
+
+#: The branch of criteria._family that each square of a plan takes, and
+#: the tag each fault gives every square of that branch in its place,
+#: with the sweep set that shows it and the number of the 1,835 that do.
+FAMILY_FAULTS = [
+    # a unit square tagged upper, counted once the upper squares hold (1,618)
+    ("unit", "upper", (4, 2)),
+    # the upper squares tagged lower, and the lower ones upper (32 each)
+    ("upper", "lower", (49, 3)),
+    ("lower", "upper", (63, 3)),
+]
+
+# The tags that no sweep set shows, and why:
+# - any square tagged segal, or a 2-Segal square tagged unit: sound, as
+#   for the rules above ("segal" proves every family, and a record holds
+#   "unit" only with "upper" and "lower" or at level 2, where no 2-Segal
+#   square exists).
+# - a polygonal end square that is not elementary (alpha = (0, m), m >= 2,
+#   with k > 2) tagged with the other side, or with any tag: such a
+#   square needs X_4, and the sweep's sets have level 2 or 3, where every
+#   polygonal end square is elementary and so takes the branches above.
+#   Tried with the tags upper, lower, unit and the other side, none
+#   shows on the level-4 sets on the sweep's generators either, nor on
+#   the corpus sets of level 4 and up and three duplicate_top copies of
+#   each.
+
+#: The committed _family, which a planted tag falls back on.
+FAMILY = criteria._family
+
+
+def family_branch(alpha, iota, k: int) -> str | None:
+    """The branch of _family that tags an elementary square, unit, upper
+    or lower, or None for any other square."""
+    n, m = len(alpha) - 1, alpha[-1]
+    if k == n + 1 and m - n in (1, -1):
+        return "unit" if m < n else ("upper" if iota[0] > 0 else "lower")
+    return None
+
+
+def clear_plans() -> None:
+    """Empty criteria's caches, whose compiled plans hold _family's tags."""
+    for value in vars(criteria).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+@pytest.fixture
+def replanned(monkeypatch):
+    """monkeypatch, with criteria's plans compiled afresh while the test
+    runs and once more after its changes are undone."""
+    clear_plans()
+    yield monkeypatch
+    monkeypatch.undo()
+    clear_plans()
+
+
+def fault_keys() -> list:
+    """The sweep sets that show the faults, each once."""
+    keys = chain(FAULTS, PROVES_FAULTS, FAMILY_FAULTS)
+    return sorted({fault[-1] for fault in keys})
+
+
 def test_faults_cover_every_entry():
     entries = {(name, entry) for name, entry, *_ in FAULTS}
     assert entries == {
@@ -167,7 +275,7 @@ def test_committed_rules_match_fresh():
     assert bot_rules() == {
         "_BOT": operators._BOT, "_BOT_PROJECTION": operators._BOT_PROJECTION
     }
-    for key in sorted({shows for *_, shows in FAULTS}):
+    for key in fault_keys():
         X = dataclasses.replace(sweep_set(*key))
         assert rule_sequence(X, fresh=False) == fresh_sequence(*key), key
 
@@ -177,5 +285,54 @@ def test_planted_fault_shows(fault, monkeypatch):
     *rule, key = fault
     fresh = fresh_sequence(*key)
     plant(monkeypatch, *rule)
+    X = dataclasses.replace(sweep_set(*key))
+    assert rule_sequence(X, fresh=False) != fresh
+
+
+def test_every_proves_call_is_a_site():
+    # on the sets that show the faults, every proves= argument handed to
+    # criteria._decide is one of PROVES, and each of PROVES is handed
+    seen = set()
+    decide = criteria._decide
+
+    def recording(level, call, squares, cover=None, size=None, max_squares=None, proves=()):
+        seen.add(tuple(proves))
+        return decide(level, call, squares, cover, size, max_squares, proves)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(criteria, "_decide", recording)
+        for key in fault_keys():
+            rule_sequence(dataclasses.replace(sweep_set(*key)), fresh=False)
+    assert seen - {()} == set(PROVES.values())
+    assert {site for site, *_ in PROVES_FAULTS} <= set(PROVES.values())
+
+
+@pytest.mark.parametrize("fault", PROVES_FAULTS, ids=lambda f: "-".join([*f[0], f[1]]))
+def test_planted_proof_shows(fault, monkeypatch):
+    site, fact, key = fault
+    fresh = fresh_sequence(*key)
+    decide = criteria._decide
+
+    def planted(level, call, squares, cover=None, size=None, max_squares=None, proves=()):
+        if tuple(proves) == site:
+            proves = (*proves, fact)
+        return decide(level, call, squares, cover, size, max_squares, proves)
+
+    monkeypatch.setattr(criteria, "_decide", planted)
+    X = dataclasses.replace(sweep_set(*key))
+    assert rule_sequence(X, fresh=False) != fresh
+
+
+@pytest.mark.parametrize("fault", FAMILY_FAULTS, ids=lambda f: "-".join(f[:2]))
+def test_planted_tag_shows(fault, replanned):
+    branch, tag, key = fault
+    fresh = fresh_sequence(*key)
+
+    def planted(alpha, iota, k):
+        if family_branch(alpha, iota, k) == branch:
+            return tag
+        return FAMILY(alpha, iota, k)
+
+    replanned.setattr(criteria, "_family", planted)
     X = dataclasses.replace(sweep_set(*key))
     assert rule_sequence(X, fresh=False) != fresh

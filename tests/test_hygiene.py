@@ -7,7 +7,11 @@ function of sset shape-tests a table, one loop of sset walks the
 equations of validate and map naturality, and one function of sset
 writes the record of what was proven of an object, for serialize's
 readers, sset's validation and the operators' inheritance, to which only
-criteria's driver adds the square families it proves."""
+criteria's driver adds the square families it proves.  A record is
+passed on only by the two builders that make a set or map of another
+set's very tables: sset._reindexed, the one builder of opposite,
+truncate and both decalages, and operators._decalage, for the
+projection; they are _inherit's only callers."""
 
 import ast
 from pathlib import Path
@@ -229,14 +233,14 @@ def test_only_the_readers_certify():
     # only the set and map readers, sset's one validation entry and the
     # inheritance through which opposite, truncate and the decalages pass
     # their input's record on call it; only _current reads it, and only
-    # validation, the map walk, opposite, truncate and the decalages
-    # call that.  A builder, sd or any other function that certified its
-    # own output would fail here.  A record's facts grow in place only
-    # through criteria's driver _decide, for the families a whole walk or
-    # certificate proves, and the two walks that add "identities" and
-    # "naturality"; of a check's call, they are read by _decide, the
-    # square walks and check_segal, and the culf check gets a map's from
-    # _naturality
+    # validation, the map walk, the one reindexing builder and the
+    # decalage's projection call that.  A builder, sd or any other
+    # function that certified its own output would fail here.  A
+    # record's facts grow in place only through criteria's driver
+    # _decide, for the families a whole walk or certificate proves, and
+    # the two walks that add "identities" and "naturality"; of a check's
+    # call, they are read by _decide, the square walks and check_segal,
+    # and the culf check gets a map's from _naturality
     setters, certifiers, readers = set(), set(), set()
     fact_writers, fact_readers, current_callers = set(), set(), set()
     for module, tree in TREES.items():
@@ -284,17 +288,34 @@ def test_only_the_readers_certify():
     assert current_callers == {
         ("sset.py", "_valid_call"),
         ("sset.py", "validate"),
-        ("sset.py", "opposite"),
-        ("sset.py", "truncate"),
+        ("sset.py", "_reindexed"),
         ("sset.py", "_naturality"),
-        ("operators.py", "dec_top"),
-        ("operators.py", "dec_bot"),
+        ("operators.py", "_decalage"),
     }
+    # a record is passed on only by the two builders that make their
+    # output of X's very tables: _reindexed (opposite, truncate and both
+    # decalages) and _decalage, for the projection
+    assert {
+        (module, name)
+        for module, tree in TREES.items()
+        for name in called_in(tree, "_inherit")
+    } == {("sset.py", "_reindexed"), ("operators.py", "_decalage")}
     assert fact_readers == {
         ("criteria.py", "_decide"),
         ("criteria.py", "_pushout_squares"),
         ("criteria.py", "check_segal"),
     }
+
+
+def test_one_reindexing_builder():
+    # in sset and operators, a set is made of another set's very tables
+    # only by _reindexed, which opposite, truncate and _decalage call,
+    # and of new tables only by sd (and by from_names, through cls)
+    sset_tree, operators_tree = TREES["sset.py"], TREES["operators.py"]
+    assert called_in(sset_tree, "TruncatedSSet") == {"_reindexed"}
+    assert called_in(operators_tree, "TruncatedSSet") == {"sd"}
+    assert called_in(sset_tree, "_reindexed") == {"opposite", "truncate"}
+    assert called_in(operators_tree, "_reindexed") == {"_decalage"}
 
 
 def test_one_source_per_rule():
